@@ -50,7 +50,13 @@ fn run_point(
 fn main() {
     let tasks = fig7_tasks(2026);
     for task in &tasks {
-        let model = task.train_model(24, 120, 99);
+        let model = match task.train_model(24, 120, 99) {
+            Ok(model) => model,
+            Err(e) => {
+                eprintln!("fig07: training {} failed: {e}", task.name);
+                std::process::exit(1);
+            }
+        };
         let clean = task.accuracy(&model);
 
         let mut points: Vec<(String, f64, f64)> = Vec::new();

@@ -9,6 +9,7 @@
 use llm265_tensor::channel::LossyCompressor;
 use llm265_tensor::Tensor;
 
+use crate::error::ModelError;
 use crate::layers::{softmax_rows, Linear};
 use crate::param::Param;
 
@@ -200,19 +201,20 @@ impl MultiHeadAttention {
 
     /// Backward pass; returns `dL/dx`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
+    /// [`ModelError::BackwardBeforeForward`] if called before `forward`
+    /// (there are no saved projections or attention weights).
+    pub fn backward(&mut self, dy: &Tensor) -> Result<Tensor, ModelError> {
         let saved = self
             .saved
             .take()
-            .expect("attention backward before forward");
+            .ok_or(ModelError::BackwardBeforeForward("MultiHeadAttention"))?;
         let t_len = dy.rows();
         let dim = self.n_heads * self.head_dim;
         let scale = 1.0 / (self.head_dim as f32).sqrt();
 
-        let dconcat = self.wo.backward(dy);
+        let dconcat = self.wo.backward(dy)?;
 
         let mut dq = Tensor::zeros(t_len, dim);
         let mut dk = Tensor::zeros(t_len, dim);
@@ -248,11 +250,11 @@ impl MultiHeadAttention {
                 }
             }
         }
-        let mut dx = self.wq.backward(&dq);
-        dx.add_assign(&self.wk.backward(&dk));
-        dx.add_assign(&self.wv.backward(&dv));
+        let mut dx = self.wq.backward(&dq)?;
+        dx.add_assign(&self.wk.backward(&dk)?);
+        dx.add_assign(&self.wv.backward(&dv)?);
         let _ = saved.x;
-        dx
+        Ok(dx)
     }
 
     /// Visits this block's parameters.
@@ -314,7 +316,7 @@ mod tests {
         let coef = Tensor::from_fn(4, 8, |_, _| rng.normal() as f32);
 
         let _ = attn.forward(&x);
-        let dx = attn.backward(&coef);
+        let dx = attn.backward(&coef).expect("forward ran first");
 
         let loss = |x: &Tensor| -> f32 {
             let mut bits = 0;
@@ -343,7 +345,7 @@ mod tests {
         let x = Tensor::from_fn(4, 8, |_, _| rng.normal() as f32 * 0.5);
         let coef = Tensor::from_fn(4, 8, |_, _| rng.normal() as f32);
         let _ = attn.forward(&x);
-        let _ = attn.backward(&coef);
+        attn.backward(&coef).expect("forward ran first");
         let analytic = attn.wk.w.grad[(2, 3)];
 
         let eps = 1e-2f32;

@@ -59,14 +59,15 @@ impl Linear {
 
     /// Backward pass; returns `dL/dx`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
+    /// [`ModelError::BackwardBeforeForward`] if called before `forward`
+    /// (there is no saved input to form the weight gradient from).
+    pub fn backward(&mut self, dy: &Tensor) -> Result<Tensor, ModelError> {
         let x = self
             .saved_x
             .take()
-            .expect("Linear::backward before forward");
+            .ok_or(ModelError::BackwardBeforeForward("Linear"))?;
         // dW += dyᵀ x ; db += Σrows dy ; dx = dy W.
         let dw = dy.transposed().matmul(&x);
         self.w.grad.add_assign(&dw);
@@ -76,7 +77,7 @@ impl Linear {
                 *g += d;
             }
         }
-        dy.matmul(&self.w.value)
+        Ok(dy.matmul(&self.w.value))
     }
 
     /// Visits this layer's parameters.
@@ -144,14 +145,15 @@ impl LayerNorm {
 
     /// Backward pass; returns `dL/dx`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
+    /// [`ModelError::BackwardBeforeForward`] if called before `forward`
+    /// (there are no saved normalized activations).
+    pub fn backward(&mut self, dy: &Tensor) -> Result<Tensor, ModelError> {
         let (xhat, _means, inv_stds) = self
             .saved
             .take()
-            .expect("LayerNorm::backward before forward");
+            .ok_or(ModelError::BackwardBeforeForward("LayerNorm"))?;
         let d = dy.cols();
         let mut dx = Tensor::zeros(dy.rows(), d);
         for r in 0..dy.rows() {
@@ -176,7 +178,7 @@ impl LayerNorm {
                 dx[(r, c)] = (dxhat[c] - m1 - xhat[(r, c)] * m2) * inv_stds[r];
             }
         }
-        dx
+        Ok(dx)
     }
 
     /// Visits this layer's parameters.
@@ -294,7 +296,7 @@ mod tests {
         let coef = Tensor::from_fn(4, 3, |_, _| rng.normal() as f32);
 
         let _y = layer.forward(&x);
-        let dx = layer.backward(&coef);
+        let dx = layer.backward(&coef).expect("forward ran first");
 
         // Finite differences on one input element.
         let (r, c) = (2, 3);
@@ -327,7 +329,7 @@ mod tests {
         let x = Tensor::from_fn(6, 4, |_, _| rng.normal() as f32);
         let coef = Tensor::from_fn(6, 3, |_, _| rng.normal() as f32);
         let _ = layer.forward(&x);
-        let _ = layer.backward(&coef);
+        layer.backward(&coef).expect("forward ran first");
         let analytic = layer.w.grad[(1, 2)];
 
         let eps = 1e-3f32;
@@ -378,7 +380,7 @@ mod tests {
         let x = Tensor::from_fn(2, 6, |_, _| rng.normal() as f32);
         let coef = Tensor::from_fn(2, 6, |_, _| rng.normal() as f32);
         let _ = ln.forward(&x);
-        let dx = ln.backward(&coef);
+        let dx = ln.backward(&coef).expect("forward ran first");
 
         let loss = |x: &Tensor| -> f32 {
             let y = ln.forward_inference(x);

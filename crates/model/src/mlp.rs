@@ -10,6 +10,7 @@ use llm265_tensor::channel::LossyCompressor;
 use llm265_tensor::rng::Pcg32;
 use llm265_tensor::Tensor;
 
+use crate::error::ModelError;
 use crate::layers::{gelu, gelu_grad, Linear};
 use crate::optimizer::Optimizer;
 use crate::param::{Param, VisitParams};
@@ -54,10 +55,20 @@ impl MlpClassifier {
 
     /// One cross-entropy training step; returns the mean loss.
     ///
+    /// # Errors
+    ///
+    /// Propagates [`ModelError`] from the layers' backward passes
+    /// (unreachable here: the step always runs the forward pass first).
+    ///
     /// # Panics
     ///
     /// Panics if `labels.len() != x.rows()`.
-    pub fn train_step(&mut self, x: &Tensor, labels: &[usize], opt: &mut dyn Optimizer) -> f64 {
+    pub fn train_step(
+        &mut self,
+        x: &Tensor,
+        labels: &[usize],
+        opt: &mut dyn Optimizer,
+    ) -> Result<f64, ModelError> {
         assert_eq!(labels.len(), x.rows(), "label count mismatch");
         self.zero_grads();
         let (mut logits, p1, p2) = self.forward_train(x);
@@ -72,17 +83,17 @@ impl MlpClassifier {
         }
         dlogits.scale(1.0 / n);
 
-        let dh2 = self.fc3.backward(&dlogits);
+        let dh2 = self.fc3.backward(&dlogits)?;
         let dp2 = Tensor::from_fn(dh2.rows(), dh2.cols(), |r, c| {
             dh2[(r, c)] * gelu_grad(p2[(r, c)])
         });
-        let dh1 = self.fc2.backward(&dp2);
+        let dh1 = self.fc2.backward(&dp2)?;
         let dp1 = Tensor::from_fn(dh1.rows(), dh1.cols(), |r, c| {
             dh1[(r, c)] * gelu_grad(p1[(r, c)])
         });
-        let _ = self.fc1.backward(&dp1);
+        self.fc1.backward(&dp1)?;
         opt.step(self);
-        loss / labels.len() as f64
+        Ok(loss / labels.len() as f64)
     }
 
     /// Classification accuracy on a labeled batch.
@@ -169,7 +180,7 @@ mod tests {
         let mut opt = Adam::new(5e-3);
         let before = model.accuracy(&x, &y);
         for _ in 0..60 {
-            model.train_step(&x, &y, &mut opt);
+            model.train_step(&x, &y, &mut opt).expect("train step");
         }
         let after = model.accuracy(&x, &y);
         assert!(after > 0.95, "accuracy {after} (before {before})");
@@ -187,10 +198,10 @@ mod tests {
         });
         let y: Vec<usize> = (0..48).map(|r| r % 3).collect();
         let mut opt = Adam::new(5e-3);
-        let first = model.train_step(&x, &y, &mut opt);
+        let first = model.train_step(&x, &y, &mut opt).expect("train step");
         let mut last = first;
         for _ in 0..50 {
-            last = model.train_step(&x, &y, &mut opt);
+            last = model.train_step(&x, &y, &mut opt).expect("train step");
         }
         assert!(last < first * 0.5, "first {first} last {last}");
     }
@@ -215,7 +226,7 @@ mod tests {
         let (x, y) = blobs(128, 16, &mut rng);
         let mut opt = Adam::new(5e-3);
         for _ in 0..60 {
-            model.train_step(&x, &y, &mut opt);
+            model.train_step(&x, &y, &mut opt).expect("train step");
         }
         let clean = model.accuracy(&x, &y);
         let (bits, values) = model.compress_weights(&mut Coarse);

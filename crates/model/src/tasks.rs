@@ -15,6 +15,7 @@ use llm265_tensor::rng::Pcg32;
 use llm265_tensor::Tensor;
 
 use crate::data::{DataError, SyntheticLang};
+use crate::error::ModelError;
 use crate::mlp::MlpClassifier;
 use crate::optimizer::Adam;
 use crate::transformer::TransformerLm;
@@ -179,14 +180,23 @@ pub struct FeatureTask {
 
 impl FeatureTask {
     /// Trains a fresh MLP on the task and returns it.
-    pub fn train_model(&self, hidden: usize, steps: usize, seed: u64) -> MlpClassifier {
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ModelError`] from [`MlpClassifier::train_step`].
+    pub fn train_model(
+        &self,
+        hidden: usize,
+        steps: usize,
+        seed: u64,
+    ) -> Result<MlpClassifier, ModelError> {
         let mut rng = Pcg32::seed_from(seed);
         let mut model = MlpClassifier::new(self.train_x.cols(), hidden, self.classes, &mut rng);
         let mut opt = Adam::new(4e-3);
         for _ in 0..steps {
-            model.train_step(&self.train_x, &self.train_y, &mut opt);
+            model.train_step(&self.train_x, &self.train_y, &mut opt)?;
         }
-        model
+        Ok(model)
     }
 
     /// Held-out accuracy of a model on this task.
@@ -311,7 +321,7 @@ mod tests {
     #[test]
     fn fig7_tasks_are_learnable() {
         for task in fig7_tasks(11) {
-            let model = task.train_model(24, 80, 3);
+            let model = task.train_model(24, 80, 3).expect("train step");
             let acc = task.accuracy(&model);
             let chance = 1.0 / task.classes as f64;
             assert!(

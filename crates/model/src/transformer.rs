@@ -142,16 +142,16 @@ impl Block {
             .saved_mlp_pre
             .take()
             .ok_or(ModelError::BackwardBeforeForward("Block"))?;
-        let dact = self.fc2.backward(dy);
+        let dact = self.fc2.backward(dy)?;
         let dpre = Tensor::from_fn(dact.rows(), dact.cols(), |r, c| {
             dact[(r, c)] * gelu_grad(pre[(r, c)])
         });
-        let dln2_in = self.ln2.backward(&self.fc1.backward(&dpre));
+        let dln2_in = self.ln2.backward(&self.fc1.backward(&dpre)?)?;
         let mut dh = dy.clone();
         dh.add_assign(&dln2_in);
 
         // Residual 1.
-        let dattn_in = self.ln1.backward(&self.attn.backward(&dh));
+        let dattn_in = self.ln1.backward(&self.attn.backward(&dh)?)?;
         let mut dx = dh;
         dx.add_assign(&dattn_in);
         Ok(dx)
@@ -282,8 +282,8 @@ impl TransformerLm {
             dlogits[(r, target)] -= 1.0;
         }
 
-        let dhn = self.head.backward(&dlogits);
-        let mut dh = self.ln_f.backward(&dhn);
+        let dhn = self.head.backward(&dlogits)?;
+        let mut dh = self.ln_f.backward(&dhn)?;
         for b in self.blocks.iter_mut().rev() {
             dh = b.backward(&dh)?;
         }
@@ -386,8 +386,8 @@ impl TransformerLm {
             dlogits[(r, target)] -= 1.0;
         }
 
-        let dhn = self.head.backward(&dlogits);
-        let mut dh = self.ln_f.backward(&dhn);
+        let dhn = self.head.backward(&dlogits)?;
+        let mut dh = self.ln_f.backward(&dhn)?;
         let n_blocks = self.blocks.len();
         for (rev, b) in self.blocks.iter_mut().rev().enumerate() {
             let i = n_blocks - 1 - rev;

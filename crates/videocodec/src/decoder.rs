@@ -8,6 +8,7 @@ use llm265_bitstream::rans;
 use crate::encoder::{FIXED_CU, FLAG_RANS, FLAG_TILED, MAGIC, VERSION};
 use crate::inter::{compensate, MotionVector};
 use crate::intra::RefSamples;
+use crate::lanes::round_i32;
 use crate::quant::Quantizer;
 use crate::syntax::{parse_residual, BinSource, Contexts, RawBinReader};
 use crate::transform::DctPlans;
@@ -114,17 +115,23 @@ impl<'a> FrameDecoder<'a> {
             for tx in 0..per_side {
                 let levels = parse_residual(dec, ctxs, tu, spatial)?;
                 if self.cfg.pipeline.transform {
-                    self.quant.dequantize_block_into(&levels, &mut self.deq);
-                    self.plans
-                        .get(tu)
-                        .inverse_into(&self.deq, &mut self.dct_tmp, &mut self.rres);
+                    // As in the encoder: an all-zero TU reconstructs to
+                    // zeros, so its dequantize and inverse are skipped.
+                    if levels.iter().all(|&l| l == 0) {
+                        self.rres.clear();
+                        self.rres.resize(tu * tu, 0);
+                    } else {
+                        self.quant.dequantize_block_into(&levels, &mut self.deq);
+                        self.plans.get(tu).inverse_into(
+                            &self.deq,
+                            &mut self.dct_tmp,
+                            &mut self.rres,
+                        );
+                    }
                 } else {
                     self.rres.clear();
-                    self.rres.extend(
-                        levels
-                            .iter()
-                            .map(|&l| self.quant.dequantize(l).round() as i32),
-                    );
+                    self.rres
+                        .extend(levels.iter().map(|&l| round_i32(self.quant.dequantize(l))));
                 }
                 for y in 0..tu {
                     for x in 0..tu {

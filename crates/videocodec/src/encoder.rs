@@ -19,6 +19,7 @@ use llm265_bitstream::cabac::CabacEncoder;
 
 use crate::inter::{compensate, motion_search, MotionVector};
 use crate::intra::RefSamples;
+use crate::lanes::round_i32;
 use crate::quant::{lambda, Quantizer};
 use crate::syntax::{code_residual, BinRecorder, BinSink, BitCounter, Contexts};
 use crate::transform::DctPlans;
@@ -102,17 +103,27 @@ struct TuScratch {
     rres: Vec<i32>,
 }
 
+/// One RD candidate's outcome: levels per TU and the reconstructed CU.
+#[derive(Default)]
+struct Trial {
+    tus: Vec<Vec<i32>>,
+    recon: Vec<i32>,
+}
+
 /// Per-frame scratch: TU buffers plus the CU-sized staging blocks used
-/// by the decide loop.
+/// by the decide loop. Nothing here outlives one `decide_leaf` call.
 #[derive(Default)]
 struct Scratch {
     tu: TuScratch,
-    /// Original pixels of the CU being residual-coded.
-    cu_orig: Vec<i32>,
-    /// Original pixels of the CU whose prediction is being decided.
+    /// Original pixels of the CU being decided, and their transpose (the
+    /// SAD sweep compares horizontal modes column-wise against it).
     leaf_orig: Vec<i32>,
-    /// Prediction block reused across the intra mode sweep.
-    pred: Vec<i32>,
+    leaf_t: Vec<i32>,
+    /// Prediction blocks of the RD candidates.
+    preds: Vec<Vec<i32>>,
+    /// The candidate being evaluated and the best one so far.
+    cur: Trial,
+    best: Trial,
 }
 
 /// Everything a single frame encode needs.
@@ -127,6 +138,40 @@ struct FrameCoder<'a> {
     frame_inter: bool,
     mode_bits: u32,
     scratch: Scratch,
+}
+
+/// Transforms + quantizes the residual staged in `tu.residual` into
+/// `levels`, leaving the reconstructed residual (what dequantization will
+/// recover) in `tu.rres`. A TU whose levels are all zero reconstructs to
+/// zeros, so its dequantize and inverse are skipped (exactly: the inverse
+/// of zeros is zeros).
+fn quantize_tu(
+    quant: &Quantizer,
+    plans: &DctPlans,
+    transform: bool,
+    n: usize,
+    tu: &mut TuScratch,
+    levels: &mut Vec<i32>,
+) {
+    if transform {
+        let plan = plans.get(n);
+        plan.forward_into(&tu.residual, &mut tu.dct_tmp, &mut tu.coeffs);
+        quant.quantize_block_into(&tu.coeffs, levels);
+        if levels.iter().all(|&l| l == 0) {
+            tu.rres.clear();
+            tu.rres.resize(n * n, 0);
+        } else {
+            quant.dequantize_block_into(levels, &mut tu.deq);
+            plan.inverse_into(&tu.deq, &mut tu.dct_tmp, &mut tu.rres);
+        }
+    } else {
+        // Transform skip: quantize the spatial residual directly.
+        levels.clear();
+        levels.extend(tu.residual.iter().map(|&r| quant.quantize(f64::from(r))));
+        tu.rres.clear();
+        tu.rres
+            .extend(levels.iter().map(|&l| round_i32(quant.dequantize(l))));
+    }
 }
 
 impl<'a> FrameCoder<'a> {
@@ -161,84 +206,59 @@ impl<'a> FrameCoder<'a> {
         }
     }
 
-    /// Transforms + quantizes the residual staged in `scratch.tu.residual`,
-    /// leaving the reconstructed residual (what dequantization will
-    /// recover) in `scratch.tu.rres` and returning the quantized levels —
-    /// owned, because they outlive the scratch inside [`LeafData`].
-    fn quantize_tu(&mut self, n: usize) -> Vec<i32> {
-        let tu = &mut self.scratch.tu;
-        if self.cfg.pipeline.transform {
-            let plan = self.plans.get(n);
-            plan.forward_into(&tu.residual, &mut tu.dct_tmp, &mut tu.coeffs);
-            let levels = self.quant.quantize_block(&tu.coeffs);
-            self.quant.dequantize_block_into(&levels, &mut tu.deq);
-            plan.inverse_into(&tu.deq, &mut tu.dct_tmp, &mut tu.rres);
-            levels
-        } else {
-            // Transform skip: quantize the spatial residual directly.
-            let levels: Vec<i32> = tu
-                .residual
-                .iter()
-                .map(|&r| self.quant.quantize(r as f64))
-                .collect();
-            tu.rres.clear();
-            tu.rres.extend(
-                levels
-                    .iter()
-                    .map(|&l| self.quant.dequantize(l).round() as i32),
-            );
-            levels
-        }
-    }
-
-    /// Runs the residual path for a whole CU (splitting into TUs as the
-    /// profile requires). Returns levels per TU, the reconstructed block,
-    /// and the SSD distortion against the original.
-    fn quantize_cu_residual(
-        &mut self,
-        x0: usize,
-        y0: usize,
-        size: usize,
-        pred: &[i32],
-    ) -> (Vec<Vec<i32>>, Vec<i32>, f64) {
+    /// Runs the residual path of candidate `k` (prediction
+    /// `scratch.preds[k]` against `scratch.leaf_orig`) for a whole CU,
+    /// splitting into TUs as the profile requires. Leaves the levels per
+    /// TU and the reconstructed block in `scratch.cur` and returns the
+    /// SSD distortion against the original.
+    fn quantize_cu_residual(&mut self, size: usize, k: usize) -> f64 {
         let tu = size.min(self.cfg.profile.max_tu());
         let per_side = size / tu;
-        self.scratch.cu_orig.clear();
-        self.scratch.cu_orig.resize(size * size, 0);
-        self.orig
-            .read_block(x0, y0, size, &mut self.scratch.cu_orig);
-
-        let mut tus = Vec::with_capacity(per_side * per_side);
-        let mut recon = vec![0i32; size * size];
+        let s = &mut self.scratch;
+        let (orig, pred) = (&s.leaf_orig, &s.preds[k]);
+        s.cur.tus.resize_with(per_side * per_side, Vec::new);
+        s.cur.recon.resize(size * size, 0);
         for ty in 0..per_side {
             for tx in 0..per_side {
-                self.scratch.tu.residual.clear();
-                self.scratch.tu.residual.resize(tu * tu, 0);
+                s.tu.residual.resize(tu * tu, 0);
                 for y in 0..tu {
-                    for x in 0..tu {
-                        let idx = (ty * tu + y) * size + tx * tu + x;
-                        self.scratch.tu.residual[y * tu + x] =
-                            self.scratch.cu_orig[idx] - pred[idx];
+                    let idx = (ty * tu + y) * size + tx * tu;
+                    for ((r, &o), &p) in s.tu.residual[y * tu..(y + 1) * tu]
+                        .iter_mut()
+                        .zip(&orig[idx..idx + tu])
+                        .zip(&pred[idx..idx + tu])
+                    {
+                        *r = o - p;
                     }
                 }
-                let levels = self.quantize_tu(tu);
+                quantize_tu(
+                    &self.quant,
+                    self.plans,
+                    self.cfg.pipeline.transform,
+                    tu,
+                    &mut s.tu,
+                    &mut s.cur.tus[ty * per_side + tx],
+                );
                 for y in 0..tu {
-                    for x in 0..tu {
-                        let idx = (ty * tu + y) * size + tx * tu + x;
-                        recon[idx] = (pred[idx] + self.scratch.tu.rres[y * tu + x]).clamp(0, 255);
+                    let idx = (ty * tu + y) * size + tx * tu;
+                    for ((o, &p), &r) in s.cur.recon[idx..idx + tu]
+                        .iter_mut()
+                        .zip(&pred[idx..idx + tu])
+                        .zip(&s.tu.rres[y * tu..(y + 1) * tu])
+                    {
+                        *o = (p + r).clamp(0, 255);
                     }
                 }
-                tus.push(levels);
             }
         }
-        let dist: f64 = self
-            .scratch
-            .cu_orig
+        // Integer SSD: at most 32² · 255² < 2^32, so the u32 sum and its
+        // f64 value are exact.
+        let dist: u32 = orig
             .iter()
-            .zip(&recon)
-            .map(|(&a, &b)| ((a - b) as f64).powi(2))
+            .zip(&s.cur.recon)
+            .map(|(&a, &b)| (a - b).unsigned_abs().pow(2))
             .sum();
-        (tus, recon, dist)
+        f64::from(dist)
     }
 
     /// Codes (or counts) the syntax of one leaf.
@@ -246,14 +266,15 @@ impl<'a> FrameCoder<'a> {
         &self,
         sink: &mut S,
         state: &mut CoderState,
-        leaf: &LeafData,
+        kind: CuKind,
+        tus: &[Vec<i32>],
         size: usize,
     ) {
         if self.frame_inter {
-            let is_inter = matches!(leaf.kind, CuKind::Inter(_));
+            let is_inter = matches!(kind, CuKind::Inter(_));
             sink.bit(&mut state.ctxs.inter_flag, is_inter);
         }
-        match leaf.kind {
+        match kind {
             CuKind::Inter(mv) => {
                 code_signed_eg(sink, mv.dx as i32);
                 code_signed_eg(sink, mv.dy as i32);
@@ -269,7 +290,7 @@ impl<'a> FrameCoder<'a> {
             CuKind::Flat => {}
         }
         let tu = size.min(self.cfg.profile.max_tu());
-        for levels in &leaf.tus {
+        for levels in tus {
             code_residual(
                 sink,
                 &mut state.ctxs,
@@ -289,69 +310,96 @@ impl<'a> FrameCoder<'a> {
         size: usize,
         state: &mut CoderState,
     ) -> (LeafData, f64) {
-        self.scratch.leaf_orig.clear();
-        self.scratch.leaf_orig.resize(size * size, 0);
-        self.orig
-            .read_block(x0, y0, size, &mut self.scratch.leaf_orig);
-        let orig = &self.scratch.leaf_orig;
+        let area = size * size;
+        let s = &mut self.scratch;
+        s.leaf_orig.resize(area, 0);
+        self.orig.read_block(x0, y0, size, &mut s.leaf_orig);
+        s.preds.resize_with(RD_CANDIDATES + 1, Vec::new);
 
-        // Candidate predictions.
-        let mut cands: Vec<(CuKind, Vec<i32>)> = Vec::new();
+        // Candidate predictions, into `s.preds[..n_cands]`.
+        let mut kinds = [CuKind::Flat; RD_CANDIDATES + 1];
+        let mut n_cands = 0;
         if self.cfg.pipeline.intra {
             let refs = RefSamples::gather(&self.recon, x0, y0, size);
-            // SAD-score every mode through one reused prediction buffer
-            // (dozens of modes per leaf — a fresh block per mode used to
-            // dominate the sweep's profile), then materialize only the
-            // few RD survivors.
-            let mut pred_buf = std::mem::take(&mut self.scratch.pred);
-            let modes = self.cfg.profile.modes();
-            let mut scored: Vec<(u64, u8)> = Vec::with_capacity(modes.len());
-            for (i, &mode) in modes.iter().enumerate() {
-                refs.predict_into(mode, &mut pred_buf);
-                let sad: u64 = orig
-                    .iter()
-                    .zip(&pred_buf)
-                    .map(|(&a, &b)| u64::from((a - b).unsigned_abs()))
-                    .sum();
-                // At most 35 modes, so the index fits a byte.
-                scored.push((sad, (i & 0xFF) as u8));
+            // SAD-score every mode straight from the line kernels (no
+            // prediction blocks), then predict only the few RD survivors.
+            s.leaf_t.resize(area, 0);
+            for (y, row) in s.leaf_orig.chunks_exact(size).enumerate() {
+                for (x, &v) in row.iter().enumerate() {
+                    s.leaf_t[x * size + y] = v;
+                }
             }
-            self.scratch.pred = pred_buf;
-            scored.sort_by_key(|&(sad, i)| (sad, i));
-            for &(_, i) in scored.iter().take(RD_CANDIDATES) {
-                cands.push((CuKind::Intra(i), refs.predict(modes[usize::from(i)])));
+            // The RD_CANDIDATES smallest `(SAD, mode index)` keys in
+            // ascending order, by insertion. Keys are unique (the index
+            // breaks ties), so these are exactly the head of the fully
+            // sorted list.
+            let modes = self.cfg.profile.modes();
+            let mut top = [(u64::MAX, u8::MAX); RD_CANDIDATES];
+            refs.sad_sweep(modes, &s.leaf_orig, &s.leaf_t, |i, sad| {
+                // At most 35 modes, so the index fits a byte.
+                let key = (sad, (i & 0xFF) as u8);
+                if n_cands < RD_CANDIDATES {
+                    n_cands += 1;
+                } else if key >= top[RD_CANDIDATES - 1] {
+                    return;
+                }
+                // The slot at `n_cands - 1` holds a placeholder or the
+                // evicted key, both larger than `key`, so `p` lands inside.
+                let p = top[..n_cands].partition_point(|&t| t < key);
+                top[p..n_cands].rotate_right(1);
+                top[p] = key;
+            });
+            for ((&(_, i), pred), kind) in top[..n_cands].iter().zip(&mut s.preds).zip(&mut kinds) {
+                refs.predict_into(modes[usize::from(i)], pred);
+                *kind = CuKind::Intra(i);
             }
         } else {
-            cands.push((CuKind::Flat, vec![128; size * size]));
+            s.preds[0].clear();
+            s.preds[0].resize(area, 128);
+            n_cands = 1;
         }
         if self.frame_inter {
             if let Some(prev) = self.prev {
                 let (mv, _) = motion_search(self.orig, prev, x0, y0, size);
-                cands.push((CuKind::Inter(mv), compensate(prev, x0, y0, size, mv)));
+                s.preds[n_cands] = compensate(prev, x0, y0, size, mv);
+                kinds[n_cands] = CuKind::Inter(mv);
+                n_cands += 1;
             }
         }
 
-        let mut best: Option<(LeafData, Vec<i32>, f64)> = None;
-        for (kind, pred) in cands {
-            let (tus, recon, dist) = self.quantize_cu_residual(x0, y0, size, &pred);
-            let leaf = LeafData { kind, tus };
+        // RD: keep the cheapest candidate's levels, reconstruction and
+        // post-coding contexts (the commit state, so nothing is recounted).
+        let mut best: Option<(CuKind, f64, CoderState)> = None;
+        for (k, &kind) in kinds[..n_cands].iter().enumerate() {
+            let dist = self.quantize_cu_residual(size, k);
             let mut trial_state = state.clone();
             let mut counter = BitCounter::new();
-            self.code_leaf(&mut counter, &mut trial_state, &leaf, size);
+            self.code_leaf(
+                &mut counter,
+                &mut trial_state,
+                kind,
+                &self.scratch.cur.tus,
+                size,
+            );
             let cost = dist + self.lambda * counter.bits();
-            if best.as_ref().is_none_or(|(_, _, c)| cost < *c) {
-                best = Some((leaf, recon, cost));
+            if best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
+                best = Some((kind, cost, trial_state));
+                let s = &mut self.scratch;
+                std::mem::swap(&mut s.cur, &mut s.best);
             }
         }
-        // lint:allow(panic): `cands` is never empty — the intra and flat
+        // lint:allow(panic): `n_cands >= 1` — the intra and flat
         // branches above always push at least one candidate.
-        let (leaf, recon, cost) = best.expect("at least one candidate");
+        let (kind, cost, committed) = best.expect("at least one candidate");
 
         // Commit: context evolution + reconstruction.
-        let mut counter = BitCounter::new();
-        self.code_leaf(&mut counter, state, &leaf, size);
-        self.recon.write_block(x0, y0, size, &recon);
-        (leaf, cost)
+        *state = committed;
+        let best = &self.scratch.best;
+        self.recon.write_block(x0, y0, size, &best.recon);
+        // The decided tree keeps the levels: clone them at their exact
+        // size rather than hand over scratch sized for the largest TU.
+        let tus = best.tus.clone();
+        (LeafData { kind, tus }, cost)
     }
 
     /// Recursively decides the coding tree for a CU.
@@ -437,7 +485,7 @@ impl<'a> FrameCoder<'a> {
                     self.code_cu(child, size / 2, enc, state);
                 }
             }
-            CuNode::Leaf(leaf) => self.code_leaf(enc, state, leaf, size),
+            CuNode::Leaf(leaf) => self.code_leaf(enc, state, leaf.kind, &leaf.tus, size),
         }
     }
 }

@@ -75,6 +75,12 @@ const ANGLES: [i32; 33] = [
     -5, -2, 0, 2, 5, 9, 13, 17, 21, 26, 32,
 ];
 
+/// Whether angular mode `mode` predicts from the top edge (modes 18..=34)
+/// rather than the left one.
+fn is_vertical(mode: u8) -> bool {
+    mode >= 18
+}
+
 /// HEVC `invAngle` for negative angles (|angle| in {2,5,9,13,17,21,26,32}).
 fn inv_angle(a: i32) -> i32 {
     match a.abs() {
@@ -91,17 +97,101 @@ fn inv_angle(a: i32) -> i32 {
     }
 }
 
+/// Largest block edge the reference arrays are sized for.
+const MAX_N: usize = 32;
+
 /// Reference samples around an `n × n` block, prepared from the
 /// reconstructed frame with HEVC-style substitution for unavailable edges.
+/// Fixed-size arrays: gathering allocates nothing.
 #[derive(Debug, Clone)]
 pub struct RefSamples {
     n: usize,
     corner: i32,
     /// `top[i]` = reconstructed pixel at `(x0 + i, y0 - 1)`, `i` in `0..2n`.
-    top: Vec<i32>,
+    top: [i32; 2 * MAX_N],
     /// `left[i]` = reconstructed pixel at `(x0 - 1, y0 + i)`, `i` in `0..2n`.
-    left: Vec<i32>,
+    left: [i32; 2 * MAX_N],
 }
+
+/// Receives a prediction one line at a time. Line `j` is row `j` of the
+/// block, or column `j` when `cols` is set (horizontal angular modes,
+/// whose reference edge is the left column); `values` yields its `N`
+/// samples in order. Writing a block ([`RefSamples::predict_into`]) and
+/// scoring one against the leaf ([`RefSamples::sad_sweep`]) are the two
+/// sinks, so both run the identical per-sample arithmetic.
+trait LineSink<const N: usize> {
+    fn line(&mut self, j: usize, cols: bool, values: impl Iterator<Item = i32>);
+}
+
+/// Stores lines into a row-major `N × N` block.
+struct BlockSink<'a> {
+    out: &'a mut [i32],
+}
+
+impl<const N: usize> LineSink<N> for BlockSink<'_> {
+    #[inline(always)]
+    fn line(&mut self, j: usize, cols: bool, values: impl Iterator<Item = i32>) {
+        if cols {
+            for (o, v) in self.out[j..].iter_mut().step_by(N).zip(values) {
+                *o = v;
+            }
+        } else {
+            for (o, v) in self.out[j * N..(j + 1) * N].iter_mut().zip(values) {
+                *o = v;
+            }
+        }
+    }
+}
+
+/// Sums `|leaf - prediction|` line by line: rows against the leaf, columns
+/// against its transpose, so every comparison reads contiguously.
+struct SadSink<'a> {
+    leaf: &'a [i32],
+    leaf_t: &'a [i32],
+    sum: u64,
+}
+
+impl<const N: usize> LineSink<N> for SadSink<'_> {
+    #[inline(always)]
+    fn line(&mut self, j: usize, cols: bool, values: impl Iterator<Item = i32>) {
+        let src = if cols { self.leaf_t } else { self.leaf };
+        // A line differs by at most 255 per sample over at most 32
+        // samples, so its sum fits u32 (which packs more lanes than u64).
+        let line: u32 = src[j * N..(j + 1) * N]
+            .iter()
+            .zip(values)
+            .map(|(&o, v)| (o - v).unsigned_abs())
+            .sum();
+        self.sum += u64::from(line);
+    }
+}
+
+/// The angular interpolation kernel shared by block writes and the SAD
+/// sweep: sample `i` of a line blends `a[i]` and `b[i]` (= `a[i + 1]` of
+/// the reference array) at 1/32-pel position `frac`. HEVC's
+/// `((32 - frac)·a + frac·b + 16) >> 5`, rewritten with one multiply:
+/// `32·a` is a multiple of 32, so it leaves the arithmetic shift as `a`.
+#[inline(always)]
+fn angular_line<'r>(a: &'r [i32], b: &'r [i32], frac: i32) -> impl Iterator<Item = i32> + 'r {
+    a.iter()
+        .zip(b)
+        .map(move |(&a, &b)| a + ((frac * (b - a) + 16) >> 5))
+}
+
+/// HEVC's extended main reference of one prediction direction for blocks
+/// of edge `N`. Flattened, entry `x + N` holds `ref[x]` for `x` in
+/// `-N..=2N`, with `ref[0]` = corner and `ref[k]` = `main[k - 1]`, plus
+/// one sample at `3N + 1` repeating `ref[2N]`, so every line reads
+/// `N + 1` samples without clamping (the ±32 diagonals read that one with
+/// weight 0).
+///
+/// The non-negative part depends only on the direction. Each negative
+/// angle projects the side reference into `x < 0` in place, and writes
+/// every negative slot its lines then read (`x > (N·angle) >> 5`), so one
+/// array serves all of a direction's modes in the SAD sweep. `4N >= 3N +
+/// 2` for every block size, and sizing the array by the block keeps its
+/// initialisation small for small blocks.
+type RefLine<const N: usize> = [[i32; N]; 4];
 
 impl RefSamples {
     /// Gathers reference samples for the block at `(x0, y0)`.
@@ -109,34 +199,45 @@ impl RefSamples {
     /// Samples right of / below the frame are edge-replicated; when a whole
     /// side is unavailable (frame boundary) it is substituted from the
     /// other side, or 128 if neither exists.
+    ///
+    /// `n` is a block size of the codec's profiles: 4, 8, 16 or 32.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 32`.
     pub fn gather(recon: &Frame, x0: usize, y0: usize, n: usize) -> Self {
+        debug_assert!(
+            crate::transform::SIZES.contains(&n),
+            "blocks are 4x4, 8x8, 16x16 or 32x32"
+        );
         let have_top = y0 > 0;
         let have_left = x0 > 0;
         let (w, h) = (recon.width(), recon.height());
 
-        let mut top = vec![0i32; 2 * n];
-        let mut left = vec![0i32; 2 * n];
-        let corner;
+        let mut r = RefSamples {
+            n,
+            corner: 128,
+            top: [128; 2 * MAX_N],
+            left: [128; 2 * MAX_N],
+        };
+        let top = &mut r.top[..2 * n];
+        let left = &mut r.left[..2 * n];
 
         match (have_top, have_left) {
-            (false, false) => {
-                top.fill(128);
-                left.fill(128);
-                corner = 128;
-            }
+            (false, false) => {}
             (true, false) => {
                 for (i, t) in top.iter_mut().enumerate() {
                     *t = recon.get((x0 + i).min(w - 1), y0 - 1) as i32;
                 }
-                corner = top[0];
-                left.fill(corner);
+                r.corner = top[0];
+                left.fill(r.corner);
             }
             (false, true) => {
                 for (i, l) in left.iter_mut().enumerate() {
                     *l = recon.get(x0 - 1, (y0 + i).min(h - 1)) as i32;
                 }
-                corner = left[0];
-                top.fill(corner);
+                r.corner = left[0];
+                top.fill(r.corner);
             }
             (true, true) => {
                 for (i, t) in top.iter_mut().enumerate() {
@@ -145,15 +246,10 @@ impl RefSamples {
                 for (i, l) in left.iter_mut().enumerate() {
                     *l = recon.get(x0 - 1, (y0 + i).min(h - 1)) as i32;
                 }
-                corner = recon.get(x0 - 1, y0 - 1) as i32;
+                r.corner = recon.get(x0 - 1, y0 - 1) as i32;
             }
         }
-        RefSamples {
-            n,
-            corner,
-            top,
-            left,
-        }
+        r
     }
 
     /// Block size the references were gathered for.
@@ -168,80 +264,151 @@ impl RefSamples {
         out
     }
 
-    /// [`Self::predict`] into a caller-owned buffer, for the encoder's
-    /// mode sweep which evaluates dozens of modes per leaf and would
-    /// otherwise allocate a block per mode.
+    /// [`Self::predict`] into a caller-owned buffer, for callers that
+    /// predict many blocks and would otherwise allocate one per call.
     pub fn predict_into(&self, mode: PredMode, out: &mut Vec<i32>) {
-        out.clear();
+        // Every sample is written by exactly one line; resizing only sizes.
         out.resize(self.n * self.n, 0);
-        match mode {
-            PredMode::Dc => self.predict_dc(out),
-            PredMode::Planar => self.predict_planar(out),
-            PredMode::Angular(m) => self.predict_angular(m, out),
-            PredMode::Paeth => self.predict_paeth(out),
-            PredMode::Smooth => self.predict_smooth(true, true, out),
-            PredMode::SmoothV => self.predict_smooth(true, false, out),
-            PredMode::SmoothH => self.predict_smooth(false, true, out),
+        let mut sink = BlockSink { out };
+        match self.n {
+            4 => self.lines::<4, _>(mode, &mut sink),
+            8 => self.lines::<8, _>(mode, &mut sink),
+            16 => self.lines::<16, _>(mode, &mut sink),
+            _ => self.lines::<32, _>(mode, &mut sink),
         }
     }
 
-    fn predict_dc(&self, out: &mut [i32]) {
-        let n = self.n;
-        let sum: i32 = self.top[..n].iter().sum::<i32>() + self.left[..n].iter().sum::<i32>();
-        // Blocks are at most 32×32, so the size always fits i32.
-        let ni = i32::try_from(n).unwrap_or(i32::MAX);
-        let dc = (sum + ni) / (2 * ni);
-        out.fill(dc);
+    /// The intra mode sweep: calls `score(i, sad)` with the sum of
+    /// absolute differences between `modes[i]`'s prediction and the leaf,
+    /// for every mode in order, without building any prediction block.
+    /// `leaf` is the `n × n` original (row-major) and `leaf_t` its
+    /// transpose. Each SAD equals that of [`Self::predict_into`]'s block
+    /// by construction: both run the same line kernels.
+    pub(crate) fn sad_sweep(
+        &self,
+        modes: &[PredMode],
+        leaf: &[i32],
+        leaf_t: &[i32],
+        score: impl FnMut(usize, u64),
+    ) {
+        match self.n {
+            4 => self.sweep::<4>(modes, leaf, leaf_t, score),
+            8 => self.sweep::<8>(modes, leaf, leaf_t, score),
+            16 => self.sweep::<16>(modes, leaf, leaf_t, score),
+            _ => self.sweep::<32>(modes, leaf, leaf_t, score),
+        }
     }
 
-    fn predict_planar(&self, out: &mut [i32]) {
-        let n = self.n;
-        // Blocks are at most 32×32, so the size always fits i32.
-        let ni = i32::try_from(n).unwrap_or(i32::MAX);
-        let shift = n.trailing_zeros() + 1;
-        debug_assert!(shift <= 6, "blocks are at most 32x32");
-        let tr = self.top[n]; // first top-right sample
-        let bl = self.left[n]; // first bottom-left sample
-        for y in 0..n {
-            let yi = i32::try_from(y).unwrap_or(i32::MAX);
-            for x in 0..n {
-                let xi = i32::try_from(x).unwrap_or(i32::MAX);
-                let h = (ni - 1 - xi) * self.left[y] + (xi + 1) * tr;
-                let v = (ni - 1 - yi) * self.top[x] + (yi + 1) * bl;
-                out[y * n + x] = (h + v + ni) >> shift;
+    fn sweep<const N: usize>(
+        &self,
+        modes: &[PredMode],
+        leaf: &[i32],
+        leaf_t: &[i32],
+        mut score: impl FnMut(usize, u64),
+    ) {
+        // Both directions' reference lines, shared by all angular modes.
+        let mut vert = self.ref_line::<N>(true);
+        let mut horz = self.ref_line::<N>(false);
+        for (i, &mode) in modes.iter().enumerate() {
+            let mut sink = SadSink {
+                leaf,
+                leaf_t,
+                sum: 0,
+            };
+            match mode {
+                PredMode::Angular(m) => {
+                    let line = if is_vertical(m) { &mut vert } else { &mut horz };
+                    self.angular_lines::<N, _>(m, line, &mut sink);
+                }
+                _ => self.lines::<N, _>(mode, &mut sink),
             }
+            score(i, sink.sum);
         }
     }
 
-    fn predict_angular(&self, mode: u8, out: &mut [i32]) {
+    /// Feeds `mode`'s prediction to `sink`, line by line, for blocks of
+    /// edge `N` (= `self.n`: the size is a type parameter so every line
+    /// loop has a fixed trip count).
+    #[inline(always)]
+    fn lines<const N: usize, S: LineSink<N>>(&self, mode: PredMode, sink: &mut S) {
+        debug_assert_eq!(N, self.n, "line kernels dispatched on the wrong size");
+        match mode {
+            PredMode::Dc => self.dc_lines::<N, S>(sink),
+            PredMode::Planar => self.planar_lines::<N, S>(sink),
+            PredMode::Angular(m) => {
+                let mut line = self.ref_line::<N>(is_vertical(m));
+                self.angular_lines::<N, S>(m, &mut line, sink);
+            }
+            PredMode::Paeth => self.paeth_lines::<N, S>(sink),
+            PredMode::Smooth => self.smooth_lines::<N, S>(true, true, sink),
+            PredMode::SmoothV => self.smooth_lines::<N, S>(true, false, sink),
+            PredMode::SmoothH => self.smooth_lines::<N, S>(false, true, sink),
+        }
+    }
+
+    fn dc_lines<const N: usize, S: LineSink<N>>(&self, sink: &mut S) {
+        let sum: i32 = self.top[..N].iter().sum::<i32>() + self.left[..N].iter().sum::<i32>();
+        // Blocks are at most 32×32, so the size always fits i32.
+        let ni = i32::try_from(N).unwrap_or(32);
+        let dc = (sum + ni) / (2 * ni);
+        for j in 0..N {
+            sink.line(j, false, std::iter::repeat_n(dc, N));
+        }
+    }
+
+    fn planar_lines<const N: usize, S: LineSink<N>>(&self, sink: &mut S) {
+        // Blocks are at most 32×32, so the size always fits i32.
+        let ni = i32::try_from(N).unwrap_or(32);
+        let shift = N.trailing_zeros() + 1;
+        debug_assert!(shift <= 6, "blocks are at most 32x32");
+        let tr = self.top[N]; // first top-right sample
+        let bl = self.left[N]; // first bottom-left sample
+        for ((j, yi), &l) in (0..N).zip(0..ni).zip(&self.left[..N]) {
+            let row = (0..ni).zip(&self.top[..N]).map(move |(xi, &t)| {
+                let h = (ni - 1 - xi) * l + (xi + 1) * tr;
+                let v = (ni - 1 - yi) * t + (yi + 1) * bl;
+                (h + v + ni) >> shift
+            });
+            sink.line(j, false, row);
+        }
+    }
+
+    /// The direction-fixed part of the extended reference (see
+    /// [`RefLine`]); the negative part is left for `angular_lines`.
+    fn ref_line<const N: usize>(&self, vertical: bool) -> RefLine<N> {
+        // Main reference runs along the prediction direction's source edge.
+        let main = if vertical { &self.top } else { &self.left };
+        let mut line: RefLine<N> = [[0; N]; 4];
+        let arr = line.as_flattened_mut();
+        arr[N] = self.corner;
+        arr[N + 1..=3 * N].copy_from_slice(&main[..2 * N]);
+        arr[3 * N + 1] = main[2 * N - 1];
+        line
+    }
+
+    /// Angular mode `mode` over `line`, the extended reference of the
+    /// mode's direction: projects the side reference for negative angles,
+    /// then feeds the `N` lines to `sink`.
+    fn angular_lines<const N: usize, S: LineSink<N>>(
+        &self,
+        mode: u8,
+        line: &mut RefLine<N>,
+        sink: &mut S,
+    ) {
         assert!((2..=34).contains(&mode), "angular mode {mode} out of range");
-        let n = self.n;
-        debug_assert!((4..=32).contains(&n), "blocks are 4x4 to 32x32");
         let angle = ANGLES[mode as usize - 2];
         // The HEVC angle table spans ±32; the projection arithmetic below
         // relies on that to stay inside i32.
         debug_assert!((-32..=32).contains(&angle), "angle table out of range");
-        let vertical = mode >= 18;
+        let vertical = is_vertical(mode);
+        // The side reference extends the main one for negative angles.
+        let side = if vertical { &self.left } else { &self.top };
 
-        // Main reference runs along the prediction direction's source edge;
-        // the side reference extends it for negative angles.
-        let (main, side): (&[i32], &[i32]) = if vertical {
-            (&self.top, &self.left)
-        } else {
-            (&self.left, &self.top)
-        };
-
-        // ref_arr[i + n] corresponds to HEVC's ref[i - 1 + ...]; we build
-        // ref[x] for x in -n..=2n with ref[0] = corner, ref[k] = main[k-1].
-        // Blocks are at most 32×32, so the fixed-size stack array always
-        // covers `3n + 1` entries.
-        let mut ref_store = [0i32; 3 * 32 + 1];
-        let ref_arr = &mut ref_store[..3 * n + 1];
+        let ref_arr = line.as_flattened_mut();
+        debug_assert!((4..=32).contains(&N), "blocks are 4x4 to 32x32");
         // Blocks are at most 32×32, so the conversion is exact and the
         // projected indices below stay within i32.
-        let off = i32::try_from(n).unwrap_or(32); // ref_arr[(x + off)] = ref[x]
-        ref_arr[n] = self.corner;
-        ref_arr[n + 1..=3 * n].copy_from_slice(&main[..2 * n]);
+        let off = i32::try_from(N).unwrap_or(32); // ref_arr[(x + off)] = ref[x]
         if angle < 0 {
             let inv = inv_angle(angle);
             let lowest = (off * angle) >> 5; // most negative index used
@@ -251,79 +418,71 @@ impl RefSamples {
                 let s = if idx < 0 {
                     self.corner
                 } else {
-                    side[usize::try_from(idx).unwrap_or(0).min(2 * n - 1)]
+                    side[usize::try_from(idx).unwrap_or(0).min(2 * N - 1)]
                 };
-                // `lowest >= -n`, so `x + off >= 0` always holds.
+                // `lowest >= -N`, so `x + off >= 0` always holds.
                 ref_arr[usize::try_from(x + off).unwrap_or(0)] = s;
             }
         }
+        let ref_arr = &*ref_arr;
 
-        for j in 0..n {
+        for (j, jj) in (0..N).zip(1..=off) {
             // j indexes rows for vertical modes, columns for horizontal.
-            let pos = (i32::try_from(j).unwrap_or(i32::MAX) + 1) * angle;
+            let pos = jj * angle;
             let int_part = pos >> 5;
             let frac = pos & 31;
-            for i in 0..n {
-                // `int_part >= -n` and `off = n`, so the sum is never negative.
-                let base =
-                    usize::try_from(i32::try_from(i).unwrap_or(i32::MAX) + int_part + 1 + off)
-                        .unwrap_or(0);
-                let a = ref_arr[base.min(ref_arr.len() - 1)];
-                let b = ref_arr[(base + 1).min(ref_arr.len() - 1)];
-                let v = ((32 - frac) * a + frac * b + 16) >> 5;
-                let (x, y) = if vertical { (i, j) } else { (j, i) };
-                out[y * n + x] = v;
-            }
+            // Sample i reads ref[i + int_part + 1] and the one after it;
+            // `-N <= int_part <= N`, so the line spans ref_arr[1..=3N+1].
+            let base = usize::try_from(int_part + 1 + off).unwrap_or(0);
+            let a = &ref_arr[base..base + N];
+            let b = &ref_arr[base + 1..base + N + 1];
+            sink.line(j, !vertical, angular_line(a, b, frac));
         }
     }
 
-    fn predict_paeth(&self, out: &mut [i32]) {
-        let n = self.n;
-        for y in 0..n {
-            for x in 0..n {
-                let t = self.top[x];
-                let l = self.left[y];
-                let c = self.corner;
+    fn paeth_lines<const N: usize, S: LineSink<N>>(&self, sink: &mut S) {
+        let c = self.corner;
+        for (j, &l) in self.left[..N].iter().enumerate() {
+            let row = self.top[..N].iter().map(move |&t| {
                 let base = t + l - c;
                 let (dt, dl, dc) = ((base - t).abs(), (base - l).abs(), (base - c).abs());
-                out[y * n + x] = if dt <= dl && dt <= dc {
+                if dt <= dl && dt <= dc {
                     t
                 } else if dl <= dc {
                     l
                 } else {
                     c
-                };
-            }
+                }
+            });
+            sink.line(j, false, row);
         }
     }
 
     /// Linear-weight smooth predictor ("AV1-like"; AV1 proper uses a
     /// quadratic weight table — the behaviour is equivalent for our
     /// purposes and documented in DESIGN.md).
-    fn predict_smooth(&self, use_v: bool, use_h: bool, out: &mut [i32]) {
-        let n = self.n;
-        let bl = self.left[n]; // bottom-left anchor
-        let tr = self.top[n]; // top-right anchor
+    fn smooth_lines<const N: usize, S: LineSink<N>>(&self, use_v: bool, use_h: bool, sink: &mut S) {
+        let bl = self.left[N]; // bottom-left anchor
+        let tr = self.top[N]; // top-right anchor
                               // Blocks are at most 32×32, so the size always fits i32.
-        let ni = i32::try_from(n.max(1)).unwrap_or(i32::MAX);
-        let w = |i: usize| -> i32 {
-            // 256 at i = 0 decaying linearly to 64 at i = n-1.
-            (256 - (192 * i32::try_from(i).unwrap_or(i32::MAX)) / ni).max(64)
-        };
-        for y in 0..n {
-            for x in 0..n {
+        let ni = i32::try_from(N).unwrap_or(32);
+        // 256 at i = 0 decaying linearly to 64 at i = n-1.
+        let w = move |i: i32| -> i32 { (256 - (192 * i) / ni).max(64) };
+        for ((j, yi), &l) in (0..N).zip(0..ni).zip(&self.left[..N]) {
+            let row = (0..ni).zip(&self.top[..N]).map(move |(xi, &t)| {
                 let mut acc = 0i32;
                 let mut den = 0i32;
                 if use_v {
-                    acc += w(y) * self.top[x] + (256 - w(y)) * bl;
+                    acc += w(yi) * t + (256 - w(yi)) * bl;
                     den += 256;
                 }
                 if use_h {
-                    acc += w(x) * self.left[y] + (256 - w(x)) * tr;
+                    acc += w(xi) * l + (256 - w(xi)) * tr;
                     den += 256;
                 }
-                out[y * n + x] = (acc + den / 2) / den;
-            }
+                (acc + den / 2) / den
+            });
+            sink.line(j, false, row);
         }
     }
 }
@@ -338,6 +497,56 @@ mod tests {
 
     fn all_modes() -> Vec<PredMode> {
         PredMode::av1_set()
+    }
+
+    /// The reference SAD: build the block with `predict_into`, then sum.
+    fn sad_of_block(refs: &RefSamples, mode: PredMode, leaf: &[i32]) -> u64 {
+        let mut pred = Vec::new();
+        refs.predict_into(mode, &mut pred);
+        leaf.iter()
+            .zip(&pred)
+            .map(|(&a, &b)| u64::from((a - b).unsigned_abs()))
+            .sum()
+    }
+
+    #[test]
+    fn fused_sad_matches_predicted_block_for_every_mode() {
+        use llm265_tensor::rng::Pcg32;
+        let mut rng = Pcg32::seed_from(21);
+        // Random texture with full-range extremes, so every angle's
+        // interpolation and every edge substitution shows up in the SAD.
+        let f = Frame::from_fn(96, 96, |_, _| match rng.below(8) {
+            0 => 0,
+            1 => 255,
+            _ => rng.below(256) as u8,
+        });
+        let mut modes = crate::Profile::h265().modes().to_vec();
+        modes.extend_from_slice(crate::Profile::av1().modes());
+        for n in [4usize, 8, 16, 32] {
+            // Frame corner, top edge, left edge, interior (right/bottom
+            // references run past the frame edge at the last position).
+            for (x0, y0) in [(0, 0), (n, 0), (0, n), (96 - n, 96 - n), (32, 32)] {
+                let refs = RefSamples::gather(&f, x0, y0, n);
+                let mut leaf = vec![0i32; n * n];
+                // Score against a block other than the one predicted, so
+                // the SAD is large and every sample contributes.
+                f.read_block(96 - n - x0 / 2, y0 / 3, n, &mut leaf);
+                let mut leaf_t = vec![0i32; n * n];
+                for y in 0..n {
+                    for x in 0..n {
+                        leaf_t[x * n + y] = leaf[y * n + x];
+                    }
+                }
+                let mut sads = Vec::new();
+                refs.sad_sweep(&modes, &leaf, &leaf_t, |i, sad| sads.push((i, sad)));
+                let want: Vec<(usize, u64)> = modes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &mode)| (i, sad_of_block(&refs, mode, &leaf)))
+                    .collect();
+                assert_eq!(sads, want, "n={n} at ({x0},{y0})");
+            }
+        }
     }
 
     #[test]

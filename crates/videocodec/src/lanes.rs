@@ -1,12 +1,15 @@
-//! Deterministic SIMD lane kernels shared by the hot element-wise loops.
+//! Deterministic SIMD lane kernels shared by the hot element-wise loops,
+//! plus the exact libm-free rounding helpers every codec kernel uses.
 //!
-//! The DCT (in [`crate::transform`]), the dead-zone quantizer (in
-//! [`crate::quant`]) and the tensor codec's per-band f32→u8 affine map
-//! (in `llm265-core`) all run the same kind of loop: one independent
-//! output per input element, no cross-element reduction. This module
-//! owns the lane machinery they share — a backend enum picked once at
-//! runtime, plus a [`Lanes`] trait whose implementations differ *only*
-//! in how many independent outputs advance per step.
+//! The dead-zone quantizer (in [`crate::quant`]) and the tensor codec's
+//! per-band f32→u8 affine map (in `llm265-core`) run the same kind of
+//! loop: one independent output per input element, no cross-element
+//! reduction. This module owns the lane machinery they share — a backend
+//! enum picked once at runtime, plus a [`Lanes`] trait whose
+//! implementations differ *only* in how many independent outputs advance
+//! per step. (The DCT's register-blocked dot products in
+//! [`crate::transform`] need no backend: their blocking is fixed and
+//! LLVM maps it onto whatever vector width the target has.)
 //!
 //! # Bit-exactness contract
 //!
@@ -21,6 +24,71 @@
 //! `-Ctarget-cpu=x86-64` and `x86-64-v3` legs). AVX2 is additionally
 //! compile-time gated under the workspace's no-`unsafe` policy — see
 //! DESIGN.md ("Deterministic SIMD").
+//!
+//! # No libm rounding calls
+//!
+//! The x86-64 baseline has no SSE4.1 `roundsd`, so `f64::floor` and
+//! `f64::round` compile to a libm call per element there — a call that
+//! also stops the surrounding loop from vectorizing. [`floor_i32`] and
+//! [`round_i32`] compute the same saturating results with plain `f64`
+//! adds, compares and one bit reinterpretation (the classic 1.5 · 2^52
+//! round-to-integer trick), which vectorize like any other lane code.
+
+/// Lower end of the window the rounding helpers clamp into: every `f64`
+/// at or below it saturates to `i32::MIN` anyway.
+const I32_LO: f64 = -2_147_483_648.0;
+/// Upper end of the rounding window: everything at or above it
+/// saturates to `i32::MAX`.
+const I32_HI: f64 = 2_147_483_647.0;
+/// 1.5 · 2^52. Adding it to any `|c| < 2^51` rounds `c` to an integer
+/// (ties to even, the IEEE default) and leaves that integer, in two's
+/// complement, in the low 32 bits of the sum's encoding.
+const RINT_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// Clamps `x` into the i32 window (NaN → 0, the `as` cast's answer) and
+/// rounds it to the nearest integer, ties to even: returns the clamped
+/// value, the integer as `f64` and as `i32`. Lane-friendly: no
+/// float→int conversion instruction, no branch, so loops over it
+/// vectorize on the SSE2 baseline.
+#[inline]
+fn rint_parts(x: f64) -> (f64, f64, i32) {
+    let c: f64 = if x.is_nan() {
+        0.0
+    } else {
+        x.clamp(I32_LO, I32_HI)
+    };
+    let big = c + RINT_MAGIC;
+    // `big` and the magic share a binade, so the subtraction is exact;
+    // the low word of `big`'s encoding is the rounded integer.
+    let r = big - RINT_MAGIC;
+    let ri = ((big.to_bits() & 0xFFFF_FFFF) as u32).cast_signed();
+    (c, r, ri)
+}
+
+/// `x.floor() as i32`, bit for bit (saturating, NaN → 0), without the
+/// libm call: round to nearest, then step down where that went up. The
+/// step never leaves i32 (`r > c >= i32::MIN`).
+#[inline]
+pub(crate) fn floor_i32(x: f64) -> i32 {
+    let (c, r, ri) = rint_parts(x);
+    ri - i32::from(r > c)
+}
+
+/// `x.round() as i32` (half away from zero, saturating, NaN → 0), bit
+/// for bit, without the libm call: round to nearest-even, then move the
+/// ties that went toward zero one step outward.
+///
+/// `c - r` is exact — `r = 0`, or `c` and `r` are within a factor of two
+/// (Sterbenz) — so a tie is seen as exactly ±0.5, and 0.49999999999999994
+/// stays below it (unlike `floor(x + 0.5)`, which rounds it up). The step
+/// never leaves i32: a tie above `r` means `r <= I32_HI - 0.5`.
+#[inline]
+pub(crate) fn round_i32(x: f64) -> i32 {
+    let (c, r, ri) = rint_parts(x);
+    let d = c - r;
+    // lint:allow(float-cmp): `d` is exact, and a tie is exactly ±0.5.
+    ri + i32::from(d == 0.5 && c > 0.0) - i32::from(d == -0.5 && c < 0.0)
+}
 
 /// Which vector unit executes the lane kernels. Variants exist only where
 /// the corresponding instructions compile.
@@ -77,9 +145,17 @@ pub(crate) fn compiled_backends() -> Vec<LaneBackend> {
 /// [`crate::quant::Quantizer::quantize`]): shared by every lane backend so
 /// the operation sequence cannot drift between them.
 #[inline]
-fn quantize_one(c: f64, step: f64, offset: f64) -> i32 {
-    let mag = (c.abs() / step + offset).floor();
-    (mag.min(i32::MAX as f64) as i32) * c.signum() as i32
+pub(crate) fn quantize_one(c: f64, step: f64, offset: f64) -> i32 {
+    // `floor_i32` saturates like the `as` cast, and the magnitude is
+    // never negative, so negating it cannot overflow. Applying the sign
+    // bit equals multiplying by `c.signum() as i32` for every non-NaN
+    // `c`; a NaN `c` has a NaN magnitude, which floors to 0 either way.
+    let mag = floor_i32(c.abs() / step + offset);
+    if c.is_sign_negative() {
+        -mag
+    } else {
+        mag
+    }
 }
 
 /// The per-band affine map's per-value expression (`llm265-core`'s
@@ -98,10 +174,6 @@ fn affine_one(v: f32, lo: f32, scale: f32) -> u8 {
 /// implementation performs the identical per-lane operation sequence;
 /// the backends differ only in their blocking shape.
 pub(crate) trait Lanes: Copy {
-    /// `acc[j] += s * v[j]` for all `j`; slice lengths are equal and a
-    /// multiple of 4 (every supported transform size is).
-    fn axpy(self, acc: &mut [f64], s: f64, v: &[f64]);
-
     /// Dead-zone-quantizes `coeffs[j]` into `out[j]`; equal lengths.
     fn quantize(self, coeffs: &[f64], step: f64, offset: f64, out: &mut [i32]);
 
@@ -115,13 +187,6 @@ pub(crate) trait Lanes: Copy {
 pub(crate) struct ScalarLanes;
 
 impl Lanes for ScalarLanes {
-    #[inline]
-    fn axpy(self, acc: &mut [f64], s: f64, v: &[f64]) {
-        for (a, x) in acc.iter_mut().zip(v) {
-            *a += s * *x;
-        }
-    }
-
     #[inline]
     fn quantize(self, coeffs: &[f64], step: f64, offset: f64, out: &mut [i32]) {
         for (o, &c) in out.iter_mut().zip(coeffs) {
@@ -146,14 +211,6 @@ pub(crate) struct Sse2Lanes;
 
 #[cfg(target_arch = "x86_64")]
 impl Lanes for Sse2Lanes {
-    #[inline]
-    fn axpy(self, acc: &mut [f64], s: f64, v: &[f64]) {
-        for (a, x) in acc.chunks_exact_mut(2).zip(v.chunks_exact(2)) {
-            a[0] += s * x[0];
-            a[1] += s * x[1];
-        }
-    }
-
     #[inline]
     fn quantize(self, coeffs: &[f64], step: f64, offset: f64, out: &mut [i32]) {
         let mut chunks = out.chunks_exact_mut(2);
@@ -193,16 +250,6 @@ pub(crate) struct Avx2Lanes;
 
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 impl Lanes for Avx2Lanes {
-    #[inline]
-    fn axpy(self, acc: &mut [f64], s: f64, v: &[f64]) {
-        for (a, x) in acc.chunks_exact_mut(4).zip(v.chunks_exact(4)) {
-            a[0] += s * x[0];
-            a[1] += s * x[1];
-            a[2] += s * x[2];
-            a[3] += s * x[3];
-        }
-    }
-
     #[inline]
     fn quantize(self, coeffs: &[f64], step: f64, offset: f64, out: &mut [i32]) {
         let mut chunks = out.chunks_exact_mut(4);
@@ -267,7 +314,7 @@ pub(crate) fn quantize_block_on(
 ///
 /// This is the tensor codec's per-band quantization inner loop
 /// (`llm265-core`); it lives here so it runs on the same deterministic
-/// lane backends as the DCT. The result is bit-identical on every
+/// lane backends as the quantizer. The result is bit-identical on every
 /// backend. `scale` must be non-zero (flat bands are the caller's
 /// zero-fill fast path).
 ///
@@ -371,6 +418,104 @@ mod tests {
                 (((v - lo) / scale).round()).clamp(0.0, 255.0) as u8
             };
             assert_eq!(out[i], want, "element {i}");
+        }
+    }
+
+    /// Inputs where a floor/round shortcut typically goes wrong: ties
+    /// (±k.5), the largest double below 0.5, the 2^51–2^53 band where
+    /// doubles lose their fraction bits, the i32 saturation edges, signed
+    /// zeros and non-finite values.
+    fn rounding_edge_cases() -> Vec<f64> {
+        let mut v = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.49999999999999994,
+            -0.49999999999999994,
+            0.5000000000000001,
+            -0.5000000000000001,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1e-300,
+            -1e-300,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for e in [31, 51, 52, 53] {
+            let p = 2f64.powi(e);
+            for base in [p, -p] {
+                for d in [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5] {
+                    v.push(base + d);
+                }
+                v.push(f64::from_bits(base.to_bits() - 1));
+                v.push(f64::from_bits(base.to_bits() + 1));
+            }
+        }
+        for k in [i32::MAX, i32::MIN] {
+            let k = f64::from(k);
+            v.extend([k - 0.5, k - 0.25, k + 0.25, k + 0.5, k + 1.0, k - 1.0]);
+        }
+        v
+    }
+
+    #[test]
+    fn floor_and_round_match_std_on_edge_cases() {
+        for x in rounding_edge_cases() {
+            assert_eq!(floor_i32(x), x.floor() as i32, "floor({x:e})");
+            assert_eq!(round_i32(x), x.round() as i32, "round({x:e})");
+        }
+    }
+
+    #[test]
+    fn floor_and_round_match_std_on_random_doubles() {
+        use llm265_tensor::check::Checker;
+        Checker::new(20_000).run("libm-free floor/round equal std", |rng| {
+            // Random bit patterns cover every exponent (and NaN payloads);
+            // scaled uniforms and half-integers cover the codec's range.
+            let xs = [
+                f64::from_bits(rng.next_u64()),
+                (rng.f64() - 0.5) * 2f64.powi(rng.below(64) as i32),
+                f64::from(rng.below(1 << 20) as i32 - (1 << 19)) + 0.5,
+            ];
+            for x in xs {
+                if floor_i32(x) != x.floor() as i32 {
+                    return Err(format!("floor({x:e}) = {}", floor_i32(x)));
+                }
+                if round_i32(x) != x.round() as i32 {
+                    return Err(format!("round({x:e}) = {}", round_i32(x)));
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn quantizer_expression_matches_the_floor_form() {
+        // `quantize_one` once spelled `floor(...).min(i32::MAX) as i32`;
+        // the libm-free form must agree on every input, NaN included.
+        let reference = |c: f64, step: f64, offset: f64| -> i32 {
+            let mag = (c.abs() / step + offset).floor();
+            (mag.min(i32::MAX as f64) as i32) * c.signum() as i32
+        };
+        let mut inputs = rounding_edge_cases();
+        inputs.extend(coeff_fixture(1024, 12));
+        for &(step, offset) in &[(0.5f64, 1.0 / 3.0), (16.0, 1.0 / 3.0), (228.0, 0.5)] {
+            for &c in &inputs {
+                assert_eq!(
+                    quantize_one(c, step, offset),
+                    reference(c, step, offset),
+                    "c={c:e} step={step}"
+                );
+            }
         }
     }
 

@@ -62,11 +62,12 @@ impl Quantizer {
         self.step
     }
 
-    /// Quantizes one coefficient to an integer level.
+    /// Quantizes one coefficient to an integer level:
+    /// `floor(|c| / step + offset)`, saturated to `i32`, with the sign of
+    /// `c` (0 for NaN).
     #[inline]
     pub fn quantize(&self, c: f64) -> i32 {
-        let mag = (c.abs() / self.step + self.offset).floor();
-        (mag.min(i32::MAX as f64) as i32) * c.signum() as i32
+        crate::lanes::quantize_one(c, self.step, self.offset)
     }
 
     /// Dequantizes a level back to a coefficient value.
@@ -86,7 +87,7 @@ impl Quantizer {
     /// [`Self::quantize_block`] into a caller-owned buffer, for hot loops
     /// that process many blocks without reallocating.
     pub fn quantize_block_into(&self, coeffs: &[f64], out: &mut Vec<i32>) {
-        out.clear();
+        // Every slot is overwritten by the kernel; resizing only sizes.
         out.resize(coeffs.len(), 0);
         crate::lanes::quantize_block_on(self.backend, coeffs, self.step, self.offset, out);
     }

@@ -316,13 +316,10 @@ pub fn code_residual<S: BinSink>(
     let scan_order = scan::diagonal(n);
     debug_assert_eq!(levels.len(), n * n);
 
-    // Last significant position in scan order.
-    let mut last = None;
-    for (p, &(x, y)) in scan_order.iter().enumerate() {
-        if levels[usize::from(y) * n + usize::from(x)] != 0 {
-            last = Some(p);
-        }
-    }
+    // Last significant position in scan order, searched from the end.
+    let last = scan_order
+        .iter()
+        .rposition(|&(x, y)| levels[usize::from(y) * n + usize::from(x)] != 0);
 
     let cbf_ctx = spatial as usize;
     match last {

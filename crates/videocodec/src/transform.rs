@@ -10,118 +10,124 @@
 //! error in the pixel domain — which is what makes RD optimisation in the
 //! coefficient domain legitimate.
 //!
-//! # Deterministic lane kernels
+//! # Register-blocked, bit-exact passes
 //!
-//! Both matrix passes run as rank-1 (`axpy`) updates over contiguous
-//! rows: every output coefficient accumulates its own sum in exactly the
-//! textbook triple-loop order, and the lane backends ([`ScalarLanes`],
-//! SSE2, AVX2) only advance several *independent* outputs per
-//! instruction. No sum is ever split across lanes and no reduction tree
-//! exists, so scalar and SIMD produce bit-identical coefficients — the
-//! encoded bytes match the golden hashes on every machine. The backend is
-//! picked once per plan by [`crate::lanes::detect_lane_backend`]; the lane
-//! machinery itself (backend enum, trait, per-ISA impls) lives in
-//! [`crate::lanes`], shared with the quantizer kernels. See DESIGN.md
-//! ("Deterministic SIMD") for why AVX2 is additionally compile-time gated
-//! under the workspace's no-`unsafe` policy.
+//! Each of the four matrix passes (two forward, two inverse) is one
+//! product `C = A·B` of `n × n` row-major matrices, computed by
+//! [`product`] as dot products over 4 × 4 output tiles held in registers.
+//! Every output starts at `+0.0` and adds its `n` products in ascending
+//! summation index — the textbook triple-loop order, with no fused
+//! multiply-add and no re-association. No sum is ever split or reduced
+//! across lanes; the tile only decides which 16 independent outputs are
+//! in flight together, which LLVM maps onto whatever vector registers the
+//! target has (2 × f64 on the SSE2 baseline, 4 × f64 with AVX2). The
+//! coefficients are therefore bit-identical on every machine, and the
+//! encoded bytes match the golden hashes everywhere. The tests pin the
+//! passes bit for bit to the same sums computed as rank-1 (`axpy`) row
+//! updates, a form that streams every accumulator row through memory once
+//! per summation index.
+//!
+//! # No libm rounding
+//!
+//! The inverse rounds each residual with [`crate::lanes::round_i32`],
+//! never `f64::round`: on the x86-64 baseline (no SSE4.1) `round` is a
+//! libm call per pixel, and the inverse transform runs in the decoder's
+//! and the encoder's inner loops. The helper is exact, so the residuals
+//! equal `round() as i32` for every input, hostile magnitudes included.
+//!
+//! # Shared bases
+//!
+//! The four orthonormal DCT-II bases (and their transposes) are built
+//! once per process into a static table, so [`DctPlan::new`] and
+//! [`DctPlans::new`] only copy references — tile tasks and stream-index
+//! reads build plan sets freely.
 
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-use crate::lanes::Avx2Lanes;
-#[cfg(target_arch = "x86_64")]
-use crate::lanes::Sse2Lanes;
-use crate::lanes::{detect_lane_backend, LaneBackend, Lanes, ScalarLanes};
+use std::sync::OnceLock;
+
+use crate::lanes::round_i32;
 
 /// Supported transform sizes.
 pub const SIZES: [usize; 4] = [4, 8, 16, 32];
 
-/// Both forward passes as rank-1 updates over contiguous rows. Each
-/// output coefficient starts at 0.0 and accumulates in ascending `i`
-/// order — the same add sequence as the textbook triple loop, so the
-/// result is bit-identical to it on every backend.
-fn forward_passes<L: Lanes>(
-    plan: &DctPlan,
-    block: &[i32],
-    tmp: &mut [f64],
-    out: &mut [f64],
-    lanes: L,
-) {
-    let n = plan.n;
-    // Pass 1 (rows): tmp[y][k] = sum_i block[y][i] * basis[k][i].
-    for y in 0..n {
-        let row = &mut tmp[y * n..(y + 1) * n];
-        for i in 0..n {
-            lanes.axpy(
-                row,
-                block[y * n + i] as f64,
-                &plan.basis_t[i * n..(i + 1) * n],
-            );
-        }
-    }
-    // Pass 2 (columns): out[k][x] = sum_i tmp[i][x] * basis[k][i].
-    for k in 0..n {
-        let row = &mut out[k * n..(k + 1) * n];
-        for i in 0..n {
-            lanes.axpy(row, plan.basis[k * n + i], &tmp[i * n..(i + 1) * n]);
+/// Output tile edge of [`product`]: 4 × 4 accumulators in registers.
+const TILE: usize = 4;
+
+/// `C = A·B` for `N × N` row-major matrices.
+///
+/// Each output starts at `+0.0` and accumulates `A[r][i] · B[i][c]` in
+/// ascending `i`, so the result is bit-identical to the textbook triple
+/// loop (and to the rank-1 update form of it). `A` may hold residual
+/// integers, which convert to `f64` exactly.
+#[inline(always)]
+fn product<const N: usize, T: Copy>(a: &[T], b: &[f64], c: &mut [f64])
+where
+    f64: From<T>,
+{
+    let (a, _) = a.as_chunks::<N>();
+    let (b, _) = b.as_chunks::<N>();
+    let (c, _) = c.as_chunks_mut::<N>();
+    for (a_rows, c_rows) in a.chunks_exact(TILE).zip(c.chunks_exact_mut(TILE)) {
+        for c0 in (0..N).step_by(TILE) {
+            let mut acc = [[0.0f64; TILE]; TILE];
+            for (i, b_row) in b.iter().enumerate() {
+                let bv = &b_row[c0..c0 + TILE];
+                for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
+                    let s = f64::from(a_row[i]);
+                    for (o, &x) in acc_row.iter_mut().zip(bv) {
+                        *o += s * x;
+                    }
+                }
+            }
+            for (c_row, acc_row) in c_rows.iter_mut().zip(&acc) {
+                c_row[c0..c0 + TILE].copy_from_slice(acc_row);
+            }
         }
     }
 }
 
-/// Both inverse passes as rank-1 updates; same bit-exactness contract as
-/// [`forward_passes`].
-fn inverse_passes<L: Lanes>(
+/// Forward 2-D DCT of one block: rows, then columns.
+fn forward_passes<const N: usize>(plan: &DctPlan, block: &[i32], tmp: &mut [f64], out: &mut [f64]) {
+    // Pass 1 (rows): tmp[y][k] = sum_i block[y][i] * basis[k][i].
+    product::<N, i32>(block, plan.basis_t, tmp);
+    // Pass 2 (columns): out[k][x] = sum_i basis[k][i] * tmp[i][x].
+    product::<N, f64>(plan.basis, tmp, out);
+}
+
+/// Inverse 2-D DCT of one block, rounding to integer residuals. `tmp`
+/// holds `2 N²` values: pass 1's output, then pass 2's unrounded sums.
+fn inverse_passes<const N: usize>(
     plan: &DctPlan,
     coeffs: &[f64],
     tmp: &mut [f64],
     out: &mut [i32],
-    lanes: L,
 ) {
-    let n = plan.n;
-    // Pass 1 (columns): tmp[i][x] = sum_k coeffs[k][x] * basis[k][i].
-    for i in 0..n {
-        let row = &mut tmp[i * n..(i + 1) * n];
-        for k in 0..n {
-            lanes.axpy(row, plan.basis[k * n + i], &coeffs[k * n..(k + 1) * n]);
-        }
-    }
-    // Pass 2 (rows): out[y][i] = round(sum_k tmp[y][k] * basis[k][i]).
-    // The f64 accumulator row lives on the stack (n <= 32).
-    let mut acc = [0.0f64; 32];
-    for y in 0..n {
-        acc[..n].fill(0.0);
-        for k in 0..n {
-            lanes.axpy(
-                &mut acc[..n],
-                tmp[y * n + k],
-                &plan.basis[k * n..(k + 1) * n],
-            );
-        }
-        for (o, a) in out[y * n..(y + 1) * n].iter_mut().zip(&acc[..n]) {
-            *o = a.round() as i32;
-        }
+    let (cols, sums) = tmp.split_at_mut(N * N);
+    // Pass 1 (columns): cols[i][x] = sum_k basis[k][i] * coeffs[k][x].
+    product::<N, f64>(plan.basis_t, coeffs, cols);
+    // Pass 2 (rows): sums[y][i] = sum_k cols[y][k] * basis[k][i].
+    product::<N, f64>(cols, plan.basis, sums);
+    // Rounding as a separate flat loop, which vectorizes.
+    for (o, &a) in out.iter_mut().zip(&*sums) {
+        *o = round_i32(a);
     }
 }
 
-/// Precomputed orthonormal DCT-II basis for one size.
-#[derive(Debug, Clone)]
-pub struct DctPlan {
-    n: usize,
+/// The orthonormal DCT-II basis of one size and its transpose, as
+/// fixed-size arrays of `L = n²` entries.
+struct Basis<const L: usize> {
     // basis[k*n + i] = alpha_k * cos(pi/n * (i + 0.5) * k)
-    basis: Vec<f64>,
-    // Transposed basis, basis_t[i*n + k] = basis[k*n + i]: lets the lane
-    // kernels read each rank-1 update's row contiguously.
-    basis_t: Vec<f64>,
-    backend: LaneBackend,
+    basis: [f64; L],
+    // Transposed basis, basis_t[i*n + k] = basis[k*n + i]: the passes
+    // read whichever layout keeps their `B` rows contiguous.
+    basis_t: [f64; L],
 }
 
-impl DctPlan {
-    /// Builds a plan for transform size `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not one of [`SIZES`].
-    pub fn new(n: usize) -> Self {
-        assert!(SIZES.contains(&n), "unsupported transform size {n}");
-        let mut basis = vec![0.0; n * n];
+impl<const L: usize> Basis<L> {
+    fn build(n: usize) -> Self {
+        let mut b = Basis {
+            basis: [0.0; L],
+            basis_t: [0.0; L],
+        };
         for k in 0..n {
             let alpha = if k == 0 {
                 (1.0 / n as f64).sqrt()
@@ -129,40 +135,66 @@ impl DctPlan {
                 (2.0 / n as f64).sqrt()
             };
             for i in 0..n {
-                basis[k * n + i] =
+                let v =
                     alpha * (std::f64::consts::PI / n as f64 * (i as f64 + 0.5) * k as f64).cos();
+                b.basis[k * n + i] = v;
+                b.basis_t[i * n + k] = v;
             }
         }
-        let mut basis_t = vec![0.0; n * n];
-        for k in 0..n {
-            for i in 0..n {
-                basis_t[i * n + k] = basis[k * n + i];
-            }
-        }
-        DctPlan {
-            n,
-            basis,
-            basis_t,
-            backend: detect_lane_backend(),
-        }
+        b
+    }
+}
+
+/// Every supported size's basis, built once per process.
+struct Bases {
+    n4: Basis<16>,
+    n8: Basis<64>,
+    n16: Basis<256>,
+    n32: Basis<1024>,
+}
+
+/// The process-wide basis table: 1,360 `cos` evaluations on first use,
+/// static storage (no heap) afterwards.
+fn bases() -> &'static Bases {
+    static BASES: OnceLock<Bases> = OnceLock::new();
+    BASES.get_or_init(|| Bases {
+        n4: Basis::build(4),
+        n8: Basis::build(8),
+        n16: Basis::build(16),
+        n32: Basis::build(32),
+    })
+}
+
+/// Precomputed orthonormal DCT-II basis for one size.
+#[derive(Debug, Clone, Copy)]
+pub struct DctPlan {
+    n: usize,
+    basis: &'static [f64],
+    basis_t: &'static [f64],
+}
+
+impl DctPlan {
+    /// The plan for transform size `n`, referencing the process-wide
+    /// basis table (built on first use).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not one of [`SIZES`].
+    pub fn new(n: usize) -> Self {
+        assert!(SIZES.contains(&n), "unsupported transform size {n}");
+        let b = bases();
+        let (basis, basis_t): (&'static [f64], &'static [f64]) = match n {
+            4 => (&b.n4.basis, &b.n4.basis_t),
+            8 => (&b.n8.basis, &b.n8.basis_t),
+            16 => (&b.n16.basis, &b.n16.basis_t),
+            _ => (&b.n32.basis, &b.n32.basis_t),
+        };
+        DctPlan { n, basis, basis_t }
     }
 
     /// Transform size.
     pub fn size(&self) -> usize {
         self.n
-    }
-
-    /// Name of the lane backend this plan executes on (`"scalar"`,
-    /// `"sse2"` or `"avx2"`). Diagnostic only: every backend produces
-    /// bit-identical coefficients.
-    pub fn simd_backend(&self) -> &'static str {
-        match self.backend {
-            LaneBackend::Scalar => "scalar",
-            #[cfg(target_arch = "x86_64")]
-            LaneBackend::Sse2 => "sse2",
-            #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-            LaneBackend::Avx2 => "avx2",
-        }
     }
 
     /// Forward 2-D DCT of an `n × n` spatial block (row-major).
@@ -188,18 +220,14 @@ impl DctPlan {
     pub fn forward_into(&self, block: &[i32], tmp: &mut Vec<f64>, out: &mut Vec<f64>) {
         let n = self.n;
         assert_eq!(block.len(), n * n);
-        // Rows then columns; O(n^3), fine at n <= 32. Accumulators start
-        // at 0.0 (clear + resize fills every slot).
-        tmp.clear();
+        // Every slot is overwritten by the passes; resizing only sizes.
         tmp.resize(n * n, 0.0);
-        out.clear();
         out.resize(n * n, 0.0);
-        match self.backend {
-            LaneBackend::Scalar => forward_passes(self, block, tmp, out, ScalarLanes),
-            #[cfg(target_arch = "x86_64")]
-            LaneBackend::Sse2 => forward_passes(self, block, tmp, out, Sse2Lanes),
-            #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-            LaneBackend::Avx2 => forward_passes(self, block, tmp, out, Avx2Lanes),
+        match n {
+            4 => forward_passes::<4>(self, block, tmp, out),
+            8 => forward_passes::<8>(self, block, tmp, out),
+            16 => forward_passes::<16>(self, block, tmp, out),
+            _ => forward_passes::<32>(self, block, tmp, out),
         }
     }
 
@@ -227,16 +255,13 @@ impl DctPlan {
     pub fn inverse_into(&self, coeffs: &[f64], tmp: &mut Vec<f64>, out: &mut Vec<i32>) {
         let n = self.n;
         assert_eq!(coeffs.len(), n * n);
-        tmp.clear();
-        tmp.resize(n * n, 0.0);
-        out.clear();
+        tmp.resize(2 * n * n, 0.0);
         out.resize(n * n, 0);
-        match self.backend {
-            LaneBackend::Scalar => inverse_passes(self, coeffs, tmp, out, ScalarLanes),
-            #[cfg(target_arch = "x86_64")]
-            LaneBackend::Sse2 => inverse_passes(self, coeffs, tmp, out, Sse2Lanes),
-            #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-            LaneBackend::Avx2 => inverse_passes(self, coeffs, tmp, out, Avx2Lanes),
+        match n {
+            4 => inverse_passes::<4>(self, coeffs, tmp, out),
+            8 => inverse_passes::<8>(self, coeffs, tmp, out),
+            16 => inverse_passes::<16>(self, coeffs, tmp, out),
+            _ => inverse_passes::<32>(self, coeffs, tmp, out),
         }
     }
 }
@@ -392,37 +417,147 @@ mod tests {
         let _ = DctPlan::new(5);
     }
 
-    use crate::lanes::compiled_backends;
+    /// The passes as rank-1 (`axpy`) row updates: the reference the
+    /// blocked passes must reproduce bit for bit.
+    fn axpy(acc: &mut [f64], s: f64, v: &[f64]) {
+        for (a, x) in acc.iter_mut().zip(v) {
+            *a += s * *x;
+        }
+    }
 
-    fn plan_with_backend(n: usize, backend: LaneBackend) -> DctPlan {
-        let mut plan = DctPlan::new(n);
-        plan.backend = backend;
-        plan
+    fn rank1_forward(plan: &DctPlan, block: &[i32]) -> Vec<f64> {
+        let n = plan.n;
+        let mut tmp = vec![0.0; n * n];
+        let mut out = vec![0.0; n * n];
+        for y in 0..n {
+            for i in 0..n {
+                let row = &mut tmp[y * n..(y + 1) * n];
+                axpy(
+                    row,
+                    block[y * n + i] as f64,
+                    &plan.basis_t[i * n..(i + 1) * n],
+                );
+            }
+        }
+        for k in 0..n {
+            for i in 0..n {
+                let row = &mut out[k * n..(k + 1) * n];
+                axpy(row, plan.basis[k * n + i], &tmp[i * n..(i + 1) * n]);
+            }
+        }
+        out
+    }
+
+    fn rank1_inverse(plan: &DctPlan, coeffs: &[f64]) -> Vec<i32> {
+        let n = plan.n;
+        let mut tmp = vec![0.0; n * n];
+        for i in 0..n {
+            for k in 0..n {
+                let row = &mut tmp[i * n..(i + 1) * n];
+                axpy(row, plan.basis[k * n + i], &coeffs[k * n..(k + 1) * n]);
+            }
+        }
+        let mut out = vec![0i32; n * n];
+        for y in 0..n {
+            let mut acc = vec![0.0f64; n];
+            for k in 0..n {
+                axpy(&mut acc, tmp[y * n + k], &plan.basis[k * n..(k + 1) * n]);
+            }
+            for (o, a) in out[y * n..(y + 1) * n].iter_mut().zip(&acc) {
+                *o = a.round() as i32;
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|c| c.to_bits()).collect()
+    }
+
+    /// Asserts both blocked passes equal the rank-1 reference on `block`,
+    /// and the inverse also on `coeffs`.
+    fn assert_matches_rank1(plan: &DctPlan, block: &[i32], coeffs: &[f64], what: &str) {
+        let n = plan.n;
+        let fwd = plan.forward(block);
+        assert_eq!(
+            bits(&fwd),
+            bits(&rank1_forward(plan, block)),
+            "forward {what} n={n}"
+        );
+        assert_eq!(
+            plan.inverse(&fwd),
+            rank1_inverse(plan, &fwd),
+            "inverse of forward {what} n={n}"
+        );
+        assert_eq!(
+            plan.inverse(coeffs),
+            rank1_inverse(plan, coeffs),
+            "inverse {what} n={n}"
+        );
     }
 
     #[test]
-    fn every_compiled_backend_matches_scalar_bit_for_bit() {
+    fn blocked_passes_match_rank1_updates_on_random_input() {
         let mut rng = Pcg32::seed_from(9);
-        for &n in &SIZES {
-            let block: Vec<i32> = (0..n * n).map(|_| rng.below(256) as i32 - 128).collect();
-            let scalar = plan_with_backend(n, LaneBackend::Scalar);
-            let coeffs = scalar.forward(&block);
-            let back = scalar.inverse(&coeffs);
-            let coeff_bits: Vec<u64> = coeffs.iter().map(|c| c.to_bits()).collect();
-            for backend in compiled_backends() {
-                let plan = plan_with_backend(n, backend);
-                let c = plan.forward(&block);
-                let c_bits: Vec<u64> = c.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(c_bits, coeff_bits, "forward {backend:?} size {n}");
-                assert_eq!(plan.inverse(&c), back, "inverse {backend:?} size {n}");
+        let q = crate::quant::Quantizer::from_qp(30.0);
+        for _ in 0..20 {
+            for &n in &SIZES {
+                let plan = DctPlan::new(n);
+                let block: Vec<i32> = (0..n * n).map(|_| rng.below(511) as i32 - 255).collect();
+                // Dequantized levels, as the decoder feeds the inverse.
+                let coeffs: Vec<f64> = (0..n * n)
+                    .map(|_| q.dequantize(rng.below(41) as i32 - 20))
+                    .collect();
+                assert_matches_rank1(&plan, &block, &coeffs, "random");
             }
         }
     }
 
     #[test]
-    fn detected_backend_is_compiled_in_and_named() {
-        let plan = DctPlan::new(8);
-        assert!(compiled_backends().contains(&plan.backend));
-        assert!(["scalar", "sse2", "avx2"].contains(&plan.simd_backend()));
+    fn blocked_passes_match_rank1_updates_on_extreme_input() {
+        let mut rng = Pcg32::seed_from(10);
+        let step = crate::quant::qstep(crate::quant::QP_MAX);
+        let hostile = i32::MAX as f64 * step;
+        for &n in &SIZES {
+            let plan = DctPlan::new(n);
+            // ±255 extremes: flat, checkerboard and random signs.
+            let flat = vec![255i32; n * n];
+            let checker: Vec<i32> = (0..n * n)
+                .map(|i| if (i / n + i % n) % 2 == 0 { 255 } else { -255 })
+                .collect();
+            let signs: Vec<i32> = (0..n * n)
+                .map(|_| if rng.below(2) == 0 { 255 } else { -255 })
+                .collect();
+            // Hostile coefficients up to ±i32::MAX · qstep(51): the
+            // largest a decoder can see, which saturate on rounding.
+            let max_coeffs: Vec<f64> = (0..n * n)
+                .map(|i| if i % 3 == 0 { -hostile } else { hostile })
+                .collect();
+            let mixed: Vec<f64> = (0..n * n)
+                .map(|_| (rng.below(2001) as f64 - 1000.0) / 1000.0 * hostile)
+                .collect();
+            for (name, block) in [("flat", &flat), ("checker", &checker), ("signs", &signs)] {
+                assert_matches_rank1(&plan, block, &max_coeffs, name);
+                assert_matches_rank1(&plan, block, &mixed, name);
+            }
+        }
+    }
+
+    #[test]
+    fn plans_share_one_basis_table() {
+        for &n in &SIZES {
+            let (a, b) = (DctPlan::new(n), DctPlans::new());
+            assert!(std::ptr::eq(a.basis, b.get(n).basis), "size {n}");
+            assert!(std::ptr::eq(a.basis_t, b.get(n).basis_t), "size {n}");
+        }
+    }
+
+    #[test]
+    fn all_zero_coefficients_invert_to_zero() {
+        // The codec skips the inverse for all-zero TUs; that shortcut is
+        // exact because the full inverse also returns zeros.
+        for &n in &SIZES {
+            assert_eq!(DctPlan::new(n).inverse(&vec![0.0; n * n]), vec![0; n * n]);
+        }
     }
 }
