@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 
 use llm265_bench::json::{self, BenchRun, HardwareTargets, ThreadedSample};
 use llm265_bench::microbench::Group;
-use llm265_core::{EntropyChoice, Llm265Codec, Llm265Config, RateTarget, TensorCodec};
+use llm265_core::{EntropyProfile, Llm265Codec, Llm265Config, RateTarget, TensorCodec};
 use llm265_tensor::rng::Pcg32;
 use llm265_tensor::synthetic::{llm_weight, WeightProfile};
 use llm265_tensor::Tensor;
@@ -205,7 +205,7 @@ fn main() {
 
         // Single-chunk tiled decode: the tensor fits one chunk, so chunk
         // fan-out gives the pool nothing — the tile index is the only
-        // parallelism here (128 rows → 4 CTU rows → 4 auto tiles).
+        // parallelism here (128 rows → 4 CTU rows → 4 tiles).
         let codec_tiled = Llm265Codec::with_config(Llm265Config {
             threads: t,
             ..Llm265Config::default()
@@ -223,7 +223,7 @@ fn main() {
         // coding changes.
         let codec_rans = Llm265Codec::with_config(Llm265Config {
             threads: t,
-            entropy: EntropyChoice::Rans,
+            entropy: EntropyProfile::Rans,
             ..Llm265Config::default()
         });
         let enc_rans = codec_rans
@@ -241,8 +241,8 @@ fn main() {
         // entropy-backend speedup bench-smoke asserts (rANS >= 1.5x
         // CABAC on tiled payloads).
         for (name, entropy) in [
-            ("decode_dense_cabac", EntropyChoice::Cabac),
-            ("decode_dense_rans", EntropyChoice::Rans),
+            ("decode_dense_cabac", EntropyProfile::Cabac),
+            ("decode_dense_rans", EntropyProfile::Rans),
         ] {
             let codec_dense = Llm265Codec::with_config(Llm265Config {
                 threads: t,

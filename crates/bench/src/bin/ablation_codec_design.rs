@@ -12,13 +12,13 @@
 //!   profile per tensor class: reconstructions are bit-identical across
 //!   backends, so the table isolates pure coding efficiency. This is the
 //!   size half of the rANS evaluation (decode throughput lives in the
-//!   `codec_throughput` bench) and the evidence behind
-//!   `EntropyChoice::Auto` resolving to CABAC.
+//!   `codec_throughput` bench) and the evidence behind CABAC being
+//!   `Llm265Config`'s default backend.
 
 use llm265_bench::table::{f, Table};
 use llm265_bench::workloads::weight_stack;
 use llm265_core::{
-    EntropyChoice, Llm265Codec, Llm265Config, Profile, ProfileKind, RateTarget, TensorCodec,
+    EntropyProfile, Llm265Codec, Llm265Config, Profile, ProfileKind, RateTarget, TensorCodec,
 };
 use llm265_tensor::rng::Pcg32;
 use llm265_tensor::stats;
@@ -112,14 +112,14 @@ fn main() {
         "rANS overhead",
     ]);
     for (label, tensors) in &classes {
-        let bpv = |entropy: EntropyChoice| {
+        let bpv = |entropy: EntropyProfile| {
             let codec = Llm265Codec::with_config(Llm265Config {
                 entropy,
                 ..Llm265Config::default()
             });
             bits_for_quality(&codec, tensors, target).0
         };
-        let (cabac, rans) = (bpv(EntropyChoice::Cabac), bpv(EntropyChoice::Rans));
+        let (cabac, rans) = (bpv(EntropyProfile::Cabac), bpv(EntropyProfile::Rans));
         table.row(vec![
             (*label).to_string(),
             f(cabac, 3),

@@ -5,7 +5,7 @@
 //! entropy stage is disabled in the Fig 2b ablation) and as the
 //! binarization feeding CABAC bypass bits.
 
-use crate::DecodeError;
+use crate::CodecError;
 
 /// Writes bits MSB-first into a growing byte buffer.
 ///
@@ -125,12 +125,12 @@ impl<'a> BitReader<'a> {
         self.pos as u64 * 8 - self.nbits as u64
     }
 
-    fn refill(&mut self, need: u32) -> Result<(), DecodeError> {
+    fn refill(&mut self, need: u32) -> Result<(), CodecError> {
         while self.nbits < need {
             let byte = *self
                 .bytes
                 .get(self.pos)
-                .ok_or(DecodeError::Truncated("bitstream exhausted"))?;
+                .ok_or(CodecError::Truncated("bitstream exhausted"))?;
             self.pos += 1;
             self.acc = (self.acc << 8) | u64::from(byte);
             self.nbits += 8;
@@ -147,7 +147,7 @@ impl<'a> BitReader<'a> {
     /// # Panics
     ///
     /// Panics if `n > 57`.
-    pub fn read_bits(&mut self, n: u32) -> Result<u64, DecodeError> {
+    pub fn read_bits(&mut self, n: u32) -> Result<u64, CodecError> {
         assert!(n <= 57, "read_bits supports at most 57 bits per call");
         if n == 0 {
             return Ok(0);
@@ -163,7 +163,7 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns an error at end of stream.
-    pub fn read_bit(&mut self) -> Result<bool, DecodeError> {
+    pub fn read_bit(&mut self) -> Result<bool, CodecError> {
         Ok(self.read_bits(1)? == 1)
     }
 
@@ -172,19 +172,19 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns an error on truncation or a prefix longer than 32 zeros.
-    pub fn read_ue(&mut self) -> Result<u32, DecodeError> {
+    pub fn read_ue(&mut self) -> Result<u32, CodecError> {
         let mut zeros = 0u32;
         while !self.read_bit()? {
             zeros += 1;
             if zeros > 32 {
-                return Err(DecodeError::Corrupt("exp-golomb prefix too long"));
+                return Err(CodecError::Corrupt("exp-golomb prefix too long"));
             }
         }
         let suffix = self.read_bits(zeros)?;
         let v = (1u64 << zeros) | suffix;
         // A 32-zero prefix with an all-ones suffix encodes up to 2^33-2,
         // which a silent `as u32` would wrap into a bogus small value.
-        u32::try_from(v - 1).map_err(|_| DecodeError::Corrupt("exp-golomb value overflows u32"))
+        u32::try_from(v - 1).map_err(|_| CodecError::Corrupt("exp-golomb value overflows u32"))
     }
 
     /// Reads a signed Exp-Golomb code.
@@ -192,12 +192,12 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns an error on truncation.
-    pub fn read_se(&mut self) -> Result<i32, DecodeError> {
+    pub fn read_se(&mut self) -> Result<i32, CodecError> {
         let m = i64::from(self.read_ue()?);
         let v = if m % 2 == 1 { (m + 1) / 2 } else { -(m / 2) };
         // ue(2^32-1) maps to +2^31, one past i32::MAX; wrapping it to
         // i32::MIN would silently flip the sign of a corrupt residual.
-        i32::try_from(v).map_err(|_| DecodeError::Corrupt("exp-golomb se value overflows i32"))
+        i32::try_from(v).map_err(|_| CodecError::Corrupt("exp-golomb se value overflows i32"))
     }
 }
 

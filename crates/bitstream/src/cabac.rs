@@ -28,7 +28,7 @@
 //! }
 //! ```
 
-use crate::DecodeError;
+use crate::CodecError;
 
 /// Number of bits in the probability model.
 const PROB_BITS: u32 = 11;
@@ -372,18 +372,18 @@ impl<'a> CabacDecoder<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError::LimitExceeded`] when the zero-prefix runs
+    /// Returns [`CodecError::LimitExceeded`] when the zero-prefix runs
     /// past 32 bits — no `u32` has a longer code, so a hostile stream of
     /// zero bins is rejected instead of being saturated into a value.
     /// The cap lives in the loop condition so the termination pass can
     /// prove the variant.
-    pub fn decode_ue_bypass(&mut self) -> Result<u32, DecodeError> {
+    pub fn decode_ue_bypass(&mut self) -> Result<u32, CodecError> {
         let mut zeros = 0u32;
         while zeros <= 32 && !self.decode_bypass() {
             zeros += 1;
         }
         if zeros > 32 {
-            return Err(DecodeError::LimitExceeded(
+            return Err(CodecError::LimitExceeded(
                 "exp-golomb bypass prefix too long",
             ));
         }
@@ -543,7 +543,7 @@ mod tests {
         let mut dec = CabacDecoder::new(&[]);
         assert_eq!(
             dec.decode_ue_bypass(),
-            Err(DecodeError::LimitExceeded(
+            Err(CodecError::LimitExceeded(
                 "exp-golomb bypass prefix too long"
             ))
         );

@@ -8,7 +8,7 @@
 //! framing, and typically within a few percent of zlib on tensor data.
 
 use crate::huffman::Huffman;
-use crate::{bytes, ByteCodec, DecodeError};
+use crate::{bytes, ByteCodec, CodecError};
 
 /// Minimum match length worth emitting.
 const MIN_MATCH: usize = 3;
@@ -127,14 +127,14 @@ fn push_block(out: &mut Vec<u8>, block: &[u8]) {
     out.extend_from_slice(block);
 }
 
-fn pop_block<'a>(data: &'a [u8], pos: &mut usize) -> Result<&'a [u8], DecodeError> {
-    let len: u32 = bytes::read_le_u32(data, pos)
-        .map_err(|_| DecodeError::Truncated("deflate block header"))?;
+fn pop_block<'a>(data: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CodecError> {
+    let len: u32 =
+        bytes::read_le_u32(data, pos).map_err(|_| CodecError::Truncated("deflate block header"))?;
     let len = len as usize;
     let block = data
         .get(*pos..)
         .and_then(|rest| rest.get(..len))
-        .ok_or(DecodeError::Truncated("deflate block"))?;
+        .ok_or(CodecError::Truncated("deflate block"))?;
     *pos += len;
     Ok(block)
 }
@@ -176,32 +176,32 @@ impl ByteCodec for Deflate {
         out
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
         let mut pos = 0usize;
         let n: u64 = bytes::read_le_u64(data, &mut pos)
-            .map_err(|_| DecodeError::Truncated("deflate header"))?;
+            .map_err(|_| CodecError::Truncated("deflate header"))?;
         let n = n as usize;
         let mode = *data
             .get(pos)
-            .ok_or(DecodeError::Truncated("deflate mode byte"))?;
+            .ok_or(CodecError::Truncated("deflate mode byte"))?;
         pos += 1;
         match mode {
             MODE_RAW => {
                 let body = data
                     .get(pos..)
                     .and_then(|rest| rest.get(..n))
-                    .ok_or(DecodeError::Truncated("deflate raw block"))?;
+                    .ok_or(CodecError::Truncated("deflate raw block"))?;
                 return Ok(body.to_vec());
             }
             MODE_HUFFMAN => {
                 let out = Huffman.decompress(data.get(pos..).unwrap_or(&[]))?;
                 if out.len() != n {
-                    return Err(DecodeError::Corrupt("deflate length mismatch"));
+                    return Err(CodecError::Corrupt("deflate length mismatch"));
                 }
                 return Ok(out);
             }
             MODE_LZ77 => {}
-            _ => return Err(DecodeError::Corrupt("unknown deflate block mode")),
+            _ => return Err(CodecError::Corrupt("unknown deflate block mode")),
         }
         let kinds = Huffman.decompress(pop_block(data, &mut pos)?)?;
         let literals = Huffman.decompress(pop_block(data, &mut pos)?)?;
@@ -214,29 +214,29 @@ impl ByteCodec for Deflate {
             if kind == 0 {
                 let b = *literals
                     .get(li)
-                    .ok_or(DecodeError::Truncated("deflate literal stream"))?;
+                    .ok_or(CodecError::Truncated("deflate literal stream"))?;
                 li += 1;
                 out.push(b);
             } else {
                 let len = usize::from(
                     *lens
                         .get(mi)
-                        .ok_or(DecodeError::Truncated("deflate length stream"))?,
+                        .ok_or(CodecError::Truncated("deflate length stream"))?,
                 ) + MIN_MATCH;
                 let mut dpos = mi * 2;
                 let dist = usize::from(
                     bytes::read_le_u16(&dists, &mut dpos)
-                        .map_err(|_| DecodeError::Truncated("deflate distance stream"))?,
+                        .map_err(|_| CodecError::Truncated("deflate distance stream"))?,
                 );
                 mi += 1;
                 if dist == 0 || dist > out.len() {
-                    return Err(DecodeError::Corrupt("deflate distance out of range"));
+                    return Err(CodecError::Corrupt("deflate distance out of range"));
                 }
                 // A declared match must fit the remaining output: without
                 // this cap a hostile token stream grows `out` far past `n`
                 // before the final length check.
                 if len > n.saturating_sub(out.len()) {
-                    return Err(DecodeError::LimitExceeded("deflate match length"));
+                    return Err(CodecError::LimitExceeded("deflate match length"));
                 }
                 let start = out.len() - dist;
                 // Byte-at-a-time so overlapping matches (RLE) replicate.
@@ -247,7 +247,7 @@ impl ByteCodec for Deflate {
             }
         }
         if out.len() != n {
-            return Err(DecodeError::Corrupt("deflate length mismatch"));
+            return Err(CodecError::Corrupt("deflate length mismatch"));
         }
         Ok(out)
     }

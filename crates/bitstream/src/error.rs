@@ -64,10 +64,6 @@ impl fmt::Display for CodecError {
 
 impl Error for CodecError {}
 
-/// Historical alias: the bitstream crate's decode APIs predate the shared
-/// taxonomy and were typed against `DecodeError`.
-pub type DecodeError = CodecError;
-
 #[cfg(test)]
 mod tests {
     use super::*;

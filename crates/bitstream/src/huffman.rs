@@ -6,7 +6,7 @@
 //! needs to carry one 4-bit length per symbol.
 
 use crate::bits::{BitReader, BitWriter};
-use crate::{ByteCodec, DecodeError};
+use crate::{ByteCodec, CodecError};
 
 /// Maximum code length; 15 matches DEFLATE and keeps headers at 4 bits.
 const MAX_LEN: u32 = 15;
@@ -153,18 +153,18 @@ impl CanonicalDecoder {
         }
     }
 
-    fn decode(&self, r: &mut BitReader<'_>) -> Result<u8, DecodeError> {
+    fn decode(&self, r: &mut BitReader<'_>) -> Result<u8, CodecError> {
         let mut code = 0u32;
         for len in 1..=MAX_LEN as usize {
             code = (code << 1) | ((r.read_bits(1)? & 1) as u32);
             let offset = code.wrapping_sub(self.first_code[len]);
             if offset < self.count[len] {
                 let idx = usize::try_from(self.base[len] + offset)
-                    .map_err(|_| DecodeError::Corrupt("invalid huffman code"))?;
+                    .map_err(|_| CodecError::Corrupt("invalid huffman code"))?;
                 return Ok(self.syms[idx]);
             }
         }
-        Err(DecodeError::Corrupt("invalid huffman code"))
+        Err(CodecError::Corrupt("invalid huffman code"))
     }
 }
 
@@ -200,19 +200,19 @@ impl ByteCodec for Huffman {
         w.finish()
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
         let mut r = BitReader::new(data);
         let n = r.read_bits(57)? as usize;
         // Every symbol costs at least one bit, so a declared length beyond
         // the total bit count is impossible; reject it before sizing
         // anything by it.
         if n > data.len().saturating_mul(8) {
-            return Err(DecodeError::LimitExceeded("huffman declared length"));
+            return Err(CodecError::LimitExceeded("huffman declared length"));
         }
         let first = r.read_bits(8)? as usize;
         let last = r.read_bits(8)? as usize;
         if first > last {
-            return Err(DecodeError::Corrupt("invalid huffman symbol range"));
+            return Err(CodecError::Corrupt("invalid huffman symbol range"));
         }
         let mut lengths = [0u8; 256];
         for len in lengths[first..=last].iter_mut() {
@@ -222,7 +222,7 @@ impl ByteCodec for Huffman {
             return Ok(Vec::new());
         }
         if lengths.iter().all(|&l| l == 0) {
-            return Err(DecodeError::Corrupt(
+            return Err(CodecError::Corrupt(
                 "nonempty payload with empty code table",
             ));
         }

@@ -45,7 +45,7 @@ pub mod huffman;
 pub mod lz4;
 pub mod rans;
 
-pub use error::{CodecError, DecodeError};
+pub use error::CodecError;
 
 /// A lossless byte-stream compressor.
 ///
@@ -62,8 +62,8 @@ pub trait ByteCodec {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] if the stream is truncated or corrupt.
-    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, DecodeError>;
+    /// Returns [`CodecError`] if the stream is truncated or corrupt.
+    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CodecError>;
 }
 
 /// The CABAC byte-compressor baseline: codes each byte bit-by-bit through a
@@ -97,7 +97,7 @@ impl ByteCodec for CabacBytes {
         out
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
         let mut pos = 0;
         let len64: u64 = bytes::read_le_u64(data, &mut pos)
             .map_err(|_| CodecError::Truncated("cabac length header"))?;

@@ -6,7 +6,7 @@
 //! followed by literals and a 16-bit match offset — with our own framing
 //! (a length prefix) instead of the LZ4 frame format.
 
-use crate::{bytes, ByteCodec, DecodeError};
+use crate::{bytes, ByteCodec, CodecError};
 
 /// Minimum match length; matches shorter than this are emitted as literals.
 const MIN_MATCH: usize = 4;
@@ -44,12 +44,12 @@ fn write_len_ext(out: &mut Vec<u8>, mut extra: usize) {
     out.push((extra & 0xFF) as u8);
 }
 
-fn read_len_ext(data: &[u8], pos: &mut usize) -> Result<usize, DecodeError> {
+fn read_len_ext(data: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
     let mut total = 0usize;
     loop {
         let b = *data
             .get(*pos)
-            .ok_or(DecodeError::Truncated("lz4 length extension"))?;
+            .ok_or(CodecError::Truncated("lz4 length extension"))?;
         *pos += 1;
         total += usize::from(b);
         if b != 255 {
@@ -106,15 +106,15 @@ impl ByteCodec for Lz4 {
         out
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
         let mut pos = 0usize;
         let n: u64 =
-            bytes::read_le_u64(data, &mut pos).map_err(|_| DecodeError::Truncated("lz4 header"))?;
+            bytes::read_le_u64(data, &mut pos).map_err(|_| CodecError::Truncated("lz4 header"))?;
         let n = n as usize;
         let mut out = Vec::with_capacity(n.min(1 << 24));
 
         while out.len() < n {
-            let token = *data.get(pos).ok_or(DecodeError::Truncated("lz4 token"))?;
+            let token = *data.get(pos).ok_or(CodecError::Truncated("lz4 token"))?;
             pos += 1;
             let mut lit_len = usize::from(token >> 4);
             if lit_len == 15 {
@@ -123,7 +123,7 @@ impl ByteCodec for Lz4 {
             let literals = data
                 .get(pos..)
                 .and_then(|rest| rest.get(..lit_len))
-                .ok_or(DecodeError::Truncated("lz4 literals"))?;
+                .ok_or(CodecError::Truncated("lz4 literals"))?;
             out.extend_from_slice(literals);
             pos += lit_len;
             if out.len() >= n {
@@ -132,10 +132,10 @@ impl ByteCodec for Lz4 {
 
             let dist = usize::from(
                 bytes::read_le_u16(data, &mut pos)
-                    .map_err(|_| DecodeError::Truncated("lz4 offset"))?,
+                    .map_err(|_| CodecError::Truncated("lz4 offset"))?,
             );
             if dist == 0 || dist > out.len() {
-                return Err(DecodeError::Corrupt("lz4 offset out of range"));
+                return Err(CodecError::Corrupt("lz4 offset out of range"));
             }
             let mut mlen = (token & 0x0f) as usize;
             if mlen == 15 {
@@ -146,7 +146,7 @@ impl ByteCodec for Lz4 {
             // cap a hostile length extension grows `out` far past `n`
             // before the loop condition is rechecked.
             if mlen > n - out.len() {
-                return Err(DecodeError::LimitExceeded("lz4 match length"));
+                return Err(CodecError::LimitExceeded("lz4 match length"));
             }
             // Overlapping copies are the point of LZ: copy byte-by-byte.
             let start = out.len() - dist;
@@ -156,7 +156,7 @@ impl ByteCodec for Lz4 {
             }
         }
         if out.len() != n {
-            return Err(DecodeError::Corrupt("lz4 length mismatch"));
+            return Err(CodecError::Corrupt("lz4 length mismatch"));
         }
         Ok(out)
     }

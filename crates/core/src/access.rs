@@ -1,7 +1,7 @@
 //! Random access into serialized LLM.265 tensor streams.
 //!
-//! Tiled streams (bitstream v2) make every chunk a set of independently
-//! decodable CTU-row bands with a byte-offset index, so a reader can
+//! Every chunk's video stream is a set of one or more independently
+//! decodable CTU-row bands behind a byte-offset index, so a reader can
 //! decode any band of any chunk from its byte range alone — no other
 //! payload bytes are read. [`TensorStreamIndex`] parses a tensor stream's
 //! framing (chunk records plus each chunk's video-stream tile index)
@@ -263,7 +263,8 @@ mod tests {
         let index = TensorStreamIndex::parse(enc.bytes()).unwrap();
         assert_eq!(index.shape(), (96, 96));
         assert_eq!(index.n_chunks(), 2);
-        // 64-row chunks at CTU 32 → 2 CTU rows → 2 tiles (auto-8 clamps).
+        // 64-row chunks at CTU 32 → 2 CTU rows → 2 tiles (the default
+        // eight clamps).
         assert_eq!(index.n_tiles(0), 2);
         let mut covered_rows = 0usize;
         let mut last_end = 0usize;
@@ -281,7 +282,15 @@ mod tests {
 
     #[test]
     fn decode_tile_reads_only_its_own_byte_range() {
-        let t = weight(12, 64);
+        // A 64-row chunk has two tiles; a 24-row chunk (one CTU row) has
+        // one, whose index entry must still cover its whole payload.
+        for (n, tiles) in [(64, 2), (24, 1)] {
+            decode_tile_matches_full_decode(weight(12, n), tiles);
+        }
+    }
+
+    fn decode_tile_matches_full_decode(t: Tensor, tiles: usize) {
+        let n = t.cols();
         let codec = Llm265Codec::with_config(Llm265Config {
             threads: 1,
             ..Llm265Config::default()
@@ -289,8 +298,10 @@ mod tests {
         let enc = codec.encode(&t, RateTarget::Qp(22.0)).unwrap();
         let full = codec.decode(&enc).unwrap();
         let index = TensorStreamIndex::parse(enc.bytes()).unwrap();
-        assert_eq!(index.total_tiles(), 2);
+        assert_eq!(index.total_tiles(), tiles);
         for c in 0..index.n_chunks() {
+            let last = index.n_tiles(c) - 1;
+            assert_eq!(index.tile_range(c, last).end, index.chunks[c].stream.end);
             for ti in 0..index.n_tiles(c) {
                 // Corrupt every byte of every *other* tile: random access
                 // must not notice.
@@ -306,9 +317,9 @@ mod tests {
                 }
                 let band = index.decode_tile(&vandalized, c, ti).unwrap();
                 let (row0, rows) = index.tile_rows(c, ti);
-                assert_eq!(band.shape(), (rows, 64));
+                assert_eq!(band.shape(), (rows, n));
                 for y in 0..rows {
-                    for x in 0..64 {
+                    for x in 0..n {
                         assert_eq!(band[(y, x)], full[(row0 + y, x)], "({y}, {x})");
                     }
                 }

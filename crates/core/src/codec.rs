@@ -17,9 +17,7 @@ use llm265_tensor::channel::LossyCompressor;
 use llm265_tensor::{stats, Tensor};
 use llm265_videocodec::tile::{self, TileLayout};
 use llm265_videocodec::transform::DctPlans;
-use llm265_videocodec::{
-    encode_video, CodecConfig, EntropyProfile, Frame, PipelineConfig, Profile,
-};
+use llm265_videocodec::{CodecConfig, EntropyProfile, Frame, PipelineConfig, Profile};
 
 use crate::access::TensorStreamIndex;
 use crate::chunk::{self, Chunk};
@@ -33,10 +31,12 @@ const STREAM_HEADER_BYTES: usize = 16;
 /// Per-chunk record header: row0 + rows + lo + scale + payload length.
 pub(crate) const CHUNK_HEADER_BYTES: usize = 20;
 
-/// Tiles requested per chunk frame when [`Llm265Config::tiles`] is `0`
-/// (auto). Eight CTU-row bands give intra-chunk parallel decode headroom
-/// at a fraction of a percent of stream size; small chunks clamp down to
-/// their CTU-row count inside the video codec.
+/// Tiles requested per chunk frame. Eight CTU-row bands give intra-chunk
+/// parallel decode headroom at a fraction of a percent of stream size;
+/// small chunks clamp down to their CTU-row count inside the video codec.
+/// The count is **pure geometry** — it never follows
+/// [`Llm265Config::threads`] — so streams stay bit-identical at every
+/// thread count.
 const DEFAULT_TILES: usize = 8;
 
 /// Upper end of the QP scale.
@@ -46,41 +46,6 @@ const QP_MAX: f64 = 51.0;
 const QP_TOL: f64 = 0.25;
 /// Saturation bound for the log-ratio feasibility score.
 const SCORE_SAT: f64 = 60.0;
-
-/// Entropy-backend selection for the tensor codec.
-///
-/// Maps onto the video codec's per-stream [`EntropyProfile`]: the choice
-/// is resolved **once per encode**, before any QP is probed, so every
-/// probe a rate search caches was produced under the same backend and the
-/// per-QP probe cache never mixes profiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EntropyChoice {
-    /// Pick per tensor class from the measured ablation (Ablation C in
-    /// `ablation_codec_design`): CABAC wins on stream size for every
-    /// class we measure — weights, gradients and activations alike — so
-    /// auto resolves to CABAC today. The variant exists so the policy can
-    /// follow the table if a class ever flips.
-    #[default]
-    Auto,
-    /// Force adaptive arithmetic coding (smallest streams).
-    Cabac,
-    /// Force interleaved rANS: the fastest tiled decode, but its static
-    /// per-tile tables cost about +52% bits per value against CABAC in
-    /// the `ablation_codec_design` measurement — see DESIGN.md "rANS
-    /// entropy backend".
-    Rans,
-}
-
-impl EntropyChoice {
-    /// Resolves the choice to a concrete video-codec profile.
-    pub(crate) fn resolve(self) -> EntropyProfile {
-        match self {
-            // The ablation table says CABAC wins on size everywhere.
-            EntropyChoice::Auto | EntropyChoice::Cabac => EntropyProfile::Cabac,
-            EntropyChoice::Rans => EntropyProfile::Rans,
-        }
-    }
-}
 
 /// Configuration of the LLM.265 tensor codec.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,16 +65,12 @@ pub struct Llm265Config {
     /// machine's available parallelism. Encoded bytes are identical at
     /// every thread count — see [`crate::pool`].
     pub threads: usize,
-    /// Independently decodable tiles requested per chunk frame (horizontal
-    /// CTU-row bands with fresh CABAC context init); `0` (the default)
-    /// auto-selects eight. The video codec clamps the request to each
-    /// chunk's CTU-row count, and the count is **pure geometry** — it
-    /// never follows [`Llm265Config::threads`] — so streams stay
-    /// bit-identical at every thread count.
-    pub tiles: usize,
-    /// Entropy backend ([`EntropyChoice::Auto`] by default: per tensor
-    /// class from the ablation table, currently CABAC everywhere).
-    pub entropy: EntropyChoice,
+    /// Entropy backend for every tile payload. [`EntropyProfile::Cabac`]
+    /// (the default) gives the smallest streams for every tensor class
+    /// `ablation_codec_design` measures; [`EntropyProfile::Rans`] decodes
+    /// faster but costs about +52% bits per value — see DESIGN.md "rANS
+    /// entropy backend".
+    pub entropy: EntropyProfile,
 }
 
 impl Default for Llm265Config {
@@ -120,8 +81,7 @@ impl Default for Llm265Config {
             max_chunk_pixels: 1 << 16,
             search_iters: 9,
             threads: 0,
-            tiles: 0,
-            entropy: EntropyChoice::Auto,
+            entropy: EntropyProfile::Cabac,
         }
     }
 }
@@ -238,17 +198,6 @@ impl Llm265Codec {
         self.encode_counter = Some(counter);
     }
 
-    /// The per-chunk tile count handed to the video codec: the configured
-    /// knob, or [`DEFAULT_TILES`] when `tiles == 0` (auto). The video
-    /// codec clamps the request to each chunk's CTU-row count.
-    fn requested_tiles(&self) -> usize {
-        if self.config.tiles == 0 {
-            DEFAULT_TILES
-        } else {
-            self.config.tiles
-        }
-    }
-
     /// Encodes every chunk at `qp` — every (chunk, tile) task fanned over
     /// the deterministic pool — and returns payloads plus feasibility
     /// summaries. Nothing is serialized or decoded here: the stream size
@@ -256,11 +205,12 @@ impl Llm265Codec {
     /// encoder's own reconstruction, which is bit-exact with the decoder's
     /// output.
     ///
-    /// Tile geometry derives from each chunk's frame size and the tiles
-    /// knob only — never the thread count — and the per-tile payloads are
-    /// reassembled into streams byte-identical to [`encode_video`]
-    /// (pinned by videocodec's `pooled_assembly_matches_encode_video`
-    /// test), so the flattened fan-out cannot change output bytes.
+    /// Tile geometry derives from each chunk's frame size and
+    /// [`DEFAULT_TILES`] only — never the thread count — and the per-tile
+    /// payloads are reassembled into streams byte-identical to
+    /// [`llm265_videocodec::encode_video`] (pinned by videocodec's
+    /// `pooled_assembly_matches_encode_video` test), so the flattened
+    /// fan-out cannot change output bytes.
     ///
     /// # Errors
     ///
@@ -270,13 +220,12 @@ impl Llm265Codec {
             profile: self.config.profile.clone(),
             pipeline: self.config.pipeline,
             qp,
-            tiles: self.requested_tiles(),
-            // Resolved from the immutable config, so every probe one
-            // search caches — whatever its QP — shares one backend.
-            entropy: self.config.entropy.resolve(),
+            tiles: DEFAULT_TILES,
+            // Read from the immutable config, so every probe one search
+            // caches — whatever its QP — shares one backend.
+            entropy: self.config.entropy,
         };
         let counter = self.encode_counter.as_deref();
-        let entropy = cfg.pipeline.entropy;
         let ctu = cfg.profile.ctu();
         let layouts: Vec<TileLayout> = chunks
             .iter()
@@ -284,12 +233,9 @@ impl Llm265Codec {
             .collect();
         let padded: Vec<Frame> = chunks.iter().map(|c| c.frame.padded_to(ctu)).collect();
         // Flatten (chunk, tile) so one huge chunk no longer pins a worker.
-        // Raw (entropy-off) chunks have no tile payloads; they stay one
-        // whole-frame task.
         let mut tasks: Vec<(usize, usize)> = Vec::new();
         for (ci, layout) in layouts.iter().enumerate() {
-            let n = if entropy { layout.n_tiles() } else { 1 };
-            tasks.extend((0..n).map(|ti| (ci, ti)));
+            tasks.extend((0..layout.n_tiles()).map(|ti| (ci, ti)));
         }
         let results = pool::run_ordered(tasks.len(), self.config.threads, |k| {
             let (ci, ti) = tasks[k];
@@ -301,14 +247,6 @@ impl Llm265Codec {
                 }
             }
             let c = &chunks[ci];
-            if !entropy {
-                let enc = encode_video(std::slice::from_ref(&c.frame), &cfg);
-                let sq = enc
-                    .recon
-                    .first()
-                    .map_or(f64::INFINITY, |f| band_sq_err(t, c, f, 0, f.height()));
-                return (enc.bytes, sq);
-            }
             let plans = DctPlans::new();
             let (payload, band_recon) =
                 tile::encode_tile(&padded[ci], None, &cfg, &plans, &layouts[ci], ti, 0);
@@ -321,8 +259,8 @@ impl Llm265Codec {
         let mut probes = Vec::with_capacity(chunks.len());
         let mut stream_bytes = STREAM_HEADER_BYTES;
         let mut sq_err = 0.0;
-        for (ci, layout) in layouts.iter().enumerate() {
-            let n = if entropy { layout.n_tiles() } else { 1 };
+        for (c, layout) in chunks.iter().zip(&layouts) {
+            let n = layout.n_tiles();
             let mut payloads = Vec::with_capacity(n);
             let mut chunk_sq = 0.0;
             for _ in 0..n {
@@ -332,18 +270,12 @@ impl Llm265Codec {
                 payloads.push(p);
                 chunk_sq += s;
             }
-            let bytes = if entropy {
-                let c = &chunks[ci];
-                tile::assemble_single_frame_stream(
-                    &cfg,
-                    c.frame.width(),
-                    c.frame.height(),
-                    &payloads,
-                )
-            } else {
-                // lint:allow(panic): `n == 1` on the raw path.
-                payloads.pop().expect("raw chunk stream")
-            };
+            let bytes = tile::assemble_single_frame_stream(
+                &cfg,
+                c.frame.width(),
+                c.frame.height(),
+                &payloads,
+            );
             stream_bytes += CHUNK_HEADER_BYTES + bytes.len();
             sq_err += chunk_sq;
             probes.push(ChunkProbe { bytes });

@@ -50,7 +50,7 @@ pub mod rate;
 
 pub use access::TensorStreamIndex;
 pub use archive::{ArchiveIndex, TensorArchive};
-pub use codec::{EntropyChoice, Llm265Channel, Llm265Codec, Llm265Config, Llm265TrackingChannel};
+pub use codec::{Llm265Channel, Llm265Codec, Llm265Config, Llm265TrackingChannel};
 pub use llm265_videocodec::{EntropyProfile, PipelineConfig, Profile, ProfileKind};
 
 use llm265_tensor::Tensor;

@@ -177,23 +177,25 @@ fn archive_hostile_entry_count_is_limited() {
 
 /// Byte offsets of the first chunk's inner video-stream header inside a
 /// tensor stream: 16 outer header bytes + 20 chunk-header bytes, then
-/// the inner stream (magic u32, version byte at +4, flags byte at +21).
+/// the inner stream (magic u32, version byte at +4, pipeline byte at +6,
+/// flags byte at +21).
 const INNER_STREAM: usize = 36;
 const INNER_VERSION: usize = INNER_STREAM + 4;
+const INNER_PIPELINE: usize = INNER_STREAM + 6;
 const INNER_FLAGS: usize = INNER_STREAM + 21;
 const FLAG_RANS: u8 = 0x02;
 
 fn sample_rans_encoded() -> EncodedTensor {
-    use llm265_core::{EntropyChoice, Llm265Config};
+    use llm265_core::{EntropyProfile, Llm265Config};
     let codec = Llm265Codec::with_config(Llm265Config {
-        entropy: EntropyChoice::Rans,
+        entropy: EntropyProfile::Rans,
         ..Llm265Config::default()
     });
     let enc = codec
         .encode(&sample_tensor(), RateTarget::Qp(32.0))
         .expect("rans sample encode");
     // Pin the layout the offset constants assume before mutating it.
-    assert_eq!(enc.bytes()[INNER_VERSION], 2, "inner version byte");
+    assert_eq!(enc.bytes()[INNER_VERSION], 3, "inner version byte");
     assert_eq!(
         enc.bytes()[INNER_FLAGS] & FLAG_RANS,
         FLAG_RANS,
@@ -207,7 +209,7 @@ fn index_truncated_before_inner_flags_byte_errors() {
     let enc = sample_rans_encoded();
     TensorStreamIndex::parse(enc.bytes()).expect("clean rans index parses");
     // Every cut through the inner stream header — including one byte
-    // short of the v2 flags byte — must error, never read past the end.
+    // short of the flags byte — must error, never read past the end.
     for cut in INNER_STREAM..=INNER_FLAGS {
         assert!(
             TensorStreamIndex::parse(&enc.bytes()[..cut]).is_err(),
@@ -216,31 +218,33 @@ fn index_truncated_before_inner_flags_byte_errors() {
     }
 }
 
-#[test]
-fn index_v1_splice_cannot_smuggle_flag_rans() {
-    let enc = sample_rans_encoded();
-    let mut bytes = enc.bytes().to_vec();
-    // Downgrade the inner stream to version 1 while FLAG_RANS is still
-    // in place. Version 1 has no flags byte, so the rANS bit must not be
-    // honored — the byte lands inside the frame-length field and the
-    // framing no longer fits the stream.
-    bytes[INNER_VERSION] = 1;
-    assert!(
-        TensorStreamIndex::parse(&bytes).is_err(),
-        "v1-spliced rans stream parsed"
-    );
-}
-
+/// Reserved header bits and retired versions are refused, not guessed
+/// at: stream flag 0x01 (the retired tiled-layout flag) and 0x04–0x80,
+/// pipeline bits 0x10–0x80, and versions 1 and 2 — whose flag bytes
+/// could otherwise smuggle FLAG_RANS into a different payload layout.
 #[test]
 fn index_reserved_flag_bits_are_refused() {
     let enc = sample_rans_encoded();
-    for bit in [0x04u8, 0x08, 0x10, 0x20, 0x40, 0x80] {
+    let flags = [0x01u8, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80].map(|b| (INNER_FLAGS, b));
+    let pipeline = [0x10u8, 0x20, 0x40, 0x80].map(|b| (INNER_PIPELINE, b));
+    for (at, bit) in flags.into_iter().chain(pipeline) {
         let mut bytes = enc.bytes().to_vec();
-        bytes[INNER_FLAGS] |= bit;
+        bytes[at] |= bit;
         match TensorStreamIndex::parse(&bytes) {
             Err(CodecError::Unsupported(_)) => {}
-            Err(e) => panic!("reserved flag {bit:#04x}: wrong error {e:?}"),
-            Ok(_) => panic!("reserved flag {bit:#04x} accepted"),
+            Err(e) => panic!("reserved bit {bit:#04x} at {at}: wrong error {e:?}"),
+            Ok(_) => panic!("reserved bit {bit:#04x} at {at} accepted"),
         }
+    }
+    for version in [1u8, 2] {
+        let mut bytes = enc.bytes().to_vec();
+        bytes[INNER_VERSION] = version;
+        assert!(
+            matches!(
+                TensorStreamIndex::parse(&bytes),
+                Err(CodecError::Unsupported("bitstream version"))
+            ),
+            "version {version} accepted"
+        );
     }
 }

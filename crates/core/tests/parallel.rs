@@ -36,12 +36,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Streams must be bit-identical at every thread count. The hashes were
-/// re-pinned when the tiled bitstream (format v2) landed: 24-row chunks
-/// stay untiled (one CTU row) and grew exactly the one flags byte per
-/// chunk over the serial pre-pool pins, while the 64-row default-config
-/// tensor now carries a two-tile index. Any drift here is a format or
-/// determinism regression, not a refactor detail.
+/// Streams must be bit-identical at every thread count. Any drift here
+/// is a format or determinism regression, not a refactor detail.
 #[test]
 fn fixed_qp_streams_match_serial_golden_hashes() {
     let t = weight(42, 96);
@@ -49,12 +45,12 @@ fn fixed_qp_streams_match_serial_golden_hashes() {
         let enc = codec(96 * 24, threads)
             .encode(&t, RateTarget::Qp(24.0))
             .expect("encode");
-        // v1 pin was 3580 bytes / fnv 0x93ae_1250_d6b2_7829: the same
-        // payloads plus one v2 flags byte for each of the 4 chunks.
-        assert_eq!(enc.bytes().len(), 3584, "threads {threads}");
+        // Re-pinned for the v3 header plus a one-entry tile index on each
+        // of the 4 single-tile (one CTU row) chunks.
+        assert_eq!(enc.bytes().len(), 3624, "threads {threads}");
         assert_eq!(
             fnv1a(enc.bytes()),
-            0x7d86_c58b_f62c_292d,
+            0x63dc_1703_b608_3d20,
             "threads {threads}"
         );
     }
@@ -107,13 +103,13 @@ fn parallel_decode_matches_serial_decode() {
     }
 }
 
-/// Golden pin of a *tiled* default-config stream: 64 rows at CTU 32 is
-/// two CTU rows, so the auto tile knob writes a two-tile v2 stream. The
+/// Golden pin of a two-tile default-config stream: 64 rows at CTU 32 is
+/// two CTU rows, so the default eight-tile request clamps to two. The
 /// same bytes must come out at every thread count (tile count is pure
 /// geometry) — see `fixed_qp_streams_match_serial_golden_hashes`, which
 /// checks threads 1/2/8 against these values.
 const TILED_64_LEN: usize = 499;
-const TILED_64_FNV: u64 = 0xbd4e_c17f_5583_a21e;
+const TILED_64_FNV: u64 = 0xeef0_c2f7_2586_afbc;
 
 #[test]
 fn zero_threads_resolves_to_machine_parallelism_and_stays_exact() {
@@ -121,45 +117,44 @@ fn zero_threads_resolves_to_machine_parallelism_and_stays_exact() {
     let auto = codec(96 * 24, 0)
         .encode(&t, RateTarget::Qp(24.0))
         .expect("encode");
-    assert_eq!(fnv1a(auto.bytes()), 0x7d86_c58b_f62c_292d);
+    assert_eq!(fnv1a(auto.bytes()), 0x63dc_1703_b608_3d20);
     let dec = codec(96 * 24, 0).decode(&auto).expect("decode");
     assert_eq!(dec.shape(), t.shape());
 }
 
 /// Tiled streams must be bit-identical at every thread count and every
-/// requested tile count: the tile geometry is derived from the chunk and
-/// the knob, never from scheduling, and the (chunk, tile) fan-out joins
-/// in task order. Also pins that the knob really changes the layout.
+/// tile count: the tile geometry is derived from the chunk alone, never
+/// from scheduling, and the (chunk, tile) fan-out joins in task order.
+/// Single-chunk tensors of 1, 2, 4 and 10 CTU rows give 1, 2, 4 and 8
+/// tiles (the request clamps to the CTU-row count).
 #[test]
 fn tiled_streams_are_bit_identical_across_thread_counts() {
-    let t = weight(9, 128); // single 128×128 chunk → 4 CTU rows
-    for tiles in [0usize, 1, 2, 4] {
-        let cfg = |threads| Llm265Config {
-            threads,
-            tiles,
-            ..Llm265Config::default()
+    for (rows, expect_tiles) in [(32, 1), (64, 2), (128, 4), (320, 8)] {
+        let mut rng = Pcg32::seed_from(9);
+        let t = llm_weight(rows, 128, &WeightProfile::default(), &mut rng);
+        let codec = |threads| {
+            Llm265Codec::with_config(Llm265Config {
+                threads,
+                ..Llm265Config::default()
+            })
         };
-        let reference = Llm265Codec::with_config(cfg(1))
-            .encode(&t, RateTarget::Qp(24.0))
-            .expect("encode");
+        let reference = codec(1).encode(&t, RateTarget::Qp(24.0)).expect("encode");
         let index = llm265_core::TensorStreamIndex::parse(reference.bytes()).expect("index");
-        let expect_tiles = if tiles == 0 { 4 } else { tiles };
-        assert_eq!(index.n_tiles(0), expect_tiles, "tiles {tiles}");
-        let serial = Llm265Codec::with_config(cfg(1))
-            .decode(&reference)
-            .expect("decode");
+        assert_eq!(index.n_chunks(), 1, "rows {rows}");
+        assert_eq!(index.n_tiles(0), expect_tiles, "rows {rows}");
+        let serial = codec(1).decode(&reference).expect("decode");
         for threads in [2, 8] {
-            let c = Llm265Codec::with_config(cfg(threads));
+            let c = codec(threads);
             let enc = c.encode(&t, RateTarget::Qp(24.0)).expect("encode");
             assert_eq!(
                 enc.bytes(),
                 reference.bytes(),
-                "tiles {tiles}, threads {threads}"
+                "rows {rows}, threads {threads}"
             );
             assert_eq!(
                 c.decode(&enc).expect("decode"),
                 serial,
-                "tiles {tiles}, threads {threads}"
+                "rows {rows}, threads {threads}"
             );
         }
     }
@@ -222,21 +217,21 @@ fn fixed_qp_encodes_once_per_chunk() {
 
 /// Golden pins of the rANS entropy profile, mirroring the CABAC pins
 /// above: the same two tensors at the same QPs, with
-/// [`EntropyChoice::Rans`] flipping only the per-tile payload coding.
+/// [`EntropyProfile::Rans`] flipping only the per-tile payload coding.
 /// Streams must be bit-identical at every thread count, and the decoded
 /// tensors must match the CABAC-profile decode exactly — the decide
 /// phase never sees the backend, so switching it cannot move a single
 /// reconstructed value. (The rANS streams are larger here: per-tile
 /// frequency tables cost ~0.5 KiB each, which small chunks cannot
-/// amortize — that is why [`EntropyChoice::Auto`] resolves to CABAC.)
+/// amortize — one reason CABAC is the default backend.)
 #[test]
 fn rans_streams_match_golden_hashes_and_cabac_recon() {
-    use llm265_core::EntropyChoice;
+    use llm265_core::EntropyProfile;
     let rans_codec = |max_chunk_pixels: usize, threads: usize| {
         Llm265Codec::with_config(Llm265Config {
             max_chunk_pixels,
             threads,
-            entropy: EntropyChoice::Rans,
+            entropy: EntropyProfile::Rans,
             ..Llm265Config::default()
         })
     };
@@ -253,10 +248,10 @@ fn rans_streams_match_golden_hashes_and_cabac_recon() {
         let enc = rans_codec(96 * 24, threads)
             .encode(&t, RateTarget::Qp(24.0))
             .expect("encode");
-        assert_eq!(enc.bytes().len(), 6544, "threads {threads}");
+        assert_eq!(enc.bytes().len(), 6584, "threads {threads}");
         assert_eq!(
             fnv1a(enc.bytes()),
-            0xc333_2b2d_c789_1553,
+            0x2587_4875_2672_6ed4,
             "threads {threads}"
         );
         let dec = rans_codec(96 * 24, threads).decode(&enc).expect("decode");
@@ -267,7 +262,7 @@ fn rans_streams_match_golden_hashes_and_cabac_recon() {
     for threads in [1, 2, 8] {
         let enc = Llm265Codec::with_config(Llm265Config {
             threads,
-            entropy: EntropyChoice::Rans,
+            entropy: EntropyProfile::Rans,
             ..Llm265Config::default()
         })
         .encode(&t, RateTarget::Qp(30.0))
@@ -275,7 +270,7 @@ fn rans_streams_match_golden_hashes_and_cabac_recon() {
         assert_eq!(enc.bytes().len(), 1267, "threads {threads}");
         assert_eq!(
             fnv1a(enc.bytes()),
-            0x3895_9ae7_7842_e0fc,
+            0xfb68_78be_0fae_4566,
             "threads {threads}"
         );
     }

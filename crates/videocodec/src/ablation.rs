@@ -14,8 +14,10 @@ use crate::{CodecConfig, EntropyProfile, Frame, PipelineConfig, Profile};
 pub struct Stage {
     /// Human-readable label used in the Fig 2(b) table.
     pub label: &'static str,
-    /// Pipeline switches for this rung.
-    pub pipeline: PipelineConfig,
+    /// Pipeline switches for this rung; `None` for stage 1, plain 8-bit
+    /// quantization, which stores the 8-bit plane as is and needs no
+    /// codec: 8 bits/value at zero pixel-domain MSE by definition.
+    pub pipeline: Option<PipelineConfig>,
     /// A fixed QP instead of the MSE-targeted search. Stage 2 pins QP to
     /// the lossless step (qstep = 1): in the paper's pipeline the
     /// quantizer lives inside the transform stage (Fig 2a ②), so with the
@@ -26,7 +28,6 @@ pub struct Stage {
 /// The Fig 2(b) ladder: stages enabled incrementally.
 pub fn stages() -> Vec<Stage> {
     let off = PipelineConfig {
-        entropy: false,
         transform: false,
         adaptive_partition: false,
         intra: false,
@@ -35,57 +36,40 @@ pub fn stages() -> Vec<Stage> {
     vec![
         Stage {
             label: "(1) 8-bit quantization",
-            pipeline: off,
+            pipeline: None,
             pinned_qp: None,
         },
         Stage {
             label: "(2) + entropy coding",
-            pipeline: PipelineConfig {
-                entropy: true,
-                ..off
-            },
+            pipeline: Some(off),
             // qstep = 1: lossless coding of the quantized 8-bit input.
             pinned_qp: Some(4.0),
         },
         Stage {
             label: "(3) + transform coding",
-            pipeline: PipelineConfig {
-                entropy: true,
+            pipeline: Some(PipelineConfig {
                 transform: true,
                 ..off
-            },
+            }),
             pinned_qp: None,
         },
         Stage {
             label: "(4) + adaptive partitioning",
-            pipeline: PipelineConfig {
-                entropy: true,
+            pipeline: Some(PipelineConfig {
                 transform: true,
                 adaptive_partition: true,
                 ..off
-            },
+            }),
             pinned_qp: None,
         },
         Stage {
             label: "(5) + intra prediction",
-            pipeline: PipelineConfig {
-                entropy: true,
-                transform: true,
-                adaptive_partition: true,
-                intra: true,
-                inter: false,
-            },
+            pipeline: Some(PipelineConfig::default()),
             pinned_qp: None,
         },
         Stage {
             label: "(6) + inter prediction",
-            pipeline: PipelineConfig {
-                entropy: true,
-                transform: true,
-                adaptive_partition: true,
-                intra: true,
-                inter: true,
-            },
+            pipeline: Some(PipelineConfig::full_video()),
             pinned_qp: None,
         },
     ]
@@ -110,22 +94,17 @@ pub fn run_stage(
     stage: &Stage,
     target_mse: f64,
 ) -> StageResult {
-    let cfg = CodecConfig {
-        profile: profile.clone(),
-        pipeline: stage.pipeline,
-        qp: 28.0,
-        tiles: 1,
-        entropy: EntropyProfile::Cabac,
-    };
-    if !stage.pipeline.entropy {
-        // Raw 8-bit storage: rate is fixed; report its (near-lossless) MSE.
-        let enc = crate::encode_video(frames, &cfg);
+    let Some(pipeline) = stage.pipeline else {
+        // Plain 8-bit quantization: the frames are the stored values.
         return StageResult {
             label: stage.label,
-            bits_per_value: enc.bits_per_pixel(),
-            mse: mse_of(frames, &enc),
+            bits_per_value: 8.0,
+            mse: 0.0,
         };
-    }
+    };
+    let cfg = CodecConfig::default()
+        .with_profile(profile.clone())
+        .with_pipeline(pipeline);
     if let Some(qp) = stage.pinned_qp {
         let enc = crate::encode_video(frames, &cfg.clone().with_qp(qp));
         return StageResult {
@@ -221,20 +200,21 @@ mod tests {
     fn ladder_has_six_rungs_in_order() {
         let s = stages();
         assert_eq!(s.len(), 6);
-        assert!(!s[0].pipeline.entropy);
-        assert!(s[1].pipeline.entropy && !s[1].pipeline.transform);
-        assert!(s[2].pipeline.transform && !s[2].pipeline.adaptive_partition);
-        assert!(s[3].pipeline.adaptive_partition && !s[3].pipeline.intra);
-        assert!(s[4].pipeline.intra && !s[4].pipeline.inter);
-        assert!(s[5].pipeline.inter);
+        assert!(s[0].pipeline.is_none());
+        let p: Vec<PipelineConfig> = s[1..].iter().filter_map(|s| s.pipeline).collect();
+        assert_eq!(p.len(), 5);
+        assert!(!p[0].transform);
+        assert!(p[1].transform && !p[1].adaptive_partition);
+        assert!(p[2].adaptive_partition && !p[2].intra);
+        assert!(p[3].intra && !p[3].inter);
+        assert!(p[4].inter);
     }
 
     #[test]
-    fn stage1_is_exactly_eight_bits_plus_header() {
+    fn stage1_is_exactly_eight_bits() {
         let frames = [weight_frame(10, 64)];
         let r = run_stage(&frames, &Profile::h265(), &stages()[0], 10.0);
-        assert!(r.bits_per_value >= 8.0);
-        assert!(r.bits_per_value < 8.2, "raw storage {}", r.bits_per_value);
+        assert_eq!(r.bits_per_value, 8.0);
         assert_eq!(r.mse, 0.0);
     }
 

@@ -5,14 +5,14 @@ use llm265_bitstream::bytes;
 use llm265_bitstream::cabac::CabacDecoder;
 use llm265_bitstream::rans;
 
-use crate::encoder::{FIXED_CU, FLAG_RANS, FLAG_TILED, MAGIC, VERSION};
+use crate::encoder::{FIXED_CU, FLAG_RANS, HEADER_BYTES, MAGIC, VERSION};
 use crate::inter::{compensate, MotionVector};
 use crate::intra::RefSamples;
 use crate::lanes::round_i32;
 use crate::quant::Quantizer;
 use crate::syntax::{parse_residual, BinSource, Contexts, RawBinReader};
 use crate::transform::DctPlans;
-use crate::{CodecConfig, DecodeError, EntropyProfile, Frame, PipelineConfig, Profile};
+use crate::{CodecConfig, CodecError, EntropyProfile, Frame, PipelineConfig, Profile};
 
 struct FrameDecoder<'a> {
     cfg: &'a CodecConfig,
@@ -46,7 +46,7 @@ impl<'a> FrameDecoder<'a> {
         x0: usize,
         y0: usize,
         size: usize,
-    ) -> Result<(), DecodeError> {
+    ) -> Result<(), CodecError> {
         let min = self.min_cu();
         let adaptive = self.cfg.pipeline.adaptive_partition;
         let split = if adaptive && size > min {
@@ -73,7 +73,7 @@ impl<'a> FrameDecoder<'a> {
         x0: usize,
         y0: usize,
         size: usize,
-    ) -> Result<(), DecodeError> {
+    ) -> Result<(), CodecError> {
         // Prediction kind + parameters.
         let is_inter = self.frame_inter && dec.bit(&mut ctxs.inter_flag);
         let pred: Vec<i32> = if is_inter {
@@ -85,7 +85,7 @@ impl<'a> FrameDecoder<'a> {
             };
             let prev = self
                 .prev
-                .ok_or(DecodeError::Corrupt("inter block without reference frame"))?;
+                .ok_or(CodecError::Corrupt("inter block without reference frame"))?;
             compensate(prev, x0, y0, size, mv)
         } else if self.cfg.pipeline.intra {
             let n_modes = self.cfg.profile.modes().len();
@@ -97,7 +97,7 @@ impl<'a> FrameDecoder<'a> {
                 (dec.bypass_bits(self.mode_bits) & 0xFF) as u8
             };
             if usize::from(idx) >= n_modes {
-                return Err(DecodeError::Corrupt("intra mode index out of range"));
+                return Err(CodecError::Corrupt("intra mode index out of range"));
             }
             self.prev_mode = idx;
             let refs = RefSamples::gather(&self.recon, x0, y0, size);
@@ -146,7 +146,7 @@ impl<'a> FrameDecoder<'a> {
     }
 }
 
-fn parse_signed_eg<D: BinSource>(dec: &mut D) -> Result<i32, DecodeError> {
+fn parse_signed_eg<D: BinSource>(dec: &mut D) -> Result<i32, CodecError> {
     let mut m = 1u32;
     let mut base = 0u32;
     while m < 31 && dec.bypass() {
@@ -156,7 +156,7 @@ fn parse_signed_eg<D: BinSource>(dec: &mut D) -> Result<i32, DecodeError> {
     // `m <= 31`, so the suffix always fits u32; `try_from` states that
     // width contract explicitly instead of silently truncating.
     let suffix = u32::try_from(dec.bypass_bits(m))
-        .map_err(|_| DecodeError::Corrupt("motion suffix exceeds 32 bits"))?;
+        .map_err(|_| CodecError::Corrupt("motion suffix exceeds 32 bits"))?;
     let mapped = base + suffix;
     // `mapped >> 1` fits i32; the mask is value-preserving and states that.
     Ok(if mapped & 1 == 0 {
@@ -166,150 +166,121 @@ fn parse_signed_eg<D: BinSource>(dec: &mut D) -> Result<i32, DecodeError> {
     })
 }
 
-/// A validated stream header: everything before the frame payloads.
+/// A validated stream header: everything before the frame payloads,
+/// which start at byte [`HEADER_BYTES`].
 pub(crate) struct StreamHeader {
-    pub profile: Profile,
-    pub pipeline: PipelineConfig,
-    pub qp: f64,
+    /// The coding configuration the header signals (profile, pipeline,
+    /// QP and entropy backend; `tiles` is left at 1 — each frame's tile
+    /// index carries its own count).
+    pub cfg: CodecConfig,
     pub w: usize,
     pub h: usize,
     pub n_frames: usize,
-    /// Frame payloads carry a tile index (version ≥ 2 streams only).
-    pub tiled: bool,
-    /// Tile payloads are interleaved-rANS coded bin strings instead of
-    /// CABAC (version ≥ 2 streams only).
-    pub rans: bool,
-    /// Byte position where the payload area starts (21 for version-1
-    /// headers, 22 for version 2 with its flags byte).
-    pub pos: usize,
 }
 
-/// Parses and validates the stream header. Accepts version 1 (no flags
-/// byte, never tiled) and version 2.
-pub(crate) fn parse_stream_header(data: &[u8]) -> Result<StreamHeader, DecodeError> {
+/// Parses and validates the stream header. Only [`VERSION`] is accepted,
+/// and any bit outside the defined pipeline switches or stream flags is
+/// refused as [`CodecError::Unsupported`].
+pub(crate) fn parse_stream_header(data: &[u8]) -> Result<StreamHeader, CodecError> {
     let mut r = BitReader::new(data);
     if (r.read_bits(32)? & 0xFFFF_FFFF) as u32 != MAGIC {
-        return Err(DecodeError::Corrupt("bad magic"));
+        return Err(CodecError::Corrupt("bad magic"));
     }
     let version = (r.read_bits(8)? & 0xFF) as u8;
-    if version != 1 && version != VERSION {
-        return Err(DecodeError::Unsupported("bitstream version"));
+    if version != VERSION {
+        return Err(CodecError::Unsupported("bitstream version"));
     }
     let profile = Profile::from_header_id((r.read_bits(8)? & 0xFF) as u8)
-        .ok_or(DecodeError::Unsupported("unknown profile id"))?;
-    let pipeline = PipelineConfig::from_byte((r.read_bits(8)? & 0xFF) as u8);
+        .ok_or(CodecError::Unsupported("unknown profile id"))?;
+    let pipeline = PipelineConfig::from_byte((r.read_bits(8)? & 0xFF) as u8)
+        .ok_or(CodecError::Unsupported("unknown pipeline switches"))?;
     let qp = r.read_bits(16)? as f64 / 256.0;
     // The 16-bit field can carry up to ~256.0; a QP beyond the H.265 range
     // never comes from our encoder and would violate the quantizer's
     // contract downstream.
     if !(crate::quant::QP_MIN..=crate::quant::QP_MAX).contains(&qp) {
-        return Err(DecodeError::Corrupt("qp out of range"));
+        return Err(CodecError::Corrupt("qp out of range"));
     }
     let w = r.read_bits(32)? as usize;
     let h = r.read_bits(32)? as usize;
     let n_frames = r.read_bits(32)? as usize;
     if w == 0 || h == 0 {
-        return Err(DecodeError::Corrupt("zero frame dimensions"));
+        return Err(CodecError::Corrupt("zero frame dimensions"));
     }
     // A hostile header can declare absurd dimensions or frame counts that
     // would make the allocations below unbounded; cap them well above any
     // realistic tensor-frame workload.
     if w.saturating_mul(h) > 1 << 28 {
-        return Err(DecodeError::LimitExceeded("frame dimensions"));
+        return Err(CodecError::LimitExceeded("frame dimensions"));
     }
     if n_frames > 1 << 20 {
-        return Err(DecodeError::LimitExceeded("frame count"));
+        return Err(CodecError::LimitExceeded("frame count"));
     }
-    let (tiled, rans, pos) = if version >= 2 {
-        let flags = (r.read_bits(8)? & 0xFF) as u8;
-        // Reject unknown flag bits rather than misdecoding a future
-        // layout: flags change how payloads are framed.
-        if flags & !(FLAG_TILED | FLAG_RANS) != 0 {
-            return Err(DecodeError::Unsupported("unknown stream flags"));
-        }
-        (flags & FLAG_TILED != 0, flags & FLAG_RANS != 0, 22)
+    let flags = (r.read_bits(8)? & 0xFF) as u8;
+    // Reject unknown flag bits rather than misdecoding a future layout:
+    // flags change how payloads are coded.
+    if flags & !FLAG_RANS != 0 {
+        return Err(CodecError::Unsupported("unknown stream flags"));
+    }
+    let entropy = if flags & FLAG_RANS != 0 {
+        EntropyProfile::Rans
     } else {
-        (false, false, 21)
+        EntropyProfile::Cabac
     };
     Ok(StreamHeader {
-        profile,
-        pipeline,
-        qp,
+        cfg: CodecConfig {
+            profile,
+            pipeline,
+            qp,
+            tiles: 1,
+            entropy,
+        },
         w,
         h,
         n_frames,
-        tiled,
-        rans,
-        pos,
     })
 }
 
 /// Parses one frame record — a u32-LE payload length, then the payload —
 /// advancing `pos` past it. The single framing reader;
 /// [`crate::encoder::write_frame`] is its proven dual.
-pub(crate) fn parse_frame<'a>(data: &'a [u8], pos: &mut usize) -> Result<&'a [u8], DecodeError> {
+pub(crate) fn parse_frame<'a>(data: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CodecError> {
     let len: u32 =
-        bytes::read_le_u32(data, pos).map_err(|_| DecodeError::Truncated("frame length"))?;
+        bytes::read_le_u32(data, pos).map_err(|_| CodecError::Truncated("frame length"))?;
     let len = len as usize;
     let payload = data
         .get(*pos..)
         .and_then(|rest| rest.get(..len))
-        .ok_or(DecodeError::Truncated("frame payload"))?;
+        .ok_or(CodecError::Truncated("frame payload"))?;
     *pos += len;
     Ok(payload)
 }
 
 /// Decodes a bitstream produced by [`crate::encode_video`].
-pub(crate) fn decode_video(data: &[u8]) -> Result<Vec<Frame>, DecodeError> {
-    let hdr = parse_stream_header(data)?;
-    let (w, h, n_frames) = (hdr.w, hdr.h, hdr.n_frames);
-    let mut pos = hdr.pos;
-
-    let cfg = CodecConfig {
-        profile: hdr.profile,
-        pipeline: hdr.pipeline,
-        qp: hdr.qp,
-        tiles: 1,
-        entropy: if hdr.rans {
-            EntropyProfile::Rans
-        } else {
-            EntropyProfile::Cabac
-        },
-    };
-
-    if !cfg.pipeline.entropy {
-        // Raw 8-bit storage.
-        let mut frames = Vec::with_capacity(n_frames);
-        for _ in 0..n_frames {
-            let raw = data
-                .get(pos..)
-                .and_then(|rest| rest.get(..w * h))
-                .ok_or(DecodeError::Truncated("raw frame"))?;
-            frames.push(Frame::from_vec(w, h, raw.to_vec()));
-            pos += w * h;
-        }
-        return Ok(frames);
-    }
-
+pub(crate) fn decode_video(data: &[u8]) -> Result<Vec<Frame>, CodecError> {
+    let StreamHeader {
+        cfg,
+        w,
+        h,
+        n_frames,
+    } = parse_stream_header(data)?;
+    let mut pos = HEADER_BYTES;
     let plans = DctPlans::new();
     let mut frames = Vec::with_capacity(n_frames);
     let mut prev_padded: Option<Frame> = None;
     for i in 0..n_frames {
         let payload = parse_frame(data, &mut pos)?;
-
-        let recon = if hdr.tiled {
-            crate::tile::decode_tiled_frame(payload, prev_padded.as_ref(), &cfg, &plans, i, w, h)?
-        } else {
-            decode_frame(payload, prev_padded.as_ref(), &cfg, &plans, i, w, h)?
-        };
+        let recon =
+            crate::tile::decode_tiled_frame(payload, prev_padded.as_ref(), &cfg, &plans, i, w, h)?;
         frames.push(recon.cropped(w, h));
         prev_padded = Some(recon);
     }
     Ok(frames)
 }
 
-/// Decodes one frame payload into its padded reconstruction; the exact
-/// mirror of [`crate::encoder::encode_frame`].
+/// Decodes one tile payload (a band coded as its own mini-frame) into its
+/// padded reconstruction; the exact mirror of
+/// [`crate::encoder::encode_frame`].
 pub(crate) fn decode_frame(
     payload: &[u8],
     prev: Option<&Frame>,
@@ -318,7 +289,7 @@ pub(crate) fn decode_frame(
     frame_idx: usize,
     w: usize,
     h: usize,
-) -> Result<Frame, DecodeError> {
+) -> Result<Frame, CodecError> {
     let ctu = cfg.profile.ctu();
     let pw = w.div_ceil(ctu) * ctu;
     let ph = h.div_ceil(ctu) * ctu;
@@ -362,7 +333,7 @@ fn parse_payload<D: BinSource>(
     pw: usize,
     ph: usize,
     ctu: usize,
-) -> Result<(), DecodeError> {
+) -> Result<(), CodecError> {
     let mut ctxs = Contexts::new();
     for cy in (0..ph).step_by(ctu) {
         for cx in (0..pw).step_by(ctu) {
@@ -397,60 +368,54 @@ mod tests {
         }
     }
 
+    /// Header byte offsets: version, pipeline switches, stream flags.
+    const VERSION_AT: usize = 4;
+    const PIPELINE_AT: usize = 6;
+    const FLAGS_AT: usize = HEADER_BYTES - 1;
+
     fn rans_header() -> Vec<u8> {
         let cfg = CodecConfig::default().with_entropy(EntropyProfile::Rans);
-        let hdr = crate::encoder::write_stream_header(&cfg, 16, 16, 1, false);
-        assert_eq!(hdr.len(), 22, "v2 header is 22 bytes");
-        assert_eq!(hdr[4], VERSION, "version byte offset");
-        assert_eq!(hdr[21], FLAG_RANS, "flags byte offset");
+        let hdr = crate::encoder::write_stream_header(&cfg, 16, 16, 1);
+        assert_eq!(hdr.len(), HEADER_BYTES);
+        assert_eq!(hdr[VERSION_AT], VERSION, "version byte offset");
+        assert_eq!(hdr[PIPELINE_AT], cfg.pipeline.to_byte(), "pipeline offset");
+        assert_eq!(hdr[FLAGS_AT], FLAG_RANS, "flags byte offset");
         hdr
     }
 
     #[test]
     fn truncated_flags_byte_sweep_errors_at_every_cut() {
         let hdr = rans_header();
-        // Every prefix — including 21 bytes, a full header *except* the
-        // v2 flags byte — must refuse, never read past the end.
+        // Every prefix — including a full header *except* the flags
+        // byte — must refuse, never read past the end.
         for cut in 0..hdr.len() {
             assert!(
                 parse_stream_header(&hdr[..cut]).is_err(),
-                "cut {cut}/22 parsed"
+                "cut {cut}/{HEADER_BYTES} parsed"
             );
         }
         let parsed = parse_stream_header(&hdr).expect("full header");
-        assert!(parsed.rans && !parsed.tiled);
-        assert_eq!(parsed.pos, 22);
-    }
-
-    #[test]
-    fn v1_v2_splice_cannot_smuggle_flag_rans() {
-        // Downgrade splice: a v2 header carrying FLAG_RANS with the
-        // version byte patched to 1. Version 1 has no flags byte, so the
-        // parser must not honor the rANS bit — it becomes payload.
-        let mut down = rans_header();
-        down[4] = 1;
-        let parsed = parse_stream_header(&down).expect("v1 header");
-        assert!(!parsed.rans && !parsed.tiled);
-        assert_eq!(parsed.pos, 21);
-        // Upgrade splice: a v1-length header (flags byte cut off) with
-        // the version byte patched to 2 must refuse as truncated rather
-        // than read a flags byte that is not there.
-        let mut up = rans_header()[..21].to_vec();
-        up[4] = VERSION;
-        assert!(parse_stream_header(&up).is_err());
+        assert_eq!(parsed.cfg.entropy, EntropyProfile::Rans);
     }
 
     #[test]
     fn reserved_flag_bits_are_refused() {
-        for bit in [0x04u8, 0x08, 0x10, 0x20, 0x40, 0x80] {
+        // Stream flag 0x01 is the retired tiled-layout flag (every frame
+        // is tiled now); pipeline bits 4–7 name no switch.
+        let flags = [0x01u8, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80].map(|b| (FLAGS_AT, b));
+        let pipeline = [0x10u8, 0x20, 0x40, 0x80].map(|b| (PIPELINE_AT, b));
+        for (at, bit) in flags.into_iter().chain(pipeline) {
             let mut hdr = rans_header();
-            hdr[21] |= bit;
+            hdr[at] |= bit;
+            let expect = if at == FLAGS_AT {
+                "unknown stream flags"
+            } else {
+                "unknown pipeline switches"
+            };
             match parse_stream_header(&hdr) {
-                Err(DecodeError::Unsupported(msg)) => {
-                    assert_eq!(msg, "unknown stream flags");
-                }
-                Ok(_) => panic!("reserved flag {bit:#04x} accepted"),
-                Err(e) => panic!("reserved flag {bit:#04x}: wrong error {e:?}"),
+                Err(CodecError::Unsupported(msg)) => assert_eq!(msg, expect),
+                Ok(_) => panic!("reserved bit {bit:#04x} at byte {at} accepted"),
+                Err(e) => panic!("reserved bit {bit:#04x} at byte {at}: wrong error {e:?}"),
             }
         }
     }

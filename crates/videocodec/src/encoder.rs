@@ -27,14 +27,16 @@ use crate::{CodecConfig, EncodedVideo, EntropyProfile, Frame};
 
 /// Magic number at the start of every bitstream ("L265").
 pub(crate) const MAGIC: u32 = 0x4C32_3635;
-/// Bitstream format version. Version 2 appended the stream-flags byte
-/// (tiled layout); version-1 streams are still decoded.
-pub(crate) const VERSION: u8 = 2;
-/// Stream-flags bit: frame payloads carry a tile index followed by
-/// independently decodable tile payloads (see [`crate::tile`]).
-pub(crate) const FLAG_TILED: u8 = 0x01;
+/// Bitstream format version; the decoder accepts no other. Every frame
+/// payload is a tile index followed by entropy-coded tile payloads (see
+/// [`crate::tile`]).
+pub(crate) const VERSION: u8 = 3;
+/// Fixed stream-header length in bytes: magic, version, profile,
+/// pipeline, qp, width, height, frame count, flags.
+pub(crate) const HEADER_BYTES: usize = 22;
 /// Stream-flags bit: tile payloads are interleaved-rANS coded bin strings
-/// (per-tile frequency table ahead of the data) instead of CABAC.
+/// (per-tile frequency table ahead of the data) instead of CABAC. The only
+/// defined flag; the decoder refuses the other seven bits.
 pub(crate) const FLAG_RANS: u8 = 0x02;
 /// Coding-unit size used when adaptive partitioning is disabled.
 pub(crate) const FIXED_CU: usize = 8;
@@ -523,8 +525,10 @@ pub(crate) fn code_signed_eg<S: BinSink>(sink: &mut S, v: i32) {
     }
 }
 
-/// Encodes one frame (already padded to the CTU size). Returns the frame
-/// payload and its padded reconstruction.
+/// Encodes one frame (already padded to the CTU size) as a standalone
+/// entropy-coded payload — in streams, always one tile band of a frame
+/// (see [`crate::tile::encode_tile`]). Returns the payload and its padded
+/// reconstruction.
 pub(crate) fn encode_frame(
     orig: &Frame,
     prev: Option<&Frame>,
@@ -577,7 +581,7 @@ fn code_payload<S: BinSink>(coder: &FrameCoder<'_>, trees: &[CuNode], ctu: usize
     }
 }
 
-/// Writes the fixed v2 stream header — the exact mirror of the decoder's
+/// Writes the fixed stream header — the exact mirror of the decoder's
 /// `parse_stream_header`. `cfg.qp` must already be snapped to the
 /// header's 1/256 fixed-point grid (use [`snap_qp`]); the snapped value
 /// is what gets encoded, so the decoder's quantizer matches bit-exactly.
@@ -586,7 +590,6 @@ pub(crate) fn write_stream_header(
     w: usize,
     h: usize,
     n_frames: usize,
-    tiled: bool,
 ) -> Vec<u8> {
     let mut header = BitWriter::new();
     header.write_bits(MAGIC as u64, 32);
@@ -597,15 +600,10 @@ pub(crate) fn write_stream_header(
     header.write_bits(w as u64, 32);
     header.write_bits(h as u64, 32);
     header.write_bits(n_frames as u64, 32);
-    let mut flags = 0u8;
-    if tiled {
-        flags |= FLAG_TILED;
-    }
-    // Raw (entropy-off) streams carry pixels, not coded payloads; the
-    // backend flag only means something when entropy coding runs.
-    if cfg.pipeline.entropy && cfg.entropy == EntropyProfile::Rans {
-        flags |= FLAG_RANS;
-    }
+    let flags = match cfg.entropy {
+        EntropyProfile::Cabac => 0,
+        EntropyProfile::Rans => FLAG_RANS,
+    };
     header.write_bits(u64::from(flags), 8);
     header.finish()
 }
@@ -644,52 +642,32 @@ pub(crate) fn encode_video(frames: &[Frame], cfg: &CodecConfig) -> EncodedVideo 
     // never from thread counts — so streams stay bit-identical however
     // the encode work is scheduled.
     let layout = crate::tile::TileLayout::for_frame(w, h, ctu, cfg.tiles);
-    let tiled = cfg.pipeline.entropy && layout.n_tiles() > 1;
 
     let cfg = cfg.clone().with_qp(snap_qp(cfg.qp));
     let cfg = &cfg;
-    let mut bytes = write_stream_header(cfg, w, h, frames.len(), tiled);
-
-    if !cfg.pipeline.entropy {
-        // Stage-1 baseline: raw 8-bit storage of every frame.
-        let mut recon = Vec::with_capacity(frames.len());
-        for f in frames {
-            bytes.extend_from_slice(f.data());
-            recon.push(f.clone());
-        }
-        return EncodedVideo { bytes, recon };
-    }
+    let mut bytes = write_stream_header(cfg, w, h, frames.len());
 
     let plans = DctPlans::new();
     let mut recon_frames = Vec::with_capacity(frames.len());
     let mut prev_padded: Option<Frame> = None;
     for (i, f) in frames.iter().enumerate() {
         let padded = f.padded_to(ctu);
-        let (payload, recon_padded) = if tiled {
-            // Each band is its own mini-frame (fresh CABAC contexts);
-            // stitching the band recons reproduces the padded frame
-            // recon because bands are whole CTU rows.
-            let mut tile_payloads = Vec::with_capacity(layout.n_tiles());
-            let mut data = Vec::with_capacity(padded.width() * padded.height());
-            for t in 0..layout.n_tiles() {
-                let (p, band_recon) = crate::tile::encode_tile(
-                    &padded,
-                    prev_padded.as_ref(),
-                    cfg,
-                    &plans,
-                    &layout,
-                    t,
-                    i,
-                );
-                tile_payloads.push(p);
-                data.extend_from_slice(band_recon.data());
-            }
-            let recon = Frame::from_vec(padded.width(), padded.height(), data);
-            (crate::tile::build_frame_payload(&tile_payloads), recon)
-        } else {
-            encode_frame(&padded, prev_padded.as_ref(), cfg, &plans, i)
-        };
-        write_frame(&mut bytes, &payload);
+        // Each band is its own mini-frame (fresh entropy-coder state);
+        // stitching the band recons reproduces the padded frame recon
+        // because bands are whole CTU rows.
+        let mut tile_payloads = Vec::with_capacity(layout.n_tiles());
+        let mut data = Vec::with_capacity(padded.width() * padded.height());
+        for t in 0..layout.n_tiles() {
+            let (p, band_recon) =
+                crate::tile::encode_tile(&padded, prev_padded.as_ref(), cfg, &plans, &layout, t, i);
+            tile_payloads.push(p);
+            data.extend_from_slice(band_recon.data());
+        }
+        let recon_padded = Frame::from_vec(padded.width(), padded.height(), data);
+        write_frame(
+            &mut bytes,
+            &crate::tile::build_frame_payload(&tile_payloads),
+        );
         recon_frames.push(recon_padded.cropped(w, h));
         prev_padded = Some(recon_padded);
     }

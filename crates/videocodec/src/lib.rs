@@ -20,8 +20,8 @@
 //!    significance maps, greater1/greater2 flags and adaptive-Rice
 //!    remainders.
 //!
-//! Every stage can be toggled via [`PipelineConfig`] to reproduce the
-//! Fig 2(b) ablation, and three [`Profile`]s (H.264-, H.265- and AV1-like)
+//! Every stage after entropy coding can be toggled via [`PipelineConfig`]
+//! to reproduce the Fig 2(b) ablation, and three [`Profile`]s (H.264-, H.265- and AV1-like)
 //! reproduce the Fig 6 codec comparison. [`rate`] provides bitrate- and
 //! distortion-targeted encoding (bisection over continuous QP), the basis
 //! of the paper's fractional-bit-width feature.
@@ -62,7 +62,7 @@ pub mod tile;
 pub mod transform;
 
 pub use frame::Frame;
-pub use llm265_bitstream::DecodeError;
+pub use llm265_bitstream::CodecError;
 pub use profile::{PipelineConfig, Profile, ProfileKind};
 
 /// Which entropy backend codes a stream's bin strings.
@@ -93,11 +93,12 @@ pub struct CodecConfig {
     /// H.265 step mapping `qstep = 2^((qp-4)/6)`.
     pub qp: f64,
     /// Requested number of independently decodable tiles per frame
-    /// (horizontal CTU-row bands, each with fresh CABAC context init).
+    /// (horizontal CTU-row bands, each with fresh entropy-coder init).
     /// Clamped to the frame's CTU-row count and [`tile::MAX_TILES`];
-    /// `1` (the default) writes the untiled stream layout. Purely a
-    /// geometry knob: the tile count never depends on how many threads
-    /// run, so streams stay bit-identical at every thread count.
+    /// `1` (the default) writes one tile per frame, still behind the
+    /// tile index every frame payload carries. Purely a geometry knob:
+    /// the tile count never depends on how many threads run, so streams
+    /// stay bit-identical at every thread count.
     pub tiles: usize,
     /// Entropy backend for tile payloads ([`EntropyProfile::Cabac`] by
     /// default). Signalled per stream via a flags bit, so the decoder
@@ -199,7 +200,7 @@ pub fn encode_video(frames: &[Frame], cfg: &CodecConfig) -> EncodedVideo {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on truncated or corrupt input.
-pub fn decode_video(bytes: &[u8]) -> Result<Vec<Frame>, DecodeError> {
+/// Returns [`CodecError`] on truncated or corrupt input.
+pub fn decode_video(bytes: &[u8]) -> Result<Vec<Frame>, CodecError> {
     decoder::decode_video(bytes)
 }

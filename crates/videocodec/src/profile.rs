@@ -148,9 +148,8 @@ impl Default for Profile {
 /// Per-stage switches over the encoding pipeline, reproducing the paper's
 /// Fig 2(b) ablation.
 ///
-/// Semantics:
-/// - `entropy = false`: the quantized 8-bit plane is stored raw (8 bits per
-///   pixel) — the paper's stage-1 baseline. All other switches are ignored.
+/// Entropy coding is always on (the paper's stage-1 raw 8-bit baseline
+/// needs no codec; see [`crate::ablation`]). Semantics:
 /// - `transform = false`: residuals are quantized in the spatial domain
 ///   ("transform skip") instead of the DCT domain.
 /// - `adaptive_partition = false`: a fixed 8×8 coding grid replaces the
@@ -161,8 +160,6 @@ impl Default for Profile {
 ///   default is intra-only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// CABAC entropy coding (off = raw 8-bit storage).
-    pub entropy: bool,
     /// DCT transform coding.
     pub transform: bool,
     /// RD-optimised quad-tree partitioning.
@@ -177,7 +174,6 @@ impl Default for PipelineConfig {
     /// The paper's tensor-codec configuration: everything on except inter.
     fn default() -> Self {
         PipelineConfig {
-            entropy: true,
             transform: true,
             adaptive_partition: true,
             intra: true,
@@ -195,25 +191,27 @@ impl PipelineConfig {
         }
     }
 
-    /// Packs the flags into a header byte (also handy for enumerating
-    /// every configuration in tests).
+    /// Number of distinct configurations: one header bit per switch.
+    pub const COUNT: u8 = 16;
+
+    /// Packs the switches into a header byte (also handy for enumerating
+    /// every configuration in tests). Bits 4–7 are always zero.
     pub fn to_byte(self) -> u8 {
-        u8::from(self.entropy)
-            | u8::from(self.transform) << 1
-            | u8::from(self.adaptive_partition) << 2
-            | u8::from(self.intra) << 3
-            | u8::from(self.inter) << 4
+        u8::from(self.transform)
+            | u8::from(self.adaptive_partition) << 1
+            | u8::from(self.intra) << 2
+            | u8::from(self.inter) << 3
     }
 
-    /// Unpacks header-byte flags.
-    pub fn from_byte(b: u8) -> Self {
-        PipelineConfig {
-            entropy: b & 1 != 0,
-            transform: b & 2 != 0,
-            adaptive_partition: b & 4 != 0,
-            intra: b & 8 != 0,
-            inter: b & 16 != 0,
-        }
+    /// Unpacks a header byte, or `None` if any bit outside the four
+    /// switches is set: a corrupted byte must not decode as a clean one.
+    pub fn from_byte(b: u8) -> Option<Self> {
+        (b < Self::COUNT).then_some(PipelineConfig {
+            transform: b & 1 != 0,
+            adaptive_partition: b & 2 != 0,
+            intra: b & 4 != 0,
+            inter: b & 8 != 0,
+        })
     }
 }
 
@@ -250,16 +248,19 @@ mod tests {
 
     #[test]
     fn pipeline_byte_roundtrip() {
-        for b in 0..32u8 {
-            let cfg = PipelineConfig::from_byte(b);
+        for b in 0..PipelineConfig::COUNT {
+            let cfg = PipelineConfig::from_byte(b).expect("defined switches");
             assert_eq!(cfg.to_byte(), b);
+        }
+        for b in PipelineConfig::COUNT..=u8::MAX {
+            assert_eq!(PipelineConfig::from_byte(b), None, "byte {b:#04x}");
         }
     }
 
     #[test]
     fn default_pipeline_is_intra_only() {
         let cfg = PipelineConfig::default();
-        assert!(cfg.entropy && cfg.transform && cfg.adaptive_partition && cfg.intra);
+        assert!(cfg.transform && cfg.adaptive_partition && cfg.intra);
         assert!(!cfg.inter, "the paper enforces intra-only for tensors");
         assert!(PipelineConfig::full_video().inter);
     }

@@ -17,7 +17,7 @@
 use llm265_bitstream::cabac::{CabacDecoder, CabacEncoder, Prob};
 
 use crate::scan;
-use crate::DecodeError;
+use crate::CodecError;
 
 /// Maximum truncated-Rice prefix before escaping to exp-Golomb.
 const RICE_MAX_PREFIX: u32 = 4;
@@ -369,7 +369,7 @@ pub fn parse_residual<D: BinSource>(
     ctxs: &mut Contexts,
     n: usize,
     spatial: bool,
-) -> Result<Vec<i32>, DecodeError> {
+) -> Result<Vec<i32>, CodecError> {
     let scan_order = scan::diagonal(n);
     let mut levels = vec![0i32; n * n];
 
@@ -423,7 +423,7 @@ fn code_last_pos<S: BinSink>(sink: &mut S, ctxs: &mut Contexts, pos: u32) {
     }
 }
 
-fn parse_last_pos<D: BinSource>(dec: &mut D, ctxs: &mut Contexts) -> Result<u32, DecodeError> {
+fn parse_last_pos<D: BinSource>(dec: &mut D, ctxs: &mut Contexts) -> Result<u32, CodecError> {
     // The cap lives in the loop condition (not an in-body `break`) so the
     // termination pass can prove the variant, and a prefix past the cap
     // is a protocol violation, not a value to saturate: `code_last_pos`
@@ -433,13 +433,13 @@ fn parse_last_pos<D: BinSource>(dec: &mut D, ctxs: &mut Contexts) -> Result<u32,
         len += 1;
     }
     if len > 20 {
-        return Err(DecodeError::LimitExceeded("last-position prefix too long"));
+        return Err(CodecError::LimitExceeded("last-position prefix too long"));
     }
     let suffix = if len > 1 {
         // `len <= 21`, so the suffix always fits u32; `try_from` states
         // that width contract explicitly instead of silently truncating.
         u32::try_from(dec.bypass_bits(len - 1))
-            .map_err(|_| DecodeError::Corrupt("last-position suffix exceeds 32 bits"))?
+            .map_err(|_| CodecError::Corrupt("last-position suffix exceeds 32 bits"))?
     } else {
         0
     };
@@ -462,7 +462,7 @@ pub fn code_remainder<S: BinSink>(sink: &mut S, r: u32, k: u32) {
 }
 
 /// Parses a truncated-Rice remainder.
-pub fn parse_remainder<D: BinSource>(dec: &mut D, k: u32) -> Result<u32, DecodeError> {
+pub fn parse_remainder<D: BinSource>(dec: &mut D, k: u32) -> Result<u32, CodecError> {
     let mut q = 0u32;
     while q < RICE_MAX_PREFIX && dec.bypass() {
         q += 1;
@@ -470,7 +470,7 @@ pub fn parse_remainder<D: BinSource>(dec: &mut D, k: u32) -> Result<u32, DecodeE
     if q < RICE_MAX_PREFIX {
         // `k <= RICE_MAX_K = 8`, so the low bits always fit u32.
         let low = u32::try_from(dec.bypass_bits(k))
-            .map_err(|_| DecodeError::Corrupt("rice suffix exceeds 32 bits"))?;
+            .map_err(|_| CodecError::Corrupt("rice suffix exceeds 32 bits"))?;
         Ok((q << k) | low)
     } else {
         Ok((RICE_MAX_PREFIX << k) + parse_eg(dec, k + 1)?)
@@ -502,7 +502,7 @@ fn code_eg<S: BinSink>(sink: &mut S, v: u32, m0: u32) {
     }
 }
 
-fn parse_eg<D: BinSource>(dec: &mut D, mut m: u32) -> Result<u32, DecodeError> {
+fn parse_eg<D: BinSource>(dec: &mut D, mut m: u32) -> Result<u32, CodecError> {
     let mut base = 0u32;
     while m < 31 && dec.bypass() {
         base += 1 << m;
@@ -511,7 +511,7 @@ fn parse_eg<D: BinSource>(dec: &mut D, mut m: u32) -> Result<u32, DecodeError> {
     // `m <= 31`, so the suffix always fits u32; `try_from` states that
     // width contract explicitly instead of silently truncating.
     let suffix = u32::try_from(dec.bypass_bits(m))
-        .map_err(|_| DecodeError::Corrupt("exp-golomb suffix exceeds 32 bits"))?;
+        .map_err(|_| CodecError::Corrupt("exp-golomb suffix exceeds 32 bits"))?;
     Ok(base + suffix)
 }
 
@@ -565,7 +565,7 @@ mod tests {
         let mut ctxs = Contexts::new();
         assert_eq!(
             parse_last_pos(&mut dec, &mut ctxs),
-            Err(DecodeError::LimitExceeded("last-position prefix too long"))
+            Err(CodecError::LimitExceeded("last-position prefix too long"))
         );
     }
 

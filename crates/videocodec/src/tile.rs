@@ -1,13 +1,14 @@
 //! Tiled bitstream layout: independently decodable CTU-row bands.
 //!
-//! A version-2 stream may split every frame into N horizontal **tiles**
-//! (whole CTU rows each). Each tile is encoded exactly like a standalone
-//! mini-frame — fresh CABAC engine, fresh context models, no intra
-//! prediction across the tile boundary (the band's top row behaves like a
-//! frame top) — so any tile decodes without touching the others. A frame
-//! payload then carries a byte-offset index (`u16` count, then `u32`
-//! offset + `u32` length per tile) followed by the concatenated tile
-//! payloads, which buys three things:
+//! Every frame is split into N ≥ 1 horizontal **tiles** (whole CTU rows
+//! each). Each tile is encoded exactly like a standalone mini-frame —
+//! fresh entropy coder, fresh context models, no intra prediction across
+//! the tile boundary (the band's top row behaves like a frame top) — so
+//! any tile decodes without touching the others. Every frame payload is a
+//! byte-offset index (`u16` count, then `u32` offset + `u32` length per
+//! tile) followed by the concatenated tile payloads; a one-tile frame
+//! carries a one-entry index, so there is a single payload shape. This
+//! buys three things:
 //!
 //! * **intra-frame parallel decode** — `llm265-core` fans (chunk, tile)
 //!   tasks over its deterministic pool, so one huge chunk no longer pins
@@ -20,8 +21,7 @@
 //! The tile count is **pure geometry**: it derives from the requested
 //! [`crate::CodecConfig::tiles`] knob and the frame's CTU-row count,
 //! never from how many threads happen to run, so streams stay
-//! bit-identical at every thread count. Old (version-1) streams carry no
-//! index and decode exactly as before; see DESIGN.md ("Tiled
+//! bit-identical at every thread count; see DESIGN.md ("Tiled
 //! bitstream").
 
 use llm265_bitstream::bytes;
@@ -29,7 +29,7 @@ use llm265_bitstream::bytes;
 use crate::decoder::decode_frame;
 use crate::encoder::encode_frame;
 use crate::transform::DctPlans;
-use crate::{CodecConfig, DecodeError, Frame};
+use crate::{CodecConfig, CodecError, Frame};
 
 /// Hard cap on tiles per frame; the index codes the count as `u16` and a
 /// hostile count beyond this is rejected before any allocation.
@@ -143,7 +143,7 @@ pub(crate) fn band_of(f: &Frame, y0: usize, band_h: usize) -> Frame {
 }
 
 /// Encodes tile `i` of an already padded frame as an independent payload
-/// (fresh CABAC context init), returning the payload and the band's
+/// (fresh entropy-coder state), returning the payload and the band's
 /// padded reconstruction.
 ///
 /// The QP is snapped to the stream header's 1/256 fixed-point grid here,
@@ -210,56 +210,47 @@ pub(crate) fn build_frame_payload(tiles: &[Vec<u8>]) -> Vec<u8> {
 ///
 /// # Panics
 ///
-/// Panics if entropy coding is disabled (raw streams carry pixel data,
-/// not tile payloads), `tiles` is empty, or the payloads overflow the
-/// index's `u32` offsets.
+/// Panics if `tiles` is empty or the payloads overflow the index's `u32`
+/// offsets.
 pub fn assemble_single_frame_stream(
     cfg: &CodecConfig,
     w: usize,
     h: usize,
     tiles: &[Vec<u8>],
 ) -> Vec<u8> {
-    assert!(cfg.pipeline.entropy, "raw streams carry pixels, not tiles");
-    assert!(!tiles.is_empty(), "a frame has at least one tile");
-    let tiled = tiles.len() > 1;
     // Same 1/256 fixed-point snap as `encode_video`; `encode_tile` encoded
     // with the snapped value, so header and payloads agree.
     let cfg = cfg.clone().with_qp(crate::encoder::snap_qp(cfg.qp));
-    let mut bytes = crate::encoder::write_stream_header(&cfg, w, h, 1, tiled);
-    let payload = if tiled {
-        build_frame_payload(tiles)
-    } else {
-        tiles[0].clone()
-    };
-    crate::encoder::write_frame(&mut bytes, &payload);
+    let mut bytes = crate::encoder::write_stream_header(&cfg, w, h, 1);
+    crate::encoder::write_frame(&mut bytes, &build_frame_payload(tiles));
     bytes
 }
 
-/// Parses and validates a tiled frame payload's index. Returns the
+/// Parses and validates a frame payload's tile index. Returns the
 /// per-tile `(offset, length)` pairs plus the byte position where the
 /// tile data area starts, with every hostile shape rejected before any
 /// allocation or slicing:
 ///
-/// * truncated index → [`DecodeError::Truncated`];
+/// * truncated index → [`CodecError::Truncated`];
 /// * zero tiles, zero-length tiles, non-contiguous/overlapping/
 ///   out-of-order offsets, or data-area size disagreeing with the summed
-///   lengths → [`DecodeError::Corrupt`];
+///   lengths → [`CodecError::Corrupt`];
 /// * count bombs beyond [`MAX_TILES`] or the frame's CTU-row count →
-///   [`DecodeError::LimitExceeded`] / [`DecodeError::Corrupt`].
+///   [`CodecError::LimitExceeded`] / [`CodecError::Corrupt`].
 pub(crate) fn parse_tile_index(
     payload: &[u8],
     ctu_rows: usize,
-) -> Result<(Vec<(usize, usize)>, usize), DecodeError> {
+) -> Result<(Vec<(usize, usize)>, usize), CodecError> {
     let mut pos = 0usize;
     let count = usize::from(bytes::read_le_u16(payload, &mut pos)?);
     if count == 0 {
-        return Err(DecodeError::Corrupt("empty tile index"));
+        return Err(CodecError::Corrupt("empty tile index"));
     }
     if count > MAX_TILES {
-        return Err(DecodeError::LimitExceeded("tile count"));
+        return Err(CodecError::LimitExceeded("tile count"));
     }
     if count > ctu_rows {
-        return Err(DecodeError::Corrupt("more tiles than CTU rows"));
+        return Err(CodecError::Corrupt("more tiles than CTU rows"));
     }
     // `count <= MAX_TILES` per the guard above, so the index area and the
     // entries vector are both bounded.
@@ -270,29 +261,29 @@ pub(crate) fn parse_tile_index(
         let off = bytes::read_le_u32(payload, &mut pos)? as usize;
         let len = bytes::read_le_u32(payload, &mut pos)? as usize;
         if off != expect {
-            return Err(DecodeError::Corrupt("tile offsets not contiguous"));
+            return Err(CodecError::Corrupt("tile offsets not contiguous"));
         }
         if len == 0 {
-            return Err(DecodeError::Corrupt("zero-length tile"));
+            return Err(CodecError::Corrupt("zero-length tile"));
         }
         expect = expect
             .checked_add(len)
-            .ok_or(DecodeError::Corrupt("tile lengths overflow"))?;
+            .ok_or(CodecError::Corrupt("tile lengths overflow"))?;
         entries.push((off, len));
     }
     let area = payload
         .len()
         .checked_sub(data_start)
-        .ok_or(DecodeError::Truncated("tile data area"))?;
+        .ok_or(CodecError::Truncated("tile data area"))?;
     if expect != area {
-        return Err(DecodeError::Corrupt(
+        return Err(CodecError::Corrupt(
             "tile lengths disagree with payload size",
         ));
     }
     Ok((entries, data_start))
 }
 
-/// Decodes one tiled frame payload into its padded reconstruction: parse
+/// Decodes one frame payload into its padded reconstruction: parse
 /// the index, decode each band (fresh contexts per band, mirroring the
 /// encoder), stitch the bands. Serial; `llm265-core` fans the same
 /// per-band decodes over its pool instead.
@@ -304,7 +295,7 @@ pub(crate) fn decode_tiled_frame(
     frame_idx: usize,
     w: usize,
     h: usize,
-) -> Result<Frame, DecodeError> {
+) -> Result<Frame, CodecError> {
     let ctu = cfg.profile.ctu();
     let ctu_rows = h.div_ceil(ctu);
     let (entries, data_start) = parse_tile_index(payload, ctu_rows)?;
@@ -316,7 +307,7 @@ pub(crate) fn decode_tiled_frame(
             .get(data_start..)
             .and_then(|area| area.get(off..))
             .and_then(|rest| rest.get(..len))
-            .ok_or(DecodeError::Truncated("tile payload"))?;
+            .ok_or(CodecError::Truncated("tile payload"))?;
         let (y0, band_h) = layout.band(i);
         let prev_band = prev_padded.map(|p| band_of(p, y0, band_h));
         let band = decode_frame(
@@ -337,8 +328,6 @@ pub(crate) fn decode_tiled_frame(
 /// its absolute byte range, for random access without decoding (or even
 /// reading) the rest of the stream.
 ///
-/// Works on tiled version-2 streams, untiled streams (version 1 or 2 —
-/// the whole frame is one tile) and raw (entropy-off) streams.
 /// Multi-frame streams are rejected: later frames may reference earlier
 /// reconstructions, so per-tile random access is only defined for the
 /// single-frame streams the tensor codec produces.
@@ -347,7 +336,6 @@ pub struct StreamIndex {
     cfg: CodecConfig,
     w: usize,
     h: usize,
-    raw: bool,
     layout: TileLayout,
     ranges: Vec<std::ops::Range<usize>>,
 }
@@ -359,65 +347,31 @@ impl StreamIndex {
     /// # Errors
     ///
     /// Any header/index validation error [`crate::decode_video`] would
-    /// return, plus [`DecodeError::Unsupported`] for multi-frame streams.
-    pub fn parse(data: &[u8]) -> Result<StreamIndex, DecodeError> {
-        let hdr = crate::decoder::parse_stream_header(data)?;
-        if hdr.n_frames != 1 {
-            return Err(DecodeError::Unsupported("tile index on multi-frame stream"));
+    /// return, plus [`CodecError::Unsupported`] for multi-frame streams.
+    pub fn parse(data: &[u8]) -> Result<StreamIndex, CodecError> {
+        let crate::decoder::StreamHeader {
+            cfg,
+            w,
+            h,
+            n_frames,
+        } = crate::decoder::parse_stream_header(data)?;
+        if n_frames != 1 {
+            return Err(CodecError::Unsupported("tile index on multi-frame stream"));
         }
-        let cfg = CodecConfig {
-            profile: hdr.profile,
-            pipeline: hdr.pipeline,
-            qp: hdr.qp,
-            tiles: 1,
-            entropy: if hdr.rans {
-                crate::EntropyProfile::Rans
-            } else {
-                crate::EntropyProfile::Cabac
-            },
-        };
-        let ctu = cfg.profile.ctu();
-        let mut pos = hdr.pos;
-        if !cfg.pipeline.entropy {
-            // Raw 8-bit storage: the frame itself is the one tile.
-            let end = pos
-                .checked_add(hdr.w * hdr.h)
-                .filter(|&e| e <= data.len())
-                .ok_or(DecodeError::Truncated("raw frame"))?;
-            return Ok(StreamIndex {
-                cfg,
-                w: hdr.w,
-                h: hdr.h,
-                raw: true,
-                layout: TileLayout::for_frame(hdr.w, hdr.h, ctu, 1),
-                ranges: std::iter::once(pos..end).collect(),
-            });
-        }
+        let mut pos = crate::encoder::HEADER_BYTES;
         let payload = crate::decoder::parse_frame(data, &mut pos)?;
-        let payload_start = pos - payload.len();
-        if !hdr.tiled {
-            return Ok(StreamIndex {
-                cfg,
-                w: hdr.w,
-                h: hdr.h,
-                raw: false,
-                layout: TileLayout::for_frame(hdr.w, hdr.h, ctu, 1),
-                ranges: std::iter::once(payload_start..payload_start + payload.len()).collect(),
-            });
-        }
-        let ctu_rows = hdr.h.div_ceil(ctu);
-        let (entries, data_start) = parse_tile_index(payload, ctu_rows)?;
-        let layout = TileLayout::from_validated_count(hdr.w, hdr.h, ctu, entries.len());
-        let base = payload_start + data_start;
+        let ctu = cfg.profile.ctu();
+        let (entries, data_start) = parse_tile_index(payload, h.div_ceil(ctu))?;
+        let layout = TileLayout::from_validated_count(w, h, ctu, entries.len());
+        let base = pos - payload.len() + data_start;
         let ranges = entries
             .iter()
             .map(|&(off, tlen)| base + off..base + off + tlen)
             .collect();
         Ok(StreamIndex {
             cfg,
-            w: hdr.w,
-            h: hdr.h,
-            raw: false,
+            w,
+            h,
             layout,
             ranges,
         })
@@ -459,21 +413,18 @@ impl StreamIndex {
     ///
     /// # Errors
     ///
-    /// [`DecodeError::InvalidInput`] for an out-of-range tile,
-    /// [`DecodeError::Truncated`] if the stream no longer covers the
+    /// [`CodecError::InvalidInput`] for an out-of-range tile,
+    /// [`CodecError::Truncated`] if the stream no longer covers the
     /// tile's range, or any payload decode error.
-    pub fn decode_tile(&self, data: &[u8], i: usize) -> Result<Frame, DecodeError> {
+    pub fn decode_tile(&self, data: &[u8], i: usize) -> Result<Frame, CodecError> {
         let range = self
             .ranges
             .get(i)
-            .ok_or_else(|| DecodeError::InvalidInput(format!("tile {i} out of range")))?
+            .ok_or_else(|| CodecError::InvalidInput(format!("tile {i} out of range")))?
             .clone();
         let payload = data
             .get(range)
-            .ok_or(DecodeError::Truncated("tile payload"))?;
-        if self.raw {
-            return Ok(Frame::from_vec(self.w, self.h, payload.to_vec()));
-        }
+            .ok_or(CodecError::Truncated("tile payload"))?;
         let (y0, band_h) = self.layout.band(i);
         let plans = DctPlans::new();
         let band = decode_frame(

@@ -1,7 +1,7 @@
 //! Adversarial decoder tests: hostile video bitstreams must produce
-//! [`DecodeError`]s, never panics and never unbounded allocations.
+//! [`CodecError`]s, never panics and never unbounded allocations.
 
-use llm265_videocodec::{decode_video, encode_video, CodecConfig, DecodeError, Frame};
+use llm265_videocodec::{decode_video, encode_video, CodecConfig, CodecError, Frame};
 
 /// A small two-frame clip with real detail (so the bitstream contains
 /// split flags, mode bits and residual syntax, not just trivial leaves).
@@ -12,7 +12,7 @@ fn sample_stream() -> Vec<u8> {
     encode_video(&frames, &CodecConfig::default()).bytes
 }
 
-// The fixed v2 header is 176 bits: magic(32) version(8) profile(8)
+// The fixed header is 176 bits: magic(32) version(8) profile(8)
 // pipeline(8) qp(16) width(32) height(32) n_frames(32) flags(8),
 // MSB-first.
 const HEADER_BYTES: usize = 22;
@@ -50,15 +50,22 @@ fn bad_magic_and_version_are_rejected() {
     stream[0] ^= 0xff;
     assert!(matches!(
         decode_video(&stream),
-        Err(DecodeError::Corrupt("bad magic"))
+        Err(CodecError::Corrupt("bad magic"))
     ));
 
-    let mut stream = sample_stream();
-    stream[4] = stream[4].wrapping_add(1);
-    assert!(matches!(
-        decode_video(&stream),
-        Err(DecodeError::Unsupported("bitstream version"))
-    ));
+    // Versions 1 and 2 (untiled and optionally tiled payloads) are
+    // retired; only version 3 decodes.
+    for version in [1u8, 2, 4] {
+        let mut stream = sample_stream();
+        stream[4] = version;
+        assert!(
+            matches!(
+                decode_video(&stream),
+                Err(CodecError::Unsupported("bitstream version"))
+            ),
+            "version {version} accepted"
+        );
+    }
 }
 
 #[test]
@@ -68,21 +75,21 @@ fn hostile_dimensions_hit_the_limit_not_the_allocator() {
     patch_be_u32(&mut stream, HEIGHT_OFFSET, u32::MAX);
     assert!(matches!(
         decode_video(&stream),
-        Err(DecodeError::LimitExceeded("frame dimensions"))
+        Err(CodecError::LimitExceeded("frame dimensions"))
     ));
 
     let mut stream = sample_stream();
     patch_be_u32(&mut stream, WIDTH_OFFSET, 0);
     assert!(matches!(
         decode_video(&stream),
-        Err(DecodeError::Corrupt("zero frame dimensions"))
+        Err(CodecError::Corrupt("zero frame dimensions"))
     ));
 
     let mut stream = sample_stream();
     patch_be_u32(&mut stream, NFRAMES_OFFSET, u32::MAX);
     assert!(matches!(
         decode_video(&stream),
-        Err(DecodeError::LimitExceeded("frame count"))
+        Err(CodecError::LimitExceeded("frame count"))
     ));
 }
 
@@ -162,14 +169,14 @@ fn hostile_tile_counts_are_rejected() {
     patch_le_u16(&mut stream, TILE_COUNT_OFFSET, 0);
     assert!(matches!(
         decode_video(&stream),
-        Err(DecodeError::Corrupt("empty tile index"))
+        Err(CodecError::Corrupt("empty tile index"))
     ));
 
     let mut stream = clean.clone();
     patch_le_u16(&mut stream, TILE_COUNT_OFFSET, u16::MAX);
     assert!(matches!(
         decode_video(&stream),
-        Err(DecodeError::LimitExceeded("tile count"))
+        Err(CodecError::LimitExceeded("tile count"))
     ));
 
     // 64 rows at CTU 32 is two CTU rows; five tiles is under the global
@@ -178,7 +185,7 @@ fn hostile_tile_counts_are_rejected() {
     patch_le_u16(&mut stream, TILE_COUNT_OFFSET, 5);
     assert!(matches!(
         decode_video(&stream),
-        Err(DecodeError::Corrupt(_)) | Err(DecodeError::Truncated(_))
+        Err(CodecError::Corrupt(_)) | Err(CodecError::Truncated(_))
     ));
 }
 
@@ -196,18 +203,12 @@ fn hostile_tile_offsets_and_lengths_are_rejected() {
     let mut stream = clean.clone();
     let good = u32::from_le_bytes(stream[tile1_off_off..tile1_off_off + 4].try_into().unwrap());
     patch_le_u32(&mut stream, tile1_off_off, good + 1);
-    assert!(matches!(
-        decode_video(&stream),
-        Err(DecodeError::Corrupt(_))
-    ));
+    assert!(matches!(decode_video(&stream), Err(CodecError::Corrupt(_))));
 
     // Zero-length tiles cannot carry a CABAC payload.
     let mut stream = clean.clone();
     patch_le_u32(&mut stream, tile0_len_off, 0);
-    assert!(matches!(
-        decode_video(&stream),
-        Err(DecodeError::Corrupt(_))
-    ));
+    assert!(matches!(decode_video(&stream), Err(CodecError::Corrupt(_))));
 
     // An extent past the frame payload must be caught by the index
     // validator, not by slicing.
@@ -215,12 +216,12 @@ fn hostile_tile_offsets_and_lengths_are_rejected() {
     patch_le_u32(&mut stream, tile1_len_off, u32::MAX);
     assert!(matches!(
         decode_video(&stream),
-        Err(DecodeError::Corrupt(_)) | Err(DecodeError::Truncated(_))
+        Err(CodecError::Corrupt(_)) | Err(CodecError::Truncated(_))
     ));
 }
 
-/// The flip/truncation sweeps above run on an untiled stream; the tile
-/// index is new attack surface, so sweep it too.
+/// The flip/truncation sweeps above run on a one-tile-per-frame stream;
+/// sweep a two-tile index too.
 #[test]
 fn tiled_stream_flips_and_truncations_never_panic() {
     let stream = tiled_sample_stream();

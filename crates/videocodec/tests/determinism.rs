@@ -40,8 +40,8 @@ fn repeated_encodes_are_byte_identical() {
 #[test]
 fn all_pipeline_configs_are_deterministic() {
     let frames = [textured_frame(7, 32, 32), textured_frame(8, 32, 32)];
-    for byte in 0..32u8 {
-        let pipeline = PipelineConfig::from_byte(byte);
+    for byte in 0..PipelineConfig::COUNT {
+        let pipeline = PipelineConfig::from_byte(byte).expect("defined switches");
         let cfg = CodecConfig::default().with_pipeline(pipeline).with_qp(30.0);
         let a = encode_video(&frames, &cfg);
         let b = encode_video(&frames, &cfg);

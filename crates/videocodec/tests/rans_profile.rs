@@ -8,7 +8,7 @@
 
 use llm265_videocodec::tile::StreamIndex;
 use llm265_videocodec::{
-    decode_video, encode_video, CodecConfig, DecodeError, EntropyProfile, Frame,
+    decode_video, encode_video, CodecConfig, CodecError, EntropyProfile, Frame,
 };
 
 fn textured_frame(seed: u64, w: usize, h: usize) -> Frame {
@@ -119,9 +119,9 @@ fn truncated_rans_payloads_are_typed_errors() {
         assert!(
             matches!(
                 r,
-                Err(DecodeError::Truncated(_))
-                    | Err(DecodeError::Corrupt(_))
-                    | Err(DecodeError::LimitExceeded(_))
+                Err(CodecError::Truncated(_))
+                    | Err(CodecError::Corrupt(_))
+                    | Err(CodecError::LimitExceeded(_))
             ),
             "cut at {cut}: {r:?}"
         );

@@ -37,8 +37,8 @@ fn roundtrip_all_profiles() {
 #[test]
 fn roundtrip_all_pipeline_configs() {
     let frames = [textured_frame(2, 48, 48), textured_frame(3, 48, 48)];
-    for byte in 0..32u8 {
-        let pipeline = PipelineConfig::from_byte(byte);
+    for byte in 0..PipelineConfig::COUNT {
+        let pipeline = PipelineConfig::from_byte(byte).expect("defined switches");
         let cfg = CodecConfig::default().with_pipeline(pipeline).with_qp(30.0);
         assert_roundtrip(&frames, &cfg);
     }

@@ -2,10 +2,9 @@
 //! prediction or entropy state crosses a tile seam), the decoder must
 //! reproduce the encoder's committed reconstruction bit-exactly, and the
 //! quality cost of breaking prediction at seams stays small. Also pins
-//! the version-1 compatibility path (pre-tile streams keep decoding) and
-//! the strictness of the v2 flags byte.
+//! the strictness of the header's flags and pipeline bytes.
 
-use llm265_videocodec::{decode_video, encode_video, CodecConfig, DecodeError, Frame};
+use llm265_videocodec::{decode_video, encode_video, CodecConfig, CodecError, Frame};
 
 fn textured_frame(seed: u64, w: usize, h: usize) -> Frame {
     Frame::from_fn(w, h, |x, y| {
@@ -16,19 +15,19 @@ fn textured_frame(seed: u64, w: usize, h: usize) -> Frame {
 
 /// Tiles reset intra prediction at the seam (that is what makes them
 /// independently decodable), so the reconstruction is *allowed* to differ
-/// from the untiled stream — but the decoder must still match the
+/// from the one-tile stream — but the decoder must still match the
 /// encoder's committed recon bit-exactly, and the seam cost must stay a
 /// small quality perturbation, not a cliff.
 #[test]
 fn tiled_decode_is_bit_exact_and_seams_cost_little() {
     let frames = [textured_frame(1, 96, 96)]; // 3 CTU rows at CTU 32
-    let untiled = encode_video(&frames, &CodecConfig::default().with_qp(26.0));
-    let base_mse = frames[0].mse(&untiled.recon[0]);
+    let one_tile = encode_video(&frames, &CodecConfig::default().with_qp(26.0));
+    let base_mse = frames[0].mse(&one_tile.recon[0]);
     for tiles in [2usize, 3] {
         let cfg = CodecConfig::default().with_qp(26.0).with_tiles(tiles);
         let enc = encode_video(&frames, &cfg);
         assert_ne!(
-            enc.bytes, untiled.bytes,
+            enc.bytes, one_tile.bytes,
             "{tiles} tiles must change the framing"
         );
         let dec = decode_video(&enc.bytes).expect("tiled decode");
@@ -36,7 +35,7 @@ fn tiled_decode_is_bit_exact_and_seams_cost_little() {
         let mse = frames[0].mse(&enc.recon[0]);
         assert!(
             mse <= 1.5 * base_mse + 1.0,
-            "{tiles} tiles: mse {mse} vs untiled {base_mse}"
+            "{tiles} tiles: mse {mse} vs one tile {base_mse}"
         );
     }
 }
@@ -76,39 +75,28 @@ fn multi_frame_tiled_streams_roundtrip() {
     }
 }
 
-/// A version-1 stream is a version-2 untiled stream minus the flags byte.
-/// Splicing a v2 stream down to the v1 layout must still decode to the
-/// same frames — pre-tile archives stay readable.
-#[test]
-fn version_one_streams_still_decode() {
-    let frames = [textured_frame(5, 48, 48)];
-    let enc = encode_video(&frames, &CodecConfig::default().with_qp(24.0));
-    let expect = decode_video(&enc.bytes).expect("v2 decode");
-
-    let mut v1 = enc.bytes.clone();
-    v1[4] = 1; // version byte
-    v1.remove(21); // v1 has no flags byte after n_frames
-    let dec = decode_video(&v1).expect("v1 decode");
-    assert_eq!(dec, expect, "v1 splice decodes differently");
-}
-
-/// Unknown flag bits change how payloads are framed, so the decoder must
-/// refuse them instead of guessing.
+/// Unknown flag bits change how payloads are coded, and unknown pipeline
+/// bits would decode a corrupted header as a clean one, so the decoder
+/// must refuse both instead of guessing.
 #[test]
 fn unknown_stream_flags_are_rejected() {
     let frames = [textured_frame(6, 32, 32)];
     let enc = encode_video(&frames, &CodecConfig::default().with_qp(24.0));
-    // 0x01 (tiled) and 0x02 (rANS) are known; anything above must be
-    // refused.
-    for bit in [0x04u8, 0x80] {
+    // Only 0x02 (rANS) is a known flag; 0x01 is the retired tiled-layout
+    // flag. The pipeline byte (offset 6) defines bits 0–3 only.
+    let cases = [
+        (21, 0x01u8, "unknown stream flags"),
+        (21, 0x04, "unknown stream flags"),
+        (21, 0x80, "unknown stream flags"),
+        (6, 0x10, "unknown pipeline switches"),
+        (6, 0x80, "unknown pipeline switches"),
+    ];
+    for (at, bit, expect) in cases {
         let mut evil = enc.bytes.clone();
-        evil[21] |= bit;
-        assert!(
-            matches!(
-                decode_video(&evil),
-                Err(DecodeError::Unsupported("unknown stream flags"))
-            ),
-            "flag bit {bit:#x} accepted"
-        );
+        evil[at] |= bit;
+        match decode_video(&evil) {
+            Err(CodecError::Unsupported(msg)) => assert_eq!(msg, expect),
+            other => panic!("bit {bit:#x} at byte {at}: {:?}", other.err()),
+        }
     }
 }

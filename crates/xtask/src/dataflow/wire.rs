@@ -1286,9 +1286,9 @@ mod tests {
                 w.write_bits(VERSION as u64, 8);
                 w.write_bits(u64::from(flags), 8);
             }
-            fn parse_hdr(r: &mut BitReader) -> Result<u8, DecodeError> {
+            fn parse_hdr(r: &mut BitReader) -> Result<u8, CodecError> {
                 if (r.read_bits(32)? & 0xFFFF_FFFF) as u32 != MAGIC {
-                    return Err(DecodeError::Corrupt("bad magic"));
+                    return Err(CodecError::Corrupt("bad magic"));
                 }
                 let version = (r.read_bits(8)? & 0xFF) as u8;
                 let flags = if version >= 2 {
@@ -1335,13 +1335,13 @@ mod tests {
                     s.bypass_bits(u64::from(len), len - 1);
                 }
             }
-            fn parse_p<D: BinSource>(d: &mut D, c: &mut Ctx) -> Result<u32, DecodeError> {
+            fn parse_p<D: BinSource>(d: &mut D, c: &mut Ctx) -> Result<u32, CodecError> {
                 let mut len = 1u32;
                 while len <= 20 && d.bit(&mut c.prefix[((len - 1).min(11)) as usize]) {
                     len += 1;
                 }
                 if len > 20 {
-                    return Err(DecodeError::LimitExceeded("prefix"));
+                    return Err(CodecError::LimitExceeded("prefix"));
                 }
                 let suffix = if len > 1 { d.bypass_bits(len - 1) } else { 0 };
                 Ok(suffix)
@@ -1361,14 +1361,14 @@ mod tests {
     fn loop_bound_comes_from_diverging_guards() {
         let src = r#"
             const MAX_TILES: usize = 1024;
-            fn parse_index(payload: &[u8]) -> Result<(), DecodeError> {
+            fn parse_index(payload: &[u8]) -> Result<(), CodecError> {
                 let mut pos = 0usize;
                 let count = usize::from(read_le_u16(payload, &mut pos)?);
                 if count == 0 {
-                    return Err(DecodeError::Corrupt("empty"));
+                    return Err(CodecError::Corrupt("empty"));
                 }
                 if count > MAX_TILES {
-                    return Err(DecodeError::LimitExceeded("tiles"));
+                    return Err(CodecError::LimitExceeded("tiles"));
                 }
                 for _ in 0..count {
                     let off = read_le_u32(payload, &mut pos)?;
@@ -1422,7 +1422,7 @@ mod tests {
                     }
                 }
             }
-            fn parse_r<D: BinSource>(d: &mut D, c: &mut Ctx) -> Result<u32, DecodeError> {
+            fn parse_r<D: BinSource>(d: &mut D, c: &mut Ctx) -> Result<u32, CodecError> {
                 if !d.bit(&mut c.cbf) {
                     return Ok(0);
                 }
@@ -1515,7 +1515,7 @@ mod tests {
             fn code_leaf<S: BinSink>(s: &mut S, c: &mut Ctx) {
                 s.bypass(true);
             }
-            fn parse_cu<D: BinSource>(d: &mut D, c: &mut Ctx) -> Result<(), DecodeError> {
+            fn parse_cu<D: BinSource>(d: &mut D, c: &mut Ctx) -> Result<(), CodecError> {
                 let split = if c.adaptive { d.bit(&mut c.split) } else { false };
                 if split {
                     for q in 0..4 {
@@ -1525,7 +1525,7 @@ mod tests {
                 }
                 parse_leaf(d, c)
             }
-            fn parse_leaf<D: BinSource>(d: &mut D, c: &mut Ctx) -> Result<(), DecodeError> {
+            fn parse_leaf<D: BinSource>(d: &mut D, c: &mut Ctx) -> Result<(), CodecError> {
                 let b = d.bypass();
                 Ok(())
             }

@@ -454,7 +454,7 @@ mod tests {
             fn write_stream_header(w: &mut BitWriter) {
                 w.write_bits(2u64, 8);
             }
-            fn parse_stream_header(r: &mut BitReader) -> Result<u8, DecodeError> {
+            fn parse_stream_header(r: &mut BitReader) -> Result<u8, CodecError> {
                 let version = (r.read_bits(8)? & 0xFF) as u8;
                 Ok(version)
             }
