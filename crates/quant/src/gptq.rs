@@ -124,7 +124,9 @@ impl GptqQuantizer {
             }
         };
 
-        // Per-group symmetric grids, computed up front per row.
+        // Per-group symmetric grids, computed up front per row. `new`
+        // asserts the width; restating it bounds the shift below.
+        debug_assert!((1..=8).contains(&self.bits));
         let half = (1u32 << (self.bits - 1)) as f32;
         let mut out = Tensor::zeros(w.rows(), w.cols());
         let mut work: Vec<f64> = Vec::with_capacity(n);

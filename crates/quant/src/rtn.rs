@@ -93,6 +93,8 @@ impl RtnQuantizer {
         if xs.is_empty() {
             return;
         }
+        // `validate` asserts the width; restating it bounds the shifts below.
+        debug_assert!((1..=8).contains(&self.bits));
         if self.asymmetric {
             let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
             for &v in xs.iter() {

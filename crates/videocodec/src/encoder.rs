@@ -652,22 +652,9 @@ pub(crate) fn encode_video(frames: &[Frame], cfg: &CodecConfig) -> EncodedVideo 
     let mut prev_padded: Option<Frame> = None;
     for (i, f) in frames.iter().enumerate() {
         let padded = f.padded_to(ctu);
-        // Each band is its own mini-frame (fresh entropy-coder state);
-        // stitching the band recons reproduces the padded frame recon
-        // because bands are whole CTU rows.
-        let mut tile_payloads = Vec::with_capacity(layout.n_tiles());
-        let mut data = Vec::with_capacity(padded.width() * padded.height());
-        for t in 0..layout.n_tiles() {
-            let (p, band_recon) =
-                crate::tile::encode_tile(&padded, prev_padded.as_ref(), cfg, &plans, &layout, t, i);
-            tile_payloads.push(p);
-            data.extend_from_slice(band_recon.data());
-        }
-        let recon_padded = Frame::from_vec(padded.width(), padded.height(), data);
-        write_frame(
-            &mut bytes,
-            &crate::tile::build_frame_payload(&tile_payloads),
-        );
+        let (payload, recon_padded) =
+            crate::tile::encode_tiled_frame(&padded, prev_padded.as_ref(), cfg, &plans, &layout, i);
+        write_frame(&mut bytes, &payload);
         recon_frames.push(recon_padded.cropped(w, h));
         prev_padded = Some(recon_padded);
     }

@@ -283,6 +283,30 @@ pub(crate) fn parse_tile_index(
     Ok((entries, data_start))
 }
 
+/// Encodes one padded frame into its tile-indexed payload plus its padded
+/// reconstruction; the exact mirror of [`decode_tiled_frame`]. Each band
+/// is its own mini-frame (fresh entropy-coder state); stitching the band
+/// recons reproduces the padded frame recon because bands are whole CTU
+/// rows.
+pub(crate) fn encode_tiled_frame(
+    padded: &Frame,
+    prev_padded: Option<&Frame>,
+    cfg: &CodecConfig,
+    plans: &DctPlans,
+    layout: &TileLayout,
+    frame_idx: usize,
+) -> (Vec<u8>, Frame) {
+    let mut tile_payloads = Vec::with_capacity(layout.n_tiles());
+    let mut data = Vec::with_capacity(padded.width() * padded.height());
+    for t in 0..layout.n_tiles() {
+        let (p, band_recon) = encode_tile(padded, prev_padded, cfg, plans, layout, t, frame_idx);
+        tile_payloads.push(p);
+        data.extend_from_slice(band_recon.data());
+    }
+    let recon = Frame::from_vec(padded.width(), padded.height(), data);
+    (build_frame_payload(&tile_payloads), recon)
+}
+
 /// Decodes one frame payload into its padded reconstruction: parse
 /// the index, decode each band (fresh contexts per band, mirroring the
 /// encoder), stitch the bands. Serial; `llm265-core` fans the same

@@ -166,12 +166,12 @@ mod tests {
     #[test]
     fn roundtrips_through_toml() {
         let b = Baseline::from_violations(&[
-            v("cast-safety", "crates/a/src/x.rs", 1),
-            v("cast-safety", "crates/a/src/x.rs", 9),
+            v("range-proof", "crates/a/src/x.rs", 1),
+            v("range-proof", "crates/a/src/x.rs", 9),
             v("error-discipline", "crates/b/src/y.rs", 3),
         ]);
         let text = b.to_toml();
-        assert!(text.contains("[cast-safety]"));
+        assert!(text.contains("[range-proof]"));
         assert!(text.contains("\"crates/a/src/x.rs\" = 2"));
         let parsed = Baseline::parse(&text).expect("parse");
         assert_eq!(parsed, b);
@@ -194,26 +194,26 @@ mod tests {
 
     #[test]
     fn apply_ratchets_counts() {
-        let b = Baseline::parse("[cast-safety]\n\"a.rs\" = 2\n").expect("parse");
+        let b = Baseline::parse("[range-proof]\n\"a.rs\" = 2\n").expect("parse");
         // Equal count: all baselined.
         let a = b.apply(vec![
-            v("cast-safety", "a.rs", 1),
-            v("cast-safety", "a.rs", 2),
+            v("range-proof", "a.rs", 1),
+            v("range-proof", "a.rs", 2),
         ]);
         assert!(a.new.is_empty());
         assert_eq!(a.baselined.len(), 2);
         assert!(a.stale.is_empty());
         // One extra: the overflow is new.
         let a = b.apply(vec![
-            v("cast-safety", "a.rs", 1),
-            v("cast-safety", "a.rs", 2),
-            v("cast-safety", "a.rs", 3),
+            v("range-proof", "a.rs", 1),
+            v("range-proof", "a.rs", 2),
+            v("range-proof", "a.rs", 3),
         ]);
         assert_eq!(a.new.len(), 1);
         assert_eq!(a.new[0].line, 3);
         // A different file or pass is never covered.
         let a = b.apply(vec![
-            v("cast-safety", "b.rs", 1),
+            v("range-proof", "b.rs", 1),
             v("determinism", "a.rs", 1),
         ]);
         assert_eq!(a.new.len(), 2);
@@ -221,8 +221,8 @@ mod tests {
 
     #[test]
     fn shrunk_findings_surface_stale_entries() {
-        let b = Baseline::parse("[cast-safety]\n\"a.rs\" = 3\n\"gone.rs\" = 1\n").expect("parse");
-        let a = b.apply(vec![v("cast-safety", "a.rs", 1)]);
+        let b = Baseline::parse("[range-proof]\n\"a.rs\" = 3\n\"gone.rs\" = 1\n").expect("parse");
+        let a = b.apply(vec![v("range-proof", "a.rs", 1)]);
         assert!(a.new.is_empty());
         assert_eq!(a.stale.len(), 2, "{:?}", a.stale);
         assert!(a.stale[0].contains("allows 3 but only 1"));

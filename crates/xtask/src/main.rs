@@ -232,9 +232,8 @@ fn run_explain(root: &std::path::Path, id: &str) -> ExitCode {
     }
     let allow = match v.pass {
         "wire-taint" => "taint",
-        "panic-reach" | "panic-freedom" => "panic",
+        "panic-reach" => "panic",
         "float-cmp" => "float-cmp",
-        "cast-safety" => "cast",
         "determinism" => "determinism",
         "error-discipline" => "error",
         "range-proof" => "range",
@@ -376,8 +375,8 @@ fn print_help() {
          \x20                      wire-schema.json; drift-checked in CI)\n\
          \x20 --sarif PATH         also write the gate report as SARIF 2.1.0\n\
          \x20 --timings            print per-pass wall time after the gate run\n\n\
-         Passes: panic-freedom, symmetry, float-cmp, hygiene, cast-safety,\n\
-         determinism, error-discipline, wire-taint, panic-reach, range-proof,\n\
-         termination, interference, wire-schema (see crates/xtask/src/lib.rs)"
+         Passes: float-cmp, hygiene, determinism, error-discipline, wire-taint,\n\
+         panic-reach, range-proof, termination, interference, wire-schema\n\
+         (see crates/xtask/src/lib.rs)"
     );
 }

@@ -1,9 +1,13 @@
 //! Wire-schema pass: encoder emission and decoder parse must be duals.
 //!
-//! The `symmetry` pass checks that writer/reader *names* pair up; this
-//! pass checks that their *bodies* agree on the wire. For every paired
-//! writer/reader in the stream-facing files it extracts both sides'
-//! wire grammars with [`crate::dataflow::wire`] and proves them duals:
+//! A bitstream format is a contract between its writer and its reader,
+//! checked here at two levels. By *name*: every writer
+//! (`write_*`/`encode_*`/`code_*`) in the stream-facing files must have
+//! a reader (`read_*`/`decode_*`/`parse_*`) with the same stem and vice
+//! versa — a written-never-read element silently desynchronizes the
+//! stream. By *body*: for every `write_*`/`code_*` ↔ `read_*`/`parse_*`
+//! pair it extracts both sides' wire grammars with
+//! [`crate::dataflow::wire`] and proves them duals:
 //! same field order, same widths, same guard structure. A desync is
 //! reported at the first mismatched field with a witness chain that
 //! prints the writer chain and the reader chain side by side, so the
@@ -20,7 +24,7 @@
 //! tests named in [`TRUSTED_PAIRS`]. Justified exceptions elsewhere
 //! carry `// lint:allow(schema): <reason>`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::index::Index;
 use crate::dataflow::interval::Contract;
@@ -28,9 +32,29 @@ use crate::dataflow::wire::{self, extract, render_node, Comparator, Node, Side};
 use crate::report::Violation;
 use crate::source::Workspace;
 
-/// Files whose writer/reader functions are in scope for duality proofs:
-/// the stream-facing half of the codec.
-const SCOPE_FILES: &[&str] = &["/encoder.rs", "/decoder.rs", "/syntax.rs", "/tile.rs"];
+/// Files whose writer/reader functions are in scope for pairing and
+/// duality proofs: the stream-facing half of the codec and the bit, byte
+/// and CABAC primitives it is built from.
+const SCOPE_FILES: &[&str] = &[
+    "/encoder.rs",
+    "/decoder.rs",
+    "/syntax.rs",
+    "/tile.rs",
+    "/bits.rs",
+    "/bytes.rs",
+    "/cabac.rs",
+];
+
+/// Name prefixes of the writing side.
+const WRITER_PREFIXES: &[&str] = &["write_", "encode_", "code_"];
+
+/// Name prefixes of the reading side.
+const READER_PREFIXES: &[&str] = &["read_", "decode_", "parse_"];
+
+/// The prefixes whose pairs are also proven dual field by field. The
+/// `encode_*`/`decode_*` entry points wrap search, tiling and entropy
+/// backends around the syntax layers, so they pair by name only.
+const PROVEN_PREFIXES: &[&str] = &["write_", "code_", "read_", "parse_"];
 
 /// Writer/reader pairs whose names do not share a stem.
 const ALIAS_PAIRS: &[(&str, &str)] = &[("build_frame_payload", "parse_tile_index")];
@@ -49,6 +73,7 @@ pub const TRUSTED_PAIRS: &[(&str, &str, &str)] = &[
         "parse_signed_eg",
         "signed_eg_extreme_motion_roundtrips",
     ),
+    ("write_ue", "read_ue", "ue_roundtrip_wide_range"),
 ];
 
 /// Most top-level grammar nodes rendered per side in a witness chain.
@@ -81,14 +106,12 @@ fn is_trusted(name: &str) -> bool {
         .any(|(w, r, _)| name == *w || name == *r)
 }
 
-fn writer_stem(name: &str) -> Option<&str> {
-    name.strip_prefix("write_")
-        .or_else(|| name.strip_prefix("code_"))
-}
-
-fn reader_stem(name: &str) -> Option<&str> {
-    name.strip_prefix("read_")
-        .or_else(|| name.strip_prefix("parse_"))
+/// The stem a name carries after any of `prefixes`.
+fn stem<'a>(name: &'a str, prefixes: &[&str]) -> Option<&'a str> {
+    prefixes
+        .iter()
+        .find_map(|p| name.strip_prefix(p))
+        .filter(|s| !s.is_empty())
 }
 
 /// Scoped, bodied functions by name (first definition wins; the scope
@@ -103,10 +126,11 @@ fn scoped_fns(index: &Index) -> BTreeMap<&str, usize> {
     out
 }
 
-/// Writer/reader pairs to prove: alias pairs first, then stem pairing.
-/// Trusted pairs and unpaired names (the `symmetry` pass owns those) are
-/// skipped.
-fn pairs(index: &Index) -> Vec<(usize, usize)> {
+/// Writer/reader pairs to prove (alias pairs first, then stem pairing
+/// over [`PROVEN_PREFIXES`]), plus the unpaired writers and readers: a
+/// stem written and never read (or the reverse) desynchronizes the
+/// stream. Trusted pairs are skipped.
+fn pairs(index: &Index) -> (Vec<(usize, usize)>, Vec<usize>) {
     let fns = scoped_fns(index);
     let mut out = Vec::new();
     let mut consumed: Vec<&str> = Vec::new();
@@ -117,30 +141,40 @@ fn pairs(index: &Index) -> Vec<(usize, usize)> {
             consumed.push(r);
         }
     }
-    let mut readers: BTreeMap<&str, usize> = BTreeMap::new();
-    for (name, &id) in &fns {
-        if consumed.contains(name) || is_trusted(name) {
-            continue;
-        }
-        if let Some(stem) = reader_stem(name) {
-            if !stem.is_empty() {
-                readers.entry(stem).or_insert(id);
+    let open = |name: &&str| !consumed.contains(name) && !is_trusted(name);
+    let mut readers: BTreeSet<&str> = BTreeSet::new();
+    let mut writers: BTreeSet<&str> = BTreeSet::new();
+    let mut proven_readers: BTreeMap<&str, usize> = BTreeMap::new();
+    for (name, &id) in fns.iter().filter(|(n, _)| open(n)) {
+        if let Some(s) = stem(name, READER_PREFIXES) {
+            readers.insert(s);
+            if let Some(s) = stem(name, PROVEN_PREFIXES) {
+                proven_readers.entry(s).or_insert(id);
             }
+        } else if let Some(s) = stem(name, WRITER_PREFIXES) {
+            writers.insert(s);
         }
     }
-    for (name, &id) in &fns {
-        if consumed.contains(name) || is_trusted(name) {
-            continue;
-        }
-        if let Some(stem) = writer_stem(name) {
-            if let Some(&rid) = readers.get(stem) {
+    let mut unpaired = Vec::new();
+    for (name, &id) in fns.iter().filter(|(n, _)| open(n)) {
+        if let Some(s) = stem(name, READER_PREFIXES) {
+            if !writers.contains(s) {
+                unpaired.push(id);
+            }
+        } else if let Some(s) = stem(name, WRITER_PREFIXES) {
+            if !readers.contains(s) {
+                unpaired.push(id);
+            }
+            let proven = stem(name, PROVEN_PREFIXES).and_then(|s| proven_readers.get(s));
+            if let Some(&rid) = proven {
                 out.push((id, rid));
             }
         }
     }
     out.sort_unstable();
     out.dedup();
-    out
+    unpaired.sort_unstable();
+    (out, unpaired)
 }
 
 /// One side of a witness chain: a header line naming the function, then
@@ -175,8 +209,38 @@ pub fn check_workspace(ws: &Workspace, index: &Index, contracts: &[Contract]) ->
         ws.files().map(|f| (f.path.as_str(), f)).collect();
     let consts = wire::fold_consts(index);
     let relevant = wire::wire_relevant(index);
+    let (pairs, unpaired) = pairs(index);
     let mut out = Vec::new();
-    for (wid, rid) in pairs(index) {
+    for id in unpaired {
+        let entry = &index.fns[id];
+        if files
+            .get(entry.path.as_str())
+            .is_some_and(|sf| sf.is_allowed(entry.item.line, "schema"))
+        {
+            continue;
+        }
+        let name = &entry.item.name;
+        let (what, missing, prefixes, s) = match stem(name, READER_PREFIXES) {
+            Some(s) => ("reads", "writer", WRITER_PREFIXES, s),
+            None => (
+                "writes",
+                "reader",
+                READER_PREFIXES,
+                stem(name, WRITER_PREFIXES).unwrap_or(name),
+            ),
+        };
+        out.push(Violation::new(
+            "wire-schema",
+            &entry.path,
+            entry.item.line + 1,
+            format!(
+                "`{name}` {what} syntax element `{s}` but no {missing} ({}*) exists in the \
+                 stream-facing files; the two sides of the wire would desynchronize",
+                prefixes.join("*/"),
+            ),
+        ));
+    }
+    for (wid, rid) in pairs {
         let w = extract(index, wid, Side::Writer, &consts, contracts, &relevant);
         let r = extract(index, rid, Side::Reader, &consts, contracts, &relevant);
         let Err(m) = Comparator::new(&consts).compare(&w, &r) else {
@@ -384,20 +448,31 @@ mod tests {
     use super::*;
     use crate::source::{CrateSrc, SourceFile, Workspace};
 
-    fn ws_of(src: &str) -> Workspace {
+    fn ws_files(files: &[(&str, &str)]) -> Workspace {
         let manifest = "[package]\nname = \"llm265-videocodec\"\n\n[lints]\nworkspace = true\n";
-        let file = SourceFile::from_contents("crates/videocodec/src/encoder.rs", src);
-        let lib = SourceFile::from_contents(
-            "crates/videocodec/src/lib.rs",
-            "#![forbid(unsafe_code)]\n//! t\npub mod encoder;\n",
-        );
+        let files = files
+            .iter()
+            .map(|(p, s)| SourceFile::from_contents(&format!("crates/videocodec/src/{p}"), s))
+            .collect();
         Workspace {
-            crates: vec![CrateSrc::from_parts(
-                "llm265-videocodec",
-                manifest,
-                vec![lib, file],
-            )],
+            crates: vec![CrateSrc::from_parts("llm265-videocodec", manifest, files)],
         }
+    }
+
+    fn ws_of(src: &str) -> Workspace {
+        ws_files(&[
+            (
+                "lib.rs",
+                "#![forbid(unsafe_code)]\n//! t\npub mod encoder;\n",
+            ),
+            ("encoder.rs", src),
+        ])
+    }
+
+    fn check_files(files: &[(&str, &str)]) -> Vec<Violation> {
+        let ws = ws_files(files);
+        let index = ws.build_index();
+        check_workspace(&ws, &index, &[])
     }
 
     #[test]
@@ -428,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn dual_pair_and_unpaired_writer_are_quiet() {
+    fn dual_pair_is_quiet() {
         let ws = ws_of(
             r#"
             fn code_mark<S: BinSink>(s: &mut S, gap: u64) {
@@ -440,11 +515,62 @@ mod tests {
                 let stop = d.bypass();
                 gap
             }
-            fn write_ghost() {}
             "#,
         );
         let index = ws.build_index();
         assert!(check_workspace(&ws, &index, &[]).is_empty());
+    }
+
+    #[test]
+    fn names_pair_across_prefixes_and_files() {
+        let v = check_files(&[
+            (
+                "encoder.rs",
+                "fn write_header() {}\nfn code_block() {}\nfn encode_frame() {}\n",
+            ),
+            (
+                "decoder.rs",
+                "fn read_header() {}\nfn parse_block() {}\nfn decode_frame() {}\n",
+            ),
+        ]);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn written_never_read_fails() {
+        let v = check_files(&[
+            ("encoder.rs", "fn write_header() {}\nfn write_footer() {}\n"),
+            ("decoder.rs", "fn read_header() {}\n"),
+        ]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("`footer`"), "{}", v[0].message);
+        assert!(v[0].message.contains("no reader"), "{}", v[0].message);
+        assert_eq!(v[0].line, 2);
+    }
+
+    #[test]
+    fn read_never_written_fails() {
+        let v = check_files(&[
+            ("encoder.rs", "fn write_header() {}\n"),
+            ("decoder.rs", "fn read_header() {}\nfn parse_ghost() {}\n"),
+        ]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("`ghost`"), "{}", v[0].message);
+        assert!(v[0].message.contains("no writer"), "{}", v[0].message);
+    }
+
+    #[test]
+    fn unprefixed_out_of_scope_and_test_functions_do_not_pair() {
+        let v = check_files(&[
+            (
+                "encoder.rs",
+                "fn quantize_block() {}\nfn helper() {}\nfn write_real() {}\n\
+                 #[cfg(test)]\nmod tests {\n    fn write_fake() {}\n}\n",
+            ),
+            ("decoder.rs", "fn validate() {}\nfn read_real() {}\n"),
+            ("other.rs", "fn write_orphan() {}\n"),
+        ]);
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 /// A single lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Pass identifier (`panic-freedom`, `symmetry`, `float-cmp`, `hygiene`).
+    /// Pass identifier (one of [`crate::PASSES`]).
     pub pass: &'static str,
     /// Workspace-relative file path (or crate name for manifest findings).
     pub path: String,
@@ -268,18 +268,18 @@ mod tests {
     #[test]
     fn text_report_lists_violations_and_summary() {
         let mut r = Report {
-            passes_run: vec!["panic-freedom"],
+            passes_run: vec!["panic-reach"],
             files_scanned: 3,
             ..Report::default()
         };
         r.violations.push(Violation::new(
-            "panic-freedom",
+            "panic-reach",
             "a.rs",
             7,
             "unwrap() in decode path",
         ));
         let text = r.to_text();
-        assert!(text.contains("a.rs:7: [panic-freedom] unwrap() in decode path"));
+        assert!(text.contains("a.rs:7: [panic-reach] unwrap() in decode path"));
         assert!(text.contains("1 violation(s) (0 baselined) across 3 file(s)"));
         assert!(!r.is_clean());
     }
@@ -362,10 +362,10 @@ mod tests {
     fn baselined_findings_do_not_fail_the_gate() {
         let mut r = Report::default();
         r.violations
-            .push(Violation::new("cast-safety", "a.rs", 4, "narrowing"));
+            .push(Violation::new("range-proof", "a.rs", 4, "narrowing"));
         r.violations
-            .push(Violation::new("cast-safety", "a.rs", 9, "narrowing"));
-        let b = crate::baseline::Baseline::parse("[cast-safety]\n\"a.rs\" = 1\n").expect("parse");
+            .push(Violation::new("range-proof", "a.rs", 9, "narrowing"));
+        let b = crate::baseline::Baseline::parse("[range-proof]\n\"a.rs\" = 1\n").expect("parse");
         r.apply_baseline(&b);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.baselined.len(), 1);

@@ -1,10 +1,10 @@
-//! Dirty fixture, bitstream half: one panic-freedom, one cast-safety and
-//! one error-discipline finding, each next to a quiet twin (an allowed or
-//! proven site) so the tests pin both directions.
+//! Dirty fixture, bitstream half: one seeded bug per construct, each next
+//! to a quiet twin (an allowed or proven site) so the tests pin both
+//! directions.
 
 #![forbid(unsafe_code)]
 
-/// Panic-freedom: unwrap in a hot-path crate fires.
+/// Panic-reach (depth 0): unwrap in a hot-path crate fires.
 pub fn first(v: Option<u8>) -> u8 {
     v.unwrap()
 }
@@ -15,7 +15,7 @@ pub fn second(v: Option<u8>) -> u8 {
     v.unwrap()
 }
 
-/// Cast-safety: i64 -> u8 narrows without proof.
+/// Range-proof (cast sink): i64 -> u8 narrows without proof.
 pub fn narrow(v: i64) -> u8 {
     v as u8
 }
@@ -56,8 +56,9 @@ pub fn decode_table_capped(data: &[u8]) -> Vec<u8> {
     Vec::with_capacity(n)
 }
 
-/// Panic-reach: the indexing lives in a helper, so only the call-graph
-/// closure from the public decode API sees it.
+/// Panic-reach (reached): the indexing lives in a helper that is not
+/// decode-shaped, so only the call-graph closure from the decode API sees
+/// it.
 pub fn decode_entry(data: &[u8]) -> u8 {
     entry_at(data, 1)
 }

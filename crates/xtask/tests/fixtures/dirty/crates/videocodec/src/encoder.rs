@@ -1,6 +1,6 @@
 //! Encoder half of the dirty fixture.
 
-/// Symmetry: writes a syntax element no reader in the domain parses.
+/// Wire-schema (pairing): writes a syntax element no reader parses.
 pub fn write_ghost() {}
 
 /// Wire-schema: writes the probe gap, then the terminator bit. The
