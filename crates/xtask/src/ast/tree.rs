@@ -69,17 +69,6 @@ impl Tree {
 }
 
 impl Group {
-    /// Depth-first walk over every group in this tree (including self),
-    /// invoking `f` with each group.
-    pub fn walk_groups<'a>(&'a self, f: &mut impl FnMut(&'a Group)) {
-        f(self);
-        for t in &self.trees {
-            if let Tree::Group(g) = t {
-                g.walk_groups(f);
-            }
-        }
-    }
-
     /// Depth-first iterator over every leaf token in this group, in source
     /// order, descending into subgroups (delimiters themselves excluded).
     pub fn leaves<'a>(&'a self, out: &mut Vec<&'a Token>) {
@@ -214,13 +203,5 @@ mod tests {
     fn to_text_round_trips_types() {
         let trees = build(&lex("Result < Vec < i32 > , CodecError >"));
         assert_eq!(to_text(&trees), "Result<Vec<i32>,CodecError>");
-    }
-
-    #[test]
-    fn walk_groups_visits_nested() {
-        let trees = build(&lex("{ a { b } ( c ) }"));
-        let mut n = 0;
-        trees[0].group().unwrap().walk_groups(&mut |_| n += 1);
-        assert_eq!(n, 3);
     }
 }

@@ -1247,19 +1247,14 @@ fn render_op(op: &WireOp) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{CrateSrc, SourceFile, Workspace};
+    use crate::source::Workspace;
 
     fn index_of(src: &str) -> Index {
-        let manifest = "[package]\nname = \"llm265-videocodec\"\n\n[lints]\nworkspace = true\n";
-        let file = SourceFile::from_contents("crates/videocodec/src/lib.rs", src);
-        let ws = Workspace {
-            crates: vec![CrateSrc::from_parts(
-                "llm265-videocodec",
-                manifest,
-                vec![file],
-            )],
-        };
-        ws.build_index()
+        Workspace::of(&[(
+            "llm265-videocodec",
+            &[("crates/videocodec/src/lib.rs", src)],
+        )])
+        .build_index()
     }
 
     fn grammar_of(index: &Index, name: &str, side: Side) -> Vec<Node> {

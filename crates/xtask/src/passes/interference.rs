@@ -356,14 +356,9 @@ fn relaxed_load(trees: &[Tree]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{CrateSrc, SourceFile};
 
     fn check(src: &str) -> Vec<Violation> {
-        let manifest = "[package]\nname = \"llm265-core\"\n\n[lints]\nworkspace = true\n";
-        let file = SourceFile::from_contents("crates/core/src/lib.rs", src);
-        let w = Workspace {
-            crates: vec![CrateSrc::from_parts("llm265-core", manifest, vec![file])],
-        };
+        let w = Workspace::of(&[("llm265-core", &[("crates/core/src/lib.rs", src)])]);
         let index = w.build_index();
         check_workspace(&w, &index, &["llm265-core"])
     }
@@ -438,14 +433,13 @@ mod tests {
 
     #[test]
     fn out_of_scope_crate_is_quiet() {
-        let manifest = "[package]\nname = \"llm265-bench\"\n\n[lints]\nworkspace = true\n";
-        let file = SourceFile::from_contents(
-            "crates/bench/src/lib.rs",
-            "pub fn tally(n: usize) -> usize {\n    let mut total = 0usize;\n    let done = spawn(|| {\n        total += 1;\n    });\n    total + n\n}\n",
-        );
-        let w = Workspace {
-            crates: vec![CrateSrc::from_parts("llm265-bench", manifest, vec![file])],
-        };
+        let w = Workspace::of(&[(
+            "llm265-bench",
+            &[(
+                "crates/bench/src/lib.rs",
+                "pub fn tally(n: usize) -> usize {\n    let mut total = 0usize;\n    let done = spawn(|| {\n        total += 1;\n    });\n    total + n\n}\n",
+            )],
+        )]);
         let index = w.build_index();
         let v = check_workspace(&w, &index, &["llm265-core"]);
         assert!(v.is_empty(), "{v:?}");

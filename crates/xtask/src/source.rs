@@ -146,6 +146,25 @@ impl Workspace {
         self.crates.iter().find(|c| c.name == name)
     }
 
+    /// A workspace of `(crate name, [(path, source)])` crates whose
+    /// manifests opt into the workspace lints (unit-test fixtures).
+    #[cfg(test)]
+    pub(crate) fn of(crates: &[(&str, &[(&str, &str)])]) -> Self {
+        let crates = crates
+            .iter()
+            .map(|(name, files)| {
+                let manifest =
+                    format!("[package]\nname = \"{name}\"\n\n[lints]\nworkspace = true\n");
+                let files = files
+                    .iter()
+                    .map(|(p, s)| SourceFile::from_contents(p, s))
+                    .collect();
+                CrateSrc::from_parts(name, &manifest, files)
+            })
+            .collect();
+        Workspace { crates }
+    }
+
     /// All files across all crates.
     pub fn files(&self) -> impl Iterator<Item = &SourceFile> {
         self.crates.iter().flat_map(|c| c.files.iter())
