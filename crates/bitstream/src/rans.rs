@@ -10,7 +10,7 @@
 //! carry chain. [`N_STATES`] independent 32-bit states are interleaved
 //! over one shared byte stream, so the decode inner loop is a short
 //! branch-light chain per lane that LLVM can software-pipeline across
-//! lanes (the same shape as the `Lanes` kernels in `llm265-videocodec`).
+//! lanes.
 //!
 //! Layout (all integers little-endian):
 //!

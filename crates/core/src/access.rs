@@ -57,7 +57,8 @@ impl TensorStreamIndex {
     /// The same [`CodecError`]s full decoding reports for a hostile
     /// header or index area: bad magic, shape/count bombs
     /// ([`CodecError::LimitExceeded`]), truncated records, chunks outside
-    /// the tensor, or a chunk header disagreeing with the tensor shape.
+    /// the tensor, chunks that overlap, leave a gap or stop short of the
+    /// last row, or a chunk header disagreeing with the tensor shape.
     pub fn parse(data: &[u8]) -> Result<Self, CodecError> {
         let mut pos = 0usize;
         if bytes::read_le_u32(data, &mut pos)? != MAGIC {
@@ -75,6 +76,9 @@ impl TensorStreamIndex {
         // Growth is bounded by the actual stream length (the guard above),
         // not the attacker-controlled declared count.
         let mut chunks = Vec::with_capacity(n_chunks);
+        // Chunks tile the tensor top to bottom with no gap or overlap; any
+        // other placement would decode to a plausible wrong tensor.
+        let mut next_row = 0usize;
         for _ in 0..n_chunks {
             let row0 = bytes::read_le_u32(data, &mut pos)? as usize;
             let c_rows = bytes::read_le_u32(data, &mut pos)? as usize;
@@ -90,6 +94,10 @@ impl TensorStreamIndex {
             if row0 + c_rows > rows {
                 return Err(CodecError::Corrupt("chunk exceeds tensor rows"));
             }
+            if row0 != next_row {
+                return Err(CodecError::Corrupt("chunk rows not contiguous"));
+            }
+            next_row = row0 + c_rows;
             let index = StreamIndex::parse(stream_bytes)?;
             if index.frame_size() != (cols, c_rows) {
                 return Err(CodecError::Corrupt("chunk frame size mismatch"));
@@ -102,6 +110,9 @@ impl TensorStreamIndex {
                 stream,
                 index,
             });
+        }
+        if next_row != rows {
+            return Err(CodecError::Corrupt("chunks do not cover the tensor"));
         }
         Ok(TensorStreamIndex { rows, cols, chunks })
     }

@@ -81,9 +81,9 @@ fn quantize_band(t: &Tensor, row0: usize, rows: usize) -> Chunk {
     let frame = if scale == 0.0 {
         Frame::from_vec(cols, rows, vec![0u8; cols * rows])
     } else {
-        // Row-wise affine map on the shared deterministic lane kernels
-        // (scalar/SSE2/AVX2, bit-identical on every backend); non-finite
-        // values collapse to pixel 0, same as the flat path.
+        // Row-wise affine map (`lanes::affine_map_u8`, bit-identical on
+        // every CPU); non-finite values collapse to pixel 0, same as the
+        // flat path.
         let mut data = vec![0u8; cols * rows];
         for (y, out_row) in data.chunks_exact_mut(cols).enumerate() {
             llm265_videocodec::lanes::affine_map_u8(t.row(row0 + y), lo, scale, out_row);

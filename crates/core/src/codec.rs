@@ -44,6 +44,9 @@ const QP_MAX: f64 = 51.0;
 /// Rate searches stop once the QP bracket is this tight: the rate/quality
 /// difference across a quarter QP step is far below every target's slack.
 const QP_TOL: f64 = 0.25;
+/// Iteration cap for the QP rate search; the bracket-width tolerance
+/// [`QP_TOL`] usually stops it earlier.
+const SEARCH_ITERS: usize = 9;
 /// Saturation bound for the log-ratio feasibility score.
 const SCORE_SAT: f64 = 60.0;
 
@@ -58,9 +61,6 @@ pub struct Llm265Config {
     pub pipeline: PipelineConfig,
     /// Maximum pixels per frame chunk (hardware codecs bound frame sizes).
     pub max_chunk_pixels: usize,
-    /// Iteration cap for the QP rate search (it usually terminates earlier
-    /// via the bracket-width tolerance).
-    pub search_iters: usize,
     /// Worker threads for chunk-parallel encode/decode; `0` means use the
     /// machine's available parallelism. Encoded bytes are identical at
     /// every thread count — see [`crate::pool`].
@@ -79,7 +79,6 @@ impl Default for Llm265Config {
             profile: Profile::h265(),
             pipeline: PipelineConfig::default(),
             max_chunk_pixels: 1 << 16,
-            search_iters: 9,
             threads: 0,
             entropy: EntropyProfile::Cabac,
         }
@@ -587,7 +586,7 @@ impl Llm265Codec {
             mut s_hi,
         } = br;
         let mut hi_moved_last: Option<bool> = None;
-        for _ in 0..self.config.search_iters {
+        for _ in 0..SEARCH_ITERS {
             if x_hi - x_lo <= QP_TOL {
                 break;
             }

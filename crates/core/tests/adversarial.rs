@@ -108,6 +108,40 @@ fn chunk_coverage_mismatch_is_detected() {
     }
 }
 
+/// Chunk records must tile the tensor top to bottom. Moving the second
+/// of two 32-row chunks from row 32 to row 0 keeps every chunk inside the
+/// tensor and the covered-row total at 64, yet leaves rows 32–63 unwritten;
+/// the decoder and the index must refuse it instead of returning zeros
+/// there.
+#[test]
+fn overlapping_chunk_records_are_corrupt() {
+    use llm265_core::Llm265Config;
+    let mut rng = Pcg32::seed_from(11);
+    let t = llm_weight(64, 32, &WeightProfile::default(), &mut rng);
+    let codec = Llm265Codec::with_config(Llm265Config {
+        max_chunk_pixels: 32 * 32,
+        ..Llm265Config::default()
+    });
+    let enc = codec.encode(&t, RateTarget::Qp(32.0)).expect("encode");
+    let mut bytes = enc.bytes().to_vec();
+    // Header: magic, rows, cols, n_chunks; then per chunk row0, rows, lo,
+    // scale, payload length (all u32 LE) and the payload.
+    assert_eq!(bytes[12..16], 2u32.to_le_bytes(), "two chunks");
+    let len0 = u32::from_le_bytes(bytes[32..36].try_into().expect("4 bytes"));
+    let row0_at = 36 + usize::try_from(len0).expect("usize");
+    assert_eq!(bytes[row0_at..row0_at + 4], 32u32.to_le_bytes());
+    bytes[row0_at..row0_at + 4].copy_from_slice(&0u32.to_le_bytes());
+    let hostile = EncodedTensor::from_parts(bytes, 64, 32);
+    match codec.decode(&hostile) {
+        Err(CodecError::Corrupt(_)) => {}
+        other => panic!("expected Corrupt, got {:?}", other.map(|t| t.shape())),
+    }
+    assert!(matches!(
+        TensorStreamIndex::parse(hostile.bytes()),
+        Err(CodecError::Corrupt(_))
+    ));
+}
+
 /// The random-access index parses the same hostile inputs the decoder
 /// does, so it gets the same sweep: every byte flip either fails to parse
 /// or yields an index whose lookups still never panic. The 40-row sample

@@ -334,10 +334,10 @@ mod tests {
     fn bodiless_trait_declarations_are_not_candidates() {
         let idx = index_of(&[(
             "a.rs",
-            "trait Lanes { fn axpy(&self); }\n\
-             impl Lanes for A { fn axpy(&self) { deep() } }\n\
-             impl Lanes for B { fn axpy(&self) {} }\n\
-             impl Lanes for C { fn axpy(&self) {} }\n\
+            "trait Kernel { fn axpy(&self); }\n\
+             impl Kernel for A { fn axpy(&self) { deep() } }\n\
+             impl Kernel for B { fn axpy(&self) {} }\n\
+             impl Kernel for C { fn axpy(&self) {} }\n\
              fn deep() {}\n\
              fn decode_root() { axpy() }\n",
         )]);

@@ -1,8 +1,7 @@
 //! In-repo static-analysis gate for the LLM.265 workspace.
 //!
 //! Run as `cargo run -p xtask -- lint` (add `--format json` for a
-//! machine-readable report, `--write-baseline` to regenerate the ratchet
-//! file). The gate is an AST analysis engine, not a line-regex scanner:
+//! machine-readable report). The gate is an AST analysis engine, not a line-regex scanner:
 //! every file is lexed into token trees and parsed into items exactly once
 //! ([`source::SourceFile`]), the items are merged into a workspace-wide
 //! call-graph index ([`ast::index::Index`]), and ten passes run as
@@ -61,13 +60,11 @@
 //! `// lint:allow(panic|float-cmp|determinism|error|taint|range|term|interfere|schema): <why>`.
 //! Comments, strings, and `#[cfg(test)]` items are stripped by the engine
 //! before any pass runs, so findings can never fire on prose or test code.
-//! Pre-existing findings live in `crates/xtask/baseline.toml`
-//! ([`baseline::Baseline`]); the counts there may only decrease.
+//! Every other finding fails the gate.
 
 #![forbid(unsafe_code)]
 
 pub mod ast;
-pub mod baseline;
 pub mod dataflow;
 pub mod passes {
     pub mod determinism;
@@ -127,14 +124,13 @@ pub const PASSES: &[&str] = &[
 /// of [`PASSES`].
 pub type PassTimings = Vec<(&'static str, std::time::Duration)>;
 
-/// Runs every pass over the workspace at `root`, then filters the findings
-/// through `baseline` when one is given.
+/// Runs every pass over the workspace at `root`.
 ///
 /// # Errors
 ///
 /// Returns a message when the workspace cannot be loaded.
-pub fn run_lint(root: &Path, baseline: Option<&baseline::Baseline>) -> Result<Report, String> {
-    run_lint_timed(root, baseline).map(|(report, _)| report)
+pub fn run_lint(root: &Path) -> Result<Report, String> {
+    run_lint_timed(root).map(|(report, _)| report)
 }
 
 /// [`run_lint`] that also returns per-pass wall times (printed by the
@@ -143,19 +139,12 @@ pub fn run_lint(root: &Path, baseline: Option<&baseline::Baseline>) -> Result<Re
 /// # Errors
 ///
 /// Returns a message when the workspace cannot be loaded.
-pub fn run_lint_timed(
-    root: &Path,
-    baseline: Option<&baseline::Baseline>,
-) -> Result<(Report, PassTimings), String> {
+pub fn run_lint_timed(root: &Path) -> Result<(Report, PassTimings), String> {
     let ws = Workspace::load(root)?;
     let contracts = passes::range_proof::load_contracts(root)?;
     let index = ws.build_index();
     passes::range_proof::validate_contracts(&index, &contracts)?;
-    let (mut report, timings) = lint_workspace_timed(&ws, &index, &contracts);
-    if let Some(b) = baseline {
-        report.apply_baseline(b);
-    }
-    Ok((report, timings))
+    Ok(lint_workspace_timed(&ws, &index, &contracts))
 }
 
 /// Runs every pass over an in-memory workspace (fixture-testable) with
@@ -342,20 +331,5 @@ mod tests {
             "{:?}",
             report.violations
         );
-    }
-
-    #[test]
-    fn baseline_filters_known_findings() {
-        let ws = ws_with(
-            "llm265-quant",
-            "crates/quant/src/q.rs",
-            "fn f(v: i64) -> u8 { v as u8 }\n",
-        );
-        let mut report = lint_workspace(&ws);
-        assert_eq!(report.violations.len(), 1);
-        let b = baseline::Baseline::from_violations(&report.violations);
-        report.apply_baseline(&b);
-        assert!(report.is_clean());
-        assert_eq!(report.baselined.len(), 1);
     }
 }

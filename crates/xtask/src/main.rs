@@ -1,22 +1,17 @@
 //! `cargo run -p xtask -- lint [--format text|json] [--root PATH]
-//! [--baseline PATH] [--no-baseline] [--write-baseline] [--pass NAME]
-//! [--explain FINDING-ID] [--sweep] [--schema] [--sarif PATH] [--timings]`
+//! [--pass NAME] [--explain FINDING-ID] [--sweep] [--schema] [--sarif PATH]
+//! [--timings]`
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::baseline::Baseline;
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cmd = None;
     let mut format = "text".to_string();
     let mut root = default_root();
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut use_baseline = true;
-    let mut write_baseline = false;
     let mut only_pass: Option<String> = None;
     let mut explain: Option<String> = None;
     let mut sweep = false;
@@ -41,15 +36,6 @@ fn main() -> ExitCode {
                 };
                 root = PathBuf::from(v);
             }
-            "--baseline" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--baseline needs a path");
-                    return ExitCode::from(2);
-                };
-                baseline_path = Some(PathBuf::from(v));
-            }
-            "--no-baseline" => use_baseline = false,
-            "--write-baseline" => write_baseline = true,
             "--pass" => {
                 let Some(v) = it.next() else {
                     eprintln!("--pass needs a pass name ({})", xtask::PASSES.join(", "));
@@ -97,8 +83,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    // Report-only panic-reach sweep over the non-hot-path crates: debt
-    // inventory, never a gate failure.
+    // Panic-reach sweep over the non-hot-path crates: any finding fails.
     if sweep {
         return run_sweep(&root);
     }
@@ -113,55 +98,7 @@ fn main() -> ExitCode {
         return run_schema(&root);
     }
 
-    let baseline_path =
-        baseline_path.unwrap_or_else(|| root.join("crates").join("xtask").join("baseline.toml"));
-
-    // Regeneration mode: run all passes raw and overwrite the ratchet file.
-    if write_baseline {
-        return match xtask::run_lint(&root, None) {
-            Ok(report) => {
-                let b = Baseline::from_violations(&report.violations);
-                match std::fs::write(&baseline_path, b.to_toml()) {
-                    Ok(()) => {
-                        println!(
-                            "wrote {} ({} finding(s) across {} pass(es))",
-                            baseline_path.display(),
-                            report.violations.len(),
-                            b.counts.len()
-                        );
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("write {}: {e}", baseline_path.display());
-                        ExitCode::from(2)
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("xtask lint: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    // Gate mode: a missing baseline file is an empty baseline (everything
-    // is new); an unparsable one is a hard error.
-    let baseline = if use_baseline {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    eprintln!("xtask lint: {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(_) => None,
-        }
-    } else {
-        None
-    };
-
-    match xtask::run_lint_timed(&root, baseline.as_ref()) {
+    match xtask::run_lint_timed(&root) {
         Ok((mut report, pass_times)) => {
             if timings {
                 let mut total = std::time::Duration::ZERO;
@@ -177,7 +114,6 @@ fn main() -> ExitCode {
             }
             if let Some(pass) = &only_pass {
                 report.violations.retain(|v| v.pass == pass.as_str());
-                report.baselined.retain(|v| v.pass == pass.as_str());
                 report.passes_run.retain(|p| *p == pass.as_str());
             }
             if let Some(path) = &sarif_path {
@@ -203,10 +139,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// `--explain pass@path:line`: re-runs the gate without a baseline and
-/// prints the matching finding in full, witness chain included.
+/// `--explain pass@path:line`: re-runs the gate and prints the matching finding in full, witness chain included.
 fn run_explain(root: &std::path::Path, id: &str) -> ExitCode {
-    let report = match xtask::run_lint(root, None) {
+    let report = match xtask::run_lint(root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("xtask lint: {e}");
@@ -216,7 +151,7 @@ fn run_explain(root: &std::path::Path, id: &str) -> ExitCode {
     let Some(v) = report.violations.iter().find(|v| v.id() == id) else {
         eprintln!(
             "no finding with id `{id}` (ids look like `wire-taint@crates/bitstream/src/lz4.rs:42`; \
-             run `lint --no-baseline --format json` to list current ids)"
+             run `lint --format json` to list current ids)"
         );
         return ExitCode::from(2);
     };
@@ -280,10 +215,8 @@ fn run_schema(root: &std::path::Path) -> ExitCode {
 }
 
 /// `--sweep`: panic-reachability over the crates outside the panic-free
-/// audit (model, bench). With `crates/xtask/sweep-budget.txt` present the
-/// sweep is a ratchet: the file holds the accepted finding count and the
-/// job fails if the live count grows past it. Without the file it stays a
-/// report-only debt inventory.
+/// audit (model, bench). Any finding fails: new model/bench code returns
+/// an error type instead of panicking.
 fn run_sweep(root: &std::path::Path) -> ExitCode {
     const SWEEP_CRATES: &[&str] = &["llm265-model", "llm265-bench"];
     let ws = match xtask::source::Workspace::load(root) {
@@ -296,7 +229,7 @@ fn run_sweep(root: &std::path::Path) -> ExitCode {
     let index = ws.build_index();
     // The sweep walks from *every* public API: model/bench expose no
     // decode-shaped functions, so the gate's root policy would make the
-    // inventory vacuously empty.
+    // sweep vacuously empty.
     let findings = xtask::passes::panic_reach::check_workspace_with_policy(
         &ws,
         &index,
@@ -307,44 +240,15 @@ fn run_sweep(root: &std::path::Path) -> ExitCode {
     for v in &findings {
         println!("{}:{}: [sweep] {}", v.path, v.line, v.message);
     }
-    let budget_path = root.join("crates").join("xtask").join("sweep-budget.txt");
-    let budget = std::fs::read_to_string(&budget_path)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok());
-    match budget {
-        Some(budget) => {
-            println!(
-                "sweep: {} panic-reach finding(s) across {} (budget {budget})",
-                findings.len(),
-                SWEEP_CRATES.join(", ")
-            );
-            if findings.len() > budget {
-                eprintln!(
-                    "sweep: finding count grew past the ratchet ({} > {budget}); \
-                     fix the new panic paths or raise {} with a justification",
-                    findings.len(),
-                    budget_path.display()
-                );
-                ExitCode::FAILURE
-            } else {
-                if findings.len() < budget {
-                    eprintln!(
-                        "sweep: debt shrank ({} < {budget}) — ratchet down {}",
-                        findings.len(),
-                        budget_path.display()
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-        }
-        None => {
-            println!(
-                "sweep: {} panic-reach finding(s) across {} (report-only)",
-                findings.len(),
-                SWEEP_CRATES.join(", ")
-            );
-            ExitCode::SUCCESS
-        }
+    println!(
+        "sweep: {} panic-reach finding(s) across {}",
+        findings.len(),
+        SWEEP_CRATES.join(", ")
+    );
+    if findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -364,13 +268,10 @@ fn print_help() {
          OPTIONS:\n\
          \x20 --format text|json   report format (default text)\n\
          \x20 --root PATH          workspace root (default: auto-detected)\n\
-         \x20 --baseline PATH      ratchet file (default: crates/xtask/baseline.toml)\n\
-         \x20 --no-baseline        report every finding as failing\n\
-         \x20 --write-baseline     regenerate the ratchet file from current findings\n\
          \x20 --pass NAME          run the gate but report one pass only\n\
          \x20 --explain ID         explain one finding (ID = pass@path:line)\n\
-         \x20 --sweep              panic-reach sweep of model/bench (ratchets\n\
-         \x20                      against crates/xtask/sweep-budget.txt)\n\
+         \x20 --sweep              panic-reach sweep of model/bench (fails on any\n\
+         \x20                      finding)\n\
          \x20 --schema             regenerate the wire-format spec (FORMAT.md +\n\
          \x20                      wire-schema.json; drift-checked in CI)\n\
          \x20 --sarif PATH         also write the gate report as SARIF 2.1.0\n\

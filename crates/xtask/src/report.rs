@@ -43,33 +43,19 @@ impl Violation {
     }
 }
 
-/// The result of a full lint run.
-///
-/// `violations` holds the findings that fail the gate; when a ratchet
-/// baseline was applied, tolerated pre-existing findings move to
-/// `baselined` and over-large baseline entries are listed in `stale`.
+/// The result of a full lint run; every violation fails the gate.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     pub violations: Vec<Violation>,
-    pub baselined: Vec<Violation>,
-    pub stale_baseline: Vec<String>,
     pub files_scanned: usize,
     pub passes_run: Vec<&'static str>,
 }
 
 impl Report {
-    /// True when nothing fails the gate (baselined findings don't).
+    /// True when nothing fails the gate.
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Moves baseline-covered findings out of the failing set.
-    pub fn apply_baseline(&mut self, baseline: &crate::baseline::Baseline) {
-        let applied = baseline.apply(std::mem::take(&mut self.violations));
-        self.violations = applied.new;
-        self.baselined = applied.baselined;
-        self.stale_baseline = applied.stale;
     }
 
     /// Human-readable report, one line per violation plus a summary.
@@ -83,14 +69,10 @@ impl Report {
                 let _ = writeln!(out, "{}: [{}] {}", v.path, v.pass, v.message);
             }
         }
-        for s in &self.stale_baseline {
-            let _ = writeln!(out, "warning: stale baseline: {s}");
-        }
         let _ = writeln!(
             out,
-            "lint: {} violation(s) ({} baselined) across {} file(s); passes: {}",
+            "lint: {} violation(s) across {} file(s); passes: {}",
             self.violations.len(),
-            self.baselined.len(),
             self.files_scanned,
             self.passes_run.join(", ")
         );
@@ -99,11 +81,9 @@ impl Report {
 
     /// SARIF 2.1.0 report (hand-rolled; the workspace has no serde).
     ///
-    /// One run, one rule per pass, one result per finding. Gate-failing
-    /// findings are `error`-level; baseline-tolerated ones are emitted as
-    /// `note`-level results carrying an `external` suppression, so SARIF
-    /// viewers show the debt without flagging it. A non-empty witness
-    /// chain becomes a `codeFlow` with one location per hop.
+    /// One run, one rule per pass, one `error`-level result per finding.
+    /// A non-empty witness chain becomes a `codeFlow` with one location
+    /// per hop.
     #[must_use]
     pub fn to_sarif(&self) -> String {
         let mut out = String::from(
@@ -125,29 +105,18 @@ impl Report {
             out.push_str("\n      ");
         }
         out.push_str("]\n    }},\n    \"results\": [");
-        let mut first = true;
-        for (v, suppressed) in self
-            .violations
-            .iter()
-            .map(|v| (v, false))
-            .chain(self.baselined.iter().map(|v| (v, true)))
-        {
-            if !first {
+        for (i, v) in self.violations.iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
-            let level = if suppressed { "note" } else { "error" };
             let _ = write!(
                 out,
-                "\n      {{\"ruleId\": \"{}\", \"level\": \"{level}\", \
+                "\n      {{\"ruleId\": \"{}\", \"level\": \"error\", \
                  \"message\": {{\"text\": \"{}\"}}, \"locations\": [{}]",
                 escape(v.pass),
                 escape(&v.message),
                 sarif_location(v)
             );
-            if suppressed {
-                out.push_str(", \"suppressions\": [{\"kind\": \"external\"}]");
-            }
             if !v.chain.is_empty() {
                 out.push_str(", \"codeFlows\": [{\"threadFlows\": [{\"locations\": [");
                 for (j, hop) in v.chain.iter().enumerate() {
@@ -165,7 +134,7 @@ impl Report {
             }
             out.push('}');
         }
-        if !first {
+        if !self.violations.is_empty() {
             out.push_str("\n    ");
         }
         out.push_str("]\n  }]\n}");
@@ -177,20 +146,10 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"violations\": [");
         write_violations(&mut out, &self.violations);
-        out.push_str("],\n  \"baselined\": [");
-        write_violations(&mut out, &self.baselined);
-        out.push_str("],\n  \"stale_baseline\": [");
-        for (i, s) in self.stale_baseline.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\"", escape(s));
-        }
         let _ = write!(
             out,
-            "],\n  \"count\": {},\n  \"baselined_count\": {},\n  \"files_scanned\": {}\n}}",
+            "],\n  \"count\": {},\n  \"files_scanned\": {}\n}}",
             self.violations.len(),
-            self.baselined.len(),
             self.files_scanned
         );
         out
@@ -280,7 +239,7 @@ mod tests {
         ));
         let text = r.to_text();
         assert!(text.contains("a.rs:7: [panic-reach] unwrap() in decode path"));
-        assert!(text.contains("1 violation(s) (0 baselined) across 3 file(s)"));
+        assert!(text.contains("1 violation(s) across 3 file(s)"));
         assert!(!r.is_clean());
     }
 
@@ -320,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn sarif_report_carries_rules_results_and_suppressions() {
+    fn sarif_report_carries_rules_and_results() {
         let mut r = Report {
             passes_run: vec!["range-proof", "wire-taint"],
             files_scanned: 2,
@@ -332,15 +291,13 @@ mod tests {
                 "promote(a) ∈ [0, 255]".to_string(),
             ]),
         );
-        r.baselined
+        r.violations
             .push(Violation::new("wire-taint", "b.rs", 0, "tainted length"));
         let sarif = r.to_sarif();
         assert!(sarif.contains("\"version\": \"2.1.0\""));
         assert!(sarif.contains("\"id\": \"range-proof\""));
         assert!(sarif.contains("\"ruleId\": \"range-proof\", \"level\": \"error\""));
-        // The baselined finding is a suppressed note, not an error.
-        assert!(sarif.contains("\"ruleId\": \"wire-taint\", \"level\": \"note\""));
-        assert!(sarif.contains("\"suppressions\": [{\"kind\": \"external\"}]"));
+        assert!(sarif.contains("\"ruleId\": \"wire-taint\", \"level\": \"error\""));
         // Line 0 must not produce a SARIF region (startLine >= 1).
         assert!(sarif.contains("\"uri\": \"b.rs\"}}"));
         assert!(sarif.contains("\"startLine\": 7"));
@@ -356,24 +313,5 @@ mod tests {
         let r = Report::default();
         assert!(r.is_clean());
         assert!(r.to_json().contains("\"count\": 0"));
-    }
-
-    #[test]
-    fn baselined_findings_do_not_fail_the_gate() {
-        let mut r = Report::default();
-        r.violations
-            .push(Violation::new("range-proof", "a.rs", 4, "narrowing"));
-        r.violations
-            .push(Violation::new("range-proof", "a.rs", 9, "narrowing"));
-        let b = crate::baseline::Baseline::parse("[range-proof]\n\"a.rs\" = 1\n").expect("parse");
-        r.apply_baseline(&b);
-        assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.baselined.len(), 1);
-        assert!(!r.is_clean());
-        let text = r.to_text();
-        assert!(text.contains("1 violation(s) (1 baselined)"));
-        let json = r.to_json();
-        assert!(json.contains("\"baselined_count\": 1"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -5,13 +5,11 @@
 //! or proven site) next to each finding, so every pass fires a pinned
 //! number of times; `clean` must produce nothing. On top of the library-level assertions, the CLI
 //! tests run the actual binary and pin its exit codes, JSON output, and
-//! `--write-baseline` round trip.
+//! the `--sweep` verdict.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
-
-use xtask::baseline::Baseline;
 use xtask::{run_lint, PASSES};
 
 fn fixture(name: &str) -> PathBuf {
@@ -31,9 +29,9 @@ fn counts_by_pass(violations: &[xtask::report::Violation]) -> BTreeMap<&'static 
 
 #[test]
 fn clean_fixture_reports_nothing() {
-    let report = run_lint(&fixture("clean"), None).expect("lint clean fixture");
+    let report = run_lint(&fixture("clean")).expect("lint clean fixture");
     assert!(report.is_clean(), "unexpected: {:?}", report.violations);
-    assert_eq!(report.files_scanned, 2);
+    assert_eq!(report.files_scanned, 3);
     assert_eq!(report.passes_run, PASSES);
 }
 
@@ -56,7 +54,7 @@ const DIRTY_COUNTS: &[(&str, usize)] = &[
 
 #[test]
 fn dirty_fixture_trips_every_pass_a_pinned_number_of_times() {
-    let report = run_lint(&fixture("dirty"), None).expect("lint dirty fixture");
+    let report = run_lint(&fixture("dirty")).expect("lint dirty fixture");
     let counts = counts_by_pass(&report.violations);
     let expected: BTreeMap<&str, usize> = DIRTY_COUNTS.iter().copied().collect();
     assert_eq!(counts, expected, "violations: {:?}", report.violations);
@@ -66,7 +64,7 @@ fn dirty_fixture_trips_every_pass_a_pinned_number_of_times() {
 
 #[test]
 fn dirty_findings_land_on_the_expected_sites() {
-    let report = run_lint(&fixture("dirty"), None).expect("lint dirty fixture");
+    let report = run_lint(&fixture("dirty")).expect("lint dirty fixture");
     let has = |pass: &str, path_suffix: &str, needle: &str| {
         report
             .violations
@@ -109,7 +107,7 @@ fn dirty_findings_land_on_the_expected_sites() {
 
 #[test]
 fn dataflow_findings_carry_interprocedural_witness_chains() {
-    let report = run_lint(&fixture("dirty"), None).expect("lint dirty fixture");
+    let report = run_lint(&fixture("dirty")).expect("lint dirty fixture");
     // Wire-taint: the chain must span the laundering helper, i.e. hold at
     // least one function-call hop between the source and the sink fn.
     let taint = report
@@ -140,7 +138,7 @@ fn dataflow_findings_carry_interprocedural_witness_chains() {
 
 #[test]
 fn allowed_and_proven_twins_stay_quiet() {
-    let report = run_lint(&fixture("dirty"), None).expect("lint dirty fixture");
+    let report = run_lint(&fixture("dirty")).expect("lint dirty fixture");
     // The fixture holds two unwraps (one under lint:allow(panic)) and two
     // narrowing casts (one mask-proven): exactly one finding each survives.
     let unwraps = report
@@ -154,60 +152,6 @@ fn allowed_and_proven_twins_stay_quiet() {
         .filter(|v| v.pass == "range-proof" && v.message.contains(" as "))
         .count();
     assert_eq!((unwraps, casts), (1, 1), "{:?}", report.violations);
-}
-
-#[test]
-fn matching_baseline_makes_the_gate_clean() {
-    let raw = run_lint(&fixture("dirty"), None).expect("raw lint");
-    let baseline = Baseline::from_violations(&raw.violations);
-    let gated = run_lint(&fixture("dirty"), Some(&baseline)).expect("gated lint");
-    assert!(gated.is_clean(), "{:?}", gated.violations);
-    assert_eq!(gated.baselined.len(), raw.violations.len());
-    assert!(
-        gated.stale_baseline.is_empty(),
-        "{:?}",
-        gated.stale_baseline
-    );
-}
-
-#[test]
-fn findings_beyond_the_baseline_fail_the_gate() {
-    let raw = run_lint(&fixture("dirty"), None).expect("raw lint");
-    let mut baseline = Baseline::from_violations(&raw.violations);
-    // Drop one pass's table entirely: its findings are now "new" and fail.
-    baseline.counts.remove("range-proof");
-    let gated = run_lint(&fixture("dirty"), Some(&baseline)).expect("gated lint");
-    assert!(!gated.is_clean());
-    assert_eq!(gated.violations.len(), 2);
-    assert!(gated.violations.iter().all(|v| v.pass == "range-proof"));
-    assert_eq!(gated.baselined.len(), raw.violations.len() - 2);
-}
-
-#[test]
-fn overlarge_baseline_entries_surface_as_stale() {
-    let raw = run_lint(&fixture("dirty"), None).expect("raw lint");
-    let mut baseline = Baseline::from_violations(&raw.violations);
-    for files in baseline.counts.values_mut() {
-        for n in files.values_mut() {
-            *n += 1;
-        }
-    }
-    let gated = run_lint(&fixture("dirty"), Some(&baseline)).expect("gated lint");
-    assert!(gated.is_clean(), "inflated counts still cover everything");
-    assert_eq!(
-        gated.stale_baseline.len(),
-        baseline.counts.values().map(BTreeMap::len).sum::<usize>(),
-        "{:?}",
-        gated.stale_baseline
-    );
-}
-
-#[test]
-fn fixture_baseline_roundtrips_through_toml() {
-    let raw = run_lint(&fixture("dirty"), None).expect("raw lint");
-    let baseline = Baseline::from_violations(&raw.violations);
-    let reparsed = Baseline::parse(&baseline.to_toml()).expect("reparse");
-    assert_eq!(reparsed, baseline);
 }
 
 // --- CLI-level tests: run the real binary against the fixtures. ---
@@ -226,17 +170,16 @@ fn lint_cmd(root: &PathBuf, extra: &[&str]) -> std::process::Output {
 fn cli_exit_codes_track_cleanliness() {
     let clean = lint_cmd(&fixture("clean"), &[]);
     assert_eq!(clean.status.code(), Some(0), "{clean:?}");
-    // No baseline file exists under the fixture root, so all 13 findings
-    // are new and the gate must fail.
-    let dirty = lint_cmd(&fixture("dirty"), &["--no-baseline"]);
+    // Every finding fails the gate.
+    let dirty = lint_cmd(&fixture("dirty"), &[]);
     assert_eq!(dirty.status.code(), Some(1), "{dirty:?}");
     let stdout = String::from_utf8_lossy(&dirty.stdout);
-    assert!(stdout.contains("13 violation(s) (0 baselined)"), "{stdout}");
+    assert!(stdout.contains("13 violation(s) across"), "{stdout}");
 }
 
 #[test]
 fn cli_json_format_reports_counts_ids_and_chains() {
-    let out = lint_cmd(&fixture("dirty"), &["--no-baseline", "--format", "json"]);
+    let out = lint_cmd(&fixture("dirty"), &["--format", "json"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"count\": 13"), "{stdout}");
     assert!(stdout.contains("\"id\": \"wire-taint@"), "{stdout}");
@@ -254,7 +197,7 @@ fn cli_sarif_writes_a_valid_report_next_to_the_gate_output() {
     let path = dir.join("lint.sarif");
     let out = lint_cmd(
         &fixture("dirty"),
-        &["--no-baseline", "--sarif", path.to_str().expect("utf-8")],
+        &["--sarif", path.to_str().expect("utf-8")],
     );
     // The SARIF write must not change the gate verdict.
     assert_eq!(out.status.code(), Some(1), "{out:?}");
@@ -283,13 +226,10 @@ fn cli_sarif_writes_a_valid_report_next_to_the_gate_output() {
 
 #[test]
 fn cli_pass_filter_reports_one_pass_only() {
-    let out = lint_cmd(
-        &fixture("dirty"),
-        &["--no-baseline", "--pass", "wire-taint"],
-    );
+    let out = lint_cmd(&fixture("dirty"), &["--pass", "wire-taint"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("1 violation(s) (0 baselined)"), "{stdout}");
+    assert!(stdout.contains("1 violation(s) across"), "{stdout}");
     assert!(stdout.contains("passes: wire-taint"), "{stdout}");
     assert!(!stdout.contains("[panic-reach]"), "{stdout}");
     // An unknown pass name is a usage error.
@@ -299,7 +239,7 @@ fn cli_pass_filter_reports_one_pass_only() {
 
 #[test]
 fn cli_explain_prints_the_witness_chain() {
-    let report = run_lint(&fixture("dirty"), None).expect("lint dirty fixture");
+    let report = run_lint(&fixture("dirty")).expect("lint dirty fixture");
     let taint = report
         .violations
         .iter()
@@ -318,7 +258,7 @@ fn cli_explain_prints_the_witness_chain() {
 
 #[test]
 fn cli_explain_renders_interval_chain_hops() {
-    let report = run_lint(&fixture("dirty"), None).expect("lint dirty fixture");
+    let report = run_lint(&fixture("dirty")).expect("lint dirty fixture");
     let range = report
         .violations
         .iter()
@@ -344,7 +284,7 @@ fn cli_explain_renders_interval_chain_hops() {
 
 #[test]
 fn cli_explain_walks_a_full_termination_witness_chain() {
-    let report = run_lint(&fixture("dirty"), None).expect("lint dirty fixture");
+    let report = run_lint(&fixture("dirty")).expect("lint dirty fixture");
     let term = report
         .violations
         .iter()
@@ -392,7 +332,7 @@ fn cli_explain_walks_a_full_termination_witness_chain() {
 
 #[test]
 fn cli_explain_prints_writer_and_reader_chains_side_by_side() {
-    let report = run_lint(&fixture("dirty"), None).expect("lint dirty fixture");
+    let report = run_lint(&fixture("dirty")).expect("lint dirty fixture");
     let schema = report
         .violations
         .iter()
@@ -417,35 +357,25 @@ fn cli_explain_prints_writer_and_reader_chains_side_by_side() {
 }
 
 #[test]
-fn cli_write_baseline_then_gate_passes() {
-    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("engine-test-baseline.toml");
-    let wrote = lint_cmd(
-        &fixture("dirty"),
-        &[
-            "--write-baseline",
-            "--baseline",
-            path.to_str().expect("utf8 path"),
-        ],
+fn cli_sweep_fails_on_a_reachable_model_panic() {
+    let out = lint_cmd(&fixture("dirty"), &["--sweep"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("model/src/lib.rs"), "{stdout}");
+    assert!(stdout.contains("unwrap"), "{stdout}");
+    assert!(
+        stdout.contains("sweep: 1 panic-reach finding(s)"),
+        "{stdout}"
     );
-    assert_eq!(wrote.status.code(), Some(0), "{wrote:?}");
-    let text = std::fs::read_to_string(&path).expect("baseline written");
-    assert!(text.contains("[range-proof]"), "{text}");
-    let gated = lint_cmd(
-        &fixture("dirty"),
-        &["--baseline", path.to_str().expect("utf8 path")],
-    );
-    assert_eq!(gated.status.code(), Some(0), "{gated:?}");
-    let stdout = String::from_utf8_lossy(&gated.stdout);
-    assert!(stdout.contains("0 violation(s) (13 baselined)"), "{stdout}");
 }
 
 #[test]
-fn cli_rejects_unparsable_baseline() {
-    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("engine-test-bad-baseline.toml");
-    std::fs::write(&path, "this is not a baseline\n").expect("write bad baseline");
-    let out = lint_cmd(
-        &fixture("dirty"),
-        &["--baseline", path.to_str().expect("utf8 path")],
+fn cli_sweep_passes_a_panic_free_model() {
+    let out = lint_cmd(&fixture("clean"), &["--sweep"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("sweep: 0 panic-reach finding(s)"),
+        "{stdout}"
     );
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
