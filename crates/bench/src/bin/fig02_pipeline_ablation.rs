@@ -12,9 +12,9 @@ use llm265_bench::table::{f, Table};
 use llm265_tensor::rng::Pcg32;
 use llm265_tensor::synthetic::{llm_weight_stack, WeightProfile};
 use llm265_videocodec::ablation::{run_stage, stages};
-use llm265_videocodec::{Frame, Profile};
+use llm265_videocodec::{CodecError, Frame, Profile};
 
-fn main() {
+fn main() -> Result<(), CodecError> {
     let mut rng = Pcg32::seed_from(42);
     // 4 layers of 128x128 key-projection-like weights as frames. The
     // profile is tuned so the 8-bit plane has near-paper entropy (~7.4
@@ -46,7 +46,7 @@ fn main() {
     let mut table = Table::new(vec!["stage", "bits/value", "mse(px^2)"]);
     let mut prev_bits = None;
     for stage in stages() {
-        let r = run_stage(&frames, &profile, &stage, target_mse);
+        let r = run_stage(&frames, &profile, &stage, target_mse)?;
         let delta = prev_bits
             .map(|p: f64| format!(" ({:+.2})", r.bits_per_value - p))
             .unwrap_or_default();
@@ -59,4 +59,5 @@ fn main() {
     }
     table.print("Fig 2(b) — pipeline stage ablation (MSE budget 10 px²)");
     println!("\nPaper shape: 8.0 -> ~7.6 (entropy) -> ... -> ~2.6 (intra); inter adds nothing.");
+    Ok(())
 }

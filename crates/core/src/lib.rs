@@ -8,8 +8,9 @@
 //! 2. each chunk's FP16/FP32 values are affinely quantized to **8-bit
 //!    Luma** pixels;
 //! 3. frames are compressed by the **intra-only video codec**
-//!    ([`llm265_videocodec`]), with the rate knob (continuous QP /
-//!    bisection) delivering **fractional bits-per-value** targets;
+//!    ([`llm265_videocodec`]), with the rate knob (continuous QP, found
+//!    by [`llm265_videocodec::rate::search_qp`]) delivering
+//!    **fractional bits-per-value** targets;
 //! 4. decoding inverts the codec and the affine map.
 //!
 //! On top of the plain codec this crate provides the paper's two rate

@@ -6,8 +6,8 @@
 //! ~2.6 with intra prediction, with inter prediction giving nothing back).
 //! [`stages`] enumerates that ladder; [`run_stage`] measures one rung.
 
-use crate::rate::{encode_to_mse, mse_of};
-use crate::{CodecConfig, EntropyProfile, Frame, PipelineConfig, Profile};
+use crate::rate::{encode_to_mse, mse_of, pixel_count};
+use crate::{CodecConfig, CodecError, EntropyProfile, Frame, PipelineConfig, Profile};
 
 /// One rung of the ablation ladder.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,41 +88,56 @@ pub struct StageResult {
 
 /// Measures the bits/value one stage configuration needs to meet
 /// `target_mse` (pixel² units) on `frames`.
+///
+/// # Errors
+///
+/// Returns [`CodecError::InvalidInput`] for empty or mixed-size frames
+/// on a codec stage, and propagates [`encode_to_mse`]'s rejection of a
+/// negative or non-finite `target_mse`.
 pub fn run_stage(
     frames: &[Frame],
     profile: &Profile,
     stage: &Stage,
     target_mse: f64,
-) -> StageResult {
+) -> Result<StageResult, CodecError> {
     let Some(pipeline) = stage.pipeline else {
         // Plain 8-bit quantization: the frames are the stored values.
-        return StageResult {
+        return Ok(StageResult {
             label: stage.label,
             bits_per_value: 8.0,
             mse: 0.0,
-        };
+        });
     };
     let cfg = CodecConfig::default()
         .with_profile(profile.clone())
         .with_pipeline(pipeline);
+    pixel_count(frames)?;
     if let Some(qp) = stage.pinned_qp {
         let enc = crate::encode_video(frames, &cfg.clone().with_qp(qp));
-        return StageResult {
+        return Ok(StageResult {
             label: stage.label,
             bits_per_value: enc.bits_per_pixel(),
             mse: mse_of(frames, &enc),
-        };
+        });
     }
-    let res = encode_to_mse(frames, &cfg, target_mse);
-    StageResult {
+    let res = encode_to_mse(frames, &cfg, target_mse)?;
+    Ok(StageResult {
         label: stage.label,
         bits_per_value: res.encoded.bits_per_pixel(),
         mse: mse_of(frames, &res.encoded),
-    }
+    })
 }
 
 /// Runs the whole ladder.
-pub fn run_all(frames: &[Frame], profile: &Profile, target_mse: f64) -> Vec<StageResult> {
+///
+/// # Errors
+///
+/// Propagates the first [`run_stage`] error.
+pub fn run_all(
+    frames: &[Frame],
+    profile: &Profile,
+    target_mse: f64,
+) -> Result<Vec<StageResult>, CodecError> {
     stages()
         .iter()
         .map(|s| run_stage(frames, profile, s, target_mse))
@@ -211,9 +226,21 @@ mod tests {
     }
 
     #[test]
+    fn codec_stages_reject_empty_frames() {
+        for stage in &stages()[1..] {
+            let r = run_stage(&[], &Profile::h265(), stage, 10.0);
+            assert!(
+                matches!(r, Err(CodecError::InvalidInput(_))),
+                "{}",
+                stage.label
+            );
+        }
+    }
+
+    #[test]
     fn stage1_is_exactly_eight_bits() {
         let frames = [weight_frame(10, 64)];
-        let r = run_stage(&frames, &Profile::h265(), &stages()[0], 10.0);
+        let r = run_stage(&frames, &Profile::h265(), &stages()[0], 10.0).unwrap();
         assert_eq!(r.bits_per_value, 8.0);
         assert_eq!(r.mse, 0.0);
     }
@@ -224,7 +251,7 @@ mod tests {
         // from stage 6. Uses a small frame so the test stays fast.
         let frames = [weight_frame(11, 64)];
         let profile = Profile::h265();
-        let results = run_all(&frames, &profile, 10.0);
+        let results = run_all(&frames, &profile, 10.0).unwrap();
         let bits: Vec<f64> = results.iter().map(|r| r.bits_per_value).collect();
         assert!(bits[1] < bits[0], "entropy coding must beat raw: {bits:?}");
         assert!(

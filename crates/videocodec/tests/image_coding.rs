@@ -37,8 +37,8 @@ fn image_rate_distortion_is_sane() {
     // (PSNR > 30 dB ⇔ MSE < 65) and clearly better at 3 bits/pixel.
     let img = photo(2, 128);
     let cfg = CodecConfig::default();
-    let at1 = encode_to_bitrate(std::slice::from_ref(&img), &cfg, 1.0);
-    let at3 = encode_to_bitrate(std::slice::from_ref(&img), &cfg, 3.0);
+    let at1 = encode_to_bitrate(std::slice::from_ref(&img), &cfg, 1.0).unwrap();
+    let at3 = encode_to_bitrate(std::slice::from_ref(&img), &cfg, 3.0).unwrap();
     let mse1 = mse_of(std::slice::from_ref(&img), &at1.encoded);
     let mse3 = mse_of(std::slice::from_ref(&img), &at3.encoded);
     assert!(mse1 < 65.0, "1 bpp mse {mse1}");
@@ -49,7 +49,7 @@ fn image_rate_distortion_is_sane() {
 fn quality_targeted_image_coding() {
     let img = photo(3, 96);
     let cfg = CodecConfig::default();
-    let res = encode_to_mse(std::slice::from_ref(&img), &cfg, 20.0);
+    let res = encode_to_mse(std::slice::from_ref(&img), &cfg, 20.0).unwrap();
     let got = mse_of(std::slice::from_ref(&img), &res.encoded);
     assert!(got <= 20.0 + 1e-9, "mse {got}");
     assert!(res.encoded.bits_per_pixel() < 4.0);

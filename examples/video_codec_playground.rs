@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for profile in [Profile::h264(), Profile::h265(), Profile::av1()] {
         let name = profile.kind().name();
         let cfg = CodecConfig::default().with_profile(profile);
-        let res = rate::encode_to_bitrate(std::slice::from_ref(&frame), &cfg, 2.0);
+        let res = rate::encode_to_bitrate(std::slice::from_ref(&frame), &cfg, 2.0)?;
         println!(
             "  {name:6} qp {:>5.1}: {:.3} bits/pixel, MSE {:.2}",
             res.qp,
