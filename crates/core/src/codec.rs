@@ -6,7 +6,8 @@
 //! serialized size and reconstruction error. Assembly serializes a probe
 //! into the final stream. The rate search ([`rate::search_qp`]) probes
 //! through a per-QP cache, so choosing a rate never re-encodes a QP and
-//! never decodes anything.
+//! never decodes anything, and a [`RateModel`] of the chunk frames
+//! places its probes, so it needs few of them.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -17,7 +18,7 @@ use llm265_bitstream::bytes;
 use llm265_tensor::channel::LossyCompressor;
 use llm265_tensor::{stats, Tensor};
 use llm265_videocodec::quant::{QP_MAX, QP_MIN};
-use llm265_videocodec::rate::{self, Goal, Probe};
+use llm265_videocodec::rate::{self, Goal, Probe, RateModel};
 use llm265_videocodec::tile::{self, TileLayout};
 use llm265_videocodec::transform::DctPlans;
 use llm265_videocodec::{CodecConfig, EntropyProfile, Frame, PipelineConfig, Profile};
@@ -284,12 +285,16 @@ impl Llm265Codec {
         })
     }
 
-    /// Rate-targeted encode: runs [`rate::search_qp`] with every probe
-    /// going through a per-call [`ProbeCache`], then serializes the
-    /// answer's cached probe. Feasibility comes from probe summaries —
-    /// payload sizes and encoder-reconstruction error — so choosing a
-    /// rate neither serializes nor decodes anything until the answer is
-    /// known. Returns the stream and the QP it was coded at.
+    /// Rate-targeted encode: builds a [`RateModel`] of the chunk frames
+    /// (one analysis pass, no encode), runs [`rate::search_qp`] with it
+    /// placing the probes and every probe going through a per-call
+    /// [`ProbeCache`], then serializes the answer's cached probe. The
+    /// analysis runs serially on the caller's thread, so like the probes
+    /// it is identical at every thread count. Feasibility comes from
+    /// probe summaries — payload sizes and encoder-reconstruction error —
+    /// so choosing a rate neither serializes nor decodes anything until
+    /// the answer is known. Returns the stream and the QP it was coded
+    /// at.
     ///
     /// # Errors
     ///
@@ -300,8 +305,15 @@ impl Llm265Codec {
         chunks: &[Chunk],
         goal: Goal,
     ) -> Result<(EncodedTensor, f64), CodecError> {
+        // Error goals are in tensor units: a chunk's pixel² error weighs
+        // its affine scale².
+        let model = RateModel::analyse(
+            chunks
+                .iter()
+                .map(|c| (&c.frame, f64::from(c.scale) * f64::from(c.scale))),
+        );
         let mut cache = ProbeCache::new();
-        let qp = rate::search_qp(goal, t.len(), |qp| {
+        let qp = rate::search_qp(goal, &model, |qp| {
             let p = self.probe_cached(&mut cache, t, chunks, qp)?;
             Ok::<_, CodecError>(Probe {
                 bits: p.bits(),
@@ -517,7 +529,7 @@ impl Llm265TrackingChannel {
     ///
     /// # Panics
     ///
-    /// Panics if `target_bits` is not positive.
+    /// Panics if `target_bits` is not positive and finite.
     pub fn at_bits(target_bits: f64) -> Self {
         Llm265TrackingChannel::with_codec(Llm265Codec::new(), target_bits)
     }
@@ -527,9 +539,13 @@ impl Llm265TrackingChannel {
     ///
     /// # Panics
     ///
-    /// Panics if `target_bits` is not positive.
+    /// Panics if `target_bits` is not positive and finite, the targets
+    /// [`Llm265Codec::encode`] rejects with [`CodecError::InvalidInput`].
     pub fn with_codec(codec: Llm265Codec, target_bits: f64) -> Self {
-        assert!(target_bits > 0.0, "bits target must be positive");
+        assert!(
+            target_bits.is_finite() && target_bits > 0.0,
+            "bits target must be positive and finite"
+        );
         Llm265TrackingChannel {
             codec,
             target_bits,
@@ -774,6 +790,14 @@ mod tracking_tests {
     #[should_panic(expected = "positive")]
     fn tracking_channel_rejects_bad_target() {
         let _ = Llm265TrackingChannel::at_bits(0.0);
+    }
+
+    /// `encode` rejects an infinite bits target; the tracking channel,
+    /// which searches without going through `encode`, must too.
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn tracking_channel_rejects_an_infinite_target() {
+        let _ = Llm265TrackingChannel::at_bits(f64::INFINITY);
     }
 
     /// The tracking channel runs the same search as a plain bits/value

@@ -23,8 +23,8 @@
 //! Every stage after entropy coding can be toggled via [`PipelineConfig`]
 //! to reproduce the Fig 2(b) ablation, and three [`Profile`]s (H.264-, H.265- and AV1-like)
 //! reproduce the Fig 6 codec comparison. [`rate`] provides bitrate- and
-//! distortion-targeted encoding (a false-position search over continuous
-//! QP), the basis
+//! distortion-targeted encoding (a search over continuous QP whose probes
+//! a ρ-domain rate model places), the basis
 //! of the paper's fractional-bit-width feature.
 //!
 //! The encoder contains the decoder: prediction always uses *reconstructed*

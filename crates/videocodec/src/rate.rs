@@ -10,24 +10,39 @@
 //! [`search_qp`] is that search, written over a probe closure so the
 //! tensor codec (which probes chunk by chunk through its own cache) and
 //! [`encode_to_bitrate`]/[`encode_to_mse`] (which probe whole videos)
-//! share it. The distortion-targeted dual drives the Fig 2(b) ablation,
-//! whose quality constraint is an MSE budget.
+//! share it. A [`RateModel`], built from one cheap analysis pass over the
+//! 8-bit frames, places every probe. The distortion-targeted dual drives
+//! the Fig 2(b) ablation, whose quality constraint is an MSE budget.
 
 use std::collections::BTreeMap;
 
-use crate::quant::QP_MAX;
+use crate::lanes::floor_i32;
+use crate::quant::{qstep, QP_MAX};
+use crate::transform::DctPlan;
 use crate::{encode_video, CodecConfig, CodecError, EncodedVideo, Frame};
 
 /// The search stops once its bracket is this tight: the rate/quality
 /// difference across a quarter QP step is far below every target's slack.
 pub const QP_TOL: f64 = 0.25;
-/// Iteration cap of the refine loop; [`QP_TOL`] usually stops it earlier.
+/// Iteration cap of the refine loop; the accept window or [`QP_TOL`]
+/// usually stops it much earlier.
 const SEARCH_ITERS: usize = 9;
-/// Saturation bound for the log-ratio feasibility score.
-const SCORE_SAT: f64 = 60.0;
+/// Prior ρ-domain slope θ: stream bits per quantized coefficient that
+/// survives below QP 51. The first interior probe replaces it.
+const THETA_PRIOR: f64 = 4.5;
+/// Each model-placed probe aims this fraction under the budget, so a
+/// model that is slightly optimistic still lands feasible.
+const AIM_MARGIN: f64 = 0.004;
+/// A feasible probe within this fraction of the budget ends the search.
+const ACCEPT_MARGIN: f64 = 0.01;
+/// Resolution of a [`RateModel`]'s tables: one grid point per 1/8 QP.
+const GRID_PER_QP: usize = 8;
+/// Grid points from QP 0 to QP 51 inclusive.
+const GRID: usize = 51 * GRID_PER_QP + 1;
+/// Transform size of the analysis pass.
+const ANALYSIS_N: usize = 8;
 
-/// What a rate search must satisfy. A probe's log-ratio score against
-/// the goal is ≤ 0 exactly when the probe meets it.
+/// What a rate search must satisfy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Goal {
     /// Total stream size must not exceed this many bits.
@@ -37,8 +52,34 @@ pub enum Goal {
 }
 
 impl Goal {
+    /// The budget the goal's measure must not exceed.
+    fn budget(self) -> f64 {
+        match self {
+            Goal::MaxBits(b) | Goal::MaxSquaredError(b) => b,
+        }
+    }
+
+    /// The probe's value of the quantity the goal bounds.
+    fn measure(self, p: Probe) -> f64 {
+        match self {
+            Goal::MaxBits(_) => p.bits as f64,
+            Goal::MaxSquaredError(_) => p.sq_err,
+        }
+    }
+
+    /// Whether the probe meets the goal.
+    fn met_by(self, p: Probe) -> bool {
+        self.measure(p) <= self.budget()
+    }
+
+    /// Whether the probe meets the goal with at most [`ACCEPT_MARGIN`] of
+    /// the budget left over, which ends the search.
+    fn settled_by(self, p: Probe) -> bool {
+        self.met_by(p) && self.measure(p) >= (1.0 - ACCEPT_MARGIN) * self.budget()
+    }
+
     /// Maps a search-axis position to a QP. The axis is oriented so the
-    /// score is decreasing in x and the preferred (highest-quality
+    /// goal's measure falls along x and the preferred (highest-quality
     /// feasible) answer is the *lowest* feasible x: bits searches walk QP
     /// directly (low QP = quality), error searches walk `51 − qp`.
     fn to_qp(self, x: f64) -> f64 {
@@ -58,17 +99,232 @@ pub struct Probe {
     pub sq_err: f64,
 }
 
-/// Finds the highest-quality QP meeting `goal` for a tensor or video of
-/// `values` values, calling `probe` to encode at a QP and measure it.
+/// A ρ-domain rate model of some 8-bit frames: how many transform
+/// coefficients survive quantization at each QP, and what the dead zone
+/// costs in squared error there.
 ///
-/// - The **expensive endpoint is lazy**: a QP-0 encode costs several
-///   times a mid-range one and is only probed if it is the answer. The
-///   cheap QP-51 probe anchors the search; a pessimistic pseudo-score
-///   stands in for the unprobed end.
-/// - Probes are placed by **safeguarded false position** (the Illinois
-///   variant) on the log-ratio score, which is near-linear in QP for both
-///   rate and distortion, and the loop stops once the bracket is
-///   [`QP_TOL`] wide.
+/// Bits are close to linear in the number of nonzero quantized
+/// coefficients (He & Mitra, "A linear source model and a unified rate
+/// control algorithm for DCT video coding", IEEE TCSVT 2002), and that
+/// count can be read at every QP from one forward transform. The
+/// analysis pass predicts each 8×8 block by the open-loop DC of its
+/// source neighbours and transforms the residual with the codec's own
+/// [`DctPlan`]. Each coefficient is binned by the highest grid QP at which
+/// it survives the 1/3 dead zone (|c| ≥ ⅔·`qstep(qp)`); the tables are
+/// the running sums of those bins, so the model's size is fixed however
+/// large the frames are.
+#[derive(Debug, Clone)]
+pub struct RateModel {
+    /// Surviving coefficients at each grid QP.
+    nonzeros: [f64; GRID],
+    /// Dead-zone distortion at each grid QP: Σ w·c² over zeroed
+    /// coefficients plus Σ w·step²/12 over survivors.
+    distortion: [f64; GRID],
+}
+
+impl RateModel {
+    /// Runs the analysis pass over `frames`. Each frame comes with the
+    /// weight one pixel² of its error carries in the caller's error unit:
+    /// 1 for pixel-domain error, the affine scale² for a tensor chunk.
+    pub fn analyse<'f>(frames: impl IntoIterator<Item = (&'f Frame, f64)>) -> Self {
+        // A coefficient survives at grid point g exactly when c² reaches
+        // `thresholds[g]`, which rises with g; so the grid points it
+        // survives at are a prefix, and its bin is that prefix's length.
+        let thresholds: [f64; GRID] = std::array::from_fn(|g| {
+            let t = 2.0 / 3.0 * qstep(grid_qp(g));
+            t * t
+        });
+        let mut count = [0.0; GRID + 1];
+        let mut weight = [0.0; GRID + 1];
+        let mut energy = [0.0; GRID + 1];
+        let plan = DctPlan::new(ANALYSIS_N);
+        let mut block = [0i32; ANALYSIS_N * ANALYSIS_N];
+        let (mut tmp, mut coeffs) = (Vec::new(), Vec::new());
+        for (frame, w) in frames {
+            for y0 in (0..frame.height()).step_by(ANALYSIS_N) {
+                for x0 in (0..frame.width()).step_by(ANALYSIS_N) {
+                    read_residual(frame, x0, y0, &mut block);
+                    plan.forward_into(&block, &mut tmp, &mut coeffs);
+                    for &c in &coeffs {
+                        let c2 = c * c;
+                        let bin = thresholds.partition_point(|&t| t <= c2);
+                        count[bin] += 1.0;
+                        weight[bin] += w;
+                        energy[bin] += w * c2;
+                    }
+                }
+            }
+        }
+        // Coefficients in bins above g survive at g; the rest are zeroed.
+        let mut model = RateModel {
+            nonzeros: [0.0; GRID],
+            distortion: [0.0; GRID],
+        };
+        let (mut survivors, mut survivor_weight) = (0.0, 0.0);
+        for g in (0..GRID).rev() {
+            survivors += count[g + 1];
+            survivor_weight += weight[g + 1];
+            model.nonzeros[g] = survivors;
+            let step = qstep(grid_qp(g));
+            model.distortion[g] = survivor_weight * step * step / 12.0;
+        }
+        let mut zeroed = 0.0;
+        for (g, d) in model.distortion.iter_mut().enumerate() {
+            zeroed += energy[g];
+            *d += zeroed;
+        }
+        model
+    }
+
+    /// Coefficients predicted to survive quantization at `qp`.
+    pub fn nonzeros(&self, qp: f64) -> f64 {
+        table_at(&self.nonzeros, qp)
+    }
+
+    /// Squared error the dead-zone quantizer is predicted to cost at
+    /// `qp`, in the weighted unit [`RateModel::analyse`] was given.
+    pub fn distortion(&self, qp: f64) -> f64 {
+        table_at(&self.distortion, qp)
+    }
+}
+
+/// The QP of grid point `g`.
+fn grid_qp(g: usize) -> f64 {
+    g as f64 / GRID_PER_QP as f64
+}
+
+/// Reads the `ANALYSIS_N`-square block at `(x0, y0)` minus its open-loop
+/// DC prediction: the rounded mean of the source row above and column to
+/// the left, or mid-grey where neither exists. Reads past the frame's
+/// right or bottom edge repeat the edge pixel, as the codec's padding
+/// does.
+fn read_residual(frame: &Frame, x0: usize, y0: usize, block: &mut [i32]) {
+    let (w, h) = (frame.width(), frame.height());
+    let px = |x: usize, y: usize| i32::from(frame.get(x.min(w - 1), y.min(h - 1)));
+    let (mut sum, mut n) = (0, 0);
+    if y0 > 0 {
+        sum += (x0..x0 + ANALYSIS_N).map(|x| px(x, y0 - 1)).sum::<i32>();
+        n += ANALYSIS_N as i32;
+    }
+    if x0 > 0 {
+        sum += (y0..y0 + ANALYSIS_N).map(|y| px(x0 - 1, y)).sum::<i32>();
+        n += ANALYSIS_N as i32;
+    }
+    let dc = if n == 0 { 128 } else { (sum + n / 2) / n };
+    for (i, b) in block.iter_mut().enumerate() {
+        *b = px(x0 + i % ANALYSIS_N, y0 + i / ANALYSIS_N) - dc;
+    }
+}
+
+/// A table's value at `qp`, linear between grid points; QPs outside
+/// `[0, 51]` read the nearest end.
+fn table_at(table: &[f64; GRID], qp: f64) -> f64 {
+    let x = qp.clamp(0.0, QP_MAX) * GRID_PER_QP as f64;
+    let i = usize::try_from(floor_i32(x)).unwrap_or(0).min(GRID - 2);
+    let f = x - i as f64;
+    table[i] + f * (table[i + 1] - table[i])
+}
+
+/// A [`RateModel`] calibrated against one search's probes: it predicts
+/// the goal's measure as a line in one model curve, through a pivot.
+///
+/// - **Bits:** the curve is `nonzeros(qp)` and the pivot starts at the
+///   QP-51 probe, so the prediction is `bits(51) + θ·(nonzeros(qp) −
+///   nonzeros(51))` with θ = [`THETA_PRIOR`]. Each interior probe refits
+///   θ as the secant to the pivot and then becomes the pivot, so θ is
+///   always the slope between the two most recent probes.
+/// - **Error:** the curve is `distortion(qp)` and the pivot stays at
+///   zero, so the prediction is `κ·distortion(qp)`, with κ = 1 until the
+///   most recent interior probe's measured-to-modelled ratio replaces it.
+struct Fit<'m> {
+    goal: Goal,
+    model: &'m RateModel,
+    /// A (curve, measure) point the prediction passes through.
+    pivot: (f64, f64),
+    /// θ for bits, κ for error.
+    slope: f64,
+}
+
+impl<'m> Fit<'m> {
+    fn new(goal: Goal, model: &'m RateModel, p_51: Probe) -> Self {
+        let (pivot, slope) = match goal {
+            Goal::MaxBits(_) => ((model.nonzeros(QP_MAX), p_51.bits as f64), THETA_PRIOR),
+            Goal::MaxSquaredError(_) => ((0.0, 0.0), 1.0),
+        };
+        Fit {
+            goal,
+            model,
+            pivot,
+            slope,
+        }
+    }
+
+    /// The model quantity the goal's measure is linear in.
+    fn curve(&self, qp: f64) -> f64 {
+        match self.goal {
+            Goal::MaxBits(_) => self.model.nonzeros(qp),
+            Goal::MaxSquaredError(_) => self.model.distortion(qp),
+        }
+    }
+
+    fn predict(&self, qp: f64) -> f64 {
+        self.pivot.1 + self.slope * (self.curve(qp) - self.pivot.0)
+    }
+
+    /// Refits the slope through a probe. A slope that is not positive and
+    /// finite — the model sees no change where the codec did, or a change
+    /// the wrong way — is not evidence, so the old slope stays.
+    fn recalibrate(&mut self, qp: f64, p: Probe) {
+        let point = (self.curve(qp), self.goal.measure(p));
+        let slope = (point.1 - self.pivot.1) / (point.0 - self.pivot.0);
+        if slope.is_finite() && slope > 0.0 {
+            self.slope = slope;
+        }
+        if matches!(self.goal, Goal::MaxBits(_)) {
+            self.pivot = point;
+        }
+    }
+
+    /// The axis position where the prediction crosses [`AIM_MARGIN`]
+    /// under the budget, kept strictly inside the open bracket; `None`
+    /// when the model disagrees with what the bracket ends are known (or,
+    /// for an unprobed end, assumed) to be.
+    fn aim(&self, x_lo: f64, x_hi: f64) -> Option<f64> {
+        let target = (1.0 - AIM_MARGIN) * self.goal.budget();
+        let over = |x: f64| self.predict(self.goal.to_qp(x)) > target;
+        if !over(x_lo) || over(x_hi) {
+            return None;
+        }
+        // The prediction is monotone in x; bisect it to far below QP_TOL.
+        let (mut lo, mut hi) = (x_lo, x_hi);
+        for _ in 0..32 {
+            let mid = 0.5 * (lo + hi);
+            if over(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        // The loop only runs on brackets wider than QP_TOL, so this keeps
+        // the probe off both ends.
+        let keep_off = QP_TOL / 16.0;
+        Some(hi.clamp(x_lo + keep_off, x_hi - keep_off))
+    }
+}
+
+/// Finds the highest-quality QP meeting `goal`, calling `probe` to encode
+/// at a QP and measure it, with `model` placing every probe.
+///
+/// - **QP 51 first.** The coarsest encode is by far the fastest; it
+///   anchors the bits model, and a QP-0 encode (several times a
+///   mid-range one) is only probed if it is the answer.
+/// - **The model places each interior probe** where its calibrated
+///   prediction crosses 0.4% under the budget, inside the bracket of the
+///   infeasible and feasible ends seen so far. The probe then
+///   recalibrates the model (θ for bits, κ for error). Where the model
+///   contradicts the bracket, the probe bisects it instead.
+/// - **Stops** at the first feasible probe within 1% of the budget; the
+///   [`QP_TOL`] bracket width and an iteration cap are the backstop.
 /// - No QP is probed twice, and the returned QP is always one `probe` was
 ///   called with — callers keep that probe's encode as the answer.
 ///
@@ -81,108 +337,51 @@ pub struct Probe {
 /// Propagates the first error `probe` returns.
 pub fn search_qp<E>(
     goal: Goal,
-    values: usize,
+    model: &RateModel,
     mut probe: impl FnMut(f64) -> Result<Probe, E>,
 ) -> Result<f64, E> {
-    // QP 51 is the coarsest and by far the fastest encode — always probe
-    // it first.
     let p_51 = probe(QP_MAX)?;
-    let mut goal = goal;
-    if matches!(goal, Goal::MaxBits(_)) && score(p_51, goal) > 0.0 {
+    let goal = match goal {
         // Even the coarsest encode misses the budget (typical for tiny
         // tensors whose fixed headers exceed it): aim for the QP-51 size
         // plus 5%, which QP 51 meets by construction.
-        goal = Goal::MaxBits(p_51.bits as f64 * 1.05);
-    }
-    let s_51 = score(p_51, goal);
-    // The bracket starts as the whole search axis, x = 0 to 51; only the
-    // QP-51 end has been probed.
-    let (mut x_lo, mut x_hi) = (0.0, QP_MAX);
-    let (mut s_lo, mut s_hi) = match goal {
-        // Pseudo-score for the unprobed QP-0 end: 8-bit pixels plus
-        // entropy overhead keep real streams under ~9 bits/value, and the
-        // floor keeps the end labeled infeasible so the bracket invariant
-        // holds.
-        Goal::MaxBits(budget) => (((9.0 * values as f64) / budget).log2().max(0.5), s_51),
-        Goal::MaxSquaredError(_) => {
-            if s_51 <= 0.0 {
-                // The cheapest possible encode already meets the error
-                // budget.
-                return Ok(QP_MAX);
-            }
-            // Pseudo-score for the unprobed QP-0 end: squared error
-            // shrinks roughly 2^(−ΔQP/3), putting QP 0 about 17 score
-            // units below QP 51; the cap keeps the end labeled feasible.
-            // If QP 0 turns out infeasible too, the loop converges onto
-            // it and returns it as the best effort.
-            (s_51, (s_51 - 17.0).min(-1.0))
-        }
+        Goal::MaxBits(_) if !goal.met_by(p_51) => Goal::MaxBits(p_51.bits as f64 * 1.05),
+        // The cheapest possible encode already meets the error budget.
+        Goal::MaxSquaredError(_) if goal.met_by(p_51) => return Ok(QP_MAX),
+        _ => goal,
     };
-    // Only the error goal's QP-0 end starts unprobed.
+    if goal.settled_by(p_51) {
+        return Ok(QP_MAX);
+    }
+    let mut fit = Fit::new(goal, model, p_51);
+    // The bracket starts as the whole search axis, x = 0 (infeasible) to
+    // 51 (feasible); only the QP-51 end has been probed, which is x = 51
+    // for bits and x = 0 for error.
+    let (mut x_lo, mut x_hi) = (0.0, QP_MAX);
     let mut hi_probed = matches!(goal, Goal::MaxBits(_));
-    let mut hi_moved_last: Option<bool> = None;
     for _ in 0..SEARCH_ITERS {
         if x_hi - x_lo <= QP_TOL {
             break;
         }
-        let x = interpolate(x_lo, s_lo, x_hi, s_hi);
-        let s = score(probe(goal.to_qp(x))?, goal);
-        if s <= 0.0 {
-            // Illinois safeguard: when the feasible end moves twice in a
-            // row, halve the stale end's score so plain false position
-            // cannot stall against one endpoint.
-            if hi_moved_last == Some(true) {
-                s_lo *= 0.5;
+        let x = fit.aim(x_lo, x_hi).unwrap_or(0.5 * (x_lo + x_hi));
+        let qp = goal.to_qp(x);
+        let p = probe(qp)?;
+        fit.recalibrate(qp, p);
+        if goal.met_by(p) {
+            (x_hi, hi_probed) = (x, true);
+            if goal.settled_by(p) {
+                break;
             }
-            (x_hi, s_hi) = (x, s);
-            hi_probed = true;
-            hi_moved_last = Some(true);
         } else {
-            if hi_moved_last == Some(false) {
-                s_hi *= 0.5;
-            }
-            (x_lo, s_lo) = (x, s);
-            hi_moved_last = Some(false);
+            x_lo = x;
         }
     }
+    // An error goal unmet everywhere converges onto QP 0 unprobed.
     let qp = goal.to_qp(x_hi);
     if !hi_probed {
         probe(qp)?;
     }
     Ok(qp)
-}
-
-/// Log-ratio feasibility score of a probe: ≤ 0 exactly when the probe
-/// meets the goal, near-linear in QP for both goals (rate and distortion
-/// are roughly exponential in QP), which is what makes false position
-/// converge in a handful of probes.
-fn score(p: Probe, goal: Goal) -> f64 {
-    match goal {
-        Goal::MaxBits(budget) => (p.bits as f64 / budget).log2().clamp(-SCORE_SAT, SCORE_SAT),
-        Goal::MaxSquaredError(budget) => {
-            if p.sq_err <= 0.0 {
-                -SCORE_SAT
-            } else if budget <= 0.0 {
-                SCORE_SAT
-            } else {
-                (p.sq_err / budget).log2().clamp(-SCORE_SAT, SCORE_SAT)
-            }
-        }
-    }
-}
-
-/// One safeguarded false-position step: the secant zero crossing of the
-/// bracket scores, clamped 5% away from both ends so the bracket always
-/// shrinks even when the secant model is poor.
-fn interpolate(x_lo: f64, s_lo: f64, x_hi: f64, s_hi: f64) -> f64 {
-    let width = x_hi - x_lo;
-    let denom = s_lo - s_hi; // > 0 for a proper bracket
-    let x = if denom > 1e-12 {
-        x_lo + width * (s_lo / denom)
-    } else {
-        x_lo + 0.5 * width
-    };
-    x.clamp(x_lo + 0.05 * width, x_hi - 0.05 * width)
 }
 
 /// Outcome of a rate search: the chosen QP and the encode at that QP.
@@ -221,12 +420,7 @@ pub fn encode_to_bitrate(
         )));
     }
     let pixels = pixel_count(frames)?;
-    search_encode(
-        frames,
-        cfg,
-        pixels,
-        Goal::MaxBits(target_bpp * pixels as f64),
-    )
+    search_encode(frames, cfg, Goal::MaxBits(target_bpp * pixels as f64))
 }
 
 /// Encodes `frames` at the coarsest QP (fewest bits) whose
@@ -251,7 +445,6 @@ pub fn encode_to_mse(
     search_encode(
         frames,
         cfg,
-        pixels,
         Goal::MaxSquaredError(target_mse * pixels as f64),
     )
 }
@@ -277,9 +470,9 @@ pub(crate) fn pixel_count(frames: &[Frame]) -> Result<usize, CodecError> {
     Ok(w * h * frames.len())
 }
 
-/// Runs [`search_qp`] over whole-video encodes of `pixels` pixels,
-/// caching each probed QP's encode so the answer is returned without
-/// encoding it again.
+/// Runs [`search_qp`] over whole-video encodes, with a [`RateModel`] of
+/// the frames in pixel² units, caching each probed QP's encode so the
+/// answer is returned without encoding it again.
 ///
 /// # Errors
 ///
@@ -288,11 +481,11 @@ pub(crate) fn pixel_count(frames: &[Frame]) -> Result<usize, CodecError> {
 fn search_encode(
     frames: &[Frame],
     cfg: &CodecConfig,
-    pixels: usize,
     goal: Goal,
 ) -> Result<RateSearchResult, CodecError> {
+    let model = RateModel::analyse(frames.iter().map(|f| (f, 1.0)));
     let mut cache: BTreeMap<u64, EncodedVideo> = BTreeMap::new();
-    let qp = search_qp(goal, pixels, |qp| {
+    let qp = search_qp(goal, &model, |qp| {
         let enc = cache
             .entry(qp.to_bits())
             .or_insert_with(|| encode_video(frames, &cfg.clone().with_qp(qp)));
@@ -336,8 +529,8 @@ mod tests {
     const VALUES: usize = 4096;
 
     /// A codec-free probe: bits fall and error grows smoothly and
-    /// monotonically in QP, with a curvature the log-ratio score does not
-    /// model exactly (as with real encodes). Logs every probed QP.
+    /// monotonically in QP, with a curvature no linear model follows
+    /// exactly (as with real encodes). Logs every probed QP.
     fn synthetic(log: &mut Vec<f64>) -> impl FnMut(f64) -> Result<Probe, ()> + '_ {
         move |qp| {
             log.push(qp);
@@ -355,6 +548,54 @@ mod tests {
 
     fn synthetic_sq_err(qp: f64) -> f64 {
         VALUES as f64 * (0.02 * (qp / 3.2).exp2() + 0.001 * qp)
+    }
+
+    impl RateModel {
+        /// A model tabulated from arbitrary curves, so the search can be
+        /// driven by right and wrong models without a codec.
+        fn from_curves(nonzeros: impl Fn(f64) -> f64, distortion: impl Fn(f64) -> f64) -> Self {
+            RateModel {
+                nonzeros: std::array::from_fn(|g| nonzeros(grid_qp(g))),
+                distortion: std::array::from_fn(|g| distortion(grid_qp(g))),
+            }
+        }
+    }
+
+    /// The model that matches the synthetic curves: θ = [`THETA_PRIOR`]
+    /// and κ = 1 are exactly right.
+    fn accurate() -> RateModel {
+        RateModel::from_curves(
+            |qp| synthetic_bits(qp) as f64 / THETA_PRIOR,
+            synthetic_sq_err,
+        )
+    }
+
+    /// Right and wrong models, by name: priors off by 4× either way, a
+    /// model that sees the same count and distortion at every QP, and
+    /// one whose curves run the wrong way in QP.
+    fn models() -> Vec<(&'static str, RateModel)> {
+        let scaled = |k: f64| {
+            RateModel::from_curves(
+                move |qp| k * synthetic_bits(qp) as f64 / THETA_PRIOR,
+                move |qp| k * synthetic_sq_err(qp),
+            )
+        };
+        vec![
+            ("accurate", accurate()),
+            ("4x over", scaled(4.0)),
+            ("4x under", scaled(0.25)),
+            (
+                "constant",
+                RateModel::from_curves(|_| 1000.0, |_| 0.5 * VALUES as f64),
+            ),
+            (
+                "reversed",
+                RateModel::from_curves(
+                    |qp| synthetic_bits(QP_MAX - qp) as f64 / THETA_PRIOR,
+                    |qp| synthetic_sq_err(QP_MAX - qp),
+                ),
+            ),
+        ]
     }
 
     /// The highest-quality QP meeting `goal` on the synthetic curves, to
@@ -392,22 +633,40 @@ mod tests {
     }
 
     #[test]
-    fn answer_is_feasible_and_within_tol_of_the_crossing() {
+    fn answer_is_feasible_and_near_the_crossing_under_every_model() {
+        // QP 51, the refine loop, and at most one unprobed-end probe.
+        let cap = SEARCH_ITERS + 2;
+        for (name, model) in models() {
+            for goal in goals() {
+                let mut log = Vec::new();
+                let qp = search_qp(goal, &model, synthetic(&mut log)).unwrap();
+                let p = Probe {
+                    bits: synthetic_bits(qp),
+                    sq_err: synthetic_sq_err(qp),
+                };
+                assert!(goal.met_by(p), "{name} {goal:?}: qp {qp} infeasible");
+                let target = crossing(goal);
+                let in_margin = matches!(goal, Goal::MaxBits(_)) && goal.settled_by(p);
+                assert!(
+                    (qp - target).abs() <= QP_TOL || in_margin,
+                    "{name} {goal:?}: qp {qp}, crossing {target}"
+                );
+                assert!(log.contains(&qp), "{name} {goal:?}: answer never probed");
+                assert!(log.len() <= cap, "{name} {goal:?}: {} probes", log.len());
+                let mut sorted = log.clone();
+                sorted.sort_by(f64::total_cmp);
+                sorted.dedup();
+                assert_eq!(sorted.len(), log.len(), "{name} {goal:?}: {log:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_accurate_model_settles_within_three_probes() {
         for goal in goals() {
             let mut log = Vec::new();
-            let qp = search_qp(goal, VALUES, synthetic(&mut log)).unwrap();
-            let target = crossing(goal);
-            match goal {
-                Goal::MaxBits(b) => assert!(synthetic_bits(qp) as f64 <= b, "{goal:?}: qp {qp}"),
-                Goal::MaxSquaredError(e) => {
-                    assert!(synthetic_sq_err(qp) <= e, "{goal:?}: qp {qp}");
-                }
-            }
-            assert!(
-                (qp - target).abs() <= QP_TOL,
-                "{goal:?}: qp {qp}, crossing {target}"
-            );
-            assert!(log.contains(&qp), "{goal:?}: answer {qp} never probed");
+            search_qp(goal, &accurate(), synthetic(&mut log)).unwrap();
+            assert!(log.len() <= 3, "{goal:?}: {log:?}");
         }
     }
 
@@ -415,7 +674,8 @@ mod tests {
     fn bits_goal_infeasible_at_qp51_retargets_near_the_qp51_size() {
         let at_51 = synthetic_bits(QP_MAX) as f64;
         let mut log = Vec::new();
-        let qp = search_qp(Goal::MaxBits(0.5 * at_51), VALUES, synthetic(&mut log)).unwrap();
+        let goal = Goal::MaxBits(0.5 * at_51);
+        let qp = search_qp(goal, &accurate(), synthetic(&mut log)).unwrap();
         // The re-targeted goal is the QP-51 size plus 5%: a finer QP than
         // 51 that meets it, not QP 51 itself.
         let retarget = Goal::MaxBits(at_51 * 1.05);
@@ -430,52 +690,87 @@ mod tests {
     fn error_goal_met_at_qp51_returns_51_after_one_probe() {
         let mut log = Vec::new();
         let loose = Goal::MaxSquaredError(2.0 * synthetic_sq_err(QP_MAX));
-        assert_eq!(search_qp(loose, VALUES, synthetic(&mut log)), Ok(QP_MAX));
+        assert_eq!(
+            search_qp(loose, &accurate(), synthetic(&mut log)),
+            Ok(QP_MAX)
+        );
         assert_eq!(log, [QP_MAX]);
     }
 
     #[test]
     fn error_goal_unreachable_everywhere_returns_qp0() {
-        let mut log = Vec::new();
-        let strict = Goal::MaxSquaredError(0.5 * synthetic_sq_err(0.0));
-        assert_eq!(search_qp(strict, VALUES, synthetic(&mut log)), Ok(0.0));
-        // QP 0 is probed exactly once, and only at the end.
-        assert_eq!(log.last(), Some(&0.0));
-        assert_eq!(log.iter().filter(|&&q| q == 0.0).count(), 1);
-    }
-
-    #[test]
-    fn probe_count_stays_within_its_bound() {
-        // QP 51, the refine loop, and at most one unprobed-end probe.
-        let bound = SEARCH_ITERS + 2;
-        let mut worst = 0;
-        for goal in goals() {
+        for (name, model) in models() {
             let mut log = Vec::new();
-            search_qp(goal, VALUES, synthetic(&mut log)).unwrap();
-            assert!(log.len() <= bound, "{goal:?}: {} probes", log.len());
-            let mut sorted = log.clone();
-            sorted.sort_by(f64::total_cmp);
-            sorted.dedup();
+            let strict = Goal::MaxSquaredError(0.5 * synthetic_sq_err(0.0));
             assert_eq!(
-                sorted.len(),
-                log.len(),
-                "{goal:?}: repeated probe in {log:?}"
+                search_qp(strict, &model, synthetic(&mut log)),
+                Ok(0.0),
+                "{name}"
             );
-            worst = worst.max(log.len());
+            // QP 0 is probed exactly once, and only at the end.
+            assert_eq!(log.last(), Some(&0.0), "{name}");
+            assert_eq!(log.iter().filter(|&&q| q == 0.0).count(), 1, "{name}");
         }
-        // The secant model is good on smooth curves: well under the cap.
-        assert!(worst <= 7, "worst case {worst} probes");
     }
 
     #[test]
     fn probe_errors_propagate() {
         let mut calls = 0;
-        let got = search_qp(Goal::MaxBits(1000.0), VALUES, |_| {
+        let got = search_qp(Goal::MaxBits(1000.0), &accurate(), |_| {
             calls += 1;
             Err::<Probe, _>("probe failed")
         });
         assert_eq!(got, Err("probe failed"));
         assert_eq!(calls, 1);
+    }
+
+    /// The analysis pass's tables against a direct count: at every grid
+    /// QP, the nonzeros are the coefficients the codec's own quantizer
+    /// keeps, and the distortion is the zeroed energy plus step²/12 per
+    /// survivor, weighted.
+    #[test]
+    fn model_tables_match_a_direct_count() {
+        // 20×12 is not a multiple of the analysis block: the edge blocks
+        // repeat the edge pixels.
+        let frame = noisy_frame(3, 20).cropped(20, 12);
+        let weight = 0.25;
+        let model = RateModel::analyse([(&frame, weight)]);
+        let plan = DctPlan::new(ANALYSIS_N);
+        let mut coeffs = Vec::new();
+        let mut block = [0i32; ANALYSIS_N * ANALYSIS_N];
+        for y0 in (0..12).step_by(ANALYSIS_N) {
+            for x0 in (0..20).step_by(ANALYSIS_N) {
+                read_residual(&frame, x0, y0, &mut block);
+                coeffs.extend(plan.forward(&block));
+            }
+        }
+        assert_eq!(coeffs.len(), 6 * ANALYSIS_N * ANALYSIS_N);
+        for g in (0..GRID).step_by(7) {
+            let qp = grid_qp(g);
+            let quant = crate::quant::Quantizer::from_qp(qp);
+            let kept: Vec<bool> = coeffs.iter().map(|&c| quant.quantize(c) != 0).collect();
+            let nonzeros = kept.iter().filter(|&&k| k).count() as f64;
+            let step2 = quant.step() * quant.step();
+            let distortion: f64 = coeffs
+                .iter()
+                .zip(&kept)
+                .map(|(&c, &k)| weight * if k { step2 / 12.0 } else { c * c })
+                .sum();
+            assert_eq!(model.nonzeros(qp), nonzeros, "qp {qp}");
+            let rel = (model.distortion(qp) - distortion).abs() / distortion;
+            assert!(
+                rel < 1e-9,
+                "qp {qp}: {} vs {distortion}",
+                model.distortion(qp)
+            );
+        }
+        // Between grid points the tables interpolate, so both stay
+        // monotone in QP.
+        for g in 0..GRID - 1 {
+            let (qp, next) = (grid_qp(g), grid_qp(g) + 0.0625);
+            assert!(model.nonzeros(next) <= model.nonzeros(qp), "qp {qp}");
+            assert!(model.distortion(next) >= model.distortion(qp), "qp {qp}");
+        }
     }
 
     fn noisy_frame(seed: u64, n: usize) -> Frame {
