@@ -1,125 +1,67 @@
 //! Random access into serialized LLM.265 tensor streams.
 //!
-//! Every chunk's video stream is a set of one or more independently
-//! decodable CTU-row bands behind a byte-offset index, so a reader can
-//! decode any band of any chunk from its byte range alone — no other
-//! payload bytes are read. [`TensorStreamIndex`] parses a tensor stream's
-//! framing (chunk records plus each chunk's video-stream tile index)
-//! without decoding anything; [`TensorStreamIndex::decode_tile`] then
-//! restores a single band. The full decoder is built on the same index:
-//! [`crate::Llm265Codec`] fans every (chunk, tile) over the deterministic
-//! [`crate::pool`]. The archive-level counterpart is
-//! [`crate::archive::ArchiveIndex`].
+//! Every chunk is a set of one or more independently decodable CTU-row
+//! bands, and the tensor header fixes every band's rows and every tile's
+//! byte range, so a reader can decode any band of any chunk from its byte
+//! range alone — no other payload bytes are read. [`TensorStreamIndex`]
+//! parses a tensor stream's framing (the header plus every chunk record,
+//! as the crate docs describe) without decoding anything;
+//! [`TensorStreamIndex::decode_tile`] then restores a single band. The
+//! full decoder is built on the same index: [`crate::Llm265Codec`] fans
+//! every (chunk, tile) over the deterministic [`crate::pool`]. The
+//! archive-level counterpart is [`crate::archive::ArchiveIndex`].
 
 use std::ops::Range;
 
-use llm265_bitstream::bytes;
 use llm265_tensor::Tensor;
-use llm265_videocodec::tile::StreamIndex;
+use llm265_videocodec::tile::{self, TileLayout};
 use llm265_videocodec::Frame;
 
 use crate::chunk;
-use crate::codec::{CHUNK_HEADER_BYTES, MAGIC};
+use crate::framing::{self, ChunkRecord, TensorHeader};
 use crate::CodecError;
 
-/// One chunk's entry in a [`TensorStreamIndex`]: the affine map, the row
-/// placement, the chunk stream's absolute byte range and its parsed tile
-/// index.
-#[derive(Debug, Clone)]
-struct ChunkEntry {
-    row0: usize,
-    rows: usize,
-    lo: f32,
-    scale: f32,
-    /// Absolute byte range of the chunk's video stream.
-    stream: Range<usize>,
-    /// Tile index parsed from the video stream's header area.
-    index: StreamIndex,
-}
-
-/// Byte-offset index over one serialized tensor stream: every chunk's
-/// video stream and every tile's byte range, parsed without decoding any
-/// payload.
+/// Byte-offset index over one serialized tensor stream: the one coding
+/// configuration, and every chunk's affine map and tile byte ranges,
+/// parsed without decoding any payload.
 #[derive(Debug, Clone)]
 pub struct TensorStreamIndex {
-    rows: usize,
-    cols: usize,
-    chunks: Vec<ChunkEntry>,
+    header: TensorHeader,
+    /// Per chunk: its tile geometry and its parsed record.
+    chunks: Vec<(TileLayout, ChunkRecord)>,
 }
 
 impl TensorStreamIndex {
     /// Parses the framing of a tensor stream produced by
-    /// [`crate::Llm265Codec`]: the stream header, every chunk record and
-    /// every chunk's tile index. No tile payload is read or decoded.
+    /// [`crate::Llm265Codec`]: the tensor header and every chunk record.
+    /// No tile payload is read or decoded.
     ///
     /// # Errors
     ///
-    /// The same [`CodecError`]s full decoding reports for a hostile
-    /// header or index area: bad magic, shape/count bombs
-    /// ([`CodecError::LimitExceeded`]), truncated records, chunks outside
-    /// the tensor, chunks that overlap, leave a gap or stop short of the
-    /// last row, or a chunk header disagreeing with the tensor shape.
+    /// The same [`CodecError`]s full decoding reports for hostile
+    /// framing: bad magic, another version or reserved bits, shape,
+    /// frame-size and chunk-count bombs ([`CodecError::LimitExceeded`]),
+    /// `rows_per_chunk` outside `1..=rows`, zero-length tiles, truncated
+    /// records, and bytes left over after the last tile.
     pub fn parse(data: &[u8]) -> Result<Self, CodecError> {
         let mut pos = 0usize;
-        if bytes::read_le_u32(data, &mut pos)? != MAGIC {
-            return Err(CodecError::Corrupt("bad tensor-stream magic"));
+        let header = framing::parse_tensor_header(data, &mut pos)?;
+        // Bounded by the stream length inside the header parse.
+        let mut chunks = Vec::with_capacity(header.n_chunks());
+        for i in 0..header.n_chunks() {
+            let layout = header.layout(i);
+            let record = framing::parse_chunk_record(data, &mut pos, layout.n_tiles())?;
+            chunks.push((layout, record));
         }
-        let rows = bytes::read_le_u32(data, &mut pos)? as usize;
-        let cols = bytes::read_le_u32(data, &mut pos)? as usize;
-        let n_chunks = bytes::read_le_u32(data, &mut pos)? as usize;
-        if rows.checked_mul(cols).is_none_or(|n| n > (1 << 31)) {
-            return Err(CodecError::LimitExceeded("tensor shape"));
+        if pos != data.len() {
+            return Err(CodecError::Corrupt("bytes after the last tile"));
         }
-        if n_chunks > data.len() / CHUNK_HEADER_BYTES {
-            return Err(CodecError::LimitExceeded("tensor chunk count"));
-        }
-        // Growth is bounded by the actual stream length (the guard above),
-        // not the attacker-controlled declared count.
-        let mut chunks = Vec::with_capacity(n_chunks);
-        // Chunks tile the tensor top to bottom with no gap or overlap; any
-        // other placement would decode to a plausible wrong tensor.
-        let mut next_row = 0usize;
-        for _ in 0..n_chunks {
-            let row0 = bytes::read_le_u32(data, &mut pos)? as usize;
-            let c_rows = bytes::read_le_u32(data, &mut pos)? as usize;
-            let lo = f32::from_bits(bytes::read_le_u32(data, &mut pos)?);
-            let scale = f32::from_bits(bytes::read_le_u32(data, &mut pos)?);
-            let len = bytes::read_le_u32(data, &mut pos)? as usize;
-            let stream_bytes = data
-                .get(pos..)
-                .and_then(|rest| rest.get(..len))
-                .ok_or(CodecError::Truncated("chunk payload"))?;
-            let stream = pos..pos + len;
-            pos += len;
-            if row0 + c_rows > rows {
-                return Err(CodecError::Corrupt("chunk exceeds tensor rows"));
-            }
-            if row0 != next_row {
-                return Err(CodecError::Corrupt("chunk rows not contiguous"));
-            }
-            next_row = row0 + c_rows;
-            let index = StreamIndex::parse(stream_bytes)?;
-            if index.frame_size() != (cols, c_rows) {
-                return Err(CodecError::Corrupt("chunk frame size mismatch"));
-            }
-            chunks.push(ChunkEntry {
-                row0,
-                rows: c_rows,
-                lo,
-                scale,
-                stream,
-                index,
-            });
-        }
-        if next_row != rows {
-            return Err(CodecError::Corrupt("chunks do not cover the tensor"));
-        }
-        Ok(TensorStreamIndex { rows, cols, chunks })
+        Ok(TensorStreamIndex { header, chunks })
     }
 
     /// Tensor shape `(rows, cols)` declared by the stream header.
     pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        (self.header.rows, self.header.cols)
     }
 
     /// Number of chunks.
@@ -133,12 +75,12 @@ impl TensorStreamIndex {
     ///
     /// Panics if `chunk >= n_chunks()`.
     pub fn n_tiles(&self, chunk: usize) -> usize {
-        self.chunks[chunk].index.n_tiles()
+        self.chunks[chunk].0.n_tiles()
     }
 
     /// Total (chunk, tile) pairs — the parallel decode's task count.
     pub fn total_tiles(&self) -> usize {
-        self.chunks.iter().map(|c| c.index.n_tiles()).sum()
+        self.chunks.iter().map(|(l, _)| l.n_tiles()).sum()
     }
 
     /// Absolute byte range of one tile within the tensor stream — besides
@@ -149,9 +91,7 @@ impl TensorStreamIndex {
     ///
     /// Panics if `chunk` or `tile` is out of range.
     pub fn tile_range(&self, chunk: usize, tile: usize) -> Range<usize> {
-        let c = &self.chunks[chunk];
-        let r = c.index.tile_range(tile);
-        c.stream.start + r.start..c.stream.start + r.end
+        self.chunks[chunk].1.tiles[tile].clone()
     }
 
     /// The tensor rows one tile covers: `(row0, rows)` in absolute tensor
@@ -161,9 +101,8 @@ impl TensorStreamIndex {
     ///
     /// Panics if `chunk` or `tile` is out of range.
     pub fn tile_rows(&self, chunk: usize, tile: usize) -> (usize, usize) {
-        let c = &self.chunks[chunk];
-        let (band_row0, rows) = c.index.band_rows(tile);
-        (c.row0 + band_row0, rows)
+        let (band_row0, rows) = self.chunks[chunk].0.band_rows(tile);
+        (self.chunk_rows(chunk).0 + band_row0, rows)
     }
 
     /// Chunk `chunk`'s row placement `(row0, rows)` in tensor
@@ -173,8 +112,8 @@ impl TensorStreamIndex {
     ///
     /// Panics if `chunk >= n_chunks()`.
     pub fn chunk_rows(&self, chunk: usize) -> (usize, usize) {
-        let c = &self.chunks[chunk];
-        (c.row0, c.rows)
+        assert!(chunk < self.chunks.len(), "chunk {chunk} out of range");
+        self.header.chunk_rows(chunk)
     }
 
     /// Chunk `chunk`'s affine map `(lo, scale)`.
@@ -183,30 +122,12 @@ impl TensorStreamIndex {
     ///
     /// Panics if `chunk >= n_chunks()`.
     pub(crate) fn chunk_affine(&self, chunk: usize) -> (f32, f32) {
-        let c = &self.chunks[chunk];
-        (c.lo, c.scale)
+        let r = &self.chunks[chunk].1;
+        (r.lo, r.scale)
     }
 
-    /// Looks a tile up and decodes its pixel band (cropped to real chunk
-    /// pixels). Shared by the pooled full decode and [`Self::decode_tile`].
-    fn tile_band(
-        &self,
-        data: &[u8],
-        chunk: usize,
-        tile: usize,
-    ) -> Result<(&ChunkEntry, Frame), CodecError> {
-        let c = self
-            .chunks
-            .get(chunk)
-            .ok_or_else(|| CodecError::InvalidInput(format!("chunk {chunk} out of range")))?;
-        let stream = data
-            .get(c.stream.clone())
-            .ok_or(CodecError::Truncated("chunk stream"))?;
-        Ok((c, c.index.decode_tile(stream, tile)?))
-    }
-
-    /// Decodes one tile's pixels. `data` must be the same stream this
-    /// index was parsed from.
+    /// Decodes one tile's pixels (cropped to real chunk pixels). `data`
+    /// must be the same stream this index was parsed from.
     ///
     /// # Errors
     ///
@@ -219,7 +140,18 @@ impl TensorStreamIndex {
         chunk: usize,
         tile: usize,
     ) -> Result<Frame, CodecError> {
-        self.tile_band(data, chunk, tile).map(|(_, f)| f)
+        let (layout, record) = self
+            .chunks
+            .get(chunk)
+            .ok_or_else(|| CodecError::InvalidInput(format!("chunk {chunk} out of range")))?;
+        let range = record
+            .tiles
+            .get(tile)
+            .ok_or_else(|| CodecError::InvalidInput(format!("tile {tile} out of range")))?;
+        let payload = data
+            .get(range.clone())
+            .ok_or(CodecError::Truncated("tile payload"))?;
+        tile::decode_tile(payload, &self.header.cfg, layout, tile)
     }
 
     /// Random access: decodes just one tile's byte range and restores the
@@ -236,16 +168,10 @@ impl TensorStreamIndex {
         chunk: usize,
         tile: usize,
     ) -> Result<Tensor, CodecError> {
-        let (c, frame) = self.tile_band(data, chunk, tile)?;
-        // The band's dimensions were pinned against the chunk record at
-        // parse time, but this function sizes an allocation from them,
-        // so bound them again at the consumer (same cap as the video
-        // decoder's frame-dimension limit).
-        if frame.height().saturating_mul(frame.width()) > 1 << 28 {
-            return Err(CodecError::LimitExceeded("tile dimensions"));
-        }
+        let frame = self.decode_tile_frame(data, chunk, tile)?;
+        let (lo, scale) = self.chunk_affine(chunk);
         let mut out = Tensor::zeros(frame.height(), frame.width());
-        chunk::dequantize_into(&mut out, &frame, 0, c.lo, c.scale);
+        chunk::dequantize_into(&mut out, &frame, 0, lo, scale);
         Ok(out)
     }
 }
@@ -253,7 +179,7 @@ impl TensorStreamIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Llm265Codec, Llm265Config, RateTarget, TensorCodec};
+    use crate::{EntropyProfile, Llm265Codec, Llm265Config, RateTarget, TensorCodec};
     use llm265_tensor::rng::Pcg32;
     use llm265_tensor::synthetic::{llm_weight, WeightProfile};
 
@@ -291,61 +217,76 @@ mod tests {
         assert_eq!(covered_rows, 96);
     }
 
+    fn codec(entropy: EntropyProfile) -> Llm265Codec {
+        Llm265Codec::with_config(Llm265Config {
+            threads: 1,
+            entropy,
+            ..Llm265Config::default()
+        })
+    }
+
     #[test]
     fn decode_tile_reads_only_its_own_byte_range() {
         // A 64-row chunk has two tiles; a 24-row chunk (one CTU row) has
         // one, whose index entry must still cover its whole payload.
         for (n, tiles) in [(64, 2), (24, 1)] {
-            decode_tile_matches_full_decode(weight(12, n), tiles);
+            decode_tile_matches_full_decode(weight(12, n), tiles, EntropyProfile::Cabac);
         }
     }
 
-    fn decode_tile_matches_full_decode(t: Tensor, tiles: usize) {
+    /// Random access into an rANS stream: every tile of a three-tile
+    /// chunk decodes on its own to the full decode's rows.
+    #[test]
+    fn stream_index_decodes_rans_tiles_independently() {
+        decode_tile_matches_full_decode(weight(5, 96), 3, EntropyProfile::Rans);
+    }
+
+    fn decode_tile_matches_full_decode(t: Tensor, tiles: usize, entropy: EntropyProfile) {
         let n = t.cols();
-        let codec = Llm265Codec::with_config(Llm265Config {
-            threads: 1,
-            ..Llm265Config::default()
-        });
+        let codec = codec(entropy);
         let enc = codec.encode(&t, RateTarget::Qp(22.0)).unwrap();
         let full = codec.decode(&enc).unwrap();
         let index = TensorStreamIndex::parse(enc.bytes()).unwrap();
         assert_eq!(index.total_tiles(), tiles);
-        for c in 0..index.n_chunks() {
-            let last = index.n_tiles(c) - 1;
-            assert_eq!(index.tile_range(c, last).end, index.chunks[c].stream.end);
-            for ti in 0..index.n_tiles(c) {
-                // Corrupt every byte of every *other* tile: random access
-                // must not notice.
-                let mut vandalized = enc.bytes().to_vec();
-                for c2 in 0..index.n_chunks() {
-                    for t2 in 0..index.n_tiles(c2) {
-                        if (c2, t2) != (c, ti) {
-                            for b in &mut vandalized[index.tile_range(c2, t2)] {
-                                *b ^= 0xA5;
-                            }
-                        }
-                    }
-                }
-                let band = index.decode_tile(&vandalized, c, ti).unwrap();
-                let (row0, rows) = index.tile_rows(c, ti);
-                assert_eq!(band.shape(), (rows, n));
-                for y in 0..rows {
-                    for x in 0..n {
-                        assert_eq!(band[(y, x)], full[(row0 + y, x)], "({y}, {x})");
-                    }
+        // One chunk: its last tile ends the stream.
+        assert_eq!(index.tile_range(0, tiles - 1).end, enc.bytes().len());
+        for ti in 0..tiles {
+            // Corrupt every byte of every *other* tile: random access
+            // must not notice.
+            let mut vandalized = enc.bytes().to_vec();
+            for t2 in (0..tiles).filter(|&t2| t2 != ti) {
+                for b in &mut vandalized[index.tile_range(0, t2)] {
+                    *b ^= 0xA5;
                 }
             }
+            let band = index.decode_tile(&vandalized, 0, ti).unwrap();
+            let (row0, rows) = index.tile_rows(0, ti);
+            assert_eq!(band.shape(), (rows, n));
+            assert_eq!(band.data(), &full.data()[row0 * n..(row0 + rows) * n]);
+        }
+    }
+
+    /// Per-tile decode of an rANS tile stays total under corruption:
+    /// every byte of the tile flipped in turn errors or decodes, never
+    /// panics or hangs.
+    #[test]
+    fn byte_flipped_rans_tiles_never_panic() {
+        let enc = codec(EntropyProfile::Rans)
+            .encode(&weight(8, 64), RateTarget::Qp(28.0))
+            .unwrap();
+        let index = TensorStreamIndex::parse(enc.bytes()).unwrap();
+        for pos in index.tile_range(0, 0) {
+            let mut evil = enc.bytes().to_vec();
+            evil[pos] ^= 0xff;
+            let _ = index.decode_tile(&evil, 0, 0);
         }
     }
 
     #[test]
     fn out_of_range_lookups_error_without_panicking() {
-        let t = weight(13, 48);
-        let codec = Llm265Codec::with_config(Llm265Config {
-            threads: 1,
-            ..Llm265Config::default()
-        });
-        let enc = codec.encode(&t, RateTarget::Qp(26.0)).unwrap();
+        let enc = codec(EntropyProfile::Cabac)
+            .encode(&weight(13, 48), RateTarget::Qp(26.0))
+            .unwrap();
         let index = TensorStreamIndex::parse(enc.bytes()).unwrap();
         assert!(matches!(
             index.decode_tile(enc.bytes(), 99, 0),

@@ -87,7 +87,8 @@ impl TensorArchive {
         }
     }
 
-    /// Parses and decodes an archive produced by [`TensorArchive::encode`].
+    /// Parses and decodes an archive produced by [`TensorArchive::encode`]:
+    /// [`ArchiveIndex::parse`], then a decode of every entry's stream.
     ///
     /// # Errors
     ///
@@ -96,41 +97,15 @@ impl TensorArchive {
         codec: &dyn TensorCodec,
         data: &[u8],
     ) -> Result<Vec<(String, Tensor)>, CodecError> {
-        let mut pos = 0usize;
-        let magic = bytes::read_le_u32(data, &mut pos)?;
-        if magic != MAGIC {
-            return Err(CodecError::Corrupt("bad archive magic"));
-        }
-        let count = bytes::read_le_u32(data, &mut pos)? as usize;
-        if count > 1 << 20 {
-            return Err(CodecError::LimitExceeded("archive entry count"));
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name_len = bytes::read_le_u16(data, &mut pos)? as usize;
-            let name_bytes = data
-                .get(pos..)
-                .and_then(|rest| rest.get(..name_len))
-                .ok_or(CodecError::Truncated("tensor name"))?;
-            pos += name_len;
-            let name = String::from_utf8(name_bytes.to_vec())
-                .map_err(|_| CodecError::Corrupt("tensor name is not UTF-8"))?;
-            let len = bytes::read_le_u32(data, &mut pos)? as usize;
-            let payload = data
-                .get(pos..)
-                .and_then(|rest| rest.get(..len))
-                .ok_or(CodecError::Truncated("tensor payload"))?;
-            pos += len;
-            // Reconstruct an EncodedTensor wrapper around the payload; the
-            // inner stream is itself self-describing, so shape comes from
-            // the decode.
-            let enc = EncodedTensor {
-                bytes: payload.to_vec(),
-                rows: 0,
-                cols: 0,
-            };
-            let t = codec.decode(&enc)?;
-            out.push((name, t));
+        let index = ArchiveIndex::parse(data)?;
+        let mut out = Vec::with_capacity(index.len());
+        for (i, name) in index.names().enumerate() {
+            let stream = index.stream(data, i)?;
+            // The archive stores no shapes: each stream's own header
+            // states it.
+            let (rows, cols) = TensorStreamIndex::parse(stream)?.shape();
+            let enc = EncodedTensor::from_parts(stream.to_vec(), rows, cols);
+            out.push((name.to_string(), codec.decode(&enc)?));
         }
         Ok(out)
     }
@@ -153,8 +128,8 @@ impl ArchiveIndex {
     ///
     /// # Errors
     ///
-    /// The same framing [`CodecError`]s as [`TensorArchive::decode`]: bad
-    /// magic, entry-count bombs, malformed names, truncated records.
+    /// Bad magic, entry-count bombs, malformed names, truncated records
+    /// and bytes after the last entry.
     pub fn parse(data: &[u8]) -> Result<Self, CodecError> {
         let mut pos = 0usize;
         let magic = bytes::read_le_u32(data, &mut pos)?;
@@ -181,6 +156,9 @@ impl ArchiveIndex {
             }
             entries.push((name, pos..pos + len));
             pos += len;
+        }
+        if pos != data.len() {
+            return Err(CodecError::Corrupt("bytes after the last archive entry"));
         }
         Ok(ArchiveIndex { entries })
     }

@@ -17,9 +17,8 @@ use crate::CodecError;
 pub struct Chunk {
     /// First tensor row covered by this chunk.
     pub row0: usize,
-    /// Number of tensor rows covered.
-    pub rows: usize,
-    /// The 8-bit Luma frame (width = tensor cols, height = rows).
+    /// The 8-bit Luma frame (width = tensor cols, height = the chunk's
+    /// rows).
     pub frame: Frame,
     /// Value of pixel 0: `value = lo + pixel * scale`.
     pub lo: f32,
@@ -50,13 +49,26 @@ pub fn partition(t: &Tensor, max_pixels: usize, threads: usize) -> Result<Vec<Ch
         max_pixels,
         t.cols()
     );
-    let rows_per_chunk = (max_pixels / t.cols()).max(1).min(t.rows());
-    let n_chunks = t.rows().div_ceil(rows_per_chunk);
-    pool::run_ordered(n_chunks, threads, |i| {
-        let row0 = i * rows_per_chunk;
-        let rows = rows_per_chunk.min(t.rows() - row0);
+    let rows_per_chunk = rows_per_chunk(t.rows(), t.cols(), max_pixels);
+    pool::run_ordered(t.rows().div_ceil(rows_per_chunk), threads, |i| {
+        let (row0, rows) = band(i, t.rows(), rows_per_chunk);
         quantize_band(t, row0, rows)
     })
+}
+
+/// Rows per chunk for a `rows × cols` tensor under a `max_pixels` frame
+/// budget: as many whole rows as fit, at least one, at most `rows`.
+pub(crate) fn rows_per_chunk(rows: usize, cols: usize, max_pixels: usize) -> usize {
+    (max_pixels / cols).max(1).min(rows)
+}
+
+/// Chunk `i`'s rows `(row0, rows)`: bands of `rows_per_chunk` rows top
+/// to bottom, the last one taking the remainder. The encoder and the
+/// stream parser both place chunks with this, so the wire never carries
+/// a chunk's rows.
+pub(crate) fn band(i: usize, rows: usize, rows_per_chunk: usize) -> (usize, usize) {
+    let row0 = i * rows_per_chunk;
+    (row0, rows_per_chunk.min(rows - row0))
 }
 
 fn quantize_band(t: &Tensor, row0: usize, rows: usize) -> Chunk {
@@ -92,7 +104,6 @@ fn quantize_band(t: &Tensor, row0: usize, rows: usize) -> Chunk {
     };
     Chunk {
         row0,
-        rows,
         frame,
         lo,
         scale,
@@ -100,16 +111,20 @@ fn quantize_band(t: &Tensor, row0: usize, rows: usize) -> Chunk {
 }
 
 /// Restores a chunk's frame (possibly the codec's lossy reconstruction)
-/// into the destination tensor.
+/// into the destination tensor, starting at tensor row `row0`. Rows are
+/// paired up by iteration, so no index is computed from the frame's
+/// dimensions.
 ///
 /// # Panics
 ///
 /// Panics if the chunk does not fit `dst`.
 pub fn dequantize_into(dst: &mut Tensor, frame: &Frame, row0: usize, lo: f32, scale: f32) {
     assert!(row0 + frame.height() <= dst.rows() && frame.width() == dst.cols());
-    for y in 0..frame.height() {
-        for x in 0..frame.width() {
-            dst[(row0 + y, x)] = lo + frame.get(x, y) as f32 * scale;
+    let cols = dst.cols();
+    let dst_rows = dst.data_mut().chunks_exact_mut(cols).skip(row0);
+    for (out, px) in dst_rows.zip(frame.data().chunks_exact(cols)) {
+        for (v, &p) in out.iter_mut().zip(px) {
+            *v = lo + f32::from(p) * scale;
         }
     }
 }
@@ -133,13 +148,12 @@ mod tests {
         for c in &chunks {
             assert_eq!(c.row0, next);
             assert_eq!(c.frame.width(), 32);
-            assert_eq!(c.frame.height(), c.rows);
-            next += c.rows;
+            next += c.frame.height();
         }
         assert_eq!(next, 100);
         // 24-row bands: 100 = 24*4 + 4.
         assert_eq!(chunks.len(), 5);
-        assert_eq!(chunks.last().unwrap().rows, 4);
+        assert_eq!(chunks.last().unwrap().frame.height(), 4);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Encoding is structured as **probe → assemble**: a probe encodes every
 //! chunk at one QP (fanned over the deterministic [`pool`]) and keeps the
-//! per-chunk payloads plus the two summaries rate search needs — exact
-//! serialized size and reconstruction error. Assembly serializes a probe
-//! into the final stream. The rate search ([`rate::search_qp`]) probes
+//! per-tile payloads plus the two summaries rate search needs — exact
+//! serialized size and reconstruction error. Assembly writes the probe's
+//! tensor header and chunk records ([`crate::framing`]) around those
+//! payloads. The rate search ([`rate::search_qp`]) probes
 //! through a per-QP cache, so choosing a rate never re-encodes a QP and
 //! never decodes anything, and a [`RateModel`] of the chunk frames
 //! places its probes, so it needs few of them.
@@ -14,7 +15,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use llm265_bitstream::bytes;
 use llm265_tensor::channel::LossyCompressor;
 use llm265_tensor::{stats, Tensor};
 use llm265_videocodec::quant::{QP_MAX, QP_MIN};
@@ -25,23 +25,9 @@ use llm265_videocodec::{CodecConfig, EntropyProfile, Frame, PipelineConfig, Prof
 
 use crate::access::TensorStreamIndex;
 use crate::chunk::{self, Chunk};
+use crate::framing::{self, TensorHeader, TENSOR_HEADER_BYTES, TILES_PER_CHUNK};
 use crate::pool;
 use crate::{CodecError, EncodedTensor, RateTarget, TensorCodec};
-
-pub(crate) const MAGIC: u32 = 0x4C54_3635; // "LT65"
-
-/// Fixed stream header: magic + rows + cols + chunk count, 4 B each.
-const STREAM_HEADER_BYTES: usize = 16;
-/// Per-chunk record header: row0 + rows + lo + scale + payload length.
-pub(crate) const CHUNK_HEADER_BYTES: usize = 20;
-
-/// Tiles requested per chunk frame. Eight CTU-row bands give intra-chunk
-/// parallel decode headroom at a fraction of a percent of stream size;
-/// small chunks clamp down to their CTU-row count inside the video codec.
-/// The count is **pure geometry** — it never follows
-/// [`Llm265Config::threads`] — so streams stay bit-identical at every
-/// thread count.
-const DEFAULT_TILES: usize = 8;
 
 /// Configuration of the LLM.265 tensor codec.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,23 +64,19 @@ impl Default for Llm265Config {
     }
 }
 
-/// One chunk's encode at a probed QP: the serialized chunk stream the
-/// final assembly splices in verbatim. The error summary lives on
-/// [`QpProbe`] — it is only ever read as a total.
-#[derive(Debug, Clone)]
-struct ChunkProbe {
-    /// Serialized intra-only video stream for this chunk's frame.
-    bytes: Vec<u8>,
-}
-
 /// A full probe of one QP across every chunk. Caching these per probed
 /// QP is what makes the search incremental: feasibility checks, the
 /// final stream, and the channel adapters all read from here instead of
 /// re-encoding or decoding.
 #[derive(Debug, Clone)]
 struct QpProbe {
-    chunks: Vec<ChunkProbe>,
-    /// Exact serialized stream length (headers + payloads).
+    /// The probed QP, which the tensor header states once.
+    qp: f64,
+    /// Per chunk, its tile payloads in band order; assembly splices them
+    /// into the chunk records verbatim. The error summary is only ever
+    /// read as a total, so it lives on the probe.
+    tiles: Vec<Vec<Vec<u8>>>,
+    /// Exact serialized stream length (header + chunk records).
     stream_bytes: usize,
     /// Total squared reconstruction error across chunks.
     sq_err: f64,
@@ -144,6 +126,26 @@ impl Llm265Codec {
         self.encode_counter = Some(counter);
     }
 
+    /// The tensor header of `t`'s stream coded at `qp` — the encoder's
+    /// one source of coding configuration and chunk geometry, as it is
+    /// the decoder's.
+    fn header(&self, t: &Tensor, qp: f64) -> TensorHeader {
+        TensorHeader {
+            cfg: CodecConfig {
+                profile: self.config.profile.clone(),
+                pipeline: self.config.pipeline,
+                qp,
+                tiles: TILES_PER_CHUNK,
+                // Read from the immutable config, so every probe one
+                // search caches — whatever its QP — shares one backend.
+                entropy: self.config.entropy,
+            },
+            rows: t.rows(),
+            cols: t.cols(),
+            rows_per_chunk: chunk::rows_per_chunk(t.rows(), t.cols(), self.config.max_chunk_pixels),
+        }
+    }
+
     /// Encodes every chunk at `qp` — every (chunk, tile) task fanned over
     /// the deterministic pool — and returns payloads plus feasibility
     /// summaries. Nothing is serialized or decoded here: the stream size
@@ -151,32 +153,19 @@ impl Llm265Codec {
     /// encoder's own reconstruction, which is bit-exact with the decoder's
     /// output.
     ///
-    /// Tile geometry derives from each chunk's frame size and
-    /// [`DEFAULT_TILES`] only — never the thread count — and the per-tile
-    /// payloads are reassembled into streams byte-identical to
-    /// [`llm265_videocodec::encode_video`] (pinned by videocodec's
-    /// `pooled_assembly_matches_encode_video` test), so the flattened
-    /// fan-out cannot change output bytes.
+    /// Tile geometry comes from the tensor header ([`TILES_PER_CHUNK`]
+    /// tiles per chunk) — never the thread count — and tasks join in task
+    /// order, so the flattened fan-out cannot change output bytes.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError::Internal`] if a worker thread panics.
     fn probe_qp(&self, t: &Tensor, chunks: &[Chunk], qp: f64) -> Result<QpProbe, CodecError> {
-        let cfg = CodecConfig {
-            profile: self.config.profile.clone(),
-            pipeline: self.config.pipeline,
-            qp,
-            tiles: DEFAULT_TILES,
-            // Read from the immutable config, so every probe one search
-            // caches — whatever its QP — shares one backend.
-            entropy: self.config.entropy,
-        };
+        let header = self.header(t, qp);
+        let cfg = &header.cfg;
         let counter = self.encode_counter.as_deref();
         let ctu = cfg.profile.ctu();
-        let layouts: Vec<TileLayout> = chunks
-            .iter()
-            .map(|c| TileLayout::for_frame(c.frame.width(), c.frame.height(), ctu, cfg.tiles))
-            .collect();
+        let layouts: Vec<TileLayout> = (0..chunks.len()).map(|i| header.layout(i)).collect();
         let padded: Vec<Frame> = chunks.iter().map(|c| c.frame.padded_to(ctu)).collect();
         // Flatten (chunk, tile) so one huge chunk no longer pins a worker.
         let mut tasks: Vec<(usize, usize)> = Vec::new();
@@ -195,39 +184,32 @@ impl Llm265Codec {
             let c = &chunks[ci];
             let plans = DctPlans::new();
             let (payload, band_recon) =
-                tile::encode_tile(&padded[ci], None, &cfg, &plans, &layouts[ci], ti, 0);
+                tile::encode_tile(&padded[ci], None, cfg, &plans, &layouts[ci], ti, 0);
             let (row0, rows) = layouts[ci].band_rows(ti);
             (payload, band_sq_err(t, c, &band_recon, row0, rows))
         })?;
-        // Serial per-chunk assembly: regroup the ordered task results and
-        // wrap each chunk's payloads back into its stream.
+        // Serial regroup of the ordered task results into per-chunk tile
+        // lists; errors sum in task order, so the total is identical at
+        // every thread count.
         let mut it = results.into_iter();
-        let mut probes = Vec::with_capacity(chunks.len());
-        let mut stream_bytes = STREAM_HEADER_BYTES;
+        let mut tiles = Vec::with_capacity(chunks.len());
+        let mut stream_bytes = TENSOR_HEADER_BYTES;
         let mut sq_err = 0.0;
-        for (c, layout) in chunks.iter().zip(&layouts) {
-            let n = layout.n_tiles();
-            let mut payloads = Vec::with_capacity(n);
-            let mut chunk_sq = 0.0;
-            for _ in 0..n {
-                // lint:allow(panic): the pool returns exactly one result
-                // per task and `tasks` was built from these same layouts.
-                let (p, s) = it.next().expect("one result per task");
-                payloads.push(p);
-                chunk_sq += s;
-            }
-            let bytes = tile::assemble_single_frame_stream(
-                &cfg,
-                c.frame.width(),
-                c.frame.height(),
-                &payloads,
-            );
-            stream_bytes += CHUNK_HEADER_BYTES + bytes.len();
-            sq_err += chunk_sq;
-            probes.push(ChunkProbe { bytes });
+        for layout in &layouts {
+            let payloads: Vec<Vec<u8>> = it
+                .by_ref()
+                .take(layout.n_tiles())
+                .map(|(p, s)| {
+                    sq_err += s;
+                    p
+                })
+                .collect();
+            stream_bytes += framing::chunk_record_len(&payloads);
+            tiles.push(payloads);
         }
         Ok(QpProbe {
-            chunks: probes,
+            qp,
+            tiles,
             stream_bytes,
             sq_err,
         })
@@ -251,14 +233,15 @@ impl Llm265Codec {
         }
     }
 
-    /// Serializes a probe into the final tensor stream. This is the `u32`
-    /// wire boundary: oversize dimensions or payloads fail with
+    /// Serializes a probe into the final tensor stream: the tensor header,
+    /// then each chunk's record with its tile payloads spliced in. This is
+    /// the `u32` wire boundary: oversize dimensions or payloads fail with
     /// [`CodecError::LimitExceeded`] instead of silently truncating.
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError::LimitExceeded`] when a header field does not
-    /// fit its 32-bit wire representation.
+    /// Returns [`CodecError::LimitExceeded`] when a field does not fit its
+    /// 32-bit wire representation.
     fn assemble(
         &self,
         t: &Tensor,
@@ -266,17 +249,9 @@ impl Llm265Codec {
         probe: &QpProbe,
     ) -> Result<EncodedTensor, CodecError> {
         let mut out = Vec::with_capacity(probe.stream_bytes);
-        bytes::write_le_u32(&mut out, MAGIC);
-        bytes::write_le_u32(&mut out, wire_u32(t.rows(), "tensor rows")?);
-        bytes::write_le_u32(&mut out, wire_u32(t.cols(), "tensor cols")?);
-        bytes::write_le_u32(&mut out, wire_u32(chunks.len(), "chunk count")?);
-        for (c, p) in chunks.iter().zip(&probe.chunks) {
-            bytes::write_le_u32(&mut out, wire_u32(c.row0, "chunk row offset")?);
-            bytes::write_le_u32(&mut out, wire_u32(c.rows, "chunk rows")?);
-            bytes::write_le_u32(&mut out, c.lo.to_bits());
-            bytes::write_le_u32(&mut out, c.scale.to_bits());
-            bytes::write_le_u32(&mut out, wire_u32(p.bytes.len(), "chunk payload length")?);
-            out.extend_from_slice(&p.bytes);
+        framing::write_tensor_header(&mut out, &self.header(t, probe.qp))?;
+        for (c, tiles) in chunks.iter().zip(&probe.tiles) {
+            framing::write_chunk_record(&mut out, c.lo, c.scale, tiles)?;
         }
         Ok(EncodedTensor {
             bytes: out,
@@ -323,17 +298,6 @@ impl Llm265Codec {
         let probe = self.probe_cached(&mut cache, t, chunks, qp)?;
         Ok((self.assemble(t, chunks, probe)?, qp))
     }
-}
-
-/// Narrows a host size to a `u32` wire field.
-///
-/// # Errors
-///
-/// Returns [`CodecError::LimitExceeded`] when the value does not fit —
-/// the encode-side guard that oversized shapes and payloads fail instead
-/// of truncating on serialization.
-fn wire_u32(v: usize, what: &'static str) -> Result<u32, CodecError> {
-    u32::try_from(v).map_err(|_| CodecError::LimitExceeded(what))
 }
 
 /// Squared error between chunk rows `[band_row0, band_row0 + rows)` and a
@@ -414,19 +378,28 @@ impl TensorCodec for Llm265Codec {
 
 fn decode_tensor(e: &EncodedTensor, threads: usize) -> Result<Tensor, CodecError> {
     let data = &e.bytes[..];
-    // Pass 1 (serial): parse the stream's framing — chunk records plus
-    // each chunk's video-stream tile index — without touching payloads.
-    // All structural validation that needs inter-chunk state lives there.
+    // Pass 1 (serial): parse the stream's framing — the tensor header and
+    // every chunk record — without touching payloads. The header fixes
+    // every chunk's and tile's rows, so the tiles tile the tensor by
+    // construction.
     let index = TensorStreamIndex::parse(data)?;
     let (rows, cols) = index.shape();
     // Re-established where they size the fan-out and the output buffer:
-    // the parse bounded the shape and the chunk table, but this function
+    // the parse bounded the shape and the chunk count, but this function
     // allocates from them, so bound them again at the consumer.
     if rows.saturating_mul(cols) > 1 << 31 {
         return Err(CodecError::LimitExceeded("tensor shape"));
     }
-    if index.n_chunks() > data.len() / CHUNK_HEADER_BYTES {
+    if index.n_chunks() > data.len() / framing::MIN_CHUNK_RECORD_BYTES {
         return Err(CodecError::LimitExceeded("tensor chunk count"));
+    }
+    // The shape is stated once on the wire, so a corrupted dimension has
+    // no second copy to disagree with; the shape the stream travelled
+    // with is that copy.
+    if (rows, cols) != e.shape() {
+        return Err(CodecError::Corrupt(
+            "stream shape disagrees with the tensor's",
+        ));
     }
     // Pass 2: decode every (chunk, tile) on the deterministic pool, so
     // tiles of a single large chunk decode in parallel. Errors surface in
@@ -442,21 +415,9 @@ fn decode_tensor(e: &EncodedTensor, threads: usize) -> Result<Tensor, CodecError
     })?;
     // Pass 3 (serial): affine-restore the bands into the output tensor.
     let mut out = Tensor::zeros(rows, cols);
-    let mut covered = 0usize;
     for (&(c, t), frame) in tasks.iter().zip(&bands) {
-        let (row0, band_rows) = index.tile_rows(c, t);
-        // Re-established where it is consumed: the index parse bounded
-        // every chunk, but the restore indexes `out` with the band's
-        // placement, so bound it here too.
-        if row0 + frame.height() > rows || frame.height() != band_rows {
-            return Err(CodecError::Corrupt("restored chunk exceeds tensor rows"));
-        }
         let (lo, scale) = index.chunk_affine(c);
-        chunk::dequantize_into(&mut out, frame, row0, lo, scale);
-        covered += band_rows;
-    }
-    if covered != rows {
-        return Err(CodecError::Corrupt("chunks do not cover the tensor"));
+        chunk::dequantize_into(&mut out, frame, index.tile_rows(c, t).0, lo, scale);
     }
     Ok(out)
 }
@@ -725,16 +686,6 @@ mod tests {
         let out = codec.decode(&enc).unwrap();
         assert_eq!(out, t);
         assert!(enc.bits_per_value() < 0.2, "bpv {}", enc.bits_per_value());
-    }
-
-    #[test]
-    fn oversize_wire_fields_error_instead_of_truncating() {
-        assert!(wire_u32(usize::try_from(u32::MAX).unwrap(), "x").is_ok());
-        let too_big = usize::try_from(u64::from(u32::MAX) + 1).unwrap();
-        assert!(matches!(
-            wire_u32(too_big, "x"),
-            Err(CodecError::LimitExceeded("x"))
-        ));
     }
 
     #[test]

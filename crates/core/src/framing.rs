@@ -1,0 +1,278 @@
+//! The tensor-stream wire format (version 4): the only code that writes
+//! or reads it.
+//!
+//! A tensor stream is one 22-byte **tensor header** followed by one
+//! **chunk record** per chunk, top to bottom (all fields little-endian):
+//!
+//! | tensor header     | bytes | chunk record         | bytes     |
+//! |-------------------|-------|----------------------|-----------|
+//! | magic `LT65`      | 4     | `lo` (f32 bits)      | 4         |
+//! | version (4)       | 1     | `scale` (f32 bits)   | 4         |
+//! | profile id        | 1     | one length per tile  | 4 each    |
+//! | pipeline switches | 1     | tile payloads        | Σ lengths |
+//! | flags (`FLAG_RANS`) | 1   |                      |           |
+//! | QP × 256          | 2     |                      |           |
+//! | rows              | 4     |                      |           |
+//! | cols              | 4     |                      |           |
+//! | rows per chunk    | 4     |                      |           |
+//!
+//! Everything else is derived — chunk rows by [`chunk::band`], tile
+//! counts by [`TileLayout::for_frame`] with [`TILES_PER_CHUNK`], tile
+//! offsets as prefix sums of the lengths — so no two fields can disagree
+//! and the parser only validates what comes from outside.
+
+use std::ops::Range;
+
+use llm265_bitstream::bytes;
+use llm265_videocodec::decoder::coding_config;
+use llm265_videocodec::tile::TileLayout;
+use llm265_videocodec::CodecConfig;
+
+use crate::chunk;
+use crate::CodecError;
+
+const MAGIC: u32 = 0x4C54_3635; // "LT65"
+
+/// The only version the parser accepts.
+const VERSION: u8 = 4;
+pub(crate) const TENSOR_HEADER_BYTES: usize = 22;
+
+/// Smallest chunk record: `lo`, `scale`, one length and a one-byte tile.
+/// Bounds the chunk count a header may declare by the stream's length.
+pub(crate) const MIN_CHUNK_RECORD_BYTES: usize = 13;
+
+/// Tiles requested per chunk frame, clamped to the chunk's CTU-row count:
+/// eight CTU-row bands give intra-chunk parallel decode headroom at a
+/// fraction of a percent of stream size. A format constant and pure
+/// geometry — never the thread count — so streams are bit-identical at
+/// every thread count.
+pub(crate) const TILES_PER_CHUNK: usize = 8;
+
+/// A tensor header: the coding configuration (`tiles` is
+/// [`TILES_PER_CHUNK`]) and the geometry, each stated once.
+#[derive(Debug, Clone)]
+pub(crate) struct TensorHeader {
+    pub cfg: CodecConfig,
+    pub rows: usize,
+    pub cols: usize,
+    /// Rows of every chunk but the last, which takes the remainder.
+    pub rows_per_chunk: usize,
+}
+
+impl TensorHeader {
+    /// Number of chunk records that follow the header.
+    pub fn n_chunks(&self) -> usize {
+        self.rows.div_ceil(self.rows_per_chunk)
+    }
+
+    /// Chunk `i`'s rows `(row0, rows)` in tensor coordinates.
+    pub fn chunk_rows(&self, i: usize) -> (usize, usize) {
+        chunk::band(i, self.rows, self.rows_per_chunk)
+    }
+
+    /// Chunk `i`'s tile geometry.
+    pub fn layout(&self, i: usize) -> TileLayout {
+        let rows = self.chunk_rows(i).1;
+        TileLayout::for_frame(self.cols, rows, self.cfg.profile.ctu(), TILES_PER_CHUNK)
+    }
+}
+
+/// One parsed chunk record: the affine map and every tile's absolute byte
+/// range in the stream.
+#[derive(Debug, Clone)]
+pub(crate) struct ChunkRecord {
+    pub lo: f32,
+    pub scale: f32,
+    pub tiles: Vec<Range<usize>>,
+}
+
+/// Narrows a host size to a `u32` wire field: oversized shapes and
+/// payloads fail with [`CodecError::LimitExceeded`] instead of truncating.
+fn wire_u32(v: usize, what: &'static str) -> Result<u32, CodecError> {
+    u32::try_from(v).map_err(|_| CodecError::LimitExceeded(what))
+}
+
+/// Appends the tensor header — the exact mirror of
+/// [`parse_tensor_header`]. Fails when a dimension overflows its field.
+pub(crate) fn write_tensor_header(out: &mut Vec<u8>, h: &TensorHeader) -> Result<(), CodecError> {
+    bytes::write_le_u32(out, MAGIC);
+    bytes::write_u8(out, VERSION);
+    bytes::write_u8(out, h.cfg.profile.header_id());
+    bytes::write_u8(out, h.cfg.pipeline.to_byte());
+    bytes::write_u8(out, h.cfg.flags());
+    bytes::write_le_u16(out, h.cfg.qp_code());
+    bytes::write_le_u32(out, wire_u32(h.rows, "tensor rows")?);
+    bytes::write_le_u32(out, wire_u32(h.cols, "tensor cols")?);
+    bytes::write_le_u32(out, wire_u32(h.rows_per_chunk, "rows per chunk")?);
+    Ok(())
+}
+
+/// Parses and validates the tensor header at `*pos`, advancing `pos`
+/// past it. `data` is the whole stream, so the declared chunk count is
+/// bounded by its length before anything is allocated from it.
+///
+/// # Errors
+///
+/// `Corrupt` for a bad magic, a zero width or `rows_per_chunk` outside
+/// `1..=rows`; `Unsupported` for another version or a reserved bit;
+/// `LimitExceeded` for shape, frame-size and chunk-count bombs;
+/// `Truncated` for a short header.
+pub(crate) fn parse_tensor_header(
+    data: &[u8],
+    pos: &mut usize,
+) -> Result<TensorHeader, CodecError> {
+    if bytes::read_le_u32(data, pos)? != MAGIC {
+        return Err(CodecError::Corrupt("bad tensor-stream magic"));
+    }
+    let version = bytes::read_u8(data, pos)?;
+    if version != VERSION {
+        return Err(CodecError::Unsupported("tensor-stream version"));
+    }
+    let profile = bytes::read_u8(data, pos)?;
+    let pipeline = bytes::read_u8(data, pos)?;
+    let flags = bytes::read_u8(data, pos)?;
+    let qp = bytes::read_le_u16(data, pos)?;
+    let rows = bytes::read_le_u32(data, pos)? as usize;
+    let cols = bytes::read_le_u32(data, pos)? as usize;
+    let rows_per_chunk = bytes::read_le_u32(data, pos)? as usize;
+    let cfg = coding_config(profile, pipeline, qp, flags)?.with_tiles(TILES_PER_CHUNK);
+    if rows.checked_mul(cols).is_none_or(|n| n > 1 << 31) {
+        return Err(CodecError::LimitExceeded("tensor shape"));
+    }
+    if cols == 0 {
+        return Err(CodecError::Corrupt("zero tensor width"));
+    }
+    if rows_per_chunk == 0 || rows_per_chunk > rows {
+        return Err(CodecError::Corrupt("rows per chunk out of range"));
+    }
+    // A chunk frame has the video decoder's frame-size cap.
+    if rows_per_chunk.saturating_mul(cols) > 1 << 28 {
+        return Err(CodecError::LimitExceeded("frame dimensions"));
+    }
+    let header = TensorHeader {
+        cfg,
+        rows,
+        cols,
+        rows_per_chunk,
+    };
+    if header.n_chunks() > data.len().saturating_sub(*pos) / MIN_CHUNK_RECORD_BYTES {
+        return Err(CodecError::LimitExceeded("tensor chunk count"));
+    }
+    Ok(header)
+}
+
+/// Appends one chunk record — the exact mirror of [`parse_chunk_record`]:
+/// the affine map, one length per tile, then the tile payloads. Fails
+/// when a tile overflows its length field.
+pub(crate) fn write_chunk_record(
+    out: &mut Vec<u8>,
+    lo: f32,
+    scale: f32,
+    tiles: &[Vec<u8>],
+) -> Result<(), CodecError> {
+    bytes::write_le_u32(out, lo.to_bits());
+    bytes::write_le_u32(out, scale.to_bits());
+    for t in tiles {
+        bytes::write_le_u32(out, wire_u32(t.len(), "tile length")?);
+    }
+    out.extend(tiles.iter().flatten());
+    Ok(())
+}
+
+/// Serialized length of a chunk record with these tiles.
+pub(crate) fn chunk_record_len(tiles: &[Vec<u8>]) -> usize {
+    8 + tiles.iter().map(|t| 4 + t.len()).sum::<usize>()
+}
+
+/// Parses the chunk record at `*pos` for a chunk of `n_tiles` tiles,
+/// advancing `pos` past its last tile; no payload byte is read. Zero-length
+/// tiles are `Corrupt`, a record `data` ends inside is `Truncated`.
+pub(crate) fn parse_chunk_record(
+    data: &[u8],
+    pos: &mut usize,
+    n_tiles: usize,
+) -> Result<ChunkRecord, CodecError> {
+    let lo = f32::from_bits(bytes::read_le_u32(data, pos)?);
+    let scale = f32::from_bits(bytes::read_le_u32(data, pos)?);
+    // Offsets are the prefix sums of the lengths, starting right after
+    // the length table.
+    let mut next = *pos + 4 * n_tiles;
+    let mut tiles = Vec::with_capacity(n_tiles.min(TILES_PER_CHUNK));
+    for _ in 0..n_tiles {
+        let len = bytes::read_le_u32(data, pos)? as usize;
+        if len == 0 {
+            return Err(CodecError::Corrupt("zero-length tile"));
+        }
+        tiles.push(next..next + len);
+        next += len;
+    }
+    if next > data.len() {
+        return Err(CodecError::Truncated("tile payload"));
+    }
+    *pos = next;
+    Ok(ChunkRecord { lo, scale, tiles })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Llm265Codec, RateTarget, TensorCodec, TensorStreamIndex};
+    use llm265_tensor::rng::Pcg32;
+    use llm265_tensor::synthetic::{llm_weight, WeightProfile};
+
+    #[test]
+    fn records_reject_zero_length_tiles_and_truncation() {
+        let tiles = [vec![1u8, 2, 3], vec![4u8]];
+        let mut out = Vec::new();
+        write_chunk_record(&mut out, -0.5, 0.25, &tiles).unwrap();
+        assert_eq!(out.len(), chunk_record_len(&tiles));
+        let rec = parse_chunk_record(&out, &mut 0, 2).unwrap();
+        assert_eq!(
+            (rec.lo, rec.scale, rec.tiles),
+            (-0.5, 0.25, vec![16..19, 19..20])
+        );
+        for cut in 0..out.len() {
+            assert!(parse_chunk_record(&out[..cut], &mut 0, 2).is_err(), "{cut}");
+        }
+        out.clear();
+        write_chunk_record(&mut out, 0.0, 1.0, &[vec![7u8], Vec::new()]).unwrap();
+        assert!(matches!(
+            parse_chunk_record(&out, &mut 0, 2),
+            Err(CodecError::Corrupt("zero-length tile"))
+        ));
+    }
+
+    /// Framing — stream bytes that are not tile payload — is the 22-byte
+    /// header plus 8 bytes of affine map and 4 per tile for each chunk: a
+    /// 128×64 KV block is one four-tile chunk (46 B), a 64×64 weight one
+    /// two-tile chunk (38 B).
+    #[test]
+    fn framing_is_46_bytes_on_a_kv_block_and_38_on_64x64() {
+        for (rows, cols, bits, framing) in [(128, 64, 2.9, 46), (64, 64, 3.0, 38)] {
+            let t = llm_weight(
+                rows,
+                cols,
+                &WeightProfile::default(),
+                &mut Pcg32::seed_from(1),
+            );
+            let enc = Llm265Codec::new()
+                .encode(&t, RateTarget::BitsPerValue(bits))
+                .unwrap();
+            let index = TensorStreamIndex::parse(enc.bytes()).unwrap();
+            let payload: usize = (0..index.n_tiles(0))
+                .map(|t| index.tile_range(0, t).len())
+                .sum();
+            assert_eq!(enc.bytes().len() - payload, framing, "{rows}x{cols}");
+        }
+    }
+
+    #[test]
+    fn oversize_wire_fields_error_instead_of_truncating() {
+        assert!(wire_u32(usize::try_from(u32::MAX).unwrap(), "x").is_ok());
+        let too_big = usize::try_from(u64::from(u32::MAX) + 1).unwrap();
+        assert!(matches!(
+            wire_u32(too_big, "x"),
+            Err(CodecError::LimitExceeded("x"))
+        ));
+    }
+}

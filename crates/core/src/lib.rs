@@ -11,7 +11,11 @@
 //!    ([`llm265_videocodec`]), with the rate knob (continuous QP, found
 //!    by [`llm265_videocodec::rate::search_qp`]) delivering
 //!    **fractional bits-per-value** targets;
-//! 4. decoding inverts the codec and the affine map.
+//! 4. the tile payloads are framed as one **tensor stream** (format v4):
+//!    a header states the configuration and geometry once, and each
+//!    chunk record adds only its affine map and tile lengths
+//!    ([`TensorStreamIndex`] reads it);
+//! 5. decoding inverts the codec and the affine map.
 //!
 //! On top of the plain codec this crate provides the paper's two rate
 //! features:
@@ -45,6 +49,7 @@ pub mod access;
 pub mod archive;
 mod chunk;
 mod codec;
+mod framing;
 pub mod gradient;
 pub mod pool;
 pub mod rate;
@@ -90,8 +95,9 @@ impl EncodedTensor {
     /// any transport that moves [`EncodedTensor::bytes`] across a wire.
     ///
     /// The stream is *validated at decode time*, not here: feeding a
-    /// corrupt or truncated stream to [`TensorCodec::decode`] returns a
-    /// [`CodecError`], it never panics.
+    /// corrupt or truncated stream, or one whose header states another
+    /// shape, to [`TensorCodec::decode`] returns a [`CodecError`]; it
+    /// never panics.
     pub fn from_parts(bytes: Vec<u8>, rows: usize, cols: usize) -> Self {
         EncodedTensor { bytes, rows, cols }
     }

@@ -2,13 +2,43 @@
 //! the tensor codec and the archive must produce [`CodecError`]s, never
 //! panics.
 
-use llm265_core::archive::TensorArchive;
+use llm265_core::archive::{ArchiveIndex, TensorArchive};
 use llm265_core::{
-    CodecError, EncodedTensor, Llm265Codec, RateTarget, TensorCodec, TensorStreamIndex,
+    CodecError, EncodedTensor, Llm265Codec, Llm265Config, RateTarget, TensorCodec,
+    TensorStreamIndex,
 };
 use llm265_tensor::rng::Pcg32;
 use llm265_tensor::synthetic::{llm_weight, WeightProfile};
 use llm265_tensor::Tensor;
+
+/// Byte offsets into the 22-byte v4 tensor header: magic u32, then
+/// version, profile, pipeline and flags bytes, the QP as u16, and rows,
+/// cols and rows per chunk as u32 (all little-endian).
+const VERSION_AT: usize = 4;
+const PROFILE_AT: usize = 5;
+const PIPELINE_AT: usize = 6;
+const FLAGS_AT: usize = 7;
+const QP_AT: usize = 8;
+const ROWS_AT: usize = 10;
+const COLS_AT: usize = 14;
+const ROWS_PER_CHUNK_AT: usize = 18;
+const HEADER_BYTES: usize = 22;
+const FLAG_RANS: u8 = 0x02;
+
+fn patch_u32(bytes: &mut [u8], at: usize, v: u32) {
+    bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Both readers, the index and the decoder, refuse `bytes` as `Corrupt`.
+fn assert_corrupt(bytes: Vec<u8>, (rows, cols): (usize, usize), what: &str) {
+    let parsed = TensorStreamIndex::parse(&bytes).map(|i| i.shape());
+    let decoded = Llm265Codec::new()
+        .decode(&EncodedTensor::from_parts(bytes, rows, cols))
+        .map(|t| t.shape());
+    for r in [parsed, decoded] {
+        assert!(matches!(r, Err(CodecError::Corrupt(_))), "{what}: {r:?}");
+    }
+}
 
 fn sample_tensor() -> Tensor {
     let mut rng = Pcg32::seed_from(7);
@@ -77,12 +107,11 @@ fn every_single_byte_flip_never_panics() {
 
 #[test]
 fn hostile_declared_shape_is_limited() {
-    // Stream layout starts: magic u32, rows u32, cols u32 (all LE).
     let codec = Llm265Codec::new();
     let enc = sample_encoded();
     let mut bytes = enc.bytes().to_vec();
-    bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-    bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    patch_u32(&mut bytes, ROWS_AT, u32::MAX);
+    patch_u32(&mut bytes, COLS_AT, u32::MAX);
     match codec.decode(&EncodedTensor::from_parts(bytes, 40, 40)) {
         Err(CodecError::LimitExceeded(_)) => {}
         other => panic!("expected LimitExceeded, got {:?}", other.map(|t| t.shape())),
@@ -91,14 +120,14 @@ fn hostile_declared_shape_is_limited() {
 
 #[test]
 fn chunk_coverage_mismatch_is_detected() {
-    // Shrinking the declared row count leaves the chunks covering more
-    // rows than the tensor has; growing it leaves rows uncovered. Both
-    // directions must be caught by the coverage checks, not trusted.
+    // Shrinking the declared row count below the rows per chunk leaves no
+    // valid chunk placement; growing it declares chunk records the stream
+    // does not hold. Both directions must be refused, not trusted.
     let codec = Llm265Codec::new();
     let enc = sample_encoded();
     for declared_rows in [8u32, 160] {
         let mut bytes = enc.bytes().to_vec();
-        bytes[4..8].copy_from_slice(&declared_rows.to_le_bytes());
+        patch_u32(&mut bytes, ROWS_AT, declared_rows);
         assert!(
             codec
                 .decode(&EncodedTensor::from_parts(bytes, 40, 40))
@@ -108,14 +137,13 @@ fn chunk_coverage_mismatch_is_detected() {
     }
 }
 
-/// Chunk records must tile the tensor top to bottom. Moving the second
-/// of two 32-row chunks from row 32 to row 0 keeps every chunk inside the
-/// tensor and the covered-row total at 64, yet leaves rows 32–63 unwritten;
-/// the decoder and the index must refuse it instead of returning zeros
-/// there.
+/// Chunk placement follows from `rows` and `rows_per_chunk` alone, so
+/// the one way to misplace chunks is a `rows_per_chunk` outside
+/// `1..=rows`: zero would declare endless empty chunks, more than `rows`
+/// a chunk past the tensor's end. Both are refused by the decoder and
+/// the index.
 #[test]
-fn overlapping_chunk_records_are_corrupt() {
-    use llm265_core::Llm265Config;
+fn rows_per_chunk_outside_one_to_rows_is_corrupt() {
     let mut rng = Pcg32::seed_from(11);
     let t = llm_weight(64, 32, &WeightProfile::default(), &mut rng);
     let codec = Llm265Codec::with_config(Llm265Config {
@@ -123,23 +151,33 @@ fn overlapping_chunk_records_are_corrupt() {
         ..Llm265Config::default()
     });
     let enc = codec.encode(&t, RateTarget::Qp(32.0)).expect("encode");
-    let mut bytes = enc.bytes().to_vec();
-    // Header: magic, rows, cols, n_chunks; then per chunk row0, rows, lo,
-    // scale, payload length (all u32 LE) and the payload.
-    assert_eq!(bytes[12..16], 2u32.to_le_bytes(), "two chunks");
-    let len0 = u32::from_le_bytes(bytes[32..36].try_into().expect("4 bytes"));
-    let row0_at = 36 + usize::try_from(len0).expect("usize");
-    assert_eq!(bytes[row0_at..row0_at + 4], 32u32.to_le_bytes());
-    bytes[row0_at..row0_at + 4].copy_from_slice(&0u32.to_le_bytes());
-    let hostile = EncodedTensor::from_parts(bytes, 64, 32);
-    match codec.decode(&hostile) {
-        Err(CodecError::Corrupt(_)) => {}
-        other => panic!("expected Corrupt, got {:?}", other.map(|t| t.shape())),
+    assert_eq!(
+        enc.bytes()[ROWS_PER_CHUNK_AT..HEADER_BYTES],
+        32u32.to_le_bytes(),
+        "two 32-row chunks"
+    );
+    for rows_per_chunk in [0u32, 65, u32::MAX] {
+        let mut bytes = enc.bytes().to_vec();
+        patch_u32(&mut bytes, ROWS_PER_CHUNK_AT, rows_per_chunk);
+        assert_corrupt(bytes, (64, 32), &format!("rows per chunk {rows_per_chunk}"));
     }
-    assert!(matches!(
-        TensorStreamIndex::parse(hostile.bytes()),
-        Err(CodecError::Corrupt(_))
-    ));
+}
+
+/// A stream ends where its last tile ends. Junk appended to a stream, or
+/// a second stream concatenated after it, used to decode `Ok` as the
+/// first stream alone; both are corrupt.
+#[test]
+fn bytes_after_the_last_tile_are_corrupt() {
+    let t = llm_weight(64, 64, &WeightProfile::default(), &mut Pcg32::seed_from(1));
+    let enc = Llm265Codec::new()
+        .encode(&t, RateTarget::BitsPerValue(3.0))
+        .expect("encode");
+    let mut junk = enc.bytes().to_vec();
+    junk.extend_from_slice(&[0x5A; 7]);
+    let mut twice = enc.bytes().to_vec();
+    twice.extend_from_slice(enc.bytes());
+    assert_corrupt(junk, (64, 64), "7 junk bytes");
+    assert_corrupt(twice, (64, 64), "two streams");
 }
 
 /// The random-access index parses the same hostile inputs the decoder
@@ -162,9 +200,13 @@ fn tile_index_survives_flips_and_hostile_lookups() {
     // Out-of-range lookups against the clean index are errors, not panics.
     assert!(index.decode_tile(enc.bytes(), usize::MAX, 0).is_err());
     assert!(index.decode_tile(enc.bytes(), 0, usize::MAX).is_err());
-    // An index parsed from the full stream must refuse a shorter buffer.
+    // An index parsed from the full stream must refuse a buffer that no
+    // longer covers the last tile.
     let short = &enc.bytes()[..enc.bytes().len() - 1];
-    assert!(index.decode_tile(short, 0, 0).is_err());
+    let last = index.n_chunks() - 1;
+    assert!(index
+        .decode_tile(short, last, index.n_tiles(last) - 1)
+        .is_err());
 }
 
 #[test]
@@ -190,6 +232,33 @@ fn archive_rejects_garbage_and_truncations() {
     }
 }
 
+/// The archive ends where its last entry ends: junk or a second archive
+/// appended after it used to decode `Ok` as the first archive alone.
+#[test]
+fn archive_bytes_after_the_last_entry_are_corrupt() {
+    let codec = Llm265Codec::new();
+    let archive = TensorArchive::encode(
+        &codec,
+        &[("w".to_string(), sample_tensor())],
+        RateTarget::Qp(32.0),
+    )
+    .expect("archive encode");
+    let mut junk = archive.bytes().to_vec();
+    junk.push(0);
+    let mut twice = archive.bytes().to_vec();
+    twice.extend_from_slice(archive.bytes());
+    for (what, bytes) in [("one junk byte", junk), ("two archives", twice)] {
+        match TensorArchive::decode(&codec, &bytes) {
+            Err(CodecError::Corrupt(_)) => {}
+            other => panic!("{what}: expected Corrupt, got {:?}", other.map(|v| v.len())),
+        }
+        assert!(
+            matches!(ArchiveIndex::parse(&bytes), Err(CodecError::Corrupt(_))),
+            "{what}: index parsed"
+        );
+    }
+}
+
 #[test]
 fn archive_hostile_entry_count_is_limited() {
     let mut evil = Vec::new();
@@ -209,18 +278,8 @@ fn archive_hostile_entry_count_is_limited() {
     }
 }
 
-/// Byte offsets of the first chunk's inner video-stream header inside a
-/// tensor stream: 16 outer header bytes + 20 chunk-header bytes, then
-/// the inner stream (magic u32, version byte at +4, pipeline byte at +6,
-/// flags byte at +21).
-const INNER_STREAM: usize = 36;
-const INNER_VERSION: usize = INNER_STREAM + 4;
-const INNER_PIPELINE: usize = INNER_STREAM + 6;
-const INNER_FLAGS: usize = INNER_STREAM + 21;
-const FLAG_RANS: u8 = 0x02;
-
 fn sample_rans_encoded() -> EncodedTensor {
-    use llm265_core::{EntropyProfile, Llm265Config};
+    use llm265_core::EntropyProfile;
     let codec = Llm265Codec::with_config(Llm265Config {
         entropy: EntropyProfile::Rans,
         ..Llm265Config::default()
@@ -229,39 +288,37 @@ fn sample_rans_encoded() -> EncodedTensor {
         .encode(&sample_tensor(), RateTarget::Qp(32.0))
         .expect("rans sample encode");
     // Pin the layout the offset constants assume before mutating it.
-    assert_eq!(enc.bytes()[INNER_VERSION], 3, "inner version byte");
-    assert_eq!(
-        enc.bytes()[INNER_FLAGS] & FLAG_RANS,
-        FLAG_RANS,
-        "inner flags byte carries FLAG_RANS"
-    );
+    assert_eq!(enc.bytes()[VERSION_AT], 4, "version byte");
+    assert_eq!(enc.bytes()[FLAGS_AT], FLAG_RANS, "flags byte is FLAG_RANS");
+    assert_eq!(enc.bytes()[COLS_AT..ROWS_PER_CHUNK_AT], 40u32.to_le_bytes());
     enc
 }
 
 #[test]
-fn index_truncated_before_inner_flags_byte_errors() {
+fn index_truncated_anywhere_in_the_header_errors() {
     let enc = sample_rans_encoded();
     TensorStreamIndex::parse(enc.bytes()).expect("clean rans index parses");
-    // Every cut through the inner stream header — including one byte
-    // short of the flags byte — must error, never read past the end.
-    for cut in INNER_STREAM..=INNER_FLAGS {
+    // Every cut through the header — including one byte short of its
+    // end — must error, never read past the end.
+    for cut in 0..HEADER_BYTES {
         assert!(
             TensorStreamIndex::parse(&enc.bytes()[..cut]).is_err(),
-            "index parsed with inner header cut at {cut}"
+            "index parsed with header cut at {cut}"
         );
     }
 }
 
-/// Reserved header bits and retired versions are refused, not guessed
-/// at: stream flag 0x01 (the retired tiled-layout flag) and 0x04–0x80,
-/// pipeline bits 0x10–0x80, and versions 1 and 2 — whose flag bytes
-/// could otherwise smuggle FLAG_RANS into a different payload layout.
+/// Reserved header bits and other versions are refused, not guessed at:
+/// stream flag 0x01 (the retired tiled-layout flag) and 0x04–0x80,
+/// pipeline bits 0x10–0x80, unknown profile ids, and versions 1–3 (the
+/// per-chunk video-stream layout).
 #[test]
 fn index_reserved_flag_bits_are_refused() {
     let enc = sample_rans_encoded();
-    let flags = [0x01u8, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80].map(|b| (INNER_FLAGS, b));
-    let pipeline = [0x10u8, 0x20, 0x40, 0x80].map(|b| (INNER_PIPELINE, b));
-    for (at, bit) in flags.into_iter().chain(pipeline) {
+    let flags = [0x01u8, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80].map(|b| (FLAGS_AT, b));
+    let pipeline = [0x10u8, 0x20, 0x40, 0x80].map(|b| (PIPELINE_AT, b));
+    let profile = [0x10u8, 0x80].map(|b| (PROFILE_AT, b));
+    for (at, bit) in flags.into_iter().chain(pipeline).chain(profile) {
         let mut bytes = enc.bytes().to_vec();
         bytes[at] |= bit;
         match TensorStreamIndex::parse(&bytes) {
@@ -270,15 +327,22 @@ fn index_reserved_flag_bits_are_refused() {
             Ok(_) => panic!("reserved bit {bit:#04x} at {at} accepted"),
         }
     }
-    for version in [1u8, 2] {
+    for version in [1u8, 2, 3] {
         let mut bytes = enc.bytes().to_vec();
-        bytes[INNER_VERSION] = version;
+        bytes[VERSION_AT] = version;
         assert!(
             matches!(
                 TensorStreamIndex::parse(&bytes),
-                Err(CodecError::Unsupported("bitstream version"))
+                Err(CodecError::Unsupported("tensor-stream version"))
             ),
             "version {version} accepted"
         );
     }
+    // QP 51.25 is past the H.265 range.
+    let mut bytes = enc.bytes().to_vec();
+    bytes[QP_AT..ROWS_AT].copy_from_slice(&(51 * 256 + 64u16).to_le_bytes());
+    assert!(matches!(
+        TensorStreamIndex::parse(&bytes),
+        Err(CodecError::Corrupt("qp out of range"))
+    ));
 }

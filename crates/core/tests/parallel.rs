@@ -45,12 +45,13 @@ fn fixed_qp_streams_match_serial_golden_hashes() {
         let enc = codec(96 * 24, threads)
             .encode(&t, RateTarget::Qp(24.0))
             .expect("encode");
-        // Re-pinned for the v3 header plus a one-entry tile index on each
-        // of the 4 single-tile (one CTU row) chunks.
-        assert_eq!(enc.bytes().len(), 3624, "threads {threads}");
+        // Re-pinned for format v4: one 22-byte tensor header, then 12
+        // bytes of record (affine map, one tile length) per single-tile
+        // (one CTU row) chunk.
+        assert_eq!(enc.bytes().len(), 3454, "threads {threads}");
         assert_eq!(
             fnv1a(enc.bytes()),
-            0x63dc_1703_b608_3d20,
+            0x8003_9ed0_6eae_e6c0,
             "threads {threads}"
         );
     }
@@ -99,11 +100,11 @@ fn rate_searches_are_identical_across_thread_counts_and_runs() {
 fn rate_targeted_streams_match_golden_hashes() {
     let t = weight(13, 96);
     for (target, len, fnv) in [
-        (RateTarget::BitsPerValue(3.0), 3437, 0x2ed3_5f12_3e59_ac48),
+        (RateTarget::BitsPerValue(3.0), 3425, 0xbd7a_8961_907d_f1fc),
         (
             RateTarget::MaxNormalizedMse(0.02),
-            3964,
-            0x6380_a9c9_9cb7_f73b,
+            3794,
+            0x0884_12e3_9395_2561,
         ),
     ] {
         for threads in [1, 2, 8] {
@@ -132,8 +133,8 @@ fn parallel_decode_matches_serial_decode() {
 /// same bytes must come out at every thread count (tile count is pure
 /// geometry) — see `fixed_qp_streams_match_serial_golden_hashes`, which
 /// checks threads 1/2/8 against these values.
-const TILED_64_LEN: usize = 499;
-const TILED_64_FNV: u64 = 0xeef0_c2f7_2586_afbc;
+const TILED_64_LEN: usize = 457;
+const TILED_64_FNV: u64 = 0x7769_5457_ceb4_b0c7;
 
 #[test]
 fn zero_threads_resolves_to_machine_parallelism_and_stays_exact() {
@@ -141,7 +142,7 @@ fn zero_threads_resolves_to_machine_parallelism_and_stays_exact() {
     let auto = codec(96 * 24, 0)
         .encode(&t, RateTarget::Qp(24.0))
         .expect("encode");
-    assert_eq!(fnv1a(auto.bytes()), 0x63dc_1703_b608_3d20);
+    assert_eq!(fnv1a(auto.bytes()), 0x8003_9ed0_6eae_e6c0);
     let dec = codec(96 * 24, 0).decode(&auto).expect("decode");
     assert_eq!(dec.shape(), t.shape());
 }
@@ -269,10 +270,10 @@ fn rans_streams_match_golden_hashes_and_cabac_recon() {
         let enc = rans_codec(96 * 24, threads)
             .encode(&t, RateTarget::Qp(24.0))
             .expect("encode");
-        assert_eq!(enc.bytes().len(), 6584, "threads {threads}");
+        assert_eq!(enc.bytes().len(), 6414, "threads {threads}");
         assert_eq!(
             fnv1a(enc.bytes()),
-            0x2587_4875_2672_6ed4,
+            0x9196_55f1_edd3_3c02,
             "threads {threads}"
         );
         let dec = rans_codec(96 * 24, threads).decode(&enc).expect("decode");
@@ -288,10 +289,10 @@ fn rans_streams_match_golden_hashes_and_cabac_recon() {
         })
         .encode(&t, RateTarget::Qp(30.0))
         .expect("encode");
-        assert_eq!(enc.bytes().len(), 1267, "threads {threads}");
+        assert_eq!(enc.bytes().len(), 1225, "threads {threads}");
         assert_eq!(
             fnv1a(enc.bytes()),
-            0xfb68_78be_0fae_4566,
+            0x7353_db74_3414_307d,
             "threads {threads}"
         );
     }

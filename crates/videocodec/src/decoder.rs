@@ -178,9 +178,53 @@ pub(crate) struct StreamHeader {
     pub n_frames: usize,
 }
 
-/// Parses and validates the stream header. Only [`VERSION`] is accepted,
-/// and any bit outside the defined pipeline switches or stream flags is
-/// refused as [`CodecError::Unsupported`].
+/// Validates the coding fields every header carries — profile id,
+/// pipeline switches, QP × 256 and stream flags — into the configuration
+/// they signal (`tiles` left at 1). The one home of these checks: the
+/// video stream header and `llm265-core`'s tensor header both call it.
+///
+/// # Errors
+///
+/// `Unsupported` for an unknown profile id, pipeline bit or flag bit;
+/// `Corrupt` for a QP outside the H.265 range.
+pub fn coding_config(
+    profile: u8,
+    pipeline: u8,
+    qp: u16,
+    flags: u8,
+) -> Result<CodecConfig, CodecError> {
+    let profile =
+        Profile::from_header_id(profile).ok_or(CodecError::Unsupported("unknown profile id"))?;
+    let pipeline = PipelineConfig::from_byte(pipeline)
+        .ok_or(CodecError::Unsupported("unknown pipeline switches"))?;
+    let qp = f64::from(qp) / 256.0;
+    // The 16-bit field can carry up to ~256.0; a QP beyond the H.265 range
+    // never comes from our encoder and would violate the quantizer's
+    // contract downstream.
+    if !(crate::quant::QP_MIN..=crate::quant::QP_MAX).contains(&qp) {
+        return Err(CodecError::Corrupt("qp out of range"));
+    }
+    // Reject unknown flag bits rather than misdecoding a future layout:
+    // flags change how payloads are coded.
+    if flags & !FLAG_RANS != 0 {
+        return Err(CodecError::Unsupported("unknown stream flags"));
+    }
+    let entropy = if flags & FLAG_RANS != 0 {
+        EntropyProfile::Rans
+    } else {
+        EntropyProfile::Cabac
+    };
+    Ok(CodecConfig {
+        profile,
+        pipeline,
+        qp,
+        tiles: 1,
+        entropy,
+    })
+}
+
+/// Parses and validates the stream header. Only [`VERSION`] is accepted;
+/// the coding fields are checked by [`coding_config`].
 pub(crate) fn parse_stream_header(data: &[u8]) -> Result<StreamHeader, CodecError> {
     let mut r = BitReader::new(data);
     if (r.read_bits(32)? & 0xFFFF_FFFF) as u32 != MAGIC {
@@ -190,20 +234,14 @@ pub(crate) fn parse_stream_header(data: &[u8]) -> Result<StreamHeader, CodecErro
     if version != VERSION {
         return Err(CodecError::Unsupported("bitstream version"));
     }
-    let profile = Profile::from_header_id((r.read_bits(8)? & 0xFF) as u8)
-        .ok_or(CodecError::Unsupported("unknown profile id"))?;
-    let pipeline = PipelineConfig::from_byte((r.read_bits(8)? & 0xFF) as u8)
-        .ok_or(CodecError::Unsupported("unknown pipeline switches"))?;
-    let qp = r.read_bits(16)? as f64 / 256.0;
-    // The 16-bit field can carry up to ~256.0; a QP beyond the H.265 range
-    // never comes from our encoder and would violate the quantizer's
-    // contract downstream.
-    if !(crate::quant::QP_MIN..=crate::quant::QP_MAX).contains(&qp) {
-        return Err(CodecError::Corrupt("qp out of range"));
-    }
+    let profile = (r.read_bits(8)? & 0xFF) as u8;
+    let pipeline = (r.read_bits(8)? & 0xFF) as u8;
+    let qp = (r.read_bits(16)? & 0xFFFF) as u16;
     let w = r.read_bits(32)? as usize;
     let h = r.read_bits(32)? as usize;
     let n_frames = r.read_bits(32)? as usize;
+    let flags = (r.read_bits(8)? & 0xFF) as u8;
+    let cfg = coding_config(profile, pipeline, qp, flags)?;
     if w == 0 || h == 0 {
         return Err(CodecError::Corrupt("zero frame dimensions"));
     }
@@ -216,25 +254,8 @@ pub(crate) fn parse_stream_header(data: &[u8]) -> Result<StreamHeader, CodecErro
     if n_frames > 1 << 20 {
         return Err(CodecError::LimitExceeded("frame count"));
     }
-    let flags = (r.read_bits(8)? & 0xFF) as u8;
-    // Reject unknown flag bits rather than misdecoding a future layout:
-    // flags change how payloads are coded.
-    if flags & !FLAG_RANS != 0 {
-        return Err(CodecError::Unsupported("unknown stream flags"));
-    }
-    let entropy = if flags & FLAG_RANS != 0 {
-        EntropyProfile::Rans
-    } else {
-        EntropyProfile::Cabac
-    };
     Ok(StreamHeader {
-        cfg: CodecConfig {
-            profile,
-            pipeline,
-            qp,
-            tiles: 1,
-            entropy,
-        },
+        cfg,
         w,
         h,
         n_frames,

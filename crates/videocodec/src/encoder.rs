@@ -583,7 +583,7 @@ fn code_payload<S: BinSink>(coder: &FrameCoder<'_>, trees: &[CuNode], ctu: usize
 
 /// Writes the fixed stream header — the exact mirror of the decoder's
 /// `parse_stream_header`. `cfg.qp` must already be snapped to the
-/// header's 1/256 fixed-point grid (use [`snap_qp`]); the snapped value
+/// header's 1/256 fixed-point grid ([`CodecConfig::snapped`]); the snapped value
 /// is what gets encoded, so the decoder's quantizer matches bit-exactly.
 pub(crate) fn write_stream_header(
     cfg: &CodecConfig,
@@ -596,15 +596,11 @@ pub(crate) fn write_stream_header(
     header.write_bits(VERSION as u64, 8);
     header.write_bits(cfg.profile.header_id() as u64, 8);
     header.write_bits(cfg.pipeline.to_byte() as u64, 8);
-    header.write_bits((cfg.qp * 256.0).round().clamp(0.0, 65535.0) as u64, 16);
+    header.write_bits(u64::from(cfg.qp_code()), 16);
     header.write_bits(w as u64, 32);
     header.write_bits(h as u64, 32);
     header.write_bits(n_frames as u64, 32);
-    let flags = match cfg.entropy {
-        EntropyProfile::Cabac => 0,
-        EntropyProfile::Rans => FLAG_RANS,
-    };
-    header.write_bits(u64::from(flags), 8);
+    header.write_bits(u64::from(cfg.flags()), 8);
     header.finish()
 }
 
@@ -615,12 +611,6 @@ pub(crate) fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
     // Frame payloads are far below 4 GiB; the mask states the width.
     bytes::write_le_u32(out, (payload.len() & 0xFFFF_FFFF) as u32);
     out.extend_from_slice(payload);
-}
-
-/// Snaps a QP to the stream header's 1/256 fixed-point grid, so encoding
-/// decisions and the decoder's quantizer agree bit-exactly.
-pub(crate) fn snap_qp(qp: f64) -> f64 {
-    (qp * 256.0).round().clamp(0.0, 65535.0) / 256.0
 }
 
 /// Encodes a video (see [`crate::encode_video`]).
@@ -643,7 +633,7 @@ pub(crate) fn encode_video(frames: &[Frame], cfg: &CodecConfig) -> EncodedVideo 
     // the encode work is scheduled.
     let layout = crate::tile::TileLayout::for_frame(w, h, ctu, cfg.tiles);
 
-    let cfg = cfg.clone().with_qp(snap_qp(cfg.qp));
+    let cfg = cfg.snapped();
     let cfg = &cfg;
     let mut bytes = write_stream_header(cfg, w, h, frames.len());
 

@@ -154,6 +154,29 @@ impl CodecConfig {
         self.entropy = entropy;
         self
     }
+
+    /// The QP as headers carry it: a `u16` on the 1/256 fixed-point grid.
+    pub fn qp_code(&self) -> u16 {
+        // Clamped to the u16 range one step up, so the cast is exact.
+        (self.qp * 256.0).round().clamp(0.0, 65535.0) as u16
+    }
+
+    /// The config with its QP snapped to [`Self::qp_code`]'s grid — what
+    /// encoders code with, so encoding decisions and the decoder's
+    /// quantizer agree bit-exactly.
+    #[must_use]
+    pub fn snapped(&self) -> Self {
+        self.clone().with_qp(f64::from(self.qp_code()) / 256.0)
+    }
+
+    /// The stream-flags byte headers carry: `0x02` for the rANS backend,
+    /// `0` for CABAC. [`decoder::coding_config`] refuses every other bit.
+    pub fn flags(&self) -> u8 {
+        match self.entropy {
+            EntropyProfile::Cabac => 0,
+            EntropyProfile::Rans => encoder::FLAG_RANS,
+        }
+    }
 }
 
 /// Result of encoding a video: the bitstream plus the encoder's

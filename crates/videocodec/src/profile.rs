@@ -129,7 +129,7 @@ impl Profile {
     }
 
     /// Serialization id for the bitstream header.
-    pub(crate) fn header_id(&self) -> u8 {
+    pub fn header_id(&self) -> u8 {
         self.kind.id()
     }
 

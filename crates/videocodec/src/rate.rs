@@ -33,8 +33,14 @@ const THETA_PRIOR: f64 = 4.5;
 /// Each model-placed probe aims this fraction under the budget, so a
 /// model that is slightly optimistic still lands feasible.
 const AIM_MARGIN: f64 = 0.004;
-/// A feasible probe within this fraction of the budget ends the search.
+/// A feasible probe within this fraction of an error budget ends the
+/// search.
 const ACCEPT_MARGIN: f64 = 0.01;
+/// The same for a bits budget. A small tensor's size moves in steps of
+/// 1–3% as whole CTUs change their coding decisions, so a 1% window is
+/// often out of reach and the search would narrow its bracket to
+/// [`QP_TOL`] instead; 1.5% cuts probes by 4–7% at 0.1% fewer bits.
+const BITS_ACCEPT_MARGIN: f64 = 0.015;
 /// Resolution of a [`RateModel`]'s tables: one grid point per 1/8 QP.
 const GRID_PER_QP: usize = 8;
 /// Grid points from QP 0 to QP 51 inclusive.
@@ -72,10 +78,15 @@ impl Goal {
         self.measure(p) <= self.budget()
     }
 
-    /// Whether the probe meets the goal with at most [`ACCEPT_MARGIN`] of
-    /// the budget left over, which ends the search.
+    /// Whether the probe meets the goal with at most
+    /// [`BITS_ACCEPT_MARGIN`] (bits) or [`ACCEPT_MARGIN`] (error) of the
+    /// budget left over, which ends the search.
     fn settled_by(self, p: Probe) -> bool {
-        self.met_by(p) && self.measure(p) >= (1.0 - ACCEPT_MARGIN) * self.budget()
+        let margin = match self {
+            Goal::MaxBits(_) => BITS_ACCEPT_MARGIN,
+            Goal::MaxSquaredError(_) => ACCEPT_MARGIN,
+        };
+        self.met_by(p) && self.measure(p) >= (1.0 - margin) * self.budget()
     }
 
     /// Maps a search-axis position to a QP. The axis is oriented so the
@@ -323,8 +334,9 @@ impl<'m> Fit<'m> {
 ///   infeasible and feasible ends seen so far. The probe then
 ///   recalibrates the model (θ for bits, κ for error). Where the model
 ///   contradicts the bracket, the probe bisects it instead.
-/// - **Stops** at the first feasible probe within 1% of the budget; the
-///   [`QP_TOL`] bracket width and an iteration cap are the backstop.
+/// - **Stops** at the first feasible probe within 1.5% of a bits budget
+///   or 1% of an error budget; the [`QP_TOL`] bracket width and an
+///   iteration cap are the backstop.
 /// - No QP is probed twice, and the returned QP is always one `probe` was
 ///   called with — callers keep that probe's encode as the answer.
 ///

@@ -4,17 +4,19 @@
 //! each). Each tile is encoded exactly like a standalone mini-frame —
 //! fresh entropy coder, fresh context models, no intra prediction across
 //! the tile boundary (the band's top row behaves like a frame top) — so
-//! any tile decodes without touching the others. Every frame payload is a
-//! byte-offset index (`u16` count, then `u32` offset + `u32` length per
-//! tile) followed by the concatenated tile payloads; a one-tile frame
-//! carries a one-entry index, so there is a single payload shape. This
-//! buys three things:
+//! any tile decodes without touching the others. In a video stream every
+//! frame payload is a byte-offset index (`u16` count, then `u32` offset +
+//! `u32` length per tile) followed by the concatenated tile payloads; a
+//! one-tile frame carries a one-entry index, so there is a single payload
+//! shape. (`llm265-core`'s tensor streams carry the same tile payloads
+//! without that index: their tile count and offsets follow from the
+//! tensor header.) This buys three things:
 //!
 //! * **intra-frame parallel decode** — `llm265-core` fans (chunk, tile)
 //!   tasks over its deterministic pool, so one huge chunk no longer pins
 //!   one thread;
-//! * **random access** — [`StreamIndex`] maps any tile to its absolute
-//!   byte range and [`StreamIndex::decode_tile`] decodes just that band;
+//! * **random access** — [`decode_tile`] decodes one tile's payload on
+//!   its own, given only the coding config and the frame's layout;
 //! * the CTU-row wavefront later (per-row context checkpoints need the
 //!   per-band context init this layout introduces).
 //!
@@ -40,9 +42,8 @@ pub const MAX_TILES: usize = 1024;
 /// `i < ctu_rows % n_tiles`. Returns the per-band CTU-row counts.
 ///
 /// `n_tiles` carries a `ranges.toml` contract (`1..=1024`, i.e.
-/// [`MAX_TILES`]) and must not exceed `ctu_rows`; callers prove both by
-/// clamping (encode side) or by diverging validation guards (decode
-/// side).
+/// [`MAX_TILES`]) and must not exceed `ctu_rows`; [`TileLayout::for_frame`]
+/// proves both by clamping.
 pub fn split_ctu_rows(ctu_rows: usize, n_tiles: usize) -> Vec<usize> {
     debug_assert!((1..=MAX_TILES).contains(&n_tiles));
     debug_assert!(
@@ -83,19 +84,6 @@ impl TileLayout {
         let ctu_rows = h.div_ceil(ctu);
         let n_tiles = requested.clamp(1, ctu_rows.min(MAX_TILES));
         let bands = split_ctu_rows(ctu_rows, n_tiles)
-            .into_iter()
-            .map(|r| r * ctu)
-            .collect();
-        TileLayout { w, h, ctu, bands }
-    }
-
-    /// Rebuilds the layout a decoder needs from a parsed tile count. The
-    /// caller must have validated `count` (non-zero, at most [`MAX_TILES`]
-    /// and at most the frame's CTU-row count) — [`parse_tile_index`]
-    /// guards all three before this runs.
-    pub(crate) fn from_validated_count(w: usize, h: usize, ctu: usize, count: usize) -> TileLayout {
-        let ctu_rows = h.div_ceil(ctu);
-        let bands = split_ctu_rows(ctu_rows, count)
             .into_iter()
             .map(|r| r * ctu)
             .collect();
@@ -146,10 +134,11 @@ pub(crate) fn band_of(f: &Frame, y0: usize, band_h: usize) -> Frame {
 /// (fresh entropy-coder state), returning the payload and the band's
 /// padded reconstruction.
 ///
-/// The QP is snapped to the stream header's 1/256 fixed-point grid here,
-/// so per-tile encoding — e.g. `llm265-core` fanning (chunk, tile) tasks
-/// over its pool — produces byte-identical payloads to
-/// [`crate::encode_video`] with the same config.
+/// The QP is snapped to the headers' 1/256 fixed-point grid
+/// ([`CodecConfig::snapped`]) here, so a header that carries the config's
+/// QP — a video stream's or `llm265-core`'s tensor header — names the QP
+/// every payload was coded with, and per-tile encoding produces the same
+/// payloads as [`crate::encode_video`] with the same config.
 ///
 /// # Panics
 ///
@@ -165,7 +154,7 @@ pub fn encode_tile(
     frame_idx: usize,
 ) -> (Vec<u8>, Frame) {
     assert_eq!(padded.width(), layout.padded_width(), "frame not padded");
-    let cfg = cfg.clone().with_qp(crate::encoder::snap_qp(cfg.qp));
+    let cfg = cfg.snapped();
     let (y0, band_h) = layout.band(tile);
     let band = band_of(padded, y0, band_h);
     let prev_band = prev_padded.map(|p| band_of(p, y0, band_h));
@@ -201,29 +190,6 @@ pub(crate) fn build_frame_payload(tiles: &[Vec<u8>]) -> Vec<u8> {
         out.extend_from_slice(t);
     }
     out
-}
-
-/// Serializes a complete single-frame stream from already encoded tile
-/// payloads, byte-identical to [`crate::encode_video`] of the same frame
-/// with the same config — this is how `llm265-core` assembles a chunk's
-/// stream after fanning per-tile [`encode_tile`] tasks over its pool.
-///
-/// # Panics
-///
-/// Panics if `tiles` is empty or the payloads overflow the index's `u32`
-/// offsets.
-pub fn assemble_single_frame_stream(
-    cfg: &CodecConfig,
-    w: usize,
-    h: usize,
-    tiles: &[Vec<u8>],
-) -> Vec<u8> {
-    // Same 1/256 fixed-point snap as `encode_video`; `encode_tile` encoded
-    // with the snapped value, so header and payloads agree.
-    let cfg = cfg.clone().with_qp(crate::encoder::snap_qp(cfg.qp));
-    let mut bytes = crate::encoder::write_stream_header(&cfg, w, h, 1);
-    crate::encoder::write_frame(&mut bytes, &build_frame_payload(tiles));
-    bytes
 }
 
 /// Parses and validates a frame payload's tile index. Returns the
@@ -323,7 +289,9 @@ pub(crate) fn decode_tiled_frame(
     let ctu = cfg.profile.ctu();
     let ctu_rows = h.div_ceil(ctu);
     let (entries, data_start) = parse_tile_index(payload, ctu_rows)?;
-    let layout = TileLayout::from_validated_count(w, h, ctu, entries.len());
+    // The count was validated against the CTU rows and `MAX_TILES`, so
+    // the clamp inside `for_frame` keeps it as is.
+    let layout = TileLayout::for_frame(w, h, ctu, entries.len());
     let pw = layout.padded_width();
     let mut data = Vec::new();
     for (i, &(off, len)) in entries.iter().enumerate() {
@@ -348,121 +316,29 @@ pub(crate) fn decode_tiled_frame(
     Ok(Frame::from_vec(pw, ctu_rows * ctu, data))
 }
 
-/// A parsed stream index: maps every tile of a single-frame stream to
-/// its absolute byte range, for random access without decoding (or even
-/// reading) the rest of the stream.
+/// Decodes tile `i` of a frame with geometry `layout` from that tile's
+/// payload alone (fresh contexts, no reference frame), returning its band
+/// cropped to real frame pixels (`width × layout.band_rows(i).1`). This
+/// is the random-access and pooled-decode primitive: no other byte of the
+/// stream is read.
 ///
-/// Multi-frame streams are rejected: later frames may reference earlier
-/// reconstructions, so per-tile random access is only defined for the
-/// single-frame streams the tensor codec produces.
-#[derive(Debug, Clone)]
-pub struct StreamIndex {
-    cfg: CodecConfig,
-    w: usize,
-    h: usize,
-    layout: TileLayout,
-    ranges: Vec<std::ops::Range<usize>>,
-}
-
-impl StreamIndex {
-    /// Parses a stream's header and tile index without touching the tile
-    /// payloads.
-    ///
-    /// # Errors
-    ///
-    /// Any header/index validation error [`crate::decode_video`] would
-    /// return, plus [`CodecError::Unsupported`] for multi-frame streams.
-    pub fn parse(data: &[u8]) -> Result<StreamIndex, CodecError> {
-        let crate::decoder::StreamHeader {
-            cfg,
-            w,
-            h,
-            n_frames,
-        } = crate::decoder::parse_stream_header(data)?;
-        if n_frames != 1 {
-            return Err(CodecError::Unsupported("tile index on multi-frame stream"));
-        }
-        let mut pos = crate::encoder::HEADER_BYTES;
-        let payload = crate::decoder::parse_frame(data, &mut pos)?;
-        let ctu = cfg.profile.ctu();
-        let (entries, data_start) = parse_tile_index(payload, h.div_ceil(ctu))?;
-        let layout = TileLayout::from_validated_count(w, h, ctu, entries.len());
-        let base = pos - payload.len() + data_start;
-        let ranges = entries
-            .iter()
-            .map(|&(off, tlen)| base + off..base + off + tlen)
-            .collect();
-        Ok(StreamIndex {
-            cfg,
-            w,
-            h,
-            layout,
-            ranges,
-        })
+/// # Errors
+///
+/// [`CodecError::InvalidInput`] for an out-of-range tile, or any payload
+/// decode error.
+pub fn decode_tile(
+    payload: &[u8],
+    cfg: &CodecConfig,
+    layout: &TileLayout,
+    i: usize,
+) -> Result<Frame, CodecError> {
+    if i >= layout.n_tiles() {
+        return Err(CodecError::InvalidInput(format!("tile {i} out of range")));
     }
-
-    /// Number of independently decodable tiles.
-    pub fn n_tiles(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Frame dimensions `(width, height)` declared by the header.
-    pub fn frame_size(&self) -> (usize, usize) {
-        (self.w, self.h)
-    }
-
-    /// Absolute byte range of tile `i` within the stream — the only
-    /// bytes [`Self::decode_tile`] reads besides the parsed header.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= n_tiles()`.
-    pub fn tile_range(&self, i: usize) -> std::ops::Range<usize> {
-        self.ranges[i].clone()
-    }
-
-    /// Tile `i`'s rows in unpadded frame coordinates: `(row0, rows)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= n_tiles()`.
-    pub fn band_rows(&self, i: usize) -> (usize, usize) {
-        self.layout.band_rows(i)
-    }
-
-    /// Decodes tile `i` alone, returning its band cropped to real frame
-    /// pixels (`width × band_rows(i).1`). `data` must be the same stream
-    /// this index was parsed from — only the tile's own byte range is
-    /// read.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::InvalidInput`] for an out-of-range tile,
-    /// [`CodecError::Truncated`] if the stream no longer covers the
-    /// tile's range, or any payload decode error.
-    pub fn decode_tile(&self, data: &[u8], i: usize) -> Result<Frame, CodecError> {
-        let range = self
-            .ranges
-            .get(i)
-            .ok_or_else(|| CodecError::InvalidInput(format!("tile {i} out of range")))?
-            .clone();
-        let payload = data
-            .get(range)
-            .ok_or(CodecError::Truncated("tile payload"))?;
-        let (y0, band_h) = self.layout.band(i);
-        let plans = DctPlans::new();
-        let band = decode_frame(
-            payload,
-            None,
-            &self.cfg,
-            &plans,
-            0,
-            self.layout.padded_width(),
-            band_h,
-        )?;
-        let rows = band_h.min(self.h - y0);
-        Ok(band.cropped(self.w, rows))
-    }
+    let (y0, band_h) = layout.band(i);
+    let plans = DctPlans::new();
+    let band = decode_frame(payload, None, cfg, &plans, 0, layout.padded_width(), band_h)?;
+    Ok(band.cropped(layout.w, band_h.min(layout.h - y0)))
 }
 
 #[cfg(test)]
@@ -496,27 +372,6 @@ mod tests {
         assert_eq!(covered, 96); // padded height
                                  // Last band clips to the real frame: rows 64..70.
         assert_eq!(layout.band_rows(2), (64, 6));
-    }
-
-    #[test]
-    fn pooled_assembly_matches_encode_video_byte_for_byte() {
-        // llm265-core re-assembles chunk streams from per-tile pool tasks;
-        // that path must be indistinguishable from the serial encoder.
-        let frame = Frame::from_fn(48, 80, |x, y| ((x * 7 + y * 3) % 256) as u8);
-        for tiles in [1usize, 3] {
-            let cfg = CodecConfig::default().with_qp(27.3).with_tiles(tiles);
-            let whole = crate::encode_video(std::slice::from_ref(&frame), &cfg);
-            let ctu = cfg.profile.ctu();
-            let layout = TileLayout::for_frame(frame.width(), frame.height(), ctu, cfg.tiles);
-            let padded = frame.padded_to(ctu);
-            let plans = DctPlans::new();
-            let payloads: Vec<Vec<u8>> = (0..layout.n_tiles())
-                .map(|t| encode_tile(&padded, None, &cfg, &plans, &layout, t, 0).0)
-                .collect();
-            let assembled =
-                assemble_single_frame_stream(&cfg, frame.width(), frame.height(), &payloads);
-            assert_eq!(assembled, whole.bytes, "tiles = {tiles}");
-        }
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! The rANS profile changes only how decided bins are entropy-coded, so
 //! reconstructions must be bit-identical to CABAC at the same QP, tiled
-//! rANS streams must keep every tile independently decodable, and hostile
+//! rANS streams must round-trip (per-tile random access over rANS tiles
+//! is tested with `llm265-core`'s tensor index), and hostile
 //! payloads (truncated, flipped, declared-length bombs) must come back as
 //! typed errors — never a panic or a hang.
 
-use llm265_videocodec::tile::StreamIndex;
 use llm265_videocodec::{
     decode_video, encode_video, CodecConfig, CodecError, EntropyProfile, Frame,
 };
@@ -74,35 +74,6 @@ fn tiled_rans_streams_roundtrip_bit_exact() {
     }
 }
 
-/// Random access into an rANS stream: `StreamIndex::decode_tile` must
-/// reproduce each tile band of the full reconstruction from only that
-/// tile's bytes.
-#[test]
-fn stream_index_decodes_rans_tiles_independently() {
-    let frames = [textured_frame(5, 96, 96)];
-    let cfg = CodecConfig::default()
-        .with_qp(26.0)
-        .with_tiles(3)
-        .with_entropy(EntropyProfile::Rans);
-    let enc = encode_video(&frames, &cfg);
-    let index = StreamIndex::parse(&enc.bytes).expect("index");
-    assert_eq!(index.n_tiles(), 3);
-    for i in 0..index.n_tiles() {
-        let band = index.decode_tile(&enc.bytes, i).expect("tile decode");
-        let (row0, rows) = index.band_rows(i);
-        assert_eq!(band.height(), rows, "tile {i} rows");
-        for y in 0..rows {
-            for x in 0..band.width() {
-                assert_eq!(
-                    band.get(x, y),
-                    enc.recon[0].get(x, row0 + y),
-                    "tile {i} pixel ({x},{y})"
-                );
-            }
-        }
-    }
-}
-
 /// Truncating an rANS stream anywhere in the payload must yield a typed
 /// error, never a panic or a hang. (Very short prefixes that still parse
 /// as an empty-frame header are impossible here: the header alone is 22
@@ -144,24 +115,5 @@ fn byte_flipped_rans_payloads_never_panic() {
         let mut evil = enc.bytes.clone();
         evil[pos] ^= 0xff;
         let _ = decode_video(&evil); // must not panic or hang
-    }
-}
-
-/// Same hostile sweep against a tiled rANS stream, through the random
-/// access path: per-tile decode must also stay total under corruption.
-#[test]
-fn byte_flipped_rans_tiles_never_panic() {
-    let frames = [textured_frame(8, 64, 64)];
-    let cfg = CodecConfig::default()
-        .with_qp(28.0)
-        .with_tiles(2)
-        .with_entropy(EntropyProfile::Rans);
-    let enc = encode_video(&frames, &cfg);
-    let index = StreamIndex::parse(&enc.bytes).expect("index");
-    let range = index.tile_range(0);
-    for pos in range.clone() {
-        let mut evil = enc.bytes.clone();
-        evil[pos] ^= 0xff;
-        let _ = index.decode_tile(&evil, 0); // must not panic or hang
     }
 }

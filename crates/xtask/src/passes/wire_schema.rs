@@ -33,9 +33,11 @@ use crate::report::Violation;
 use crate::source::Workspace;
 
 /// Files whose writer/reader functions are in scope for pairing and
-/// duality proofs: the stream-facing half of the codec and the bit, byte
-/// and CABAC primitives it is built from.
+/// duality proofs: the stream-facing half of the codec, the tensor
+/// framing around it, and the bit, byte and CABAC primitives it is built
+/// from.
 const SCOPE_FILES: &[&str] = &[
+    "/framing.rs",
     "/encoder.rs",
     "/decoder.rs",
     "/syntax.rs",
@@ -82,6 +84,12 @@ const CHAIN_CAP: usize = 8;
 /// The spec layers, outermost first. Stems are writer/reader function
 /// names; a layer may be absent in a workspace (fixtures).
 const LAYERS: &[(&str, &str, &str)] = &[
+    (
+        "tensor-header",
+        "write_tensor_header",
+        "parse_tensor_header",
+    ),
+    ("chunk-record", "write_chunk_record", "parse_chunk_record"),
     (
         "stream-header",
         "write_stream_header",
