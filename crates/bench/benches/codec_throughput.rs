@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 
 use llm265_bench::json::{self, BenchRun, HardwareTargets, ThreadedSample};
 use llm265_bench::microbench::Group;
-use llm265_core::{EntropyProfile, Llm265Codec, Llm265Config, RateTarget, TensorCodec};
+use llm265_core::{Llm265Codec, Llm265Config, RateTarget, TensorCodec};
 use llm265_tensor::rng::Pcg32;
 use llm265_tensor::synthetic::{llm_weight, WeightProfile};
 use llm265_tensor::Tensor;
@@ -136,7 +136,7 @@ fn main() {
         let cfg = CodecConfig::default().with_qp(30.0);
         g.throughput_bytes((n * n) as u64);
         g.bench(&format!("{n}x{n}_qp30"), || {
-            encode_video(std::slice::from_ref(&frame), &cfg)
+            encode_video(std::slice::from_ref(&frame), &cfg).expect("bench encode succeeds")
         });
     }
     g.finish();
@@ -145,7 +145,7 @@ fn main() {
     for &n in &[64usize, 128] {
         let frame = weight_frame(n, 2);
         let cfg = CodecConfig::default().with_qp(30.0);
-        let enc = encode_video(std::slice::from_ref(&frame), &cfg);
+        let enc = encode_video(std::slice::from_ref(&frame), &cfg).expect("bench encode succeeds");
         g.throughput_bytes((n * n) as u64);
         g.bench(&format!("{n}x{n}_qp30"), || {
             decode_video(&enc.bytes).expect("bench stream decodes")
@@ -167,7 +167,7 @@ fn main() {
     // probes, not by raw pixel throughput.
     let rate = weight(3, 96);
     // Entropy-bound tensor: iid noise is incompressible, so at QP 0 the
-    // stream is dense and decode time is pinned by the entropy backend.
+    // stream is dense and decode time is pinned by the entropy stage.
     let dense = {
         let mut rng = Pcg32::seed_from(17);
         llm_weight(128, 128, &WeightProfile::iid(), &mut rng)
@@ -218,47 +218,18 @@ fn main() {
             codec_tiled.decode(&enc_mid).expect("bench stream decodes")
         });
 
-        // Same tiled single-chunk decode with the rANS entropy profile:
-        // identical geometry and reconstruction, only the per-tile payload
-        // coding changes.
-        let codec_rans = Llm265Codec::with_config(Llm265Config {
-            threads: t,
-            entropy: EntropyProfile::Rans,
-            ..Llm265Config::default()
-        });
-        let enc_rans = codec_rans
-            .encode(&mid, RateTarget::Qp(30.0))
-            .expect("bench encode succeeds");
-        g.throughput_bytes((mid.len() * 4) as u64);
-        g.bench(&format!("decode_single_rans/t{t}"), || {
-            codec_rans.decode(&enc_rans).expect("bench stream decodes")
-        });
-
         // Entropy-bound decode: an incompressible (iid) tensor at QP 0
         // maximizes coded-bin density, so decode time is dominated by the
-        // entropy stage rather than the shared reconstruction floor. The
-        // `decode_dense_cabac/tN` vs `decode_dense_rans/tN` ratio is the
-        // entropy-backend speedup bench-smoke asserts (rANS >= 1.5x
-        // CABAC on tiled payloads).
-        for (name, entropy) in [
-            ("decode_dense_cabac", EntropyProfile::Cabac),
-            ("decode_dense_rans", EntropyProfile::Rans),
-        ] {
-            let codec_dense = Llm265Codec::with_config(Llm265Config {
-                threads: t,
-                entropy,
-                ..Llm265Config::default()
-            });
-            let enc_dense = codec_dense
-                .encode(&dense, RateTarget::Qp(0.0))
-                .expect("bench encode succeeds");
-            g.throughput_bytes((dense.len() * 4) as u64);
-            g.bench(&format!("{name}/t{t}"), || {
-                codec_dense
-                    .decode(&enc_dense)
-                    .expect("bench stream decodes")
-            });
-        }
+        // entropy stage rather than the shared reconstruction floor.
+        let enc_dense = codec_tiled
+            .encode(&dense, RateTarget::Qp(0.0))
+            .expect("bench encode succeeds");
+        g.throughput_bytes((dense.len() * 4) as u64);
+        g.bench(&format!("decode_dense_cabac/t{t}"), || {
+            codec_tiled
+                .decode(&enc_dense)
+                .expect("bench stream decodes")
+        });
 
         let codec_rate = codec_with(96 * 24, t);
         g.throughput_bytes((rate.len() * 4) as u64);

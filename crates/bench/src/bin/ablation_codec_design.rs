@@ -8,21 +8,11 @@
 //!   shows the codec is not sensitive to where the boundary lands.
 //! - **Profile** isolates how much of the rate comes from block-structure
 //!   richness (H.264-like 16 px tools vs H.265-like 32 px tools).
-//! - **Entropy backend** compares CABAC against the interleaved-rANS
-//!   profile per tensor class: reconstructions are bit-identical across
-//!   backends, so the table isolates pure coding efficiency. This is the
-//!   size half of the rANS evaluation (decode throughput lives in the
-//!   `codec_throughput` bench) and the evidence behind CABAC being
-//!   `Llm265Config`'s default backend.
 
 use llm265_bench::table::{f, Table};
 use llm265_bench::workloads::weight_stack;
-use llm265_core::{
-    EntropyProfile, Llm265Codec, Llm265Config, Profile, ProfileKind, RateTarget, TensorCodec,
-};
-use llm265_tensor::rng::Pcg32;
+use llm265_core::{Llm265Codec, Llm265Config, Profile, ProfileKind, RateTarget, TensorCodec};
 use llm265_tensor::stats;
-use llm265_tensor::synthetic::{llm_activation, llm_gradient, ActivationProfile, GradientProfile};
 use llm265_tensor::Tensor;
 
 /// Bits/value the codec needs to reach NMSE ≤ `target` on the stack.
@@ -88,51 +78,6 @@ fn main() {
     }
     table.print(&format!("Ablation B — codec profile at NMSE <= {target}"));
 
-    // Ablation C: entropy backend per tensor class. Each class is a stack
-    // of three 128x128 tensors from the matching synthetic generator.
-    let classes: Vec<(&str, Vec<Tensor>)> = vec![
-        ("weights", stack.clone()),
-        ("gradients", {
-            let mut rng = Pcg32::seed_from(2025);
-            (0..3)
-                .map(|_| llm_gradient(128, 128, &GradientProfile::at_progress(0.5), &mut rng))
-                .collect()
-        }),
-        ("activations", {
-            let mut rng = Pcg32::seed_from(2026);
-            (0..3)
-                .map(|_| llm_activation(128, 128, &ActivationProfile::default(), &mut rng))
-                .collect()
-        }),
-    ];
-    let mut table = Table::new(vec![
-        "tensor class",
-        "CABAC bits/value",
-        "rANS bits/value",
-        "rANS overhead",
-    ]);
-    for (label, tensors) in &classes {
-        let bpv = |entropy: EntropyProfile| {
-            let codec = Llm265Codec::with_config(Llm265Config {
-                entropy,
-                ..Llm265Config::default()
-            });
-            bits_for_quality(&codec, tensors, target).0
-        };
-        let (cabac, rans) = (bpv(EntropyProfile::Cabac), bpv(EntropyProfile::Rans));
-        table.row(vec![
-            (*label).to_string(),
-            f(cabac, 3),
-            f(rans, 3),
-            format!("{:+.1}%", 100.0 * (rans / cabac - 1.0)),
-        ]);
-    }
-    table.print(&format!(
-        "Ablation C — entropy backend at NMSE <= {target} (128x128, 3-deep stacks)"
-    ));
-
     println!("\nReading: chunking costs little until chunks shrink below a few CTU rows;");
-    println!("profile differences at fixed quality mirror Fig 6's small gaps;");
-    println!("CABAC stays the size default — rANS pays its per-tile frequency tables");
-    println!("and adaptive-context loss for a branch-light, interleavable decode.");
+    println!("profile differences at fixed quality mirror Fig 6's small gaps.");
 }

@@ -12,10 +12,8 @@
 //!   the video codec's residual coding and the CABAC byte-compressor
 //!   baseline.
 //! - [`rans`] — a static-table interleaved rANS coder (32-bit states,
-//!   12-bit normalized frequencies, byte-wise renorm), the
-//!   parallel-friendly entropy backend the video codec selects per
-//!   stream when decode throughput matters more than the last few
-//!   percent of size.
+//!   12-bit normalized frequencies, byte-wise renorm), a decode-speed
+//!   reference for the entropy stage; no codec stream uses it.
 //! - [`huffman`] — canonical Huffman coding of byte streams.
 //! - [`deflate`] — an LZ77 + Huffman compressor in the spirit of DEFLATE
 //!   (own framing, not zlib-compatible).

@@ -1,5 +1,7 @@
-//! Static-table interleaved rANS coder — the parallel-friendly entropy
-//! backend.
+//! Static-table interleaved rANS coder, a reference point for the
+//! entropy stage. No codec stream uses it — CABAC codes every tile — but
+//! decoding the codec's recorded bin strings with it measures what a
+//! table-driven coder would buy over CABAC's serial decode.
 //!
 //! CABAC ([`crate::cabac`]) decodes one bin per dependent
 //! range-coder step, so within-tile decode throughput is pinned by that

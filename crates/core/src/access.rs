@@ -64,6 +64,12 @@ impl TensorStreamIndex {
         (self.header.rows, self.header.cols)
     }
 
+    /// The QP every tile was coded at, as the header states it (QP × 256,
+    /// so on the 1/256 grid).
+    pub fn qp(&self) -> f64 {
+        self.header.cfg.qp
+    }
+
     /// Number of chunks.
     pub fn n_chunks(&self) -> usize {
         self.chunks.len()
@@ -179,7 +185,7 @@ impl TensorStreamIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EntropyProfile, Llm265Codec, Llm265Config, RateTarget, TensorCodec};
+    use crate::{Llm265Codec, Llm265Config, RateTarget, TensorCodec};
     use llm265_tensor::rng::Pcg32;
     use llm265_tensor::synthetic::{llm_weight, WeightProfile};
 
@@ -217,10 +223,9 @@ mod tests {
         assert_eq!(covered_rows, 96);
     }
 
-    fn codec(entropy: EntropyProfile) -> Llm265Codec {
+    fn codec() -> Llm265Codec {
         Llm265Codec::with_config(Llm265Config {
             threads: 1,
-            entropy,
             ..Llm265Config::default()
         })
     }
@@ -230,20 +235,13 @@ mod tests {
         // A 64-row chunk has two tiles; a 24-row chunk (one CTU row) has
         // one, whose index entry must still cover its whole payload.
         for (n, tiles) in [(64, 2), (24, 1)] {
-            decode_tile_matches_full_decode(weight(12, n), tiles, EntropyProfile::Cabac);
+            decode_tile_matches_full_decode(weight(12, n), tiles);
         }
     }
 
-    /// Random access into an rANS stream: every tile of a three-tile
-    /// chunk decodes on its own to the full decode's rows.
-    #[test]
-    fn stream_index_decodes_rans_tiles_independently() {
-        decode_tile_matches_full_decode(weight(5, 96), 3, EntropyProfile::Rans);
-    }
-
-    fn decode_tile_matches_full_decode(t: Tensor, tiles: usize, entropy: EntropyProfile) {
+    fn decode_tile_matches_full_decode(t: Tensor, tiles: usize) {
         let n = t.cols();
-        let codec = codec(entropy);
+        let codec = codec();
         let enc = codec.encode(&t, RateTarget::Qp(22.0)).unwrap();
         let full = codec.decode(&enc).unwrap();
         let index = TensorStreamIndex::parse(enc.bytes()).unwrap();
@@ -266,25 +264,9 @@ mod tests {
         }
     }
 
-    /// Per-tile decode of an rANS tile stays total under corruption:
-    /// every byte of the tile flipped in turn errors or decodes, never
-    /// panics or hangs.
-    #[test]
-    fn byte_flipped_rans_tiles_never_panic() {
-        let enc = codec(EntropyProfile::Rans)
-            .encode(&weight(8, 64), RateTarget::Qp(28.0))
-            .unwrap();
-        let index = TensorStreamIndex::parse(enc.bytes()).unwrap();
-        for pos in index.tile_range(0, 0) {
-            let mut evil = enc.bytes().to_vec();
-            evil[pos] ^= 0xff;
-            let _ = index.decode_tile(&evil, 0, 0);
-        }
-    }
-
     #[test]
     fn out_of_range_lookups_error_without_panicking() {
-        let enc = codec(EntropyProfile::Cabac)
+        let enc = codec()
             .encode(&weight(13, 48), RateTarget::Qp(26.0))
             .unwrap();
         let index = TensorStreamIndex::parse(enc.bytes()).unwrap();

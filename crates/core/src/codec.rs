@@ -21,7 +21,7 @@ use llm265_videocodec::quant::{QP_MAX, QP_MIN};
 use llm265_videocodec::rate::{self, Goal, Probe, RateModel};
 use llm265_videocodec::tile::{self, TileLayout};
 use llm265_videocodec::transform::DctPlans;
-use llm265_videocodec::{CodecConfig, EntropyProfile, Frame, PipelineConfig, Profile};
+use llm265_videocodec::{CodecConfig, Frame, PipelineConfig, Profile};
 
 use crate::access::TensorStreamIndex;
 use crate::chunk::{self, Chunk};
@@ -44,12 +44,6 @@ pub struct Llm265Config {
     /// machine's available parallelism. Encoded bytes are identical at
     /// every thread count — see [`crate::pool`].
     pub threads: usize,
-    /// Entropy backend for every tile payload. [`EntropyProfile::Cabac`]
-    /// (the default) gives the smallest streams for every tensor class
-    /// `ablation_codec_design` measures; [`EntropyProfile::Rans`] decodes
-    /// faster but costs about +52% bits per value — see DESIGN.md "rANS
-    /// entropy backend".
-    pub entropy: EntropyProfile,
 }
 
 impl Default for Llm265Config {
@@ -59,7 +53,6 @@ impl Default for Llm265Config {
             pipeline: PipelineConfig::default(),
             max_chunk_pixels: 1 << 16,
             threads: 0,
-            entropy: EntropyProfile::Cabac,
         }
     }
 }
@@ -136,9 +129,6 @@ impl Llm265Codec {
                 pipeline: self.config.pipeline,
                 qp,
                 tiles: TILES_PER_CHUNK,
-                // Read from the immutable config, so every probe one
-                // search caches — whatever its QP — shares one backend.
-                entropy: self.config.entropy,
             },
             rows: t.rows(),
             cols: t.cols(),
@@ -268,8 +258,7 @@ impl Llm265Codec {
     /// it is identical at every thread count. Feasibility comes from
     /// probe summaries — payload sizes and encoder-reconstruction error —
     /// so choosing a rate neither serializes nor decodes anything until
-    /// the answer is known. Returns the stream and the QP it was coded
-    /// at.
+    /// the answer is known.
     ///
     /// # Errors
     ///
@@ -279,7 +268,7 @@ impl Llm265Codec {
         t: &Tensor,
         chunks: &[Chunk],
         goal: Goal,
-    ) -> Result<(EncodedTensor, f64), CodecError> {
+    ) -> Result<EncodedTensor, CodecError> {
         // Error goals are in tensor units: a chunk's pixel² error weighs
         // its affine scale².
         let model = RateModel::analyse(
@@ -296,7 +285,7 @@ impl Llm265Codec {
             })
         })?;
         let probe = self.probe_cached(&mut cache, t, chunks, qp)?;
-        Ok((self.assemble(t, chunks, probe)?, qp))
+        self.assemble(t, chunks, probe)
     }
 }
 
@@ -368,7 +357,7 @@ impl TensorCodec for Llm265Codec {
                 Goal::MaxSquaredError(m * var * t.len() as f64)
             }
         };
-        Ok(self.encode_to_goal(t, &chunks, goal)?.0)
+        self.encode_to_goal(t, &chunks, goal)
     }
 
     fn decode(&self, e: &EncodedTensor) -> Result<Tensor, CodecError> {
@@ -476,8 +465,9 @@ impl LossyCompressor for Llm265Channel {
 /// A rate-*tracking* LLM.265 channel for training loops: a bits/value
 /// channel that also reports the QP each call's search settled on.
 ///
-/// Every call runs the same search as [`Llm265Codec::encode`], from
-/// scratch, so its streams equal [`Llm265Channel`]'s at the same target.
+/// Every call is [`Llm265Codec::encode`] at the bits target, then
+/// [`Llm265Codec::decode`], so its streams equal [`Llm265Channel`]'s at
+/// the same target; the QP is read back from the stream's header.
 #[derive(Debug, Clone)]
 pub struct Llm265TrackingChannel {
     codec: Llm265Codec,
@@ -514,7 +504,9 @@ impl Llm265TrackingChannel {
         }
     }
 
-    /// The QP the last search settled on.
+    /// The QP the last search settled on, as the stream header states it
+    /// (on the 1/256 grid every payload is coded at): encoding the same
+    /// tensor at [`RateTarget::Qp`] of it reproduces the stream.
     pub fn current_qp(&self) -> f64 {
         self.last_qp
     }
@@ -526,25 +518,16 @@ impl LossyCompressor for Llm265TrackingChannel {
     }
 
     fn transcode(&mut self, t: &Tensor) -> (Tensor, u64) {
-        let chunks = chunk::partition(
-            t,
-            self.codec.config.max_chunk_pixels,
-            self.codec.config.threads,
-        )
-        // lint:allow(panic): channel contract — callers feed non-empty tensors
-        .expect("partition of non-empty tensor");
-        let goal = Goal::MaxBits(self.target_bits * t.len() as f64);
-        let (enc, qp) = self
+        let enc = self
             .codec
-            .encode_to_goal(t, &chunks, goal)
-            // lint:allow(panic): probing fails only if a pool worker dies
-            .expect("search over self-produced chunks");
-        self.last_qp = qp;
-        let out = self
-            .codec
-            .decode(&enc)
-            // lint:allow(panic): decoding a stream assembled above
+            .encode(t, RateTarget::BitsPerValue(self.target_bits))
+            // lint:allow(panic): channel contract — callers feed non-empty tensors
+            .expect("transcode of non-empty tensor");
+        let (out, qp) = TensorStreamIndex::parse(enc.bytes())
+            .and_then(|index| Ok((self.codec.decode(&enc)?, index.qp())))
+            // lint:allow(panic): decoding a stream produced above
             .expect("self-produced stream decodes");
+        self.last_qp = qp;
         (out, enc.bits())
     }
 
@@ -743,8 +726,8 @@ mod tracking_tests {
         let _ = Llm265TrackingChannel::at_bits(0.0);
     }
 
-    /// `encode` rejects an infinite bits target; the tracking channel,
-    /// which searches without going through `encode`, must too.
+    /// `encode` rejects an infinite bits target; the tracking channel
+    /// refuses it at construction, before any `encode` can.
     #[test]
     #[should_panic(expected = "finite")]
     fn tracking_channel_rejects_an_infinite_target() {
@@ -754,7 +737,8 @@ mod tracking_tests {
     /// The tracking channel runs the same search as a plain bits/value
     /// channel: fed the same gradient sequence at the same target, the
     /// two produce identical bits and tensors on every step, whatever
-    /// the earlier steps were.
+    /// the earlier steps were. Encoding a step at the QP the channel
+    /// reports reproduces its stream byte for byte.
     #[test]
     fn tracking_channel_matches_the_plain_channel() {
         let codec = Llm265Codec::with_config(Llm265Config {
@@ -762,7 +746,7 @@ mod tracking_tests {
             ..Llm265Config::default()
         });
         let mut tracking = Llm265TrackingChannel::with_codec(codec.clone(), 3.0);
-        let mut plain = Llm265Channel::new(codec, RateTarget::BitsPerValue(3.0));
+        let mut plain = Llm265Channel::new(codec.clone(), RateTarget::BitsPerValue(3.0));
         let mut rng = Pcg32::seed_from(5);
         for step in 0..4 {
             let g = llm_gradient(48, 48, &GradientProfile::default(), &mut rng);
@@ -771,6 +755,12 @@ mod tracking_tests {
             assert_eq!(a_bits, b_bits, "step {step}");
             assert_eq!(a, b, "step {step}");
             assert!(a_bits as f64 / g.len() as f64 <= 3.0, "step {step}");
+            let bits_enc = codec.encode(&g, RateTarget::BitsPerValue(3.0)).unwrap();
+            let qp_enc = codec
+                .encode(&g, RateTarget::Qp(tracking.current_qp()))
+                .unwrap();
+            assert_eq!(qp_enc.bytes(), bits_enc.bytes(), "step {step}");
+            assert_eq!(qp_enc.bits(), a_bits, "step {step}");
         }
     }
 }

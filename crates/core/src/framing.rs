@@ -10,7 +10,7 @@
 //! | version (4)       | 1     | `scale` (f32 bits)   | 4         |
 //! | profile id        | 1     | one length per tile  | 4 each    |
 //! | pipeline switches | 1     | tile payloads        | Σ lengths |
-//! | flags (`FLAG_RANS`) | 1   |                      |           |
+//! | flags (reserved)  | 1     |                      |           |
 //! | QP × 256          | 2     |                      |           |
 //! | rows              | 4     |                      |           |
 //! | cols              | 4     |                      |           |
@@ -20,6 +20,9 @@
 //! counts by [`TileLayout::for_frame`] with [`TILES_PER_CHUNK`], tile
 //! offsets as prefix sums of the lengths — so no two fields can disagree
 //! and the parser only validates what comes from outside.
+//!
+//! Every flag bit is reserved: writers write 0, and the parser refuses a
+//! set bit as `Unsupported`.
 
 use std::ops::Range;
 
@@ -99,7 +102,8 @@ pub(crate) fn write_tensor_header(out: &mut Vec<u8>, h: &TensorHeader) -> Result
     bytes::write_u8(out, VERSION);
     bytes::write_u8(out, h.cfg.profile.header_id());
     bytes::write_u8(out, h.cfg.pipeline.to_byte());
-    bytes::write_u8(out, h.cfg.flags());
+    // Stream flags: no bit is defined, so writers write zero.
+    bytes::write_u8(out, 0);
     bytes::write_le_u16(out, h.cfg.qp_code());
     bytes::write_le_u32(out, wire_u32(h.rows, "tensor rows")?);
     bytes::write_le_u32(out, wire_u32(h.cols, "tensor cols")?);

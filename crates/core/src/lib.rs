@@ -57,7 +57,7 @@ pub mod rate;
 pub use access::TensorStreamIndex;
 pub use archive::{ArchiveIndex, TensorArchive};
 pub use codec::{Llm265Channel, Llm265Codec, Llm265Config, Llm265TrackingChannel};
-pub use llm265_videocodec::{EntropyProfile, PipelineConfig, Profile, ProfileKind};
+pub use llm265_videocodec::{PipelineConfig, Profile, ProfileKind};
 
 use llm265_tensor::Tensor;
 

@@ -23,7 +23,6 @@ const ROWS_AT: usize = 10;
 const COLS_AT: usize = 14;
 const ROWS_PER_CHUNK_AT: usize = 18;
 const HEADER_BYTES: usize = 22;
-const FLAG_RANS: u8 = 0x02;
 
 fn patch_u32(bytes: &mut [u8], at: usize, v: u32) {
     bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
@@ -46,9 +45,14 @@ fn sample_tensor() -> Tensor {
 }
 
 fn sample_encoded() -> EncodedTensor {
-    Llm265Codec::new()
+    let enc = Llm265Codec::new()
         .encode(&sample_tensor(), RateTarget::Qp(32.0))
-        .expect("sample encode")
+        .expect("sample encode");
+    // Pin the layout the offset constants assume before mutating it.
+    assert_eq!(enc.bytes()[VERSION_AT], 4, "version byte");
+    assert_eq!(enc.bytes()[FLAGS_AT], 0, "flags byte");
+    assert_eq!(enc.bytes()[COLS_AT..ROWS_PER_CHUNK_AT], 40u32.to_le_bytes());
+    enc
 }
 
 #[test]
@@ -278,26 +282,10 @@ fn archive_hostile_entry_count_is_limited() {
     }
 }
 
-fn sample_rans_encoded() -> EncodedTensor {
-    use llm265_core::EntropyProfile;
-    let codec = Llm265Codec::with_config(Llm265Config {
-        entropy: EntropyProfile::Rans,
-        ..Llm265Config::default()
-    });
-    let enc = codec
-        .encode(&sample_tensor(), RateTarget::Qp(32.0))
-        .expect("rans sample encode");
-    // Pin the layout the offset constants assume before mutating it.
-    assert_eq!(enc.bytes()[VERSION_AT], 4, "version byte");
-    assert_eq!(enc.bytes()[FLAGS_AT], FLAG_RANS, "flags byte is FLAG_RANS");
-    assert_eq!(enc.bytes()[COLS_AT..ROWS_PER_CHUNK_AT], 40u32.to_le_bytes());
-    enc
-}
-
 #[test]
 fn index_truncated_anywhere_in_the_header_errors() {
-    let enc = sample_rans_encoded();
-    TensorStreamIndex::parse(enc.bytes()).expect("clean rans index parses");
+    let enc = sample_encoded();
+    TensorStreamIndex::parse(enc.bytes()).expect("clean index parses");
     // Every cut through the header — including one byte short of its
     // end — must error, never read past the end.
     for cut in 0..HEADER_BYTES {
@@ -308,23 +296,30 @@ fn index_truncated_anywhere_in_the_header_errors() {
     }
 }
 
-/// Reserved header bits and other versions are refused, not guessed at:
-/// stream flag 0x01 (the retired tiled-layout flag) and 0x04–0x80,
+/// Reserved header bits and other versions are refused, not guessed at,
+/// by both the index and the decoder: every stream flag (0x01 is the
+/// retired tiled-layout flag, 0x02 the retired rANS entropy backend),
 /// pipeline bits 0x10–0x80, unknown profile ids, and versions 1–3 (the
 /// per-chunk video-stream layout).
 #[test]
 fn index_reserved_flag_bits_are_refused() {
-    let enc = sample_rans_encoded();
-    let flags = [0x01u8, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80].map(|b| (FLAGS_AT, b));
+    let enc = sample_encoded();
+    let flags = [0x01u8, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80].map(|b| (FLAGS_AT, b));
     let pipeline = [0x10u8, 0x20, 0x40, 0x80].map(|b| (PIPELINE_AT, b));
     let profile = [0x10u8, 0x80].map(|b| (PROFILE_AT, b));
     for (at, bit) in flags.into_iter().chain(pipeline).chain(profile) {
         let mut bytes = enc.bytes().to_vec();
         bytes[at] |= bit;
-        match TensorStreamIndex::parse(&bytes) {
-            Err(CodecError::Unsupported(_)) => {}
-            Err(e) => panic!("reserved bit {bit:#04x} at {at}: wrong error {e:?}"),
-            Ok(_) => panic!("reserved bit {bit:#04x} at {at} accepted"),
+        let parsed = TensorStreamIndex::parse(&bytes).map(|i| i.shape());
+        let decoded = Llm265Codec::new()
+            .decode(&EncodedTensor::from_parts(bytes, 40, 40))
+            .map(|t| t.shape());
+        for r in [parsed, decoded] {
+            match r {
+                Err(CodecError::Unsupported(_)) => {}
+                Err(e) => panic!("reserved bit {bit:#04x} at {at}: wrong error {e:?}"),
+                Ok(_) => panic!("reserved bit {bit:#04x} at {at} accepted"),
+            }
         }
     }
     for version in [1u8, 2, 3] {

@@ -6,8 +6,8 @@
 //! ~2.6 with intra prediction, with inter prediction giving nothing back).
 //! [`stages`] enumerates that ladder; [`run_stage`] measures one rung.
 
-use crate::rate::{encode_to_mse, mse_of, pixel_count};
-use crate::{CodecConfig, CodecError, EntropyProfile, Frame, PipelineConfig, Profile};
+use crate::rate::{encode_to_mse, mse_of};
+use crate::{CodecConfig, CodecError, Frame, PipelineConfig, Profile};
 
 /// One rung of the ablation ladder.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,9 +91,10 @@ pub struct StageResult {
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::InvalidInput`] for empty or mixed-size frames
-/// on a codec stage, and propagates [`encode_to_mse`]'s rejection of a
-/// negative or non-finite `target_mse`.
+/// On a codec stage, propagates [`crate::encode_video`]'s
+/// [`CodecError::InvalidInput`] for frames it cannot encode and
+/// [`encode_to_mse`]'s rejection of a negative or non-finite
+/// `target_mse`.
 pub fn run_stage(
     frames: &[Frame],
     profile: &Profile,
@@ -111,9 +112,8 @@ pub fn run_stage(
     let cfg = CodecConfig::default()
         .with_profile(profile.clone())
         .with_pipeline(pipeline);
-    pixel_count(frames)?;
     if let Some(qp) = stage.pinned_qp {
-        let enc = crate::encode_video(frames, &cfg.clone().with_qp(qp));
+        let enc = crate::encode_video(frames, &cfg.clone().with_qp(qp))?;
         return Ok(StageResult {
             label: stage.label,
             bits_per_value: enc.bits_per_pixel(),
@@ -142,42 +142,6 @@ pub fn run_all(
         .iter()
         .map(|s| run_stage(frames, profile, s, target_mse))
         .collect()
-}
-
-/// One entropy backend's side of [`run_entropy_comparison`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EntropyResult {
-    /// Bits per pixel of the full stream.
-    pub bits_per_value: f64,
-    /// Pixel-domain MSE (identical across backends by construction —
-    /// the RD decide phase never sees the backend).
-    pub mse: f64,
-}
-
-/// Measures both entropy backends on the same frames at one QP with the
-/// full pipeline: the size half of the rANS ablation table (the decode
-/// throughput half lives in the bench harness). Reconstructions are
-/// bit-identical across backends, so the comparison isolates pure
-/// entropy-coding efficiency.
-pub fn run_entropy_comparison(
-    frames: &[Frame],
-    profile: &Profile,
-    qp: f64,
-) -> (EntropyResult, EntropyResult) {
-    let base = CodecConfig::default()
-        .with_profile(profile.clone())
-        .with_qp(qp);
-    let measure = |entropy: EntropyProfile| {
-        let enc = crate::encode_video(frames, &base.clone().with_entropy(entropy));
-        EntropyResult {
-            bits_per_value: enc.bits_per_pixel(),
-            mse: mse_of(frames, &enc),
-        }
-    };
-    (
-        measure(EntropyProfile::Cabac),
-        measure(EntropyProfile::Rans),
-    )
 }
 
 #[cfg(test)]

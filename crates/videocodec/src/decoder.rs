@@ -3,16 +3,15 @@
 use llm265_bitstream::bits::BitReader;
 use llm265_bitstream::bytes;
 use llm265_bitstream::cabac::CabacDecoder;
-use llm265_bitstream::rans;
 
-use crate::encoder::{FIXED_CU, FLAG_RANS, HEADER_BYTES, MAGIC, VERSION};
+use crate::encoder::{FIXED_CU, HEADER_BYTES, MAGIC, VERSION};
 use crate::inter::{compensate, MotionVector};
 use crate::intra::RefSamples;
 use crate::lanes::round_i32;
 use crate::quant::Quantizer;
-use crate::syntax::{parse_residual, BinSource, Contexts, RawBinReader};
+use crate::syntax::{parse_residual, BinSource, Contexts};
 use crate::transform::DctPlans;
-use crate::{CodecConfig, CodecError, EntropyProfile, Frame, PipelineConfig, Profile};
+use crate::{CodecConfig, CodecError, Frame, PipelineConfig, Profile};
 
 struct FrameDecoder<'a> {
     cfg: &'a CodecConfig,
@@ -169,9 +168,9 @@ fn parse_signed_eg<D: BinSource>(dec: &mut D) -> Result<i32, CodecError> {
 /// A validated stream header: everything before the frame payloads,
 /// which start at byte [`HEADER_BYTES`].
 pub(crate) struct StreamHeader {
-    /// The coding configuration the header signals (profile, pipeline,
-    /// QP and entropy backend; `tiles` is left at 1 — each frame's tile
-    /// index carries its own count).
+    /// The coding configuration the header signals (profile, pipeline
+    /// and QP; `tiles` is left at 1 — each frame's tile index carries its
+    /// own count).
     pub cfg: CodecConfig,
     pub w: usize,
     pub h: usize,
@@ -185,7 +184,8 @@ pub(crate) struct StreamHeader {
 ///
 /// # Errors
 ///
-/// `Unsupported` for an unknown profile id, pipeline bit or flag bit;
+/// `Unsupported` for an unknown profile id, a pipeline bit no switch
+/// names, or any set flag bit (no flag is defined);
 /// `Corrupt` for a QP outside the H.265 range.
 pub fn coding_config(
     profile: u8,
@@ -204,22 +204,16 @@ pub fn coding_config(
     if !(crate::quant::QP_MIN..=crate::quant::QP_MAX).contains(&qp) {
         return Err(CodecError::Corrupt("qp out of range"));
     }
-    // Reject unknown flag bits rather than misdecoding a future layout:
-    // flags change how payloads are coded.
-    if flags & !FLAG_RANS != 0 {
+    // No flag bit is defined: refuse any set bit rather than misdecode a
+    // layout this decoder does not know.
+    if flags != 0 {
         return Err(CodecError::Unsupported("unknown stream flags"));
     }
-    let entropy = if flags & FLAG_RANS != 0 {
-        EntropyProfile::Rans
-    } else {
-        EntropyProfile::Cabac
-    };
     Ok(CodecConfig {
         profile,
         pipeline,
         qp,
         tiles: 1,
-        entropy,
     })
 }
 
@@ -330,24 +324,12 @@ pub(crate) fn decode_frame(
         dct_tmp: Vec::new(),
         rres: Vec::new(),
     };
-    match cfg.entropy {
-        EntropyProfile::Cabac => {
-            let mut dec = CabacDecoder::new(payload);
-            parse_payload(&mut fd, &mut dec, pw, ph, ctu)?;
-        }
-        EntropyProfile::Rans => {
-            // Bulk entropy-decode the bin string first (the table-driven
-            // hot loop), then replay it through the same syntax parser.
-            let bins = rans::decompress(payload, &mut 0)?;
-            let mut dec = RawBinReader::new(&bins);
-            parse_payload(&mut fd, &mut dec, pw, ph, ctu)?;
-        }
-    }
+    let mut dec = CabacDecoder::new(payload);
+    parse_payload(&mut fd, &mut dec, pw, ph, ctu)?;
     Ok(fd.recon)
 }
 
-/// Walks every CTU of a frame payload through `dec`, whichever entropy
-/// backend feeds it.
+/// Walks every CTU of a frame payload through `dec`.
 fn parse_payload<D: BinSource>(
     fd: &mut FrameDecoder<'_>,
     dec: &mut D,
@@ -394,19 +376,19 @@ mod tests {
     const PIPELINE_AT: usize = 6;
     const FLAGS_AT: usize = HEADER_BYTES - 1;
 
-    fn rans_header() -> Vec<u8> {
-        let cfg = CodecConfig::default().with_entropy(EntropyProfile::Rans);
+    fn header() -> (CodecConfig, Vec<u8>) {
+        let cfg = CodecConfig::default();
         let hdr = crate::encoder::write_stream_header(&cfg, 16, 16, 1);
         assert_eq!(hdr.len(), HEADER_BYTES);
         assert_eq!(hdr[VERSION_AT], VERSION, "version byte offset");
         assert_eq!(hdr[PIPELINE_AT], cfg.pipeline.to_byte(), "pipeline offset");
-        assert_eq!(hdr[FLAGS_AT], FLAG_RANS, "flags byte offset");
-        hdr
+        assert_eq!(hdr[FLAGS_AT], 0, "flags byte offset");
+        (cfg, hdr)
     }
 
     #[test]
     fn truncated_flags_byte_sweep_errors_at_every_cut() {
-        let hdr = rans_header();
+        let (cfg, hdr) = header();
         // Every prefix — including a full header *except* the flags
         // byte — must refuse, never read past the end.
         for cut in 0..hdr.len() {
@@ -416,17 +398,18 @@ mod tests {
             );
         }
         let parsed = parse_stream_header(&hdr).expect("full header");
-        assert_eq!(parsed.cfg.entropy, EntropyProfile::Rans);
+        assert_eq!(parsed.cfg, cfg);
     }
 
     #[test]
     fn reserved_flag_bits_are_refused() {
-        // Stream flag 0x01 is the retired tiled-layout flag (every frame
-        // is tiled now); pipeline bits 4–7 name no switch.
-        let flags = [0x01u8, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80].map(|b| (FLAGS_AT, b));
+        // No stream flag is defined: 0x01 is the retired tiled-layout
+        // flag (every frame is tiled now) and 0x02 the retired rANS
+        // entropy backend. Pipeline bits 4–7 name no switch.
+        let flags = [0x01u8, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80].map(|b| (FLAGS_AT, b));
         let pipeline = [0x10u8, 0x20, 0x40, 0x80].map(|b| (PIPELINE_AT, b));
         for (at, bit) in flags.into_iter().chain(pipeline) {
-            let mut hdr = rans_header();
+            let mut hdr = header().1;
             hdr[at] |= bit;
             let expect = if at == FLAGS_AT {
                 "unknown stream flags"

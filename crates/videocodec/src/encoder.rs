@@ -21,9 +21,9 @@ use crate::inter::{compensate, motion_search, MotionVector};
 use crate::intra::RefSamples;
 use crate::lanes::round_i32;
 use crate::quant::{lambda, Quantizer};
-use crate::syntax::{code_residual, BinRecorder, BinSink, BitCounter, Contexts};
+use crate::syntax::{code_residual, BinSink, BitCounter, Contexts};
 use crate::transform::DctPlans;
-use crate::{CodecConfig, EncodedVideo, EntropyProfile, Frame};
+use crate::{CodecConfig, CodecError, EncodedVideo, Frame};
 
 /// Magic number at the start of every bitstream ("L265").
 pub(crate) const MAGIC: u32 = 0x4C32_3635;
@@ -34,10 +34,6 @@ pub(crate) const VERSION: u8 = 3;
 /// Fixed stream-header length in bytes: magic, version, profile,
 /// pipeline, qp, width, height, frame count, flags.
 pub(crate) const HEADER_BYTES: usize = 22;
-/// Stream-flags bit: tile payloads are interleaved-rANS coded bin strings
-/// (per-tile frequency table ahead of the data) instead of CABAC. The only
-/// defined flag; the decoder refuses the other seven bits.
-pub(crate) const FLAG_RANS: u8 = 0x02;
 /// Coding-unit size used when adaptive partitioning is disabled.
 pub(crate) const FIXED_CU: usize = 8;
 /// Number of top SAD candidates taken to full RD evaluation.
@@ -470,8 +466,7 @@ impl<'a> FrameCoder<'a> {
         }
     }
 
-    /// Emits a decided coding tree into an entropy sink (the real CABAC
-    /// coder, or a [`crate::syntax::BinRecorder`] on the rANS path).
+    /// Emits a decided coding tree into an entropy sink (the CABAC coder).
     fn code_cu<S: BinSink>(&self, node: &CuNode, size: usize, enc: &mut S, state: &mut CoderState) {
         let min = self.min_cu();
         let adaptive = self.cfg.pipeline.adaptive_partition;
@@ -550,30 +545,14 @@ pub(crate) fn encode_frame(
         }
     }
 
-    // Phase 2: emit. Both backends replay the same decided tree — the
-    // reconstruction above is already committed — so the choice changes
-    // payload bytes only, never pixels.
-    let payload = match cfg.entropy {
-        EntropyProfile::Cabac => {
-            let mut enc = CabacEncoder::new();
-            code_payload(&coder, &trees, ctu, &mut enc);
-            enc.finish()
-        }
-        EntropyProfile::Rans => {
-            // rANS pass 1: record the bin string raw. Pass 2 (inside
-            // `compress`): per-payload byte statistics → normalized
-            // frequency table serialized ahead of the interleaved streams.
-            let mut rec = BinRecorder::new();
-            code_payload(&coder, &trees, ctu, &mut rec);
-            llm265_bitstream::rans::compress(&rec.finish())
-        }
-    };
-    (payload, coder.recon)
+    // Phase 2: emit.
+    let mut enc = CabacEncoder::new();
+    code_payload(&coder, &trees, ctu, &mut enc);
+    (enc.finish(), coder.recon)
 }
 
-/// Replays every decided CTU tree of a frame payload through `enc`,
-/// whichever entropy backend records it — the writer half of the
-/// decoder's `parse_payload`.
+/// Replays every decided CTU tree of a frame payload through `enc` — the
+/// writer half of the decoder's `parse_payload`.
 fn code_payload<S: BinSink>(coder: &FrameCoder<'_>, trees: &[CuNode], ctu: usize, enc: &mut S) {
     let mut state = CoderState::new();
     for node in trees {
@@ -600,7 +579,8 @@ pub(crate) fn write_stream_header(
     header.write_bits(w as u64, 32);
     header.write_bits(h as u64, 32);
     header.write_bits(n_frames as u64, 32);
-    header.write_bits(u64::from(cfg.flags()), 8);
+    // Stream flags: no bit is defined, so writers write zero.
+    header.write_bits(0, 8);
     header.finish()
 }
 
@@ -613,18 +593,27 @@ pub(crate) fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Encodes a video (see [`crate::encode_video`]).
-pub(crate) fn encode_video(frames: &[Frame], cfg: &CodecConfig) -> EncodedVideo {
-    assert!(!frames.is_empty(), "cannot encode an empty video");
-    let w: usize = frames[0].width();
-    let h: usize = frames[0].height();
-    assert!(w > 0 && h > 0, "frames must be non-empty");
-    for f in frames {
-        assert_eq!(
-            (f.width(), f.height()),
-            (w, h),
-            "all frames must share one size"
-        );
+/// Encodes a video (see [`crate::encode_video`]), refusing the inputs
+/// it documents.
+pub(crate) fn encode_video(
+    frames: &[Frame],
+    cfg: &CodecConfig,
+) -> Result<EncodedVideo, CodecError> {
+    let Some(first) = frames.first() else {
+        return Err(CodecError::InvalidInput(
+            "cannot encode an empty video".into(),
+        ));
+    };
+    let (w, h) = (first.width(), first.height());
+    if w == 0 || h == 0 {
+        return Err(CodecError::InvalidInput(
+            "frames must have non-zero width and height".into(),
+        ));
+    }
+    if frames.iter().any(|f| (f.width(), f.height()) != (w, h)) {
+        return Err(CodecError::InvalidInput(
+            "all frames must share one size".into(),
+        ));
     }
 
     let ctu = cfg.profile.ctu();
@@ -648,8 +637,8 @@ pub(crate) fn encode_video(frames: &[Frame], cfg: &CodecConfig) -> EncodedVideo 
         recon_frames.push(recon_padded.cropped(w, h));
         prev_padded = Some(recon_padded);
     }
-    EncodedVideo {
+    Ok(EncodedVideo {
         bytes,
         recon: recon_frames,
-    }
+    })
 }

@@ -39,7 +39,7 @@
 //! // A gradient test frame.
 //! let frame = Frame::from_fn(64, 64, |x, y| ((x * 2 + y) % 256) as u8);
 //! let cfg = CodecConfig::default().with_qp(22.0);
-//! let enc = encode_video(&[frame.clone()], &cfg);
+//! let enc = encode_video(&[frame.clone()], &cfg).unwrap();
 //! let dec = decode_video(&enc.bytes).unwrap();
 //! assert_eq!(dec.len(), 1);
 //! assert_eq!(dec[0], enc.recon[0]); // bit-exact with encoder recon
@@ -66,23 +66,6 @@ pub use frame::Frame;
 pub use llm265_bitstream::CodecError;
 pub use profile::{PipelineConfig, Profile, ProfileKind};
 
-/// Which entropy backend codes a stream's bin strings.
-///
-/// Both backends code the *same* bin string — the RD decide phase is
-/// backend-independent — so reconstructions are bit-identical at a given
-/// QP; only payload bytes (and decode throughput) differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EntropyProfile {
-    /// Adaptive binary arithmetic coding (the default): smallest streams,
-    /// serial bin-by-bin decode.
-    #[default]
-    Cabac,
-    /// Static-table interleaved rANS over the recorded bin bytes:
-    /// slightly larger streams, branch-light table-driven decode that
-    /// parallelizes across tiles (see `llm265_bitstream::rans`).
-    Rans,
-}
-
 /// Encoder configuration: profile, pipeline switches and base QP.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CodecConfig {
@@ -101,10 +84,6 @@ pub struct CodecConfig {
     /// the tile count never depends on how many threads run, so streams
     /// stay bit-identical at every thread count.
     pub tiles: usize,
-    /// Entropy backend for tile payloads ([`EntropyProfile::Cabac`] by
-    /// default). Signalled per stream via a flags bit, so the decoder
-    /// dispatches without configuration.
-    pub entropy: EntropyProfile,
 }
 
 impl Default for CodecConfig {
@@ -114,7 +93,6 @@ impl Default for CodecConfig {
             pipeline: PipelineConfig::default(),
             qp: 28.0,
             tiles: 1,
-            entropy: EntropyProfile::Cabac,
         }
     }
 }
@@ -148,13 +126,6 @@ impl CodecConfig {
         self
     }
 
-    /// Returns the config with a different entropy backend.
-    #[must_use]
-    pub fn with_entropy(mut self, entropy: EntropyProfile) -> Self {
-        self.entropy = entropy;
-        self
-    }
-
     /// The QP as headers carry it: a `u16` on the 1/256 fixed-point grid.
     pub fn qp_code(&self) -> u16 {
         // Clamped to the u16 range one step up, so the cast is exact.
@@ -167,15 +138,6 @@ impl CodecConfig {
     #[must_use]
     pub fn snapped(&self) -> Self {
         self.clone().with_qp(f64::from(self.qp_code()) / 256.0)
-    }
-
-    /// The stream-flags byte headers carry: `0x02` for the rANS backend,
-    /// `0` for CABAC. [`decoder::coding_config`] refuses every other bit.
-    pub fn flags(&self) -> u8 {
-        match self.entropy {
-            EntropyProfile::Cabac => 0,
-            EntropyProfile::Rans => encoder::FLAG_RANS,
-        }
     }
 }
 
@@ -213,10 +175,11 @@ impl EncodedVideo {
 /// when `cfg.pipeline.inter` is set (the paper's default for tensors is
 /// intra-only).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `frames` is empty or frames disagree in size.
-pub fn encode_video(frames: &[Frame], cfg: &CodecConfig) -> EncodedVideo {
+/// Returns [`CodecError::InvalidInput`] if `frames` is empty, a frame has
+/// zero width or height, or frames disagree in size.
+pub fn encode_video(frames: &[Frame], cfg: &CodecConfig) -> Result<EncodedVideo, CodecError> {
     encoder::encode_video(frames, cfg)
 }
 

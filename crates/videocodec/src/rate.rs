@@ -14,6 +14,7 @@
 //! 8-bit frames, places every probe. The distortion-targeted dual drives
 //! the Fig 2(b) ablation, whose quality constraint is an MSE budget.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use crate::lanes::floor_i32;
@@ -419,8 +420,8 @@ impl RateSearchResult {
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::InvalidInput`] if `frames` is empty or mixes
-/// frame sizes, or if `target_bpp` is not positive and finite.
+/// Returns [`CodecError::InvalidInput`] for the frames [`encode_video`]
+/// refuses, or if `target_bpp` is not positive and finite.
 pub fn encode_to_bitrate(
     frames: &[Frame],
     cfg: &CodecConfig,
@@ -431,8 +432,11 @@ pub fn encode_to_bitrate(
             "bits/pixel target {target_bpp} must be positive and finite"
         )));
     }
-    let pixels = pixel_count(frames)?;
-    search_encode(frames, cfg, Goal::MaxBits(target_bpp * pixels as f64))
+    search_encode(
+        frames,
+        cfg,
+        Goal::MaxBits(target_bpp * pixel_count(frames) as f64),
+    )
 }
 
 /// Encodes `frames` at the coarsest QP (fewest bits) whose
@@ -441,8 +445,8 @@ pub fn encode_to_bitrate(
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::InvalidInput`] if `frames` is empty or mixes
-/// frame sizes, or if `target_mse` is negative or not finite.
+/// Returns [`CodecError::InvalidInput`] for the frames [`encode_video`]
+/// refuses, or if `target_mse` is negative or not finite.
 pub fn encode_to_mse(
     frames: &[Frame],
     cfg: &CodecConfig,
@@ -453,42 +457,27 @@ pub fn encode_to_mse(
             "MSE target {target_mse} must be non-negative and finite"
         )));
     }
-    let pixels = pixel_count(frames)?;
     search_encode(
         frames,
         cfg,
-        Goal::MaxSquaredError(target_mse * pixels as f64),
+        Goal::MaxSquaredError(target_mse * pixel_count(frames) as f64),
     )
 }
 
-/// Pixels in a non-empty run of same-size, non-empty frames — the input
-/// [`encode_video`] accepts.
-///
-/// # Errors
-///
-/// Returns [`CodecError::InvalidInput`] for any other input.
-pub(crate) fn pixel_count(frames: &[Frame]) -> Result<usize, CodecError> {
-    let Some(first) = frames.first() else {
-        return Err(CodecError::InvalidInput(
-            "cannot rate-search an empty video".into(),
-        ));
-    };
-    let (w, h) = (first.width(), first.height());
-    if w == 0 || h == 0 || frames.iter().any(|f| (f.width(), f.height()) != (w, h)) {
-        return Err(CodecError::InvalidInput(
-            "frames must be non-empty and share one size".into(),
-        ));
-    }
-    Ok(w * h * frames.len())
+/// Pixels across `frames`.
+fn pixel_count(frames: &[Frame]) -> usize {
+    frames.iter().map(|f| f.width() * f.height()).sum()
 }
 
 /// Runs [`search_qp`] over whole-video encodes, with a [`RateModel`] of
 /// the frames in pixel² units, caching each probed QP's encode so the
-/// answer is returned without encoding it again.
+/// answer is returned without encoding it again. The first probe's
+/// [`encode_video`] is what refuses frames it cannot encode.
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::Internal`] if the search answers a QP it never
+/// Propagates [`encode_video`]'s [`CodecError::InvalidInput`], and
+/// returns [`CodecError::Internal`] if the search answers a QP it never
 /// probed, which [`search_qp`] rules out.
 fn search_encode(
     frames: &[Frame],
@@ -498,9 +487,10 @@ fn search_encode(
     let model = RateModel::analyse(frames.iter().map(|f| (f, 1.0)));
     let mut cache: BTreeMap<u64, EncodedVideo> = BTreeMap::new();
     let qp = search_qp(goal, &model, |qp| {
-        let enc = cache
-            .entry(qp.to_bits())
-            .or_insert_with(|| encode_video(frames, &cfg.clone().with_qp(qp)));
+        let enc = match cache.entry(qp.to_bits()) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => v.insert(encode_video(frames, &cfg.clone().with_qp(qp))?),
+        };
         Ok::<_, CodecError>(Probe {
             bits: enc.bits(),
             sq_err: ssd_of(frames, enc),
@@ -524,7 +514,7 @@ fn ssd_of(frames: &[Frame], enc: &EncodedVideo) -> f64 {
 
 /// Mean pixel² error between source frames and an encode's reconstruction.
 pub fn mse_of(frames: &[Frame], enc: &EncodedVideo) -> f64 {
-    let count: usize = frames.iter().map(|f| f.width() * f.height()).sum();
+    let count = pixel_count(frames);
     if count == 0 {
         0.0
     } else {
@@ -797,8 +787,12 @@ mod tests {
     fn rate_monotone_in_qp() {
         let frames = [noisy_frame(4, 64)];
         let cfg = CodecConfig::default();
-        let bpp_fine = encode_video(&frames, &cfg.clone().with_qp(16.0)).bits_per_pixel();
-        let bpp_coarse = encode_video(&frames, &cfg.with_qp(40.0)).bits_per_pixel();
+        let bpp_fine = encode_video(&frames, &cfg.clone().with_qp(16.0))
+            .expect("encode")
+            .bits_per_pixel();
+        let bpp_coarse = encode_video(&frames, &cfg.with_qp(40.0))
+            .expect("encode")
+            .bits_per_pixel();
         assert!(bpp_fine > bpp_coarse);
     }
 

@@ -2,12 +2,14 @@
 //! estimation.
 //!
 //! Syntax functions are generic over a [`BinSink`] so the same code path
-//! serves several backends: the real CABAC encoder, a [`BitCounter`]
-//! that accumulates fractional bit costs for the encoder's RD decisions
-//! without emitting anything, and a [`BinRecorder`] that captures the
-//! raw bin string for the rANS entropy profile's second pass. The parse
-//! side mirrors this through [`BinSource`]: [`CabacDecoder`] for CABAC
-//! streams, [`RawBinReader`] replaying an rANS-decoded bin buffer.
+//! serves several sinks: the CABAC encoder, which codes every stream, a
+//! [`BitCounter`] that accumulates fractional bit costs for the
+//! encoder's RD decisions without emitting anything, and a
+//! [`BinRecorder`] that captures the raw bin string. The parse side
+//! mirrors this through [`BinSource`]: [`CabacDecoder`] for streams,
+//! [`RawBinReader`] replaying a recorded bin string. The raw pair codes
+//! no stream; it lets a measurement run another entropy coder (such as
+//! `llm265_bitstream::rans`) over the exact bins CABAC would code.
 //!
 //! Residual coding follows H.265's scheme: coded-block flag, last
 //! significant scan position, per-position significance flags, then
@@ -56,9 +58,8 @@ impl BinSink for CabacEncoder {
     }
 }
 
-/// A source of binary symbols for the parse side: the real CABAC decoder,
-/// or a raw-bit reader replaying a bin string an rANS stage already
-/// entropy-decoded.
+/// A source of binary symbols for the parse side: the CABAC decoder, or
+/// a raw-bit reader replaying a recorded bin string.
 pub trait BinSource {
     /// Parses one bit under an adaptive context.
     fn bit(&mut self, ctx: &mut Prob) -> bool;
@@ -92,9 +93,8 @@ impl BinSource for CabacDecoder<'_> {
 }
 
 /// Records the bin string of a syntax sequence as raw MSB-first packed
-/// bits. The rANS profile's encoder replays syntax coding into this sink
-/// — the RD decisions are already fixed, so context state is irrelevant —
-/// and hands the byte string to the interleaved rANS coder.
+/// bits, ignoring context state — the bins CABAC would code, for another
+/// entropy coder to be measured on. No stream carries them.
 #[derive(Debug, Clone, Default)]
 pub struct BinRecorder {
     bytes: Vec<u8>,
@@ -155,7 +155,7 @@ pub struct RawBinReader<'a> {
 
 impl<'a> RawBinReader<'a> {
     /// Wraps a packed bin buffer produced by [`BinRecorder::finish`] (or
-    /// entropy-decoded from an rANS payload).
+    /// restored from another entropy coder's output).
     pub fn new(data: &'a [u8]) -> Self {
         Self {
             data,
@@ -722,9 +722,9 @@ mod tests {
 
     #[test]
     fn recorded_bins_replay_identically() {
-        // The rANS profile's emission path: record the bin string raw,
-        // replay it through the generic parser. The parsed levels must
-        // match what the CABAC path reconstructs from the same syntax.
+        // Record the bin string raw and replay it through the generic
+        // parser: the parsed levels must match what the CABAC path
+        // reconstructs from the same syntax.
         let mut rng = Pcg32::seed_from(11);
         for &n in &[4usize, 8, 16, 32] {
             let levels: Vec<i32> = (0..n * n)

@@ -9,7 +9,9 @@ fn sample_stream() -> Vec<u8> {
     let frames: Vec<Frame> = (0..2)
         .map(|t| Frame::from_fn(48, 32, |x, y| ((x * 5 + y * 3 + t * 17) % 251) as u8))
         .collect();
-    encode_video(&frames, &CodecConfig::default()).bytes
+    encode_video(&frames, &CodecConfig::default())
+        .expect("encode")
+        .bytes
 }
 
 // The fixed header is 176 bits: magic(32) version(8) profile(8)
@@ -143,7 +145,9 @@ fn random_garbage_never_panics() {
 /// u32 length) entries from offset 28, all little-endian.
 fn tiled_sample_stream() -> Vec<u8> {
     let frames = [Frame::from_fn(64, 64, |x, y| ((x * 5 + y * 3) % 251) as u8)];
-    encode_video(&frames, &CodecConfig::default().with_tiles(2)).bytes
+    encode_video(&frames, &CodecConfig::default().with_tiles(2))
+        .expect("encode")
+        .bytes
 }
 
 const TILE_COUNT_OFFSET: usize = 26;

@@ -26,8 +26,8 @@ fn repeated_encodes_are_byte_identical() {
     ];
     for profile in [Profile::h264(), Profile::h265(), Profile::av1()] {
         let cfg = CodecConfig::default().with_profile(profile).with_qp(27.5);
-        let a = encode_video(&frames, &cfg);
-        let b = encode_video(&frames, &cfg);
+        let a = encode_video(&frames, &cfg).expect("encode");
+        let b = encode_video(&frames, &cfg).expect("encode");
         assert_eq!(a.bytes, b.bytes, "stream differs across runs");
         for (fa, fb) in a.recon.iter().zip(&b.recon) {
             assert_eq!(fa, fb, "reconstruction differs across runs");
@@ -43,8 +43,8 @@ fn all_pipeline_configs_are_deterministic() {
     for byte in 0..PipelineConfig::COUNT {
         let pipeline = PipelineConfig::from_byte(byte).expect("defined switches");
         let cfg = CodecConfig::default().with_pipeline(pipeline).with_qp(30.0);
-        let a = encode_video(&frames, &cfg);
-        let b = encode_video(&frames, &cfg);
+        let a = encode_video(&frames, &cfg).expect("encode");
+        let b = encode_video(&frames, &cfg).expect("encode");
         assert_eq!(a.bytes, b.bytes, "pipeline byte {byte} nondeterministic");
     }
 }
@@ -54,7 +54,7 @@ fn all_pipeline_configs_are_deterministic() {
 #[test]
 fn repeated_decodes_are_identical() {
     let frames = [textured_frame(11, 40, 24)];
-    let enc = encode_video(&frames, &CodecConfig::default().with_qp(24.0));
+    let enc = encode_video(&frames, &CodecConfig::default().with_qp(24.0)).expect("encode");
     let a = decode_video(&enc.bytes).expect("decode failed");
     let b = decode_video(&enc.bytes).expect("decode failed");
     assert_eq!(a, b);
@@ -75,7 +75,7 @@ fn encoder_recon_is_bit_exact_with_decoder_output() {
     ];
     for qp in [8.0, 24.25, 38.0, 51.0] {
         let cfg = CodecConfig::default().with_qp(qp);
-        let enc = encode_video(&frames, &cfg);
+        let enc = encode_video(&frames, &cfg).expect("encode");
         let dec = decode_video(&enc.bytes).expect("decode failed");
         assert_eq!(enc.recon.len(), dec.len());
         for (i, (r, d)) in enc.recon.iter().zip(&dec).enumerate() {
@@ -91,8 +91,8 @@ fn odd_sizes_stay_deterministic_and_recon_exact() {
     for (w, h) in [(33, 17), (1, 64), (80, 9)] {
         let frames = [textured_frame(5, w, h)];
         let cfg = CodecConfig::default().with_qp(28.0);
-        let a = encode_video(&frames, &cfg);
-        let b = encode_video(&frames, &cfg);
+        let a = encode_video(&frames, &cfg).expect("encode");
+        let b = encode_video(&frames, &cfg).expect("encode");
         assert_eq!(a.bytes, b.bytes, "{w}x{h} stream differs across runs");
         let dec = decode_video(&a.bytes).expect("decode failed");
         assert_eq!(a.recon[0], dec[0], "{w}x{h} recon != decode");

@@ -26,7 +26,7 @@ fn photo(seed: u64, n: usize) -> Frame {
 fn image_roundtrip_is_bit_exact_with_encoder_recon() {
     let img = photo(1, 96);
     let cfg = CodecConfig::default().with_qp(24.0);
-    let enc = encode_video(std::slice::from_ref(&img), &cfg);
+    let enc = encode_video(std::slice::from_ref(&img), &cfg).expect("encode");
     let dec = decode_video(&enc.bytes).unwrap();
     assert_eq!(dec[0], enc.recon[0]);
 }

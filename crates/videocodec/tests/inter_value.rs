@@ -45,7 +45,7 @@ fn bits_with(frames: &[Frame], inter: bool) -> (u64, f64) {
         PipelineConfig::default()
     };
     let cfg = CodecConfig::default().with_pipeline(pipeline).with_qp(30.0);
-    let enc = encode_video(frames, &cfg);
+    let enc = encode_video(frames, &cfg).expect("encode");
     let dec = decode_video(&enc.bytes).expect("decode");
     let mse: f64 =
         frames.iter().zip(&dec).map(|(a, b)| a.mse(b)).sum::<f64>() / frames.len() as f64;
@@ -89,7 +89,7 @@ fn p_frames_decode_bit_exactly() {
     let cfg = CodecConfig::default()
         .with_pipeline(PipelineConfig::full_video())
         .with_qp(24.0);
-    let enc = encode_video(&frames, &cfg);
+    let enc = encode_video(&frames, &cfg).expect("encode");
     let dec = decode_video(&enc.bytes).unwrap();
     for (i, (d, r)) in dec.iter().zip(&enc.recon).enumerate() {
         assert_eq!(d, r, "frame {i}");

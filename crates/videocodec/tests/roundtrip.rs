@@ -5,7 +5,9 @@
 use llm265_tensor::check::Checker;
 use llm265_tensor::prop_ensure;
 use llm265_tensor::rng::Pcg32;
-use llm265_videocodec::{decode_video, encode_video, CodecConfig, Frame, PipelineConfig, Profile};
+use llm265_videocodec::{
+    decode_video, encode_video, CodecConfig, CodecError, Frame, PipelineConfig, Profile,
+};
 
 fn textured_frame(seed: u64, w: usize, h: usize) -> Frame {
     let mut rng = Pcg32::seed_from(seed);
@@ -17,7 +19,7 @@ fn textured_frame(seed: u64, w: usize, h: usize) -> Frame {
 }
 
 fn assert_roundtrip(frames: &[Frame], cfg: &CodecConfig) {
-    let enc = encode_video(frames, cfg);
+    let enc = encode_video(frames, cfg).expect("encode");
     let dec = decode_video(&enc.bytes).expect("decode failed");
     assert_eq!(dec.len(), frames.len());
     for (i, (d, r)) in dec.iter().zip(&enc.recon).enumerate() {
@@ -64,7 +66,7 @@ fn roundtrip_extreme_qps() {
 fn quality_improves_with_lower_qp() {
     let frames = [textured_frame(5, 64, 64)];
     let mse_at = |qp: f64| {
-        let enc = encode_video(&frames, &CodecConfig::default().with_qp(qp));
+        let enc = encode_video(&frames, &CodecConfig::default().with_qp(qp)).expect("encode");
         frames[0].mse(&enc.recon[0])
     };
     let fine = mse_at(12.0);
@@ -82,17 +84,49 @@ fn lossless_at_qstep_one_with_transform_skip() {
         ..PipelineConfig::default()
     };
     let cfg = CodecConfig::default().with_pipeline(pipeline).with_qp(4.0);
-    let enc = encode_video(&frames, &cfg);
+    let enc = encode_video(&frames, &cfg).expect("encode");
     assert_eq!(
         enc.recon[0], frames[0],
         "qstep=1 transform-skip must be lossless"
     );
 }
 
+/// `encode_video` refuses `frames` as `InvalidInput` with `msg`.
+fn assert_refused(frames: &[Frame], msg: &str) {
+    match encode_video(frames, &CodecConfig::default()) {
+        Err(CodecError::InvalidInput(m)) => assert_eq!(m, msg),
+        other => panic!(
+            "expected InvalidInput({msg}), got {:?}",
+            other.map(|e| e.bytes)
+        ),
+    }
+}
+
+#[test]
+fn encode_refuses_an_empty_video() {
+    assert_refused(&[], "cannot encode an empty video");
+}
+
+#[test]
+fn encode_refuses_zero_size_frames() {
+    for (w, h) in [(0, 0), (0, 16), (16, 0)] {
+        assert_refused(
+            &[Frame::new(w, h)],
+            "frames must have non-zero width and height",
+        );
+    }
+}
+
+#[test]
+fn encode_refuses_frames_of_different_sizes() {
+    let frames = [textured_frame(1, 16, 16), textured_frame(2, 32, 16)];
+    assert_refused(&frames, "all frames must share one size");
+}
+
 #[test]
 fn corrupt_streams_error_gracefully() {
     let frames = [textured_frame(7, 32, 32)];
-    let enc = encode_video(&frames, &CodecConfig::default());
+    let enc = encode_video(&frames, &CodecConfig::default()).expect("encode");
     assert!(decode_video(&[]).is_err());
     assert!(decode_video(&enc.bytes[..10]).is_err());
     let mut bad_magic = enc.bytes.clone();
@@ -110,8 +144,8 @@ fn structured_content_beats_noise() {
     let mut rng = Pcg32::seed_from(9);
     let noise = [Frame::from_fn(64, 64, |_, _| rng.below(256) as u8)];
     let cfg = CodecConfig::default().with_qp(28.0);
-    let bits_structured = encode_video(&structured, &cfg).bits();
-    let bits_noise = encode_video(&noise, &cfg).bits();
+    let bits_structured = encode_video(&structured, &cfg).expect("encode").bits();
+    let bits_noise = encode_video(&noise, &cfg).expect("encode").bits();
     assert!(
         (bits_structured as f64) < 0.8 * bits_noise as f64,
         "structured {bits_structured} vs noise {bits_noise}"
@@ -127,7 +161,7 @@ fn prop_roundtrip_random_frames() {
         let qp = rng.below(52);
         let frames = [textured_frame(seed, w, h)];
         let cfg = CodecConfig::default().with_qp(qp as f64);
-        let enc = encode_video(&frames, &cfg);
+        let enc = encode_video(&frames, &cfg).expect("encode");
         let dec = decode_video(&enc.bytes).map_err(|e| e.to_string())?;
         prop_ensure!(dec[0] == enc.recon[0], "decoder/encoder recon mismatch");
         prop_ensure!(
@@ -147,7 +181,7 @@ fn prop_recon_error_bounded_by_qstep() {
         let qp = 4 + rng.below(41);
         let frames = [textured_frame(seed, 32, 32)];
         let cfg = CodecConfig::default().with_qp(qp as f64);
-        let enc = encode_video(&frames, &cfg);
+        let enc = encode_video(&frames, &cfg).expect("encode");
         let mse = frames[0].mse(&enc.recon[0]);
         let step = llm265_videocodec::quant::qstep(qp as f64);
         // Dead-zone quantizer MSE is at most ~step²; allow 1.2x headroom.

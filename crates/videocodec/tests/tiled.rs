@@ -21,11 +21,11 @@ fn textured_frame(seed: u64, w: usize, h: usize) -> Frame {
 #[test]
 fn tiled_decode_is_bit_exact_and_seams_cost_little() {
     let frames = [textured_frame(1, 96, 96)]; // 3 CTU rows at CTU 32
-    let one_tile = encode_video(&frames, &CodecConfig::default().with_qp(26.0));
+    let one_tile = encode_video(&frames, &CodecConfig::default().with_qp(26.0)).expect("encode");
     let base_mse = frames[0].mse(&one_tile.recon[0]);
     for tiles in [2usize, 3] {
         let cfg = CodecConfig::default().with_qp(26.0).with_tiles(tiles);
-        let enc = encode_video(&frames, &cfg);
+        let enc = encode_video(&frames, &cfg).expect("encode");
         assert_ne!(
             enc.bytes, one_tile.bytes,
             "{tiles} tiles must change the framing"
@@ -49,8 +49,10 @@ fn tile_count_clamps_to_ctu_rows() {
     let capped = encode_video(
         &frames,
         &CodecConfig::default().with_qp(30.0).with_tiles(99),
-    );
-    let two = encode_video(&frames, &CodecConfig::default().with_qp(30.0).with_tiles(2));
+    )
+    .expect("encode");
+    let two =
+        encode_video(&frames, &CodecConfig::default().with_qp(30.0).with_tiles(2)).expect("encode");
     assert_eq!(capped.bytes, two.bytes, "99 tiles must clamp to 2");
     let dec = decode_video(&capped.bytes).expect("decode");
     assert_eq!(dec[0], capped.recon[0]);
@@ -67,7 +69,7 @@ fn multi_frame_tiled_streams_roundtrip() {
         textured_frame(3, 64, 96), // repeat favours inter prediction
     ];
     let cfg = CodecConfig::default().with_qp(28.0).with_tiles(3);
-    let enc = encode_video(&frames, &cfg);
+    let enc = encode_video(&frames, &cfg).expect("encode");
     let dec = decode_video(&enc.bytes).expect("decode");
     assert_eq!(dec.len(), frames.len());
     for (i, (d, r)) in dec.iter().zip(&enc.recon).enumerate() {
@@ -81,11 +83,13 @@ fn multi_frame_tiled_streams_roundtrip() {
 #[test]
 fn unknown_stream_flags_are_rejected() {
     let frames = [textured_frame(6, 32, 32)];
-    let enc = encode_video(&frames, &CodecConfig::default().with_qp(24.0));
-    // Only 0x02 (rANS) is a known flag; 0x01 is the retired tiled-layout
-    // flag. The pipeline byte (offset 6) defines bits 0–3 only.
+    let enc = encode_video(&frames, &CodecConfig::default().with_qp(24.0)).expect("encode");
+    // No stream flag is defined: 0x01 is the retired tiled-layout flag
+    // and 0x02 the retired rANS entropy backend. The pipeline byte
+    // (offset 6) defines bits 0–3 only.
     let cases = [
         (21, 0x01u8, "unknown stream flags"),
+        (21, 0x02, "unknown stream flags"),
         (21, 0x04, "unknown stream flags"),
         (21, 0x80, "unknown stream flags"),
         (6, 0x10, "unknown pipeline switches"),

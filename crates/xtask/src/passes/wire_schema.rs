@@ -383,10 +383,10 @@ pub fn spec(index: &Index, contracts: &[Contract]) -> (String, String) {
          from the decoder (the reader side carries the version/flag guards, so it is\n\
          the normative direction) and proves dual to the encoder: same field order,\n\
          same widths, same guard structure. Syntax-element layers are generic over\n\
-         `BinSink`/`BinSource`, so one proof covers both entropy profiles (CABAC and\n\
-         interleaved rANS — `FLAG_RANS` only swaps the bin transport, never the\n\
-         grammar). `trusted` layers are arithmetic duals pinned by the named\n\
-         round-trip test instead of a structural proof.\n\n\
+         `BinSink`/`BinSource`; CABAC is the one entropy coder of both stream kinds,\n\
+         and every stream-flag bit is reserved (writers write 0, readers refuse a set\n\
+         bit). `trusted` layers are arithmetic duals pinned by the named round-trip\n\
+         test instead of a structural proof.\n\n\
          Grammar notation: `bits(w)` a `w`-bit big-endian field, `byte`/`le16`/\n\
          `le32`/`le64` little-endian byte fields, `ue`/`se` exp-Golomb, `bit(c)` a\n\
          context-coded bin on context `c`, `bypass`/`bypass_bits(w)` equiprobable\n\

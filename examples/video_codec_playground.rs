@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:>6} {:>12} {:>10}", "QP", "bits/pixel", "MSE(px^2)");
     for qp in [12.0, 20.0, 28.0, 36.0, 44.0] {
         let cfg = CodecConfig::default().with_qp(qp);
-        let enc = encode_video(std::slice::from_ref(&frame), &cfg);
+        let enc = encode_video(std::slice::from_ref(&frame), &cfg)?;
         let dec = decode_video(&enc.bytes)?;
         println!(
             "{qp:>6.0} {:>12.3} {:>10.2}",
@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ] {
         let cfg = CodecConfig::default().with_pipeline(pipeline).with_qp(32.0);
-        let enc = encode_video(std::slice::from_ref(&frame), &cfg);
+        let enc = encode_video(std::slice::from_ref(&frame), &cfg)?;
         let dec = decode_video(&enc.bytes)?;
         println!(
             "  {label:22}: {:.3} bits/pixel, MSE {:.2}",
