@@ -204,7 +204,7 @@ fn main() {
         }
 
         // Single-chunk tiled decode: the tensor fits one chunk, so chunk
-        // fan-out gives the pool nothing — the tile index is the only
+        // fan-out gives the pool nothing — the tiles are the only
         // parallelism here (128 rows → 4 CTU rows → 4 tiles).
         let codec_tiled = Llm265Codec::with_config(Llm265Config {
             threads: t,

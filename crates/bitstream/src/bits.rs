@@ -1,9 +1,10 @@
 //! MSB-first bit I/O and Exp-Golomb codes.
 //!
 //! Exp-Golomb is the universal integer binarization H.264/H.265 use for
-//! syntax elements; the video codec crate uses it both directly (when the
-//! entropy stage is disabled in the Fig 2b ablation) and as the
-//! binarization feeding CABAC bypass bits.
+//! syntax elements. The canonical Huffman coder ([`crate::huffman`]) is
+//! the only user of this bit I/O: both video-codec stream kinds frame
+//! their bytes with [`crate::bytes`], and their exp-Golomb elements are
+//! CABAC bypass bins.
 
 use crate::CodecError;
 

@@ -1,7 +1,7 @@
 //! Panic-free little-endian byte-field I/O.
 //!
 //! Every framed format in the workspace (CABAC byte streams, LZ4/Deflate
-//! containers, video payload lengths, tensor-stream headers, archives)
+//! containers, video and tensor stream headers, tile tables, archives)
 //! reads fixed-width little-endian integers from untrusted bytes. These
 //! helpers centralize that so the hot decode paths contain no
 //! `try_into().unwrap()` — the pattern-match either yields the field or a

@@ -9,11 +9,68 @@ use std::ops::Range;
 
 use llm265_bitstream::bytes;
 use llm265_tensor::Tensor;
+use llm265_videocodec::tile::wire_u32;
 
 use crate::access::TensorStreamIndex;
 use crate::{CodecError, EncodedTensor, RateTarget, TensorCodec};
 
 const MAGIC: u32 = 0x4C41_3635; // "LA65"
+
+/// Appends the archive header — magic, then the entry count; the exact
+/// mirror of [`parse_archive_header`].
+fn write_archive_header(out: &mut Vec<u8>, n_entries: usize) -> Result<(), CodecError> {
+    let count = wire_u32(n_entries, "archive tensor count exceeds u32")?;
+    bytes::write_le_u32(out, MAGIC);
+    bytes::write_le_u32(out, count);
+    Ok(())
+}
+
+/// Parses the archive header at `*pos`, returning the entry count.
+fn parse_archive_header(data: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
+    if bytes::read_le_u32(data, pos)? != MAGIC {
+        return Err(CodecError::Corrupt("bad archive magic"));
+    }
+    let count = bytes::read_le_u32(data, pos)? as usize;
+    if count > 1 << 20 {
+        return Err(CodecError::LimitExceeded("archive entry count"));
+    }
+    Ok(count)
+}
+
+/// Appends one archive entry — a `u16` name length, the UTF-8 name, a
+/// `u32` stream length, the tensor stream; the exact mirror of
+/// [`parse_archive_entry`].
+fn write_archive_entry(out: &mut Vec<u8>, name: &str, stream: &[u8]) -> Result<(), CodecError> {
+    let name_len = u16::try_from(name.len()).map_err(|_| {
+        CodecError::InvalidInput(format!("tensor name too long ({} bytes)", name.len()))
+    })?;
+    let stream_len = wire_u32(stream.len(), "archive tensor stream exceeds u32")?;
+    bytes::write_le_u16(out, name_len);
+    out.extend_from_slice(name.as_bytes());
+    bytes::write_le_u32(out, stream_len);
+    out.extend_from_slice(stream);
+    Ok(())
+}
+
+/// Parses the archive entry at `*pos`, returning its name and its tensor
+/// stream's absolute byte range; no stream byte is read.
+fn parse_archive_entry(data: &[u8], pos: &mut usize) -> Result<(String, Range<usize>), CodecError> {
+    let name_len = bytes::read_le_u16(data, pos)? as usize;
+    let name_bytes = data
+        .get(*pos..)
+        .and_then(|rest| rest.get(..name_len))
+        .ok_or(CodecError::Truncated("tensor name"))?;
+    *pos += name_len;
+    let name = String::from_utf8(name_bytes.to_vec())
+        .map_err(|_| CodecError::Corrupt("tensor name is not UTF-8"))?;
+    let len = bytes::read_le_u32(data, pos)? as usize;
+    let range = *pos..*pos + len;
+    if range.end > data.len() {
+        return Err(CodecError::Truncated("tensor payload"));
+    }
+    *pos = range.end;
+    Ok((name, range))
+}
 
 /// A compressed multi-tensor archive.
 #[derive(Debug, Clone)]
@@ -38,22 +95,10 @@ impl TensorArchive {
         target: RateTarget,
     ) -> Result<Self, CodecError> {
         let mut out = Vec::new();
-        bytes::write_le_u32(&mut out, MAGIC);
-        let n_tensors = u32::try_from(tensors.len())
-            .map_err(|_| CodecError::LimitExceeded("archive tensor count exceeds u32"))?;
-        bytes::write_le_u32(&mut out, n_tensors);
+        write_archive_header(&mut out, tensors.len())?;
         let mut entries = Vec::with_capacity(tensors.len());
         for (name, t) in tensors {
-            let name_len = u16::try_from(name.len()).map_err(|_| {
-                CodecError::InvalidInput(format!("tensor name too long ({} bytes)", name.len()))
-            })?;
-            let enc = codec.encode(t, target)?;
-            bytes::write_le_u16(&mut out, name_len);
-            out.extend_from_slice(name.as_bytes());
-            let stream_len = u32::try_from(enc.bytes().len())
-                .map_err(|_| CodecError::LimitExceeded("archive tensor stream exceeds u32"))?;
-            bytes::write_le_u32(&mut out, stream_len);
-            out.extend_from_slice(enc.bytes());
+            write_archive_entry(&mut out, name, codec.encode(t, target)?.bytes())?;
             entries.push((name.clone(), t.rows(), t.cols()));
         }
         Ok(TensorArchive {
@@ -132,30 +177,10 @@ impl ArchiveIndex {
     /// and bytes after the last entry.
     pub fn parse(data: &[u8]) -> Result<Self, CodecError> {
         let mut pos = 0usize;
-        let magic = bytes::read_le_u32(data, &mut pos)?;
-        if magic != MAGIC {
-            return Err(CodecError::Corrupt("bad archive magic"));
-        }
-        let count = bytes::read_le_u32(data, &mut pos)? as usize;
-        if count > 1 << 20 {
-            return Err(CodecError::LimitExceeded("archive entry count"));
-        }
+        let count = parse_archive_header(data, &mut pos)?;
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            let name_len = bytes::read_le_u16(data, &mut pos)? as usize;
-            let name_bytes = data
-                .get(pos..)
-                .and_then(|rest| rest.get(..name_len))
-                .ok_or(CodecError::Truncated("tensor name"))?;
-            pos += name_len;
-            let name = String::from_utf8(name_bytes.to_vec())
-                .map_err(|_| CodecError::Corrupt("tensor name is not UTF-8"))?;
-            let len = bytes::read_le_u32(data, &mut pos)? as usize;
-            if data.get(pos..).and_then(|rest| rest.get(..len)).is_none() {
-                return Err(CodecError::Truncated("tensor payload"));
-            }
-            entries.push((name, pos..pos + len));
-            pos += len;
+            entries.push(parse_archive_entry(data, &mut pos)?);
         }
         if pos != data.len() {
             return Err(CodecError::Corrupt("bytes after the last archive entry"));

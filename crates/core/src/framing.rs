@@ -16,6 +16,12 @@
 //! | cols              | 4     |                      |           |
 //! | rows per chunk    | 4     |                      |           |
 //!
+//! Profile through QP are the coding fields and the lengths plus
+//! payloads are the tile table, both written and read by `videocodec`
+//! ([`write_coding_fields`] / [`parse_coding_fields`],
+//! [`tile::write_tiles`] / [`tile::parse_tiles`]) exactly as in video
+//! streams.
+//!
 //! Everything else is derived — chunk rows by [`chunk::band`], tile
 //! counts by [`TileLayout::for_frame`] with [`TILES_PER_CHUNK`], tile
 //! offsets as prefix sums of the lengths — so no two fields can disagree
@@ -27,8 +33,9 @@
 use std::ops::Range;
 
 use llm265_bitstream::bytes;
-use llm265_videocodec::decoder::coding_config;
-use llm265_videocodec::tile::TileLayout;
+use llm265_videocodec::decoder::parse_coding_fields;
+use llm265_videocodec::encoder::write_coding_fields;
+use llm265_videocodec::tile::{self, wire_u32, TileLayout};
 use llm265_videocodec::CodecConfig;
 
 use crate::chunk;
@@ -89,22 +96,12 @@ pub(crate) struct ChunkRecord {
     pub tiles: Vec<Range<usize>>,
 }
 
-/// Narrows a host size to a `u32` wire field: oversized shapes and
-/// payloads fail with [`CodecError::LimitExceeded`] instead of truncating.
-fn wire_u32(v: usize, what: &'static str) -> Result<u32, CodecError> {
-    u32::try_from(v).map_err(|_| CodecError::LimitExceeded(what))
-}
-
 /// Appends the tensor header — the exact mirror of
 /// [`parse_tensor_header`]. Fails when a dimension overflows its field.
 pub(crate) fn write_tensor_header(out: &mut Vec<u8>, h: &TensorHeader) -> Result<(), CodecError> {
     bytes::write_le_u32(out, MAGIC);
     bytes::write_u8(out, VERSION);
-    bytes::write_u8(out, h.cfg.profile.header_id());
-    bytes::write_u8(out, h.cfg.pipeline.to_byte());
-    // Stream flags: no bit is defined, so writers write zero.
-    bytes::write_u8(out, 0);
-    bytes::write_le_u16(out, h.cfg.qp_code());
+    write_coding_fields(out, &h.cfg);
     bytes::write_le_u32(out, wire_u32(h.rows, "tensor rows")?);
     bytes::write_le_u32(out, wire_u32(h.cols, "tensor cols")?);
     bytes::write_le_u32(out, wire_u32(h.rows_per_chunk, "rows per chunk")?);
@@ -132,14 +129,10 @@ pub(crate) fn parse_tensor_header(
     if version != VERSION {
         return Err(CodecError::Unsupported("tensor-stream version"));
     }
-    let profile = bytes::read_u8(data, pos)?;
-    let pipeline = bytes::read_u8(data, pos)?;
-    let flags = bytes::read_u8(data, pos)?;
-    let qp = bytes::read_le_u16(data, pos)?;
+    let cfg = parse_coding_fields(data, pos)?.with_tiles(TILES_PER_CHUNK);
     let rows = bytes::read_le_u32(data, pos)? as usize;
     let cols = bytes::read_le_u32(data, pos)? as usize;
     let rows_per_chunk = bytes::read_le_u32(data, pos)? as usize;
-    let cfg = coding_config(profile, pipeline, qp, flags)?.with_tiles(TILES_PER_CHUNK);
     if rows.checked_mul(cols).is_none_or(|n| n > 1 << 31) {
         return Err(CodecError::LimitExceeded("tensor shape"));
     }
@@ -166,8 +159,8 @@ pub(crate) fn parse_tensor_header(
 }
 
 /// Appends one chunk record — the exact mirror of [`parse_chunk_record`]:
-/// the affine map, one length per tile, then the tile payloads. Fails
-/// when a tile overflows its length field.
+/// the affine map, then the chunk's tile table ([`tile::write_tiles`]).
+/// Fails when a tile overflows its length field.
 pub(crate) fn write_chunk_record(
     out: &mut Vec<u8>,
     lo: f32,
@@ -176,21 +169,17 @@ pub(crate) fn write_chunk_record(
 ) -> Result<(), CodecError> {
     bytes::write_le_u32(out, lo.to_bits());
     bytes::write_le_u32(out, scale.to_bits());
-    for t in tiles {
-        bytes::write_le_u32(out, wire_u32(t.len(), "tile length")?);
-    }
-    out.extend(tiles.iter().flatten());
-    Ok(())
+    tile::write_tiles(out, tiles)
 }
 
 /// Serialized length of a chunk record with these tiles.
 pub(crate) fn chunk_record_len(tiles: &[Vec<u8>]) -> usize {
-    8 + tiles.iter().map(|t| 4 + t.len()).sum::<usize>()
+    8 + tile::tiles_len(tiles)
 }
 
 /// Parses the chunk record at `*pos` for a chunk of `n_tiles` tiles,
-/// advancing `pos` past its last tile; no payload byte is read. Zero-length
-/// tiles are `Corrupt`, a record `data` ends inside is `Truncated`.
+/// advancing `pos` past its last tile; no payload byte is read. The tile
+/// table's errors are [`tile::parse_tiles`]'s.
 pub(crate) fn parse_chunk_record(
     data: &[u8],
     pos: &mut usize,
@@ -198,53 +187,15 @@ pub(crate) fn parse_chunk_record(
 ) -> Result<ChunkRecord, CodecError> {
     let lo = f32::from_bits(bytes::read_le_u32(data, pos)?);
     let scale = f32::from_bits(bytes::read_le_u32(data, pos)?);
-    // Offsets are the prefix sums of the lengths, starting right after
-    // the length table.
-    let mut next = *pos + 4 * n_tiles;
-    let mut tiles = Vec::with_capacity(n_tiles.min(TILES_PER_CHUNK));
-    for _ in 0..n_tiles {
-        let len = bytes::read_le_u32(data, pos)? as usize;
-        if len == 0 {
-            return Err(CodecError::Corrupt("zero-length tile"));
-        }
-        tiles.push(next..next + len);
-        next += len;
-    }
-    if next > data.len() {
-        return Err(CodecError::Truncated("tile payload"));
-    }
-    *pos = next;
+    let tiles = tile::parse_tiles(data, pos, n_tiles)?;
     Ok(ChunkRecord { lo, scale, tiles })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{Llm265Codec, RateTarget, TensorCodec, TensorStreamIndex};
     use llm265_tensor::rng::Pcg32;
     use llm265_tensor::synthetic::{llm_weight, WeightProfile};
-
-    #[test]
-    fn records_reject_zero_length_tiles_and_truncation() {
-        let tiles = [vec![1u8, 2, 3], vec![4u8]];
-        let mut out = Vec::new();
-        write_chunk_record(&mut out, -0.5, 0.25, &tiles).unwrap();
-        assert_eq!(out.len(), chunk_record_len(&tiles));
-        let rec = parse_chunk_record(&out, &mut 0, 2).unwrap();
-        assert_eq!(
-            (rec.lo, rec.scale, rec.tiles),
-            (-0.5, 0.25, vec![16..19, 19..20])
-        );
-        for cut in 0..out.len() {
-            assert!(parse_chunk_record(&out[..cut], &mut 0, 2).is_err(), "{cut}");
-        }
-        out.clear();
-        write_chunk_record(&mut out, 0.0, 1.0, &[vec![7u8], Vec::new()]).unwrap();
-        assert!(matches!(
-            parse_chunk_record(&out, &mut 0, 2),
-            Err(CodecError::Corrupt("zero-length tile"))
-        ));
-    }
 
     /// Framing — stream bytes that are not tile payload — is the 22-byte
     /// header plus 8 bytes of affine map and 4 per tile for each chunk: a
@@ -268,15 +219,5 @@ mod tests {
                 .sum();
             assert_eq!(enc.bytes().len() - payload, framing, "{rows}x{cols}");
         }
-    }
-
-    #[test]
-    fn oversize_wire_fields_error_instead_of_truncating() {
-        assert!(wire_u32(usize::try_from(u32::MAX).unwrap(), "x").is_ok());
-        let too_big = usize::try_from(u64::from(u32::MAX) + 1).unwrap();
-        assert!(matches!(
-            wire_u32(too_big, "x"),
-            Err(CodecError::LimitExceeded("x"))
-        ));
     }
 }

@@ -1,15 +1,15 @@
 //! The video decoder, mirroring [`crate::encoder`]'s syntax exactly.
 
-use llm265_bitstream::bits::BitReader;
 use llm265_bitstream::bytes;
 use llm265_bitstream::cabac::CabacDecoder;
 
-use crate::encoder::{FIXED_CU, HEADER_BYTES, MAGIC, VERSION};
+use crate::encoder::{FIXED_CU, MAGIC, VERSION};
 use crate::inter::{compensate, MotionVector};
 use crate::intra::RefSamples;
 use crate::lanes::round_i32;
 use crate::quant::Quantizer;
 use crate::syntax::{parse_residual, BinSource, Contexts};
+use crate::tile::{self, TileLayout, MAX_TILES};
 use crate::transform::DctPlans;
 use crate::{CodecConfig, CodecError, Frame, PipelineConfig, Profile};
 
@@ -165,49 +165,49 @@ fn parse_signed_eg<D: BinSource>(dec: &mut D) -> Result<i32, CodecError> {
     })
 }
 
-/// A validated stream header: everything before the frame payloads,
-/// which start at byte [`HEADER_BYTES`].
+/// A validated stream header: everything before the first frame.
 pub(crate) struct StreamHeader {
-    /// The coding configuration the header signals (profile, pipeline
-    /// and QP; `tiles` is left at 1 — each frame's tile index carries its
-    /// own count).
+    /// The coding configuration the header signals; `tiles` is the tile
+    /// count of every frame.
     pub cfg: CodecConfig,
     pub w: usize,
     pub h: usize,
     pub n_frames: usize,
 }
 
-/// Validates the coding fields every header carries — profile id,
-/// pipeline switches, QP × 256 and stream flags — into the configuration
-/// they signal (`tiles` left at 1). The one home of these checks: the
-/// video stream header and `llm265-core`'s tensor header both call it.
+/// Parses and validates the coding fields every header carries — profile
+/// id, pipeline switches, stream flags and QP × 256 — at `*pos` into the
+/// configuration they signal (`tiles` left at 1); the exact mirror of
+/// [`crate::encoder::write_coding_fields`]. The one home of these checks:
+/// the video stream header and `llm265-core`'s tensor header both call
+/// it.
 ///
 /// # Errors
 ///
 /// `Unsupported` for an unknown profile id, a pipeline bit no switch
 /// names, or any set flag bit (no flag is defined);
-/// `Corrupt` for a QP outside the H.265 range.
-pub fn coding_config(
-    profile: u8,
-    pipeline: u8,
-    qp: u16,
-    flags: u8,
-) -> Result<CodecConfig, CodecError> {
+/// `Corrupt` for a QP outside the H.265 range; `Truncated` for short
+/// input.
+pub fn parse_coding_fields(data: &[u8], pos: &mut usize) -> Result<CodecConfig, CodecError> {
+    let profile = bytes::read_u8(data, pos)?;
+    let pipeline = bytes::read_u8(data, pos)?;
+    let flags = bytes::read_u8(data, pos)?;
+    let qp = bytes::read_le_u16(data, pos)?;
     let profile =
         Profile::from_header_id(profile).ok_or(CodecError::Unsupported("unknown profile id"))?;
     let pipeline = PipelineConfig::from_byte(pipeline)
         .ok_or(CodecError::Unsupported("unknown pipeline switches"))?;
+    // No flag bit is defined: refuse any set bit rather than misdecode a
+    // layout this decoder does not know.
+    if flags != 0 {
+        return Err(CodecError::Unsupported("unknown stream flags"));
+    }
     let qp = f64::from(qp) / 256.0;
     // The 16-bit field can carry up to ~256.0; a QP beyond the H.265 range
     // never comes from our encoder and would violate the quantizer's
     // contract downstream.
     if !(crate::quant::QP_MIN..=crate::quant::QP_MAX).contains(&qp) {
         return Err(CodecError::Corrupt("qp out of range"));
-    }
-    // No flag bit is defined: refuse any set bit rather than misdecode a
-    // layout this decoder does not know.
-    if flags != 0 {
-        return Err(CodecError::Unsupported("unknown stream flags"));
     }
     Ok(CodecConfig {
         profile,
@@ -217,25 +217,25 @@ pub fn coding_config(
     })
 }
 
-/// Parses and validates the stream header. Only [`VERSION`] is accepted;
-/// the coding fields are checked by [`coding_config`].
-pub(crate) fn parse_stream_header(data: &[u8]) -> Result<StreamHeader, CodecError> {
-    let mut r = BitReader::new(data);
-    if (r.read_bits(32)? & 0xFFFF_FFFF) as u32 != MAGIC {
+/// Parses and validates the stream header at `*pos`, advancing `pos`
+/// past it. Only [`VERSION`] is accepted; the coding fields are checked
+/// by [`parse_coding_fields`].
+pub(crate) fn parse_stream_header(
+    data: &[u8],
+    pos: &mut usize,
+) -> Result<StreamHeader, CodecError> {
+    if bytes::read_le_u32(data, pos)? != MAGIC {
         return Err(CodecError::Corrupt("bad magic"));
     }
-    let version = (r.read_bits(8)? & 0xFF) as u8;
+    let version = bytes::read_u8(data, pos)?;
     if version != VERSION {
         return Err(CodecError::Unsupported("bitstream version"));
     }
-    let profile = (r.read_bits(8)? & 0xFF) as u8;
-    let pipeline = (r.read_bits(8)? & 0xFF) as u8;
-    let qp = (r.read_bits(16)? & 0xFFFF) as u16;
-    let w = r.read_bits(32)? as usize;
-    let h = r.read_bits(32)? as usize;
-    let n_frames = r.read_bits(32)? as usize;
-    let flags = (r.read_bits(8)? & 0xFF) as u8;
-    let cfg = coding_config(profile, pipeline, qp, flags)?;
+    let cfg = parse_coding_fields(data, pos)?;
+    let w = bytes::read_le_u32(data, pos)? as usize;
+    let h = bytes::read_le_u32(data, pos)? as usize;
+    let n_frames = bytes::read_le_u32(data, pos)? as usize;
+    let tiles = usize::from(bytes::read_le_u16(data, pos)?);
     if w == 0 || h == 0 {
         return Err(CodecError::Corrupt("zero frame dimensions"));
     }
@@ -248,47 +248,54 @@ pub(crate) fn parse_stream_header(data: &[u8]) -> Result<StreamHeader, CodecErro
     if n_frames > 1 << 20 {
         return Err(CodecError::LimitExceeded("frame count"));
     }
+    // The encoder writes the layout's clamped count, so any other count
+    // is corruption.
+    let ctu_rows = h.div_ceil(cfg.profile.ctu());
+    if !(1..=ctu_rows.min(MAX_TILES)).contains(&tiles) {
+        return Err(CodecError::Corrupt("tile count out of range"));
+    }
     Ok(StreamHeader {
-        cfg,
+        cfg: cfg.with_tiles(tiles),
         w,
         h,
         n_frames,
     })
 }
 
-/// Parses one frame record — a u32-LE payload length, then the payload —
-/// advancing `pos` past it. The single framing reader;
-/// [`crate::encoder::write_frame`] is its proven dual.
-pub(crate) fn parse_frame<'a>(data: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CodecError> {
-    let len: u32 =
-        bytes::read_le_u32(data, pos).map_err(|_| CodecError::Truncated("frame length"))?;
-    let len = len as usize;
-    let payload = data
-        .get(*pos..)
-        .and_then(|rest| rest.get(..len))
-        .ok_or(CodecError::Truncated("frame payload"))?;
-    *pos += len;
-    Ok(payload)
-}
-
-/// Decodes a bitstream produced by [`crate::encode_video`].
+/// Decodes a bitstream produced by [`crate::encode_video`]: the header,
+/// then one tile table per frame, each band decoded with fresh contexts
+/// (mirroring the encoder) and stitched. Serial; `llm265-core` fans the
+/// same per-band decodes over its pool instead.
 pub(crate) fn decode_video(data: &[u8]) -> Result<Vec<Frame>, CodecError> {
-    let StreamHeader {
-        cfg,
-        w,
-        h,
-        n_frames,
-    } = parse_stream_header(data)?;
-    let mut pos = HEADER_BYTES;
+    let mut pos = 0;
+    let hdr = parse_stream_header(data, &mut pos)?;
+    let (cfg, w, h) = (&hdr.cfg, hdr.w, hdr.h);
+    // The count was validated against the CTU rows and `MAX_TILES`, so
+    // the clamp inside `for_frame` keeps it as is.
+    let ctu = cfg.profile.ctu();
+    let layout = TileLayout::for_frame(w, h, ctu, cfg.tiles);
+    let (pw, ph) = (layout.padded_width(), h.div_ceil(ctu) * ctu);
     let plans = DctPlans::new();
-    let mut frames = Vec::with_capacity(n_frames);
+    let mut frames = Vec::with_capacity(hdr.n_frames);
     let mut prev_padded: Option<Frame> = None;
-    for i in 0..n_frames {
-        let payload = parse_frame(data, &mut pos)?;
-        let recon =
-            crate::tile::decode_tiled_frame(payload, prev_padded.as_ref(), &cfg, &plans, i, w, h)?;
+    for i in 0..hdr.n_frames {
+        let tiles = tile::parse_tiles(data, &mut pos, layout.n_tiles())?;
+        let mut recon = Vec::with_capacity(pw * ph);
+        for (t, range) in tiles.into_iter().enumerate() {
+            let payload = data
+                .get(range)
+                .ok_or(CodecError::Truncated("tile payload"))?;
+            let (y0, band_h) = layout.band(t);
+            let prev_band = prev_padded.as_ref().map(|p| tile::band_of(p, y0, band_h));
+            let band = decode_frame(payload, prev_band.as_ref(), cfg, &plans, i, pw, band_h)?;
+            recon.extend_from_slice(band.data());
+        }
+        let recon = Frame::from_vec(pw, ph, recon);
         frames.push(recon.cropped(w, h));
         prev_padded = Some(recon);
+    }
+    if pos != data.len() {
+        return Err(CodecError::Corrupt("bytes after the last frame"));
     }
     Ok(frames)
 }
@@ -371,14 +378,17 @@ mod tests {
         }
     }
 
-    /// Header byte offsets: version, pipeline switches, stream flags.
+    /// Header length and byte offsets: version, pipeline switches,
+    /// stream flags.
+    const HEADER_BYTES: usize = 24;
     const VERSION_AT: usize = 4;
     const PIPELINE_AT: usize = 6;
-    const FLAGS_AT: usize = HEADER_BYTES - 1;
+    const FLAGS_AT: usize = 7;
 
     fn header() -> (CodecConfig, Vec<u8>) {
         let cfg = CodecConfig::default();
-        let hdr = crate::encoder::write_stream_header(&cfg, 16, 16, 1);
+        let mut hdr = Vec::new();
+        crate::encoder::write_stream_header(&mut hdr, &cfg, 16, 16, 1).expect("header");
         assert_eq!(hdr.len(), HEADER_BYTES);
         assert_eq!(hdr[VERSION_AT], VERSION, "version byte offset");
         assert_eq!(hdr[PIPELINE_AT], cfg.pipeline.to_byte(), "pipeline offset");
@@ -389,15 +399,15 @@ mod tests {
     #[test]
     fn truncated_flags_byte_sweep_errors_at_every_cut() {
         let (cfg, hdr) = header();
-        // Every prefix — including a full header *except* the flags
-        // byte — must refuse, never read past the end.
+        // Every prefix — including a full header *except* its last byte —
+        // must refuse, never read past the end.
         for cut in 0..hdr.len() {
             assert!(
-                parse_stream_header(&hdr[..cut]).is_err(),
+                parse_stream_header(&hdr[..cut], &mut 0).is_err(),
                 "cut {cut}/{HEADER_BYTES} parsed"
             );
         }
-        let parsed = parse_stream_header(&hdr).expect("full header");
+        let parsed = parse_stream_header(&hdr, &mut 0).expect("full header");
         assert_eq!(parsed.cfg, cfg);
     }
 
@@ -416,7 +426,7 @@ mod tests {
             } else {
                 "unknown pipeline switches"
             };
-            match parse_stream_header(&hdr) {
+            match parse_stream_header(&hdr, &mut 0) {
                 Err(CodecError::Unsupported(msg)) => assert_eq!(msg, expect),
                 Ok(_) => panic!("reserved bit {bit:#04x} at byte {at} accepted"),
                 Err(e) => panic!("reserved bit {bit:#04x} at byte {at}: wrong error {e:?}"),

@@ -13,7 +13,6 @@
 //! coder, both phases see the same probability state, and the encoder's
 //! reconstruction is bit-exact with the decoder's output.
 
-use llm265_bitstream::bits::BitWriter;
 use llm265_bitstream::bytes;
 use llm265_bitstream::cabac::CabacEncoder;
 
@@ -22,18 +21,15 @@ use crate::intra::RefSamples;
 use crate::lanes::round_i32;
 use crate::quant::{lambda, Quantizer};
 use crate::syntax::{code_residual, BinSink, BitCounter, Contexts};
+use crate::tile::{self, wire_u32, TileLayout};
 use crate::transform::DctPlans;
 use crate::{CodecConfig, CodecError, EncodedVideo, Frame};
 
 /// Magic number at the start of every bitstream ("L265").
 pub(crate) const MAGIC: u32 = 0x4C32_3635;
 /// Bitstream format version; the decoder accepts no other. Every frame
-/// payload is a tile index followed by entropy-coded tile payloads (see
-/// [`crate::tile`]).
-pub(crate) const VERSION: u8 = 3;
-/// Fixed stream-header length in bytes: magic, version, profile,
-/// pipeline, qp, width, height, frame count, flags.
-pub(crate) const HEADER_BYTES: usize = 22;
+/// is one tile table of entropy-coded tile payloads (see [`crate::tile`]).
+pub(crate) const VERSION: u8 = 4;
 /// Coding-unit size used when adaptive partitioning is disabled.
 pub(crate) const FIXED_CU: usize = 8;
 /// Number of top SAD candidates taken to full RD evaluation.
@@ -560,37 +556,45 @@ fn code_payload<S: BinSink>(coder: &FrameCoder<'_>, trees: &[CuNode], ctu: usize
     }
 }
 
-/// Writes the fixed stream header — the exact mirror of the decoder's
-/// `parse_stream_header`. `cfg.qp` must already be snapped to the
-/// header's 1/256 fixed-point grid ([`CodecConfig::snapped`]); the snapped value
-/// is what gets encoded, so the decoder's quantizer matches bit-exactly.
+/// Appends the coding fields both stream headers carry — profile id,
+/// pipeline switches, stream flags and QP × 256; the exact mirror of
+/// [`crate::decoder::parse_coding_fields`]. `cfg.qp` must already be
+/// snapped to the 1/256 grid ([`CodecConfig::snapped`]): the snapped
+/// value is what gets written, so the decoder's quantizer matches
+/// bit-exactly.
+pub fn write_coding_fields(out: &mut Vec<u8>, cfg: &CodecConfig) {
+    bytes::write_u8(out, cfg.profile.header_id());
+    bytes::write_u8(out, cfg.pipeline.to_byte());
+    // Stream flags: no bit is defined, so writers write zero.
+    bytes::write_u8(out, 0);
+    bytes::write_le_u16(out, cfg.qp_code());
+}
+
+/// Appends the 24-byte video stream header — the exact mirror of the
+/// decoder's `parse_stream_header`. `cfg.tiles` is written as the tile
+/// count of every frame, so it must already be the layout's clamped
+/// count.
+///
+/// # Errors
+///
+/// `LimitExceeded` when a dimension, the frame count or the tile count
+/// overflows its field.
 pub(crate) fn write_stream_header(
+    out: &mut Vec<u8>,
     cfg: &CodecConfig,
     w: usize,
     h: usize,
     n_frames: usize,
-) -> Vec<u8> {
-    let mut header = BitWriter::new();
-    header.write_bits(MAGIC as u64, 32);
-    header.write_bits(VERSION as u64, 8);
-    header.write_bits(cfg.profile.header_id() as u64, 8);
-    header.write_bits(cfg.pipeline.to_byte() as u64, 8);
-    header.write_bits(u64::from(cfg.qp_code()), 16);
-    header.write_bits(w as u64, 32);
-    header.write_bits(h as u64, 32);
-    header.write_bits(n_frames as u64, 32);
-    // Stream flags: no bit is defined, so writers write zero.
-    header.write_bits(0, 8);
-    header.finish()
-}
-
-/// Appends one frame record: a u32-LE payload length, then the payload.
-/// The single framing writer — [`crate::decoder::parse_frame`] is its
-/// proven dual.
-pub(crate) fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    // Frame payloads are far below 4 GiB; the mask states the width.
-    bytes::write_le_u32(out, (payload.len() & 0xFFFF_FFFF) as u32);
-    out.extend_from_slice(payload);
+) -> Result<(), CodecError> {
+    let tiles = u16::try_from(cfg.tiles).map_err(|_| CodecError::LimitExceeded("tile count"))?;
+    bytes::write_le_u32(out, MAGIC);
+    bytes::write_u8(out, VERSION);
+    write_coding_fields(out, cfg);
+    bytes::write_le_u32(out, wire_u32(w, "frame width")?);
+    bytes::write_le_u32(out, wire_u32(h, "frame height")?);
+    bytes::write_le_u32(out, wire_u32(n_frames, "frame count")?);
+    bytes::write_le_u16(out, tiles);
+    Ok(())
 }
 
 /// Encodes a video (see [`crate::encode_video`]), refusing the inputs
@@ -619,21 +623,30 @@ pub(crate) fn encode_video(
     let ctu = cfg.profile.ctu();
     // Tile geometry derives from the frame and the requested knob only —
     // never from thread counts — so streams stay bit-identical however
-    // the encode work is scheduled.
-    let layout = crate::tile::TileLayout::for_frame(w, h, ctu, cfg.tiles);
-
-    let cfg = cfg.snapped();
-    let cfg = &cfg;
-    let mut bytes = write_stream_header(cfg, w, h, frames.len());
+    // the encode work is scheduled. The header states the clamped count.
+    let layout = TileLayout::for_frame(w, h, ctu, cfg.tiles);
+    let cfg = &cfg.snapped().with_tiles(layout.n_tiles());
+    let mut bytes = Vec::new();
+    write_stream_header(&mut bytes, cfg, w, h, frames.len())?;
 
     let plans = DctPlans::new();
     let mut recon_frames = Vec::with_capacity(frames.len());
     let mut prev_padded: Option<Frame> = None;
     for (i, f) in frames.iter().enumerate() {
         let padded = f.padded_to(ctu);
-        let (payload, recon_padded) =
-            crate::tile::encode_tiled_frame(&padded, prev_padded.as_ref(), cfg, &plans, &layout, i);
-        write_frame(&mut bytes, &payload);
+        // Each band is its own mini-frame; stitching the band recons
+        // reproduces the padded frame recon because bands are whole CTU
+        // rows.
+        let mut tiles = Vec::with_capacity(layout.n_tiles());
+        let mut data = Vec::with_capacity(padded.width() * padded.height());
+        for t in 0..layout.n_tiles() {
+            let (payload, band) =
+                tile::encode_tile(&padded, prev_padded.as_ref(), cfg, &plans, &layout, t, i);
+            tiles.push(payload);
+            data.extend_from_slice(band.data());
+        }
+        tile::write_tiles(&mut bytes, &tiles)?;
+        let recon_padded = Frame::from_vec(padded.width(), padded.height(), data);
         recon_frames.push(recon_padded.cropped(w, h));
         prev_padded = Some(recon_padded);
     }

@@ -78,11 +78,11 @@ pub struct CodecConfig {
     pub qp: f64,
     /// Requested number of independently decodable tiles per frame
     /// (horizontal CTU-row bands, each with fresh entropy-coder init).
-    /// Clamped to the frame's CTU-row count and [`tile::MAX_TILES`];
-    /// `1` (the default) writes one tile per frame, still behind the
-    /// tile index every frame payload carries. Purely a geometry knob:
-    /// the tile count never depends on how many threads run, so streams
-    /// stay bit-identical at every thread count.
+    /// Clamped to the frame's CTU-row count and [`tile::MAX_TILES`]; a
+    /// video stream's header states the clamped count once, and `1` (the
+    /// default) writes one tile per frame. Purely a geometry knob: the
+    /// tile count never depends on how many threads run, so streams stay
+    /// bit-identical at every thread count.
     pub tiles: usize,
 }
 

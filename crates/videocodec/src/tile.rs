@@ -4,13 +4,13 @@
 //! each). Each tile is encoded exactly like a standalone mini-frame —
 //! fresh entropy coder, fresh context models, no intra prediction across
 //! the tile boundary (the band's top row behaves like a frame top) — so
-//! any tile decodes without touching the others. In a video stream every
-//! frame payload is a byte-offset index (`u16` count, then `u32` offset +
-//! `u32` length per tile) followed by the concatenated tile payloads; a
-//! one-tile frame carries a one-entry index, so there is a single payload
-//! shape. (`llm265-core`'s tensor streams carry the same tile payloads
-//! without that index: their tile count and offsets follow from the
-//! tensor header.) This buys three things:
+//! any tile decodes without touching the others. Both stream kinds
+//! state the tile count once in their header (a video stream's tile
+//! count, a tensor stream's chunk geometry) and frame the tiles with one
+//! **tile table** ([`write_tiles`] / [`parse_tiles`]): one `u32` length
+//! per tile, then the concatenated payloads. Offsets are prefix sums of
+//! the lengths, so there is nothing to cross-check. This buys three
+//! things:
 //!
 //! * **intra-frame parallel decode** — `llm265-core` fans (chunk, tile)
 //!   tasks over its deterministic pool, so one huge chunk no longer pins
@@ -26,6 +26,8 @@
 //! bit-identical at every thread count; see DESIGN.md ("Tiled
 //! bitstream").
 
+use std::ops::Range;
+
 use llm265_bitstream::bytes;
 
 use crate::decoder::decode_frame;
@@ -33,8 +35,8 @@ use crate::encoder::encode_frame;
 use crate::transform::DctPlans;
 use crate::{CodecConfig, CodecError, Frame};
 
-/// Hard cap on tiles per frame; the index codes the count as `u16` and a
-/// hostile count beyond this is rejected before any allocation.
+/// Hard cap on tiles per frame; a video header codes the count as `u16`
+/// and a hostile count beyond this is rejected before any allocation.
 pub const MAX_TILES: usize = 1024;
 
 /// Splits `ctu_rows` CTU rows into `n_tiles` contiguous bands, earlier
@@ -161,159 +163,63 @@ pub fn encode_tile(
     encode_frame(&band, prev_band.as_ref(), &cfg, plans, frame_idx)
 }
 
-/// Assembles one frame's payload from its per-tile payloads: the tile
-/// index (`u16` count, `u32` offset + `u32` length per tile, offsets
-/// relative to the data area that follows the index) then the
-/// concatenated payloads.
-///
-/// # Panics
-///
-/// Panics if there are no tiles, more than [`MAX_TILES`], or the total
-/// tile bytes overflow the index's `u32` offsets.
-pub(crate) fn build_frame_payload(tiles: &[Vec<u8>]) -> Vec<u8> {
-    assert!(!tiles.is_empty() && tiles.len() <= MAX_TILES);
-    let total: usize = tiles.iter().map(Vec::len).sum();
-    assert!(total <= u32::MAX as usize, "tile data exceeds u32 offsets");
-    let mut out = Vec::with_capacity(2 + tiles.len() * 8 + total);
-    // The assert above bounds the count at MAX_TILES; the mask states
-    // the field width.
-    bytes::write_le_u16(&mut out, (tiles.len() & 0xFFFF) as u16);
-    let mut off = 0usize;
-    for t in tiles {
-        // Both fit u32: `total <= u32::MAX` is asserted above and `off`
-        // and every length are bounded by it.
-        bytes::write_le_u32(&mut out, (off & 0xFFFF_FFFF) as u32);
-        bytes::write_le_u32(&mut out, (t.len() & 0xFFFF_FFFF) as u32);
-        off += t.len();
-    }
-    for t in tiles {
-        out.extend_from_slice(t);
-    }
-    out
+/// Narrows a host size to a `u32` wire field: oversized shapes and
+/// payloads fail with [`CodecError::LimitExceeded`] instead of truncating.
+pub fn wire_u32(v: usize, what: &'static str) -> Result<u32, CodecError> {
+    u32::try_from(v).map_err(|_| CodecError::LimitExceeded(what))
 }
 
-/// Parses and validates a frame payload's tile index. Returns the
-/// per-tile `(offset, length)` pairs plus the byte position where the
-/// tile data area starts, with every hostile shape rejected before any
-/// allocation or slicing:
+/// Appends a tile table — one `u32` length per tile, then the
+/// concatenated payloads; the exact mirror of [`parse_tiles`]. Both
+/// stream kinds frame their tiles with it: a video frame is one tile
+/// table, a tensor chunk record is its affine map then one.
 ///
-/// * truncated index → [`CodecError::Truncated`];
-/// * zero tiles, zero-length tiles, non-contiguous/overlapping/
-///   out-of-order offsets, or data-area size disagreeing with the summed
-///   lengths → [`CodecError::Corrupt`];
-/// * count bombs beyond [`MAX_TILES`] or the frame's CTU-row count →
-///   [`CodecError::LimitExceeded`] / [`CodecError::Corrupt`].
-pub(crate) fn parse_tile_index(
-    payload: &[u8],
-    ctu_rows: usize,
-) -> Result<(Vec<(usize, usize)>, usize), CodecError> {
-    let mut pos = 0usize;
-    let count = usize::from(bytes::read_le_u16(payload, &mut pos)?);
-    if count == 0 {
-        return Err(CodecError::Corrupt("empty tile index"));
+/// # Errors
+///
+/// `LimitExceeded` when a tile overflows its length field.
+pub fn write_tiles(out: &mut Vec<u8>, tiles: &[Vec<u8>]) -> Result<(), CodecError> {
+    for t in tiles {
+        bytes::write_le_u32(out, wire_u32(t.len(), "tile length")?);
     }
-    if count > MAX_TILES {
-        return Err(CodecError::LimitExceeded("tile count"));
-    }
-    if count > ctu_rows {
-        return Err(CodecError::Corrupt("more tiles than CTU rows"));
-    }
-    // `count <= MAX_TILES` per the guard above, so the index area and the
-    // entries vector are both bounded.
-    let data_start = 2 + count * 8;
-    let mut entries = Vec::with_capacity(count);
-    let mut expect = 0usize;
-    for _ in 0..count {
-        let off = bytes::read_le_u32(payload, &mut pos)? as usize;
-        let len = bytes::read_le_u32(payload, &mut pos)? as usize;
-        if off != expect {
-            return Err(CodecError::Corrupt("tile offsets not contiguous"));
-        }
+    out.extend(tiles.iter().flatten());
+    Ok(())
+}
+
+/// Serialized length of a tile table holding these tiles.
+pub fn tiles_len(tiles: &[Vec<u8>]) -> usize {
+    tiles.iter().map(|t| 4 + t.len()).sum()
+}
+
+/// Parses the tile table of `n_tiles` tiles at `*pos`, returning every
+/// tile's absolute byte range in `data` and advancing `pos` past the last
+/// payload; no payload byte is read. Offsets are the prefix sums of the
+/// lengths, so they cannot disagree with them. The caller has validated
+/// `n_tiles` against the frame's geometry.
+///
+/// # Errors
+///
+/// `Corrupt` for a zero-length tile (a CABAC payload is never empty);
+/// `Truncated` for a table or payload `data` ends inside.
+pub fn parse_tiles(
+    data: &[u8],
+    pos: &mut usize,
+    n_tiles: usize,
+) -> Result<Vec<Range<usize>>, CodecError> {
+    let mut next = *pos + 4 * n_tiles;
+    let mut tiles = Vec::with_capacity(n_tiles.min(MAX_TILES));
+    for _ in 0..n_tiles {
+        let len = bytes::read_le_u32(data, pos)? as usize;
         if len == 0 {
             return Err(CodecError::Corrupt("zero-length tile"));
         }
-        expect = expect
-            .checked_add(len)
-            .ok_or(CodecError::Corrupt("tile lengths overflow"))?;
-        entries.push((off, len));
+        tiles.push(next..next + len);
+        next += len;
     }
-    let area = payload
-        .len()
-        .checked_sub(data_start)
-        .ok_or(CodecError::Truncated("tile data area"))?;
-    if expect != area {
-        return Err(CodecError::Corrupt(
-            "tile lengths disagree with payload size",
-        ));
+    if next > data.len() {
+        return Err(CodecError::Truncated("tile payload"));
     }
-    Ok((entries, data_start))
-}
-
-/// Encodes one padded frame into its tile-indexed payload plus its padded
-/// reconstruction; the exact mirror of [`decode_tiled_frame`]. Each band
-/// is its own mini-frame (fresh entropy-coder state); stitching the band
-/// recons reproduces the padded frame recon because bands are whole CTU
-/// rows.
-pub(crate) fn encode_tiled_frame(
-    padded: &Frame,
-    prev_padded: Option<&Frame>,
-    cfg: &CodecConfig,
-    plans: &DctPlans,
-    layout: &TileLayout,
-    frame_idx: usize,
-) -> (Vec<u8>, Frame) {
-    let mut tile_payloads = Vec::with_capacity(layout.n_tiles());
-    let mut data = Vec::with_capacity(padded.width() * padded.height());
-    for t in 0..layout.n_tiles() {
-        let (p, band_recon) = encode_tile(padded, prev_padded, cfg, plans, layout, t, frame_idx);
-        tile_payloads.push(p);
-        data.extend_from_slice(band_recon.data());
-    }
-    let recon = Frame::from_vec(padded.width(), padded.height(), data);
-    (build_frame_payload(&tile_payloads), recon)
-}
-
-/// Decodes one frame payload into its padded reconstruction: parse
-/// the index, decode each band (fresh contexts per band, mirroring the
-/// encoder), stitch the bands. Serial; `llm265-core` fans the same
-/// per-band decodes over its pool instead.
-pub(crate) fn decode_tiled_frame(
-    payload: &[u8],
-    prev_padded: Option<&Frame>,
-    cfg: &CodecConfig,
-    plans: &DctPlans,
-    frame_idx: usize,
-    w: usize,
-    h: usize,
-) -> Result<Frame, CodecError> {
-    let ctu = cfg.profile.ctu();
-    let ctu_rows = h.div_ceil(ctu);
-    let (entries, data_start) = parse_tile_index(payload, ctu_rows)?;
-    // The count was validated against the CTU rows and `MAX_TILES`, so
-    // the clamp inside `for_frame` keeps it as is.
-    let layout = TileLayout::for_frame(w, h, ctu, entries.len());
-    let pw = layout.padded_width();
-    let mut data = Vec::new();
-    for (i, &(off, len)) in entries.iter().enumerate() {
-        let tile_payload = payload
-            .get(data_start..)
-            .and_then(|area| area.get(off..))
-            .and_then(|rest| rest.get(..len))
-            .ok_or(CodecError::Truncated("tile payload"))?;
-        let (y0, band_h) = layout.band(i);
-        let prev_band = prev_padded.map(|p| band_of(p, y0, band_h));
-        let band = decode_frame(
-            tile_payload,
-            prev_band.as_ref(),
-            cfg,
-            plans,
-            frame_idx,
-            pw,
-            band_h,
-        )?;
-        data.extend_from_slice(band.data());
-    }
-    Ok(Frame::from_vec(pw, ctu_rows * ctu, data))
+    *pos = next;
+    Ok(tiles)
 }
 
 /// Decodes tile `i` of a frame with geometry `layout` from that tile's
@@ -375,11 +281,32 @@ mod tests {
     }
 
     #[test]
-    fn frame_payload_roundtrips_through_the_index_parser() {
-        let tiles = vec![vec![1u8, 2, 3], vec![4u8], vec![5u8, 6]];
-        let payload = build_frame_payload(&tiles);
-        let (entries, data_start) = parse_tile_index(&payload, 3).expect("parse");
-        assert_eq!(entries, vec![(0, 3), (3, 1), (4, 2)]);
-        assert_eq!(&payload[data_start..], &[1, 2, 3, 4, 5, 6]);
+    fn tile_tables_reject_zero_length_tiles_and_truncation() {
+        let tiles = [vec![1u8, 2, 3], vec![4u8]];
+        let mut out = vec![0xAA];
+        write_tiles(&mut out, &tiles).unwrap();
+        assert_eq!(out.len(), 1 + tiles_len(&tiles));
+        let mut pos = 1;
+        assert_eq!(parse_tiles(&out, &mut pos, 2).unwrap(), vec![9..12, 12..13]);
+        assert_eq!(pos, out.len());
+        for cut in 1..out.len() {
+            assert!(parse_tiles(&out[..cut], &mut 1, 2).is_err(), "{cut}");
+        }
+        out.clear();
+        write_tiles(&mut out, &[vec![7u8], Vec::new()]).unwrap();
+        assert!(matches!(
+            parse_tiles(&out, &mut 0, 2),
+            Err(CodecError::Corrupt("zero-length tile"))
+        ));
+    }
+
+    #[test]
+    fn oversize_wire_fields_error_instead_of_truncating() {
+        assert!(wire_u32(usize::try_from(u32::MAX).unwrap(), "x").is_ok());
+        let too_big = usize::try_from(u64::from(u32::MAX) + 1).unwrap();
+        assert!(matches!(
+            wire_u32(too_big, "x"),
+            Err(CodecError::LimitExceeded("x"))
+        ));
     }
 }

@@ -14,16 +14,26 @@ fn sample_stream() -> Vec<u8> {
         .bytes
 }
 
-// The fixed header is 176 bits: magic(32) version(8) profile(8)
-// pipeline(8) qp(16) width(32) height(32) n_frames(32) flags(8),
-// MSB-first.
-const HEADER_BYTES: usize = 22;
-const WIDTH_OFFSET: usize = 9;
-const HEIGHT_OFFSET: usize = 13;
-const NFRAMES_OFFSET: usize = 17;
+// The fixed header is 24 bytes, little-endian: magic(4) version(1)
+// profile(1) pipeline(1) flags(1) qp(2) width(4) height(4) n_frames(4)
+// tiles(2). Each frame follows as one u32 length per tile, then the
+// tile payloads.
+const HEADER_BYTES: usize = 24;
+const WIDTH_OFFSET: usize = 10;
+const HEIGHT_OFFSET: usize = 14;
+const NFRAMES_OFFSET: usize = 18;
+const TILES_OFFSET: usize = 22;
 
-fn patch_be_u32(stream: &mut [u8], offset: usize, value: u32) {
-    stream[offset..offset + 4].copy_from_slice(&value.to_be_bytes());
+fn patch_le_u16(stream: &mut [u8], offset: usize, value: u16) {
+    stream[offset..offset + 2].copy_from_slice(&value.to_le_bytes());
+}
+
+fn patch_le_u32(stream: &mut [u8], offset: usize, value: u32) {
+    stream[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+fn read_le_u32(stream: &[u8], offset: usize) -> u32 {
+    u32::from_le_bytes(stream[offset..offset + 4].try_into().unwrap())
 }
 
 #[test]
@@ -55,9 +65,9 @@ fn bad_magic_and_version_are_rejected() {
         Err(CodecError::Corrupt("bad magic"))
     ));
 
-    // Versions 1 and 2 (untiled and optionally tiled payloads) are
-    // retired; only version 3 decodes.
-    for version in [1u8, 2, 4] {
+    // Versions 1–3 (untiled, optionally tiled and tile-indexed payloads)
+    // are retired; only version 4 decodes.
+    for version in [1u8, 2, 3, 5] {
         let mut stream = sample_stream();
         stream[4] = version;
         assert!(
@@ -73,22 +83,22 @@ fn bad_magic_and_version_are_rejected() {
 #[test]
 fn hostile_dimensions_hit_the_limit_not_the_allocator() {
     let mut stream = sample_stream();
-    patch_be_u32(&mut stream, WIDTH_OFFSET, u32::MAX);
-    patch_be_u32(&mut stream, HEIGHT_OFFSET, u32::MAX);
+    patch_le_u32(&mut stream, WIDTH_OFFSET, u32::MAX);
+    patch_le_u32(&mut stream, HEIGHT_OFFSET, u32::MAX);
     assert!(matches!(
         decode_video(&stream),
         Err(CodecError::LimitExceeded("frame dimensions"))
     ));
 
     let mut stream = sample_stream();
-    patch_be_u32(&mut stream, WIDTH_OFFSET, 0);
+    patch_le_u32(&mut stream, WIDTH_OFFSET, 0);
     assert!(matches!(
         decode_video(&stream),
         Err(CodecError::Corrupt("zero frame dimensions"))
     ));
 
     let mut stream = sample_stream();
-    patch_be_u32(&mut stream, NFRAMES_OFFSET, u32::MAX);
+    patch_le_u32(&mut stream, NFRAMES_OFFSET, u32::MAX);
     assert!(matches!(
         decode_video(&stream),
         Err(CodecError::LimitExceeded("frame count"))
@@ -104,7 +114,8 @@ fn every_truncation_point_errors_or_decodes_without_panic() {
         // end as zeros) but must never panic.
         let _ = decode_video(&stream[..cut]);
     }
-    // Cutting anywhere inside the header or frame-length framing must error.
+    // Cutting anywhere inside the header or the first tile table must
+    // error.
     for cut in 0..=HEADER_BYTES + 3 {
         assert!(
             decode_video(&stream[..cut]).is_err(),
@@ -134,15 +145,27 @@ fn random_garbage_never_panics() {
         state ^= state << 17;
         state
     };
-    for len in [1usize, 20, 21, 22, 64, 1024] {
+    for len in [1usize, 22, 23, 24, 64, 1024] {
         let garbage: Vec<u8> = (0..len).map(|_| (next() & 0xff) as u8).collect();
         let _ = decode_video(&garbage);
     }
 }
 
-/// A single-frame two-tile stream: header (22 bytes), u32 payload length,
-/// then the tile index — u16 count at offset 26, per-tile (u32 offset,
-/// u32 length) entries from offset 28, all little-endian.
+/// Anything after the last frame is refused, as the tensor and archive
+/// readers refuse it: a reader that stops at the declared frame count
+/// would accept a stream with extra bytes as clean.
+#[test]
+fn bytes_after_the_last_frame_are_refused() {
+    let mut stream = sample_stream();
+    stream.extend_from_slice(&[0, 0, 0]);
+    assert!(matches!(
+        decode_video(&stream),
+        Err(CodecError::Corrupt("bytes after the last frame"))
+    ));
+}
+
+/// A single-frame two-tile stream: the header, then the tile table — two
+/// u32 lengths at offsets 24 and 28 — and the payloads.
 fn tiled_sample_stream() -> Vec<u8> {
     let frames = [Frame::from_fn(64, 64, |x, y| ((x * 5 + y * 3) % 251) as u8)];
     encode_video(&frames, &CodecConfig::default().with_tiles(2))
@@ -150,82 +173,64 @@ fn tiled_sample_stream() -> Vec<u8> {
         .bytes
 }
 
-const TILE_COUNT_OFFSET: usize = 26;
-const TILE_ENTRIES_OFFSET: usize = 28;
+const TILE0_LEN_OFFSET: usize = HEADER_BYTES;
+const TILE1_LEN_OFFSET: usize = HEADER_BYTES + 4;
 
-fn patch_le_u16(stream: &mut [u8], offset: usize, value: u16) {
-    stream[offset..offset + 2].copy_from_slice(&value.to_le_bytes());
-}
-
-fn patch_le_u32(stream: &mut [u8], offset: usize, value: u32) {
-    stream[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
-}
-
-/// Hostile tile counts must hit the validator, not the allocator: the
-/// u16 field can claim up to 65535 tiles, far past both the global cap
-/// and the frame's CTU-row geometry.
+/// The header states the tile count once; a count the frame's geometry
+/// cannot have is refused there, before any tile length is read. 64 rows
+/// at CTU 32 is two CTU rows, so only 1 and 2 are possible counts.
 #[test]
-fn hostile_tile_counts_are_rejected() {
+fn header_tile_counts_outside_the_geometry_are_refused() {
     let clean = tiled_sample_stream();
     assert_eq!(decode_video(&clean).expect("clean tiled stream").len(), 1);
-
-    let mut stream = clean.clone();
-    patch_le_u16(&mut stream, TILE_COUNT_OFFSET, 0);
-    assert!(matches!(
-        decode_video(&stream),
-        Err(CodecError::Corrupt("empty tile index"))
-    ));
-
-    let mut stream = clean.clone();
-    patch_le_u16(&mut stream, TILE_COUNT_OFFSET, u16::MAX);
-    assert!(matches!(
-        decode_video(&stream),
-        Err(CodecError::LimitExceeded("tile count"))
-    ));
-
-    // 64 rows at CTU 32 is two CTU rows; five tiles is under the global
-    // cap but geometrically impossible for this frame.
-    let mut stream = clean.clone();
-    patch_le_u16(&mut stream, TILE_COUNT_OFFSET, 5);
-    assert!(matches!(
-        decode_video(&stream),
-        Err(CodecError::Corrupt(_)) | Err(CodecError::Truncated(_))
-    ));
+    for count in [0u16, 3, u16::MAX] {
+        let mut stream = clean.clone();
+        patch_le_u16(&mut stream, TILES_OFFSET, count);
+        assert!(
+            matches!(
+                decode_video(&stream),
+                Err(CodecError::Corrupt("tile count out of range"))
+            ),
+            "tile count {count} accepted"
+        );
+    }
 }
 
-/// The byte-offset table must describe exactly the payload that follows:
-/// gaps, overlaps, zero-length tiles and overflowing extents are all
-/// corruption, never a panic or an out-of-bounds read.
+/// Tile lengths must describe exactly the bytes that follow: a zero
+/// length, a tile past the end and a length off by one either way are
+/// refused, never a panic or an out-of-bounds read.
 #[test]
-fn hostile_tile_offsets_and_lengths_are_rejected() {
+fn hostile_tile_lengths_are_rejected() {
     let clean = tiled_sample_stream();
-    let tile0_len_off = TILE_ENTRIES_OFFSET + 4;
-    let tile1_off_off = TILE_ENTRIES_OFFSET + 8;
-    let tile1_len_off = TILE_ENTRIES_OFFSET + 12;
+    let tile1_len = read_le_u32(&clean, TILE1_LEN_OFFSET);
 
-    // Shift tile 1 off the end of tile 0: offsets must be contiguous.
     let mut stream = clean.clone();
-    let good = u32::from_le_bytes(stream[tile1_off_off..tile1_off_off + 4].try_into().unwrap());
-    patch_le_u32(&mut stream, tile1_off_off, good + 1);
-    assert!(matches!(decode_video(&stream), Err(CodecError::Corrupt(_))));
-
-    // Zero-length tiles cannot carry a CABAC payload.
-    let mut stream = clean.clone();
-    patch_le_u32(&mut stream, tile0_len_off, 0);
-    assert!(matches!(decode_video(&stream), Err(CodecError::Corrupt(_))));
-
-    // An extent past the frame payload must be caught by the index
-    // validator, not by slicing.
-    let mut stream = clean.clone();
-    patch_le_u32(&mut stream, tile1_len_off, u32::MAX);
+    patch_le_u32(&mut stream, TILE0_LEN_OFFSET, 0);
     assert!(matches!(
         decode_video(&stream),
-        Err(CodecError::Corrupt(_)) | Err(CodecError::Truncated(_))
+        Err(CodecError::Corrupt("zero-length tile"))
     ));
+
+    for len in [u32::MAX, tile1_len + 1] {
+        let mut stream = clean.clone();
+        patch_le_u32(&mut stream, TILE1_LEN_OFFSET, len);
+        assert!(
+            matches!(
+                decode_video(&stream),
+                Err(CodecError::Truncated("tile payload"))
+            ),
+            "tile 1 length {len} accepted"
+        );
+    }
+
+    // One byte short leaves a byte after the last frame.
+    let mut stream = clean.clone();
+    patch_le_u32(&mut stream, TILE1_LEN_OFFSET, tile1_len - 1);
+    assert!(matches!(decode_video(&stream), Err(CodecError::Corrupt(_))));
 }
 
 /// The flip/truncation sweeps above run on a one-tile-per-frame stream;
-/// sweep a two-tile index too.
+/// sweep a two-tile table too.
 #[test]
 fn tiled_stream_flips_and_truncations_never_panic() {
     let stream = tiled_sample_stream();

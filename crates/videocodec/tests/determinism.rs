@@ -35,6 +35,86 @@ fn repeated_encodes_are_byte_identical() {
     }
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The tile payloads of a video stream, concatenated in stream order:
+/// the 24-byte header states the tile count, then each frame is one
+/// little-endian `u32` length per tile followed by the payloads.
+fn tile_payloads(stream: &[u8], n_frames: usize) -> Vec<u8> {
+    let n_tiles = usize::from(u16::from_le_bytes([stream[22], stream[23]]));
+    let len_at = |at: usize| u32::from_le_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
+    let mut pos = 24;
+    let mut out = Vec::new();
+    for _ in 0..n_frames {
+        let total: usize = (0..n_tiles).map(|t| len_at(pos + 4 * t)).sum();
+        pos += 4 * n_tiles;
+        out.extend_from_slice(&stream[pos..pos + total]);
+        pos += total;
+    }
+    assert_eq!(pos, stream.len(), "tile tables cover the stream");
+    out
+}
+
+/// Golden hashes pin video streams across builds and target CPUs, not
+/// just across runs in one process: the FNV-1a of the concatenated tile
+/// payloads (unchanged since format v3, whose tile index carried the same
+/// payloads) and the whole stream's length and hash. Three profiles,
+/// three tile counts, the inter path on.
+#[test]
+fn video_streams_match_golden_hashes() {
+    let frames = [
+        textured_frame(17, 56, 72),
+        textured_frame(18, 56, 72),
+        textured_frame(17, 56, 72),
+    ];
+    let cases = [
+        (
+            Profile::h265(),
+            2,
+            0xc191_8942_baf1_4875u64,
+            2268,
+            0x8e5f_b1d0_9499_5eebu64,
+        ),
+        (
+            Profile::h264(),
+            3,
+            0x602d_8f57_f8b0_82cf,
+            2397,
+            0x0128_32a2_9707_1d64,
+        ),
+        (
+            Profile::av1(),
+            1,
+            0xd7b2_01e8_eb91_3919,
+            2142,
+            0xed78_16bf_1884_b427,
+        ),
+    ];
+    for (profile, tiles, payload_fnv, len, stream_fnv) in cases {
+        let cfg = CodecConfig::default()
+            .with_profile(profile)
+            .with_pipeline(PipelineConfig::full_video())
+            .with_qp(24.25)
+            .with_tiles(tiles);
+        let enc = encode_video(&frames, &cfg).expect("encode");
+        let name = cfg.profile.kind().name();
+        assert_eq!(
+            fnv1a(&tile_payloads(&enc.bytes, frames.len())),
+            payload_fnv,
+            "{name} tile payloads"
+        );
+        assert_eq!(enc.bytes.len(), len, "{name} stream length");
+        assert_eq!(fnv1a(&enc.bytes), stream_fnv, "{name} stream");
+    }
+}
+
 /// Every pipeline ablation point must also be deterministic, not just the
 /// full configuration.
 #[test]

@@ -85,13 +85,13 @@ fn unknown_stream_flags_are_rejected() {
     let frames = [textured_frame(6, 32, 32)];
     let enc = encode_video(&frames, &CodecConfig::default().with_qp(24.0)).expect("encode");
     // No stream flag is defined: 0x01 is the retired tiled-layout flag
-    // and 0x02 the retired rANS entropy backend. The pipeline byte
-    // (offset 6) defines bits 0–3 only.
+    // and 0x02 the retired rANS entropy backend. The flags byte sits at
+    // offset 7; the pipeline byte (offset 6) defines bits 0–3 only.
     let cases = [
-        (21, 0x01u8, "unknown stream flags"),
-        (21, 0x02, "unknown stream flags"),
-        (21, 0x04, "unknown stream flags"),
-        (21, 0x80, "unknown stream flags"),
+        (7, 0x01u8, "unknown stream flags"),
+        (7, 0x02, "unknown stream flags"),
+        (7, 0x04, "unknown stream flags"),
+        (7, 0x80, "unknown stream flags"),
         (6, 0x10, "unknown pipeline switches"),
         (6, 0x80, "unknown pipeline switches"),
     ];
