@@ -293,6 +293,14 @@ impl<'a> CabacDecoder<'a> {
         dec
     }
 
+    /// Bytes of the input the decoder has consumed so far, counting the
+    /// encoder's leading cache byte it skips. After the last bin of a
+    /// clean stream this is exactly the length [`CabacEncoder::finish`]
+    /// returned; reads past the end count too.
+    pub fn consumed(&self) -> usize {
+        self.pos
+    }
+
     fn next_byte(&mut self) -> u8 {
         let b = self.input.get(self.pos).copied().unwrap_or(0);
         self.pos += 1;
@@ -445,6 +453,7 @@ mod tests {
         for (i, &b) in bits.iter().enumerate() {
             assert_eq!(dec.decode_bit(&mut ctx), b, "bit {i}");
         }
+        assert_eq!(dec.consumed(), bytes.len(), "decoder stops at the end");
         bytes.len()
     }
 
@@ -452,7 +461,8 @@ mod tests {
     fn roundtrip_empty() {
         let enc = CabacEncoder::new();
         let bytes = enc.finish();
-        let _ = CabacDecoder::new(&bytes); // must not panic
+        let dec = CabacDecoder::new(&bytes); // must not panic
+        assert_eq!(dec.consumed(), bytes.len());
     }
 
     #[test]
@@ -585,6 +595,7 @@ mod tests {
             assert_eq!(dec.decode_bypass(), i % 2 == 0);
             assert_eq!(dec.decode_bit(&mut c1), i % 3 == 0);
         }
+        assert_eq!(dec.consumed(), bytes.len());
     }
 
     /// Deterministic 64-bit LCG for adversarial bit patterns (no external

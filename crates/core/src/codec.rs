@@ -1,17 +1,15 @@
 //! The LLM.265 codec object.
 //!
-//! Encoding is structured as **probe → assemble**: a probe encodes every
-//! chunk at one QP (fanned over the deterministic [`pool`]) and keeps the
-//! per-tile payloads plus the two summaries rate search needs — exact
-//! serialized size and reconstruction error. Assembly writes the probe's
-//! tensor header and chunk records ([`crate::framing`]) around those
-//! payloads. The rate search ([`rate::search_qp`]) probes
-//! through a per-QP cache, so choosing a rate never re-encodes a QP and
-//! never decodes anything, and a [`RateModel`] of the chunk frames
-//! places its probes, so it needs few of them.
+//! Encoding is a **probe**: encode every chunk at one QP (fanned over the
+//! deterministic [`pool`]) and write the candidate stream — the tensor
+//! header and chunk records of [`crate::framing`] — beside its
+//! reconstruction error. A fixed-QP encode is one probe. A rate-targeted
+//! one is [`rate::search_qp`] over probes: it reads each candidate's size
+//! and error, keeps the feasible end's stream, and returns it, so
+//! choosing a rate never re-encodes a QP and never decodes anything. A
+//! [`RateModel`] of the chunk frames places its probes, so it needs few
+//! of them.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -25,7 +23,7 @@ use llm265_videocodec::{CodecConfig, Frame, PipelineConfig, Profile};
 
 use crate::access::TensorStreamIndex;
 use crate::chunk::{self, Chunk};
-use crate::framing::{self, TensorHeader, TENSOR_HEADER_BYTES, TILES_PER_CHUNK};
+use crate::framing::{self, TensorHeader, TILES_PER_CHUNK};
 use crate::pool;
 use crate::{CodecError, EncodedTensor, RateTarget, TensorCodec};
 
@@ -56,33 +54,6 @@ impl Default for Llm265Config {
         }
     }
 }
-
-/// A full probe of one QP across every chunk. Caching these per probed
-/// QP is what makes the search incremental: feasibility checks, the
-/// final stream, and the channel adapters all read from here instead of
-/// re-encoding or decoding.
-#[derive(Debug, Clone)]
-struct QpProbe {
-    /// The probed QP, which the tensor header states once.
-    qp: f64,
-    /// Per chunk, its tile payloads in band order; assembly splices them
-    /// into the chunk records verbatim. The error summary is only ever
-    /// read as a total, so it lives on the probe.
-    tiles: Vec<Vec<Vec<u8>>>,
-    /// Exact serialized stream length (header + chunk records).
-    stream_bytes: usize,
-    /// Total squared reconstruction error across chunks.
-    sq_err: f64,
-}
-
-impl QpProbe {
-    fn bits(&self) -> u64 {
-        self.stream_bytes as u64 * 8
-    }
-}
-
-/// Cache of probes keyed by the probed QP's bit pattern.
-type ProbeCache = BTreeMap<u64, QpProbe>;
 
 /// The LLM.265 tensor codec: chunking + 8-bit quantization + the intra-only
 /// video codec (see crate docs).
@@ -137,11 +108,11 @@ impl Llm265Codec {
     }
 
     /// Encodes every chunk at `qp` — every (chunk, tile) task fanned over
-    /// the deterministic pool — and returns payloads plus feasibility
-    /// summaries. Nothing is serialized or decoded here: the stream size
-    /// is computed from the payload lengths and the error from the
-    /// encoder's own reconstruction, which is bit-exact with the decoder's
-    /// output.
+    /// the deterministic pool — and writes the candidate stream: the
+    /// tensor header, then each chunk's record with its tile payloads
+    /// ([`crate::framing`]). Also returns the total squared error, read
+    /// from the encoder's own reconstruction, which is the decoder's
+    /// output by construction, so nothing is decoded.
     ///
     /// Tile geometry comes from the tensor header ([`TILES_PER_CHUNK`]
     /// tiles per chunk) — never the thread count — and tasks join in task
@@ -149,8 +120,15 @@ impl Llm265Codec {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError::Internal`] if a worker thread panics.
-    fn probe_qp(&self, t: &Tensor, chunks: &[Chunk], qp: f64) -> Result<QpProbe, CodecError> {
+    /// Returns [`CodecError::Internal`] if a worker thread panics, and
+    /// [`CodecError::LimitExceeded`] when a dimension or payload does not
+    /// fit its 32-bit wire field.
+    fn probe_qp(
+        &self,
+        t: &Tensor,
+        chunks: &[Chunk],
+        qp: f64,
+    ) -> Result<(EncodedTensor, f64), CodecError> {
         let header = self.header(t, qp);
         let cfg = &header.cfg;
         let counter = self.encode_counter.as_deref();
@@ -178,15 +156,15 @@ impl Llm265Codec {
             let (row0, rows) = layouts[ci].band_rows(ti);
             (payload, band_sq_err(t, c, &band_recon, row0, rows))
         })?;
-        // Serial regroup of the ordered task results into per-chunk tile
-        // lists; errors sum in task order, so the total is identical at
-        // every thread count.
+        // Serial regroup of the ordered task results into chunk records;
+        // errors sum in task order, so the total is identical at every
+        // thread count.
+        let mut bytes = Vec::new();
+        framing::write_tensor_header(&mut bytes, &header)?;
         let mut it = results.into_iter();
-        let mut tiles = Vec::with_capacity(chunks.len());
-        let mut stream_bytes = TENSOR_HEADER_BYTES;
         let mut sq_err = 0.0;
-        for layout in &layouts {
-            let payloads: Vec<Vec<u8>> = it
+        for (c, layout) in chunks.iter().zip(&layouts) {
+            let tiles: Vec<Vec<u8>> = it
                 .by_ref()
                 .take(layout.n_tiles())
                 .map(|(p, s)| {
@@ -194,75 +172,21 @@ impl Llm265Codec {
                     p
                 })
                 .collect();
-            stream_bytes += framing::chunk_record_len(&payloads);
-            tiles.push(payloads);
+            framing::write_chunk_record(&mut bytes, c.lo, c.scale, &tiles)?;
         }
-        Ok(QpProbe {
-            qp,
-            tiles,
-            stream_bytes,
-            sq_err,
-        })
+        // The answer's stream is kept, so drop the growth slack.
+        bytes.shrink_to_fit();
+        Ok((EncodedTensor::from_parts(bytes, t.rows(), t.cols()), sq_err))
     }
 
-    /// Returns the cached probe for `qp`, encoding it on a miss.
+    /// Rate-targeted encode: [`rate::search_qp`] over [`Self::probe_qp`]
+    /// candidate streams, returning the answer's, with a [`RateModel`] of
+    /// the chunk frames (one serial analysis pass, so identical at every
+    /// thread count) placing the probes.
     ///
     /// # Errors
     ///
-    /// Propagates [`Llm265Codec::probe_qp`] failures.
-    fn probe_cached<'c>(
-        &self,
-        cache: &'c mut ProbeCache,
-        t: &Tensor,
-        chunks: &[Chunk],
-        qp: f64,
-    ) -> Result<&'c QpProbe, CodecError> {
-        match cache.entry(qp.to_bits()) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(v) => Ok(v.insert(self.probe_qp(t, chunks, qp)?)),
-        }
-    }
-
-    /// Serializes a probe into the final tensor stream: the tensor header,
-    /// then each chunk's record with its tile payloads spliced in. This is
-    /// the `u32` wire boundary: oversize dimensions or payloads fail with
-    /// [`CodecError::LimitExceeded`] instead of silently truncating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::LimitExceeded`] when a field does not fit its
-    /// 32-bit wire representation.
-    fn assemble(
-        &self,
-        t: &Tensor,
-        chunks: &[Chunk],
-        probe: &QpProbe,
-    ) -> Result<EncodedTensor, CodecError> {
-        let mut out = Vec::with_capacity(probe.stream_bytes);
-        framing::write_tensor_header(&mut out, &self.header(t, probe.qp))?;
-        for (c, tiles) in chunks.iter().zip(&probe.tiles) {
-            framing::write_chunk_record(&mut out, c.lo, c.scale, tiles)?;
-        }
-        Ok(EncodedTensor {
-            bytes: out,
-            rows: t.rows(),
-            cols: t.cols(),
-        })
-    }
-
-    /// Rate-targeted encode: builds a [`RateModel`] of the chunk frames
-    /// (one analysis pass, no encode), runs [`rate::search_qp`] with it
-    /// placing the probes and every probe going through a per-call
-    /// [`ProbeCache`], then serializes the answer's cached probe. The
-    /// analysis runs serially on the caller's thread, so like the probes
-    /// it is identical at every thread count. Feasibility comes from
-    /// probe summaries — payload sizes and encoder-reconstruction error —
-    /// so choosing a rate neither serializes nor decodes anything until
-    /// the answer is known.
-    ///
-    /// # Errors
-    ///
-    /// Propagates probe and assembly failures.
+    /// Propagates probe failures.
     fn encode_to_goal(
         &self,
         t: &Tensor,
@@ -276,25 +200,24 @@ impl Llm265Codec {
                 .iter()
                 .map(|c| (&c.frame, f64::from(c.scale) * f64::from(c.scale))),
         );
-        let mut cache = ProbeCache::new();
-        let qp = rate::search_qp(goal, &model, |qp| {
-            let p = self.probe_cached(&mut cache, t, chunks, qp)?;
-            Ok::<_, CodecError>(Probe {
-                bits: p.bits(),
-                sq_err: p.sq_err,
-            })
+        let (_, stream) = rate::search_qp(goal, &model, |qp| {
+            let (stream, sq_err) = self.probe_qp(t, chunks, qp)?;
+            let p = Probe {
+                bits: stream.bits(),
+                sq_err,
+            };
+            Ok::<_, CodecError>((p, stream))
         })?;
-        let probe = self.probe_cached(&mut cache, t, chunks, qp)?;
-        self.assemble(t, chunks, probe)
+        Ok(stream)
     }
 }
 
 /// Squared error between chunk rows `[band_row0, band_row0 + rows)` and a
 /// band reconstruction mapped back through the affine dequantizer. The
 /// reconstruction may be padded wider than the real band; only real
-/// pixels are compared. The encoder reconstruction is bit-exact with the
-/// decoder's output (pinned by videocodec tests), so summing the bands
-/// equals the decode-side error without a round trip.
+/// pixels are compared. The encoder's reconstruction is the decoder's
+/// output by construction, so summing the bands equals the decode-side
+/// error without a round trip.
 fn band_sq_err(t: &Tensor, c: &Chunk, recon: &Frame, band_row0: usize, rows: usize) -> f64 {
     let cols = t.cols().min(recon.width());
     let mut sum = 0.0;
@@ -333,7 +256,7 @@ impl TensorCodec for Llm265Codec {
                 if !(QP_MIN..=QP_MAX).contains(&qp) {
                     return Err(CodecError::InvalidInput(format!("qp {qp} out of range")));
                 }
-                return self.assemble(t, &chunks, &self.probe_qp(t, &chunks, qp)?);
+                return Ok(self.probe_qp(t, &chunks, qp)?.0);
             }
             RateTarget::BitsPerValue(b) => {
                 if !(b.is_finite() && b > 0.0) {
@@ -672,9 +595,9 @@ mod tests {
     }
 
     #[test]
-    fn probe_summaries_match_the_assembled_stream() {
-        // The search trusts probe summaries instead of serializing or
-        // decoding; pin them to the ground truth.
+    fn probe_error_matches_the_decoded_stream() {
+        // The search trusts the probe's error instead of decoding; pin it
+        // to the ground truth.
         let t = weight(9, 96);
         let codec = Llm265Codec::with_config(Llm265Config {
             max_chunk_pixels: 96 * 24,
@@ -682,18 +605,11 @@ mod tests {
             ..Llm265Config::default()
         });
         let chunks = chunk::partition(&t, 96 * 24, 1).unwrap();
-        let probe = codec.probe_qp(&t, &chunks, 28.0).unwrap();
-        let enc = codec.assemble(&t, &chunks, &probe).unwrap();
-        assert_eq!(probe.stream_bytes, enc.bytes().len());
+        let (enc, sq_err) = codec.probe_qp(&t, &chunks, 28.0).unwrap();
         let dec = codec.decode(&enc).unwrap();
         let true_sq = stats::tensor_mse(&t, &dec) * t.len() as f64;
-        let rel = (probe.sq_err - true_sq).abs() / true_sq.max(1e-30);
-        assert!(
-            rel < 1e-9,
-            "probe sq_err {} vs decode {}",
-            probe.sq_err,
-            true_sq
-        );
+        let rel = (sq_err - true_sq).abs() / true_sq.max(1e-30);
+        assert!(rel < 1e-9, "probe sq_err {sq_err} vs decode {true_sq}");
     }
 }
 

@@ -45,7 +45,6 @@ const MAGIC: u32 = 0x4C54_3635; // "LT65"
 
 /// The only version the parser accepts.
 const VERSION: u8 = 4;
-pub(crate) const TENSOR_HEADER_BYTES: usize = 22;
 
 /// Smallest chunk record: `lo`, `scale`, one length and a one-byte tile.
 /// Bounds the chunk count a header may declare by the stream's length.
@@ -170,11 +169,6 @@ pub(crate) fn write_chunk_record(
     bytes::write_le_u32(out, lo.to_bits());
     bytes::write_le_u32(out, scale.to_bits());
     tile::write_tiles(out, tiles)
-}
-
-/// Serialized length of a chunk record with these tiles.
-pub(crate) fn chunk_record_len(tiles: &[Vec<u8>]) -> usize {
-    8 + tile::tiles_len(tiles)
 }
 
 /// Parses the chunk record at `*pos` for a chunk of `n_tiles` tiles,

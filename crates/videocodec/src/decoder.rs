@@ -3,41 +3,23 @@
 use llm265_bitstream::bytes;
 use llm265_bitstream::cabac::CabacDecoder;
 
-use crate::encoder::{FIXED_CU, MAGIC, VERSION};
+use crate::encoder::{MAGIC, VERSION};
 use crate::inter::{compensate, MotionVector};
 use crate::intra::RefSamples;
-use crate::lanes::round_i32;
-use crate::quant::Quantizer;
+use crate::recon::Recon;
 use crate::syntax::{parse_residual, BinSource, Contexts};
 use crate::tile::{self, TileLayout, MAX_TILES};
 use crate::transform::DctPlans;
 use crate::{CodecConfig, CodecError, Frame, PipelineConfig, Profile};
 
+/// Everything a tile decode needs: the reconstruction the encoder runs,
+/// plus the previous-mode predictor the parser tracks.
 struct FrameDecoder<'a> {
-    cfg: &'a CodecConfig,
-    plans: &'a DctPlans,
-    recon: Frame,
-    prev: Option<&'a Frame>,
-    quant: Quantizer,
-    frame_inter: bool,
-    mode_bits: u32,
+    rc: Recon<'a>,
     prev_mode: u8,
-    // Per-TU scratch (dequantized coefficients, DCT workspace and the
-    // reconstructed residual), reused across every TU of the frame.
-    deq: Vec<f64>,
-    dct_tmp: Vec<f64>,
-    rres: Vec<i32>,
 }
 
-impl<'a> FrameDecoder<'a> {
-    fn min_cu(&self) -> usize {
-        if self.cfg.pipeline.adaptive_partition {
-            self.cfg.profile.min_cu()
-        } else {
-            FIXED_CU.min(self.cfg.profile.ctu())
-        }
-    }
-
+impl FrameDecoder<'_> {
     fn parse_cu<D: BinSource>(
         &mut self,
         dec: &mut D,
@@ -46,8 +28,8 @@ impl<'a> FrameDecoder<'a> {
         y0: usize,
         size: usize,
     ) -> Result<(), CodecError> {
-        let min = self.min_cu();
-        let adaptive = self.cfg.pipeline.adaptive_partition;
+        let min = self.rc.min_cu;
+        let adaptive = self.rc.cfg.pipeline.adaptive_partition;
         let split = if adaptive && size > min {
             dec.bit(&mut ctxs.split)
         } else {
@@ -74,7 +56,7 @@ impl<'a> FrameDecoder<'a> {
         size: usize,
     ) -> Result<(), CodecError> {
         // Prediction kind + parameters.
-        let is_inter = self.frame_inter && dec.bit(&mut ctxs.inter_flag);
+        let is_inter = self.rc.frame_inter && dec.bit(&mut ctxs.inter_flag);
         let pred: Vec<i32> = if is_inter {
             let dx = parse_signed_eg(dec)?;
             let dy = parse_signed_eg(dec)?;
@@ -83,64 +65,42 @@ impl<'a> FrameDecoder<'a> {
                 dy: dy.clamp(-128, 127) as i8,
             };
             let prev = self
+                .rc
                 .prev
                 .ok_or(CodecError::Corrupt("inter block without reference frame"))?;
             compensate(prev, x0, y0, size, mv)
-        } else if self.cfg.pipeline.intra {
-            let n_modes = self.cfg.profile.modes().len();
+        } else if self.rc.cfg.pipeline.intra {
+            let n_modes = self.rc.cfg.profile.modes().len();
             let idx = if dec.bit(&mut ctxs.mpm) {
                 self.prev_mode
             } else {
                 // `mode_bits <= 6` for every profile's mode table, so the
                 // mask is value-preserving; out-of-range values error below.
-                (dec.bypass_bits(self.mode_bits) & 0xFF) as u8
+                (dec.bypass_bits(self.rc.mode_bits) & 0xFF) as u8
             };
             if usize::from(idx) >= n_modes {
                 return Err(CodecError::Corrupt("intra mode index out of range"));
             }
             self.prev_mode = idx;
-            let refs = RefSamples::gather(&self.recon, x0, y0, size);
-            refs.predict(self.cfg.profile.modes()[usize::from(idx)])
+            let refs = RefSamples::gather(&self.rc.frame, x0, y0, size);
+            refs.predict(self.rc.cfg.profile.modes()[usize::from(idx)])
         } else {
             vec![128; size * size]
         };
 
-        // Residual per TU.
-        let tu = size.min(self.cfg.profile.max_tu());
+        // Residual per TU, reconstructed as the encoder did.
+        let tu = self.rc.tu_size(size);
         let per_side = size / tu;
-        let spatial = !self.cfg.pipeline.transform;
+        let spatial = !self.rc.cfg.pipeline.transform;
         let mut block = vec![0i32; size * size];
         for ty in 0..per_side {
             for tx in 0..per_side {
                 let levels = parse_residual(dec, ctxs, tu, spatial)?;
-                if self.cfg.pipeline.transform {
-                    // As in the encoder: an all-zero TU reconstructs to
-                    // zeros, so its dequantize and inverse are skipped.
-                    if levels.iter().all(|&l| l == 0) {
-                        self.rres.clear();
-                        self.rres.resize(tu * tu, 0);
-                    } else {
-                        self.quant.dequantize_block_into(&levels, &mut self.deq);
-                        self.plans.get(tu).inverse_into(
-                            &self.deq,
-                            &mut self.dct_tmp,
-                            &mut self.rres,
-                        );
-                    }
-                } else {
-                    self.rres.clear();
-                    self.rres
-                        .extend(levels.iter().map(|&l| round_i32(self.quant.dequantize(l))));
-                }
-                for y in 0..tu {
-                    for x in 0..tu {
-                        let idx = (ty * tu + y) * size + tx * tu + x;
-                        block[idx] = (pred[idx] + self.rres[y * tu + x]).clamp(0, 255);
-                    }
-                }
+                self.rc.reconstruct_tu(&levels, tu);
+                self.rc.add_tu(&pred, &mut block, size, tx, ty);
             }
         }
-        self.recon.write_block(x0, y0, size, &block);
+        self.rc.frame.write_block(x0, y0, size, &block);
         Ok(())
     }
 }
@@ -315,25 +275,23 @@ pub(crate) fn decode_frame(
     let ctu = cfg.profile.ctu();
     let pw = w.div_ceil(ctu) * ctu;
     let ph = h.div_ceil(ctu) * ctu;
-    let frame_inter = cfg.pipeline.inter && frame_idx > 0 && prev.is_some();
-    // Mode tables are tiny (at most 35 entries); the mask states that.
-    let mode_count = (cfg.profile.modes().len() & 0xFFFF_FFFF) as u32;
     let mut fd = FrameDecoder {
-        cfg,
-        plans,
-        recon: Frame::new(pw, ph),
-        prev,
-        quant: Quantizer::from_qp(cfg.qp),
-        frame_inter,
-        mode_bits: 32 - (mode_count - 1).leading_zeros(),
+        rc: Recon::new(cfg, plans, pw, ph, prev, frame_idx),
         prev_mode: 0,
-        deq: Vec::new(),
-        dct_tmp: Vec::new(),
-        rres: Vec::new(),
     };
     let mut dec = CabacDecoder::new(payload);
     parse_payload(&mut fd, &mut dec, pw, ph, ctu)?;
-    Ok(fd.recon)
+    // Exact consumption. With N renormalisations while coding, the
+    // encoder writes its leading cache byte, one byte per
+    // renormalisation and five flush bytes, less the one still pending
+    // at the end: N + 5 bytes. The decoder skips that leading byte,
+    // primes with four, then reads one byte per renormalisation, and its
+    // range mirrors the encoder's, so a clean parse stops at exactly
+    // N + 5. Any other end means the syntax walk left the coded bins.
+    if dec.consumed() != payload.len() {
+        return Err(CodecError::Corrupt("tile syntax and length disagree"));
+    }
+    Ok(fd.rc.frame)
 }
 
 /// Walks every CTU of a frame payload through `dec`.

@@ -10,16 +10,18 @@
 //! 2. **Emit** — replay the decision tree into the real CABAC coder.
 //!
 //! Because the cost counter evolves context models identically to the real
-//! coder, both phases see the same probability state, and the encoder's
-//! reconstruction is bit-exact with the decoder's output.
+//! coder, both phases see the same probability state. The encoder adds
+//! only the forward transform and quantizer to the decoder's own TU
+//! reconstruction ([`crate::recon::Recon`]), so its reconstruction is the
+//! decoder's output by construction.
 
 use llm265_bitstream::bytes;
 use llm265_bitstream::cabac::CabacEncoder;
 
 use crate::inter::{compensate, motion_search, MotionVector};
 use crate::intra::RefSamples;
-use crate::lanes::round_i32;
-use crate::quant::{lambda, Quantizer};
+use crate::quant::lambda;
+use crate::recon::Recon;
 use crate::syntax::{code_residual, BinSink, BitCounter, Contexts};
 use crate::tile::{self, wire_u32, TileLayout};
 use crate::transform::DctPlans;
@@ -30,8 +32,6 @@ pub(crate) const MAGIC: u32 = 0x4C32_3635;
 /// Bitstream format version; the decoder accepts no other. Every frame
 /// is one tile table of entropy-coded tile payloads (see [`crate::tile`]).
 pub(crate) const VERSION: u8 = 4;
-/// Coding-unit size used when adaptive partitioning is disabled.
-pub(crate) const FIXED_CU: usize = 8;
 /// Number of top SAD candidates taken to full RD evaluation.
 const RD_CANDIDATES: usize = 4;
 
@@ -78,25 +78,6 @@ impl CoderState {
     }
 }
 
-/// Reusable buffers for the per-TU transform/quantize path. The decide
-/// loop runs this for every candidate of every CU at every quad-tree
-/// level, so fresh allocations here dominate the encode profile; the
-/// buffers carry no information between calls — each user overwrites
-/// them completely.
-#[derive(Default)]
-struct TuScratch {
-    /// Spatial residual staged by the caller, `tu * tu` values.
-    residual: Vec<i32>,
-    /// Forward-transform output / quantizer input.
-    coeffs: Vec<f64>,
-    /// Dequantized coefficients.
-    deq: Vec<f64>,
-    /// Row/column workspace shared by both DCT directions.
-    dct_tmp: Vec<f64>,
-    /// Reconstructed residual left for the caller.
-    rres: Vec<i32>,
-}
-
 /// One RD candidate's outcome: levels per TU and the reconstructed CU.
 #[derive(Default)]
 struct Trial {
@@ -104,11 +85,15 @@ struct Trial {
     recon: Vec<i32>,
 }
 
-/// Per-frame scratch: TU buffers plus the CU-sized staging blocks used
-/// by the decide loop. Nothing here outlives one `decide_leaf` call.
+/// Per-frame scratch: forward-path TU buffers plus the CU-sized staging
+/// blocks used by the decide loop. Nothing here outlives one
+/// `decide_leaf` call.
 #[derive(Default)]
 struct Scratch {
-    tu: TuScratch,
+    /// Spatial residual of the TU being quantized, `tu * tu` values.
+    residual: Vec<i32>,
+    /// Forward-transform output / quantizer input.
+    coeffs: Vec<f64>,
     /// Original pixels of the CU being decided, and their transpose (the
     /// SAD sweep compares horizontal modes column-wise against it).
     leaf_orig: Vec<i32>,
@@ -120,93 +105,24 @@ struct Scratch {
     best: Trial,
 }
 
-/// Everything a single frame encode needs.
+/// Everything a single frame encode needs: the source, the RD
+/// multiplier and scratch around the reconstruction the decoder runs.
 struct FrameCoder<'a> {
-    cfg: &'a CodecConfig,
-    plans: &'a DctPlans,
     orig: &'a Frame,
-    recon: Frame,
-    prev: Option<&'a Frame>,
-    quant: Quantizer,
     lambda: f64,
-    frame_inter: bool,
-    mode_bits: u32,
     scratch: Scratch,
+    rc: Recon<'a>,
 }
 
-/// Transforms + quantizes the residual staged in `tu.residual` into
-/// `levels`, leaving the reconstructed residual (what dequantization will
-/// recover) in `tu.rres`. A TU whose levels are all zero reconstructs to
-/// zeros, so its dequantize and inverse are skipped (exactly: the inverse
-/// of zeros is zeros).
-fn quantize_tu(
-    quant: &Quantizer,
-    plans: &DctPlans,
-    transform: bool,
-    n: usize,
-    tu: &mut TuScratch,
-    levels: &mut Vec<i32>,
-) {
-    if transform {
-        let plan = plans.get(n);
-        plan.forward_into(&tu.residual, &mut tu.dct_tmp, &mut tu.coeffs);
-        quant.quantize_block_into(&tu.coeffs, levels);
-        if levels.iter().all(|&l| l == 0) {
-            tu.rres.clear();
-            tu.rres.resize(n * n, 0);
-        } else {
-            quant.dequantize_block_into(levels, &mut tu.deq);
-            plan.inverse_into(&tu.deq, &mut tu.dct_tmp, &mut tu.rres);
-        }
-    } else {
-        // Transform skip: quantize the spatial residual directly.
-        levels.clear();
-        levels.extend(tu.residual.iter().map(|&r| quant.quantize(f64::from(r))));
-        tu.rres.clear();
-        tu.rres
-            .extend(levels.iter().map(|&l| round_i32(quant.dequantize(l))));
-    }
-}
-
-impl<'a> FrameCoder<'a> {
-    fn new(
-        cfg: &'a CodecConfig,
-        plans: &'a DctPlans,
-        orig: &'a Frame,
-        prev: Option<&'a Frame>,
-        frame_inter: bool,
-    ) -> Self {
-        // Mode tables are tiny (at most 35 entries); the mask states that.
-        let n_modes = (cfg.profile.modes().len() & 0xFFFF_FFFF) as u32;
-        FrameCoder {
-            cfg,
-            plans,
-            orig,
-            recon: Frame::new(orig.width(), orig.height()),
-            prev,
-            quant: Quantizer::from_qp(cfg.qp),
-            lambda: lambda(cfg.qp),
-            frame_inter,
-            mode_bits: 32 - (n_modes - 1).leading_zeros(),
-            scratch: Scratch::default(),
-        }
-    }
-
-    fn min_cu(&self) -> usize {
-        if self.cfg.pipeline.adaptive_partition {
-            self.cfg.profile.min_cu()
-        } else {
-            FIXED_CU.min(self.cfg.profile.ctu())
-        }
-    }
-
+impl FrameCoder<'_> {
     /// Runs the residual path of candidate `k` (prediction
     /// `scratch.preds[k]` against `scratch.leaf_orig`) for a whole CU,
     /// splitting into TUs as the profile requires. Leaves the levels per
     /// TU and the reconstructed block in `scratch.cur` and returns the
     /// SSD distortion against the original.
     fn quantize_cu_residual(&mut self, size: usize, k: usize) -> f64 {
-        let tu = size.min(self.cfg.profile.max_tu());
+        let rc = &mut self.rc;
+        let tu = rc.tu_size(size);
         let per_side = size / tu;
         let s = &mut self.scratch;
         let (orig, pred) = (&s.leaf_orig, &s.preds[k]);
@@ -214,10 +130,10 @@ impl<'a> FrameCoder<'a> {
         s.cur.recon.resize(size * size, 0);
         for ty in 0..per_side {
             for tx in 0..per_side {
-                s.tu.residual.resize(tu * tu, 0);
+                s.residual.resize(tu * tu, 0);
                 for y in 0..tu {
                     let idx = (ty * tu + y) * size + tx * tu;
-                    for ((r, &o), &p) in s.tu.residual[y * tu..(y + 1) * tu]
+                    for ((r, &o), &p) in s.residual[y * tu..(y + 1) * tu]
                         .iter_mut()
                         .zip(&orig[idx..idx + tu])
                         .zip(&pred[idx..idx + tu])
@@ -225,24 +141,19 @@ impl<'a> FrameCoder<'a> {
                         *r = o - p;
                     }
                 }
-                quantize_tu(
-                    &self.quant,
-                    self.plans,
-                    self.cfg.pipeline.transform,
-                    tu,
-                    &mut s.tu,
-                    &mut s.cur.tus[ty * per_side + tx],
-                );
-                for y in 0..tu {
-                    let idx = (ty * tu + y) * size + tx * tu;
-                    for ((o, &p), &r) in s.cur.recon[idx..idx + tu]
-                        .iter_mut()
-                        .zip(&pred[idx..idx + tu])
-                        .zip(&s.tu.rres[y * tu..(y + 1) * tu])
-                    {
-                        *o = (p + r).clamp(0, 255);
-                    }
+                let levels = &mut s.cur.tus[ty * per_side + tx];
+                if rc.cfg.pipeline.transform {
+                    let plan = rc.plans.get(tu);
+                    plan.forward_into(&s.residual, &mut rc.dct_tmp, &mut s.coeffs);
+                    rc.quant.quantize_block_into(&s.coeffs, levels);
+                } else {
+                    // Transform skip: quantize the spatial residual directly.
+                    levels.clear();
+                    let quant = &rc.quant;
+                    levels.extend(s.residual.iter().map(|&r| quant.quantize(f64::from(r))));
                 }
+                rc.reconstruct_tu(levels, tu);
+                rc.add_tu(pred, &mut s.cur.recon, size, tx, ty);
             }
         }
         // Integer SSD: at most 32² · 255² < 2^32, so the u32 sum and its
@@ -264,7 +175,7 @@ impl<'a> FrameCoder<'a> {
         tus: &[Vec<i32>],
         size: usize,
     ) {
-        if self.frame_inter {
+        if self.rc.frame_inter {
             let is_inter = matches!(kind, CuKind::Inter(_));
             sink.bit(&mut state.ctxs.inter_flag, is_inter);
         }
@@ -277,20 +188,20 @@ impl<'a> FrameCoder<'a> {
                 let is_mpm = idx == state.prev_mode;
                 sink.bit(&mut state.ctxs.mpm, is_mpm);
                 if !is_mpm {
-                    sink.bypass_bits(u64::from(idx), self.mode_bits);
+                    sink.bypass_bits(u64::from(idx), self.rc.mode_bits);
                 }
                 state.prev_mode = idx;
             }
             CuKind::Flat => {}
         }
-        let tu = size.min(self.cfg.profile.max_tu());
+        let tu = self.rc.tu_size(size);
         for levels in tus {
             code_residual(
                 sink,
                 &mut state.ctxs,
                 levels,
                 tu,
-                !self.cfg.pipeline.transform,
+                !self.rc.cfg.pipeline.transform,
             );
         }
     }
@@ -313,8 +224,8 @@ impl<'a> FrameCoder<'a> {
         // Candidate predictions, into `s.preds[..n_cands]`.
         let mut kinds = [CuKind::Flat; RD_CANDIDATES + 1];
         let mut n_cands = 0;
-        if self.cfg.pipeline.intra {
-            let refs = RefSamples::gather(&self.recon, x0, y0, size);
+        if self.rc.cfg.pipeline.intra {
+            let refs = RefSamples::gather(&self.rc.frame, x0, y0, size);
             // SAD-score every mode straight from the line kernels (no
             // prediction blocks), then predict only the few RD survivors.
             s.leaf_t.resize(area, 0);
@@ -327,7 +238,7 @@ impl<'a> FrameCoder<'a> {
             // ascending order, by insertion. Keys are unique (the index
             // breaks ties), so these are exactly the head of the fully
             // sorted list.
-            let modes = self.cfg.profile.modes();
+            let modes = self.rc.cfg.profile.modes();
             let mut top = [(u64::MAX, u8::MAX); RD_CANDIDATES];
             refs.sad_sweep(modes, &s.leaf_orig, &s.leaf_t, |i, sad| {
                 // At most 35 modes, so the index fits a byte.
@@ -352,8 +263,8 @@ impl<'a> FrameCoder<'a> {
             s.preds[0].resize(area, 128);
             n_cands = 1;
         }
-        if self.frame_inter {
-            if let Some(prev) = self.prev {
+        if self.rc.frame_inter {
+            if let Some(prev) = self.rc.prev {
                 let (mv, _) = motion_search(self.orig, prev, x0, y0, size);
                 s.preds[n_cands] = compensate(prev, x0, y0, size, mv);
                 kinds[n_cands] = CuKind::Inter(mv);
@@ -389,7 +300,7 @@ impl<'a> FrameCoder<'a> {
         // Commit: context evolution + reconstruction.
         *state = committed;
         let best = &self.scratch.best;
-        self.recon.write_block(x0, y0, size, &best.recon);
+        self.rc.frame.write_block(x0, y0, size, &best.recon);
         // The decided tree keeps the levels: clone them at their exact
         // size rather than hand over scratch sized for the largest TU.
         let tus = best.tus.clone();
@@ -404,30 +315,16 @@ impl<'a> FrameCoder<'a> {
         size: usize,
         state: &mut CoderState,
     ) -> (CuNode, f64) {
-        let min = self.min_cu();
-        if !self.cfg.pipeline.adaptive_partition {
+        if size <= self.rc.min_cu {
+            let (leaf, cost) = self.decide_leaf(x0, y0, size, state);
+            return (CuNode::Leaf(leaf), cost);
+        }
+        if !self.rc.cfg.pipeline.adaptive_partition {
             // Implied splits down to the fixed grid; no flags coded.
-            if size > min {
-                let half = size / 2;
-                let mut children = Vec::with_capacity(4);
-                let mut cost = 0.0;
-                for (dx, dy) in [(0, 0), (half, 0), (0, half), (half, half)] {
-                    let (node, c) = self.decide_cu(x0 + dx, y0 + dy, half, state);
-                    children.push(node);
-                    cost += c;
-                }
-                return (CuNode::Split(children), cost);
-            }
-            let (leaf, cost) = self.decide_leaf(x0, y0, size, state);
-            return (CuNode::Leaf(leaf), cost);
+            return self.decide_split(x0, y0, size, state, 0.0);
         }
 
-        if size <= min {
-            let (leaf, cost) = self.decide_leaf(x0, y0, size, state);
-            return (CuNode::Leaf(leaf), cost);
-        }
-
-        let saved_region = self.recon.save_region(x0, y0, size);
+        let saved_region = self.rc.frame.save_region(x0, y0, size);
         let base_state = state.clone();
 
         // Branch A: code as one leaf (split flag = 0).
@@ -436,36 +333,50 @@ impl<'a> FrameCoder<'a> {
         flag_cost.bit(&mut st_leaf.ctxs.split, false);
         let (leaf, leaf_cost) = self.decide_leaf(x0, y0, size, &mut st_leaf);
         let cost_leaf = leaf_cost + self.lambda * flag_cost.bits();
-        let leaf_region = self.recon.save_region(x0, y0, size);
+        let leaf_region = self.rc.frame.save_region(x0, y0, size);
 
         // Branch B: split into four (split flag = 1).
-        self.recon.restore_region(x0, y0, size, &saved_region);
+        self.rc.frame.restore_region(x0, y0, size, &saved_region);
         let mut st_split = base_state;
         let mut flag_cost = BitCounter::new();
         flag_cost.bit(&mut st_split.ctxs.split, true);
-        let half = size / 2;
-        let mut children = Vec::with_capacity(4);
-        let mut cost_split = self.lambda * flag_cost.bits();
-        for (dx, dy) in [(0, 0), (half, 0), (0, half), (half, half)] {
-            let (node, c) = self.decide_cu(x0 + dx, y0 + dy, half, &mut st_split);
-            children.push(node);
-            cost_split += c;
-        }
+        let flag_cost = self.lambda * flag_cost.bits();
+        let (split, cost_split) = self.decide_split(x0, y0, size, &mut st_split, flag_cost);
 
         if cost_leaf <= cost_split {
-            self.recon.restore_region(x0, y0, size, &leaf_region);
+            self.rc.frame.restore_region(x0, y0, size, &leaf_region);
             *state = st_leaf;
             (CuNode::Leaf(leaf), cost_leaf)
         } else {
             *state = st_split;
-            (CuNode::Split(children), cost_split)
+            (split, cost_split)
         }
+    }
+
+    /// Decides the four quadrants of a split CU, adding their costs to
+    /// `cost` in quadrant order.
+    fn decide_split(
+        &mut self,
+        x0: usize,
+        y0: usize,
+        size: usize,
+        state: &mut CoderState,
+        mut cost: f64,
+    ) -> (CuNode, f64) {
+        let half = size / 2;
+        let mut children = Vec::with_capacity(4);
+        for (dx, dy) in [(0, 0), (half, 0), (0, half), (half, half)] {
+            let (node, c) = self.decide_cu(x0 + dx, y0 + dy, half, state);
+            children.push(node);
+            cost += c;
+        }
+        (CuNode::Split(children), cost)
     }
 
     /// Emits a decided coding tree into an entropy sink (the CABAC coder).
     fn code_cu<S: BinSink>(&self, node: &CuNode, size: usize, enc: &mut S, state: &mut CoderState) {
-        let min = self.min_cu();
-        let adaptive = self.cfg.pipeline.adaptive_partition;
+        let min = self.rc.min_cu;
+        let adaptive = self.rc.cfg.pipeline.adaptive_partition;
         let split = matches!(node, CuNode::Split(_));
         // A `Split` node only exists where the tree may split (`size >
         // min`), so the coded flag is never an implied value.
@@ -527,8 +438,12 @@ pub(crate) fn encode_frame(
     plans: &DctPlans,
     frame_idx: usize,
 ) -> (Vec<u8>, Frame) {
-    let frame_inter = cfg.pipeline.inter && frame_idx > 0 && prev.is_some();
-    let mut coder = FrameCoder::new(cfg, plans, orig, prev, frame_inter);
+    let mut coder = FrameCoder {
+        orig,
+        lambda: lambda(cfg.qp),
+        scratch: Scratch::default(),
+        rc: Recon::new(cfg, plans, orig.width(), orig.height(), prev, frame_idx),
+    };
     let ctu = cfg.profile.ctu();
 
     // Phase 1: decide.
@@ -544,7 +459,7 @@ pub(crate) fn encode_frame(
     // Phase 2: emit.
     let mut enc = CabacEncoder::new();
     code_payload(&coder, &trees, ctu, &mut enc);
-    (enc.finish(), coder.recon)
+    (enc.finish(), coder.rc.frame)
 }
 
 /// Replays every decided CTU tree of a frame payload through `enc` — the

@@ -28,8 +28,10 @@
 //! of the paper's fractional-bit-width feature.
 //!
 //! The encoder contains the decoder: prediction always uses *reconstructed*
-//! pixels, so `decode(encode(f))` is bit-exact with the encoder's internal
-//! reconstruction (property-tested in `tests/`).
+//! pixels, and encoder and decoder run one TU reconstruction (dequantize,
+//! inverse transform, prediction plus residual), so `decode(encode(f))`
+//! equals the encoder's reconstruction by construction (and `tests/`
+//! round-trips the whole configuration matrix).
 //!
 //! # Example
 //!
@@ -57,6 +59,7 @@ pub mod lanes;
 pub mod profile;
 pub mod quant;
 pub mod rate;
+mod recon;
 pub mod scan;
 pub mod syntax;
 pub mod tile;

@@ -8,14 +8,12 @@
 //! QP reaches any achievable fractional target.
 //!
 //! [`search_qp`] is that search, written over a probe closure so the
-//! tensor codec (which probes chunk by chunk through its own cache) and
+//! tensor codec (which probes whole tensor streams) and
 //! [`encode_to_bitrate`]/[`encode_to_mse`] (which probe whole videos)
-//! share it. A [`RateModel`], built from one cheap analysis pass over the
+//! share it; each probe hands back its encode, and the search returns
+//! the answer's. A [`RateModel`], built from one cheap analysis pass over the
 //! 8-bit frames, places every probe. The distortion-targeted dual drives
 //! the Fig 2(b) ablation, whose quality constraint is an MSE budget.
-
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 
 use crate::lanes::floor_i32;
 use crate::quant::{qstep, QP_MAX};
@@ -325,7 +323,8 @@ impl<'m> Fit<'m> {
 }
 
 /// Finds the highest-quality QP meeting `goal`, calling `probe` to encode
-/// at a QP and measure it, with `model` placing every probe.
+/// at a QP and measure it, with `model` placing every probe. Returns the
+/// QP and the encode `probe` returned for it.
 ///
 /// - **QP 51 first.** The coarsest encode is by far the fastest; it
 ///   anchors the bits model, and a QP-0 encode (several times a
@@ -338,50 +337,51 @@ impl<'m> Fit<'m> {
 /// - **Stops** at the first feasible probe within 1.5% of a bits budget
 ///   or 1% of an error budget; the [`QP_TOL`] bracket width and an
 ///   iteration cap are the backstop.
-/// - No QP is probed twice, and the returned QP is always one `probe` was
-///   called with — callers keep that probe's encode as the answer.
+/// - **No QP is probed twice.** The search keeps the encode at the
+///   feasible end of its bracket — from the start, QP 51's for a bits
+///   goal — and drops the rest, so the answer is never encoded again.
 ///
 /// When nothing is feasible, a bits goal re-targets the finest QP within
 /// 5% of the QP-51 size (tiny tensors: headers dominate, quality is
-/// nearly free), and an error goal returns QP 0 as the best effort.
+/// nearly free), and an error goal probes QP 0 once, as the best effort.
 ///
 /// # Errors
 ///
 /// Propagates the first error `probe` returns.
-pub fn search_qp<E>(
+pub fn search_qp<T, E>(
     goal: Goal,
     model: &RateModel,
-    mut probe: impl FnMut(f64) -> Result<Probe, E>,
-) -> Result<f64, E> {
-    let p_51 = probe(QP_MAX)?;
+    mut probe: impl FnMut(f64) -> Result<(Probe, T), E>,
+) -> Result<(f64, T), E> {
+    let (p_51, at_51) = probe(QP_MAX)?;
     let goal = match goal {
         // Even the coarsest encode misses the budget (typical for tiny
         // tensors whose fixed headers exceed it): aim for the QP-51 size
         // plus 5%, which QP 51 meets by construction.
         Goal::MaxBits(_) if !goal.met_by(p_51) => Goal::MaxBits(p_51.bits as f64 * 1.05),
         // The cheapest possible encode already meets the error budget.
-        Goal::MaxSquaredError(_) if goal.met_by(p_51) => return Ok(QP_MAX),
+        Goal::MaxSquaredError(_) if goal.met_by(p_51) => return Ok((QP_MAX, at_51)),
         _ => goal,
     };
     if goal.settled_by(p_51) {
-        return Ok(QP_MAX);
+        return Ok((QP_MAX, at_51));
     }
     let mut fit = Fit::new(goal, model, p_51);
     // The bracket starts as the whole search axis, x = 0 (infeasible) to
     // 51 (feasible); only the QP-51 end has been probed, which is x = 51
-    // for bits and x = 0 for error.
+    // for bits and x = 0 for error. `best` is the feasible end's encode.
     let (mut x_lo, mut x_hi) = (0.0, QP_MAX);
-    let mut hi_probed = matches!(goal, Goal::MaxBits(_));
+    let mut best = matches!(goal, Goal::MaxBits(_)).then_some(at_51);
     for _ in 0..SEARCH_ITERS {
         if x_hi - x_lo <= QP_TOL {
             break;
         }
         let x = fit.aim(x_lo, x_hi).unwrap_or(0.5 * (x_lo + x_hi));
         let qp = goal.to_qp(x);
-        let p = probe(qp)?;
+        let (p, encoded) = probe(qp)?;
         fit.recalibrate(qp, p);
         if goal.met_by(p) {
-            (x_hi, hi_probed) = (x, true);
+            (x_hi, best) = (x, Some(encoded));
             if goal.settled_by(p) {
                 break;
             }
@@ -391,10 +391,8 @@ pub fn search_qp<E>(
     }
     // An error goal unmet everywhere converges onto QP 0 unprobed.
     let qp = goal.to_qp(x_hi);
-    if !hi_probed {
-        probe(qp)?;
-    }
-    Ok(qp)
+    let encoded = best.map_or_else(|| probe(qp).map(|(_, encoded)| encoded), Ok)?;
+    Ok((qp, encoded))
 }
 
 /// Outcome of a rate search: the chosen QP and the encode at that QP.
@@ -470,35 +468,26 @@ fn pixel_count(frames: &[Frame]) -> usize {
 }
 
 /// Runs [`search_qp`] over whole-video encodes, with a [`RateModel`] of
-/// the frames in pixel² units, caching each probed QP's encode so the
-/// answer is returned without encoding it again. The first probe's
-/// [`encode_video`] is what refuses frames it cannot encode.
+/// the frames in pixel² units. The first probe's [`encode_video`] is what
+/// refuses frames it cannot encode.
 ///
 /// # Errors
 ///
-/// Propagates [`encode_video`]'s [`CodecError::InvalidInput`], and
-/// returns [`CodecError::Internal`] if the search answers a QP it never
-/// probed, which [`search_qp`] rules out.
+/// Propagates [`encode_video`]'s [`CodecError::InvalidInput`].
 fn search_encode(
     frames: &[Frame],
     cfg: &CodecConfig,
     goal: Goal,
 ) -> Result<RateSearchResult, CodecError> {
     let model = RateModel::analyse(frames.iter().map(|f| (f, 1.0)));
-    let mut cache: BTreeMap<u64, EncodedVideo> = BTreeMap::new();
-    let qp = search_qp(goal, &model, |qp| {
-        let enc = match cache.entry(qp.to_bits()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => v.insert(encode_video(frames, &cfg.clone().with_qp(qp))?),
-        };
-        Ok::<_, CodecError>(Probe {
+    let (qp, encoded) = search_qp(goal, &model, |qp| {
+        let enc = encode_video(frames, &cfg.clone().with_qp(qp))?;
+        let p = Probe {
             bits: enc.bits(),
-            sq_err: ssd_of(frames, enc),
-        })
+            sq_err: ssd_of(frames, &enc),
+        };
+        Ok::<_, CodecError>((p, enc))
     })?;
-    let encoded = cache
-        .remove(&qp.to_bits())
-        .ok_or_else(|| CodecError::Internal("rate search answered an unprobed QP".into()))?;
     Ok(RateSearchResult { qp, encoded })
 }
 
@@ -532,14 +521,16 @@ mod tests {
 
     /// A codec-free probe: bits fall and error grows smoothly and
     /// monotonically in QP, with a curvature no linear model follows
-    /// exactly (as with real encodes). Logs every probed QP.
-    fn synthetic(log: &mut Vec<f64>) -> impl FnMut(f64) -> Result<Probe, ()> + '_ {
+    /// exactly (as with real encodes). Logs every probed QP; its "encode"
+    /// is the QP it was probed at.
+    fn synthetic(log: &mut Vec<f64>) -> impl FnMut(f64) -> Result<(Probe, f64), ()> + '_ {
         move |qp| {
             log.push(qp);
-            Ok(Probe {
+            let p = Probe {
                 bits: synthetic_bits(qp),
                 sq_err: synthetic_sq_err(qp),
-            })
+            };
+            Ok((p, qp))
         }
     }
 
@@ -641,7 +632,9 @@ mod tests {
         for (name, model) in models() {
             for goal in goals() {
                 let mut log = Vec::new();
-                let qp = search_qp(goal, &model, synthetic(&mut log)).unwrap();
+                let (qp, encoded) = search_qp(goal, &model, synthetic(&mut log)).unwrap();
+                // The answer comes with its own probe's encode.
+                assert_eq!(encoded.to_bits(), qp.to_bits(), "{name} {goal:?}");
                 let p = Probe {
                     bits: synthetic_bits(qp),
                     sq_err: synthetic_sq_err(qp),
@@ -677,7 +670,7 @@ mod tests {
         let at_51 = synthetic_bits(QP_MAX) as f64;
         let mut log = Vec::new();
         let goal = Goal::MaxBits(0.5 * at_51);
-        let qp = search_qp(goal, &accurate(), synthetic(&mut log)).unwrap();
+        let (qp, _) = search_qp(goal, &accurate(), synthetic(&mut log)).unwrap();
         // The re-targeted goal is the QP-51 size plus 5%: a finer QP than
         // 51 that meets it, not QP 51 itself.
         let retarget = Goal::MaxBits(at_51 * 1.05);
@@ -694,7 +687,7 @@ mod tests {
         let loose = Goal::MaxSquaredError(2.0 * synthetic_sq_err(QP_MAX));
         assert_eq!(
             search_qp(loose, &accurate(), synthetic(&mut log)),
-            Ok(QP_MAX)
+            Ok((QP_MAX, QP_MAX))
         );
         assert_eq!(log, [QP_MAX]);
     }
@@ -706,7 +699,7 @@ mod tests {
             let strict = Goal::MaxSquaredError(0.5 * synthetic_sq_err(0.0));
             assert_eq!(
                 search_qp(strict, &model, synthetic(&mut log)),
-                Ok(0.0),
+                Ok((0.0, 0.0)),
                 "{name}"
             );
             // QP 0 is probed exactly once, and only at the end.
@@ -720,7 +713,7 @@ mod tests {
         let mut calls = 0;
         let got = search_qp(Goal::MaxBits(1000.0), &accurate(), |_| {
             calls += 1;
-            Err::<Probe, _>("probe failed")
+            Err::<(Probe, ()), _>("probe failed")
         });
         assert_eq!(got, Err("probe failed"));
         assert_eq!(calls, 1);

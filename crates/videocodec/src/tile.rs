@@ -185,11 +185,6 @@ pub fn write_tiles(out: &mut Vec<u8>, tiles: &[Vec<u8>]) -> Result<(), CodecErro
     Ok(())
 }
 
-/// Serialized length of a tile table holding these tiles.
-pub fn tiles_len(tiles: &[Vec<u8>]) -> usize {
-    tiles.iter().map(|t| 4 + t.len()).sum()
-}
-
 /// Parses the tile table of `n_tiles` tiles at `*pos`, returning every
 /// tile's absolute byte range in `data` and advancing `pos` past the last
 /// payload; no payload byte is read. Offsets are the prefix sums of the
@@ -285,7 +280,8 @@ mod tests {
         let tiles = [vec![1u8, 2, 3], vec![4u8]];
         let mut out = vec![0xAA];
         write_tiles(&mut out, &tiles).unwrap();
-        assert_eq!(out.len(), 1 + tiles_len(&tiles));
+        // The leading byte, two u32 lengths and four payload bytes.
+        assert_eq!(out.len(), 1 + 2 * 4 + 4);
         let mut pos = 1;
         assert_eq!(parse_tiles(&out, &mut pos, 2).unwrap(), vec![9..12, 12..13]);
         assert_eq!(pos, out.len());

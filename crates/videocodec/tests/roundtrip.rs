@@ -20,10 +20,10 @@ fn textured_frame(seed: u64, w: usize, h: usize) -> Frame {
 
 fn assert_roundtrip(frames: &[Frame], cfg: &CodecConfig) {
     let enc = encode_video(frames, cfg).expect("encode");
-    let dec = decode_video(&enc.bytes).expect("decode failed");
+    let dec = decode_video(&enc.bytes).unwrap_or_else(|e| panic!("{cfg:?}: decode failed: {e}"));
     assert_eq!(dec.len(), frames.len());
     for (i, (d, r)) in dec.iter().zip(&enc.recon).enumerate() {
-        assert_eq!(d, r, "frame {i} decoder/encoder recon mismatch");
+        assert_eq!(d, r, "{cfg:?}: frame {i} decoder/encoder recon mismatch");
     }
 }
 
@@ -36,13 +36,23 @@ fn roundtrip_all_profiles() {
     }
 }
 
+/// The configuration matrix: every profile × every pipeline byte × one
+/// and two tiles, over two frames so inter coding runs too.
 #[test]
 fn roundtrip_all_pipeline_configs() {
     let frames = [textured_frame(2, 48, 48), textured_frame(3, 48, 48)];
-    for byte in 0..PipelineConfig::COUNT {
-        let pipeline = PipelineConfig::from_byte(byte).expect("defined switches");
-        let cfg = CodecConfig::default().with_pipeline(pipeline).with_qp(30.0);
-        assert_roundtrip(&frames, &cfg);
+    for profile in [Profile::h264(), Profile::h265(), Profile::av1()] {
+        for byte in 0..PipelineConfig::COUNT {
+            let pipeline = PipelineConfig::from_byte(byte).expect("defined switches");
+            for tiles in [1, 2] {
+                let cfg = CodecConfig::default()
+                    .with_profile(profile.clone())
+                    .with_pipeline(pipeline)
+                    .with_tiles(tiles)
+                    .with_qp(30.0);
+                assert_roundtrip(&frames, &cfg);
+            }
+        }
     }
 }
 
