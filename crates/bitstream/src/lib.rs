@@ -11,6 +11,8 @@
 //!   coder with 11-bit adaptive probabilities), the workhorse behind both
 //!   the video codec's residual coding and the CABAC byte-compressor
 //!   baseline.
+//! - [`crc32`] — the slicing-by-8 CRC-32 that checksums every tensor
+//!   chunk record and video frame.
 //! - [`rans`] — a static-table interleaved rANS coder (32-bit states,
 //!   12-bit normalized frequencies, byte-wise renorm), a decode-speed
 //!   reference for the entropy stage; no codec stream uses it.
@@ -37,6 +39,7 @@
 pub mod bits;
 pub mod bytes;
 pub mod cabac;
+pub mod crc32;
 pub mod deflate;
 mod error;
 pub mod huffman;

@@ -3,16 +3,18 @@
 //! Every chunk is a set of one or more independently decodable CTU-row
 //! bands, and the tensor header fixes every band's rows and every tile's
 //! byte range, so a reader can decode any band of any chunk from its byte
-//! range alone — no other payload bytes are read. [`TensorStreamIndex`]
-//! parses a tensor stream's framing (the header plus every chunk record,
-//! as the crate docs describe) without decoding anything;
-//! [`TensorStreamIndex::decode_tile`] then restores a single band. The
+//! range and its chunk's record. [`TensorStreamIndex`] parses a tensor
+//! stream's framing (the header plus every chunk record, as the crate
+//! docs describe) without reading any payload;
+//! [`TensorStreamIndex::decode_tile`] then checks the one chunk record's
+//! CRC-32 and restores a single band. The
 //! full decoder is built on the same index: [`crate::Llm265Codec`] fans
 //! every (chunk, tile) over the deterministic [`crate::pool`]. The
 //! archive-level counterpart is [`crate::archive::ArchiveIndex`].
 
 use std::ops::Range;
 
+use llm265_bitstream::crc32::Crc32;
 use llm265_tensor::Tensor;
 use llm265_videocodec::tile::{self, TileLayout};
 use llm265_videocodec::Frame;
@@ -27,6 +29,9 @@ use crate::CodecError;
 #[derive(Debug, Clone)]
 pub struct TensorStreamIndex {
     header: TensorHeader,
+    /// The tensor header's CRC-32 state, which every record's checksum
+    /// continues.
+    header_crc: Crc32,
     /// Per chunk: its tile geometry and its parsed record.
     chunks: Vec<(TileLayout, ChunkRecord)>,
 }
@@ -34,7 +39,9 @@ pub struct TensorStreamIndex {
 impl TensorStreamIndex {
     /// Parses the framing of a tensor stream produced by
     /// [`crate::Llm265Codec`]: the tensor header and every chunk record.
-    /// No tile payload is read or decoded.
+    /// No tile payload is read or decoded, so no checksum is verified
+    /// yet: [`Self::decode_tile`] and full decoding verify the chunks
+    /// they decode.
     ///
     /// # Errors
     ///
@@ -42,10 +49,12 @@ impl TensorStreamIndex {
     /// framing: bad magic, another version or reserved bits, shape,
     /// frame-size and chunk-count bombs ([`CodecError::LimitExceeded`]),
     /// `rows_per_chunk` outside `1..=rows`, zero-length tiles, truncated
-    /// records, and bytes left over after the last tile.
+    /// records, and bytes left over after the last record.
     pub fn parse(data: &[u8]) -> Result<Self, CodecError> {
         let mut pos = 0usize;
         let header = framing::parse_tensor_header(data, &mut pos)?;
+        // Hashed once; every record's checksum continues this state.
+        let header_crc = Crc32::new().update(data.get(..pos).unwrap_or_default());
         // Bounded by the stream length inside the header parse.
         let mut chunks = Vec::with_capacity(header.n_chunks());
         for i in 0..header.n_chunks() {
@@ -56,7 +65,11 @@ impl TensorStreamIndex {
         if pos != data.len() {
             return Err(CodecError::Corrupt("bytes after the last tile"));
         }
-        Ok(TensorStreamIndex { header, chunks })
+        Ok(TensorStreamIndex {
+            header,
+            header_crc,
+            chunks,
+        })
     }
 
     /// Tensor shape `(rows, cols)` declared by the stream header.
@@ -132,8 +145,26 @@ impl TensorStreamIndex {
         (r.lo, r.scale)
     }
 
-    /// Decodes one tile's pixels (cropped to real chunk pixels). `data`
-    /// must be the same stream this index was parsed from.
+    /// Verifies chunk `chunk`'s checksum: the CRC-32 of the tensor header
+    /// and that chunk's record, read from `data`, the stream this index
+    /// was parsed from. No other chunk's bytes are read.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::InvalidInput`] for an out-of-range chunk,
+    /// [`CodecError::Truncated`] if `data` no longer covers the record,
+    /// [`CodecError::Corrupt`] on a mismatch.
+    pub(crate) fn verify_chunk(&self, data: &[u8], chunk: usize) -> Result<(), CodecError> {
+        let (_, record) = self
+            .chunks
+            .get(chunk)
+            .ok_or_else(|| CodecError::InvalidInput(format!("chunk {chunk} out of range")))?;
+        record.checksum.verify(data, self.header_crc)
+    }
+
+    /// Decodes one tile's pixels (cropped to real chunk pixels) without
+    /// verifying its chunk. `data` must be the same stream this index was
+    /// parsed from.
     ///
     /// # Errors
     ///
@@ -160,20 +191,23 @@ impl TensorStreamIndex {
         tile::decode_tile(payload, &self.header.cfg, layout, tile)
     }
 
-    /// Random access: decodes just one tile's byte range and restores the
-    /// values through its chunk's affine map. Returns the band as a
+    /// Random access: verifies the tile's chunk record against its
+    /// checksum, then decodes just the tile's byte range and restores the
+    /// values through the chunk's affine map. Returns the band as a
     /// `rows × cols` tensor whose first row is tensor row
     /// `tile_rows(chunk, tile).0`.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::decode_tile_frame`].
+    /// [`CodecError::Corrupt`] when the chunk fails its checksum, else
+    /// the same as [`Self::decode_tile_frame`].
     pub fn decode_tile(
         &self,
         data: &[u8],
         chunk: usize,
         tile: usize,
     ) -> Result<Tensor, CodecError> {
+        self.verify_chunk(data, chunk)?;
         let frame = self.decode_tile_frame(data, chunk, tile)?;
         let (lo, scale) = self.chunk_affine(chunk);
         let mut out = Tensor::zeros(frame.height(), frame.width());
@@ -230,37 +264,53 @@ mod tests {
         })
     }
 
+    /// Random access reads the header and its chunk's record, nothing
+    /// else: vandalizing every other chunk goes unnoticed, while a flip in
+    /// another tile of the same chunk fails that chunk's checksum.
     #[test]
-    fn decode_tile_reads_only_its_own_byte_range() {
-        // A 64-row chunk has two tiles; a 24-row chunk (one CTU row) has
-        // one, whose index entry must still cover its whole payload.
-        for (n, tiles) in [(64, 2), (24, 1)] {
-            decode_tile_matches_full_decode(weight(12, n), tiles);
-        }
-    }
-
-    fn decode_tile_matches_full_decode(t: Tensor, tiles: usize) {
-        let n = t.cols();
-        let codec = codec();
-        let enc = codec.encode(&t, RateTarget::Qp(22.0)).unwrap();
-        let full = codec.decode(&enc).unwrap();
-        let index = TensorStreamIndex::parse(enc.bytes()).unwrap();
-        assert_eq!(index.total_tiles(), tiles);
-        // One chunk: its last tile ends the stream.
-        assert_eq!(index.tile_range(0, tiles - 1).end, enc.bytes().len());
-        for ti in 0..tiles {
-            // Corrupt every byte of every *other* tile: random access
-            // must not notice.
-            let mut vandalized = enc.bytes().to_vec();
-            for t2 in (0..tiles).filter(|&t2| t2 != ti) {
-                for b in &mut vandalized[index.tile_range(0, t2)] {
-                    *b ^= 0xA5;
+    fn decode_tile_reads_only_its_own_chunk() {
+        // 128 rows in 64-row chunks: two chunks of two tiles. A 24-row
+        // tensor is one chunk of one tile (one CTU row), whose index entry
+        // must still cover its whole payload.
+        for (rows, max_chunk_pixels, tiles) in [(128, 64 * 64, 2), (24, 1 << 16, 1)] {
+            let mut rng = Pcg32::seed_from(12);
+            let t = llm_weight(rows, 64, &WeightProfile::default(), &mut rng);
+            let codec = Llm265Codec::with_config(Llm265Config {
+                max_chunk_pixels,
+                threads: 1,
+                ..Llm265Config::default()
+            });
+            let enc = codec.encode(&t, RateTarget::Qp(22.0)).unwrap();
+            let full = codec.decode(&enc).unwrap();
+            let index = TensorStreamIndex::parse(enc.bytes()).unwrap();
+            // A record's bytes, its checksum included.
+            let record = |c: usize| {
+                let r = &index.chunks[c].1.checksum.record;
+                r.start..r.end + 4
+            };
+            assert_eq!(record(index.n_chunks() - 1).end, enc.bytes().len());
+            for c in 0..index.n_chunks() {
+                assert_eq!(index.n_tiles(c), tiles);
+                for ti in 0..tiles {
+                    let mut vandalized = enc.bytes().to_vec();
+                    for c2 in (0..index.n_chunks()).filter(|&c2| c2 != c) {
+                        for b in &mut vandalized[record(c2)] {
+                            *b ^= 0xA5;
+                        }
+                    }
+                    let band = index.decode_tile(&vandalized, c, ti).unwrap();
+                    let (row0, rows) = index.tile_rows(c, ti);
+                    assert_eq!(band.shape(), (rows, 64));
+                    assert_eq!(band.data(), &full.data()[row0 * 64..(row0 + rows) * 64]);
+                    if tiles > 1 {
+                        vandalized[index.tile_range(c, 1 - ti).start] ^= 1;
+                        assert!(matches!(
+                            index.decode_tile(&vandalized, c, ti),
+                            Err(CodecError::Corrupt("checksum mismatch"))
+                        ));
+                    }
                 }
             }
-            let band = index.decode_tile(&vandalized, 0, ti).unwrap();
-            let (row0, rows) = index.tile_rows(0, ti);
-            assert_eq!(band.shape(), (rows, n));
-            assert_eq!(band.data(), &full.data()[row0 * n..(row0 + rows) * n]);
         }
     }
 
@@ -279,7 +329,8 @@ mod tests {
             Err(CodecError::InvalidInput(_))
         ));
         // A stream truncated after indexing: the range no longer resolves.
-        let cut = &enc.bytes()[..enc.bytes().len() - 4];
+        let last = index.tile_range(0, index.n_tiles(0) - 1);
+        let cut = &enc.bytes()[..last.end - 4];
         assert!(index.decode_tile(cut, 0, index.n_tiles(0) - 1).is_err());
     }
 }

@@ -12,6 +12,7 @@ use llm265_tensor::Tensor;
 use llm265_videocodec::tile::wire_u32;
 
 use crate::access::TensorStreamIndex;
+use crate::framing;
 use crate::{CodecError, EncodedTensor, RateTarget, TensorCodec};
 
 const MAGIC: u32 = 0x4C41_3635; // "LA65"
@@ -148,7 +149,8 @@ impl TensorArchive {
             let stream = index.stream(data, i)?;
             // The archive stores no shapes: each stream's own header
             // states it.
-            let (rows, cols) = TensorStreamIndex::parse(stream)?.shape();
+            let header = framing::parse_tensor_header(stream, &mut 0)?;
+            let (rows, cols) = (header.rows, header.cols);
             let enc = EncodedTensor::from_parts(stream.to_vec(), rows, cols);
             out.push((name.to_string(), codec.decode(&enc)?));
         }

@@ -13,6 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use llm265_bitstream::crc32::Crc32;
 use llm265_tensor::channel::LossyCompressor;
 use llm265_tensor::{stats, Tensor};
 use llm265_videocodec::quant::{QP_MAX, QP_MIN};
@@ -161,6 +162,7 @@ impl Llm265Codec {
         // thread count.
         let mut bytes = Vec::new();
         framing::write_tensor_header(&mut bytes, &header)?;
+        let header_crc = Crc32::new().update(&bytes);
         let mut it = results.into_iter();
         let mut sq_err = 0.0;
         for (c, layout) in chunks.iter().zip(&layouts) {
@@ -172,7 +174,7 @@ impl Llm265Codec {
                     p
                 })
                 .collect();
-            framing::write_chunk_record(&mut bytes, c.lo, c.scale, &tiles)?;
+            framing::write_chunk_record(&mut bytes, header_crc, c.lo, c.scale, &tiles)?;
         }
         // The answer's stream is kept, so drop the growth slack.
         bytes.shrink_to_fit();
@@ -312,6 +314,12 @@ fn decode_tensor(e: &EncodedTensor, threads: usize) -> Result<Tensor, CodecError
         return Err(CodecError::Corrupt(
             "stream shape disagrees with the tensor's",
         ));
+    }
+    // Every chunk the stream holds is decoded, so verify every checksum
+    // first: the framing parsed whole, so a hostile length has already
+    // reported its own error.
+    for c in 0..index.n_chunks() {
+        index.verify_chunk(data, c)?;
     }
     // Pass 2: decode every (chunk, tile) on the deterministic pool, so
     // tiles of a single large chunk decode in parallel. Errors surface in

@@ -1,4 +1,4 @@
-//! The tensor-stream wire format (version 4): the only code that writes
+//! The tensor-stream wire format (version 5): the only code that writes
 //! or reads it.
 //!
 //! A tensor stream is one 22-byte **tensor header** followed by one
@@ -7,10 +7,10 @@
 //! | tensor header     | bytes | chunk record         | bytes     |
 //! |-------------------|-------|----------------------|-----------|
 //! | magic `LT65`      | 4     | `lo` (f32 bits)      | 4         |
-//! | version (4)       | 1     | `scale` (f32 bits)   | 4         |
+//! | version (5)       | 1     | `scale` (f32 bits)   | 4         |
 //! | profile id        | 1     | one length per tile  | 4 each    |
 //! | pipeline switches | 1     | tile payloads        | Σ lengths |
-//! | flags (reserved)  | 1     |                      |           |
+//! | flags (reserved)  | 1     | CRC-32               | 4         |
 //! | QP × 256          | 2     |                      |           |
 //! | rows              | 4     |                      |           |
 //! | cols              | 4     |                      |           |
@@ -21,6 +21,14 @@
 //! ([`write_coding_fields`] / [`parse_coding_fields`],
 //! [`tile::write_tiles`] / [`tile::parse_tiles`]) exactly as in video
 //! streams.
+//!
+//! Each record ends with the CRC-32 of the tensor header followed by the
+//! record up to the checksum ([`tile::write_checksum`]). The header is
+//! hashed once and its state continued per record, so checking a chunk
+//! reads only the header and that record; a byte flipped anywhere in
+//! either fails the check instead of decoding to a wrong tensor. The
+//! parser reads each checksum after the record's structure, and readers
+//! verify a chunk before decoding it.
 //!
 //! Everything else is derived — chunk rows by [`chunk::band`], tile
 //! counts by [`TileLayout::for_frame`] with [`TILES_PER_CHUNK`], tile
@@ -33,9 +41,10 @@
 use std::ops::Range;
 
 use llm265_bitstream::bytes;
+use llm265_bitstream::crc32::Crc32;
 use llm265_videocodec::decoder::parse_coding_fields;
 use llm265_videocodec::encoder::write_coding_fields;
-use llm265_videocodec::tile::{self, wire_u32, TileLayout};
+use llm265_videocodec::tile::{self, wire_u32, Checksum, TileLayout};
 use llm265_videocodec::CodecConfig;
 
 use crate::chunk;
@@ -44,11 +53,12 @@ use crate::CodecError;
 const MAGIC: u32 = 0x4C54_3635; // "LT65"
 
 /// The only version the parser accepts.
-const VERSION: u8 = 4;
+const VERSION: u8 = 5;
 
-/// Smallest chunk record: `lo`, `scale`, one length and a one-byte tile.
-/// Bounds the chunk count a header may declare by the stream's length.
-pub(crate) const MIN_CHUNK_RECORD_BYTES: usize = 13;
+/// Smallest chunk record: `lo`, `scale`, one length, a one-byte tile and
+/// the checksum. Bounds the chunk count a header may declare by the
+/// stream's length.
+pub(crate) const MIN_CHUNK_RECORD_BYTES: usize = 17;
 
 /// Tiles requested per chunk frame, clamped to the chunk's CTU-row count:
 /// eight CTU-row bands give intra-chunk parallel decode headroom at a
@@ -86,13 +96,14 @@ impl TensorHeader {
     }
 }
 
-/// One parsed chunk record: the affine map and every tile's absolute byte
-/// range in the stream.
+/// One parsed chunk record: the affine map, every tile's absolute byte
+/// range in the stream and the record's checksum.
 #[derive(Debug, Clone)]
 pub(crate) struct ChunkRecord {
     pub lo: f32,
     pub scale: f32,
     pub tiles: Vec<Range<usize>>,
+    pub checksum: Checksum,
 }
 
 /// Appends the tensor header — the exact mirror of
@@ -158,31 +169,47 @@ pub(crate) fn parse_tensor_header(
 }
 
 /// Appends one chunk record — the exact mirror of [`parse_chunk_record`]:
-/// the affine map, then the chunk's tile table ([`tile::write_tiles`]).
-/// Fails when a tile overflows its length field.
+/// the affine map, the chunk's tile table ([`tile::write_tiles`]), then
+/// the checksum of the tensor header (`header`, its hashed state) and the
+/// record ([`tile::write_checksum`]). Fails when a tile overflows its
+/// length field.
 pub(crate) fn write_chunk_record(
     out: &mut Vec<u8>,
+    header: Crc32,
     lo: f32,
     scale: f32,
     tiles: &[Vec<u8>],
 ) -> Result<(), CodecError> {
+    let start = out.len();
     bytes::write_le_u32(out, lo.to_bits());
     bytes::write_le_u32(out, scale.to_bits());
-    tile::write_tiles(out, tiles)
+    tile::write_tiles(out, tiles)?;
+    tile::write_checksum(out, header, start);
+    Ok(())
 }
 
 /// Parses the chunk record at `*pos` for a chunk of `n_tiles` tiles,
-/// advancing `pos` past its last tile; no payload byte is read. The tile
-/// table's errors are [`tile::parse_tiles`]'s.
+/// advancing `pos` past its checksum; no payload byte is read. The tile
+/// table's errors are [`tile::parse_tiles`]'s. The checksum is only
+/// read here: a reader verifies a chunk ([`tile::Checksum::verify`])
+/// once the whole stream's structure has parsed, and only the chunks it
+/// decodes.
 pub(crate) fn parse_chunk_record(
     data: &[u8],
     pos: &mut usize,
     n_tiles: usize,
 ) -> Result<ChunkRecord, CodecError> {
+    let start = *pos;
     let lo = f32::from_bits(bytes::read_le_u32(data, pos)?);
     let scale = f32::from_bits(bytes::read_le_u32(data, pos)?);
     let tiles = tile::parse_tiles(data, pos, n_tiles)?;
-    Ok(ChunkRecord { lo, scale, tiles })
+    let checksum = tile::parse_checksum(data, pos, start)?;
+    Ok(ChunkRecord {
+        lo,
+        scale,
+        tiles,
+        checksum,
+    })
 }
 
 #[cfg(test)]
@@ -192,12 +219,12 @@ mod tests {
     use llm265_tensor::synthetic::{llm_weight, WeightProfile};
 
     /// Framing — stream bytes that are not tile payload — is the 22-byte
-    /// header plus 8 bytes of affine map and 4 per tile for each chunk: a
-    /// 128×64 KV block is one four-tile chunk (46 B), a 64×64 weight one
-    /// two-tile chunk (38 B).
+    /// header plus, for each chunk, 8 bytes of affine map, 4 per tile and
+    /// a 4-byte checksum: a 128×64 KV block is one four-tile chunk
+    /// (50 B), a 64×64 weight one two-tile chunk (42 B).
     #[test]
-    fn framing_is_46_bytes_on_a_kv_block_and_38_on_64x64() {
-        for (rows, cols, bits, framing) in [(128, 64, 2.9, 46), (64, 64, 3.0, 38)] {
+    fn framing_is_50_bytes_on_a_kv_block_and_42_on_64x64() {
+        for (rows, cols, bits, framing) in [(128, 64, 2.9, 50), (64, 64, 3.0, 42)] {
             let t = llm_weight(
                 rows,
                 cols,

@@ -11,10 +11,10 @@
 //!    ([`llm265_videocodec`]), with the rate knob (continuous QP, found
 //!    by [`llm265_videocodec::rate::search_qp`]) delivering
 //!    **fractional bits-per-value** targets;
-//! 4. the tile payloads are framed as one **tensor stream** (format v4):
+//! 4. the tile payloads are framed as one **tensor stream** (format v5):
 //!    a header states the configuration and geometry once, and each
-//!    chunk record adds only its affine map and tile lengths
-//!    ([`TensorStreamIndex`] reads it);
+//!    chunk record adds only its affine map, tile lengths and a CRC-32
+//!    ([`TensorStreamIndex`] reads and checks it);
 //! 5. decoding inverts the codec and the affine map.
 //!
 //! On top of the plain codec this crate provides the paper's two rate

@@ -11,7 +11,7 @@ use llm265_tensor::rng::Pcg32;
 use llm265_tensor::synthetic::{llm_weight, WeightProfile};
 use llm265_tensor::Tensor;
 
-/// Byte offsets into the 22-byte v4 tensor header: magic u32, then
+/// Byte offsets into the 22-byte v5 tensor header: magic u32, then
 /// version, profile, pipeline and flags bytes, the QP as u16, and rows,
 /// cols and rows per chunk as u32 (all little-endian).
 const VERSION_AT: usize = 4;
@@ -49,7 +49,7 @@ fn sample_encoded() -> EncodedTensor {
         .encode(&sample_tensor(), RateTarget::Qp(32.0))
         .expect("sample encode");
     // Pin the layout the offset constants assume before mutating it.
-    assert_eq!(enc.bytes()[VERSION_AT], 4, "version byte");
+    assert_eq!(enc.bytes()[VERSION_AT], 5, "version byte");
     assert_eq!(enc.bytes()[FLAGS_AT], 0, "flags byte");
     assert_eq!(enc.bytes()[COLS_AT..ROWS_PER_CHUNK_AT], 40u32.to_le_bytes());
     enc
@@ -90,10 +90,10 @@ fn every_truncation_point_errors_never_panics() {
     }
 }
 
-/// A flip inside a tile payload has no checksum to fail, but the
-/// decoder's walk must end exactly at the tile's last byte, which almost
-/// every flip breaks. The ceiling on flips that decode `Ok` to a tensor
-/// other than the clean one is the count measured on this stream.
+/// Every chunk record ends with the CRC-32 of the tensor header and the
+/// record, so no single-byte flip decodes `Ok` to a tensor other than
+/// the clean one: a flip in the header or a record fails its checksum,
+/// and a flip in a checksum fails the comparison.
 #[test]
 fn single_byte_flips_are_detected_or_harmless() {
     let codec = Llm265Codec::new();
@@ -113,8 +113,8 @@ fn single_byte_flips_are_detected_or_harmless() {
         }
     }
     let flips = 3 * enc.bytes().len();
-    assert!(
-        silent <= 29,
+    assert_eq!(
+        silent, 0,
         "{silent}/{flips} flips decoded to a wrong tensor"
     );
 }
@@ -216,8 +216,8 @@ fn tile_index_survives_flips_and_hostile_lookups() {
     assert!(index.decode_tile(enc.bytes(), 0, usize::MAX).is_err());
     // An index parsed from the full stream must refuse a buffer that no
     // longer covers the last tile.
-    let short = &enc.bytes()[..enc.bytes().len() - 1];
     let last = index.n_chunks() - 1;
+    let short = &enc.bytes()[..index.tile_range(last, index.n_tiles(last) - 1).end - 1];
     assert!(index
         .decode_tile(short, last, index.n_tiles(last) - 1)
         .is_err());
@@ -309,8 +309,8 @@ fn index_truncated_anywhere_in_the_header_errors() {
 /// Reserved header bits and other versions are refused, not guessed at,
 /// by both the index and the decoder: every stream flag (0x01 is the
 /// retired tiled-layout flag, 0x02 the retired rANS entropy backend),
-/// pipeline bits 0x10–0x80, unknown profile ids, and versions 1–3 (the
-/// per-chunk video-stream layout).
+/// pipeline bits 0x10–0x80, unknown profile ids, versions 1–3 (the
+/// per-chunk video-stream layout), 4 (no chunk checksum) and 6.
 #[test]
 fn index_reserved_flag_bits_are_refused() {
     let enc = sample_encoded();
@@ -332,7 +332,7 @@ fn index_reserved_flag_bits_are_refused() {
             }
         }
     }
-    for version in [1u8, 2, 3] {
+    for version in [1u8, 2, 3, 4, 6] {
         let mut bytes = enc.bytes().to_vec();
         bytes[VERSION_AT] = version;
         assert!(

@@ -1,7 +1,10 @@
 //! The video decoder, mirroring [`crate::encoder`]'s syntax exactly.
 
+use std::ops::Range;
+
 use llm265_bitstream::bytes;
 use llm265_bitstream::cabac::CabacDecoder;
+use llm265_bitstream::crc32::Crc32;
 
 use crate::encoder::{MAGIC, VERSION};
 use crate::inter::{compensate, MotionVector};
@@ -229,6 +232,8 @@ pub(crate) fn parse_stream_header(
 pub(crate) fn decode_video(data: &[u8]) -> Result<Vec<Frame>, CodecError> {
     let mut pos = 0;
     let hdr = parse_stream_header(data, &mut pos)?;
+    // Hashed once; every frame's checksum continues this state.
+    let header_crc = Crc32::new().update(data.get(..pos).unwrap_or_default());
     let (cfg, w, h) = (&hdr.cfg, hdr.w, hdr.h);
     // The count was validated against the CTU rows and `MAX_TILES`, so
     // the clamp inside `for_frame` keeps it as is.
@@ -239,7 +244,7 @@ pub(crate) fn decode_video(data: &[u8]) -> Result<Vec<Frame>, CodecError> {
     let mut frames = Vec::with_capacity(hdr.n_frames);
     let mut prev_padded: Option<Frame> = None;
     for i in 0..hdr.n_frames {
-        let tiles = tile::parse_tiles(data, &mut pos, layout.n_tiles())?;
+        let tiles = parse_frame_record(data, &mut pos, header_crc, layout.n_tiles())?;
         let mut recon = Vec::with_capacity(pw * ph);
         for (t, range) in tiles.into_iter().enumerate() {
             let payload = data
@@ -258,6 +263,24 @@ pub(crate) fn decode_video(data: &[u8]) -> Result<Vec<Frame>, CodecError> {
         return Err(CodecError::Corrupt("bytes after the last frame"));
     }
     Ok(frames)
+}
+
+/// Parses the frame at `*pos` — its tile table of `n_tiles` tiles, then
+/// the checksum of the stream header (`header`, its hashed state) and the
+/// table — advancing `pos` past it; the exact mirror of
+/// [`crate::encoder::write_frame_record`]. The structure is parsed first,
+/// so the table's errors are [`tile::parse_tiles`]'s; then the frame is
+/// hashed, and a mismatch is `Corrupt` ([`tile::Checksum::verify`]).
+pub(crate) fn parse_frame_record(
+    data: &[u8],
+    pos: &mut usize,
+    header: Crc32,
+    n_tiles: usize,
+) -> Result<Vec<Range<usize>>, CodecError> {
+    let start = *pos;
+    let tiles = tile::parse_tiles(data, pos, n_tiles)?;
+    tile::parse_checksum(data, pos, start)?.verify(data, header)?;
+    Ok(tiles)
 }
 
 /// Decodes one tile payload (a band coded as its own mini-frame) into its

@@ -5,8 +5,11 @@
 //! 1. **Decide** — walk CTUs in raster order, recursively choosing quad-tree
 //!    splits, prediction modes and quantized levels by rate-distortion cost
 //!    (`cost = SSD + λ·bits`, bits estimated by `syntax::BitCounter` on
-//!    cloned contexts). Reconstruction is committed as decisions are made,
-//!    so later blocks predict from exactly what the decoder will see.
+//!    cloned contexts). A coarse-to-fine SAD sweep (`ModeSweep`) and a
+//!    SATD re-rank narrow the intra modes to two before RD, and a split
+//!    stops as soon as it cannot beat the unsplit leaf. Reconstruction is
+//!    committed as decisions are made, so later blocks predict from
+//!    exactly what the decoder will see.
 //! 2. **Emit** — replay the decision tree into the real CABAC coder.
 //!
 //! Because the cost counter evolves context models identically to the real
@@ -17,23 +20,29 @@
 
 use llm265_bitstream::bytes;
 use llm265_bitstream::cabac::CabacEncoder;
+use llm265_bitstream::crc32::Crc32;
 
 use crate::inter::{compensate, motion_search, MotionVector};
-use crate::intra::RefSamples;
+use crate::intra::{PredMode, RefSamples};
 use crate::quant::lambda;
 use crate::recon::Recon;
 use crate::syntax::{code_residual, BinSink, BitCounter, Contexts};
 use crate::tile::{self, wire_u32, TileLayout};
-use crate::transform::DctPlans;
+use crate::transform::{satd, DctPlans};
 use crate::{CodecConfig, CodecError, EncodedVideo, Frame};
 
 /// Magic number at the start of every bitstream ("L265").
 pub(crate) const MAGIC: u32 = 0x4C32_3635;
 /// Bitstream format version; the decoder accepts no other. Every frame
-/// is one tile table of entropy-coded tile payloads (see [`crate::tile`]).
-pub(crate) const VERSION: u8 = 4;
-/// Number of top SAD candidates taken to full RD evaluation.
-const RD_CANDIDATES: usize = 4;
+/// is one tile table of entropy-coded tile payloads (see [`crate::tile`])
+/// and a checksum ([`write_frame_record`]).
+pub(crate) const VERSION: u8 = 5;
+/// Intra modes the SAD sweep keeps for the SATD re-rank.
+const SAD_CANDIDATES: usize = 6;
+/// Intra modes of the SATD re-rank taken to full RD evaluation.
+const RD_CANDIDATES: usize = 2;
+/// Upper bound on a profile's mode count (the sweep's fixed arrays).
+const MAX_MODES: usize = 64;
 
 /// How a leaf coding unit is predicted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +94,98 @@ struct Trial {
     recon: Vec<i32>,
 }
 
+/// The coarse-to-fine intra mode sweep of one leaf, after the HM
+/// reference encoder's rough mode decision. It SAD-scores every
+/// non-angular mode, the angular modes `m` with `(m - 2) % 4 == 0` and
+/// the most probable mode, then the modes ±2 around the best angular
+/// mode so far, then ±1 around the best after that: about 16 of
+/// H.265's 35 modes. H.264's angular modes are all `≡ 2 (mod 4)`, so it
+/// keeps its whole set. Fixed-size arrays throughout: a leaf allocates
+/// nothing here.
+struct ModeSweep {
+    /// Whether `modes[i]` has been scored.
+    swept: [bool; MAX_MODES],
+    /// The `SAD_CANDIDATES` smallest `(SAD, mode index)` keys so far, in
+    /// ascending order; the first `n` are filled.
+    top: [(u64, u8); SAD_CANDIDATES],
+    n: usize,
+    /// The smallest key among scored angular modes.
+    best_angular: Option<(u64, u8)>,
+}
+
+impl ModeSweep {
+    /// Runs the sweep over `modes` with most probable mode `mpm`:
+    /// `score(which, sweep)` must [`Self::record`] the SAD of every mode
+    /// index in `which` into `sweep`.
+    fn run(modes: &[PredMode], mpm: u8, mut score: impl FnMut(&[u8], &mut Self)) -> Self {
+        let mut sweep = ModeSweep {
+            swept: [false; MAX_MODES],
+            top: [(u64::MAX, u8::MAX); SAD_CANDIDATES],
+            n: 0,
+            best_angular: None,
+        };
+        let mut which = [0u8; MAX_MODES];
+        let mut n = 0;
+        for (i, &mode) in modes.iter().enumerate().take(MAX_MODES) {
+            let coarse = !matches!(mode, PredMode::Angular(m) if m % 4 != 2);
+            if coarse || i == usize::from(mpm) {
+                // `take(MAX_MODES)` keeps the index within a byte.
+                which[n] = (i & 0xFF) as u8;
+                n += 1;
+            }
+        }
+        score(&which[..n], &mut sweep);
+        for step in [2, 1] {
+            let Some((_, best)) = sweep.best_angular else {
+                break;
+            };
+            let PredMode::Angular(m) = modes[usize::from(best)] else {
+                break;
+            };
+            let mut n = 0;
+            for near in [m.saturating_sub(step), m.saturating_add(step)] {
+                let found = modes.iter().position(|&p| p == PredMode::Angular(near));
+                if let Some(i) = found.filter(|&i| i < MAX_MODES && !sweep.swept[i]) {
+                    which[n] = (i & 0xFF) as u8;
+                    n += 1;
+                }
+            }
+            score(&which[..n], &mut sweep);
+        }
+        sweep
+    }
+
+    /// Records mode `i`'s SAD.
+    fn record(&mut self, modes: &[PredMode], i: u8, sad: u64) {
+        if let Some(s) = self.swept.get_mut(usize::from(i)) {
+            *s = true;
+        }
+        let key = (sad, i);
+        if matches!(modes[usize::from(i)], PredMode::Angular(_))
+            && self.best_angular.is_none_or(|b| key < b)
+        {
+            self.best_angular = Some(key);
+        }
+        // Keys are unique (the index breaks ties), so insertion keeps
+        // exactly the head of the fully sorted list.
+        if self.n < SAD_CANDIDATES {
+            self.n += 1;
+        } else if key >= self.top[SAD_CANDIDATES - 1] {
+            return;
+        }
+        // The slot at `n - 1` holds a placeholder or the evicted key, both
+        // larger than `key`, so `p` lands inside.
+        let p = self.top[..self.n].partition_point(|&t| t < key);
+        self.top[p..self.n].rotate_right(1);
+        self.top[p] = key;
+    }
+
+    /// The kept `(SAD, mode index)` keys, best first.
+    fn top(&self) -> &[(u64, u8)] {
+        &self.top[..self.n]
+    }
+}
+
 /// Per-frame scratch: forward-path TU buffers plus the CU-sized staging
 /// blocks used by the decide loop. Nothing here outlives one
 /// `decide_leaf` call.
@@ -98,7 +199,8 @@ struct Scratch {
     /// SAD sweep compares horizontal modes column-wise against it).
     leaf_orig: Vec<i32>,
     leaf_t: Vec<i32>,
-    /// Prediction blocks of the RD candidates.
+    /// Prediction blocks of the SAD survivors, then of the inter
+    /// candidate (slot `SAD_CANDIDATES`).
     preds: Vec<Vec<i32>>,
     /// The candidate being evaluated and the best one so far.
     cur: Trial,
@@ -219,44 +321,46 @@ impl FrameCoder<'_> {
         let s = &mut self.scratch;
         s.leaf_orig.resize(area, 0);
         self.orig.read_block(x0, y0, size, &mut s.leaf_orig);
-        s.preds.resize_with(RD_CANDIDATES + 1, Vec::new);
+        s.preds.resize_with(SAD_CANDIDATES + 1, Vec::new);
 
-        // Candidate predictions, into `s.preds[..n_cands]`.
-        let mut kinds = [CuKind::Flat; RD_CANDIDATES + 1];
+        // RD candidates: each one's kind and the slot of `s.preds` that
+        // holds its prediction.
+        let mut cands = [(CuKind::Flat, 0); RD_CANDIDATES + 1];
         let mut n_cands = 0;
         if self.rc.cfg.pipeline.intra {
             let refs = RefSamples::gather(&self.rc.frame, x0, y0, size);
-            // SAD-score every mode straight from the line kernels (no
-            // prediction blocks), then predict only the few RD survivors.
+            // SAD-score the coarse-to-fine mode set straight from the
+            // line kernels (no prediction blocks).
             s.leaf_t.resize(area, 0);
             for (y, row) in s.leaf_orig.chunks_exact(size).enumerate() {
                 for (x, &v) in row.iter().enumerate() {
                     s.leaf_t[x * size + y] = v;
                 }
             }
-            // The RD_CANDIDATES smallest `(SAD, mode index)` keys in
-            // ascending order, by insertion. Keys are unique (the index
-            // breaks ties), so these are exactly the head of the fully
-            // sorted list.
             let modes = self.rc.cfg.profile.modes();
-            let mut top = [(u64::MAX, u8::MAX); RD_CANDIDATES];
-            refs.sad_sweep(modes, &s.leaf_orig, &s.leaf_t, |i, sad| {
-                // At most 35 modes, so the index fits a byte.
-                let key = (sad, (i & 0xFF) as u8);
-                if n_cands < RD_CANDIDATES {
-                    n_cands += 1;
-                } else if key >= top[RD_CANDIDATES - 1] {
-                    return;
-                }
-                // The slot at `n_cands - 1` holds a placeholder or the
-                // evicted key, both larger than `key`, so `p` lands inside.
-                let p = top[..n_cands].partition_point(|&t| t < key);
-                top[p..n_cands].rotate_right(1);
-                top[p] = key;
+            let mpm = state.prev_mode;
+            let (leaf, leaf_t) = (&s.leaf_orig, &s.leaf_t);
+            let sweep = ModeSweep::run(modes, mpm, |which, sweep| {
+                refs.sad_sweep(modes, which, leaf, leaf_t, |i, sad| {
+                    sweep.record(modes, i, sad);
+                });
             });
-            for ((&(_, i), pred), kind) in top[..n_cands].iter().zip(&mut s.preds).zip(&mut kinds) {
+            // Predict the SAD survivors and re-rank them by SATD plus the
+            // mode's own bits; `(cost, SAD rank)` keys are unique.
+            let top = sweep.top();
+            let sqrt_lambda = self.lambda.sqrt();
+            let mut ranked = [(0.0, 0); SAD_CANDIDATES];
+            for (k, (&(_, i), pred)) in top.iter().zip(&mut s.preds).enumerate() {
                 refs.predict_into(modes[usize::from(i)], pred);
-                *kind = CuKind::Intra(i);
+                let bits = if i == mpm { 1 } else { 1 + self.rc.mode_bits };
+                let cost = satd(&s.leaf_orig, pred, size) as f64 + sqrt_lambda * f64::from(bits);
+                ranked[k] = (cost, k);
+            }
+            let ranked = &mut ranked[..top.len()];
+            ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for (cand, &(_, k)) in cands.iter_mut().zip(ranked.iter().take(RD_CANDIDATES)) {
+                *cand = (CuKind::Intra(top[k].1), k);
+                n_cands += 1;
             }
         } else {
             s.preds[0].clear();
@@ -266,8 +370,8 @@ impl FrameCoder<'_> {
         if self.rc.frame_inter {
             if let Some(prev) = self.rc.prev {
                 let (mv, _) = motion_search(self.orig, prev, x0, y0, size);
-                s.preds[n_cands] = compensate(prev, x0, y0, size, mv);
-                kinds[n_cands] = CuKind::Inter(mv);
+                s.preds[SAD_CANDIDATES] = compensate(prev, x0, y0, size, mv);
+                cands[n_cands] = (CuKind::Inter(mv), SAD_CANDIDATES);
                 n_cands += 1;
             }
         }
@@ -275,7 +379,7 @@ impl FrameCoder<'_> {
         // RD: keep the cheapest candidate's levels, reconstruction and
         // post-coding contexts (the commit state, so nothing is recounted).
         let mut best: Option<(CuKind, f64, CoderState)> = None;
-        for (k, &kind) in kinds[..n_cands].iter().enumerate() {
+        for &(kind, k) in &cands[..n_cands] {
             let dist = self.quantize_cu_residual(size, k);
             let mut trial_state = state.clone();
             let mut counter = BitCounter::new();
@@ -321,7 +425,7 @@ impl FrameCoder<'_> {
         }
         if !self.rc.cfg.pipeline.adaptive_partition {
             // Implied splits down to the fixed grid; no flags coded.
-            return self.decide_split(x0, y0, size, state, 0.0);
+            return self.decide_split(x0, y0, size, state, 0.0, f64::INFINITY);
         }
 
         let saved_region = self.rc.frame.save_region(x0, y0, size);
@@ -341,7 +445,8 @@ impl FrameCoder<'_> {
         let mut flag_cost = BitCounter::new();
         flag_cost.bit(&mut st_split.ctxs.split, true);
         let flag_cost = self.lambda * flag_cost.bits();
-        let (split, cost_split) = self.decide_split(x0, y0, size, &mut st_split, flag_cost);
+        let (split, cost_split) =
+            self.decide_split(x0, y0, size, &mut st_split, flag_cost, cost_leaf);
 
         if cost_leaf <= cost_split {
             self.rc.frame.restore_region(x0, y0, size, &leaf_region);
@@ -354,7 +459,17 @@ impl FrameCoder<'_> {
     }
 
     /// Decides the four quadrants of a split CU, adding their costs to
-    /// `cost` in quadrant order.
+    /// `cost` in quadrant order, and stops before the next quadrant once
+    /// the sum reaches `bound` (the unsplit leaf's cost; `f64::INFINITY`
+    /// on the fixed grid, where the split is implied).
+    ///
+    /// The stop is exact. Every quadrant cost is `SSD + λ·bits` with
+    /// both terms non-negative, and f64 addition of a non-negative term
+    /// never decreases a sum (rounding is monotone), so the full sum
+    /// would also be `>= bound`, and `decide_cu`'s `cost_leaf <=
+    /// cost_split` would pick the leaf exactly as after the full walk.
+    /// The partial tree, state and reconstruction are discarded with the
+    /// split branch.
     fn decide_split(
         &mut self,
         x0: usize,
@@ -362,10 +477,14 @@ impl FrameCoder<'_> {
         size: usize,
         state: &mut CoderState,
         mut cost: f64,
+        bound: f64,
     ) -> (CuNode, f64) {
         let half = size / 2;
         let mut children = Vec::with_capacity(4);
         for (dx, dy) in [(0, 0), (half, 0), (0, half), (half, half)] {
+            if cost >= bound {
+                break;
+            }
             let (node, c) = self.decide_cu(x0 + dx, y0 + dy, half, state);
             children.push(node);
             cost += c;
@@ -512,6 +631,25 @@ pub(crate) fn write_stream_header(
     Ok(())
 }
 
+/// Appends one frame — the exact mirror of the decoder's
+/// `parse_frame_record`: its tile table ([`tile::write_tiles`]), then the
+/// checksum of the stream header (`header`, its hashed state) and the
+/// table ([`tile::write_checksum`]).
+///
+/// # Errors
+///
+/// `LimitExceeded` when a tile overflows its length field.
+pub(crate) fn write_frame_record(
+    out: &mut Vec<u8>,
+    header: Crc32,
+    tiles: &[Vec<u8>],
+) -> Result<(), CodecError> {
+    let start = out.len();
+    tile::write_tiles(out, tiles)?;
+    tile::write_checksum(out, header, start);
+    Ok(())
+}
+
 /// Encodes a video (see [`crate::encode_video`]), refusing the inputs
 /// it documents.
 pub(crate) fn encode_video(
@@ -543,6 +681,7 @@ pub(crate) fn encode_video(
     let cfg = &cfg.snapped().with_tiles(layout.n_tiles());
     let mut bytes = Vec::new();
     write_stream_header(&mut bytes, cfg, w, h, frames.len())?;
+    let header_crc = Crc32::new().update(&bytes);
 
     let plans = DctPlans::new();
     let mut recon_frames = Vec::with_capacity(frames.len());
@@ -560,7 +699,7 @@ pub(crate) fn encode_video(
             tiles.push(payload);
             data.extend_from_slice(band.data());
         }
-        tile::write_tiles(&mut bytes, &tiles)?;
+        write_frame_record(&mut bytes, header_crc, &tiles)?;
         let recon_padded = Frame::from_vec(padded.width(), padded.height(), data);
         recon_frames.push(recon_padded.cropped(w, h));
         prev_padded = Some(recon_padded);
@@ -569,4 +708,80 @@ pub(crate) fn encode_video(
         bytes,
         recon: recon_frames,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Profile;
+
+    /// Runs the sweep on synthetic SADs; returns it and how often each
+    /// mode was scored.
+    fn sweep(modes: &[PredMode], mpm: u8, sad: impl Fn(u8) -> u64) -> (ModeSweep, Vec<u32>) {
+        let mut scored = vec![0; modes.len()];
+        let sw = ModeSweep::run(modes, mpm, |which, sw| {
+            for &i in which {
+                scored[usize::from(i)] += 1;
+                sw.record(modes, i, sad(i));
+            }
+        });
+        (sw, scored)
+    }
+
+    #[test]
+    fn coarse_to_fine_set_holds_every_non_angular_mode_and_the_mpm() {
+        for profile in [Profile::h264(), Profile::h265(), Profile::av1()] {
+            let modes = profile.modes();
+            let name = profile.kind().name();
+            for mpm in 0..modes.len() as u8 {
+                for seed in 0..16u64 {
+                    // Arbitrary SADs, different for every seed.
+                    let sad = |i: u8| (u64::from(i) + 1).wrapping_mul(0x9E37_79B9 + seed) % 997;
+                    let (sw, scored) = sweep(modes, mpm, sad);
+                    assert!(
+                        scored.iter().all(|&n| n <= 1),
+                        "{name}: a mode scored twice"
+                    );
+                    assert_eq!(scored[usize::from(mpm)], 1, "{name}: mpm {mpm}");
+                    for (i, m) in modes.iter().enumerate() {
+                        if !matches!(m, PredMode::Angular(_)) {
+                            assert_eq!(scored[i], 1, "{name}: {m:?}");
+                        }
+                    }
+                    let n_scored = scored.iter().sum::<u32>() as usize;
+                    if name == "H.264" {
+                        assert_eq!(n_scored, modes.len(), "H.264 keeps its whole set");
+                    } else {
+                        // Non-angular, 9 coarse angles, 4 refinements, mpm.
+                        let non_angular = modes.len() - 33;
+                        assert!(n_scored <= non_angular + 9 + 4 + 1, "{name}: {n_scored}");
+                    }
+                    // The kept keys are the smallest scored ones, in order.
+                    let mut want: Vec<(u64, u8)> = (0..modes.len() as u8)
+                        .filter(|&i| scored[usize::from(i)] == 1)
+                        .map(|i| (sad(i), i))
+                        .collect();
+                    want.sort_unstable();
+                    want.truncate(SAD_CANDIDATES);
+                    assert_eq!(sw.top(), &want[..], "{name}");
+                }
+            }
+        }
+    }
+
+    /// On SADs that fall towards one angle the refinement steps reach it,
+    /// though the coarse grid skips it.
+    #[test]
+    fn refinement_finds_the_best_angle_between_coarse_modes() {
+        let profile = Profile::h265();
+        let modes = profile.modes();
+        for target in 2..=34u8 {
+            let sad = |i: u8| match modes[usize::from(i)] {
+                PredMode::Angular(m) => u64::from(m.abs_diff(target)),
+                _ => 1000,
+            };
+            let (sw, _) = sweep(modes, 0, sad);
+            assert_eq!(sw.top()[0].0, 0, "angle {target}");
+        }
+    }
 }

@@ -280,36 +280,44 @@ impl RefSamples {
 
     /// The intra mode sweep: calls `score(i, sad)` with the sum of
     /// absolute differences between `modes[i]`'s prediction and the leaf,
-    /// for every mode in order, without building any prediction block.
-    /// `leaf` is the `n × n` original (row-major) and `leaf_t` its
-    /// transpose. Each SAD equals that of [`Self::predict_into`]'s block
-    /// by construction: both run the same line kernels.
+    /// for every index `i` of `which` in order, without building any
+    /// prediction block. `leaf` is the `n × n` original (row-major) and
+    /// `leaf_t` its transpose. Each SAD equals that of
+    /// [`Self::predict_into`]'s block by construction: both run the same
+    /// line kernels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index of `which` is out of range of `modes`.
     pub(crate) fn sad_sweep(
         &self,
         modes: &[PredMode],
+        which: &[u8],
         leaf: &[i32],
         leaf_t: &[i32],
-        score: impl FnMut(usize, u64),
+        score: impl FnMut(u8, u64),
     ) {
         match self.n {
-            4 => self.sweep::<4>(modes, leaf, leaf_t, score),
-            8 => self.sweep::<8>(modes, leaf, leaf_t, score),
-            16 => self.sweep::<16>(modes, leaf, leaf_t, score),
-            _ => self.sweep::<32>(modes, leaf, leaf_t, score),
+            4 => self.sweep::<4>(modes, which, leaf, leaf_t, score),
+            8 => self.sweep::<8>(modes, which, leaf, leaf_t, score),
+            16 => self.sweep::<16>(modes, which, leaf, leaf_t, score),
+            _ => self.sweep::<32>(modes, which, leaf, leaf_t, score),
         }
     }
 
     fn sweep<const N: usize>(
         &self,
         modes: &[PredMode],
+        which: &[u8],
         leaf: &[i32],
         leaf_t: &[i32],
-        mut score: impl FnMut(usize, u64),
+        mut score: impl FnMut(u8, u64),
     ) {
         // Both directions' reference lines, shared by all angular modes.
         let mut vert = self.ref_line::<N>(true);
         let mut horz = self.ref_line::<N>(false);
-        for (i, &mode) in modes.iter().enumerate() {
+        for &i in which {
+            let mode = modes[usize::from(i)];
             let mut sink = SadSink {
                 leaf,
                 leaf_t,
@@ -538,11 +546,11 @@ mod tests {
                     }
                 }
                 let mut sads = Vec::new();
-                refs.sad_sweep(&modes, &leaf, &leaf_t, |i, sad| sads.push((i, sad)));
-                let want: Vec<(usize, u64)> = modes
+                let all: Vec<u8> = (0..modes.len() as u8).collect();
+                refs.sad_sweep(&modes, &all, &leaf, &leaf_t, |i, sad| sads.push((i, sad)));
+                let want: Vec<(u8, u64)> = all
                     .iter()
-                    .enumerate()
-                    .map(|(i, &mode)| (i, sad_of_block(&refs, mode, &leaf)))
+                    .map(|&i| (i, sad_of_block(&refs, modes[usize::from(i)], &leaf)))
                     .collect();
                 assert_eq!(sads, want, "n={n} at ({x0},{y0})");
             }

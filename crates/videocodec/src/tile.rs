@@ -9,8 +9,9 @@
 //! count, a tensor stream's chunk geometry) and frame the tiles with one
 //! **tile table** ([`write_tiles`] / [`parse_tiles`]): one `u32` length
 //! per tile, then the concatenated payloads. Offsets are prefix sums of
-//! the lengths, so there is nothing to cross-check. This buys three
-//! things:
+//! the lengths, so there is nothing to cross-check. A checksum
+//! ([`write_checksum`] / [`parse_checksum`]) ends each video frame and
+//! each tensor chunk record. This buys three things:
 //!
 //! * **intra-frame parallel decode** — `llm265-core` fans (chunk, tile)
 //!   tasks over its deterministic pool, so one huge chunk no longer pins
@@ -29,6 +30,7 @@
 use std::ops::Range;
 
 use llm265_bitstream::bytes;
+use llm265_bitstream::crc32::Crc32;
 
 use crate::decoder::decode_frame;
 use crate::encoder::encode_frame;
@@ -215,6 +217,58 @@ pub fn parse_tiles(
     }
     *pos = next;
     Ok(tiles)
+}
+
+/// Appends the checksum that ends a record: the CRC-32 of the stream
+/// header (`header`, its hashed state) followed by `out[start..]`, the
+/// record written so far; the exact mirror of [`parse_checksum`]. A tensor
+/// chunk record and a video frame's tile table each end with one.
+pub fn write_checksum(out: &mut Vec<u8>, header: Crc32, start: usize) {
+    let crc = header.update(out.get(start..).unwrap_or_default()).finish();
+    bytes::write_le_u32(out, crc);
+}
+
+/// Reads the checksum at `*pos` that ends the record `data[start..*pos]`,
+/// advancing `pos` past it; the exact mirror of [`write_checksum`].
+/// Nothing is hashed here: callers parse a record's structure first, so
+/// hostile lengths keep their own errors, then [`Checksum::verify`] it.
+///
+/// # Errors
+///
+/// `Truncated` when `data` ends inside the checksum.
+pub fn parse_checksum(data: &[u8], pos: &mut usize, start: usize) -> Result<Checksum, CodecError> {
+    let record = start..*pos;
+    let crc = bytes::read_le_u32(data, pos)?;
+    Ok(Checksum { record, crc })
+}
+
+/// A parsed record checksum: the record's byte range (everything before
+/// the checksum) and the stored CRC-32.
+#[derive(Debug, Clone)]
+pub struct Checksum {
+    /// The checksummed record's absolute byte range.
+    pub record: Range<usize>,
+    /// The stored CRC-32 of the stream header followed by the record.
+    pub crc: u32,
+}
+
+impl Checksum {
+    /// Checks the stored CRC-32 against `header` (the stream header's
+    /// hashed state) continued over the record's bytes in `data`.
+    ///
+    /// # Errors
+    ///
+    /// `Truncated` when `data` no longer covers the record; `Corrupt` on
+    /// a mismatch.
+    pub fn verify(&self, data: &[u8], header: Crc32) -> Result<(), CodecError> {
+        let record = data
+            .get(self.record.clone())
+            .ok_or(CodecError::Truncated("checksummed record"))?;
+        if header.update(record).finish() != self.crc {
+            return Err(CodecError::Corrupt("checksum mismatch"));
+        }
+        Ok(())
+    }
 }
 
 /// Decodes tile `i` of a frame with geometry `layout` from that tile's

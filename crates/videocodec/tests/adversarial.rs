@@ -16,8 +16,8 @@ fn sample_stream() -> Vec<u8> {
 
 // The fixed header is 24 bytes, little-endian: magic(4) version(1)
 // profile(1) pipeline(1) flags(1) qp(2) width(4) height(4) n_frames(4)
-// tiles(2). Each frame follows as one u32 length per tile, then the
-// tile payloads.
+// tiles(2). Each frame follows as one u32 length per tile, the tile
+// payloads, then a u32 CRC-32 of the header and the frame.
 const HEADER_BYTES: usize = 24;
 const WIDTH_OFFSET: usize = 10;
 const HEIGHT_OFFSET: usize = 14;
@@ -66,8 +66,8 @@ fn bad_magic_and_version_are_rejected() {
     ));
 
     // Versions 1–3 (untiled, optionally tiled and tile-indexed payloads)
-    // are retired; only version 4 decodes.
-    for version in [1u8, 2, 3, 5] {
+    // and 4 (no frame checksum) are retired; only version 5 decodes.
+    for version in [1u8, 2, 3, 4, 6] {
         let mut stream = sample_stream();
         stream[4] = version;
         assert!(
@@ -105,18 +105,12 @@ fn hostile_dimensions_hit_the_limit_not_the_allocator() {
     ));
 }
 
+/// Every frame's tile table states its length and a checksum ends it,
+/// so every cut errors: in the header, a table, a payload or a checksum.
 #[test]
-fn every_truncation_point_errors_or_decodes_without_panic() {
+fn every_truncation_point_errors() {
     let stream = sample_stream();
     for cut in 0..stream.len() {
-        // Short prefixes must error; a cut inside the last frame's CABAC
-        // payload may still "decode" (arithmetic decoders read past the
-        // end as zeros) but must never panic.
-        let _ = decode_video(&stream[..cut]);
-    }
-    // Cutting anywhere inside the header or the first tile table must
-    // error.
-    for cut in 0..=HEADER_BYTES + 3 {
         assert!(
             decode_video(&stream[..cut]).is_err(),
             "cut at {cut} decoded"
@@ -140,15 +134,17 @@ fn silent_flips(stream: &[u8]) -> usize {
     silent
 }
 
-/// A flip inside a tile payload has no checksum to fail, but the
-/// decoder's walk must end exactly at the tile's last byte, which almost
-/// every flip breaks. The ceiling is the count measured on this stream.
+/// Every frame ends with the CRC-32 of the stream header and its tile
+/// table, so no flip decodes `Ok` to wrong frames: a flip in the header
+/// or a frame fails that frame's checksum, a flip in a checksum fails the
+/// comparison.
 #[test]
 fn single_byte_flips_are_detected_or_harmless() {
     let stream = sample_stream();
     let silent = silent_flips(&stream);
-    assert!(
-        silent <= 7,
+    assert_eq!(
+        silent,
+        0,
         "{silent}/{} flips decoded wrong",
         3 * stream.len()
     );
@@ -183,7 +179,7 @@ fn bytes_after_the_last_frame_are_refused() {
 }
 
 /// A single-frame two-tile stream: the header, then the tile table — two
-/// u32 lengths at offsets 24 and 28 — and the payloads.
+/// u32 lengths at offsets 24 and 28 — the payloads and the checksum.
 fn tiled_sample_stream() -> Vec<u8> {
     let frames = [Frame::from_fn(64, 64, |x, y| ((x * 5 + y * 3) % 251) as u8)];
     encode_video(&frames, &CodecConfig::default().with_tiles(2))
@@ -216,7 +212,8 @@ fn header_tile_counts_outside_the_geometry_are_refused() {
 
 /// Tile lengths must describe exactly the bytes that follow: a zero
 /// length, a tile past the end and a length off by one either way are
-/// refused, never a panic or an out-of-bounds read.
+/// refused, never a panic or an out-of-bounds read. The structure is
+/// checked before the checksum, so each keeps its own error.
 #[test]
 fn hostile_tile_lengths_are_rejected() {
     let clean = tiled_sample_stream();
@@ -229,7 +226,9 @@ fn hostile_tile_lengths_are_rejected() {
         Err(CodecError::Corrupt("zero-length tile"))
     ));
 
-    for len in [u32::MAX, tile1_len + 1] {
+    // The last tile is followed by the 4-byte checksum, so `+ 5` ends
+    // one byte past the stream.
+    for len in [u32::MAX, tile1_len + 5] {
         let mut stream = clean.clone();
         patch_le_u32(&mut stream, TILE1_LEN_OFFSET, len);
         assert!(
@@ -241,21 +240,29 @@ fn hostile_tile_lengths_are_rejected() {
         );
     }
 
-    // One byte short leaves a byte after the last frame.
+    // One byte long leaves three bytes for the checksum.
+    let mut stream = clean.clone();
+    patch_le_u32(&mut stream, TILE1_LEN_OFFSET, tile1_len + 1);
+    assert!(matches!(
+        decode_video(&stream),
+        Err(CodecError::Truncated("u32 field"))
+    ));
+
+    // One byte short moves the checksum onto the payload's last byte.
     let mut stream = clean.clone();
     patch_le_u32(&mut stream, TILE1_LEN_OFFSET, tile1_len - 1);
     assert!(matches!(decode_video(&stream), Err(CodecError::Corrupt(_))));
 }
 
 /// The flip/truncation sweeps above run on a one-tile-per-frame stream;
-/// sweep a two-tile table too. Every cut into a tile payload leaves that
-/// tile's walk short of its length, so every truncation errors.
+/// sweep a two-tile table too.
 #[test]
 fn tiled_stream_flips_are_detected_and_truncations_error() {
     let stream = tiled_sample_stream();
     let silent = silent_flips(&stream);
-    assert!(
-        silent <= 19,
+    assert_eq!(
+        silent,
+        0,
         "{silent}/{} flips decoded wrong",
         3 * stream.len()
     );

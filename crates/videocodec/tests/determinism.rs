@@ -46,7 +46,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The tile payloads of a video stream, concatenated in stream order:
 /// the 24-byte header states the tile count, then each frame is one
-/// little-endian `u32` length per tile followed by the payloads.
+/// little-endian `u32` length per tile, the payloads and a `u32`
+/// checksum.
 fn tile_payloads(stream: &[u8], n_frames: usize) -> Vec<u8> {
     let n_tiles = usize::from(u16::from_le_bytes([stream[22], stream[23]]));
     let len_at = |at: usize| u32::from_le_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
@@ -56,7 +57,7 @@ fn tile_payloads(stream: &[u8], n_frames: usize) -> Vec<u8> {
         let total: usize = (0..n_tiles).map(|t| len_at(pos + 4 * t)).sum();
         pos += 4 * n_tiles;
         out.extend_from_slice(&stream[pos..pos + total]);
-        pos += total;
+        pos += total + 4;
     }
     assert_eq!(pos, stream.len(), "tile tables cover the stream");
     out
@@ -64,9 +65,9 @@ fn tile_payloads(stream: &[u8], n_frames: usize) -> Vec<u8> {
 
 /// Golden hashes pin video streams across builds and target CPUs, not
 /// just across runs in one process: the FNV-1a of the concatenated tile
-/// payloads (unchanged since format v3, whose tile index carried the same
-/// payloads) and the whole stream's length and hash. Three profiles,
-/// three tile counts, the inter path on.
+/// payloads and the whole stream's length and hash. Three profiles,
+/// three tile counts, the inter path on. Re-pinned once for the
+/// coarse-to-fine mode decision and the format v5 frame checksum.
 #[test]
 fn video_streams_match_golden_hashes() {
     let frames = [
@@ -78,23 +79,23 @@ fn video_streams_match_golden_hashes() {
         (
             Profile::h265(),
             2,
-            0xc191_8942_baf1_4875u64,
-            2268,
-            0x8e5f_b1d0_9499_5eebu64,
+            0x89f7_b829_eb6c_d7aeu64,
+            2249,
+            0x1a37_d991_8e18_a839u64,
         ),
         (
             Profile::h264(),
             3,
-            0x602d_8f57_f8b0_82cf,
-            2397,
-            0x0128_32a2_9707_1d64,
+            0x0d77_7915_f23b_488a,
+            2409,
+            0xbd43_149e_5f19_fb60,
         ),
         (
             Profile::av1(),
             1,
-            0xd7b2_01e8_eb91_3919,
-            2142,
-            0xed78_16bf_1884_b427,
+            0xe6aa_8116_e43f_e398,
+            2124,
+            0xf0eb_1739_0647_9265,
         ),
     ];
     for (profile, tiles, payload_fnv, len, stream_fnv) in cases {

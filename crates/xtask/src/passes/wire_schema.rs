@@ -103,12 +103,14 @@ const LAYERS: &[(&str, &str, &str)] = &[
         "write_stream_header",
         "parse_stream_header",
     ),
+    ("frame-record", "write_frame_record", "parse_frame_record"),
     (
         "coding-fields",
         "write_coding_fields",
         "parse_coding_fields",
     ),
     ("tiles", "write_tiles", "parse_tiles"),
+    ("checksum", "write_checksum", "parse_checksum"),
     ("frame-payload", "code_payload", "parse_payload"),
     ("coding-unit", "code_cu", "parse_cu"),
     ("leaf", "code_leaf", "parse_leaf"),
@@ -387,9 +389,10 @@ pub fn spec(index: &Index, contracts: &[Contract]) -> (String, String) {
          the normative direction) and proves dual to the encoder: same field order,\n\
          same widths, same guard structure. Syntax-element layers are generic over\n\
          `BinSink`/`BinSource`; CABAC is the one entropy coder of both stream kinds,\n\
-         and every stream-flag bit is reserved (writers write 0, readers refuse a set\n\
-         bit). `trusted` layers are arithmetic duals pinned by the named round-trip\n\
-         test instead of a structural proof.\n\n\
+         every stream-flag bit is reserved (writers write 0, readers refuse a set\n\
+         bit), and each tensor chunk record and video frame ends with a CRC-32 of\n\
+         its stream header and itself. `trusted` layers are arithmetic duals pinned\n\
+         by the named round-trip test instead of a structural proof.\n\n\
          Grammar notation: `bits(w)` a `w`-bit big-endian field, `byte`/`le16`/\n\
          `le32`/`le64` little-endian byte fields, `ue`/`se` exp-Golomb, `bit(c)` a\n\
          context-coded bin on context `c`, `bypass`/`bypass_bits(w)` equiprobable\n\
