@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 
 use llm265_bench::json::{self, BenchRun, HardwareTargets, ThreadedSample};
 use llm265_bench::microbench::Group;
-use llm265_core::{Llm265Codec, Llm265Config, RateTarget, TensorCodec};
+use llm265_core::{Llm265Codec, Llm265Config, RateTarget, TensorCodec, TensorStreamIndex};
 use llm265_tensor::rng::Pcg32;
 use llm265_tensor::synthetic::{llm_weight, WeightProfile};
 use llm265_tensor::Tensor;
@@ -241,6 +241,20 @@ fn main() {
         g.bench(&format!("encode_nmse02/t{t}"), || {
             codec_rate
                 .encode(&rate, RateTarget::MaxNormalizedMse(0.02))
+                .expect("bench encode succeeds")
+        });
+        // The same tensor at the QP the bits search settles on: one full
+        // search, so `encode_bits3 / encode_bits3_qp` within one run is
+        // what the rate search costs in whole encodes.
+        let settled = codec_rate
+            .encode(&rate, RateTarget::BitsPerValue(3.0))
+            .expect("bench encode succeeds");
+        let qp = TensorStreamIndex::parse(settled.bytes())
+            .expect("bench stream parses")
+            .qp();
+        g.bench(&format!("encode_bits3_qp/t{t}"), || {
+            codec_rate
+                .encode(&rate, RateTarget::Qp(qp))
                 .expect("bench encode succeeds")
         });
 

@@ -102,6 +102,10 @@ impl TensorArchive {
             write_archive_entry(&mut out, name, codec.encode(t, target)?.bytes())?;
             entries.push((name.clone(), t.rows(), t.cols()));
         }
+        // The archive is kept, so drop the growth slack: without this its
+        // capacity, and a loader's peak heap, swing by up to the size of
+        // the archive with the last entry's length.
+        out.shrink_to_fit();
         Ok(TensorArchive {
             bytes: out,
             entries,

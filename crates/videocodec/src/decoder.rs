@@ -10,16 +10,21 @@ use crate::encoder::{MAGIC, VERSION};
 use crate::inter::{compensate, MotionVector};
 use crate::intra::RefSamples;
 use crate::recon::Recon;
-use crate::syntax::{parse_residual, BinSource, Contexts};
+use crate::syntax::{parse_levels, BinSource, Contexts};
 use crate::tile::{self, TileLayout, MAX_TILES};
 use crate::transform::DctPlans;
 use crate::{CodecConfig, CodecError, Frame, PipelineConfig, Profile};
 
 /// Everything a tile decode needs: the reconstruction the encoder runs,
-/// plus the previous-mode predictor the parser tracks.
+/// the previous-mode predictor the parser tracks, and per-leaf scratch
+/// (the prediction, the reconstructed block and one TU's levels), reused
+/// by every leaf of the tile.
 struct FrameDecoder<'a> {
     rc: Recon<'a>,
     prev_mode: u8,
+    pred: Vec<i32>,
+    block: Vec<i32>,
+    levels: Vec<i32>,
 }
 
 impl FrameDecoder<'_> {
@@ -60,7 +65,7 @@ impl FrameDecoder<'_> {
     ) -> Result<(), CodecError> {
         // Prediction kind + parameters.
         let is_inter = self.rc.frame_inter && dec.bit(&mut ctxs.inter_flag);
-        let pred: Vec<i32> = if is_inter {
+        if is_inter {
             let dx = parse_signed_eg(dec)?;
             let dy = parse_signed_eg(dec)?;
             let mv = MotionVector {
@@ -71,7 +76,7 @@ impl FrameDecoder<'_> {
                 .rc
                 .prev
                 .ok_or(CodecError::Corrupt("inter block without reference frame"))?;
-            compensate(prev, x0, y0, size, mv)
+            compensate(prev, x0, y0, size, mv, &mut self.pred);
         } else if self.rc.cfg.pipeline.intra {
             let n_modes = self.rc.cfg.profile.modes().len();
             let idx = if dec.bit(&mut ctxs.mpm) {
@@ -86,24 +91,29 @@ impl FrameDecoder<'_> {
             }
             self.prev_mode = idx;
             let refs = RefSamples::gather(&self.rc.frame, x0, y0, size);
-            refs.predict(self.rc.cfg.profile.modes()[usize::from(idx)])
+            refs.predict_into(
+                self.rc.cfg.profile.modes()[usize::from(idx)],
+                &mut self.pred,
+            );
         } else {
-            vec![128; size * size]
-        };
+            self.pred.clear();
+            self.pred.resize(size * size, 128);
+        }
 
-        // Residual per TU, reconstructed as the encoder did.
+        // Residual per TU, reconstructed as the encoder did. Every sample
+        // of the block is written by exactly one TU.
         let tu = self.rc.tu_size(size);
         let per_side = size / tu;
         let spatial = !self.rc.cfg.pipeline.transform;
-        let mut block = vec![0i32; size * size];
+        self.block.resize(size * size, 0);
         for ty in 0..per_side {
             for tx in 0..per_side {
-                let levels = parse_residual(dec, ctxs, tu, spatial)?;
-                self.rc.reconstruct_tu(&levels, tu);
-                self.rc.add_tu(&pred, &mut block, size, tx, ty);
+                parse_levels(dec, ctxs, tu, spatial, &mut self.levels)?;
+                self.rc.reconstruct_tu(&self.levels, tu);
+                self.rc.add_tu(&self.pred, &mut self.block, size, tx, ty);
             }
         }
-        self.rc.frame.write_block(x0, y0, size, &block);
+        self.rc.frame.write_block(x0, y0, size, &self.block);
         Ok(())
     }
 }
@@ -301,6 +311,9 @@ pub(crate) fn decode_frame(
     let mut fd = FrameDecoder {
         rc: Recon::new(cfg, plans, pw, ph, prev, frame_idx),
         prev_mode: 0,
+        pred: Vec::new(),
+        block: Vec::new(),
+        levels: Vec::new(),
     };
     let mut dec = CabacDecoder::new(payload);
     parse_payload(&mut fd, &mut dec, pw, ph, ctu)?;

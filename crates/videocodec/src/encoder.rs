@@ -23,10 +23,10 @@ use llm265_bitstream::cabac::CabacEncoder;
 use llm265_bitstream::crc32::Crc32;
 
 use crate::inter::{compensate, motion_search, MotionVector};
-use crate::intra::{PredMode, RefSamples};
+use crate::intra::{PredMode, RefSamples, SweepLines};
 use crate::quant::lambda;
 use crate::recon::Recon;
-use crate::syntax::{code_residual, BinSink, BitCounter, Contexts};
+use crate::syntax::{code_levels, BinSink, BitCounter, Contexts};
 use crate::tile::{self, wire_u32, TileLayout};
 use crate::transform::{satd, DctPlans};
 use crate::{CodecConfig, CodecError, EncodedVideo, Frame};
@@ -68,6 +68,48 @@ pub(crate) struct LeafData {
 pub(crate) enum CuNode {
     Split(Vec<CuNode>),
     Leaf(LeafData),
+}
+
+/// The split shape of one tile's decided coding trees: the split flag
+/// of every node that codes one (`size > min_cu` on an adaptive tree),
+/// in coding order. Nothing else of the decision is kept — no modes, no
+/// levels — so a shape costs one byte per flag.
+///
+/// A rate search keeps its first probe's shapes and hands them to every
+/// later probe as a ceiling ([`crate::tile::probe_tile`]): a
+/// kept split is forced, and a kept leaf searches itself and the one
+/// level below it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CuShape {
+    splits: Vec<bool>,
+}
+
+impl CuShape {
+    /// Appends the flags of `node`, a `size`-square CU.
+    fn record(&mut self, node: &CuNode, size: usize, min_cu: usize, adaptive: bool) {
+        if adaptive && size > min_cu {
+            self.splits.push(matches!(node, CuNode::Split(_)));
+        }
+        if let CuNode::Split(children) = node {
+            for child in children {
+                self.record(child, size / 2, min_cu, adaptive);
+            }
+        }
+    }
+}
+
+/// How far [`FrameCoder::decide_cu`] searches below a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Search {
+    /// Every split the profile allows, down to `min_cu`.
+    Full,
+    /// The kept shape's next node: a kept split is forced (no leaf is
+    /// evaluated, its flag is still counted), and a kept leaf weighs
+    /// itself against one split into [`Search::Floor`] quadrants.
+    Kept,
+    /// One level below a kept leaf: a leaf, whose split flag of 0 is
+    /// counted wherever it is coded.
+    Floor,
 }
 
 /// Coder state that must stay in lock-step between decide and emit: the
@@ -205,6 +247,8 @@ struct Scratch {
     /// The candidate being evaluated and the best one so far.
     cur: Trial,
     best: Trial,
+    /// The SAD sweep's reference lines, refilled once per leaf.
+    lines: SweepLines,
 }
 
 /// Everything a single frame encode needs: the source, the RD
@@ -214,6 +258,10 @@ struct FrameCoder<'a> {
     lambda: f64,
     scratch: Scratch,
     rc: Recon<'a>,
+    /// The split flags of the kept shape this encode searches below
+    /// (empty for a full search), and the position of the next one.
+    kept: &'a [bool],
+    kept_pos: usize,
 }
 
 impl FrameCoder<'_> {
@@ -298,7 +346,7 @@ impl FrameCoder<'_> {
         }
         let tu = self.rc.tu_size(size);
         for levels in tus {
-            code_residual(
+            code_levels(
                 sink,
                 &mut state.ctxs,
                 levels,
@@ -339,11 +387,9 @@ impl FrameCoder<'_> {
             }
             let modes = self.rc.cfg.profile.modes();
             let mpm = state.prev_mode;
-            let (leaf, leaf_t) = (&s.leaf_orig, &s.leaf_t);
+            let mut sad = refs.sad_sweep(&mut s.lines, &s.leaf_orig, &s.leaf_t);
             let sweep = ModeSweep::run(modes, mpm, |which, sweep| {
-                refs.sad_sweep(modes, which, leaf, leaf_t, |i, sad| {
-                    sweep.record(modes, i, sad);
-                });
+                sad.score(modes, which, |i, sad| sweep.record(modes, i, sad));
             });
             // Predict the SAD survivors and re-rank them by SATD plus the
             // mode's own bits; `(cost, SAD rank)` keys are unique.
@@ -370,7 +416,7 @@ impl FrameCoder<'_> {
         if self.rc.frame_inter {
             if let Some(prev) = self.rc.prev {
                 let (mv, _) = motion_search(self.orig, prev, x0, y0, size);
-                s.preds[SAD_CANDIDATES] = compensate(prev, x0, y0, size, mv);
+                compensate(prev, x0, y0, size, mv, &mut s.preds[SAD_CANDIDATES]);
                 cands[n_cands] = (CuKind::Inter(mv), SAD_CANDIDATES);
                 n_cands += 1;
             }
@@ -411,13 +457,15 @@ impl FrameCoder<'_> {
         (LeafData { kind, tus }, cost)
     }
 
-    /// Recursively decides the coding tree for a CU.
+    /// Recursively decides the coding tree for a CU, searching as deep as
+    /// `search` allows.
     fn decide_cu(
         &mut self,
         x0: usize,
         y0: usize,
         size: usize,
         state: &mut CoderState,
+        search: Search,
     ) -> (CuNode, f64) {
         if size <= self.rc.min_cu {
             let (leaf, cost) = self.decide_leaf(x0, y0, size, state);
@@ -425,37 +473,68 @@ impl FrameCoder<'_> {
         }
         if !self.rc.cfg.pipeline.adaptive_partition {
             // Implied splits down to the fixed grid; no flags coded.
-            return self.decide_split(x0, y0, size, state, 0.0, f64::INFINITY);
+            return self.decide_split(x0, y0, size, state, 0.0, f64::INFINITY, search);
         }
+        let below = match search {
+            Search::Full => Some(Search::Full),
+            Search::Floor => None,
+            // A shape recorded on this tile's geometry has a flag here; a
+            // missing one reads as a leaf.
+            Search::Kept => {
+                let split = self.kept.get(self.kept_pos) == Some(&true);
+                self.kept_pos += 1;
+                if split {
+                    let flag_cost = self.flag_cost(state, true);
+                    return self.decide_split(
+                        x0,
+                        y0,
+                        size,
+                        state,
+                        flag_cost,
+                        f64::INFINITY,
+                        search,
+                    );
+                }
+                Some(Search::Floor)
+            }
+        };
 
-        let saved_region = self.rc.frame.save_region(x0, y0, size);
-        let base_state = state.clone();
+        // One level below a kept leaf: the leaf alone.
+        let Some(below) = below else {
+            let flag_cost = self.flag_cost(state, false);
+            let (leaf, leaf_cost) = self.decide_leaf(x0, y0, size, state);
+            return (CuNode::Leaf(leaf), leaf_cost + flag_cost);
+        };
 
         // Branch A: code as one leaf (split flag = 0).
-        let mut st_leaf = base_state.clone();
-        let mut flag_cost = BitCounter::new();
-        flag_cost.bit(&mut st_leaf.ctxs.split, false);
+        let saved_region = self.rc.frame.save_region(x0, y0, size);
+        let mut st_leaf = state.clone();
+        let flag_cost = self.flag_cost(&mut st_leaf, false);
         let (leaf, leaf_cost) = self.decide_leaf(x0, y0, size, &mut st_leaf);
-        let cost_leaf = leaf_cost + self.lambda * flag_cost.bits();
+        let cost_leaf = leaf_cost + flag_cost;
         let leaf_region = self.rc.frame.save_region(x0, y0, size);
 
         // Branch B: split into four (split flag = 1).
         self.rc.frame.restore_region(x0, y0, size, &saved_region);
-        let mut st_split = base_state;
-        let mut flag_cost = BitCounter::new();
-        flag_cost.bit(&mut st_split.ctxs.split, true);
-        let flag_cost = self.lambda * flag_cost.bits();
+        let flag_cost = self.flag_cost(state, true);
         let (split, cost_split) =
-            self.decide_split(x0, y0, size, &mut st_split, flag_cost, cost_leaf);
+            self.decide_split(x0, y0, size, state, flag_cost, cost_leaf, below);
 
         if cost_leaf <= cost_split {
             self.rc.frame.restore_region(x0, y0, size, &leaf_region);
             *state = st_leaf;
             (CuNode::Leaf(leaf), cost_leaf)
         } else {
-            *state = st_split;
             (split, cost_split)
         }
+    }
+
+    /// Counts a split flag into `state`'s contexts and returns its RD
+    /// cost, `λ·bits`.
+    fn flag_cost(&self, state: &mut CoderState, split: bool) -> f64 {
+        let mut counter = BitCounter::new();
+        counter.bit(&mut state.ctxs.split, split);
+        self.lambda * counter.bits()
     }
 
     /// Decides the four quadrants of a split CU, adding their costs to
@@ -469,7 +548,8 @@ impl FrameCoder<'_> {
     /// would also be `>= bound`, and `decide_cu`'s `cost_leaf <=
     /// cost_split` would pick the leaf exactly as after the full walk.
     /// The partial tree, state and reconstruction are discarded with the
-    /// split branch.
+    /// split branch. Each quadrant searches as deep as `search` allows.
+    #[allow(clippy::too_many_arguments)]
     fn decide_split(
         &mut self,
         x0: usize,
@@ -478,6 +558,7 @@ impl FrameCoder<'_> {
         state: &mut CoderState,
         mut cost: f64,
         bound: f64,
+        search: Search,
     ) -> (CuNode, f64) {
         let half = size / 2;
         let mut children = Vec::with_capacity(4);
@@ -485,7 +566,7 @@ impl FrameCoder<'_> {
             if cost >= bound {
                 break;
             }
-            let (node, c) = self.decide_cu(x0 + dx, y0 + dy, half, state);
+            let (node, c) = self.decide_cu(x0 + dx, y0 + dy, half, state, search);
             children.push(node);
             cost += c;
         }
@@ -548,29 +629,39 @@ pub(crate) fn code_signed_eg<S: BinSink>(sink: &mut S, v: i32) {
 
 /// Encodes one frame (already padded to the CTU size) as a standalone
 /// entropy-coded payload — in streams, always one tile band of a frame
-/// (see [`crate::tile::encode_tile`]). Returns the payload and its padded
-/// reconstruction.
+/// (see [`crate::tile::encode_tile`]). Searches the whole coding tree,
+/// or only below `kept`, a shape decided earlier on the same band (see
+/// [`CuShape`]). Returns the payload, its padded reconstruction and the
+/// decided shape.
 pub(crate) fn encode_frame(
     orig: &Frame,
     prev: Option<&Frame>,
     cfg: &CodecConfig,
     plans: &DctPlans,
     frame_idx: usize,
-) -> (Vec<u8>, Frame) {
+    kept: Option<&CuShape>,
+) -> (Vec<u8>, Frame, CuShape) {
     let mut coder = FrameCoder {
         orig,
         lambda: lambda(cfg.qp),
         scratch: Scratch::default(),
         rc: Recon::new(cfg, plans, orig.width(), orig.height(), prev, frame_idx),
+        kept: kept.map_or(&[], |k| &k.splits),
+        kept_pos: 0,
     };
     let ctu = cfg.profile.ctu();
+    let search = if kept.is_some() {
+        Search::Kept
+    } else {
+        Search::Full
+    };
 
     // Phase 1: decide.
     let mut state = CoderState::new();
     let mut trees = Vec::new();
     for cy in (0..orig.height()).step_by(ctu) {
         for cx in (0..orig.width()).step_by(ctu) {
-            let (node, _cost) = coder.decide_cu(cx, cy, ctu, &mut state);
+            let (node, _cost) = coder.decide_cu(cx, cy, ctu, &mut state, search);
             trees.push(node);
         }
     }
@@ -578,7 +669,12 @@ pub(crate) fn encode_frame(
     // Phase 2: emit.
     let mut enc = CabacEncoder::new();
     code_payload(&coder, &trees, ctu, &mut enc);
-    (enc.finish(), coder.rc.frame)
+    let mut shape = CuShape::default();
+    let adaptive = cfg.pipeline.adaptive_partition;
+    for node in &trees {
+        shape.record(node, ctu, coder.rc.min_cu, adaptive);
+    }
+    (enc.finish(), coder.rc.frame, shape)
 }
 
 /// Replays every decided CTU tree of a frame payload through `enc` — the
@@ -713,7 +809,164 @@ pub(crate) fn encode_video(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tile::{probe_tile, TileLayout};
     use crate::Profile;
+    use llm265_tensor::rng::Pcg32;
+    use llm265_tensor::synthetic::{llm_gradient, llm_weight, GradientProfile, WeightProfile};
+    use llm265_tensor::Tensor;
+
+    /// A tensor mapped to 8 bits as the tensor codec's chunker maps it.
+    fn tensor_frame(t: &Tensor) -> Frame {
+        let (lo, hi) = t.min_max();
+        let scale = (hi - lo).max(1e-9) / 255.0;
+        Frame::from_fn(t.cols(), t.rows(), |x, y| {
+            (((t[(y, x)] - lo) / scale).round() as i32).clamp(0, 255) as u8
+        })
+    }
+
+    /// Weight and gradient frames, two CTU rows each.
+    fn frames() -> Vec<Frame> {
+        let mut rng = Pcg32::seed_from(11);
+        vec![
+            tensor_frame(&llm_weight(64, 96, &WeightProfile::default(), &mut rng)),
+            tensor_frame(&llm_gradient(64, 96, &GradientProfile::default(), &mut rng)),
+        ]
+    }
+
+    /// The leaves of a shape recorded on a `w × h` padded band, as
+    /// `(x, y, size)`.
+    fn leaves(
+        shape: &CuShape,
+        w: usize,
+        h: usize,
+        ctu: usize,
+        min_cu: usize,
+    ) -> Vec<(usize, usize, usize)> {
+        fn walk(
+            flags: &mut std::slice::Iter<'_, bool>,
+            (x, y, size): (usize, usize, usize),
+            min_cu: usize,
+            out: &mut Vec<(usize, usize, usize)>,
+        ) {
+            if size > min_cu && *flags.next().expect("a flag per node") {
+                let half = size / 2;
+                for (dx, dy) in [(0, 0), (half, 0), (0, half), (half, half)] {
+                    walk(flags, (x + dx, y + dy, half), min_cu, out);
+                }
+            } else {
+                out.push((x, y, size));
+            }
+        }
+        let mut flags = shape.splits.iter();
+        let mut out = Vec::new();
+        for y in (0..h).step_by(ctu) {
+            for x in (0..w).step_by(ctu) {
+                walk(&mut flags, (x, y, ctu), min_cu, &mut out);
+            }
+        }
+        assert!(flags.next().is_none(), "flags left over");
+        out
+    }
+
+    /// Encodes every tile of `frame` at `qp`, below `kept` when given;
+    /// returns the total bits, the SSE and the shapes.
+    fn encode_tiles(
+        frame: &Frame,
+        cfg: &CodecConfig,
+        qp: f64,
+        kept: Option<&[CuShape]>,
+    ) -> (usize, u64, Vec<CuShape>) {
+        let ctu = cfg.profile.ctu();
+        let layout = TileLayout::for_frame(frame.width(), frame.height(), ctu, 8);
+        let padded = frame.padded_to(ctu);
+        let cfg = cfg.clone().with_qp(qp);
+        let plans = DctPlans::new();
+        let (mut bits, mut sse, mut shapes) = (0, 0, Vec::new());
+        for t in 0..layout.n_tiles() {
+            let shape = kept.map(|k| &k[t]);
+            let (payload, recon, decided) = probe_tile(&padded, &cfg, &plans, &layout, t, shape);
+            let (y0, band_h) = layout.band(t);
+            bits += 8 * payload.len();
+            sse += crate::tile::band_of(&padded, y0, band_h).ssd(&recon);
+            shapes.push(decided);
+        }
+        (bits, sse, shapes)
+    }
+
+    /// At the QP its shape was kept at, a probe that searches below the
+    /// shape lands within 1% of the full search in bits and in SSE. On a
+    /// fixed grid the shape is empty and the probe is the full search.
+    #[test]
+    fn a_kept_shape_reproduces_the_full_search_at_its_own_qp() {
+        let fixed_grid = CodecConfig {
+            pipeline: crate::PipelineConfig {
+                adaptive_partition: false,
+                ..crate::PipelineConfig::default()
+            },
+            ..CodecConfig::default()
+        };
+        for frame in frames() {
+            let (bits, sse, shapes) = encode_tiles(&frame, &fixed_grid, 26.0, None);
+            assert!(shapes.iter().all(|s| s.splits.is_empty()));
+            let reused = encode_tiles(&frame, &fixed_grid, 26.0, Some(&shapes));
+            assert_eq!((reused.0, reused.1), (bits, sse));
+        }
+        for profile in [Profile::h265(), Profile::av1()] {
+            let cfg = CodecConfig {
+                profile,
+                ..CodecConfig::default()
+            };
+            for (f, frame) in frames().iter().enumerate() {
+                for qp in [18.0, 26.0, 34.0] {
+                    let (bits, sse, shapes) = encode_tiles(frame, &cfg, qp, None);
+                    let (kept_bits, kept_sse, _) = encode_tiles(frame, &cfg, qp, Some(&shapes));
+                    let d_bits = kept_bits.abs_diff(bits) as f64 / bits as f64;
+                    let d_sse = kept_sse.abs_diff(sse) as f64 / sse as f64;
+                    assert!(
+                        d_bits <= 0.01,
+                        "frame {f} qp {qp}: bits {bits} vs {kept_bits}"
+                    );
+                    assert!(d_sse <= 0.01, "frame {f} qp {qp}: sse {sse} vs {kept_sse}");
+                }
+            }
+        }
+    }
+
+    /// Below a kept shape, every decided leaf lies inside one kept leaf
+    /// (no kept split is undone) and is that leaf or one of its quarters.
+    #[test]
+    fn reused_leaves_sit_at_or_one_level_below_the_kept_leaves() {
+        let cfg = CodecConfig::default();
+        let (ctu, min_cu) = (cfg.profile.ctu(), cfg.profile.min_cu());
+        let mut moved = 0;
+        for frame in frames() {
+            let (w, h) = (frame.width().div_ceil(ctu) * ctu, frame.height());
+            let (_, _, kept) = encode_tiles(&frame, &cfg, 26.0, None);
+            for qp in [14.0, 22.0, 30.0, 40.0] {
+                let (_, _, reused) = encode_tiles(&frame, &cfg, qp, Some(&kept));
+                for (k, r) in kept.iter().zip(&reused) {
+                    let band_h = h / kept.len();
+                    let kept_leaves = leaves(k, w, band_h, ctu, min_cu);
+                    for &(x, y, size) in &leaves(r, w, band_h, ctu, min_cu) {
+                        let (_, _, outer) = kept_leaves
+                            .iter()
+                            .copied()
+                            .find(|&(kx, ky, ks)| {
+                                (kx..kx + ks).contains(&x) && (ky..ky + ks).contains(&y)
+                            })
+                            .expect("a kept leaf covers every pixel");
+                        assert!(
+                            size == outer || 2 * size == outer,
+                            "qp {qp}: leaf {size} at ({x},{y}) under a kept {outer}"
+                        );
+                        moved += usize::from(size != outer);
+                    }
+                }
+            }
+        }
+        // The floor is searched, not just allowed.
+        assert!(moved > 0, "no reused leaf went below its kept leaf");
+    }
 
     /// Runs the sweep on synthetic SADs; returns it and how often each
     /// mode was scored.

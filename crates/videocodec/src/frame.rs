@@ -127,7 +127,11 @@ impl Frame {
             width <= self.width && height <= self.height,
             "crop too large"
         );
-        Frame::from_fn(width, height, |x, y| self.get(x, y))
+        let mut data = Vec::with_capacity(width * height);
+        for row in self.data.chunks_exact(self.width.max(1)).take(height) {
+            data.extend_from_slice(&row[..width]);
+        }
+        Frame::from_vec(width, height, data)
     }
 
     /// Copies the `size × size` block at `(x0, y0)` into `out`.

@@ -82,18 +82,26 @@ pub fn motion_search(
     (best, best_cost)
 }
 
-/// Builds the motion-compensated prediction block for `mv`.
-pub fn compensate(reference: &Frame, x0: usize, y0: usize, n: usize, mv: MotionVector) -> Vec<i32> {
-    let mut out = vec![0i32; n * n];
-    for y in 0..n {
-        for x in 0..n {
-            out[y * n + x] = reference.get_clamped(
+/// Builds the motion-compensated prediction block for `mv` in `out`,
+/// resized to `n × n`: the encoder and decoder predict every inter leaf
+/// into their scratch.
+pub fn compensate(
+    reference: &Frame,
+    x0: usize,
+    y0: usize,
+    n: usize,
+    mv: MotionVector,
+    out: &mut Vec<i32>,
+) {
+    out.resize(n * n, 0);
+    for (y, row) in out.chunks_exact_mut(n).enumerate() {
+        for (x, o) in row.iter_mut().enumerate() {
+            *o = reference.get_clamped(
                 isize::try_from(x0 + x).unwrap_or(isize::MAX) + isize::from(mv.dx),
                 isize::try_from(y0 + y).unwrap_or(isize::MAX) + isize::from(mv.dy),
             ) as i32;
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -122,7 +130,8 @@ mod tests {
         let (mv, _) = motion_search(&cur, &reference, 24, 24, 16);
         assert_eq!((mv.dx, mv.dy), (-3, -2));
         // Compensation with the found MV reproduces the block exactly.
-        let pred = compensate(&reference, 24, 24, 16, mv);
+        let mut pred = Vec::new();
+        compensate(&reference, 24, 24, 16, mv, &mut pred);
         for y in 0..16 {
             for x in 0..16 {
                 assert_eq!(pred[y * 16 + x], cur.get(24 + x, 24 + y) as i32);
@@ -142,7 +151,15 @@ mod tests {
     #[test]
     fn compensation_clamps_at_edges() {
         let reference = textured(32, 32);
-        let pred = compensate(&reference, 0, 0, 8, MotionVector { dx: -5, dy: -5 });
+        let mut pred = vec![7; 100];
+        compensate(
+            &reference,
+            0,
+            0,
+            8,
+            MotionVector { dx: -5, dy: -5 },
+            &mut pred,
+        );
         // All reads clamp to the frame's top-left region; first pixel is (0,0).
         assert_eq!(pred[0], reference.get(0, 0) as i32);
         assert_eq!(pred.len(), 64);

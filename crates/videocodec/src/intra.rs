@@ -188,10 +188,90 @@ fn angular_line<'r>(a: &'r [i32], b: &'r [i32], frac: i32) -> impl Iterator<Item
 /// The non-negative part depends only on the direction. Each negative
 /// angle projects the side reference into `x < 0` in place, and writes
 /// every negative slot its lines then read (`x > (N·angle) >> 5`), so one
-/// array serves all of a direction's modes in the SAD sweep. `4N >= 3N +
-/// 2` for every block size, and sizing the array by the block keeps its
-/// initialisation small for small blocks.
+/// array serves all of a direction's modes, in any order: a slot no mode
+/// wrote is never read. `4N >= 3N + 2` for every block size, and sizing
+/// the array by the block keeps its initialisation small for small
+/// blocks.
 type RefLine<const N: usize> = [[i32; N]; 4];
+
+/// Both directions' extended reference lines ([`RefLine`]) at the largest
+/// block size: the SAD sweep's workspace. A coder keeps one and
+/// [`RefSamples::sad_sweep`] refills its prefix once per block, however
+/// many sweep steps then score modes against it.
+#[derive(Debug, Clone)]
+pub(crate) struct SweepLines {
+    vert: [i32; 4 * MAX_N],
+    horz: [i32; 4 * MAX_N],
+}
+
+impl Default for SweepLines {
+    fn default() -> Self {
+        SweepLines {
+            vert: [0; 4 * MAX_N],
+            horz: [0; 4 * MAX_N],
+        }
+    }
+}
+
+/// The intra SAD sweep of one block against its original: the block's
+/// reference samples and both directions' reference lines, built once
+/// ([`RefSamples::sad_sweep`]).
+pub(crate) struct SadSweep<'a> {
+    refs: &'a RefSamples,
+    lines: &'a mut SweepLines,
+    /// The `n × n` original (row-major) and its transpose.
+    leaf: &'a [i32],
+    leaf_t: &'a [i32],
+}
+
+impl SadSweep<'_> {
+    /// Calls `score(i, sad)` with the sum of absolute differences between
+    /// `modes[i]`'s prediction and the leaf, for every index `i` of
+    /// `which` in order, without building any prediction block. Each SAD
+    /// equals that of [`RefSamples::predict_into`]'s block by
+    /// construction: both run the same line kernels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index of `which` is out of range of `modes`.
+    pub(crate) fn score(&mut self, modes: &[PredMode], which: &[u8], score: impl FnMut(u8, u64)) {
+        match self.refs.n {
+            4 => self.run::<4>(modes, which, score),
+            8 => self.run::<8>(modes, which, score),
+            16 => self.run::<16>(modes, which, score),
+            _ => self.run::<32>(modes, which, score),
+        }
+    }
+
+    fn run<const N: usize>(
+        &mut self,
+        modes: &[PredMode],
+        which: &[u8],
+        mut score: impl FnMut(u8, u64),
+    ) {
+        let refs = self.refs;
+        for &i in which {
+            let mode = modes[usize::from(i)];
+            let mut sink = SadSink {
+                leaf: self.leaf,
+                leaf_t: self.leaf_t,
+                sum: 0,
+            };
+            match mode {
+                PredMode::Angular(m) => {
+                    let line = if is_vertical(m) {
+                        &mut self.lines.vert
+                    } else {
+                        &mut self.lines.horz
+                    };
+                    refs.angular_lines::<N, _>(m, &mut line[..4 * N], &mut sink);
+                }
+                _ => refs.lines::<N, _>(mode, &mut sink),
+            }
+            score(i, sink.sum);
+        }
+    }
+}
 
 impl RefSamples {
     /// Gathers reference samples for the block at `(x0, y0)`.
@@ -278,59 +358,24 @@ impl RefSamples {
         }
     }
 
-    /// The intra mode sweep: calls `score(i, sad)` with the sum of
-    /// absolute differences between `modes[i]`'s prediction and the leaf,
-    /// for every index `i` of `which` in order, without building any
-    /// prediction block. `leaf` is the `n × n` original (row-major) and
-    /// `leaf_t` its transpose. Each SAD equals that of
-    /// [`Self::predict_into`]'s block by construction: both run the same
-    /// line kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index of `which` is out of range of `modes`.
-    pub(crate) fn sad_sweep(
-        &self,
-        modes: &[PredMode],
-        which: &[u8],
-        leaf: &[i32],
-        leaf_t: &[i32],
-        score: impl FnMut(u8, u64),
-    ) {
-        match self.n {
-            4 => self.sweep::<4>(modes, which, leaf, leaf_t, score),
-            8 => self.sweep::<8>(modes, which, leaf, leaf_t, score),
-            16 => self.sweep::<16>(modes, which, leaf, leaf_t, score),
-            _ => self.sweep::<32>(modes, which, leaf, leaf_t, score),
-        }
-    }
-
-    fn sweep<const N: usize>(
-        &self,
-        modes: &[PredMode],
-        which: &[u8],
-        leaf: &[i32],
-        leaf_t: &[i32],
-        mut score: impl FnMut(u8, u64),
-    ) {
-        // Both directions' reference lines, shared by all angular modes.
-        let mut vert = self.ref_line::<N>(true);
-        let mut horz = self.ref_line::<N>(false);
-        for &i in which {
-            let mode = modes[usize::from(i)];
-            let mut sink = SadSink {
-                leaf,
-                leaf_t,
-                sum: 0,
-            };
-            match mode {
-                PredMode::Angular(m) => {
-                    let line = if is_vertical(m) { &mut vert } else { &mut horz };
-                    self.angular_lines::<N, _>(m, line, &mut sink);
-                }
-                _ => self.lines::<N, _>(mode, &mut sink),
-            }
-            score(i, sink.sum);
+    /// Starts the intra mode sweep of this block against `leaf`, its
+    /// `n × n` original (row-major), and `leaf_t`, the transpose: fills
+    /// both directions' reference lines into `lines` once, for every
+    /// [`SadSweep::score`] call that follows.
+    pub(crate) fn sad_sweep<'a>(
+        &'a self,
+        lines: &'a mut SweepLines,
+        leaf: &'a [i32],
+        leaf_t: &'a [i32],
+    ) -> SadSweep<'a> {
+        let n = self.n;
+        self.fill_ref_line(true, n, &mut lines.vert);
+        self.fill_ref_line(false, n, &mut lines.horz);
+        SadSweep {
+            refs: self,
+            lines,
+            leaf,
+            leaf_t,
         }
     }
 
@@ -344,8 +389,9 @@ impl RefSamples {
             PredMode::Dc => self.dc_lines::<N, S>(sink),
             PredMode::Planar => self.planar_lines::<N, S>(sink),
             PredMode::Angular(m) => {
-                let mut line = self.ref_line::<N>(is_vertical(m));
-                self.angular_lines::<N, S>(m, &mut line, sink);
+                let mut line: RefLine<N> = [[0; N]; 4];
+                self.fill_ref_line(is_vertical(m), N, line.as_flattened_mut());
+                self.angular_lines::<N, S>(m, line.as_flattened_mut(), sink);
             }
             PredMode::Paeth => self.paeth_lines::<N, S>(sink),
             PredMode::Smooth => self.smooth_lines::<N, S>(true, true, sink),
@@ -381,26 +427,25 @@ impl RefSamples {
         }
     }
 
-    /// The direction-fixed part of the extended reference (see
-    /// [`RefLine`]); the negative part is left for `angular_lines`.
-    fn ref_line<const N: usize>(&self, vertical: bool) -> RefLine<N> {
+    /// Writes the direction-fixed part of the extended reference for
+    /// blocks of edge `n` (see [`RefLine`]) into `arr`, flattened; the
+    /// negative part is left for `angular_lines`.
+    fn fill_ref_line(&self, vertical: bool, n: usize, arr: &mut [i32]) {
         // Main reference runs along the prediction direction's source edge.
         let main = if vertical { &self.top } else { &self.left };
-        let mut line: RefLine<N> = [[0; N]; 4];
-        let arr = line.as_flattened_mut();
-        arr[N] = self.corner;
-        arr[N + 1..=3 * N].copy_from_slice(&main[..2 * N]);
-        arr[3 * N + 1] = main[2 * N - 1];
-        line
+        arr[n] = self.corner;
+        arr[n + 1..=3 * n].copy_from_slice(&main[..2 * n]);
+        arr[3 * n + 1] = main[2 * n - 1];
     }
 
-    /// Angular mode `mode` over `line`, the extended reference of the
-    /// mode's direction: projects the side reference for negative angles,
-    /// then feeds the `N` lines to `sink`.
+    /// Angular mode `mode` over `ref_arr`, the flattened extended
+    /// reference of the mode's direction ([`RefLine`], at least `4N`
+    /// long): projects the side reference for negative angles, then feeds
+    /// the `N` lines to `sink`.
     fn angular_lines<const N: usize, S: LineSink<N>>(
         &self,
         mode: u8,
-        line: &mut RefLine<N>,
+        ref_arr: &mut [i32],
         sink: &mut S,
     ) {
         assert!((2..=34).contains(&mode), "angular mode {mode} out of range");
@@ -412,8 +457,8 @@ impl RefSamples {
         // The side reference extends the main one for negative angles.
         let side = if vertical { &self.left } else { &self.top };
 
-        let ref_arr = line.as_flattened_mut();
         debug_assert!((4..=32).contains(&N), "blocks are 4x4 to 32x32");
+        debug_assert!(ref_arr.len() >= 4 * N, "reference line too short");
         // Blocks are at most 32×32, so the conversion is exact and the
         // projected indices below stay within i32.
         let off = i32::try_from(N).unwrap_or(32); // ref_arr[(x + off)] = ref[x]
@@ -530,6 +575,11 @@ mod tests {
         });
         let mut modes = crate::Profile::h265().modes().to_vec();
         modes.extend_from_slice(crate::Profile::av1().modes());
+        let leaf_of = |n: usize| {
+            let mut leaf = vec![0i32; n * n];
+            f.read_block(0, 0, n, &mut leaf);
+            leaf
+        };
         for n in [4usize, 8, 16, 32] {
             // Frame corner, top edge, left edge, interior (right/bottom
             // references run past the frame edge at the last position).
@@ -545,11 +595,24 @@ mod tests {
                         leaf_t[x * n + y] = leaf[y * n + x];
                     }
                 }
-                let mut sads = Vec::new();
+                // One sweep scores every mode twice, forwards then
+                // backwards, over lines a larger block left behind: a
+                // negative angle's projection never leaks into a later
+                // mode, whatever the order.
+                let mut lines = SweepLines::default();
                 let all: Vec<u8> = (0..modes.len() as u8).collect();
-                refs.sad_sweep(&modes, &all, &leaf, &leaf_t, |i, sad| sads.push((i, sad)));
+                let backwards: Vec<u8> = all.iter().rev().copied().collect();
+                let big = leaf_of(32);
+                RefSamples::gather(&f, 0, 0, 32)
+                    .sad_sweep(&mut lines, &big, &big)
+                    .score(&modes, &all, |_, _| {});
+                let mut sweep = refs.sad_sweep(&mut lines, &leaf, &leaf_t);
+                let mut sads = Vec::new();
+                sweep.score(&modes, &all, |i, sad| sads.push((i, sad)));
+                sweep.score(&modes, &backwards, |i, sad| sads.push((i, sad)));
                 let want: Vec<(u8, u64)> = all
                     .iter()
+                    .chain(&backwards)
                     .map(|&i| (i, sad_of_block(&refs, modes[usize::from(i)], &leaf)))
                     .collect();
                 assert_eq!(sads, want, "n={n} at ({x0},{y0})");

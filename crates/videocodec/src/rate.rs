@@ -12,11 +12,15 @@
 //! [`encode_to_bitrate`]/[`encode_to_mse`] (which probe whole videos)
 //! share it; each probe hands back its encode, and the search returns
 //! the answer's. A [`RateModel`], built from one cheap analysis pass over the
-//! 8-bit frames, places every probe. The distortion-targeted dual drives
-//! the Fig 2(b) ablation, whose quality constraint is an MSE budget.
+//! 8-bit frames, places every probe, starting from the caller's prior
+//! for the stream's QP-51 size (the tensor codec's is its framing plus
+//! [`floor_payload_bits`]). The distortion-targeted
+//! dual drives the Fig 2(b) ablation, whose quality constraint is an MSE
+//! budget.
 
 use crate::lanes::floor_i32;
 use crate::quant::{qstep, QP_MAX};
+use crate::tile::TileLayout;
 use crate::transform::DctPlan;
 use crate::{encode_video, CodecConfig, CodecError, EncodedVideo, Frame};
 
@@ -46,6 +50,18 @@ const GRID_PER_QP: usize = 8;
 const GRID: usize = 51 * GRID_PER_QP + 1;
 /// Transform size of the analysis pass.
 const ANALYSIS_N: usize = 8;
+/// Prior bits of one tile payload at QP 51 beyond its CTUs: the CABAC
+/// coder's five flush bytes.
+const FLOOR_TILE_BITS: f64 = 40.0;
+/// Prior bits of one CTU at QP 51, where λ makes nearly every CTU one
+/// leaf with an empty residual: its split flag, mode and coded-block
+/// flags, about a byte.
+const FLOOR_CTU_BITS: f64 = 8.0;
+/// Prior bits of a coefficient that survives QP 51: it mostly opens a
+/// transform unit on its own (coded-block flag, last position, a large
+/// level), so it costs well above θ (measured about 12 on KV tensors,
+/// whose smooth rows keep the most survivors there).
+const SURVIVOR_BITS: f64 = 12.0;
 
 /// What a rate search must satisfy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -196,6 +212,13 @@ impl RateModel {
     pub fn distortion(&self, qp: f64) -> f64 {
         table_at(&self.distortion, qp)
     }
+
+    /// Prior for the stream's size at QP 51: `floor_bits`, its size with
+    /// no coefficient coded (framing plus [`floor_payload_bits`]), plus
+    /// what the coefficients the model sees surviving there cost.
+    pub fn qp51_bits(&self, floor_bits: f64) -> f64 {
+        floor_bits + SURVIVOR_BITS * self.nonzeros(QP_MAX)
+    }
 }
 
 /// The QP of grid point `g`.
@@ -235,14 +258,23 @@ fn table_at(table: &[f64; GRID], qp: f64) -> f64 {
     table[i] + f * (table[i + 1] - table[i])
 }
 
+/// Prior for the payload bits of a frame coded as `layout`'s tiles at
+/// QP 51, from the geometry alone: each tile's entropy-coder flush plus
+/// about one byte per CTU. A stream's prior for [`search_qp`] adds its
+/// framing, which the framing writers give exactly.
+pub fn floor_payload_bits(layout: &TileLayout) -> f64 {
+    FLOOR_TILE_BITS * layout.n_tiles() as f64 + FLOOR_CTU_BITS * layout.ctus() as f64
+}
+
 /// A [`RateModel`] calibrated against one search's probes: it predicts
 /// the goal's measure as a line in one model curve, through a pivot.
 ///
 /// - **Bits:** the curve is `nonzeros(qp)` and the pivot starts at the
-///   QP-51 probe, so the prediction is `bits(51) + θ·(nonzeros(qp) −
-///   nonzeros(51))` with θ = [`THETA_PRIOR`]. Each interior probe refits
-///   θ as the secant to the pivot and then becomes the pivot, so θ is
-///   always the slope between the two most recent probes.
+///   prior for the QP-51 size ([`RateModel::qp51_bits`]), so the
+///   prediction is `bits(51) +
+///   θ·(nonzeros(qp) − nonzeros(51))` with θ = [`THETA_PRIOR`]. Each
+///   probe refits θ as the secant to the pivot and then becomes the
+///   pivot, so θ is the slope between the two most recent points.
 /// - **Error:** the curve is `distortion(qp)` and the pivot stays at
 ///   zero, so the prediction is `κ·distortion(qp)`, with κ = 1 until the
 ///   most recent interior probe's measured-to-modelled ratio replaces it.
@@ -256,9 +288,12 @@ struct Fit<'m> {
 }
 
 impl<'m> Fit<'m> {
-    fn new(goal: Goal, model: &'m RateModel, p_51: Probe) -> Self {
+    fn new(goal: Goal, model: &'m RateModel, floor_bits: f64) -> Self {
         let (pivot, slope) = match goal {
-            Goal::MaxBits(_) => ((model.nonzeros(QP_MAX), p_51.bits as f64), THETA_PRIOR),
+            Goal::MaxBits(_) => (
+                (model.nonzeros(QP_MAX), model.qp51_bits(floor_bits)),
+                THETA_PRIOR,
+            ),
             Goal::MaxSquaredError(_) => ((0.0, 0.0), 1.0),
         };
         Fit {
@@ -296,14 +331,17 @@ impl<'m> Fit<'m> {
     }
 
     /// The axis position where the prediction crosses [`AIM_MARGIN`]
-    /// under the budget, kept strictly inside the open bracket; `None`
-    /// when the model disagrees with what the bracket ends are known (or,
-    /// for an unprobed end, assumed) to be.
-    fn aim(&self, x_lo: f64, x_hi: f64) -> Option<f64> {
+    /// under the budget, kept strictly inside the open bracket; or, when
+    /// the model disagrees with what the bracket ends are known (or, for
+    /// an unprobed end, assumed) to be, the side it puts the crossing on.
+    fn aim(&self, x_lo: f64, x_hi: f64) -> Aim {
         let target = (1.0 - AIM_MARGIN) * self.goal.budget();
         let over = |x: f64| self.predict(self.goal.to_qp(x)) > target;
-        if !over(x_lo) || over(x_hi) {
-            return None;
+        if !over(x_lo) {
+            return Aim::Low;
+        }
+        if over(x_hi) {
+            return Aim::High;
         }
         // The prediction is monotone in x; bisect it to far below QP_TOL.
         let (mut lo, mut hi) = (x_lo, x_hi);
@@ -318,32 +356,46 @@ impl<'m> Fit<'m> {
         // The loop only runs on brackets wider than QP_TOL, so this keeps
         // the probe off both ends.
         let keep_off = QP_TOL / 16.0;
-        Some(hi.clamp(x_lo + keep_off, x_hi - keep_off))
+        Aim::Inside(hi.clamp(x_lo + keep_off, x_hi - keep_off))
     }
 }
 
+/// Where a [`Fit`] places the next probe.
+enum Aim {
+    /// At this axis position, strictly inside the bracket.
+    Inside(f64),
+    /// Below the bracket: its low end already meets the target.
+    Low,
+    /// Above the bracket: even its high end misses the target.
+    High,
+}
+
 /// Finds the highest-quality QP meeting `goal`, calling `probe` to encode
-/// at a QP and measure it, with `model` placing every probe. Returns the
-/// QP and the encode `probe` returned for it.
+/// at a QP and measure it, with `model` placing every probe from a prior
+/// for the stream's size at QP 51 ([`RateModel::qp51_bits`] of
+/// `floor_bits`, the size with no coefficient coded). Returns the QP and
+/// the encode `probe` returned for it.
 ///
-/// - **QP 51 first.** The coarsest encode is by far the fastest; it
-///   anchors the bits model, and a QP-0 encode (several times a
-///   mid-range one) is only probed if it is the answer.
-/// - **The model places each interior probe** where its calibrated
-///   prediction crosses 0.4% under the budget, inside the bracket of the
-///   infeasible and feasible ends seen so far. The probe then
-///   recalibrates the model (θ for bits, κ for error). Where the model
-///   contradicts the bracket, the probe bisects it instead.
+/// - **The model places each probe**, the first one included, where its
+///   calibrated prediction crosses 0.4% under the budget, inside the
+///   bracket of the infeasible and feasible ends seen so far. The probe
+///   then recalibrates the model (θ for bits, κ for error). Where the
+///   model contradicts the bracket, the probe bisects it instead.
+/// - **QP 51 only as the fallback.** It is probed when the model puts
+///   the answer at the unprobed QP-51 end, or when the bracket closes on
+///   it. A bits goal that 51 misses re-targets the finest QP within 5%
+///   of the QP-51 size (tiny tensors: headers dominate, quality is
+///   nearly free), and an error goal that 51 meets answers 51. QP 0 is
+///   probed only if it is the answer.
 /// - **Stops** at the first feasible probe within 1.5% of a bits budget
 ///   or 1% of an error budget; the [`QP_TOL`] bracket width and an
 ///   iteration cap are the backstop.
 /// - **No QP is probed twice.** The search keeps the encode at the
-///   feasible end of its bracket — from the start, QP 51's for a bits
-///   goal — and drops the rest, so the answer is never encoded again.
+///   feasible end of its bracket and drops the rest, so the answer is
+///   never encoded again.
 ///
-/// When nothing is feasible, a bits goal re-targets the finest QP within
-/// 5% of the QP-51 size (tiny tensors: headers dominate, quality is
-/// nearly free), and an error goal probes QP 0 once, as the best effort.
+/// When nothing is feasible, an error goal probes QP 0 once, as the best
+/// effort.
 ///
 /// # Errors
 ///
@@ -351,42 +403,76 @@ impl<'m> Fit<'m> {
 pub fn search_qp<T, E>(
     goal: Goal,
     model: &RateModel,
+    floor_bits: f64,
     mut probe: impl FnMut(f64) -> Result<(Probe, T), E>,
 ) -> Result<(f64, T), E> {
-    let (p_51, at_51) = probe(QP_MAX)?;
-    let goal = match goal {
-        // Even the coarsest encode misses the budget (typical for tiny
-        // tensors whose fixed headers exceed it): aim for the QP-51 size
-        // plus 5%, which QP 51 meets by construction.
-        Goal::MaxBits(_) if !goal.met_by(p_51) => Goal::MaxBits(p_51.bits as f64 * 1.05),
-        // The cheapest possible encode already meets the error budget.
-        Goal::MaxSquaredError(_) if goal.met_by(p_51) => return Ok((QP_MAX, at_51)),
-        _ => goal,
-    };
-    if goal.settled_by(p_51) {
-        return Ok((QP_MAX, at_51));
-    }
-    let mut fit = Fit::new(goal, model, p_51);
+    let mut goal = goal;
+    let bits_goal = matches!(goal, Goal::MaxBits(_));
+    let mut fit = Fit::new(goal, model, floor_bits);
     // The bracket starts as the whole search axis, x = 0 (infeasible) to
-    // 51 (feasible); only the QP-51 end has been probed, which is x = 51
-    // for bits and x = 0 for error. `best` is the feasible end's encode.
+    // 51 (feasible), neither end probed; QP 51 is the feasible end for
+    // bits and the infeasible one for error. `best` is the feasible
+    // end's encode once that end has been probed.
     let (mut x_lo, mut x_hi) = (0.0, QP_MAX);
-    let mut best = matches!(goal, Goal::MaxBits(_)).then_some(at_51);
-    for _ in 0..SEARCH_ITERS {
-        if x_hi - x_lo <= QP_TOL {
+    // QP 51's axis position (the map is its own inverse).
+    let x_51 = goal.to_qp(QP_MAX);
+    let mut best = None;
+    let mut lo_probed = false;
+    // Every infeasible probe, `(x, measure)`, so a re-targeted bits
+    // goal can rebuild its bracket.
+    let mut misses: Vec<(f64, f64)> = Vec::new();
+    let mut iters = 0;
+    loop {
+        // Whether the bracket's QP-51 end is still unprobed.
+        let open_51 = if bits_goal {
+            best.is_none()
+        } else {
+            !lo_probed
+        };
+        let (x, at_51) = if iters < SEARCH_ITERS && x_hi - x_lo > QP_TOL {
+            iters += 1;
+            match fit.aim(x_lo, x_hi) {
+                Aim::Inside(x) => (x, false),
+                // The model puts the answer past the unprobed QP-51 end.
+                Aim::High if bits_goal && open_51 => (x_51, true),
+                Aim::Low if !bits_goal && open_51 => (x_51, true),
+                Aim::High | Aim::Low => (0.5 * (x_lo + x_hi), false),
+            }
+        } else if open_51 && (bits_goal || x_hi <= QP_TOL) {
+            // The bracket closed on the unprobed QP-51 end: for bits with
+            // nothing feasible seen, for error with every probe feasible.
+            (x_51, true)
+        } else {
             break;
-        }
-        let x = fit.aim(x_lo, x_hi).unwrap_or(0.5 * (x_lo + x_hi));
+        };
         let qp = goal.to_qp(x);
         let (p, encoded) = probe(qp)?;
         fit.recalibrate(qp, p);
         if goal.met_by(p) {
+            // 51 is the coarsest encode there is: meeting an error goal,
+            // it is the answer.
+            if !bits_goal && at_51 {
+                return Ok((QP_MAX, encoded));
+            }
             (x_hi, best) = (x, Some(encoded));
             if goal.settled_by(p) {
                 break;
             }
+        } else if bits_goal && at_51 {
+            // Even the coarsest encode misses the budget (typical for
+            // tiny tensors whose fixed headers exceed it): aim for the
+            // QP-51 size plus 5%, which QP 51 meets by construction, and
+            // rebuild the bracket from the probes that miss that.
+            goal = Goal::MaxBits(p.bits as f64 * 1.05);
+            fit.goal = goal;
+            x_lo = misses
+                .iter()
+                .filter(|&&(_, bits)| bits > goal.budget())
+                .fold(0.0, |lo, &(x, _)| f64::max(lo, x));
+            (x_hi, best) = (x, Some(encoded));
         } else {
-            x_lo = x;
+            misses.push((x, goal.measure(p)));
+            (x_lo, lo_probed) = (x, true);
         }
     }
     // An error goal unmet everywhere converges onto QP 0 unprobed.
@@ -468,8 +554,10 @@ fn pixel_count(frames: &[Frame]) -> usize {
 }
 
 /// Runs [`search_qp`] over whole-video encodes, with a [`RateModel`] of
-/// the frames in pixel² units. The first probe's [`encode_video`] is what
-/// refuses frames it cannot encode.
+/// the frames in pixel² units and no framing in the QP-51 prior (the
+/// search places its probes well from priors far further off). The
+/// first probe's [`encode_video`] is what refuses frames it cannot
+/// encode.
 ///
 /// # Errors
 ///
@@ -480,7 +568,7 @@ fn search_encode(
     goal: Goal,
 ) -> Result<RateSearchResult, CodecError> {
     let model = RateModel::analyse(frames.iter().map(|f| (f, 1.0)));
-    let (qp, encoded) = search_qp(goal, &model, |qp| {
+    let (qp, encoded) = search_qp(goal, &model, 0.0, |qp| {
         let enc = encode_video(frames, &cfg.clone().with_qp(qp))?;
         let p = Probe {
             bits: enc.bits(),
@@ -543,6 +631,12 @@ mod tests {
         VALUES as f64 * (0.02 * (qp / 3.2).exp2() + 0.001 * qp)
     }
 
+    /// The floor that makes `model`'s QP-51 prior the exact QP-51 size of
+    /// the synthetic curves.
+    fn floor(model: &RateModel) -> f64 {
+        synthetic_bits(QP_MAX) as f64 - SURVIVOR_BITS * model.nonzeros(QP_MAX)
+    }
+
     impl RateModel {
         /// A model tabulated from arbitrary curves, so the search can be
         /// driven by right and wrong models without a codec.
@@ -555,10 +649,10 @@ mod tests {
     }
 
     /// The model that matches the synthetic curves: θ = [`THETA_PRIOR`]
-    /// and κ = 1 are exactly right.
+    /// and κ = 1 are exactly right, and nothing survives QP 51.
     fn accurate() -> RateModel {
         RateModel::from_curves(
-            |qp| synthetic_bits(qp) as f64 / THETA_PRIOR,
+            |qp| (synthetic_bits(qp) - synthetic_bits(QP_MAX)) as f64 / THETA_PRIOR,
             synthetic_sq_err,
         )
     }
@@ -625,14 +719,28 @@ mod tests {
         goals
     }
 
+    /// Every model, with an exact QP-51 prior and priors 4× off either
+    /// way, reaches a feasible answer near the crossing.
     #[test]
     fn answer_is_feasible_and_near_the_crossing_under_every_model() {
-        // QP 51, the refine loop, and at most one unprobed-end probe.
+        // The refine loop, QP 51 as the fallback, and at most one
+        // unprobed-end probe.
         let cap = SEARCH_ITERS + 2;
-        for (name, model) in models() {
+        let at_51 = synthetic_bits(QP_MAX) as f64;
+        let priors = [
+            ("exact", 0.0),
+            ("4x over", 3.0 * at_51),
+            ("4x under", -0.75 * at_51),
+        ];
+        for ((name, model), (prior_name, off)) in models()
+            .into_iter()
+            .flat_map(|m| priors.map(|p| (m.clone(), p)))
+        {
+            let name = format!("{name} model, {prior_name} prior");
+            let prior = floor(&model) + off;
             for goal in goals() {
                 let mut log = Vec::new();
-                let (qp, encoded) = search_qp(goal, &model, synthetic(&mut log)).unwrap();
+                let (qp, encoded) = search_qp(goal, &model, prior, synthetic(&mut log)).unwrap();
                 // The answer comes with its own probe's encode.
                 assert_eq!(encoded.to_bits(), qp.to_bits(), "{name} {goal:?}");
                 let p = Probe {
@@ -656,40 +764,78 @@ mod tests {
         }
     }
 
+    /// With an accurate model and prior, no probe is spent on QP 51
+    /// unless it is the answer, and the search settles within two
+    /// probes.
     #[test]
-    fn an_accurate_model_settles_within_three_probes() {
+    fn an_accurate_model_settles_within_two_probes() {
         for goal in goals() {
             let mut log = Vec::new();
-            search_qp(goal, &accurate(), synthetic(&mut log)).unwrap();
-            assert!(log.len() <= 3, "{goal:?}: {log:?}");
+            let (qp, _) =
+                search_qp(goal, &accurate(), floor(&accurate()), synthetic(&mut log)).unwrap();
+            assert!(log.len() <= 2, "{goal:?}: {log:?}");
+            assert!(!log.contains(&QP_MAX) || qp == QP_MAX, "{goal:?}: {log:?}");
         }
     }
 
+    /// A bits goal that QP 51 misses re-targets the QP-51 size plus 5%,
+    /// whether the prior sees it coming (51 is the first probe) or not
+    /// (51 is the fallback once every finer probe missed), under every
+    /// model; the re-target counts against the same probe cap.
     #[test]
     fn bits_goal_infeasible_at_qp51_retargets_near_the_qp51_size() {
         let at_51 = synthetic_bits(QP_MAX) as f64;
-        let mut log = Vec::new();
         let goal = Goal::MaxBits(0.5 * at_51);
-        let (qp, _) = search_qp(goal, &accurate(), synthetic(&mut log)).unwrap();
-        // The re-targeted goal is the QP-51 size plus 5%: a finer QP than
-        // 51 that meets it, not QP 51 itself.
+        // The re-targeted goal is the QP-51 size plus 5%: a finer QP
+        // than 51 that meets it, not QP 51 itself.
         let retarget = Goal::MaxBits(at_51 * 1.05);
-        assert!(qp < QP_MAX, "qp {qp}");
-        assert!(synthetic_bits(qp) as f64 <= at_51 * 1.05, "qp {qp}");
-        assert!((qp - crossing(retarget)).abs() <= QP_TOL, "qp {qp}");
-        assert_eq!(log[0], QP_MAX);
-        assert_eq!(log.iter().filter(|&&q| q == QP_MAX).count(), 1);
+        for (name, model) in models() {
+            for prior in [at_51, 0.1 * at_51, 4.0 * at_51] {
+                let mut log = Vec::new();
+                let (qp, _) = search_qp(goal, &model, prior, synthetic(&mut log)).unwrap();
+                assert!(qp < QP_MAX, "{name} {prior}: qp {qp}");
+                assert!(synthetic_bits(qp) as f64 <= at_51 * 1.05, "qp {qp}");
+                assert!((qp - crossing(retarget)).abs() <= QP_TOL, "qp {qp}");
+                if name == "accurate" {
+                    assert_eq!(log[0] == QP_MAX, prior >= at_51, "{log:?}");
+                }
+                assert_eq!(log.iter().filter(|&&q| q == QP_MAX).count(), 1);
+                assert!(log.len() <= SEARCH_ITERS + 2, "{name} {prior}: {log:?}");
+                let mut sorted = log.clone();
+                sorted.sort_by(f64::total_cmp);
+                sorted.dedup();
+                assert_eq!(sorted.len(), log.len(), "{log:?}");
+            }
+        }
     }
 
+    /// An error goal that QP 51 meets answers 51: after one probe when the
+    /// model sees it, as the fallback when the model thinks 51 misses.
     #[test]
-    fn error_goal_met_at_qp51_returns_51_after_one_probe() {
-        let mut log = Vec::new();
+    fn error_goal_met_at_qp51_returns_51() {
         let loose = Goal::MaxSquaredError(2.0 * synthetic_sq_err(QP_MAX));
+        let mut log = Vec::new();
         assert_eq!(
-            search_qp(loose, &accurate(), synthetic(&mut log)),
+            search_qp(loose, &accurate(), floor(&accurate()), synthetic(&mut log)),
             Ok((QP_MAX, QP_MAX))
         );
         assert_eq!(log, [QP_MAX]);
+        let pessimistic = RateModel::from_curves(
+            |qp| synthetic_bits(qp) as f64 / THETA_PRIOR,
+            |qp| 4.0 * synthetic_sq_err(qp),
+        );
+        let mut log = Vec::new();
+        assert_eq!(
+            search_qp(
+                loose,
+                &pessimistic,
+                floor(&pessimistic),
+                synthetic(&mut log)
+            ),
+            Ok((QP_MAX, QP_MAX))
+        );
+        assert_eq!(log.last(), Some(&QP_MAX), "{log:?}");
+        assert!(log.len() <= SEARCH_ITERS + 1, "{log:?}");
     }
 
     #[test]
@@ -698,7 +844,7 @@ mod tests {
             let mut log = Vec::new();
             let strict = Goal::MaxSquaredError(0.5 * synthetic_sq_err(0.0));
             assert_eq!(
-                search_qp(strict, &model, synthetic(&mut log)),
+                search_qp(strict, &model, floor(&model), synthetic(&mut log)),
                 Ok((0.0, 0.0)),
                 "{name}"
             );
@@ -711,7 +857,7 @@ mod tests {
     #[test]
     fn probe_errors_propagate() {
         let mut calls = 0;
-        let got = search_qp(Goal::MaxBits(1000.0), &accurate(), |_| {
+        let got = search_qp(Goal::MaxBits(1000.0), &accurate(), 0.0, |_| {
             calls += 1;
             Err::<(Probe, ()), _>("probe failed")
         });

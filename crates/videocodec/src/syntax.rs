@@ -305,8 +305,21 @@ fn sig_ctx_index(scan_pos: usize, n: usize) -> usize {
 }
 
 /// Codes the quantized level block of one TU (size `n`, row-major levels in
-/// raster order).
+/// raster order): [`code_levels`], under the name its reader
+/// [`parse_residual`] shares.
 pub fn code_residual<S: BinSink>(
+    sink: &mut S,
+    ctxs: &mut Contexts,
+    levels: &[i32],
+    n: usize,
+    spatial: bool,
+) {
+    code_levels(sink, ctxs, levels, n, spatial);
+}
+
+/// Codes the quantized level block of one TU (size `n`, row-major levels in
+/// raster order); the exact mirror of [`parse_levels`].
+pub fn code_levels<S: BinSink>(
     sink: &mut S,
     ctxs: &mut Contexts,
     levels: &[i32],
@@ -363,19 +376,36 @@ pub fn code_residual<S: BinSink>(
     }
 }
 
-/// Parses one TU's levels (inverse of [`code_residual`]).
+/// Parses one TU's levels (inverse of [`code_residual`]) into a new
+/// buffer: [`parse_levels`] for callers that keep no scratch.
 pub fn parse_residual<D: BinSource>(
     dec: &mut D,
     ctxs: &mut Contexts,
     n: usize,
     spatial: bool,
 ) -> Result<Vec<i32>, CodecError> {
+    let mut levels = Vec::new();
+    parse_levels(dec, ctxs, n, spatial, &mut levels)?;
+    Ok(levels)
+}
+
+/// Parses one TU's levels (inverse of [`code_levels`]) into `levels`,
+/// which it resets to `n × n` zeros first: the decoder parses every TU
+/// into its scratch.
+pub fn parse_levels<D: BinSource>(
+    dec: &mut D,
+    ctxs: &mut Contexts,
+    n: usize,
+    spatial: bool,
+    levels: &mut Vec<i32>,
+) -> Result<(), CodecError> {
     let scan_order = scan::diagonal(n);
-    let mut levels = vec![0i32; n * n];
+    levels.clear();
+    levels.resize(n * n, 0);
 
     let cbf_ctx = spatial as usize;
     if !dec.bit(&mut ctxs.cbf[cbf_ctx]) {
-        return Ok(levels);
+        return Ok(());
     }
     let last = parse_last_pos(dec, ctxs)? as usize;
     let last = last.min(n * n - 1);
@@ -406,7 +436,7 @@ pub fn parse_residual<D: BinSource>(
         let mag = i32::try_from(mag).unwrap_or(i32::MAX);
         levels[usize::from(y) * n + usize::from(x)] = if neg { -mag } else { mag };
     }
-    Ok(levels)
+    Ok(())
 }
 
 /// Codes the last significant scan position: the bit-length of `pos + 1`

@@ -33,7 +33,7 @@ use llm265_bitstream::bytes;
 use llm265_bitstream::crc32::Crc32;
 
 use crate::decoder::decode_frame;
-use crate::encoder::encode_frame;
+use crate::encoder::{encode_frame, CuShape};
 use crate::transform::DctPlans;
 use crate::{CodecConfig, CodecError, Frame};
 
@@ -99,6 +99,11 @@ impl TileLayout {
         self.bands.len()
     }
 
+    /// CTUs of the padded frame, over all tiles.
+    pub fn ctus(&self) -> usize {
+        self.padded_width() / self.ctu * (self.bands.iter().sum::<usize>() / self.ctu)
+    }
+
     /// Padded frame width (what each decoded band is wide).
     pub fn padded_width(&self) -> usize {
         self.w.div_ceil(self.ctu) * self.ctu
@@ -162,7 +167,33 @@ pub fn encode_tile(
     let (y0, band_h) = layout.band(tile);
     let band = band_of(padded, y0, band_h);
     let prev_band = prev_padded.map(|p| band_of(p, y0, band_h));
-    encode_frame(&band, prev_band.as_ref(), &cfg, plans, frame_idx)
+    let (payload, recon, _) = encode_frame(&band, prev_band.as_ref(), &cfg, plans, frame_idx, None);
+    (payload, recon)
+}
+
+/// [`encode_tile`] of a first frame (no reference) that also returns the
+/// tile's decided split shape, and with `kept` — a shape this tile got
+/// from an earlier encode at another QP — searches only at and one level
+/// below that shape's leaves: its splits are forced, its leaves weigh
+/// themselves against one further split. A rate search keeps its first
+/// probe's shapes for the rest ([`CuShape`]). With `kept` of `None` the
+/// payload and reconstruction are [`encode_tile`]'s.
+///
+/// # Panics
+///
+/// As [`encode_tile`].
+pub fn probe_tile(
+    padded: &Frame,
+    cfg: &CodecConfig,
+    plans: &DctPlans,
+    layout: &TileLayout,
+    tile: usize,
+    kept: Option<&CuShape>,
+) -> (Vec<u8>, Frame, CuShape) {
+    assert_eq!(padded.width(), layout.padded_width(), "frame not padded");
+    let cfg = cfg.snapped();
+    let (y0, band_h) = layout.band(tile);
+    encode_frame(&band_of(padded, y0, band_h), None, &cfg, plans, 0, kept)
 }
 
 /// Narrows a host size to a `u32` wire field: oversized shapes and
@@ -293,7 +324,12 @@ pub fn decode_tile(
     let (y0, band_h) = layout.band(i);
     let plans = DctPlans::new();
     let band = decode_frame(payload, None, cfg, &plans, 0, layout.padded_width(), band_h)?;
-    Ok(band.cropped(layout.w, band_h.min(layout.h - y0)))
+    let (w, h) = (layout.w, band_h.min(layout.h - y0));
+    Ok(if (w, h) == (band.width(), band.height()) {
+        band
+    } else {
+        band.cropped(w, h)
+    })
 }
 
 #[cfg(test)]

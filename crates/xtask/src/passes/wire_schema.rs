@@ -114,7 +114,7 @@ const LAYERS: &[(&str, &str, &str)] = &[
     ("frame-payload", "code_payload", "parse_payload"),
     ("coding-unit", "code_cu", "parse_cu"),
     ("leaf", "code_leaf", "parse_leaf"),
-    ("residual", "code_residual", "parse_residual"),
+    ("residual", "code_levels", "parse_levels"),
     ("last-pos", "code_last_pos", "parse_last_pos"),
 ];
 
