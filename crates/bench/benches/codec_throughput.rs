@@ -26,7 +26,10 @@ use std::path::{Path, PathBuf};
 
 use llm265_bench::json::{self, BenchRun, HardwareTargets, ThreadedSample};
 use llm265_bench::microbench::Group;
-use llm265_core::{Llm265Codec, Llm265Config, RateTarget, TensorCodec, TensorStreamIndex};
+use llm265_core::{
+    Llm265Codec, Llm265Config, Llm265TrackingChannel, RateTarget, TensorCodec, TensorStreamIndex,
+};
+use llm265_tensor::channel::LossyCompressor;
 use llm265_tensor::rng::Pcg32;
 use llm265_tensor::synthetic::{llm_weight, WeightProfile};
 use llm265_tensor::Tensor;
@@ -257,6 +260,11 @@ fn main() {
                 .encode(&rate, RateTarget::Qp(qp))
                 .expect("bench encode succeeds")
         });
+        // The same tensor through the tracking channel: one `encode_bits3`
+        // plus one decode, so `channel_bits3 / encode_bits3` within one
+        // run shows whether the channels run `encode`'s search.
+        let mut channel = Llm265TrackingChannel::with_codec(codec_rate.clone(), 3.0);
+        g.bench(&format!("channel_bits3/t{t}"), || channel.transcode(&rate));
 
         samples.extend(
             g.finish()

@@ -9,10 +9,9 @@
 //! BF16 accuracy line down to ~3 measured bits; the baselines need ~1
 //! extra bit for the same accuracy, and the variable-rate search wins in
 //! the extreme low-bit regime. Here the variable search (`LLM.265 var`)
-//! settles on k = 0 at every budget, so its rows differ from the fixed
-//! ones only in the rate search: `Llm265Codec::encode` keeps its first
-//! probe's coding trees, where the fixed rows' `Llm265Channel` searches
-//! every probe's tree in full (see EXPERIMENTS.md).
+//! settles on k = 0 at every budget, and the fixed rows' `Llm265Channel`
+//! runs the same `Llm265Codec::encode` rate search, so the two sets of
+//! rows coincide (see EXPERIMENTS.md).
 
 use llm265_bench::table::{f, pct, Table};
 use llm265_bench::workloads::{small_trained_lm, TrainedLm};

@@ -8,10 +8,10 @@
 //! and error, keeps the feasible end's stream, and returns it, so
 //! choosing a rate never re-encodes a QP and never decodes anything. A
 //! [`RateModel`] of the chunk frames places its probes, so it needs few
-//! of them. In [`TensorCodec::encode`] only the first probe searches
-//! the whole coding tree: the others near its QP search at and one level
-//! below that probe's leaves. The channels search the whole tree on
-//! every probe, so the QP their search settles on reproduces the stream.
+//! of them. Only the first probe searches the whole coding tree: the
+//! others near its QP search at and one level below that probe's leaves.
+//! The channels run this same search, so their streams are
+//! [`TensorCodec::encode`]'s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,22 +43,6 @@ use crate::{CodecError, EncodedTensor, RateTarget, TensorCodec};
 /// threshold from 1 up gave the ~3-bit workloads one full search per
 /// encode and the same streams (DESIGN.md has the sweep).
 const RESEARCH_QP: f64 = 1.5;
-
-/// How the probes of one rate search search the coding tree.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum TreeSearch {
-    /// The first probe searches the whole tree and later ones search
-    /// below its split shapes ([`Llm265Codec::encode_to_goal`]). The
-    /// answer can be a later probe's stream, which a fixed-QP encode at
-    /// its QP does not reproduce. [`TensorCodec::encode`] searches so.
-    Once,
-    /// Every probe searches the whole tree, so the answer is the stream a
-    /// fixed-QP encode at its QP writes. The channels search so: they
-    /// hand out a decoded tensor and a size, never the stream, so the
-    /// stream is reached again only by encoding at the QP the search
-    /// settled on.
-    EveryProbe,
-}
 
 /// Configuration of the LLM.265 tensor codec.
 #[derive(Debug, Clone, PartialEq)]
@@ -250,14 +234,13 @@ impl Llm265Codec {
     /// the chunk frames (one serial analysis pass, so identical at every
     /// thread count) and the stream's QP-51 prior placing the probes.
     ///
-    /// With [`TreeSearch::Once`], the first probe below QP 51 searches the
-    /// whole coding tree and its split shapes are kept, in task order;
-    /// every later probe searches only at and one level below them,
-    /// unless it lies [`RESEARCH_QP`] or more from the QP they were kept
-    /// at, when it searches the whole tree and its shapes are kept
-    /// instead. A QP-51 probe searches the whole tree and keeps nothing:
-    /// its λ makes nearly every CTU one leaf, a shape no finer QP should
-    /// be held to. With [`TreeSearch::EveryProbe`] nothing is kept.
+    /// The first probe below QP 51 searches the whole coding tree and its
+    /// split shapes are kept, in task order; every later probe searches
+    /// only at and one level below them, unless it lies [`RESEARCH_QP`]
+    /// or more from the QP they were kept at, when it searches the whole
+    /// tree and its shapes are kept instead. A QP-51 probe searches the
+    /// whole tree and keeps nothing: its λ makes nearly every CTU one
+    /// leaf, a shape no finer QP should be held to.
     ///
     /// # Errors
     ///
@@ -267,7 +250,6 @@ impl Llm265Codec {
         t: &Tensor,
         chunks: &[Chunk],
         goal: Goal,
-        trees: TreeSearch,
     ) -> Result<EncodedTensor, CodecError> {
         // Error goals are in tensor units: a chunk's pixel² error weighs
         // its affine scale².
@@ -280,9 +262,8 @@ impl Llm265Codec {
         let mut kept: Option<(f64, Vec<CuShape>)> = None;
         let floor = self.floor_bits(t, chunks)?;
         let (_, stream) = rate::search_qp(goal, &model, floor, |qp| {
-            // A QP-51 probe, and every probe of an `EveryProbe` search,
-            // neither reuses shapes nor keeps its own.
-            let unkept = qp >= QP_MAX || trees == TreeSearch::EveryProbe;
+            // A QP-51 probe neither reuses shapes nor keeps its own.
+            let unkept = qp >= QP_MAX;
             let reuse = kept
                 .as_ref()
                 .filter(|(at, _)| !unkept && (qp - at).abs() < RESEARCH_QP)
@@ -300,19 +281,34 @@ impl Llm265Codec {
         })?;
         Ok(stream)
     }
+}
 
-    /// [`TensorCodec::encode`] with the rate search's probes searching the
-    /// coding tree as `trees` says.
-    ///
-    /// # Errors
-    ///
-    /// As [`TensorCodec::encode`].
-    fn encode_with(
-        &self,
-        t: &Tensor,
-        target: RateTarget,
-        trees: TreeSearch,
-    ) -> Result<EncodedTensor, CodecError> {
+/// Squared error between chunk rows `[band_row0, band_row0 + rows)` and a
+/// band reconstruction mapped back through the affine dequantizer. The
+/// reconstruction may be padded wider than the real band; only real
+/// pixels are compared. The encoder's reconstruction is the decoder's
+/// output by construction, so summing the bands equals the decode-side
+/// error without a round trip.
+fn band_sq_err(t: &Tensor, c: &Chunk, recon: &Frame, band_row0: usize, rows: usize) -> f64 {
+    let cols = t.cols().min(recon.width());
+    let mut sum = 0.0;
+    for y in 0..rows {
+        let row = t.row(c.row0 + band_row0 + y);
+        for (x, &src) in row.iter().enumerate().take(cols) {
+            let v = c.lo + f32::from(recon.get(x, y)) * c.scale;
+            let d = f64::from(src) - f64::from(v);
+            sum += d * d;
+        }
+    }
+    sum
+}
+
+impl TensorCodec for Llm265Codec {
+    fn name(&self) -> String {
+        format!("LLM.265/{}", self.config.profile.kind().name())
+    }
+
+    fn encode(&self, t: &Tensor, target: RateTarget) -> Result<EncodedTensor, CodecError> {
         if t.is_empty() {
             return Err(CodecError::InvalidInput(
                 "cannot encode an empty tensor".into(),
@@ -355,37 +351,7 @@ impl Llm265Codec {
                 Goal::MaxSquaredError(m * var * t.len() as f64)
             }
         };
-        self.encode_to_goal(t, &chunks, goal, trees)
-    }
-}
-
-/// Squared error between chunk rows `[band_row0, band_row0 + rows)` and a
-/// band reconstruction mapped back through the affine dequantizer. The
-/// reconstruction may be padded wider than the real band; only real
-/// pixels are compared. The encoder's reconstruction is the decoder's
-/// output by construction, so summing the bands equals the decode-side
-/// error without a round trip.
-fn band_sq_err(t: &Tensor, c: &Chunk, recon: &Frame, band_row0: usize, rows: usize) -> f64 {
-    let cols = t.cols().min(recon.width());
-    let mut sum = 0.0;
-    for y in 0..rows {
-        let row = t.row(c.row0 + band_row0 + y);
-        for (x, &src) in row.iter().enumerate().take(cols) {
-            let v = c.lo + f32::from(recon.get(x, y)) * c.scale;
-            let d = f64::from(src) - f64::from(v);
-            sum += d * d;
-        }
-    }
-    sum
-}
-
-impl TensorCodec for Llm265Codec {
-    fn name(&self) -> String {
-        format!("LLM.265/{}", self.config.profile.kind().name())
-    }
-
-    fn encode(&self, t: &Tensor, target: RateTarget) -> Result<EncodedTensor, CodecError> {
-        self.encode_with(t, target, TreeSearch::Once)
+        self.encode_to_goal(t, &chunks, goal)
     }
 
     fn decode(&self, e: &EncodedTensor) -> Result<Tensor, CodecError> {
@@ -448,9 +414,8 @@ fn decode_tensor(e: &EncodedTensor, threads: usize) -> Result<Tensor, CodecError
 /// [`LossyCompressor`] adapter: an LLM.265 codec bound to one rate target,
 /// pluggable into the distributed-training simulator.
 ///
-/// A rate-targeted call is [`Llm265Codec::encode`]'s rate search with
-/// every probe searching the whole coding tree, so the stream is the one
-/// a fixed-QP encode at its QP writes; then [`Llm265Codec::decode`].
+/// Each call is [`Llm265Codec::encode`] at the target, rate search and
+/// all, then [`Llm265Codec::decode`] of that stream.
 #[derive(Debug, Clone)]
 pub struct Llm265Channel {
     codec: Llm265Codec,
@@ -469,6 +434,20 @@ impl Llm265Channel {
     }
 }
 
+/// A channel call: [`Llm265Codec::encode`] at `target`, then
+/// [`Llm265Codec::decode`] of that stream.
+fn round_trip(codec: &Llm265Codec, t: &Tensor, target: RateTarget) -> (Tensor, EncodedTensor) {
+    let enc = codec
+        .encode(t, target)
+        // lint:allow(panic): channel contract — callers feed non-empty tensors
+        .expect("transcode of non-empty tensor");
+    let out = codec
+        .decode(&enc)
+        // lint:allow(panic): decoding a stream produced two lines up
+        .expect("self-produced stream decodes");
+    (out, enc)
+}
+
 impl LossyCompressor for Llm265Channel {
     fn name(&self) -> String {
         match self.target {
@@ -479,16 +458,7 @@ impl LossyCompressor for Llm265Channel {
     }
 
     fn transcode(&mut self, t: &Tensor) -> (Tensor, u64) {
-        let enc = self
-            .codec
-            .encode_with(t, self.target, TreeSearch::EveryProbe)
-            // lint:allow(panic): channel contract — callers feed non-empty tensors
-            .expect("transcode of non-empty tensor");
-        let out = self
-            .codec
-            .decode(&enc)
-            // lint:allow(panic): decoding a stream produced two lines up
-            .expect("self-produced stream decodes");
+        let (out, enc) = round_trip(&self.codec, t, self.target);
         (out, enc.bits())
     }
 
@@ -501,16 +471,17 @@ impl LossyCompressor for Llm265Channel {
 }
 
 /// A rate-*tracking* LLM.265 channel for training loops: a bits/value
-/// channel that also reports the QP each call's search settled on.
+/// channel that also hands out each call's stream and the QP its search
+/// settled on.
 ///
-/// Every call runs [`Llm265Channel`]'s search at the bits target, then
-/// [`Llm265Codec::decode`], so its streams equal that channel's at the
-/// same target; the QP is read back from the stream's header.
+/// Every call is [`Llm265Codec::encode`] at the bits target, then
+/// [`Llm265Codec::decode`], as [`Llm265Channel`] at the same target; the
+/// stream is kept until the next call.
 #[derive(Debug, Clone)]
 pub struct Llm265TrackingChannel {
     codec: Llm265Codec,
     target_bits: f64,
-    last_qp: f64,
+    last_stream: Option<EncodedTensor>,
 }
 
 impl Llm265TrackingChannel {
@@ -538,15 +509,23 @@ impl Llm265TrackingChannel {
         Llm265TrackingChannel {
             codec,
             target_bits,
-            last_qp: 30.0,
+            last_stream: None,
         }
     }
 
-    /// The QP the last search settled on, as the stream header states it
-    /// (on the 1/256 grid every payload is coded at). Encoding the same
-    /// tensor at [`RateTarget::Qp`] of it reproduces the stream.
+    /// The stream of the last call, `None` before the first.
+    pub fn last_stream(&self) -> Option<&EncodedTensor> {
+        self.last_stream.as_ref()
+    }
+
+    /// The QP the last search settled on, as the last stream's header
+    /// states it (on the 1/256 grid every payload is coded at); 30 before
+    /// the first call.
     pub fn current_qp(&self) -> f64 {
-        self.last_qp
+        self.last_stream
+            .as_ref()
+            .and_then(|e| framing::parse_tensor_header(e.bytes(), &mut 0).ok())
+            .map_or(30.0, |header| header.cfg.qp)
     }
 }
 
@@ -556,21 +535,10 @@ impl LossyCompressor for Llm265TrackingChannel {
     }
 
     fn transcode(&mut self, t: &Tensor) -> (Tensor, u64) {
-        let enc = self
-            .codec
-            .encode_with(
-                t,
-                RateTarget::BitsPerValue(self.target_bits),
-                TreeSearch::EveryProbe,
-            )
-            // lint:allow(panic): channel contract — callers feed non-empty tensors
-            .expect("transcode of non-empty tensor");
-        let (out, qp) = TensorStreamIndex::parse(enc.bytes())
-            .and_then(|index| Ok((self.codec.decode(&enc)?, index.qp())))
-            // lint:allow(panic): decoding a stream produced above
-            .expect("self-produced stream decodes");
-        self.last_qp = qp;
-        (out, enc.bits())
+        let (out, enc) = round_trip(&self.codec, t, RateTarget::BitsPerValue(self.target_bits));
+        let bits = enc.bits();
+        self.last_stream = Some(enc);
+        (out, bits)
     }
 
     fn nominal_bits_per_value(&self) -> Option<f64> {
@@ -703,6 +671,34 @@ mod tests {
         assert!(ch.name().contains("LLM.265"));
     }
 
+    /// A channel call is `encode` at the channel's target, then `decode`
+    /// of that stream: the same tensor and the same bits. At 4.5 bits
+    /// both searches probe [`RESEARCH_QP`] or more from their first
+    /// probe, so they search the whole coding tree again and keep those
+    /// shapes instead.
+    #[test]
+    fn channels_are_encode_then_decode() {
+        use llm265_tensor::synthetic::{llm_gradient, GradientProfile};
+        let codec = Llm265Codec::with_config(Llm265Config {
+            threads: 1,
+            ..Llm265Config::default()
+        });
+        let mut rng = Pcg32::seed_from(11);
+        let tensors = [
+            llm_gradient(48, 48, &GradientProfile::default(), &mut rng),
+            synthetic::llm_weight(128, 64, &WeightProfile::default(), &mut rng),
+        ];
+        for t in &tensors {
+            for bits in [2.6, 3.0, 4.5] {
+                let target = RateTarget::BitsPerValue(bits);
+                let enc = codec.encode(t, target).unwrap();
+                let want = (codec.decode(&enc).unwrap(), enc.bits());
+                let got = Llm265Channel::new(codec.clone(), target).transcode(t);
+                assert!(got == want, "{:?} at {bits}", t.shape());
+            }
+        }
+    }
+
     #[test]
     fn constant_tensor_costs_almost_nothing() {
         let t = Tensor::full(64, 64, 0.25);
@@ -808,9 +804,9 @@ mod tracking_tests {
     /// The tracking channel runs the same search as a plain bits/value
     /// channel: fed the same gradient sequence at the same target, the
     /// two produce identical bits and tensors on every step, whatever
-    /// the earlier steps were. Encoding a step at the QP the channel
-    /// reports reproduces its stream byte for byte, and that stream
-    /// decodes to the channel's output.
+    /// the earlier steps were. The stream it hands out is `encode`'s at
+    /// the target byte for byte, decodes to the channel's output, and
+    /// states the QP the channel reports.
     #[test]
     fn tracking_channel_matches_the_plain_channel() {
         let codec = Llm265Codec::with_config(Llm265Config {
@@ -819,6 +815,7 @@ mod tracking_tests {
         });
         let mut tracking = Llm265TrackingChannel::with_codec(codec.clone(), 3.0);
         let mut plain = Llm265Channel::new(codec.clone(), RateTarget::BitsPerValue(3.0));
+        assert!(tracking.last_stream().is_none());
         let mut rng = Pcg32::seed_from(5);
         for step in 0..4 {
             let g = llm_gradient(48, 48, &GradientProfile::default(), &mut rng);
@@ -827,15 +824,13 @@ mod tracking_tests {
             assert_eq!(a_bits, b_bits, "step {step}");
             assert_eq!(a, b, "step {step}");
             assert!(a_bits as f64 / g.len() as f64 <= 3.0, "step {step}");
-            let bits_enc = codec
-                .encode_with(&g, RateTarget::BitsPerValue(3.0), TreeSearch::EveryProbe)
-                .unwrap();
-            let qp_enc = codec
-                .encode(&g, RateTarget::Qp(tracking.current_qp()))
-                .unwrap();
-            assert_eq!(qp_enc.bytes(), bits_enc.bytes(), "step {step}");
-            assert_eq!(qp_enc.bits(), a_bits, "step {step}");
-            assert_eq!(codec.decode(&qp_enc).unwrap(), a, "step {step}");
+            let stream = tracking.last_stream().unwrap();
+            let bits_enc = codec.encode(&g, RateTarget::BitsPerValue(3.0)).unwrap();
+            assert_eq!(stream.bytes(), bits_enc.bytes(), "step {step}");
+            assert_eq!(stream.bits(), a_bits, "step {step}");
+            assert_eq!(codec.decode(stream).unwrap(), a, "step {step}");
+            let index = TensorStreamIndex::parse(stream.bytes()).unwrap();
+            assert_eq!(index.qp(), tracking.current_qp(), "step {step}");
         }
     }
 }

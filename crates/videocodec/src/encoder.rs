@@ -262,6 +262,11 @@ struct FrameCoder<'a> {
     /// (empty for a full search), and the position of the next one.
     kept: &'a [bool],
     kept_pos: usize,
+    /// Rollback buffers of the nodes that weigh a leaf against a split:
+    /// the region before the leaf trial, then the leaf's reconstruction.
+    /// Such a node takes a pair and returns it before it returns, so the
+    /// stack holds one pair per tree depth, at most log2(ctu / min_cu).
+    regions: Vec<[Vec<u8>; 2]>,
 }
 
 impl FrameCoder<'_> {
@@ -507,26 +512,29 @@ impl FrameCoder<'_> {
         };
 
         // Branch A: code as one leaf (split flag = 0).
-        let saved_region = self.rc.frame.save_region(x0, y0, size);
+        let [mut before, mut after] = self.regions.pop().unwrap_or_default();
+        self.rc.frame.save_region_into(x0, y0, size, &mut before);
         let mut st_leaf = state.clone();
         let flag_cost = self.flag_cost(&mut st_leaf, false);
         let (leaf, leaf_cost) = self.decide_leaf(x0, y0, size, &mut st_leaf);
         let cost_leaf = leaf_cost + flag_cost;
-        let leaf_region = self.rc.frame.save_region(x0, y0, size);
+        self.rc.frame.save_region_into(x0, y0, size, &mut after);
 
         // Branch B: split into four (split flag = 1).
-        self.rc.frame.restore_region(x0, y0, size, &saved_region);
+        self.rc.frame.restore_region(x0, y0, size, &before);
         let flag_cost = self.flag_cost(state, true);
         let (split, cost_split) =
             self.decide_split(x0, y0, size, state, flag_cost, cost_leaf, below);
 
-        if cost_leaf <= cost_split {
-            self.rc.frame.restore_region(x0, y0, size, &leaf_region);
+        let decided = if cost_leaf <= cost_split {
+            self.rc.frame.restore_region(x0, y0, size, &after);
             *state = st_leaf;
             (CuNode::Leaf(leaf), cost_leaf)
         } else {
             (split, cost_split)
-        }
+        };
+        self.regions.push([before, after]);
+        decided
     }
 
     /// Counts a split flag into `state`'s contexts and returns its RD
@@ -648,6 +656,7 @@ pub(crate) fn encode_frame(
         rc: Recon::new(cfg, plans, orig.width(), orig.height(), prev, frame_idx),
         kept: kept.map_or(&[], |k| &k.splits),
         kept_pos: 0,
+        regions: Vec::new(),
     };
     let ctu = cfg.profile.ctu();
     let search = if kept.is_some() {

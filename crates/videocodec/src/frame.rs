@@ -164,17 +164,17 @@ impl Frame {
         }
     }
 
-    /// Saves the `size × size` region at `(x0, y0)` (for RD trial rollback).
-    pub(crate) fn save_region(&self, x0: usize, y0: usize, size: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(size * size);
+    /// Saves the `size × size` region at `(x0, y0)` into `out`, replacing
+    /// its contents and keeping its allocation (for RD trial rollback).
+    pub(crate) fn save_region_into(&self, x0: usize, y0: usize, size: usize, out: &mut Vec<u8>) {
+        out.clear();
         for y in 0..size {
             let row = (y0 + y) * self.width;
             out.extend_from_slice(&self.data[row + x0..row + x0 + size]);
         }
-        out
     }
 
-    /// Restores a region previously captured with `save_region`.
+    /// Restores a region previously captured with `save_region_into`.
     pub(crate) fn restore_region(&mut self, x0: usize, y0: usize, size: usize, saved: &[u8]) {
         for y in 0..size {
             let row = (y0 + y) * self.width;
@@ -258,7 +258,8 @@ mod tests {
     #[test]
     fn save_restore_region() {
         let mut f = Frame::from_fn(8, 8, |x, y| (x + 8 * y) as u8);
-        let saved = f.save_region(2, 2, 4);
+        let mut saved = vec![7; 3];
+        f.save_region_into(2, 2, 4, &mut saved);
         for y in 2..6 {
             for x in 2..6 {
                 f.set(x, y, 0);
