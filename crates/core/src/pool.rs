@@ -20,9 +20,14 @@
 //! The output vector is a pure function of `f` and `n_tasks`: thread
 //! count, scheduling and work stealing can only change *when* `f(i)` runs,
 //! never *where* its result lands. There is no cross-task reduction, so
-//! no float-accumulation-order hazard either. `xtask lint`'s determinism
-//! pass recognises exactly this shape (scope + spawn + join + index-
-//! addressed store) and exempts it from the thread-parallelism ban.
+//! no float-accumulation-order hazard either.
+//!
+//! The workspace `clippy.toml` bans threads, clocks, hashed collections,
+//! locks and atomic loads everywhere else, so this module is the one
+//! place that spawns workers or reads the machine's thread count: its two
+//! sites carry `#[allow(clippy::disallowed_methods)]` with the reason. A
+//! task cannot write to state it captures either: `F: Fn + Sync` makes
+//! the compiler reject that.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -45,6 +50,16 @@ const MAX_THREADS: usize = 256;
 /// Returns [`CodecError::Internal`] if a worker panics. All workers are
 /// joined before returning — a panicking task never leaves detached
 /// threads running.
+///
+/// A task that writes to a captured variable does not compile, so no
+/// result can depend on which worker ran first:
+///
+/// ```compile_fail,E0594
+/// let mut total = 0usize;
+/// let _ = llm265_core::pool::run_ordered(4, 2, |_i| {
+///     total += 1;
+/// });
+/// ```
 pub fn run_ordered<T, F>(n_tasks: usize, threads: usize, f: F) -> Result<Vec<T>, CodecError>
 where
     T: Send,
@@ -61,9 +76,10 @@ where
     let mut slots: Vec<Option<T>> = Vec::with_capacity(n_tasks);
     slots.resize_with(n_tasks, || None);
 
-    // No lint:allow here: `xtask lint`'s determinism pass recognises this
-    // function's shape (fetch_add claim + scoped spawn + join all + store
-    // by task index) and exempts the spawn structurally.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "workers only claim task indices; results are joined in spawn order and placed by task index"
+    )]
     let joined: Vec<std::thread::Result<Vec<(usize, T)>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
@@ -134,10 +150,11 @@ where
 /// parallelism, and the result is clamped to `[1, min(n_tasks, 256)]` —
 /// more workers than tasks would only spawn idle threads.
 pub fn effective_threads(requested: usize, n_tasks: usize) -> usize {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the thread count only sizes the worker set of the ordered-join pool above"
+    )]
     let requested = if requested == 0 {
-        // lint:allow(determinism): thread count only sizes the worker
-        // set of the ordered-join pool above; it cannot affect output
-        // bytes (see module docs).
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
         requested
@@ -174,7 +191,7 @@ mod tests {
         })
         .expect("pool run");
         assert_eq!(out.len(), 57);
-        assert_eq!(count.load(Ordering::Relaxed), 57);
+        assert_eq!(count.into_inner(), 57);
     }
 
     #[test]

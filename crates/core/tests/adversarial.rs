@@ -2,6 +2,10 @@
 //! the tensor codec and the archive must produce [`CodecError`]s, never
 //! panics.
 
+use std::ops::Range;
+use std::time::Duration;
+
+use llm265_bitstream::crc32::Crc32;
 use llm265_core::archive::{ArchiveIndex, TensorArchive};
 use llm265_core::{
     CodecError, EncodedTensor, Llm265Codec, Llm265Config, RateTarget, TensorCodec,
@@ -90,33 +94,115 @@ fn every_truncation_point_errors_never_panics() {
     }
 }
 
-/// Every chunk record ends with the CRC-32 of the tensor header and the
-/// record, so no single-byte flip decodes `Ok` to a tensor other than
-/// the clean one: a flip in the header or a record fails its checksum,
-/// and a flip in a checksum fails the comparison.
-#[test]
-fn single_byte_flips_are_detected_or_harmless() {
-    let codec = Llm265Codec::new();
-    let enc = sample_encoded();
+/// Each chunk's checksummed record (affine map, tile table and
+/// payloads), read from the clean stream's index; the chunk's CRC-32
+/// follows it. A record opens with `lo` and `scale` (4 bytes each) and
+/// one u32 length per tile.
+fn chunk_records(bytes: &[u8]) -> Vec<Range<usize>> {
+    let index = TensorStreamIndex::parse(bytes).expect("clean index parses");
+    (0..index.n_chunks())
+        .map(|c| {
+            let tiles = index.n_tiles(c);
+            let start = index.tile_range(c, 0).start - 4 * tiles - 8;
+            start..index.tile_range(c, tiles - 1).end
+        })
+        .collect()
+}
+
+/// Rewrites every chunk checksum of `evil` over its (possibly flipped)
+/// header and records, at the clean stream's layout `records`. A CRC-32
+/// guards against accidents, not adversaries; resealed flips reach the
+/// tile parsers behind it.
+fn reseal(evil: &mut [u8], records: &[Range<usize>]) {
+    for r in records {
+        let crc = Crc32::new()
+            .update(&evil[..HEADER_BYTES])
+            .update(&evil[r.clone()])
+            .finish();
+        evil[r.end..r.end + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// Longest any one hostile decode of the sample stream may take. A clean
+/// decode takes well under a millisecond; a flipped length or count that
+/// drives a parser loop far past the data shows up here even when the
+/// loop ends.
+const MAX_DECODE: Duration = Duration::from_secs(1);
+
+#[allow(
+    clippy::disallowed_types,
+    reason = "times a test decode against MAX_DECODE; no stream byte depends on the clock"
+)]
+fn bounded_decode(enc: &EncodedTensor, pos: usize) -> Result<Tensor, CodecError> {
+    let start = std::time::Instant::now();
+    let out = Llm265Codec::new().decode(enc);
+    let took = start.elapsed();
+    assert!(took < MAX_DECODE, "flip at {pos}: decode took {took:?}");
+    out
+}
+
+/// What the flips of one sweep decoded to.
+#[derive(Debug, Default)]
+struct Outcomes {
+    /// Refused at a chunk checksum.
+    checksum: usize,
+    /// Refused by any other check.
+    refused: usize,
+    /// Decoded `Ok` to a tensor other than the clean one.
+    wrong: usize,
+    /// Decoded `Ok` to the clean tensor.
+    clean: usize,
+}
+
+/// Flips every byte of the sample stream with masks 0x01, 0x80 and 0xFF,
+/// reseals the checksums when `resealed`, and counts what each flip
+/// decodes to. No flip may panic, outlast [`MAX_DECODE`] or change the
+/// shape.
+fn flip_sweep(enc: &EncodedTensor, resealed: bool) -> Outcomes {
     let (rows, cols) = enc.shape();
-    let clean = codec.decode(&enc).expect("clean stream decodes");
-    let mut silent = 0;
+    let clean = Llm265Codec::new()
+        .decode(enc)
+        .expect("clean stream decodes");
+    let records = chunk_records(enc.bytes());
+    let mut out = Outcomes::default();
     for pos in 0..enc.bytes().len() {
         for flip in [0x01u8, 0x80, 0xff] {
             let mut bytes = enc.bytes().to_vec();
             bytes[pos] ^= flip;
-            // Never a panic, and never the wrong shape.
-            if let Ok(t) = codec.decode(&EncodedTensor::from_parts(bytes, rows, cols)) {
-                assert_eq!(t.shape(), (rows, cols));
-                silent += usize::from(t != clean);
+            if resealed {
+                reseal(&mut bytes, &records);
+            }
+            match bounded_decode(&EncodedTensor::from_parts(bytes, rows, cols), pos) {
+                Err(CodecError::Corrupt("checksum mismatch")) => out.checksum += 1,
+                Err(_) => out.refused += 1,
+                Ok(t) => {
+                    assert_eq!(t.shape(), (rows, cols));
+                    if t == clean {
+                        out.clean += 1;
+                    } else {
+                        out.wrong += 1;
+                    }
+                }
             }
         }
     }
-    let flips = 3 * enc.bytes().len();
-    assert_eq!(
-        silent, 0,
-        "{silent}/{flips} flips decoded to a wrong tensor"
-    );
+    out
+}
+
+/// Every chunk record ends with the CRC-32 of the tensor header and the
+/// record, so no single-byte flip decodes `Ok` to a tensor other than
+/// the clean one: a flip in the header or a record fails its checksum,
+/// and a flip in a checksum fails the comparison. Resealed, the flips
+/// reach the tile table and CABAC parsers, which must refuse them or
+/// decode them without a panic in bounded time.
+#[test]
+fn single_byte_flips_are_detected_or_harmless() {
+    let enc = sample_encoded();
+    let as_is = flip_sweep(&enc, false);
+    assert_eq!(as_is.wrong, 0, "{as_is:?}");
+    let resealed = flip_sweep(&enc, true);
+    // The sweep reaches the parsers behind the checksum.
+    assert!(resealed.refused > resealed.checksum, "{resealed:?}");
 }
 
 #[test]

@@ -10,7 +10,7 @@ use crate::encoder::{MAGIC, VERSION};
 use crate::inter::{compensate, MotionVector};
 use crate::intra::RefSamples;
 use crate::recon::Recon;
-use crate::syntax::{parse_levels, BinSource, Contexts};
+use crate::syntax::{parse_eg, parse_levels, BinSource, Contexts};
 use crate::tile::{self, TileLayout, MAX_TILES};
 use crate::transform::DctPlans;
 use crate::{CodecConfig, CodecError, Frame, PipelineConfig, Profile};
@@ -118,18 +118,10 @@ impl FrameDecoder<'_> {
     }
 }
 
+/// Parses a zig-zag-mapped order-1 exp-Golomb value (the inverse of
+/// [`crate::encoder::code_signed_eg`]).
 fn parse_signed_eg<D: BinSource>(dec: &mut D) -> Result<i32, CodecError> {
-    let mut m = 1u32;
-    let mut base = 0u32;
-    while m < 31 && dec.bypass() {
-        base += 1 << m;
-        m += 1;
-    }
-    // `m <= 31`, so the suffix always fits u32; `try_from` states that
-    // width contract explicitly instead of silently truncating.
-    let suffix = u32::try_from(dec.bypass_bits(m))
-        .map_err(|_| CodecError::Corrupt("motion suffix exceeds 32 bits"))?;
-    let mapped = base + suffix;
+    let mapped = parse_eg(dec, 1)?;
     // `mapped >> 1` fits i32; the mask is value-preserving and states that.
     Ok(if mapped & 1 == 0 {
         ((mapped >> 1) & 0x7FFF_FFFF) as i32

@@ -26,7 +26,7 @@ use crate::inter::{compensate, motion_search, MotionVector};
 use crate::intra::{PredMode, RefSamples, SweepLines};
 use crate::quant::lambda;
 use crate::recon::Recon;
-use crate::syntax::{code_levels, BinSink, BitCounter, Contexts};
+use crate::syntax::{code_eg, code_levels, BinSink, BitCounter, Contexts};
 use crate::tile::{self, wire_u32, TileLayout};
 use crate::transform::{satd, DctPlans};
 use crate::{CodecConfig, CodecError, EncodedVideo, Frame};
@@ -603,7 +603,7 @@ impl FrameCoder<'_> {
 }
 
 /// Codes a signed value as zig-zag-mapped order-1 exp-Golomb bypass bits
-/// (used for motion vectors).
+/// (used for motion vectors): 0, 1, −1, 2, −2, … map to 0, 2, 1, 4, 3, ….
 pub(crate) fn code_signed_eg<S: BinSink>(sink: &mut S, v: i32) {
     // `unsigned_abs` avoids the sign-changing cast and is well-defined
     // even for i32::MIN, where `-v` would overflow.
@@ -612,27 +612,7 @@ pub(crate) fn code_signed_eg<S: BinSink>(sink: &mut S, v: i32) {
     } else {
         (v.unsigned_abs() << 1) - 1
     };
-    // Count the unary prefix arithmetically, then emit prefix, terminator
-    // and suffix in one batched bypass call (at most 62 bins).
-    let mut m = 1u32;
-    let mut rem = mapped;
-    let mut ones = 0u32;
-    while m < 31 && rem >= (1 << m) {
-        rem -= 1 << m;
-        m += 1;
-        ones += 1;
-    }
-    // `ones` grows in lockstep with `m`, which the loop caps below 31.
-    debug_assert!(ones <= 30, "exp-Golomb prefix exceeds the order cap");
-    if m < 31 {
-        let prefix = ((1u64 << ones) - 1) << 1; // `ones` one-bits, then the 0.
-        sink.bypass_bits((prefix << m) | u64::from(rem), ones + 1 + m);
-    } else {
-        // Saturated prefix (truncated unary): the parser's own `m < 31`
-        // cap ends the prefix, so coding a terminator would desync it.
-        let prefix = (1u64 << ones) - 1;
-        sink.bypass_bits((prefix << m) | u64::from(rem), ones + m);
-    }
+    code_eg(sink, mapped, 1);
 }
 
 /// Encodes one frame (already padded to the CTU size) as a standalone

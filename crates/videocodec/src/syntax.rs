@@ -510,7 +510,7 @@ pub fn parse_remainder<D: BinSource>(dec: &mut D, k: u32) -> Result<u32, CodecEr
 /// k-th order exp-Golomb in bypass bits. The interleaved bin-by-bin loop
 /// is split into an arithmetic prefix count followed by one batched
 /// bypass call carrying prefix, terminator and suffix (at most 62 bins).
-fn code_eg<S: BinSink>(sink: &mut S, v: u32, m0: u32) {
+pub(crate) fn code_eg<S: BinSink>(sink: &mut S, v: u32, m0: u32) {
     let mut rem = v;
     let mut m = m0;
     let mut ones = 0u32;
@@ -532,7 +532,7 @@ fn code_eg<S: BinSink>(sink: &mut S, v: u32, m0: u32) {
     }
 }
 
-fn parse_eg<D: BinSource>(dec: &mut D, mut m: u32) -> Result<u32, CodecError> {
+pub(crate) fn parse_eg<D: BinSource>(dec: &mut D, mut m: u32) -> Result<u32, CodecError> {
     let mut base = 0u32;
     while m < 31 && dec.bypass() {
         base += 1 << m;

@@ -1,6 +1,10 @@
 //! Adversarial decoder tests: hostile video bitstreams must produce
 //! [`CodecError`]s, never panics and never unbounded allocations.
 
+use std::ops::Range;
+use std::time::Duration;
+
+use llm265_bitstream::crc32::Crc32;
 use llm265_videocodec::{decode_video, encode_video, CodecConfig, CodecError, Frame};
 
 /// A small two-frame clip with real detail (so the bitstream contains
@@ -118,36 +122,113 @@ fn every_truncation_point_errors() {
     }
 }
 
-/// Flips every byte of `stream` with masks 0x01, 0x80 and 0xFF and counts
-/// the flips that decode `Ok` to frames other than the clean ones. No
-/// flip may panic.
-fn silent_flips(stream: &[u8]) -> usize {
+/// Each frame's checksummed record (its tile table and payloads), read
+/// from the clean stream's own tables; the frame's CRC-32 follows it.
+fn frame_records(stream: &[u8]) -> Vec<Range<usize>> {
+    let tiles = usize::from(u16::from_le_bytes([
+        stream[TILES_OFFSET],
+        stream[TILES_OFFSET + 1],
+    ]));
+    let mut pos = HEADER_BYTES;
+    (0..read_le_u32(stream, NFRAMES_OFFSET))
+        .map(|_| {
+            let start = pos;
+            let payload: u32 = (0..tiles).map(|t| read_le_u32(stream, start + 4 * t)).sum();
+            pos = start + 4 * tiles + payload as usize;
+            let record = start..pos;
+            pos += 4;
+            record
+        })
+        .collect()
+}
+
+/// Rewrites every frame checksum of `evil` over its (possibly flipped)
+/// header and records, at the clean stream's layout `records`. A CRC-32
+/// guards against accidents, not adversaries; resealed flips reach the
+/// tile parsers behind it.
+fn reseal(evil: &mut [u8], records: &[Range<usize>]) {
+    for r in records {
+        let crc = Crc32::new()
+            .update(&evil[..HEADER_BYTES])
+            .update(&evil[r.clone()])
+            .finish();
+        evil[r.end..r.end + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// Longest any one hostile decode of a sample stream may take. A clean
+/// decode takes well under a millisecond; a flipped length or count that
+/// drives a parser loop far past the data shows up here even when the
+/// loop ends.
+const MAX_DECODE: Duration = Duration::from_secs(1);
+
+#[allow(
+    clippy::disallowed_types,
+    reason = "times a test decode against MAX_DECODE; no stream byte depends on the clock"
+)]
+fn bounded_decode(evil: &[u8], pos: usize) -> Result<Vec<Frame>, CodecError> {
+    let start = std::time::Instant::now();
+    let out = decode_video(evil);
+    let took = start.elapsed();
+    assert!(took < MAX_DECODE, "flip at {pos}: decode took {took:?}");
+    out
+}
+
+/// What the flips of one sweep decoded to.
+#[derive(Debug, Default)]
+struct Outcomes {
+    /// Refused at a frame checksum.
+    checksum: usize,
+    /// Refused by any other check.
+    refused: usize,
+    /// Decoded `Ok` to frames other than the clean ones.
+    wrong: usize,
+    /// Decoded `Ok` to the clean frames.
+    clean: usize,
+}
+
+/// Flips every byte of `stream` with masks 0x01, 0x80 and 0xFF, reseals
+/// the checksums when `resealed`, and counts what each flip decodes to.
+/// No flip may panic or outlast [`MAX_DECODE`].
+fn flip_sweep(stream: &[u8], resealed: bool) -> Outcomes {
     let clean = decode_video(stream).expect("clean stream decodes");
-    let mut silent = 0;
+    let records = frame_records(stream);
+    let mut out = Outcomes::default();
     for pos in 0..stream.len() {
         for flip in [0x01u8, 0x80, 0xff] {
             let mut evil = stream.to_vec();
             evil[pos] ^= flip;
-            silent += usize::from(decode_video(&evil).is_ok_and(|f| f != clean));
+            if resealed {
+                reseal(&mut evil, &records);
+            }
+            match bounded_decode(&evil, pos) {
+                Err(CodecError::Corrupt("checksum mismatch")) => out.checksum += 1,
+                Err(_) => out.refused += 1,
+                Ok(f) if f == clean => out.clean += 1,
+                Ok(_) => out.wrong += 1,
+            }
         }
     }
-    silent
+    out
 }
 
-/// Every frame ends with the CRC-32 of the stream header and its tile
-/// table, so no flip decodes `Ok` to wrong frames: a flip in the header
-/// or a frame fails that frame's checksum, a flip in a checksum fails the
-/// comparison.
+/// Both sweeps of `stream`. As written, every frame ends with the CRC-32
+/// of the stream header and its tile table, so no flip decodes `Ok` to
+/// wrong frames: a flip in the header or a frame fails that frame's
+/// checksum, a flip in a checksum fails the comparison. Resealed, the
+/// flips reach the tile table and CABAC parsers, which must refuse them
+/// or decode them without a panic in bounded time.
+fn assert_flip_sweeps(stream: &[u8]) {
+    let as_is = flip_sweep(stream, false);
+    assert_eq!(as_is.wrong, 0, "{as_is:?}");
+    let resealed = flip_sweep(stream, true);
+    // The sweep reaches the parsers behind the checksum.
+    assert!(resealed.refused > resealed.checksum, "{resealed:?}");
+}
+
 #[test]
 fn single_byte_flips_are_detected_or_harmless() {
-    let stream = sample_stream();
-    let silent = silent_flips(&stream);
-    assert_eq!(
-        silent,
-        0,
-        "{silent}/{} flips decoded wrong",
-        3 * stream.len()
-    );
+    assert_flip_sweeps(&sample_stream());
 }
 
 #[test]
@@ -259,13 +340,7 @@ fn hostile_tile_lengths_are_rejected() {
 #[test]
 fn tiled_stream_flips_are_detected_and_truncations_error() {
     let stream = tiled_sample_stream();
-    let silent = silent_flips(&stream);
-    assert_eq!(
-        silent,
-        0,
-        "{silent}/{} flips decoded wrong",
-        3 * stream.len()
-    );
+    assert_flip_sweeps(&stream);
     for cut in 0..stream.len() {
         assert!(
             decode_video(&stream[..cut]).is_err(),

@@ -7,8 +7,8 @@
 //! graph from a set of root functions to its reachable closure.
 //!
 //! All maps are `BTreeMap`/`BTreeSet`: the lint gate's own output must be
-//! deterministic across runs, for exactly the reasons the determinism pass
-//! enforces on the codec.
+//! deterministic across runs, for the same reasons the workspace
+//! `clippy.toml` bans hashed collections in the codec.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -24,8 +24,6 @@ pub struct FnItem {
     pub params: Vec<(String, String)>,
     /// Compact return-type text (`Result<Vec<i32>,CodecError>`), if any.
     pub ret: Option<String>,
-    /// Attribute texts (`must_use`, `inline`, `cfg(feature=...)`).
-    pub attrs: Vec<String>,
     /// Body group; `None` for bodiless trait-method declarations.
     pub body: Option<Group>,
     /// 0-based line of the `fn` keyword.
@@ -103,7 +101,8 @@ fn parse_into(forest: &[Tree], self_ty: Option<&str>, out: &mut FileItems) {
                 attrs.clear();
             }
             "fn" => {
-                let (f, next) = parse_fn(forest, i, self_ty, std::mem::take(&mut attrs));
+                let (f, next) = parse_fn(forest, i, self_ty);
+                attrs.clear();
                 if let Some(f) = f {
                     out.fns.push(f);
                 }
@@ -297,12 +296,7 @@ fn parse_impl_header(forest: &[Tree], i: usize) -> (Option<String>, Option<Group
 }
 
 /// Parses one `fn` item whose `fn` keyword is at `i`.
-fn parse_fn(
-    forest: &[Tree],
-    i: usize,
-    self_ty: Option<&str>,
-    attrs: Vec<String>,
-) -> (Option<FnItem>, usize) {
+fn parse_fn(forest: &[Tree], i: usize, self_ty: Option<&str>) -> (Option<FnItem>, usize) {
     let Some(name_tok) = forest.get(i + 1).and_then(Tree::leaf) else {
         return (None, i + 1);
     };
@@ -406,7 +400,6 @@ fn parse_fn(
             self_ty: self_ty.map(str::to_string),
             params,
             ret,
-            attrs,
             body,
             line,
         }),
@@ -571,12 +564,6 @@ mod tests {
                 ("e", true)
             ]
         );
-    }
-
-    #[test]
-    fn attrs_are_captured() {
-        let it = items("#[must_use]\n#[inline]\npub fn f() -> u8 { 0 }");
-        assert_eq!(it.fns[0].attrs, vec!["must_use", "inline"]);
     }
 
     #[test]

@@ -4,30 +4,27 @@
 //! machine-readable report). The gate is an AST analysis engine, not a line-regex scanner:
 //! every file is lexed into token trees and parsed into items exactly once
 //! ([`source::SourceFile`]), the items are merged into a workspace-wide
-//! call-graph index ([`ast::index::Index`]), and ten passes run as
+//! call-graph index ([`ast::index::Index`]), and eight passes run as
 //! visitors over that shared result:
 //!
 //! 1. **float-cmp** ([`passes::float_cmp`]) — bans exact `==`/`!=` against
 //!    float literals in codec math (use `stats::approx_eq`);
 //! 2. **hygiene** ([`passes::hygiene`]) — every crate forbids unsafe code,
 //!    carries crate docs, and opts into `[workspace.lints]`;
-//! 3. **determinism** ([`passes::determinism`]) — bans randomized-order
-//!    collections, wall clocks, and thread-count-dependent reductions in
-//!    the call graphs of `encode*`/`decode*`/`quantize*` functions;
-//! 4. **error-discipline** ([`passes::error_discipline`]) — dropped
-//!    `Result`s and discarded `#[must_use]` values;
-//! 5. **wire-taint** ([`passes::wire_taint`]) — interprocedural dataflow
+//! 3. **error-discipline** ([`passes::error_discipline`]) — `let _ =`
+//!    discards of `Result`s;
+//! 4. **wire-taint** ([`passes::wire_taint`]) — interprocedural dataflow
 //!    over the [`dataflow`] engine: values read from the wire must pass a
 //!    sanitizer before sizing an allocation, bounding a loop, or indexing
 //!    a slice, with a source → sink witness chain in every finding;
-//! 6. **panic-reach** ([`passes::panic_reach`]) — denies
+//! 5. **panic-reach** ([`passes::panic_reach`]) — denies
 //!    `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`
 //!    anywhere in the decode/encode hot-path crates (function bodies,
 //!    const/static initializers, `macro_rules!` bodies) and input
 //!    indexing in their decode-shaped functions (depth 0), then follows
 //!    the call graph from every decode-shaped function and reports the
 //!    panicking constructs it reaches, with the full root → site chain;
-//! 7. **range-proof** ([`passes::range_proof`]) — an interval abstract
+//! 6. **range-proof** ([`passes::range_proof`]) — an interval abstract
 //!    domain over the [`dataflow`] engine: per-variable `[lo, hi]`
 //!    bounds with widening at loop heads and narrowing on guards, flags
 //!    arithmetic whose proven result interval escapes the destination
@@ -35,43 +32,43 @@
 //!    target's range (or a float) — closures and macro arguments
 //!    included — seeded by the contract table
 //!    `crates/xtask/ranges.toml`;
-//! 8. **termination** ([`passes::termination`]) — every `while`/`loop`
+//! 7. **termination** ([`passes::termination`]) — every `while`/`loop`
 //!    reachable from a public decode API whose condition depends on
 //!    wire data must carry a proven variant: a fallibly consuming read
 //!    each iteration (monotone-progress summaries memoized across
 //!    crates), a counter stepping toward a literal/const bound, or a
 //!    contract-capped bound from `ranges.toml` — unproven loops get a
 //!    witness chain explaining why each variant failed;
-//! 9. **interference** ([`passes::interference`]) — shared-mutable
-//!    captures written inside `core::pool` scoped spawns without
-//!    index-disjoint addressing, lock acquisitions inside pool tasks,
-//!    and `Ordering::Relaxed` loads feeding control flow;
-//! 10. **wire-schema** ([`passes::wire_schema`]) — pairs every bitstream
-//!     writer (`write_*`/`encode_*`/`code_*`) with its reader
-//!     (`read_*`/`decode_*`/`parse_*`) and fails on unpaired elements,
-//!     then extracts the symbolic wire grammar of each pair (field
-//!     widths, guard structure, loop bounds tied to `ranges.toml`
-//!     intervals) via [`dataflow::wire`] and proves the two sides are
-//!     duals, with a side-by-side writer/reader witness chain naming the
-//!     first drifted field; the same extraction serializes the committed
-//!     format spec (`FORMAT.md` + `wire-schema.json`) via `lint --schema`.
+//! 8. **wire-schema** ([`passes::wire_schema`]) — pairs every bitstream
+//!    writer (`write_*`/`encode_*`/`code_*`) with its reader
+//!    (`read_*`/`decode_*`/`parse_*`) and fails on unpaired elements,
+//!    then extracts the symbolic wire grammar of each pair (field
+//!    widths, guard structure, loop bounds tied to `ranges.toml`
+//!    intervals) via [`dataflow::wire`] and proves the two sides are
+//!    duals, with a side-by-side writer/reader witness chain naming the
+//!    first drifted field; the same extraction serializes the committed
+//!    format spec (`FORMAT.md` + `wire-schema.json`) via `lint --schema`.
 //!
 //! Escape hatches are per-site comments with a reason:
-//! `// lint:allow(panic|float-cmp|determinism|error|taint|range|term|interfere|schema): <why>`.
+//! `// lint:allow(panic|float-cmp|error|taint|range|term|schema): <why>`.
 //! Comments, strings, and `#[cfg(test)]` items are stripped by the engine
 //! before any pass runs, so findings can never fire on prose or test code.
 //! Every other finding fails the gate.
+//!
+//! The bit-exactness bans (hashed collections, clocks, threads, locks,
+//! atomic loads, CPU feature detection) are not a pass: the workspace
+//! `clippy.toml` holds them and `cargo clippy -- -D warnings` enforces
+//! them in every crate, and `core::pool`'s `Fn + Sync` task bound makes a
+//! task that writes to captured state a compile error.
 
 #![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod dataflow;
 pub mod passes {
-    pub mod determinism;
     pub mod error_discipline;
     pub mod float_cmp;
     pub mod hygiene;
-    pub mod interference;
     pub mod panic_reach;
     pub mod range_proof;
     pub mod termination;
@@ -110,13 +107,11 @@ pub const CAST_SAFETY_CRATES: &[&str] = &[
 pub const PASSES: &[&str] = &[
     "float-cmp",
     "hygiene",
-    "determinism",
     "error-discipline",
     "wire-taint",
     "panic-reach",
     "range-proof",
     "termination",
-    "interference",
     "wire-schema",
 ];
 
@@ -207,11 +202,6 @@ pub fn lint_workspace_timed(
     });
     report.violations.extend(v);
 
-    let v = timed(&mut timings, "determinism", || {
-        passes::determinism::check_workspace(ws, index)
-    });
-    report.violations.extend(v);
-
     let v = timed(&mut timings, "error-discipline", || {
         passes::error_discipline::check_workspace(ws, index)
     });
@@ -234,11 +224,6 @@ pub fn lint_workspace_timed(
 
     let v = timed(&mut timings, "termination", || {
         passes::termination::check_workspace(ws, index, &sums, PANIC_FREE_CRATES, contracts)
-    });
-    report.violations.extend(v);
-
-    let v = timed(&mut timings, "interference", || {
-        passes::interference::check_workspace(ws, index, PANIC_FREE_CRATES)
     });
     report.violations.extend(v);
 
@@ -317,19 +302,14 @@ mod tests {
     }
 
     #[test]
-    fn cast_and_determinism_passes_fire_through_the_pipeline() {
+    fn cast_pass_fires_through_the_pipeline() {
         let ws = ws_with(
             "llm265-quant",
             "crates/quant/src/q.rs",
-            "fn quantize_x(v: i64) -> u8 {\n    let m = HashMap::new();\n    m.len();\n    v as u8\n}\n",
+            "fn quantize_x(v: i64) -> u8 {\n    v as u8\n}\n",
         );
         let report = lint_workspace(&ws);
         let passes: Vec<&str> = report.violations.iter().map(|v| v.pass).collect();
-        assert_eq!(
-            passes,
-            vec!["determinism", "range-proof"],
-            "{:?}",
-            report.violations
-        );
+        assert_eq!(passes, vec!["range-proof"], "{:?}", report.violations);
     }
 }

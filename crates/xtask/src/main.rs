@@ -169,11 +169,9 @@ fn run_explain(root: &std::path::Path, id: &str) -> ExitCode {
         "wire-taint" => "taint",
         "panic-reach" => "panic",
         "float-cmp" => "float-cmp",
-        "determinism" => "determinism",
         "error-discipline" => "error",
         "range-proof" => "range",
         "termination" => "term",
-        "interference" => "interfere",
         "wire-schema" => "schema",
         _ => "",
     };
@@ -276,8 +274,8 @@ fn print_help() {
          \x20                      wire-schema.json; drift-checked in CI)\n\
          \x20 --sarif PATH         also write the gate report as SARIF 2.1.0\n\
          \x20 --timings            print per-pass wall time after the gate run\n\n\
-         Passes: float-cmp, hygiene, determinism, error-discipline, wire-taint,\n\
-         panic-reach, range-proof, termination, interference, wire-schema\n\
+         Passes: float-cmp, hygiene, error-discipline, wire-taint, panic-reach,\n\
+         range-proof, termination, wire-schema\n\
          (see crates/xtask/src/lib.rs)"
     );
 }

@@ -68,11 +68,6 @@ pub const TRUSTED_PAIRS: &[(&str, &str, &str)] = &[
         "parse_remainder",
         "remainder_roundtrip_wide_range",
     ),
-    (
-        "code_signed_eg",
-        "parse_signed_eg",
-        "signed_eg_extreme_motion_roundtrips",
-    ),
     ("write_ue", "read_ue", "ue_roundtrip_wide_range"),
 ];
 
@@ -116,6 +111,7 @@ const LAYERS: &[(&str, &str, &str)] = &[
     ("leaf", "code_leaf", "parse_leaf"),
     ("residual", "code_levels", "parse_levels"),
     ("last-pos", "code_last_pos", "parse_last_pos"),
+    ("signed_eg", "code_signed_eg", "parse_signed_eg"),
 ];
 
 fn in_scope(path: &str) -> bool {

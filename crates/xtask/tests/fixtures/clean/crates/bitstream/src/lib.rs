@@ -46,14 +46,3 @@ pub fn parse_flag_caps(dec: &mut CabacDecoder) -> u32 {
     }
     n
 }
-
-/// Index-disjoint pool fan-out: each task owns its slot, so the
-/// interference pass has nothing to flag.
-pub fn decode_fanout() -> usize {
-    let mut slots = [0usize; 4];
-    let _done = run_ordered(4, 2, |i| {
-        slots[i] = 1;
-        i
-    });
-    slots.len()
-}

@@ -124,25 +124,3 @@ pub fn parse_run_flags_capped(dec: &mut CabacDecoder) -> u32 {
     }
     n
 }
-
-/// Interference: the spawned pool closure mutates a captured accumulator,
-/// so the final value depends on worker scheduling.
-pub fn decode_tally(jobs: usize) -> usize {
-    let mut total = 0usize;
-    let _done = run_ordered(jobs, 2, |_i| {
-        total += 1;
-        0usize
-    });
-    total
-}
-
-/// The index-disjoint twin stays quiet: every task writes only the slot
-/// addressed by its own closure parameter.
-pub fn decode_tally_disjoint() -> usize {
-    let mut slots = [0usize; 4];
-    let _done = run_ordered(4, 2, |i| {
-        slots[i] = 1;
-        i
-    });
-    slots.len()
-}

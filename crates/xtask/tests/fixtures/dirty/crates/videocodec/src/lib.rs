@@ -1,5 +1,5 @@
-//! Dirty fixture, videocodec half: one float-cmp and one determinism
-//! finding (plus a hygiene finding from the manifest).
+//! Dirty fixture, videocodec half: one float-cmp finding (plus a hygiene
+//! finding from the manifest).
 
 #![forbid(unsafe_code)]
 
@@ -9,11 +9,4 @@ pub mod encoder;
 /// Float-cmp: exact comparison against a float literal fires.
 pub fn is_zero(x: f32) -> bool {
     x == 0.0
-}
-
-/// Determinism: `HashMap` inside an encode-family function fires once
-/// (both mentions share a line and dedupe).
-pub fn encode_config() -> usize {
-    let m: std::collections::HashMap<u8, u8> = std::collections::HashMap::new();
-    m.len()
 }
