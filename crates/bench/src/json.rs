@@ -30,7 +30,6 @@
 //! ends with `\n  ]\n}\n`, so a new run is spliced in before that suffix.
 //! Only files produced by this module can be appended to.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -117,28 +116,27 @@ fn splice_run(existing: &str, run_text: &str) -> io::Result<String> {
 
 /// Renders one run as an indented JSON object (no trailing newline).
 fn render_run(run: &BenchRun) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "    {{\n      \"label\": {},\n      \"threads_available\": {},\n      \"samples\": [",
+    let samples: Vec<String> = run
+        .samples
+        .iter()
+        .map(|ts| {
+            format!(
+                "\n        {{ \"name\": {}, \"threads\": {}, \"median_s\": {}, \"min_s\": {}, \"bytes\": {}, \"mb_per_s\": {} }}",
+                escape(&ts.sample.name),
+                ts.threads,
+                number(ts.sample.median_s),
+                number(ts.sample.min_s),
+                ts.sample.bytes,
+                ts.sample.mb_per_s().map_or_else(|| "null".to_string(), number),
+            )
+        })
+        .collect();
+    format!(
+        "    {{\n      \"label\": {},\n      \"threads_available\": {},\n      \"samples\": [{}\n      ]\n    }}",
         escape(&run.label),
-        run.threads_available
-    );
-    for (i, ts) in run.samples.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n        {{ \"name\": {}, \"threads\": {}, \"median_s\": {}, \"min_s\": {}, \"bytes\": {}, \"mb_per_s\": {} }}",
-            escape(&ts.sample.name),
-            ts.threads,
-            number(ts.sample.median_s),
-            number(ts.sample.min_s),
-            ts.sample.bytes,
-            ts.sample.mb_per_s().map_or_else(|| "null".to_string(), number),
-        );
-    }
-    out.push_str("\n      ]\n    }");
-    out
+        run.threads_available,
+        samples.join(","),
+    )
 }
 
 /// Formats a float as a JSON number (`null` for non-finite values, which
@@ -164,9 +162,7 @@ fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
@@ -258,9 +254,11 @@ mod tests {
     #[test]
     fn roundtrip_through_disk_appends() {
         let dir = std::env::temp_dir().join("llm265_bench_json_test");
-        let _ = fs::create_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("create temp dir");
         let path = dir.join("BENCH_test.json");
-        let _ = fs::remove_file(&path);
+        if path.exists() {
+            fs::remove_file(&path).expect("remove stale file");
+        }
         let run = BenchRun {
             label: "r1".to_string(),
             threads_available: 2,
@@ -270,6 +268,6 @@ mod tests {
         write_or_append(&path, "t", targets(), &run).expect("append");
         let doc = fs::read_to_string(&path).expect("read back");
         assert_eq!(doc.matches("\"label\": \"r1\"").count(), 2);
-        let _ = fs::remove_file(&path);
+        fs::remove_file(&path).expect("remove test file");
     }
 }

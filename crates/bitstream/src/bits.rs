@@ -121,11 +121,6 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Number of bits consumed so far.
-    pub fn bit_pos(&self) -> u64 {
-        self.pos as u64 * 8 - self.nbits as u64
-    }
-
     fn refill(&mut self, need: u32) -> Result<(), CodecError> {
         while self.nbits < need {
             let byte = *self

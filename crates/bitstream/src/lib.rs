@@ -35,6 +35,19 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Decode and encode paths return `CodecError` instead of panicking; an
+// exception carries an allow with the reason it cannot fire.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod bits;
 pub mod bytes;

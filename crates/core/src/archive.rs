@@ -214,16 +214,6 @@ impl ArchiveIndex {
         self.entries.iter().position(|(n, _)| n == name)
     }
 
-    /// Absolute byte range of entry `i`'s tensor stream within the
-    /// archive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn stream_range(&self, i: usize) -> Range<usize> {
-        self.entries[i].1.clone()
-    }
-
     /// Entry `i`'s tensor stream bytes — the per-tensor range read.
     ///
     /// # Errors

@@ -88,8 +88,8 @@ fn quantize_band(t: &Tensor, row0: usize, rows: usize) -> Chunk {
         hi = 0.0;
     }
     let scale = if hi > lo { (hi - lo) / 255.0 } else { 0.0 };
-    // lint:allow(float-cmp): `scale` is assigned exactly 0.0 for flat
-    // chunks one line up; this guards the division inside the kernel.
+    // `scale` is assigned exactly 0.0 for flat chunks one line up; this guards
+    // the division inside the kernel.
     let frame = if scale == 0.0 {
         Frame::from_vec(cols, rows, vec![0u8; cols * rows])
     } else {

@@ -437,14 +437,18 @@ impl Llm265Channel {
 /// A channel call: [`Llm265Codec::encode`] at `target`, then
 /// [`Llm265Codec::decode`] of that stream.
 fn round_trip(codec: &Llm265Codec, t: &Tensor, target: RateTarget) -> (Tensor, EncodedTensor) {
+    #[allow(
+        clippy::expect_used,
+        reason = "channel contract: callers feed non-empty tensors"
+    )]
     let enc = codec
         .encode(t, target)
-        // lint:allow(panic): channel contract — callers feed non-empty tensors
         .expect("transcode of non-empty tensor");
-    let out = codec
-        .decode(&enc)
-        // lint:allow(panic): decoding a stream produced two lines up
-        .expect("self-produced stream decodes");
+    #[allow(
+        clippy::expect_used,
+        reason = "decoding a stream produced two lines up"
+    )]
+    let out = codec.decode(&enc).expect("self-produced stream decodes");
     (out, enc)
 }
 

@@ -82,11 +82,15 @@ impl ResidualCompensator {
     /// transmitted bits. Does not advance the step counter.
     pub fn compress(&self, g: &Tensor) -> (Tensor, u64) {
         // Stage 1: Comp(G).
+        #[allow(clippy::expect_used, reason = "non-empty by contract")]
         let enc1 = self
             .codec
             .encode(g, RateTarget::BitsPerValue(self.config.primary_bits))
-            .expect("primary gradient encode"); // lint:allow(panic): non-empty by contract
-                                                // lint:allow(panic): decoding a stream produced two lines up
+            .expect("primary gradient encode");
+        #[allow(
+            clippy::expect_used,
+            reason = "decoding a stream produced two lines up"
+        )]
         let comp = self.codec.decode(&enc1).expect("primary decode");
 
         // Stage 2: compress the residual.
@@ -94,14 +98,18 @@ impl ResidualCompensator {
         let (res_recon, res_bits) = if self.in_late_phase() {
             rtn8(&residual)
         } else {
+            #[allow(clippy::expect_used, reason = "same shape as g")]
             let enc2 = self
                 .codec
                 .encode(
                     &residual,
                     RateTarget::BitsPerValue(self.config.early_residual_bits),
                 )
-                .expect("residual encode"); // lint:allow(panic): same shape as g
-                                            // lint:allow(panic): decoding a stream produced two lines up
+                .expect("residual encode");
+            #[allow(
+                clippy::expect_used,
+                reason = "decoding a stream produced two lines up"
+            )]
             let dec = self.codec.decode(&enc2).expect("residual decode");
             (dec, enc2.bits())
         };
@@ -148,8 +156,8 @@ pub fn rtn8(t: &Tensor) -> (Tensor, u64) {
         let scale = if hi > lo { (hi - lo) / 255.0 } else { 0.0 };
         let out_row = out.row_mut(r);
         for (o, &v) in out_row.iter_mut().zip(row) {
-            // lint:allow(float-cmp): `scale` is assigned exactly 0.0 for
-            // flat rows above; this guards the division below.
+            // `scale` is assigned exactly 0.0 for flat rows above; this guards
+            // the division below.
             if scale == 0.0 {
                 *o = lo;
             } else {

@@ -44,6 +44,23 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Exact float comparisons in codec math go through `stats::approx_eq` or
+// carry an allow with the reason the comparison is exact. Comparisons
+// with zero are exempt; test code may compare exactly.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
+// Decode and encode paths return `CodecError` instead of panicking; an
+// exception carries an allow with the reason it cannot fire.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod access;
 pub mod archive;

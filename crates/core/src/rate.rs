@@ -51,8 +51,8 @@ impl Allocation {
 /// value-weighted average equals `avg_bits`, clamping at a small positive floor.
 pub fn layer_budgets(layer_sizes: &[usize], avg_bits: f64, k: f64) -> Vec<f64> {
     let total: f64 = layer_sizes.iter().map(|&n| n as f64).sum();
-    // lint:allow(float-cmp): a sum of usize casts is exactly 0.0 iff every
-    // layer is empty — the degenerate stack this early-out covers.
+    // A sum of usize casts is exactly 0.0 iff every layer is empty — the
+    // degenerate stack this early-out covers.
     if total == 0.0 {
         return Vec::new();
     }
@@ -139,9 +139,13 @@ pub fn allocate_variable(
             best = Some((err, alloc));
         }
     }
-    // lint:allow(panic): `k_grid` was checked non-empty above, so the loop
-    // ran at least once and `best` is always populated.
-    Ok(best.expect("grid was non-empty").1)
+    #[allow(
+        clippy::expect_used,
+        reason = "`k_grid` was checked non-empty above, so the loop ran at least once \
+                  and `best` is always populated"
+    )]
+    let (_, alloc) = best.expect("grid was non-empty");
+    Ok(alloc)
 }
 
 /// A sensible default slope grid for the `k` search.

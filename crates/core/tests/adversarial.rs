@@ -286,6 +286,10 @@ fn bytes_after_the_last_tile_are_corrupt() {
 /// spans two CTU rows, so this exercises real tile tables, not the
 /// single-tile degenerate case.
 #[test]
+#[allow(
+    clippy::let_underscore_must_use,
+    reason = "a hostile stream may decode or fail; the test asserts only that the call returns"
+)]
 fn tile_index_survives_flips_and_hostile_lookups() {
     let enc = sample_encoded();
     let index = TensorStreamIndex::parse(enc.bytes()).expect("clean index parses");

@@ -40,9 +40,13 @@ impl GpuGeneration {
 /// A codec column of Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodecStandard {
+    /// H.264 / AVC.
     H264,
+    /// H.265 / HEVC.
     H265,
+    /// AV1.
     Av1,
+    /// VP9.
     Vp9,
 }
 

@@ -75,8 +75,8 @@ fn symbols_from_groups(orig: &Tensor, recon: &Tensor, bits: u32, group: usize) -
             .fold(0.0f32, |m, &v| m.max(v.abs()));
         let delta = if max_abs > 0.0 { max_abs / half } else { 0.0 };
         for &r in &data_r[start..end] {
-            // lint:allow(float-cmp): `delta` is assigned exactly 0.0 for
-            // all-zero groups one line up; this guards the division.
+            // `delta` is assigned exactly 0.0 for all-zero groups one line up;
+            // this guards the division.
             let level = if delta == 0.0 {
                 0
             } else {
@@ -120,9 +120,13 @@ fn mxfp_symbols(recon: &Tensor, format: MxFormat) -> Vec<u8> {
 /// The lossless stage of a chained codec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LosslessStage {
+    /// Canonical Huffman coding of the bytes.
     Huffman,
+    /// LZ77 plus Huffman, in the spirit of DEFLATE.
     Deflate,
+    /// LZ4 block compression.
     Lz4,
+    /// CABAC: adaptive binary arithmetic coding of each byte.
     Cabac,
 }
 

@@ -90,8 +90,8 @@ impl GptqQuantizer {
             let row = self.calib.row(s);
             for i in 0..n {
                 let xi = row[i] as f64;
-                // lint:allow(float-cmp): exact-zero skip is a pure perf
-                // shortcut — a true 0.0 adds nothing to the Gram matrix.
+                // Exact-zero skip is a pure perf shortcut — a true 0.0 adds
+                // nothing to the Gram matrix.
                 if xi == 0.0 {
                     continue;
                 }
@@ -140,8 +140,8 @@ impl GptqQuantizer {
                 let g1 = (g0 + self.group).min(n);
                 let max_abs = w.row(r)[g0..g1].iter().fold(0.0f32, |m, &v| m.max(v.abs()));
                 let delta = if max_abs > 0.0 { max_abs / half } else { 0.0 };
-                // lint:allow(float-cmp): `delta` is assigned exactly 0.0
-                // for all-zero groups one line up; this guards the division.
+                // `delta` is assigned exactly 0.0 for all-zero groups one line
+                // up; this guards the division.
                 let q = if delta == 0.0 {
                     0.0
                 } else {

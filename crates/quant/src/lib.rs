@@ -27,6 +27,10 @@
 //! them interchangeably with LLM.265.
 
 #![forbid(unsafe_code)]
+// Exact float comparisons in codec math go through `stats::approx_eq` or
+// carry an allow with the reason the comparison is exact. Comparisons
+// with zero are exempt; test code may compare exactly.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 pub mod awq;
 pub mod chained;

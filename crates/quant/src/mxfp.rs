@@ -58,8 +58,8 @@ impl MxFormat {
 
     /// Rounds `x` to the nearest representable value at unit scale.
     pub fn round(self, x: f64) -> f64 {
-        // lint:allow(float-cmp): exact zero has no exponent — log2 below
-        // would return -inf; every other value rounds through the grid.
+        // Exact zero has no exponent — log2 below would return -inf; every
+        // other value rounds through the grid.
         if x == 0.0 || !x.is_finite() {
             return 0.0;
         }
@@ -115,8 +115,8 @@ impl MxfpQuantizer {
 
     fn quantize_block(&self, xs: &mut [f32]) {
         let max_abs = xs.iter().fold(0.0f64, |m, &v| m.max((v as f64).abs()));
-        // lint:allow(float-cmp): all-zero block — the fold starts at
-        // exactly 0.0, and log2(0) below would be -inf.
+        // All-zero block — the fold starts at exactly 0.0, and log2(0) below
+        // would be -inf.
         if max_abs == 0.0 {
             return;
         }

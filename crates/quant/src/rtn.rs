@@ -104,8 +104,8 @@ impl RtnQuantizer {
             let levels = ((1u32 << self.bits) - 1) as f32;
             let scale = if hi > lo { (hi - lo) / levels } else { 0.0 };
             for v in xs.iter_mut() {
-                // lint:allow(float-cmp): `scale` is assigned exactly 0.0
-                // for flat groups above; this guards the division.
+                // `scale` is assigned exactly 0.0 for flat groups above; this
+                // guards the division.
                 if scale == 0.0 {
                     *v = lo;
                 } else {
@@ -118,8 +118,8 @@ impl RtnQuantizer {
             let half = (1u32 << (self.bits - 1)) as f32;
             let delta = if max_abs > 0.0 { max_abs / half } else { 0.0 };
             for v in xs.iter_mut() {
-                // lint:allow(float-cmp): `delta` is assigned exactly 0.0
-                // for all-zero groups above; this guards the division.
+                // `delta` is assigned exactly 0.0 for all-zero groups above;
+                // this guards the division.
                 if delta == 0.0 {
                     *v = 0.0;
                 } else {

@@ -193,6 +193,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "alpha")]
+    #[allow(
+        clippy::let_underscore_must_use,
+        reason = "the constructor panics before it returns a value"
+    )]
     fn invalid_alpha_panics() {
         let _ = SmoothQuant::with_synthetic_calibration(8, 8, 1.5, 16, 8, 1);
     }

@@ -15,8 +15,8 @@ use crate::Tensor;
 /// compare equal when identical (`inf == inf`, never NaN).
 pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
     if a == b {
-        // lint:allow(float-cmp): bitwise-equal fast path, also the only
-        // way two infinities of the same sign can compare equal.
+        // Bitwise-equal fast path, also the only way two infinities of the same
+        // sign can compare equal.
         return true;
     }
     (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
@@ -56,8 +56,8 @@ pub fn kurtosis(xs: &[f32]) -> f64 {
     }
     let m = mean(xs);
     let var = variance(xs);
-    // lint:allow(float-cmp): degenerate-distribution guard — variance is
-    // exactly 0.0 only for a constant slice, where kurtosis is undefined.
+    // Degenerate-distribution guard — variance is exactly 0.0 only for a
+    // constant slice, where kurtosis is undefined.
     if var == 0.0 {
         return 0.0;
     }
@@ -117,8 +117,8 @@ pub fn tensor_mse(a: &Tensor, b: &Tensor) -> f64 {
 /// Returns `f64::INFINITY` for identical inputs.
 pub fn psnr(a: &[f32], b: &[f32], peak: f64) -> f64 {
     let e = mse(a, b);
-    // lint:allow(float-cmp): exact-zero MSE (identical inputs) is the one
-    // case where the log10 below would produce -inf instead of +inf PSNR.
+    // Exact-zero MSE (identical inputs) is the one case where the log10 below
+    // would produce -inf instead of +inf PSNR.
     if e == 0.0 {
         f64::INFINITY
     } else {
@@ -155,8 +155,8 @@ pub fn outlier_fraction(xs: &[f32], k: f64) -> f64 {
     }
     let m = mean(xs);
     let sd = std_dev(xs);
-    // lint:allow(float-cmp): constant-slice guard; σ is exactly 0.0 there
-    // and the threshold test below would divide meaning out of the result.
+    // Constant-slice guard; σ is exactly 0.0 there and the threshold test below
+    // would divide meaning out of the result.
     if sd == 0.0 {
         return 0.0;
     }
@@ -168,8 +168,7 @@ pub fn outlier_fraction(xs: &[f32], k: f64) -> f64 {
 /// "dynamic range" figure the transform-coding discussion (Fig 3) relies on.
 pub fn peak_to_sigma(xs: &[f32]) -> f64 {
     let sd = std_dev(xs);
-    // lint:allow(float-cmp): constant-slice guard against dividing by an
-    // exactly-zero σ below.
+    // Constant-slice guard against dividing by an exactly-zero σ below.
     if sd == 0.0 {
         return 0.0;
     }

@@ -158,8 +158,8 @@ impl Tensor {
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self.data[i * self.cols + k];
-                // lint:allow(float-cmp): exact-zero skip is a pure perf
-                // shortcut — a true 0.0 contributes nothing to the row.
+                // Exact-zero skip is a pure perf shortcut — a true 0.0
+                // contributes nothing to the row.
                 if a == 0.0 {
                     continue;
                 }

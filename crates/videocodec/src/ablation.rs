@@ -128,22 +128,6 @@ pub fn run_stage(
     })
 }
 
-/// Runs the whole ladder.
-///
-/// # Errors
-///
-/// Propagates the first [`run_stage`] error.
-pub fn run_all(
-    frames: &[Frame],
-    profile: &Profile,
-    target_mse: f64,
-) -> Result<Vec<StageResult>, CodecError> {
-    stages()
-        .iter()
-        .map(|s| run_stage(frames, profile, s, target_mse))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +199,10 @@ mod tests {
         // from stage 6. Uses a small frame so the test stays fast.
         let frames = [weight_frame(11, 64)];
         let profile = Profile::h265();
-        let results = run_all(&frames, &profile, 10.0).unwrap();
+        let results: Vec<StageResult> = stages()
+            .iter()
+            .map(|s| run_stage(&frames, &profile, s, 10.0).unwrap())
+            .collect();
         let bits: Vec<f64> = results.iter().map(|r| r.bits_per_value).collect();
         assert!(bits[1] < bits[0], "entropy coding must beat raw: {bits:?}");
         assert!(

@@ -448,8 +448,11 @@ impl FrameCoder<'_> {
                 std::mem::swap(&mut s.cur, &mut s.best);
             }
         }
-        // lint:allow(panic): `n_cands >= 1` — the intra and flat
-        // branches above always push at least one candidate.
+        #[allow(
+            clippy::expect_used,
+            reason = "`n_cands >= 1`: the intra and flat branches above always push \
+                      at least one candidate"
+        )]
         let (kind, cost, committed) = best.expect("at least one candidate");
 
         // Commit: context evolution + reconstruction.

@@ -92,7 +92,10 @@ fn inv_angle(a: i32) -> i32 {
         21 => 390,
         26 => 315,
         32 => 256,
-        // lint:allow(panic): only called with angles from the ANGLES table.
+        #[allow(
+            clippy::unreachable,
+            reason = "only called with angles from the ANGLES table"
+        )]
         _ => unreachable!("no inverse angle for {a}"),
     }
 }

@@ -77,10 +77,10 @@ pub(crate) fn floor_i32(x: f64) -> i32 {
 /// stays below it (unlike `floor(x + 0.5)`, which rounds it up). The step
 /// never leaves i32: a tie above `r` means `r <= I32_HI - 0.5`.
 #[inline]
+#[allow(clippy::float_cmp, reason = "`d` is exact, and a tie is exactly ±0.5")]
 pub(crate) fn round_i32(x: f64) -> i32 {
     let (c, r, ri) = rint_parts(x);
     let d = c - r;
-    // lint:allow(float-cmp): `d` is exact, and a tie is exactly ±0.5.
     ri + i32::from(d == 0.5 && c > 0.0) - i32::from(d == -0.5 && c < 0.0)
 }
 

@@ -21,8 +21,11 @@ pub fn diagonal(n: usize) -> &'static [(u8, u8)] {
         8 => &scans[1],
         16 => &scans[2],
         32 => &scans[3],
-        // lint:allow(panic): scan sizes come from profile constants (powers
-        // of two in 4..=32), never from bitstream input.
+        #[allow(
+            clippy::panic,
+            reason = "scan sizes come from profile constants (powers of two in 4..=32), \
+                      never from bitstream input"
+        )]
         _ => panic!("unsupported scan size {n}"),
     }
 }

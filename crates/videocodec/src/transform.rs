@@ -296,8 +296,10 @@ impl DctPlans {
             8 => &self.plans[1],
             16 => &self.plans[2],
             32 => &self.plans[3],
-            // lint:allow(panic): transform sizes come from profile
-            // constants, never from bitstream input.
+            #[allow(
+                clippy::panic,
+                reason = "transform sizes come from profile constants, never from bitstream input"
+            )]
             _ => panic!("unsupported transform size {n}"),
         }
     }

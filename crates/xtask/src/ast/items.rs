@@ -54,8 +54,11 @@ pub struct ConstItem {
 /// Everything item parsing extracted from one file.
 #[derive(Debug, Clone, Default)]
 pub struct FileItems {
+    /// Functions and methods, in source order.
     pub fns: Vec<FnItem>,
+    /// Structs, in source order.
     pub structs: Vec<StructItem>,
+    /// Consts and statics, in source order.
     pub consts: Vec<ConstItem>,
 }
 

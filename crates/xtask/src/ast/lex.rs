@@ -35,6 +35,7 @@ pub enum Kind {
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
+    /// The token's lexical class.
     pub kind: Kind,
     /// Token text; empty-ish placeholder (`"`/`'`) for literal contents.
     pub text: String,

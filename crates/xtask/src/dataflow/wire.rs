@@ -39,10 +39,12 @@ use crate::ast::tree::{build, to_text, Group, Tree};
 /// One terminal wire operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireOp {
-    /// `write_bits(v, w)` / `read_bits(w)`: a big-endian bit field; the
-    /// width is kept as source text and compared textually or by
-    /// constant folding.
-    Bits { width: String },
+    /// `write_bits(v, w)` / `read_bits(w)`: a big-endian bit field.
+    Bits {
+        /// The width as source text, compared textually or by constant
+        /// folding.
+        width: String,
+    },
     /// `write_u8` / `read_u8`.
     Byte,
     /// `write_le_u16` / `read_le_u16`.
@@ -55,12 +57,18 @@ pub enum WireOp {
     Ue,
     /// Signed exp-Golomb (`write_se` / `read_se`).
     Se,
-    /// One context-coded bin; `ctx` is the context field name.
-    Bit { ctx: String },
+    /// One context-coded bin.
+    Bit {
+        /// The context field name.
+        ctx: String,
+    },
     /// One equiprobable bin.
     Bypass,
-    /// A batched bypass run of `width` bins.
-    BypassBits { width: String },
+    /// A batched bypass run.
+    BypassBits {
+        /// The bin count as source text.
+        width: String,
+    },
 }
 
 /// A grammar node: a terminal op, a call into another wire-relevant
@@ -68,28 +76,39 @@ pub enum WireOp {
 /// run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeKind {
+    /// A terminal wire operation.
     Op(WireOp),
     /// Call of another workspace function that (transitively) performs
     /// wire operations.
     Call {
+        /// The callee's name as written.
         name: String,
+        /// The integer-literal or const-folded arguments, in order; other
+        /// arguments are skipped. Both sides must agree on them, so
+        /// `parse_eg(dec, 2)` is not the dual of `code_eg(sink, v, 1)`.
+        args: Vec<i128>,
     },
-    /// A repeated body. `bound` is the iteration interval when it could
-    /// be tied to a diverging guard or a `ranges.toml` contract.
+    /// A repeated body.
     Loop {
+        /// The iteration interval, when it could be tied to a diverging
+        /// guard or a `ranges.toml` contract.
         bound: Option<(i128, i128)>,
+        /// The grammar of one iteration.
         body: Vec<Node>,
     },
-    /// A guarded branch; `arms[0]` is the then-arm. A missing else is an
-    /// empty arm.
+    /// A guarded branch.
     Branch {
+        /// The guard condition as source text.
         guard: String,
+        /// The arms; `arms[0]` is the then-arm, and a missing else is an
+        /// empty arm.
         arms: Vec<Vec<Node>>,
     },
     /// A truncated-unary run on one context: `N` one-bins and a zero
     /// terminator (writer `for { bit(c, true) } bit(c, false)`, reader
     /// `while bit(c)`), or a bypass-unary prefix.
     Unary {
+        /// The context field name, or `bypass`.
         ctx: String,
     },
 }
@@ -97,6 +116,7 @@ pub enum NodeKind {
 /// One extracted grammar node plus its source anchor and field label.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
+    /// What the node does on the wire.
     pub kind: NodeKind,
     /// 0-based source line of the operation (used to anchor violations).
     pub line: usize,
@@ -120,7 +140,9 @@ impl Node {
 /// `bit(ctx)` a reader terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Side {
+    /// The encoder half (`write_*`/`code_*`).
     Writer,
+    /// The decoder half (`read_*`/`parse_*`).
     Reader,
 }
 
@@ -741,9 +763,14 @@ impl Extractor<'_> {
                         !targets.is_empty() && targets.len() <= MAX_CANDIDATES
                     } {
                         out.extend(self.scan_flat(&g.trees));
+                        let args = args
+                            .iter()
+                            .filter_map(|a| fold_const(a, self.consts))
+                            .collect();
                         out.push(Node::new(
                             NodeKind::Call {
                                 name: name.to_string(),
+                                args,
                             },
                             tok.line,
                         ));
@@ -888,7 +915,7 @@ pub fn normalize(nodes: Vec<Node>) -> Vec<Node> {
 pub fn node_eq(a: &Node, b: &Node) -> bool {
     match (&a.kind, &b.kind) {
         (NodeKind::Op(x), NodeKind::Op(y)) => x == y,
-        (NodeKind::Call { name: x }, NodeKind::Call { name: y }) => x == y,
+        (NodeKind::Call { .. }, NodeKind::Call { .. }) => a.kind == b.kind,
         (NodeKind::Unary { ctx: x }, NodeKind::Unary { ctx: y }) => x == y,
         (NodeKind::Loop { body: x, .. }, NodeKind::Loop { body: y, .. }) => {
             x.len() == y.len() && x.iter().zip(y).all(|(m, n)| node_eq(m, n))
@@ -924,6 +951,7 @@ pub struct Comparator<'a> {
 }
 
 impl<'a> Comparator<'a> {
+    /// A comparator that folds constant expressions against `consts`.
     #[must_use]
     pub fn new(consts: &'a BTreeMap<String, i128>) -> Self {
         Comparator {
@@ -1051,7 +1079,9 @@ impl<'a> Comparator<'a> {
                 }
                 ok
             }
-            (NodeKind::Call { name: a }, NodeKind::Call { name: b }) => stem(a) == stem(b),
+            (NodeKind::Call { name: a, args: x }, NodeKind::Call { name: b, args: y }) => {
+                stem(a) == stem(b) && x == y
+            }
             (NodeKind::Unary { ctx: a }, NodeKind::Unary { ctx: b }) => a == b,
             (
                 NodeKind::Loop { body: a, .. },
@@ -1200,7 +1230,10 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 pub fn render_node(n: &Node) -> String {
     let base = match &n.kind {
         NodeKind::Op(op) => render_op(op),
-        NodeKind::Call { name } => format!("call({name})"),
+        NodeKind::Call { name, args } => {
+            let args: String = args.iter().map(|v| format!(", {v}")).collect();
+            format!("call({name}{args})")
+        }
         NodeKind::Unary { ctx } => format!("unary({ctx})"),
         NodeKind::Loop { bound, body } => {
             let b = bound
@@ -1489,6 +1522,36 @@ mod tests {
         let w = grammar_of(&index, "code_body", Side::Writer);
         assert_eq!(render_seq(&w), "loop{ call(code_res) }");
         duality(src, "code_body", "parse_body").expect("stem-matched calls");
+    }
+
+    #[test]
+    fn nested_call_arguments_must_agree() {
+        let src = r#"
+            const ORDER: u32 = 1;
+            fn code_eg<S: BinSink>(sink: &mut S, v: u32, m0: u32) {
+                sink.bypass_bits(u64::from(v), m0);
+            }
+            fn parse_eg<D: BinSource>(dec: &mut D, m: u32) -> Result<u32, CodecError> {
+                Ok(dec.bypass_bits(m) as u32)
+            }
+            fn code_signed_eg<S: BinSink>(sink: &mut S, v: i32) {
+                let mapped = v.unsigned_abs() << 1;
+                code_eg(sink, mapped, 1);
+            }
+            fn parse_signed_eg<D: BinSource>(dec: &mut D) -> Result<i32, CodecError> {
+                let mapped = parse_eg(dec, 2)?;
+                Ok(mapped as i32)
+            }
+        "#;
+        let m = duality(src, "code_signed_eg", "parse_signed_eg").expect_err("order drift");
+        assert_eq!(m.step, 1);
+        let side = |n: Option<Box<Node>>| n.map(|n| render_node(&n));
+        assert_eq!(side(m.writer).as_deref(), Some("call(code_eg, 1)"));
+        assert_eq!(side(m.reader).as_deref(), Some("call(parse_eg, 2)"));
+        for order in ["1", "ORDER", "(ORDER * 2) - 1"] {
+            let src = src.replace("parse_eg(dec, 2)", &format!("parse_eg(dec, {order})"));
+            duality(&src, "code_signed_eg", "parse_signed_eg").expect("orders agree");
+        }
     }
 
     #[test]

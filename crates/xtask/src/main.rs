@@ -168,16 +168,11 @@ fn run_explain(root: &std::path::Path, id: &str) -> ExitCode {
     let allow = match v.pass {
         "wire-taint" => "taint",
         "panic-reach" => "panic",
-        "float-cmp" => "float-cmp",
-        "error-discipline" => "error",
         "range-proof" => "range",
         "termination" => "term",
-        "wire-schema" => "schema",
-        _ => "",
+        _ => "schema",
     };
-    if !allow.is_empty() {
-        println!("  suppress (with a reason): // lint:allow({allow}): <why>");
-    }
+    println!("  suppress (with a reason): // lint:allow({allow}): <why>");
     ExitCode::SUCCESS
 }
 
@@ -274,8 +269,8 @@ fn print_help() {
          \x20                      wire-schema.json; drift-checked in CI)\n\
          \x20 --sarif PATH         also write the gate report as SARIF 2.1.0\n\
          \x20 --timings            print per-pass wall time after the gate run\n\n\
-         Passes: float-cmp, hygiene, error-discipline, wire-taint, panic-reach,\n\
-         range-proof, termination, wire-schema\n\
-         (see crates/xtask/src/lib.rs)"
+         Passes: {}\n\
+         (see crates/xtask/src/lib.rs)",
+        xtask::PASSES.join(", ")
     );
 }

@@ -1,5 +1,5 @@
-//! Panic-reach pass: every panicking construct a codec path can hit,
-//! local or transitive, with a witness chain.
+//! Panic-reach pass: every panicking construct a codec path can reach,
+//! with a witness chain.
 //!
 //! Codec decode paths consume untrusted bytes; a panic there is a
 //! denial-of-service bug, so the audited crates must return `CodecError`
@@ -7,19 +7,13 @@
 //! constructs in the token trees — `.unwrap()`/`.expect(…)`, the
 //! `panic!`-family macros, and indexing of input-named buffers (where a
 //! hostile length field turns `data[i]` into a crash) — and the pass
-//! applies it at two depths:
-//!
-//! * **depth 0** — every function body in the audited crates: the
-//!   unwrap/expect/macro family anywhere, indexing only inside
-//!   decode-shaped functions (`decode*`/`parse*`/`decompress*`/`read*`).
-//!   These findings carry the one-hop chain `[fn]`. Code outside function
-//!   bodies (const/static initializers, `macro_rules!` bodies) is scanned
-//!   for the unwrap/expect/macro family too, with the chain `[item]`.
-//! * **reached** — the call-graph closure from every decode-shaped
-//!   function in the root crates. Reached code in an audited crate adds
-//!   the indexing family; reached code in an *unaudited* crate reports
-//!   everything, since no local scan covers it. These findings carry the
-//!   full root → site call chain.
+//! applies it to the call-graph closure of every decode-shaped function
+//! (`decode*`/`parse*`/`decompress*`/`read*`) in the root crates, the
+//! roots included. Reached code in an audited crate reports the indexing
+//! family: clippy's `unwrap_used`/`expect_used`/`panic`-family lints,
+//! raised at those crates' roots, already deny the rest there. Reached
+//! code in an *unaudited* crate reports everything. Findings carry the
+//! full root → site call chain.
 //!
 //! `assert!` is deliberately *not* denied: programmer-error contracts on
 //! internal invariants are fine. Justified exceptions carry a
@@ -70,8 +64,8 @@ enum Family {
     Indexing,
 }
 
-/// Gate mode: decode-shaped roots in `root_crates`; the bodies of
-/// `audited` crates are scanned at depth 0.
+/// Gate mode: decode-shaped roots in `root_crates`; reached code in
+/// `audited` crates reports only the indexing family.
 pub fn check_workspace(
     ws: &Workspace,
     index: &Index,
@@ -81,9 +75,7 @@ pub fn check_workspace(
     check_workspace_with_policy(ws, index, root_crates, audited, RootPolicy::DecodeApis)
 }
 
-/// [`check_workspace`] with an explicit root-selection policy. Depth-0
-/// scanning covers the audited crates that are also root crates, so a
-/// sweep rooted in unaudited crates reports only what they reach.
+/// [`check_workspace`] with an explicit root-selection policy.
 pub fn check_workspace_with_policy(
     ws: &Workspace,
     index: &Index,
@@ -114,20 +106,16 @@ pub fn check_workspace_with_policy(
 
     let mut out = Vec::new();
     let mut seen: BTreeSet<(&str, usize)> = BTreeSet::new();
-    for (id, entry) in index.fns.iter().enumerate() {
-        let is_audited = audited.contains(&entry.krate.as_str());
-        let local = is_audited && root_crates.contains(&entry.krate.as_str());
-        let reached = closure.contains(&id);
-        let Some(body) = entry.item.body.as_ref().filter(|_| local || reached) else {
+    for &id in &closure {
+        let entry = &index.fns[id];
+        let Some(body) = entry.item.body.as_ref() else {
             continue;
         };
-        let decode = is_decode_name(&entry.item.name);
+        let is_audited = audited.contains(&entry.krate.as_str());
         let mut sites = Vec::new();
         panic_sites(&body.trees, &mut sites);
         for (line, what, family) in sites {
-            let at_depth_0 = local && (family == Family::Denied || decode);
-            let by_reach = reached && (family == Family::Indexing || !is_audited);
-            if !(at_depth_0 || by_reach)
+            if (is_audited && family == Family::Denied)
                 || files
                     .get(entry.path.as_str())
                     .is_some_and(|sf| sf.is_allowed(line, "panic"))
@@ -139,92 +127,22 @@ pub fn check_workspace_with_policy(
                 Family::Denied => "return a CodecError instead",
                 Family::Indexing => "use `.get(..)` and return Truncated/Corrupt",
             };
-            let (chain, message) = if at_depth_0 {
-                (
-                    vec![entry.item.name.clone()],
-                    format!("{what} in `{}`: {hint}", entry.item.name),
-                )
-            } else {
-                let chain = roots
-                    .iter()
-                    .find_map(|&r| index.call_chain(r, id, MAX_CANDIDATES))
-                    .unwrap_or_else(|| vec![entry.item.name.clone()]);
-                let message = format!(
-                    "{what} in `{}` is reachable from {root_kind} `{}` (call chain: {}); {hint}",
-                    entry.item.name,
-                    chain.first().map_or("?", String::as_str),
-                    chain.join(" → "),
-                );
-                (chain, message)
-            };
+            let chain = roots
+                .iter()
+                .find_map(|&r| index.call_chain(r, id, MAX_CANDIDATES))
+                .unwrap_or_else(|| vec![entry.item.name.clone()]);
+            let message = format!(
+                "{what} in `{}` is reachable from {root_kind} `{}` (call chain: {}); {hint}",
+                entry.item.name,
+                chain.first().map_or("?", String::as_str),
+                chain.join(" → "),
+            );
             out.push(
                 Violation::new("panic-reach", &entry.path, line + 1, message).with_chain(chain),
             );
         }
     }
-    // Depth 0 also covers code outside function bodies — const/static
-    // initializers and `macro_rules!` bodies — named by the enclosing item.
-    for krate in &ws.crates {
-        let name = krate.name.as_str();
-        if !(audited.contains(&name) && root_crates.contains(&name)) {
-            continue;
-        }
-        for file in &krate.files {
-            let mut sites = Vec::new();
-            panic_sites(&file.trees, &mut sites);
-            let items = item_headers(&file.trees);
-            for (line, what, family) in sites {
-                if family != Family::Denied
-                    || file.is_allowed(line, "panic")
-                    || !seen.insert((file.path.as_str(), line))
-                {
-                    continue;
-                }
-                let item = items
-                    .iter()
-                    .rev()
-                    .find(|(l, _)| *l <= line)
-                    .map_or_else(|| file.path.clone(), |(_, n)| n.clone());
-                out.push(
-                    Violation::new(
-                        "panic-reach",
-                        &file.path,
-                        line + 1,
-                        format!("{what} in `{item}`: return a CodecError instead"),
-                    )
-                    .with_chain(vec![item]),
-                );
-            }
-        }
-    }
     out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    out
-}
-
-/// `(0-based line, name)` of every `fn`, `const`, `static` and
-/// `macro_rules!` header in a file, in source order.
-fn item_headers(trees: &[Tree]) -> Vec<(usize, String)> {
-    fn go(trees: &[Tree], out: &mut Vec<(usize, String)>) {
-        for (k, t) in trees.iter().enumerate() {
-            if let Tree::Group(g) = t {
-                go(&g.trees, out);
-                continue;
-            }
-            let Some(tok) = t.leaf() else { continue };
-            if !matches!(tok.text.as_str(), "fn" | "const" | "static" | "macro_rules") {
-                continue;
-            }
-            let name = trees[k + 1..]
-                .iter()
-                .map_while(Tree::leaf)
-                .find(|t| t.kind == Kind::Ident && !matches!(t.text.as_str(), "mut" | "fn"));
-            if let Some(n) = name {
-                out.push((tok.line, n.text.clone()));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    go(trees, &mut out);
     out
 }
 
@@ -280,8 +198,7 @@ mod tests {
     const AUDITED: &[&str] = &["llm265-bitstream"];
 
     fn krate(name: &str, path: &str, src: &str) -> CrateSrc {
-        let manifest = format!("[package]\nname = \"{name}\"\n\n[lints]\nworkspace = true\n");
-        CrateSrc::from_parts(name, &manifest, vec![SourceFile::from_contents(path, src)])
+        CrateSrc::from_parts(name, vec![SourceFile::from_contents(path, src)])
     }
 
     fn check_crates(crates: Vec<CrateSrc>) -> Vec<Violation> {
@@ -298,31 +215,30 @@ mod tests {
         )])
     }
 
+    /// Roots in an unaudited crate, where every family is reported.
+    fn check_unaudited(src: &str) -> Vec<Violation> {
+        let w = Workspace {
+            crates: vec![krate("llm265-model", "crates/model/src/lib.rs", src)],
+        };
+        let index = w.build_index();
+        check_workspace(&w, &index, &["llm265-model"], AUDITED)
+    }
+
     #[test]
-    fn flags_each_denied_token_at_depth_0() {
-        let src = "fn f(x: Option<u8>) {\n    x.unwrap();\n    x.expect(\"boom\");\n    panic!(\"no\");\n    unreachable!();\n    todo!();\n    unimplemented!();\n}\n";
-        let v = check(src);
+    fn flags_each_denied_token_in_unaudited_code() {
+        let src = "fn decode_f(x: Option<u8>) {\n    x.unwrap();\n    x.expect(\"boom\");\n    panic!(\"no\");\n    unreachable!();\n    todo!();\n    unimplemented!();\n}\n";
+        let v = check_unaudited(src);
         assert_eq!(v.len(), 6, "{v:?}");
         assert_eq!(v[0].line, 2);
         assert!(v[0].message.contains("unwrap"), "{}", v[0].message);
         assert!(v[2].message.contains("panic!"), "{}", v[2].message);
-        assert_eq!(v[0].chain, vec!["f"]);
+        assert_eq!(v[0].chain, vec!["decode_f"]);
     }
 
     #[test]
-    fn denied_tokens_outside_function_bodies_are_flagged() {
-        let src = "static T: LazyLock<u8> = LazyLock::new(|| build().unwrap());\n\
-                   const fn build() -> Option<u8> { Some(1) }\n\
-                   macro_rules! must {\n    ($e:expr) => { $e.expect(\"must\") };\n}\n\
-                   // lint:allow(panic): the table is a literal\n\
-                   static U: LazyLock<u8> = LazyLock::new(|| build().unwrap());\n";
-        let v = check(src);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert_eq!(v[0].line, 1);
-        assert!(v[0].message.contains("unwrap"), "{}", v[0].message);
-        assert_eq!(v[0].chain, vec!["T"]);
-        assert_eq!(v[1].line, 4);
-        assert_eq!(v[1].chain, vec!["must"]);
+    fn denied_tokens_in_audited_crates_are_left_to_clippy() {
+        let src = "fn decode_f(x: Option<u8>) -> u8 {\n    x.unwrap() + helper(x)\n}\nfn helper(x: Option<u8>) -> u8 { x.expect(\"boom\") }\n";
+        assert!(check(src).is_empty());
     }
 
     #[test]
@@ -335,26 +251,26 @@ mod tests {
     fn unwrap_as_plain_ident_or_longer_name_is_quiet() {
         // `unwrap_or` is a different method; a fn named `unwrap` defined
         // here is a definition, not a call; `core_panic!` is not `panic!`.
-        let src = "fn unwrap(x: u8) -> u8 { x }\nfn f(x: Option<u8>) -> u8 { x.unwrap_or(0) + core_panic!(x) }\n";
-        assert!(check(src).is_empty());
+        let src = "fn unwrap(x: u8) -> u8 { x }\nfn decode_f(x: Option<u8>) -> u8 { x.unwrap_or(0) + core_panic!(x) }\n";
+        assert!(check_unaudited(src).is_empty());
     }
 
     #[test]
     fn allow_marker_suppresses_on_same_or_preceding_line() {
-        let src = "fn f(x: Option<u8>) {\n    x.unwrap(); // lint:allow(panic): infallible here\n    // lint:allow(panic): also fine\n    x.unwrap();\n    x.unwrap();\n}\n";
-        let v = check(src);
+        let src = "fn decode_f(x: Option<u8>) {\n    x.unwrap(); // lint:allow(panic): infallible here\n    // lint:allow(panic): also fine\n    x.unwrap();\n    x.unwrap();\n}\n";
+        let v = check_unaudited(src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 5);
     }
 
     #[test]
     fn tokens_in_tests_comments_and_strings_are_ignored() {
-        let src = "// this unwrap() is prose\nfn f() -> usize { let s = \"panic!\"; s.len() }\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u8>.unwrap(); }\n}\n";
-        assert!(check(src).is_empty());
+        let src = "// this unwrap() is prose\nfn decode_f() -> usize { let s = \"panic!\"; s.len() }\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn decode_t() { None::<u8>.unwrap(); }\n}\n";
+        assert!(check_unaudited(src).is_empty());
     }
 
     #[test]
-    fn depth_0_indexing_only_in_decode_functions() {
+    fn indexing_fires_in_decode_roots_not_in_unreached_code() {
         let src = "fn decode_header(data: &[u8]) -> u8 {\n    data[0]\n}\nfn shuffle(data: &mut [u8]) {\n    data[0] = 1;\n}\n";
         let v = check(src);
         assert_eq!(v.len(), 1, "{v:?}");
@@ -469,8 +385,8 @@ mod tests {
             AUDITED,
             RootPolicy::AllPublicApis,
         );
-        // The audited helper's unwrap is the gate's depth-0 finding, not
-        // sweep debt.
+        // The audited helper's unwrap is clippy's `unwrap_used` finding,
+        // not sweep debt.
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(
             v[0].message.contains("public API `step`"),

@@ -21,8 +21,9 @@
 //! dual (exp-Golomb and Rice coders: the writer computes a bit-length,
 //! the reader loops over bins) cannot be proven by shape; they are
 //! listed as `trusted` in the spec and covered by pinned round-trip
-//! tests named in [`TRUSTED_PAIRS`]. Justified exceptions elsewhere
-//! carry `// lint:allow(schema): <reason>`.
+//! tests named in [`TRUSTED_PAIRS`]; a present pair whose test no source
+//! file defines is a finding. Justified exceptions elsewhere carry
+//! `// lint:allow(schema): <reason>`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -60,7 +61,9 @@ const READER_PREFIXES: &[&str] = &["read_", "decode_", "parse_"];
 const PROVEN_PREFIXES: &[&str] = &["write_", "code_", "read_", "parse_"];
 
 /// Arithmetic-dual pairs that are trusted to a pinned round-trip test
-/// instead of a structural proof, with the test that pins each.
+/// instead of a structural proof, with the test that pins each. The
+/// test must exist as `fn <name>(` in the raw text of a codec source
+/// file (`#[cfg(test)]` modules included) whenever both sides do.
 pub const TRUSTED_PAIRS: &[(&str, &str, &str)] = &[
     ("code_eg", "parse_eg", "eg_roundtrip"),
     (
@@ -291,6 +294,34 @@ pub fn check_workspace(ws: &Workspace, index: &Index, contracts: &[Contract]) ->
             .with_chain(chain),
         );
     }
+    let fns = scoped_fns(index);
+    for (w, r, test) in TRUSTED_PAIRS {
+        let (Some(&wid), true) = (fns.get(w), fns.contains_key(r)) else {
+            continue;
+        };
+        // The gate's own sources name these tests too; they pin nothing.
+        let needle = format!("fn {test}(");
+        if ws
+            .crates
+            .iter()
+            .filter(|c| c.name != "xtask")
+            .flat_map(|c| &c.files)
+            .any(|f| f.raw.contains(&needle))
+        {
+            continue;
+        }
+        let entry = &index.fns[wid];
+        out.push(Violation::new(
+            "wire-schema",
+            &entry.path,
+            entry.item.line + 1,
+            format!(
+                "trusted pair `{w}`/`{r}` names the round-trip test `{test}`, but no source \
+                 file defines it; the pair would be trusted to nothing — restore the test or \
+                 update `TRUSTED_PAIRS`"
+            ),
+        ));
+    }
     out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     out
 }
@@ -459,13 +490,12 @@ mod tests {
     use crate::source::{CrateSrc, SourceFile, Workspace};
 
     fn ws_files(files: &[(&str, &str)]) -> Workspace {
-        let manifest = "[package]\nname = \"llm265-videocodec\"\n\n[lints]\nworkspace = true\n";
         let files = files
             .iter()
             .map(|(p, s)| SourceFile::from_contents(&format!("crates/videocodec/src/{p}"), s))
             .collect();
         Workspace {
-            crates: vec![CrateSrc::from_parts("llm265-videocodec", manifest, files)],
+            crates: vec![CrateSrc::from_parts("llm265-videocodec", files)],
         }
     }
 
@@ -510,6 +540,22 @@ mod tests {
         assert!(chain.contains("w1: bypass_bits(4)[gap]"), "{chain}");
         assert!(chain.contains("r1: bypass[stop]"), "{chain}");
         assert!(chain.contains("mismatch at step 1"), "{chain}");
+    }
+
+    #[test]
+    fn trusted_pair_must_name_a_test_that_exists() {
+        let pair = "pub fn code_eg<S: BinSink>(s: &mut S, v: u32, m: u32) { s.bypass(true); }\n\
+                    pub fn parse_eg<D: BinSource>(d: &mut D, m: u32) -> u32 { 0 }\n";
+        let v = check_files(&[("syntax.rs", pair)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("`eg_roundtrip`"), "{}", v[0].message);
+        // The pinning test lives in a `#[cfg(test)]` module, which only
+        // the raw text still holds.
+        let pinned = format!(
+            "{pair}#[cfg(test)]\nmod tests {{\n    #[test]\n    fn eg_roundtrip() {{}}\n}}\n"
+        );
+        let v = check_files(&[("syntax.rs", &pinned)]);
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]

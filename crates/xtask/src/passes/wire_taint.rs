@@ -39,8 +39,8 @@ pub fn check_workspace(
         if !crates.contains(&entry.krate.as_str()) {
             continue;
         }
-        // Same threat-model scoping as panic-reach's depth-0 indexing scan:
-        // decode-shaped functions consume untrusted bytes; encode paths
+        // Same threat-model scoping as panic-reach's roots: decode-shaped
+        // functions consume untrusted bytes; encode paths
         // hashing their own input are not wire-facing. Laundering helpers
         // are still followed — summaries cover the whole workspace.
         if !is_decode_name(&entry.item.name) {

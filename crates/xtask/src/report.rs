@@ -7,9 +7,9 @@ use std::fmt::Write as _;
 pub struct Violation {
     /// Pass identifier (one of [`crate::PASSES`]).
     pub pass: &'static str,
-    /// Workspace-relative file path (or crate name for manifest findings).
+    /// Workspace-relative file path.
     pub path: String,
-    /// 1-based line number; 0 when the finding is file- or crate-level.
+    /// 1-based line number; 0 when the finding is file-level.
     pub line: usize,
     /// What went wrong and how to fix it.
     pub message: String,
@@ -19,6 +19,7 @@ pub struct Violation {
 }
 
 impl Violation {
+    /// A finding of `pass` at `path:line` with no witness chain.
     pub fn new(pass: &'static str, path: &str, line: usize, message: impl Into<String>) -> Self {
         Violation {
             pass,
@@ -46,8 +47,11 @@ impl Violation {
 /// The result of a full lint run; every violation fails the gate.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
+    /// Every finding, sorted by pass, path and line.
     pub violations: Vec<Violation>,
+    /// Source files the run loaded.
     pub files_scanned: usize,
+    /// The passes whose findings the report holds.
     pub passes_run: Vec<&'static str>,
 }
 
@@ -247,7 +251,7 @@ mod tests {
     fn json_report_is_well_formed_and_escaped() {
         let mut r = Report::default();
         r.violations
-            .push(Violation::new("hygiene", "x\"y.rs", 0, "line1\nline2"));
+            .push(Violation::new("range-proof", "x\"y.rs", 0, "line1\nline2"));
         let json = r.to_json();
         assert!(json.contains("\"count\": 1"));
         assert!(json.contains("x\\\"y.rs"));

@@ -19,7 +19,8 @@ use crate::ast::{self, index::Index, items::FileItems, tree::Tree};
 pub struct SourceFile {
     /// Workspace-relative display path.
     pub path: String,
-    /// Original text (used only for `lint:allow` markers and hygiene).
+    /// Original text, `#[cfg(test)]` items included (read for `lint:allow`
+    /// markers and for the names of pinning tests).
     pub raw: String,
     /// Token-tree forest with `#[cfg(test)]` items removed.
     pub trees: Vec<Tree>,
@@ -68,13 +69,11 @@ impl SourceFile {
     }
 }
 
-/// A workspace member crate: manifest plus all `src/**/*.rs` files.
+/// A workspace member crate: its package name plus all `src/**/*.rs` files.
 #[derive(Debug, Clone)]
 pub struct CrateSrc {
     /// Package name from `Cargo.toml`.
     pub name: String,
-    /// Raw `Cargo.toml` contents.
-    pub manifest: String,
     /// Source files; the crate root (`lib.rs` or `main.rs`) comes first.
     pub files: Vec<SourceFile>,
 }
@@ -82,27 +81,18 @@ pub struct CrateSrc {
 impl CrateSrc {
     /// Builds a crate from in-memory parts (used by fixture tests).
     #[must_use]
-    pub fn from_parts(name: &str, manifest: &str, files: Vec<SourceFile>) -> Self {
+    pub fn from_parts(name: &str, files: Vec<SourceFile>) -> Self {
         CrateSrc {
             name: name.to_string(),
-            manifest: manifest.to_string(),
             files,
         }
-    }
-
-    /// The crate root file (`lib.rs` preferred, else `main.rs`), if any.
-    #[must_use]
-    pub fn root_file(&self) -> Option<&SourceFile> {
-        self.files
-            .iter()
-            .find(|f| f.path.ends_with("lib.rs"))
-            .or_else(|| self.files.iter().find(|f| f.path.ends_with("main.rs")))
     }
 }
 
 /// All member crates of the workspace under `root`.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
+    /// Member crates, the facade package first, then `crates/*` by path.
     pub crates: Vec<CrateSrc>,
 }
 
@@ -111,9 +101,11 @@ impl Workspace {
     ///
     /// # Errors
     ///
-    /// Returns a message when the root manifest cannot be read, or when the
-    /// root holds no crates at all — a lint run that scans zero files would
-    /// otherwise report green on a mistyped `--root`.
+    /// Returns a message when a manifest cannot be read, when a member does
+    /// not opt into the workspace lint table (`[lints] workspace = true`) —
+    /// it would escape every rustc and clippy level the gate leaves to the
+    /// toolchain — or when the root holds no crates at all: a lint run that
+    /// scans zero files would otherwise report green on a mistyped `--root`.
     pub fn load(root: &Path) -> Result<Self, String> {
         let mut crates = Vec::new();
         if root.join("Cargo.toml").exists() && root.join("src").exists() {
@@ -140,26 +132,18 @@ impl Workspace {
         Ok(Workspace { crates })
     }
 
-    /// The crate with this package name, if present.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&CrateSrc> {
-        self.crates.iter().find(|c| c.name == name)
-    }
-
-    /// A workspace of `(crate name, [(path, source)])` crates whose
-    /// manifests opt into the workspace lints (unit-test fixtures).
+    /// A workspace of `(crate name, [(path, source)])` crates (unit-test
+    /// fixtures).
     #[cfg(test)]
     pub(crate) fn of(crates: &[(&str, &[(&str, &str)])]) -> Self {
         let crates = crates
             .iter()
             .map(|(name, files)| {
-                let manifest =
-                    format!("[package]\nname = \"{name}\"\n\n[lints]\nworkspace = true\n");
                 let files = files
                     .iter()
                     .map(|(p, s)| SourceFile::from_contents(p, s))
                     .collect();
-                CrateSrc::from_parts(name, &manifest, files)
+                CrateSrc::from_parts(name, files)
             })
             .collect();
         Workspace { crates }
@@ -205,19 +189,35 @@ fn load_crate(root: &Path, dir: &Path) -> Result<CrateSrc, String> {
         })
         .unwrap_or("?")
         .to_string();
+    if !opts_into_workspace_lints(&manifest) {
+        return Err(format!(
+            "{}: missing `[lints] workspace = true`; every member must opt into \
+             the workspace lint table",
+            manifest_path.display()
+        ));
+    }
     let mut files = Vec::new();
     collect_rs(root, &dir.join("src"), &mut files)?;
-    // Crate root first, then alphabetical: passes that only look at the
-    // root (hygiene) and humans reading reports both benefit.
+    // Crate root first, then alphabetical, for humans reading reports.
     files.sort_by_key(|f| {
         let is_root = f.path.ends_with("lib.rs") || f.path.ends_with("main.rs");
         (!is_root, f.path.clone())
     });
-    Ok(CrateSrc {
-        name,
-        manifest,
-        files,
-    })
+    Ok(CrateSrc { name, files })
+}
+
+/// Whether a manifest carries `workspace = true` in its `[lints]` table.
+fn opts_into_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for line in manifest.lines() {
+        let line = line.trim();
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
 }
 
 fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> Result<(), String> {
@@ -263,14 +263,13 @@ mod tests {
         assert!(f.is_allowed(3, "panic"));
         assert!(f.is_allowed(4, "panic"));
         assert!(!f.is_allowed(5, "panic"));
-        assert!(!f.is_allowed(3, "float-cmp"));
+        assert!(!f.is_allowed(3, "range"));
     }
 
     #[test]
     fn workspace_index_merges_crates() {
         let a = CrateSrc::from_parts(
             "crate-a",
-            "[package]\nname = \"crate-a\"\n",
             vec![SourceFile::from_contents(
                 "crates/a/src/lib.rs",
                 "pub fn shared() -> u8 { 0 }\n",
@@ -278,7 +277,6 @@ mod tests {
         );
         let b = CrateSrc::from_parts(
             "crate-b",
-            "[package]\nname = \"crate-b\"\n",
             vec![SourceFile::from_contents(
                 "crates/b/src/lib.rs",
                 "pub fn shared() -> u16 { 0 }\npub fn caller() { shared(); }\n",
@@ -289,5 +287,30 @@ mod tests {
         assert_eq!(idx.resolve("shared").len(), 2);
         let caller = idx.resolve("caller")[0];
         assert!(idx.fns[caller].calls.contains("shared"));
+    }
+
+    #[test]
+    fn a_member_without_the_lints_opt_in_stops_the_load() {
+        let root = std::env::temp_dir().join(format!("xtask-optin-{}", std::process::id()));
+        let src = root.join("crates/demo/src");
+        fs::create_dir_all(&src).expect("temp crate");
+        fs::write(src.join("lib.rs"), "//! Demo.\n").expect("lib.rs");
+        let manifest = root.join("crates/demo/Cargo.toml");
+        // `workspace = true` under another table does not count.
+        fs::write(
+            &manifest,
+            "[package]\nname = \"demo\"\n\n[dependencies.foo]\nworkspace = true\n",
+        )
+        .expect("manifest");
+        let err = Workspace::load(&root).expect_err("the opt-in is missing");
+        assert!(err.contains("[lints] workspace = true"), "{err}");
+        fs::write(
+            &manifest,
+            "[package]\nname = \"demo\"\n\n[lints]\nworkspace = true\n",
+        )
+        .expect("manifest");
+        let ws = Workspace::load(&root).expect("the opt-in is present");
+        assert_eq!(ws.crates[0].name, "demo");
+        fs::remove_dir_all(&root).expect("clean up");
     }
 }

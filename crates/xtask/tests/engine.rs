@@ -35,16 +35,12 @@ fn clean_fixture_reports_nothing() {
     assert_eq!(report.passes_run, PASSES);
 }
 
-/// Findings per pass on the dirty fixture. Three passes own two seeded
-/// bugs each: panic-reach a local unwrap and a reached index,
-/// range-proof a narrowing cast and a wrapping product, wire-schema an
-/// unpaired writer and a desynced pair.
+/// Findings per pass on the dirty fixture. Two passes own two seeded
+/// bugs each: range-proof a narrowing cast and a wrapping product,
+/// wire-schema an unpaired writer and a desynced pair.
 const DIRTY_COUNTS: &[(&str, usize)] = &[
-    ("float-cmp", 1),
-    ("hygiene", 1),
-    ("error-discipline", 1),
     ("wire-taint", 1),
-    ("panic-reach", 2),
+    ("panic-reach", 1),
     ("range-proof", 2),
     ("termination", 1),
     ("wire-schema", 2),
@@ -69,12 +65,8 @@ fn dirty_findings_land_on_the_expected_sites() {
             .iter()
             .any(|v| v.pass == pass && v.path.ends_with(path_suffix) && v.message.contains(needle))
     };
-    assert!(has("panic-reach", "bitstream/src/lib.rs", "unwrap"));
     assert!(has("range-proof", "bitstream/src/lib.rs", "`v as u8`"));
-    assert!(has("error-discipline", "bitstream/src/lib.rs", "fallible"));
-    assert!(has("float-cmp", "videocodec/src/lib.rs", "float"));
     assert!(has("wire-schema", "videocodec/src/encoder.rs", "`ghost`"));
-    assert!(has("hygiene", "llm265-videocodec (Cargo.toml)", "[lints]"));
     assert!(has("wire-taint", "bitstream/src/lib.rs", "allocation size"));
     assert!(has("panic-reach", "bitstream/src/lib.rs", "decode_entry"));
     assert!(has("range-proof", "bitstream/src/lib.rs", "escapes"));
@@ -110,33 +102,33 @@ fn dataflow_findings_carry_interprocedural_witness_chains() {
         "{:?}",
         taint.chain
     );
-    // Panic-reach: the chain walks root → panicking helper; a depth-0
-    // site's chain is its own function.
+    // Panic-reach: the chain walks root → panicking helper.
     let chains: Vec<&Vec<String>> = report
         .violations
         .iter()
         .filter(|v| v.pass == "panic-reach")
         .map(|v| &v.chain)
         .collect();
-    assert_eq!(chains, [&vec!["first"], &vec!["decode_entry", "entry_at"]]);
+    assert_eq!(chains, [&vec!["decode_entry", "entry_at"]]);
 }
 
 #[test]
 fn allowed_and_proven_twins_stay_quiet() {
     let report = run_lint(&fixture("dirty")).expect("lint dirty fixture");
-    // The fixture holds two unwraps (one under lint:allow(panic)) and two
-    // narrowing casts (one mask-proven): exactly one finding each survives.
-    let unwraps = report
+    // The fixture holds three reached indexings (one bounds-checked, one
+    // under lint:allow(panic)) and two narrowing casts (one mask-proven):
+    // exactly one finding each survives.
+    let indexings = report
         .violations
         .iter()
-        .filter(|v| v.pass == "panic-reach" && v.message.contains("unwrap"))
+        .filter(|v| v.pass == "panic-reach" && v.message.contains("data[..]"))
         .count();
     let casts = report
         .violations
         .iter()
         .filter(|v| v.pass == "range-proof" && v.message.contains(" as "))
         .count();
-    assert_eq!((unwraps, casts), (1, 1), "{:?}", report.violations);
+    assert_eq!((indexings, casts), (1, 1), "{:?}", report.violations);
 }
 
 // --- CLI-level tests: run the real binary against the fixtures. ---
@@ -159,14 +151,14 @@ fn cli_exit_codes_track_cleanliness() {
     let dirty = lint_cmd(&fixture("dirty"), &[]);
     assert_eq!(dirty.status.code(), Some(1), "{dirty:?}");
     let stdout = String::from_utf8_lossy(&dirty.stdout);
-    assert!(stdout.contains("11 violation(s) across"), "{stdout}");
+    assert!(stdout.contains("7 violation(s) across"), "{stdout}");
 }
 
 #[test]
 fn cli_json_format_reports_counts_ids_and_chains() {
     let out = lint_cmd(&fixture("dirty"), &["--format", "json"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"count\": 11"), "{stdout}");
+    assert!(stdout.contains("\"count\": 7"), "{stdout}");
     assert!(stdout.contains("\"id\": \"wire-taint@"), "{stdout}");
     assert!(
         stdout.contains("\"chain\": [\"read of `data`\", \"header_len\", \"decode_table\"]"),

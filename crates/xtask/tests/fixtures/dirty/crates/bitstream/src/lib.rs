@@ -4,17 +4,6 @@
 
 #![forbid(unsafe_code)]
 
-/// Panic-reach (depth 0): unwrap in a hot-path crate fires.
-pub fn first(v: Option<u8>) -> u8 {
-    v.unwrap()
-}
-
-/// The same construct under a marker stays quiet.
-pub fn second(v: Option<u8>) -> u8 {
-    // lint:allow(panic): fixture-approved escape hatch
-    v.unwrap()
-}
-
 /// Range-proof (cast sink): i64 -> u8 narrows without proof.
 pub fn narrow(v: i64) -> u8 {
     v as u8
@@ -23,16 +12,6 @@ pub fn narrow(v: i64) -> u8 {
 /// Mask-proven narrowing stays quiet.
 pub fn masked(v: i64) -> u8 {
     (v & 0xFF) as u8
-}
-
-/// Error-discipline: the dropped `Result` fires.
-pub fn careless() {
-    let _ = fallible();
-}
-
-/// Every definition of this name returns `Result`.
-pub fn fallible() -> Result<u8, ()> {
-    Ok(0)
 }
 
 /// Wire-taint: a length laundered through a helper still reaches the
@@ -74,6 +53,16 @@ pub fn decode_entry_checked(data: &[u8]) -> u8 {
 
 fn entry_at_checked(data: &[u8], i: usize) -> u8 {
     data.get(i + 1).copied().unwrap_or(0)
+}
+
+/// The same indexing under a marker stays quiet.
+pub fn decode_entry_allowed(data: &[u8]) -> u8 {
+    entry_at_allowed(data)
+}
+
+fn entry_at_allowed(data: &[u8]) -> u8 {
+    // lint:allow(panic): fixture-approved escape hatch
+    data[0]
 }
 
 /// Range-proof: the promoted product wraps u16. The under-guarded shift

@@ -1,12 +1,7 @@
-//! Dirty fixture, videocodec half: one float-cmp finding (plus a hygiene
-//! finding from the manifest).
+//! Dirty fixture, videocodec half: a writer/reader pair that desyncs and
+//! a writer no reader parses.
 
 #![forbid(unsafe_code)]
 
 pub mod decoder;
 pub mod encoder;
-
-/// Float-cmp: exact comparison against a float literal fires.
-pub fn is_zero(x: f32) -> bool {
-    x == 0.0
-}
