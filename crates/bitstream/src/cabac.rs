@@ -75,19 +75,39 @@ impl Prob {
     /// therefore streams and golden hashes, are unchanged
     /// (`lut_matches_direct_log2` pins this).
     pub fn cost_bits(&self, bit: bool) -> f64 {
-        let idx = if bit { PROB_ONE - self.0 } else { self.0 };
-        cost_lut()[usize::from(idx)]
+        BinCosts::get().cost(*self, bit)
     }
 
     /// Applies the adaptation step for an observed `bit`, exactly as the
     /// arithmetic coder does internally. Exposed so rate-distortion cost
     /// estimators can evolve context models without coding anything.
+    #[inline]
     pub fn update(&mut self, bit: bool) {
-        if bit {
-            self.0 -= self.0 >> ADAPT_SHIFT;
-        } else {
-            self.0 += (PROB_ONE - self.0) >> ADAPT_SHIFT;
-        }
+        // Both candidates, then a mask select: no branch on the bin.
+        let down = self.0 - (self.0 >> ADAPT_SHIFT);
+        let up = self.0 + ((PROB_ONE - self.0) >> ADAPT_SHIFT);
+        let m = 0u16.wrapping_sub(u16::from(bit));
+        self.0 = (down & m) | (up & !m);
+    }
+}
+
+/// The table behind [`Prob::cost_bits`], fetched once: a loop that costs
+/// many bins holds one and reads each bin's cost inline, with no
+/// per-bin check of the table's one-time initialisation.
+#[derive(Debug, Clone, Copy)]
+pub struct BinCosts(&'static [f64; PROB_ONE as usize + 1]);
+
+impl BinCosts {
+    /// The process-wide table, built on first use.
+    pub fn get() -> Self {
+        BinCosts(cost_lut())
+    }
+
+    /// [`Prob::cost_bits`]`(bit)` of `ctx`, bit for bit.
+    #[inline]
+    pub fn cost(self, ctx: Prob, bit: bool) -> f64 {
+        let idx = if bit { PROB_ONE - ctx.0 } else { ctx.0 };
+        self.0[usize::from(idx)]
     }
 }
 
@@ -136,6 +156,7 @@ impl CabacEncoder {
     }
 
     /// Encodes one bit under an adaptive context.
+    #[inline]
     pub fn encode_bit(&mut self, ctx: &mut Prob, bit: bool) {
         let bound = (self.range >> PROB_BITS) * u32::from(ctx.0);
         if !bit {
@@ -145,22 +166,28 @@ impl CabacEncoder {
             self.range -= bound;
         }
         ctx.update(bit);
-        while self.range < TOP {
-            self.shift_low();
-            self.range <<= 8;
-        }
+        self.renorm();
     }
 
     /// Encodes one equiprobable ("bypass") bit — costs exactly 1 bit.
+    #[inline]
     pub fn encode_bypass(&mut self, bit: bool) {
         self.range >>= 1;
         if bit {
             self.low += self.range as u64;
         }
-        while self.range < TOP {
+        self.renorm();
+    }
+
+    /// Restores `range >= TOP` after a bin: one 8-bit step always
+    /// suffices (see [`CabacDecoder::renorm`]).
+    #[inline]
+    fn renorm(&mut self) {
+        if self.range < TOP {
             self.shift_low();
             self.range <<= 8;
         }
+        debug_assert!(self.range >= TOP, "one renorm step must suffice");
     }
 
     /// Encodes `n` bypass bits, MSB first.
@@ -198,10 +225,7 @@ impl CabacEncoder {
             }
             self.low += add;
             self.range = range;
-            while self.range < TOP {
-                self.shift_low();
-                self.range <<= 8;
-            }
+            self.renorm();
             left = next;
         }
     }
@@ -307,38 +331,49 @@ impl<'a> CabacDecoder<'a> {
         b
     }
 
-    /// Decodes one bit under an adaptive context.
+    /// Restores `range >= TOP` after a bin with one 8-bit step, taken or
+    /// not by masks instead of a loop or a branch.
+    ///
+    /// One step always suffices. Before a bin `range >= 2^24`, and a
+    /// probability stays in `[31, 2017]` (the initial states lie in
+    /// `[32, 2016]`, and an update moves at most one step past either
+    /// end). A context bin leaves a range of `(range >> 11) · p` (bin 0)
+    /// or at least `(range >> 11) · (2048 - p)` (bin 1), so at least
+    /// `2^13 · 31 > 2^16`; a bypass bin leaves at least `2^23`. Shifting
+    /// either left by 8 restores `>= 2^24`.
+    #[inline]
+    fn renorm(&mut self) {
+        let step = u32::from(self.range < TOP);
+        let byte = u32::from(self.input.get(self.pos).copied().unwrap_or(0));
+        let shift = 8 * step;
+        self.code = (self.code << shift) | (byte & 0u32.wrapping_sub(step));
+        self.range <<= shift;
+        self.pos += step as usize;
+        debug_assert!(self.range >= TOP, "one renorm step must suffice");
+    }
+
+    /// Decodes one bit under an adaptive context. The new code, range
+    /// and probability are mask selects, not branches on the bin.
+    #[inline]
     pub fn decode_bit(&mut self, ctx: &mut Prob) -> bool {
         let bound = (self.range >> PROB_BITS) * u32::from(ctx.0);
-        let bit = if self.code < bound {
-            self.range = bound;
-            false
-        } else {
-            self.code -= bound;
-            self.range -= bound;
-            true
-        };
+        let bit = self.code >= bound;
+        let m = 0u32.wrapping_sub(u32::from(bit));
+        self.code -= bound & m;
+        // `bound <= range`: the probability is below 1.
+        self.range = (bound & !m) | ((self.range - bound) & m);
         ctx.update(bit);
-        while self.range < TOP {
-            self.code = (self.code << 8) | self.next_byte() as u32;
-            self.range <<= 8;
-        }
+        self.renorm();
         bit
     }
 
-    /// Decodes one bypass bit.
+    /// Decodes one bypass bit, branch-free like [`Self::decode_bit`].
+    #[inline]
     pub fn decode_bypass(&mut self) -> bool {
         self.range >>= 1;
-        let bit = if self.code >= self.range {
-            self.code -= self.range;
-            true
-        } else {
-            false
-        };
-        while self.range < TOP {
-            self.code = (self.code << 8) | self.next_byte() as u32;
-            self.range <<= 8;
-        }
+        let bit = self.code >= self.range;
+        self.code -= self.range & 0u32.wrapping_sub(u32::from(bit));
+        self.renorm();
         bit
     }
 
@@ -360,17 +395,15 @@ impl<'a> CabacDecoder<'a> {
             for _ in 0..group {
                 range >>= 1;
                 let bit = code >= range;
-                if bit {
-                    code -= range;
-                }
+                code -= range & 0u32.wrapping_sub(u32::from(bit));
                 v = (v << 1) | u64::from(bit);
             }
+            // `group <= 8 - lz` halvings of a range of at least
+            // `2^(31 - lz)` leave at least 2^23: one renorm step suffices,
+            // as after a single bypass bin.
             self.range = range;
             self.code = code;
-            while self.range < TOP {
-                self.code = (self.code << 8) | self.next_byte() as u32;
-                self.range <<= 8;
-            }
+            self.renorm();
             left -= group;
         }
         v
@@ -685,6 +718,247 @@ mod tests {
         for &value in &values {
             assert_eq!(dec.decode_ue_bypass().expect("valid stream"), value);
         }
+    }
+
+    /// The decoder as it was written before its bins went branch-free:
+    /// a branch on the bin and a renormalization loop. The reference the
+    /// branch-free [`CabacDecoder`] must match bin for bin.
+    struct BranchyDecoder<'a> {
+        code: u32,
+        range: u32,
+        input: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> BranchyDecoder<'a> {
+        fn new(input: &'a [u8]) -> Self {
+            let mut dec = BranchyDecoder {
+                code: 0,
+                range: u32::MAX,
+                input,
+                pos: 1,
+            };
+            for _ in 0..4 {
+                dec.code = (dec.code << 8) | dec.next_byte() as u32;
+            }
+            dec
+        }
+
+        fn next_byte(&mut self) -> u8 {
+            let b = self.input.get(self.pos).copied().unwrap_or(0);
+            self.pos += 1;
+            b
+        }
+
+        fn renorm(&mut self) {
+            while self.range < TOP {
+                self.code = (self.code << 8) | self.next_byte() as u32;
+                self.range <<= 8;
+            }
+        }
+
+        fn decode_bit(&mut self, ctx: &mut Prob) -> bool {
+            let bound = (self.range >> PROB_BITS) * u32::from(ctx.0);
+            let bit = if self.code < bound {
+                self.range = bound;
+                false
+            } else {
+                self.code -= bound;
+                self.range -= bound;
+                true
+            };
+            if bit {
+                ctx.0 -= ctx.0 >> ADAPT_SHIFT;
+            } else {
+                ctx.0 += (PROB_ONE - ctx.0) >> ADAPT_SHIFT;
+            }
+            self.renorm();
+            bit
+        }
+
+        fn decode_bypass(&mut self) -> bool {
+            self.range >>= 1;
+            let bit = if self.code >= self.range {
+                self.code -= self.range;
+                true
+            } else {
+                false
+            };
+            self.renorm();
+            bit
+        }
+    }
+
+    /// One step of a random bin schedule.
+    #[derive(Clone, Copy)]
+    enum Bin {
+        /// A context bin under context `ctx`.
+        Context {
+            ctx: usize,
+            bit: bool,
+        },
+        Bypass(bool),
+        /// `n` bypass bins through the batched path.
+        Batch {
+            v: u64,
+            n: u32,
+        },
+    }
+
+    /// A random interleaving of context bins (under four contexts, two
+    /// of them skewed), single bypass bins and batched bypass bins.
+    fn schedule(state: &mut u64, len: usize) -> Vec<Bin> {
+        (0..len)
+            .map(|_| {
+                let r = lcg(state);
+                match r % 8 {
+                    0..=4 => {
+                        let ctx = (r >> 8) as usize % 4;
+                        // Contexts 0/1 mostly see zeros, 2/3 fair bits.
+                        let bit = if ctx < 2 {
+                            (r >> 16).is_multiple_of(16)
+                        } else {
+                            (r >> 16) & 1 == 1
+                        };
+                        Bin::Context { ctx, bit }
+                    }
+                    5 | 6 => Bin::Bypass((r >> 16) & 1 == 1),
+                    _ => {
+                        let n = ((r >> 8) % 64 + 1) as u32;
+                        let v = lcg(state) & if n == 64 { u64::MAX } else { (1 << n) - 1 };
+                        Bin::Batch { v, n }
+                    }
+                }
+            })
+            .collect()
+    }
+
+    fn contexts() -> [Prob; 4] {
+        [
+            Prob::default(),
+            Prob::with_p0(1900),
+            Prob::default(),
+            Prob::with_p0(200),
+        ]
+    }
+
+    /// Decodes `plan`'s shape from `bytes` with both decoders, asserting
+    /// the same bins, contexts and `consumed()` after every step; returns
+    /// the branch-free decoder's bins.
+    fn decode_both(bytes: &[u8], plan: &[Bin]) -> Vec<u64> {
+        let mut new = CabacDecoder::new(bytes);
+        let mut old = BranchyDecoder::new(bytes);
+        let (mut ctx_new, mut ctx_old) = (contexts(), contexts());
+        let mut got = Vec::with_capacity(plan.len());
+        for (i, step) in plan.iter().enumerate() {
+            let (a, b) = match *step {
+                Bin::Context { ctx, .. } => (
+                    u64::from(new.decode_bit(&mut ctx_new[ctx])),
+                    u64::from(old.decode_bit(&mut ctx_old[ctx])),
+                ),
+                Bin::Bypass(_) => (
+                    u64::from(new.decode_bypass()),
+                    u64::from(old.decode_bypass()),
+                ),
+                Bin::Batch { n, .. } => (
+                    new.decode_bypass_bits(n),
+                    (0..n).fold(0, |w, _| (w << 1) | u64::from(old.decode_bypass())),
+                ),
+            };
+            assert_eq!(a, b, "step {i}");
+            assert_eq!(ctx_new, ctx_old, "step {i}");
+            assert_eq!(new.consumed(), old.pos, "step {i}");
+            got.push(a);
+        }
+        got
+    }
+
+    #[test]
+    fn branch_free_decoder_matches_the_branchy_reference() {
+        let mut state = 0x0bad_5eed_u64;
+        for round in 0..40 {
+            let plan = schedule(&mut state, 500 + 50 * round);
+            let mut enc = CabacEncoder::new();
+            let mut ctxs = contexts();
+            for step in &plan {
+                match *step {
+                    Bin::Context { ctx, bit } => enc.encode_bit(&mut ctxs[ctx], bit),
+                    Bin::Bypass(bit) => enc.encode_bypass(bit),
+                    Bin::Batch { v, n } => enc.encode_bypass_bits(v, n),
+                }
+            }
+            let bytes = enc.finish();
+            let got = decode_both(&bytes, &plan);
+            // Both decode the encoded bins back, and stop at the end.
+            for (step, &g) in plan.iter().zip(&got) {
+                let want = match *step {
+                    Bin::Context { bit, .. } | Bin::Bypass(bit) => u64::from(bit),
+                    Bin::Batch { v, .. } => v,
+                };
+                assert_eq!(g, want, "round {round}");
+            }
+            assert_eq!(CabacDecoder::new(&bytes).consumed(), 5);
+            // Truncated input zero-fills: both decoders still agree on
+            // every bin (which no longer match the encoded ones).
+            for cut in [0, 1, 3, bytes.len() / 2, bytes.len() - 1] {
+                decode_both(&bytes[..cut], &plan);
+            }
+        }
+    }
+
+    #[test]
+    fn branch_free_decoder_matches_the_branchy_reference_on_garbage() {
+        // Any byte string is some stream: arbitrary input must walk both
+        // decoders through the same bins.
+        let mut state = 0x5eed_0f9a_4ba9_u64;
+        for _ in 0..40 {
+            let bytes: Vec<u8> = (0..200).map(|_| (lcg(&mut state) >> 32) as u8).collect();
+            let plan = schedule(&mut state, 2000);
+            decode_both(&bytes, &plan);
+        }
+    }
+
+    /// Walks every 11-bit probability state and both bins: the states the
+    /// coder can reach are exactly `[31, 2017]`, and from each of them a
+    /// bin at the smallest range (`TOP`, where both bins' new ranges are
+    /// smallest: `(range >> 11)·p` or `(range & 2047) + (range >> 11)·
+    /// (2048 - p)`) leaves at least 2^16, so one 8-bit renormalization
+    /// step restores `range >= TOP`.
+    #[test]
+    fn probabilities_stay_in_range_and_one_renorm_step_suffices() {
+        // Closure of the initial states under both updates.
+        let mut reachable = [false; PROB_ONE as usize];
+        let mut todo: Vec<u16> = (0..PROB_ONE)
+            .map(|k| Prob::with_p0(k).0)
+            .chain([Prob::default().0])
+            .collect();
+        while let Some(p) = todo.pop() {
+            if !std::mem::replace(&mut reachable[usize::from(p)], true) {
+                for bit in [false, true] {
+                    let mut next = Prob(p);
+                    next.update(bit);
+                    todo.push(next.0);
+                }
+            }
+        }
+        for (k, &r) in reachable.iter().enumerate() {
+            assert_eq!(r, (31..=2017).contains(&k), "state {k}");
+        }
+        for p in 31..=2017u16 {
+            for bit in [false, true] {
+                let mut next = Prob(p);
+                next.update(bit);
+                assert!((31..=2017).contains(&next.0), "p={p} bit={bit}");
+                for range in [TOP, TOP + 2047, TOP << 3, u32::MAX] {
+                    let bound = (range >> PROB_BITS) * u32::from(p);
+                    let after = if bit { range - bound } else { bound };
+                    assert!(after >= 1 << 16, "p={p} bit={bit} range={range}");
+                    assert!(after >= TOP || after << 8 >= TOP);
+                }
+            }
+        }
+        // A bypass bin halves the range: at least 2^23 is left.
+        const { assert!((TOP >> 1) << 8 >= TOP) };
     }
 
     #[test]

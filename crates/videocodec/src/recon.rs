@@ -32,7 +32,7 @@ pub(crate) struct Recon<'a> {
     /// The previous frame's reconstruction of the same band.
     pub prev: Option<&'a Frame>,
     /// Workspace of both DCT directions (the encoder's forward one too).
-    pub dct_tmp: Vec<f64>,
+    pub dct_tmp: Vec<f32>,
     deq: Vec<f64>,
     /// The last reconstructed TU residual.
     rres: Vec<i32>,

@@ -16,7 +16,7 @@
 //! greater-1 / greater-2 flags with adaptive-Rice coded remainders and
 //! bypass signs.
 
-use llm265_bitstream::cabac::{CabacDecoder, CabacEncoder, Prob};
+use llm265_bitstream::cabac::{BinCosts, CabacDecoder, CabacEncoder, Prob};
 
 use crate::scan;
 use crate::CodecError;
@@ -230,15 +230,25 @@ impl BinSource for RawBinReader<'_> {
 
 /// Accumulates the fractional bit cost of a syntax sequence, updating the
 /// context models exactly like the real encoder would.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BitCounter {
     bits: f64,
+    costs: BinCosts,
+}
+
+impl Default for BitCounter {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl BitCounter {
     /// Creates a zeroed counter.
     pub fn new() -> Self {
-        Self::default()
+        BitCounter {
+            bits: 0.0,
+            costs: BinCosts::get(),
+        }
     }
 
     /// Total bits accumulated.
@@ -249,7 +259,7 @@ impl BitCounter {
 
 impl BinSink for BitCounter {
     fn bit(&mut self, ctx: &mut Prob, b: bool) {
-        self.bits += ctx.cost_bits(b);
+        self.bits += self.costs.cost(*ctx, b);
         // Evolve the context exactly as the arithmetic coder would, so RD
         // estimates and real encoding see the same probabilities.
         ctx.update(b);

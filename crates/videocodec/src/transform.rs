@@ -5,32 +5,38 @@
 //! mitigation**: the DCT spreads a single huge value across all
 //! coefficients of its block (Fig 3), so a uniform quantizer no longer has
 //! to choose between resolving the body and covering the outlier. The
-//! transforms here are orthonormal (Parseval holds exactly up to f64
-//! rounding), so squared error in the coefficient domain equals squared
-//! error in the pixel domain — which is what makes RD optimisation in the
-//! coefficient domain legitimate.
+//! transforms here are orthonormal (Parseval holds up to `f32` rounding:
+//! the coefficients' 2-norm is within a relative `2·(n + 2)·√n · 2⁻²⁴` of
+//! the block's), so squared error in the coefficient domain equals
+//! squared error in the pixel domain — which is what makes RD
+//! optimisation in the coefficient domain legitimate.
 //!
-//! # Register-blocked, bit-exact passes
+//! # Single-precision, register-blocked, bit-exact passes
 //!
 //! Each of the four matrix passes (two forward, two inverse) is one
-//! product `C = A·B` of `n × n` row-major matrices, computed by
-//! [`product`] as dot products over 4 × 4 output tiles held in registers.
-//! Every output starts at `+0.0` and adds its `n` products in ascending
-//! summation index — the textbook triple-loop order, with no fused
-//! multiply-add and no re-association. No sum is ever split or reduced
-//! across lanes; the tile only decides which 16 independent outputs are
-//! in flight together, which LLVM maps onto whatever vector registers the
-//! target has (2 × f64 on the SSE2 baseline, 4 × f64 with AVX2). The
-//! coefficients are therefore bit-identical on every machine, and the
-//! encoded bytes match the golden hashes everywhere. The tests pin the
-//! passes bit for bit to the same sums computed as rank-1 (`axpy`) row
-//! updates, a form that streams every accumulator row through memory once
-//! per summation index.
+//! product `C = A·B` of `n × n` row-major `f32` matrices, computed by
+//! [`product`] as dot products over output tiles of 4 rows × 8 columns
+//! (4 × 4 at `n = 4`) held in registers. Every output starts at `+0.0`
+//! and adds its `n` products in ascending summation index — the textbook
+//! triple-loop order, with no fused multiply-add and no re-association.
+//! No sum is ever split or reduced across lanes; the tile only decides
+//! which 32 independent outputs are in flight together, which LLVM maps
+//! onto whatever vector registers the target has (4 × f32 on the SSE2
+//! baseline, 8 × f32 with AVX2). The coefficients are therefore
+//! bit-identical on every machine, and the encoded bytes match the golden
+//! hashes everywhere. The tests pin the passes bit for bit to the same
+//! sums computed as rank-1 (`axpy`) row updates, a form that streams
+//! every accumulator row through memory once per summation index, and
+//! bound their distance from an `f64` textbook DCT.
+//!
+//! The callers' buffers stay `f64`: a block's residuals (at most ±255)
+//! and every coefficient convert to `f32` on entry (exactly, resp. with
+//! one rounding), and the results convert back exactly.
 //!
 //! # No libm rounding
 //!
 //! The inverse rounds each residual with [`crate::lanes::round_i32`],
-//! never `f64::round`: on the x86-64 baseline (no SSE4.1) `round` is a
+//! never `f32::round`: on the x86-64 baseline (no SSE4.1) `round` is a
 //! libm call per pixel, and the inverse transform runs in the decoder's
 //! and the encoder's inner loops. The helper is exact, so the residuals
 //! equal `round() as i32` for every input, hostile magnitudes included.
@@ -38,7 +44,7 @@
 //! # Shared bases
 //!
 //! The four orthonormal DCT-II bases (and their transposes) are built
-//! once per process into a static table, so [`DctPlan::new`] and
+//! once per process into a static `f32` table, so [`DctPlan::new`] and
 //! [`DctPlans::new`] only copy references — tile tasks and stream-index
 //! reads build plan sets freely.
 
@@ -49,77 +55,90 @@ use crate::lanes::round_i32;
 /// Supported transform sizes.
 pub const SIZES: [usize; 4] = [4, 8, 16, 32];
 
-/// Output tile edge of [`product`]: 4 × 4 accumulators in registers.
-const TILE: usize = 4;
+/// Output tile height of [`product`]: 4 rows of accumulators.
+const ROWS: usize = 4;
 
-/// `C = A·B` for `N × N` row-major matrices.
+/// `C = A·B` for `N × N` row-major matrices, over output tiles of
+/// [`ROWS`] rows × `W` columns (`W` divides `N`).
 ///
 /// Each output starts at `+0.0` and accumulates `A[r][i] · B[i][c]` in
 /// ascending `i`, so the result is bit-identical to the textbook triple
-/// loop (and to the rank-1 update form of it). `A` may hold residual
-/// integers, which convert to `f64` exactly.
+/// loop (and to the rank-1 update form of it).
 #[inline(always)]
-fn product<const N: usize, T: Copy>(a: &[T], b: &[f64], c: &mut [f64])
-where
-    f64: From<T>,
-{
+fn product<const N: usize, const W: usize>(a: &[f32], b: &[f32], c: &mut [f32]) {
     let (a, _) = a.as_chunks::<N>();
     let (b, _) = b.as_chunks::<N>();
     let (c, _) = c.as_chunks_mut::<N>();
-    for (a_rows, c_rows) in a.chunks_exact(TILE).zip(c.chunks_exact_mut(TILE)) {
-        for c0 in (0..N).step_by(TILE) {
-            let mut acc = [[0.0f64; TILE]; TILE];
+    for (a_rows, c_rows) in a.chunks_exact(ROWS).zip(c.chunks_exact_mut(ROWS)) {
+        for c0 in (0..N).step_by(W) {
+            let mut acc = [[0.0f32; W]; ROWS];
             for (i, b_row) in b.iter().enumerate() {
-                let bv = &b_row[c0..c0 + TILE];
+                let bv = &b_row[c0..c0 + W];
                 for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
-                    let s = f64::from(a_row[i]);
+                    let s = a_row[i];
                     for (o, &x) in acc_row.iter_mut().zip(bv) {
                         *o += s * x;
                     }
                 }
             }
             for (c_row, acc_row) in c_rows.iter_mut().zip(&acc) {
-                c_row[c0..c0 + TILE].copy_from_slice(acc_row);
+                c_row[c0..c0 + W].copy_from_slice(acc_row);
             }
         }
     }
 }
 
-/// Forward 2-D DCT of one block: rows, then columns.
-fn forward_passes<const N: usize>(plan: &DctPlan, block: &[i32], tmp: &mut [f64], out: &mut [f64]) {
-    // Pass 1 (rows): tmp[y][k] = sum_i block[y][i] * basis[k][i].
-    product::<N, i32>(block, plan.basis_t, tmp);
-    // Pass 2 (columns): out[k][x] = sum_i basis[k][i] * tmp[i][x].
-    product::<N, f64>(plan.basis, tmp, out);
+/// Forward 2-D DCT of one block: rows, then columns. `tmp` holds `2 N²`
+/// values: the block as `f32`, then pass 2's output over it, and pass 1's
+/// output.
+fn forward_passes<const N: usize, const W: usize>(
+    plan: &DctPlan,
+    block: &[i32],
+    tmp: &mut [f32],
+    out: &mut [f64],
+) {
+    let (io, rows) = tmp.split_at_mut(N * N);
+    // Residuals are small integers, which convert exactly.
+    for (o, &v) in io.iter_mut().zip(block) {
+        *o = v as f32;
+    }
+    // Pass 1 (rows): rows[y][k] = sum_i block[y][i] * basis[k][i].
+    product::<N, W>(io, plan.basis_t, rows);
+    // Pass 2 (columns): io[k][x] = sum_i basis[k][i] * rows[i][x].
+    product::<N, W>(plan.basis, rows, io);
+    for (o, &s) in out.iter_mut().zip(&*io) {
+        *o = f64::from(s);
+    }
 }
 
-/// Inverse 2-D DCT of one block, rounding to integer residuals. `tmp`
-/// holds `2 N²` values: pass 1's output, then pass 2's unrounded sums.
-fn inverse_passes<const N: usize>(
+/// Inverse 2-D DCT of one block up to its unrounded sums, which it
+/// returns. `tmp` holds `2 N²` values: the coefficients as `f32`, then
+/// pass 2's output over them, and pass 1's output.
+fn inverse_passes<'t, const N: usize, const W: usize>(
     plan: &DctPlan,
     coeffs: &[f64],
-    tmp: &mut [f64],
-    out: &mut [i32],
-) {
-    let (cols, sums) = tmp.split_at_mut(N * N);
-    // Pass 1 (columns): cols[i][x] = sum_k basis[k][i] * coeffs[k][x].
-    product::<N, f64>(plan.basis_t, coeffs, cols);
-    // Pass 2 (rows): sums[y][i] = sum_k cols[y][k] * basis[k][i].
-    product::<N, f64>(cols, plan.basis, sums);
-    // Rounding as a separate flat loop, which vectorizes.
-    for (o, &a) in out.iter_mut().zip(&*sums) {
-        *o = round_i32(a);
+    tmp: &'t mut [f32],
+) -> &'t [f32] {
+    let (io, cols) = tmp.split_at_mut(N * N);
+    for (o, &v) in io.iter_mut().zip(coeffs) {
+        *o = v as f32;
     }
+    // Pass 1 (columns): cols[i][x] = sum_k basis[k][i] * coeffs[k][x].
+    product::<N, W>(plan.basis_t, io, cols);
+    // Pass 2 (rows): io[y][i] = sum_k cols[y][k] * basis[k][i].
+    product::<N, W>(cols, plan.basis, io);
+    io
 }
 
 /// The orthonormal DCT-II basis of one size and its transpose, as
 /// fixed-size arrays of `L = n²` entries.
 struct Basis<const L: usize> {
-    // basis[k*n + i] = alpha_k * cos(pi/n * (i + 0.5) * k)
-    basis: [f64; L],
+    // basis[k*n + i] = alpha_k * cos(pi/n * (i + 0.5) * k), computed in
+    // f64 and rounded once to f32.
+    basis: [f32; L],
     // Transposed basis, basis_t[i*n + k] = basis[k*n + i]: the passes
     // read whichever layout keeps their `B` rows contiguous.
-    basis_t: [f64; L],
+    basis_t: [f32; L],
 }
 
 impl<const L: usize> Basis<L> {
@@ -137,8 +156,8 @@ impl<const L: usize> Basis<L> {
             for i in 0..n {
                 let v =
                     alpha * (std::f64::consts::PI / n as f64 * (i as f64 + 0.5) * k as f64).cos();
-                b.basis[k * n + i] = v;
-                b.basis_t[i * n + k] = v;
+                b.basis[k * n + i] = v as f32;
+                b.basis_t[i * n + k] = v as f32;
             }
         }
         b
@@ -169,8 +188,8 @@ fn bases() -> &'static Bases {
 #[derive(Debug, Clone, Copy)]
 pub struct DctPlan {
     n: usize,
-    basis: &'static [f64],
-    basis_t: &'static [f64],
+    basis: &'static [f32],
+    basis_t: &'static [f32],
 }
 
 impl DctPlan {
@@ -183,7 +202,7 @@ impl DctPlan {
     pub fn new(n: usize) -> Self {
         assert!(SIZES.contains(&n), "unsupported transform size {n}");
         let b = bases();
-        let (basis, basis_t): (&'static [f64], &'static [f64]) = match n {
+        let (basis, basis_t): (&'static [f32], &'static [f32]) = match n {
             4 => (&b.n4.basis, &b.n4.basis_t),
             8 => (&b.n8.basis, &b.n8.basis_t),
             16 => (&b.n16.basis, &b.n16.basis_t),
@@ -217,17 +236,17 @@ impl DctPlan {
     /// # Panics
     ///
     /// Panics if `block.len() != n * n`.
-    pub fn forward_into(&self, block: &[i32], tmp: &mut Vec<f64>, out: &mut Vec<f64>) {
+    pub fn forward_into(&self, block: &[i32], tmp: &mut Vec<f32>, out: &mut Vec<f64>) {
         let n = self.n;
         assert_eq!(block.len(), n * n);
         // Every slot is overwritten by the passes; resizing only sizes.
-        tmp.resize(n * n, 0.0);
+        tmp.resize(2 * n * n, 0.0);
         out.resize(n * n, 0.0);
         match n {
-            4 => forward_passes::<4>(self, block, tmp, out),
-            8 => forward_passes::<8>(self, block, tmp, out),
-            16 => forward_passes::<16>(self, block, tmp, out),
-            _ => forward_passes::<32>(self, block, tmp, out),
+            4 => forward_passes::<4, 4>(self, block, tmp, out),
+            8 => forward_passes::<8, 8>(self, block, tmp, out),
+            16 => forward_passes::<16, 8>(self, block, tmp, out),
+            _ => forward_passes::<32, 8>(self, block, tmp, out),
         }
     }
 
@@ -252,16 +271,24 @@ impl DctPlan {
     /// # Panics
     ///
     /// Panics if `coeffs.len() != n * n`.
-    pub fn inverse_into(&self, coeffs: &[f64], tmp: &mut Vec<f64>, out: &mut Vec<i32>) {
+    pub fn inverse_into(&self, coeffs: &[f64], tmp: &mut Vec<f32>, out: &mut Vec<i32>) {
+        out.resize(self.n * self.n, 0);
+        // Rounding as a separate flat loop, which vectorizes.
+        for (o, &s) in out.iter_mut().zip(self.inverse_sums(coeffs, tmp)) {
+            *o = round_i32(f64::from(s));
+        }
+    }
+
+    /// The inverse's unrounded sums, in `tmp`.
+    fn inverse_sums<'t>(&self, coeffs: &[f64], tmp: &'t mut Vec<f32>) -> &'t [f32] {
         let n = self.n;
         assert_eq!(coeffs.len(), n * n);
         tmp.resize(2 * n * n, 0.0);
-        out.resize(n * n, 0);
         match n {
-            4 => inverse_passes::<4>(self, coeffs, tmp, out),
-            8 => inverse_passes::<8>(self, coeffs, tmp, out),
-            16 => inverse_passes::<16>(self, coeffs, tmp, out),
-            _ => inverse_passes::<32>(self, coeffs, tmp, out),
+            4 => inverse_passes::<4, 4>(self, coeffs, tmp),
+            8 => inverse_passes::<8, 8>(self, coeffs, tmp),
+            16 => inverse_passes::<16, 8>(self, coeffs, tmp),
+            _ => inverse_passes::<32, 8>(self, coeffs, tmp),
         }
     }
 }
@@ -469,16 +496,58 @@ mod tests {
         }
     }
 
+    /// `γ_k = k·u / (1 − k·u)` for the unit roundoff `u` of a format
+    /// with machine epsilon `eps` (`u = eps / 2`): the relative error
+    /// bound of a `k`-term sum of products computed left to right
+    /// (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1).
+    fn gamma(k: usize, eps: f64) -> f64 {
+        let ku = k as f64 * eps / 2.0;
+        ku / (1.0 - ku)
+    }
+
+    /// The largest difference, before rounding, between one 2-D `f32`
+    /// transform of an input with entries at most `m` in magnitude and
+    /// the exact transform.
+    ///
+    /// One pass computes each output as `Σ a_i·b_i` over `n` terms. Its
+    /// inputs carry one rounding each at most (a coefficient converted
+    /// from `f64`; residuals convert exactly), and so does every basis
+    /// entry (computed in `f64`, stored as `f32`). With the `n` roundings
+    /// of the sum that is `|fl(s) − s| ≤ γ_{n+2}·Σ|a_i||b_i|`. Every row
+    /// and every column of the basis is a unit vector, so `Σ_i |b_i| ≤
+    /// √n` (Cauchy–Schwarz). Pass 1's exact outputs are then at most
+    /// `√n·m` and its errors at most `e₁ = γ_{n+2}·√n·m`. Pass 2 carries
+    /// `e₁` through the basis (`≤ √n·e₁`) and adds its own sum's error,
+    /// `γ_{n+2}·√n·(√n·m + e₁)`. In total:
+    ///
+    /// `|Δ| ≤ 2·γ_{n+2}·(1 + γ_{n+2})·n·m`.
+    ///
+    /// The `f64` textbook reference sums `n²` products `b·x·b` whose
+    /// basis factors `b` sum to at most `√n` each; `γ_{n²+n}` at `f64`'s
+    /// epsilon (a generous allowance for the `cos` evaluations) bounds its
+    /// own error by `γ_{n²+n}·n·m`, some 10⁸ times less, and is added.
+    fn f32_pass_bound(n: usize, m: f64) -> f64 {
+        let g32 = gamma(n + 2, f64::from(f32::EPSILON));
+        let g64 = gamma(n * n + n, f64::EPSILON);
+        (2.0 * g32 * (1.0 + g32) + g64) * n as f64 * m
+    }
+
     #[test]
     fn dc_coefficient_is_scaled_mean() {
         let n = 8;
         let plan = DctPlan::new(n);
         let block = vec![100i32; n * n];
         let coeffs = plan.forward(&block);
-        // Orthonormal 2-D DCT: DC = n * mean.
-        assert!((coeffs[0] - 100.0 * n as f64).abs() < 1e-9);
+        // Orthonormal 2-D DCT: DC = n * mean, every AC coefficient 0,
+        // each within the f32 passes' bound (about 9.5e-4 here).
+        let tol = f32_pass_bound(n, 100.0);
+        assert!(
+            (coeffs[0] - 100.0 * n as f64).abs() <= tol,
+            "DC {} (tolerance {tol})",
+            coeffs[0]
+        );
         for (i, &c) in coeffs.iter().enumerate().skip(1) {
-            assert!(c.abs() < 1e-9, "AC coeff {i} = {c}");
+            assert!(c.abs() <= tol, "AC coeff {i} = {c} (tolerance {tol})");
         }
     }
 
@@ -491,10 +560,98 @@ mod tests {
         let coeffs = plan.forward(&block);
         let e_spatial: f64 = block.iter().map(|&v| (v as f64).powi(2)).sum();
         let e_coeff: f64 = coeffs.iter().map(|&c| c * c).sum();
+        // The tolerance in 2-norms. One pass's error vector is bounded
+        // entrywise by `γ_{n+2}·|B|·|a|` (see `f32_pass_bound`), so its
+        // 2-norm is at most `γ_{n+2}·‖B‖_F·‖a‖ = γ_{n+2}·√n·‖a‖ = ρ₁‖a‖`.
+        // Pass 2 carries pass 1's error through the orthonormal basis and
+        // adds its own on an input of norm `≤ (1 + ρ₁)‖x‖`, so the
+        // coefficients are within `ρ = ρ₁·(2 + ρ₁)` of exact, relative to
+        // `‖x‖ = ‖c‖`. Squaring, the energies differ by at most
+        // `(2ρ + ρ²)` relative: about 1.6e-5 at n = 16.
+        let rho1 = gamma(n + 2, f64::from(f32::EPSILON)) * (n as f64).sqrt();
+        let rho = rho1 * (2.0 + rho1);
+        let tol = 2.0 * rho + rho * rho;
         assert!(
-            (e_spatial - e_coeff).abs() / e_spatial < 1e-12,
-            "parseval violated: {e_spatial} vs {e_coeff}"
+            (e_spatial - e_coeff).abs() / e_spatial <= tol,
+            "parseval violated: {e_spatial} vs {e_coeff} (tolerance {tol})"
         );
+    }
+
+    /// The textbook orthonormal DCT-II in `f64`, straight from its
+    /// definition: `forward` gives `B·X·Bᵀ`, otherwise `Bᵀ·X·B` (the
+    /// inverse's sums before rounding).
+    fn textbook(n: usize, x: &[f64], forward: bool) -> Vec<f64> {
+        let b = |k: usize, i: usize| {
+            let alpha = if k == 0 { 1.0 } else { 2.0f64.sqrt() } / (n as f64).sqrt();
+            alpha * (std::f64::consts::PI / n as f64 * (i as f64 + 0.5) * k as f64).cos()
+        };
+        let m = |r: usize, c: usize| if forward { b(r, c) } else { b(c, r) };
+        let mut out = vec![0.0; n * n];
+        for r in 0..n {
+            for c in 0..n {
+                out[r * n + c] = (0..n)
+                    .flat_map(|i| (0..n).map(move |j| (i, j)))
+                    .map(|(i, j)| m(r, i) * x[i * n + j] * m(c, j))
+                    .sum();
+            }
+        }
+        out
+    }
+
+    /// Both directions against the `f64` textbook DCT, before rounding:
+    /// ±255 blocks, dequantized levels, and the hostile magnitudes up to
+    /// `i32::MAX · qstep(51)` a decoder can be fed, each within
+    /// `f32_pass_bound` of its input's largest magnitude.
+    #[test]
+    fn f32_passes_stay_within_their_bound_of_the_f64_textbook_dct() {
+        let mut rng = Pcg32::seed_from(11);
+        let q = crate::quant::Quantizer::from_qp(30.0);
+        let hostile = i32::MAX as f64 * crate::quant::qstep(crate::quant::QP_MAX);
+        let max_diff = |a: &[f64], b: &[f64]| -> f64 {
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| (x - y).abs())
+                .fold(0.0, f64::max)
+        };
+        let largest = |x: &[f64]| x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let mut tmp = Vec::new();
+        for &n in &SIZES {
+            let plan = DctPlan::new(n);
+            let blocks: Vec<Vec<i32>> = vec![
+                vec![255; n * n],
+                (0..n * n)
+                    .map(|i| if (i / n + i % n) % 2 == 0 { 255 } else { -255 })
+                    .collect(),
+                (0..n * n).map(|_| rng.below(511) as i32 - 255).collect(),
+            ];
+            for block in &blocks {
+                let x: Vec<f64> = block.iter().map(|&v| f64::from(v)).collect();
+                let diff = max_diff(&plan.forward(block), &textbook(n, &x, true));
+                let tol = f32_pass_bound(n, 255.0);
+                assert!(diff <= tol, "forward n={n}: {diff} > {tol}");
+            }
+            let inputs: Vec<Vec<f64>> = vec![
+                (0..n * n)
+                    .map(|_| q.dequantize(rng.below(41) as i32 - 20))
+                    .collect(),
+                (0..n * n)
+                    .map(|i| if i % 3 == 0 { -hostile } else { hostile })
+                    .collect(),
+                (0..n * n)
+                    .map(|_| (rng.below(2001) as f64 - 1000.0) / 1000.0 * hostile)
+                    .collect(),
+            ];
+            for coeffs in &inputs {
+                let sums: Vec<f64> = plan
+                    .inverse_sums(coeffs, &mut tmp)
+                    .iter()
+                    .map(|&s| f64::from(s))
+                    .collect();
+                let diff = max_diff(&sums, &textbook(n, coeffs, false));
+                let tol = f32_pass_bound(n, largest(coeffs));
+                assert!(diff <= tol, "inverse n={n}: {diff} > {tol}");
+            }
+        }
     }
 
     #[test]
@@ -562,7 +719,7 @@ mod tests {
 
     /// The passes as rank-1 (`axpy`) row updates: the reference the
     /// blocked passes must reproduce bit for bit.
-    fn axpy(acc: &mut [f64], s: f64, v: &[f64]) {
+    fn axpy(acc: &mut [f32], s: f32, v: &[f32]) {
         for (a, x) in acc.iter_mut().zip(v) {
             *a += s * *x;
         }
@@ -570,14 +727,14 @@ mod tests {
 
     fn rank1_forward(plan: &DctPlan, block: &[i32]) -> Vec<f64> {
         let n = plan.n;
-        let mut tmp = vec![0.0; n * n];
-        let mut out = vec![0.0; n * n];
+        let mut tmp = vec![0.0f32; n * n];
+        let mut out = vec![0.0f32; n * n];
         for y in 0..n {
             for i in 0..n {
                 let row = &mut tmp[y * n..(y + 1) * n];
                 axpy(
                     row,
-                    block[y * n + i] as f64,
+                    block[y * n + i] as f32,
                     &plan.basis_t[i * n..(i + 1) * n],
                 );
             }
@@ -588,12 +745,13 @@ mod tests {
                 axpy(row, plan.basis[k * n + i], &tmp[i * n..(i + 1) * n]);
             }
         }
-        out
+        out.into_iter().map(f64::from).collect()
     }
 
     fn rank1_inverse(plan: &DctPlan, coeffs: &[f64]) -> Vec<i32> {
         let n = plan.n;
-        let mut tmp = vec![0.0; n * n];
+        let coeffs: Vec<f32> = coeffs.iter().map(|&c| c as f32).collect();
+        let mut tmp = vec![0.0f32; n * n];
         for i in 0..n {
             for k in 0..n {
                 let row = &mut tmp[i * n..(i + 1) * n];
@@ -602,7 +760,7 @@ mod tests {
         }
         let mut out = vec![0i32; n * n];
         for y in 0..n {
-            let mut acc = vec![0.0f64; n];
+            let mut acc = vec![0.0f32; n];
             for k in 0..n {
                 axpy(&mut acc, tmp[y * n + k], &plan.basis[k * n..(k + 1) * n]);
             }
