@@ -28,8 +28,6 @@
 //! }
 //! ```
 
-use crate::CodecError;
-
 /// Number of bits in the probability model.
 const PROB_BITS: u32 = 11;
 /// Probability value representing 1.0.
@@ -51,31 +49,9 @@ impl Default for Prob {
 }
 
 impl Prob {
-    /// Creates a context with an explicit initial probability of zero,
-    /// expressed in 1/2048 units and clamped away from certainty.
-    #[must_use]
-    pub fn with_p0(p0: u16) -> Self {
-        Prob(p0.clamp(32, PROB_ONE - 32))
-    }
-
     /// The current probability that the next bit is 0, in `[0, 1]`.
     pub fn p0(&self) -> f64 {
         self.0 as f64 / PROB_ONE as f64
-    }
-
-    /// The information cost, in bits, of coding `bit` under this context —
-    /// used by the encoder's rate-distortion estimates without actually
-    /// coding anything.
-    ///
-    /// Looked up from an 11-bit-probability table instead of taking a
-    /// `log2` per bin: the probability state has only `PROB_ONE + 1`
-    /// values, and because `k / 2048` and `1.0 - k / 2048.0 ==
-    /// (2048 - k) / 2048.0` are both exact in `f64`, the table entries
-    /// are bit-identical to the direct formula — RD scores, and
-    /// therefore streams and golden hashes, are unchanged
-    /// (`lut_matches_direct_log2` pins this).
-    pub fn cost_bits(&self, bit: bool) -> f64 {
-        BinCosts::get().cost(*self, bit)
     }
 
     /// Applies the adaptation step for an observed `bit`, exactly as the
@@ -91,9 +67,17 @@ impl Prob {
     }
 }
 
-/// The table behind [`Prob::cost_bits`], fetched once: a loop that costs
-/// many bins holds one and reads each bin's cost inline, with no
-/// per-bin check of the table's one-time initialisation.
+/// The cost in bits of coding a bin under a context, for the encoder's
+/// rate-distortion estimates. Fetched once: a loop that costs many bins
+/// holds one and reads each bin's cost inline, with no per-bin check of
+/// the table's one-time initialisation.
+///
+/// The costs come from an 11-bit-probability table instead of a `log2`
+/// per bin: the probability state has only `PROB_ONE + 1` values, and
+/// because `k / 2048` and `1.0 - k / 2048.0 == (2048 - k) / 2048.0` are
+/// both exact in `f64`, the table entries are bit-identical to the direct
+/// formula — RD scores, and therefore streams and golden hashes, do not
+/// depend on the table (`lut_matches_direct_log2` pins this).
 #[derive(Debug, Clone, Copy)]
 pub struct BinCosts(&'static [f64; PROB_ONE as usize + 1]);
 
@@ -103,7 +87,7 @@ impl BinCosts {
         BinCosts(cost_lut())
     }
 
-    /// [`Prob::cost_bits`]`(bit)` of `ctx`, bit for bit.
+    /// `-log2` of the probability `ctx` gives `bit`, floored at 1/2048.
     #[inline]
     pub fn cost(self, ctx: Prob, bit: bool) -> f64 {
         let idx = if bit { PROB_ONE - ctx.0 } else { ctx.0 };
@@ -111,7 +95,7 @@ impl BinCosts {
     }
 }
 
-/// The `-log2(p)` table behind [`Prob::cost_bits`], indexed by the
+/// The `-log2(p)` table behind [`BinCosts`], indexed by the
 /// probability numerator in 1/2048 units (0 floors to the 1/2048
 /// probability clamp, matching the old `p.max(1/2048)`), built once per
 /// process.
@@ -230,33 +214,6 @@ impl CabacEncoder {
         }
     }
 
-    /// Encodes an unsigned Exp-Golomb value in bypass mode (H.265 uses this
-    /// for large coefficient remainders). Prefix zeros and the value field
-    /// each go through the batched [`Self::encode_bypass_bits`] fast path
-    /// (the combined field can reach 65 bits at `u32::MAX`, so it is not a
-    /// single call).
-    pub fn encode_ue_bypass(&mut self, value: u32) {
-        let v = value as u64 + 1;
-        let len = 64 - v.leading_zeros();
-        self.encode_bypass_bits(0, len - 1);
-        self.encode_bypass_bits(v, len);
-    }
-
-    /// Encodes a unary-truncated prefix under a context array: emits `1`
-    /// bits while `value > i`, then a `0` (unless `max` is reached). Context
-    /// index saturates at the array end.
-    pub fn encode_truncated_unary(&mut self, ctxs: &mut [Prob], value: u32, max: u32) {
-        for (idx, i) in (0..max).enumerate() {
-            let ctx_idx = idx.min(ctxs.len() - 1);
-            if value > i {
-                self.encode_bit(&mut ctxs[ctx_idx], true);
-            } else {
-                self.encode_bit(&mut ctxs[ctx_idx], false);
-                return;
-            }
-        }
-    }
-
     fn shift_low(&mut self) {
         if self.low < 0xFF00_0000 || self.low > 0xFFFF_FFFF {
             let carry = ((self.low >> 32) & 1) as u8;
@@ -335,12 +292,12 @@ impl<'a> CabacDecoder<'a> {
     /// not by masks instead of a loop or a branch.
     ///
     /// One step always suffices. Before a bin `range >= 2^24`, and a
-    /// probability stays in `[31, 2017]` (the initial states lie in
-    /// `[32, 2016]`, and an update moves at most one step past either
-    /// end). A context bin leaves a range of `(range >> 11) · p` (bin 0)
-    /// or at least `(range >> 11) · (2048 - p)` (bin 1), so at least
-    /// `2^13 · 31 > 2^16`; a bypass bin leaves at least `2^23`. Shifting
-    /// either left by 8 restores `>= 2^24`.
+    /// probability stays in `[31, 2017]` (every context starts at
+    /// `Prob::default()`, inside `[32, 2016]`, and an update moves at
+    /// most one step past either end). A context bin leaves a range of
+    /// `(range >> 11) · p` (bin 0) or at least `(range >> 11) · (2048 -
+    /// p)` (bin 1), so at least `2^13 · 31 > 2^16`; a bypass bin leaves at
+    /// least `2^23`. Shifting either left by 8 restores `>= 2^24`.
     #[inline]
     fn renorm(&mut self) {
         let step = u32::from(self.range < TOP);
@@ -408,43 +365,6 @@ impl<'a> CabacDecoder<'a> {
         }
         v
     }
-
-    /// Decodes an unsigned Exp-Golomb value from bypass bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::LimitExceeded`] when the zero-prefix runs
-    /// past 32 bits — no `u32` has a longer code, so a hostile stream of
-    /// zero bins is rejected instead of being saturated into a value.
-    /// The cap lives in the loop condition so the termination pass can
-    /// prove the variant.
-    pub fn decode_ue_bypass(&mut self) -> Result<u32, CodecError> {
-        let mut zeros = 0u32;
-        while zeros <= 32 && !self.decode_bypass() {
-            zeros += 1;
-        }
-        if zeros > 32 {
-            return Err(CodecError::LimitExceeded(
-                "exp-golomb bypass prefix too long",
-            ));
-        }
-        let suffix = self.decode_bypass_bits(zeros);
-        // A corrupt suffix can push the value past u32::MAX; saturate
-        // instead of wrapping it into a small bogus coefficient.
-        Ok(u32::try_from(((1u64 << zeros) | suffix) - 1).unwrap_or(u32::MAX))
-    }
-
-    /// Decodes a truncated-unary prefix (inverse of
-    /// [`CabacEncoder::encode_truncated_unary`]).
-    pub fn decode_truncated_unary(&mut self, ctxs: &mut [Prob], max: u32) -> u32 {
-        for (idx, i) in (0..max).enumerate() {
-            let ctx_idx = idx.min(ctxs.len() - 1);
-            if !self.decode_bit(&mut ctxs[ctx_idx]) {
-                return i;
-            }
-        }
-        max
-    }
 }
 
 #[cfg(test)]
@@ -466,7 +386,7 @@ mod tests {
             };
             for bit in [false, true] {
                 assert_eq!(
-                    ctx.cost_bits(bit).to_bits(),
+                    BinCosts::get().cost(ctx, bit).to_bits(),
                     direct(bit).to_bits(),
                     "k={k} bit={bit}"
                 );
@@ -563,57 +483,10 @@ mod tests {
     }
 
     #[test]
-    fn ue_bypass_roundtrip() {
-        let values = [0u32, 1, 2, 5, 31, 32, 1000, 1 << 20];
-        let mut enc = CabacEncoder::new();
-        for &v in &values {
-            enc.encode_ue_bypass(v);
-        }
-        let bytes = enc.finish();
-        let mut dec = CabacDecoder::new(&bytes);
-        for &v in &values {
-            assert_eq!(dec.decode_ue_bypass().expect("valid stream"), v);
-        }
-    }
-
-    #[test]
-    fn ue_bypass_stuck_zero_stream_errors_not_spins() {
-        // Adversarial stuck stream: an empty input zero-fills the code
-        // register forever, so every bypass bin decodes to 0 and the
-        // exp-golomb prefix never terminates on its own. The prefix cap
-        // must reject it; the pre-fix code saturated to u32::MAX and
-        // handed a hostile stream a legal-looking coefficient.
-        let mut dec = CabacDecoder::new(&[]);
-        assert_eq!(
-            dec.decode_ue_bypass(),
-            Err(CodecError::LimitExceeded(
-                "exp-golomb bypass prefix too long"
-            ))
-        );
-    }
-
-    #[test]
-    fn truncated_unary_roundtrip() {
-        let max = 6;
-        let values = [0u32, 1, 2, 5, 6, 6, 3];
-        let mut enc = CabacEncoder::new();
-        let mut ctxs = [Prob::default(); 3];
-        for &v in &values {
-            enc.encode_truncated_unary(&mut ctxs, v, max);
-        }
-        let bytes = enc.finish();
-        let mut dec = CabacDecoder::new(&bytes);
-        let mut ctxs = [Prob::default(); 3];
-        for &v in &values {
-            assert_eq!(dec.decode_truncated_unary(&mut ctxs, max), v);
-        }
-    }
-
-    #[test]
     fn interleaved_context_and_bypass() {
         let mut enc = CabacEncoder::new();
         let mut c0 = Prob::default();
-        let mut c1 = Prob::with_p0(1800);
+        let mut c1 = Prob(1800);
         for i in 0..5000u32 {
             enc.encode_bit(&mut c0, i % 7 == 0);
             enc.encode_bypass(i % 2 == 0);
@@ -622,7 +495,7 @@ mod tests {
         let bytes = enc.finish();
         let mut dec = CabacDecoder::new(&bytes);
         let mut c0 = Prob::default();
-        let mut c1 = Prob::with_p0(1800);
+        let mut c1 = Prob(1800);
         for i in 0..5000u32 {
             assert_eq!(dec.decode_bit(&mut c0), i % 7 == 0);
             assert_eq!(dec.decode_bypass(), i % 2 == 0);
@@ -695,16 +568,17 @@ mod tests {
     }
 
     #[test]
-    fn batched_ue_bypass_is_byte_identical_to_bin_by_bin() {
+    fn batched_bypass_fields_are_byte_identical_to_bin_by_bin() {
+        // Exp-Golomb-shaped fields: a zero prefix and a value field, each
+        // through the batched path, up to the 65-bin code of `u32::MAX`.
         let values = [0u32, 1, 2, 5, 31, 32, 1000, 1 << 20, u32::MAX];
         let mut batched = CabacEncoder::new();
         let mut serial = CabacEncoder::new();
         for &value in &values {
-            batched.encode_ue_bypass(value);
-            // The pre-batching formulation: leading zeros bin by bin, then
-            // the value field MSB-first bin by bin.
             let v = value as u64 + 1;
             let len = 64 - v.leading_zeros();
+            batched.encode_bypass_bits(0, len - 1);
+            batched.encode_bypass_bits(v, len);
             for _ in 0..len - 1 {
                 serial.encode_bypass(false);
             }
@@ -716,8 +590,12 @@ mod tests {
         assert_eq!(bytes, serial.finish());
         let mut dec = CabacDecoder::new(&bytes);
         for &value in &values {
-            assert_eq!(dec.decode_ue_bypass().expect("valid stream"), value);
+            let v = value as u64 + 1;
+            let len = 64 - v.leading_zeros();
+            assert_eq!(dec.decode_bypass_bits(len - 1), 0);
+            assert_eq!(dec.decode_bypass_bits(len), v);
         }
+        assert_eq!(dec.consumed(), bytes.len());
     }
 
     /// The decoder as it was written before its bins went branch-free:
@@ -834,12 +712,7 @@ mod tests {
     }
 
     fn contexts() -> [Prob; 4] {
-        [
-            Prob::default(),
-            Prob::with_p0(1900),
-            Prob::default(),
-            Prob::with_p0(200),
-        ]
+        [Prob::default(), Prob(1900), Prob::default(), Prob(200)]
     }
 
     /// Decodes `plan`'s shape from `bytes` with both decoders, asserting
@@ -918,20 +791,18 @@ mod tests {
         }
     }
 
-    /// Walks every 11-bit probability state and both bins: the states the
-    /// coder can reach are exactly `[31, 2017]`, and from each of them a
+    /// Walks every 11-bit probability state and both bins: the states
+    /// reachable from any start in `[32, 2016]` (a superset of those
+    /// `Prob::default()` reaches) are exactly `[31, 2017]`, and from each a
     /// bin at the smallest range (`TOP`, where both bins' new ranges are
     /// smallest: `(range >> 11)·p` or `(range & 2047) + (range >> 11)·
     /// (2048 - p)`) leaves at least 2^16, so one 8-bit renormalization
     /// step restores `range >= TOP`.
     #[test]
     fn probabilities_stay_in_range_and_one_renorm_step_suffices() {
-        // Closure of the initial states under both updates.
+        // Closure of every start in [32, 2016] under both updates.
         let mut reachable = [false; PROB_ONE as usize];
-        let mut todo: Vec<u16> = (0..PROB_ONE)
-            .map(|k| Prob::with_p0(k).0)
-            .chain([Prob::default().0])
-            .collect();
+        let mut todo: Vec<u16> = (32..=PROB_ONE - 32).collect();
         while let Some(p) = todo.pop() {
             if !std::mem::replace(&mut reachable[usize::from(p)], true) {
                 for bit in [false, true] {
@@ -970,7 +841,7 @@ mod tests {
         let mut enc = CabacEncoder::new();
         let mut ctx = Prob::default();
         for &b in &bits {
-            est += ctx.cost_bits(b);
+            est += BinCosts::get().cost(ctx, b);
             enc.encode_bit(&mut ctx, b);
         }
         let actual = enc.finish().len() as f64 * 8.0;

@@ -30,7 +30,7 @@ pub struct Huffman;
 ///
 /// Returns a 256-entry array of code lengths; symbols with zero frequency
 /// get length 0. A single distinct symbol gets length 1.
-pub fn code_lengths(freqs: &[u64; 256]) -> [u8; 256] {
+fn code_lengths(freqs: &[u64; 256]) -> [u8; 256] {
     let mut lengths = [0u8; 256];
     let mut leaves: Vec<(u64, u8)> = (0u8..=255)
         .zip(freqs.iter())
@@ -91,7 +91,7 @@ pub fn code_lengths(freqs: &[u64; 256]) -> [u8; 256] {
 
 /// Assigns canonical codes for the given lengths. Returns `(code, len)` per
 /// symbol; zero-length symbols get `(0, 0)`.
-pub fn canonical_codes(lengths: &[u8; 256]) -> [(u16, u8); 256] {
+fn canonical_codes(lengths: &[u8; 256]) -> [(u16, u8); 256] {
     let mut codes = [(0u16, 0u8); 256];
     // Symbols ordered by (length, symbol value).
     let mut order: Vec<u8> = (0..=255u8)

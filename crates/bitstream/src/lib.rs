@@ -5,8 +5,6 @@
 //! one of four general-purpose compressors: Huffman, Deflate, LZ4, CABAC.
 //! This crate implements all of them from scratch:
 //!
-//! - [`bits`] — MSB-first [`bits::BitWriter`]/[`bits::BitReader`] and
-//!   Exp-Golomb codes (the syntax-element binarization H.26x uses).
 //! - [`cabac`] — an adaptive binary arithmetic coder (LZMA-style range
 //!   coder with 11-bit adaptive probabilities), the workhorse behind both
 //!   the video codec's residual coding and the CABAC byte-compressor
@@ -16,7 +14,8 @@
 //! - [`rans`] — a static-table interleaved rANS coder (32-bit states,
 //!   12-bit normalized frequencies, byte-wise renorm), a decode-speed
 //!   reference for the entropy stage; no codec stream uses it.
-//! - [`huffman`] — canonical Huffman coding of byte streams.
+//! - [`huffman`] — canonical Huffman coding of byte streams, over a
+//!   crate-private MSB-first bit writer and reader.
 //! - [`deflate`] — an LZ77 + Huffman compressor in the spirit of DEFLATE
 //!   (own framing, not zlib-compatible).
 //! - [`lz4`] — a byte-oriented LZ compressor in the spirit of LZ4.
@@ -49,7 +48,7 @@
     )
 )]
 
-pub mod bits;
+mod bits;
 pub mod bytes;
 pub mod cabac;
 pub mod crc32;

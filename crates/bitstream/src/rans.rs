@@ -9,7 +9,7 @@
 //! the model *out* of the coder: a per-tile frequency table is built in a
 //! first pass and serialized ahead of the data, and the coder itself is a
 //! static table lookup plus a multiply — no adaptation, no bit-by-bit
-//! carry chain. [`N_STATES`] independent 32-bit states are interleaved
+//! carry chain. `N_STATES` independent 32-bit states are interleaved
 //! over one shared byte stream, so the decode inner loop is a short
 //! branch-light chain per lane that LLVM can software-pipeline across
 //! lanes.
@@ -19,7 +19,7 @@
 //! - state: `u32`, invariant `RANS_L <= x < (RANS_L << 8)` between
 //!   symbols (`RANS_L = 1 << 23`), byte-wise renormalization;
 //! - frequencies: 12-bit, normalized so they sum to exactly
-//!   [`FREQ_TOTAL`] = 4096; every present symbol has frequency >= 1;
+//!   `FREQ_TOTAL` = 4096; every present symbol has frequency >= 1;
 //! - interleaving: symbol `i` of the message belongs to lane
 //!   `i % N_STATES`. The encoder walks the message *backwards* pushing
 //!   renorm bytes into one buffer (reversed at the end); the decoder
@@ -37,24 +37,24 @@ use crate::bytes;
 use crate::error::CodecError;
 
 /// Number of interleaved rANS states (lanes).
-pub const N_STATES: usize = 8;
+const N_STATES: usize = 8;
 
 /// Lower bound of the normalized state interval: `x` stays in
 /// `[RANS_L, RANS_L << 8)` between symbols.
-pub const RANS_L: u32 = 1 << 23;
+const RANS_L: u32 = 1 << 23;
 
 /// Precision of the normalized frequencies: they sum to exactly
 /// `FREQ_TOTAL = 1 << FREQ_BITS`.
-pub const FREQ_BITS: u32 = 12;
+const FREQ_BITS: u32 = 12;
 
 /// Sum every valid frequency table normalizes to.
-pub const FREQ_TOTAL: u32 = 1 << FREQ_BITS;
+const FREQ_TOTAL: u32 = 1 << FREQ_BITS;
 
 /// A validated static frequency table over byte symbols: normalized
 /// 12-bit frequencies, cumulative starts, and the slot→symbol inverse
 /// used by the decoder.
 #[derive(Debug, Clone)]
-pub struct FreqTable {
+struct FreqTable {
     /// Normalized frequency per symbol (sums to [`FREQ_TOTAL`]).
     freq: [u16; 256],
     /// Cumulative frequency (exclusive prefix sum) per symbol.
@@ -72,7 +72,7 @@ impl FreqTable {
     /// remainder is apportioned largest-count-first so the table sums to
     /// exactly [`FREQ_TOTAL`]. Returns `None` when `counts` is all zero
     /// (an empty message needs no table).
-    pub fn from_counts(counts: &[u64; 256]) -> Option<FreqTable> {
+    fn from_counts(counts: &[u64; 256]) -> Option<FreqTable> {
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return None;
@@ -123,7 +123,7 @@ impl FreqTable {
     ///
     /// [`CodecError::Corrupt`] unless the non-zero frequencies sum to
     /// exactly [`FREQ_TOTAL`].
-    pub fn from_freqs(freq: [u16; 256]) -> Result<FreqTable, CodecError> {
+    fn from_freqs(freq: [u16; 256]) -> Result<FreqTable, CodecError> {
         let mut start = [0u16; 256];
         let mut acc: u32 = 0;
         for (s, &f) in start.iter_mut().zip(freq.iter()) {
@@ -158,7 +158,7 @@ impl FreqTable {
 
     /// Serializes the table: `u16` symbol count, then `(u8 symbol,
     /// u16 frequency)` per present symbol in ascending order.
-    pub fn serialize(&self, out: &mut Vec<u8>) {
+    fn serialize(&self, out: &mut Vec<u8>) {
         let n_syms = self.freq.iter().filter(|&&f| f > 0).count();
         bytes::write_le_u16(out, u16::try_from(n_syms).unwrap_or(u16::MAX));
         for sym in 0..256usize {
@@ -177,7 +177,7 @@ impl FreqTable {
     /// [`CodecError::Corrupt`] for a zero/oversized symbol count,
     /// out-of-order or repeated symbols, zero frequencies, or a table
     /// that does not sum to exactly [`FREQ_TOTAL`].
-    pub fn parse(data: &[u8], pos: &mut usize) -> Result<FreqTable, CodecError> {
+    fn parse(data: &[u8], pos: &mut usize) -> Result<FreqTable, CodecError> {
         let n_syms = bytes::read_le_u16(data, pos)? as usize;
         if n_syms == 0 || n_syms > 256 {
             return Err(CodecError::Corrupt("rans table symbol count"));
@@ -203,12 +203,12 @@ impl FreqTable {
     }
 
     /// Normalized frequency of `sym`.
-    pub fn freq(&self, sym: u8) -> u16 {
+    fn freq(&self, sym: u8) -> u16 {
         self.freq[usize::from(sym)]
     }
 
     /// Cumulative start of `sym`.
-    pub fn start(&self, sym: u8) -> u16 {
+    fn start(&self, sym: u8) -> u16 {
         self.start[usize::from(sym)]
     }
 
@@ -251,7 +251,7 @@ fn argmax_freq(freq: &[u16; 256]) -> usize {
 /// Every symbol of `msg` must have a non-zero frequency in `table`
 /// (guaranteed when the table came from [`FreqTable::from_counts`] over
 /// this message).
-pub fn encode_interleaved(msg: &[u8], table: &FreqTable, n_states: usize, out: &mut Vec<u8>) {
+fn encode_interleaved(msg: &[u8], table: &FreqTable, n_states: usize, out: &mut Vec<u8>) {
     let mut x = [RANS_L; N_STATES];
     let mut stream: Vec<u8> = Vec::with_capacity(msg.len() / 2 + 16);
     for (i, &sym) in msg.iter().enumerate().rev() {
@@ -292,7 +292,7 @@ pub fn encode_interleaved(msg: &[u8], table: &FreqTable, n_states: usize, out: &
 /// [`RANS_L`] recovers in at most two byte-wise shifts), so no input can
 /// make the decoder spin; reads past the end of `data` zero-fill and are
 /// caught by the post-renorm interval check.
-pub fn decode_interleaved(
+fn decode_interleaved(
     data: &[u8],
     pos: &mut usize,
     n_syms: usize,

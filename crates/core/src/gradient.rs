@@ -74,7 +74,7 @@ impl ResidualCompensator {
     }
 
     /// Whether the residual stage has switched to 8-bit RTN.
-    pub fn in_late_phase(&self) -> bool {
+    fn in_late_phase(&self) -> bool {
         self.step >= self.config.switch_step
     }
 
@@ -144,7 +144,7 @@ impl LossyCompressor for ResidualCompensator {
 /// Per-row 8-bit min–max RTN quantization of the residual (the late-phase
 /// stage-2 coder). Returns the reconstruction and the bits spent
 /// (8 bits/value plus two f32 scales per row).
-pub fn rtn8(t: &Tensor) -> (Tensor, u64) {
+fn rtn8(t: &Tensor) -> (Tensor, u64) {
     let mut out = Tensor::zeros(t.rows(), t.cols());
     for r in 0..t.rows() {
         let row = t.row(r);

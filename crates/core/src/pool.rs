@@ -149,7 +149,7 @@ where
 /// Resolves a requested thread count: `0` means the machine's available
 /// parallelism, and the result is clamped to `[1, min(n_tasks, 256)]` —
 /// more workers than tasks would only spawn idle threads.
-pub fn effective_threads(requested: usize, n_tasks: usize) -> usize {
+fn effective_threads(requested: usize, n_tasks: usize) -> usize {
     #[allow(
         clippy::disallowed_methods,
         reason = "the thread count only sizes the worker set of the ordered-join pool above"

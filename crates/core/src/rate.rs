@@ -49,7 +49,7 @@ impl Allocation {
 
 /// Computes per-layer budgets `B_l = k·l + b` with `b` solved so the
 /// value-weighted average equals `avg_bits`, clamping at a small positive floor.
-pub fn layer_budgets(layer_sizes: &[usize], avg_bits: f64, k: f64) -> Vec<f64> {
+fn layer_budgets(layer_sizes: &[usize], avg_bits: f64, k: f64) -> Vec<f64> {
     let total: f64 = layer_sizes.iter().map(|&n| n as f64).sum();
     // A sum of usize casts is exactly 0.0 iff every layer is empty — the
     // degenerate stack this early-out covers.
@@ -69,32 +69,6 @@ pub fn layer_budgets(layer_sizes: &[usize], avg_bits: f64, k: f64) -> Vec<f64> {
         .enumerate()
         .map(|(l, _)| (k * l as f64 + b).max(MIN_BITS))
         .collect()
-}
-
-/// Encodes a layer stack at a fixed per-layer budget (the paper's
-/// fixed-bitrate variant).
-///
-/// # Errors
-///
-/// Propagates the first per-layer encode failure.
-pub fn allocate_fixed(
-    codec: &dyn TensorCodec,
-    layers: &[Tensor],
-    avg_bits: f64,
-) -> Result<Allocation, CodecError> {
-    let encoded = layers
-        .iter()
-        .map(|t| {
-            Ok(AllocatedLayer {
-                budget: avg_bits,
-                encoded: codec.encode(t, RateTarget::BitsPerValue(avg_bits))?,
-            })
-        })
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    Ok(Allocation {
-        k: 0.0,
-        layers: encoded,
-    })
 }
 
 /// Searches the slope `k` over `k_grid` and returns the allocation with
@@ -196,7 +170,8 @@ mod tests {
         let codec = Llm265Codec::new();
         let avg = 2.5;
 
-        let fixed = allocate_fixed(&codec, &layers, avg).unwrap();
+        // The paper's fixed mode: every layer at the average budget.
+        let fixed = allocate_variable(&codec, &layers, avg, &[0.0]).unwrap();
         let var = allocate_variable(&codec, &layers, avg, &[0.0, 0.05, 0.1]).unwrap();
 
         assert!(fixed.bits_per_value() <= avg + 0.05);

@@ -490,7 +490,7 @@ fn parse_last_pos<D: BinSource>(dec: &mut D, ctxs: &mut Contexts) -> Result<u32,
 /// (H.265's `coeff_abs_level_remaining` binarization). The whole Rice
 /// code — unary quotient, terminator and `k` suffix bits — is assembled
 /// into a single batched bypass call (at most `3 + 1 + 8 = 12` bins).
-pub fn code_remainder<S: BinSink>(sink: &mut S, r: u32, k: u32) {
+fn code_remainder<S: BinSink>(sink: &mut S, r: u32, k: u32) {
     let q = r >> k;
     if q < RICE_MAX_PREFIX {
         let prefix = ((1u64 << q) - 1) << 1; // q one-bits, then the 0.
@@ -502,7 +502,7 @@ pub fn code_remainder<S: BinSink>(sink: &mut S, r: u32, k: u32) {
 }
 
 /// Parses a truncated-Rice remainder.
-pub fn parse_remainder<D: BinSource>(dec: &mut D, k: u32) -> Result<u32, CodecError> {
+fn parse_remainder<D: BinSource>(dec: &mut D, k: u32) -> Result<u32, CodecError> {
     let mut q = 0u32;
     while q < RICE_MAX_PREFIX && dec.bypass() {
         q += 1;

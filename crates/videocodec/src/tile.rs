@@ -48,7 +48,7 @@ pub const MAX_TILES: usize = 1024;
 /// `n_tiles` carries a `ranges.toml` contract (`1..=1024`, i.e.
 /// [`MAX_TILES`]) and must not exceed `ctu_rows`; [`TileLayout::for_frame`]
 /// proves both by clamping.
-pub fn split_ctu_rows(ctu_rows: usize, n_tiles: usize) -> Vec<usize> {
+fn split_ctu_rows(ctu_rows: usize, n_tiles: usize) -> Vec<usize> {
     debug_assert!((1..=MAX_TILES).contains(&n_tiles));
     debug_assert!(
         n_tiles <= ctu_rows,

@@ -47,17 +47,12 @@ pub const MAX_CANDIDATES: usize = 3;
 /// Reader/decoder methods whose return value is attacker-controlled.
 pub const SOURCE_METHODS: &[&str] = &[
     "read_bits",
-    "read_bit",
-    "read_ue",
-    "read_se",
     "read_le_u16",
     "read_le_u32",
     "read_le_u64",
     "decode_bit",
     "decode_bypass",
     "decode_bypass_bits",
-    "decode_ue_bypass",
-    "decode_truncated_unary",
 ];
 
 /// Fallible reader methods that consume at least one bit/byte whenever
@@ -67,15 +62,7 @@ pub const SOURCE_METHODS: &[&str] = &[
 /// `decode_*` family is deliberately absent — `CabacDecoder::next_byte`
 /// zero-fills past the end of the input, so those calls never fail and
 /// consume nothing once the stream is exhausted.
-pub const CONSUMING_METHODS: &[&str] = &[
-    "read_bits",
-    "read_bit",
-    "read_ue",
-    "read_se",
-    "read_le_u16",
-    "read_le_u32",
-    "read_le_u64",
-];
+pub const CONSUMING_METHODS: &[&str] = &["read_bits", "read_le_u16", "read_le_u32", "read_le_u64"];
 
 /// Projections whose result is trusted even on a tainted receiver: the
 /// *length* of a wire-filled buffer is the decoder's own bookkeeping.
@@ -100,7 +87,7 @@ const KEYWORDS: &[&str] = &[
 /// report renders as the source half of the witness chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Origin {
-    /// Direct call of a reader method (`read_bits`, `decode_ue_bypass`).
+    /// Direct call of a reader method (`read_bits`, `decode_bypass_bits`).
     Source(String),
     /// Projection or indexing of an input-named buffer (`data[..]`).
     WireRead(String),
@@ -788,7 +775,7 @@ impl Scan<'_> {
     /// argument taint through (`usize::from(n)`, `Ok(n)`, `n.to_vec()`).
     fn expr_taint(&self, trees: &[Tree]) -> Option<Origin> {
         // A reader-method call anywhere wins over every other origin:
-        // `r.read_ue()` is wire data even when `r` itself is a seeded
+        // `r.read_bits(n)` is wire data even when `r` itself is a seeded
         // parameter, and the concrete source makes the better witness.
         if let Some(m) = find_source_call(trees) {
             return Some(Origin::Source(m));
@@ -1226,7 +1213,7 @@ mod tests {
     #[test]
     fn early_plain_return_defeats_progress() {
         assert!(!progress_of(
-            "fn step(r: &mut R, skip: bool) -> Result<u32, E> {\n    if skip {\n        return Ok(0);\n    }\n    let b = r.read_bit()?;\n    Ok(b as u32)\n}\n",
+            "fn step(r: &mut R, skip: bool) -> Result<u32, E> {\n    if skip {\n        return Ok(0);\n    }\n    let b = r.read_bits(1)?;\n    Ok(b as u32)\n}\n",
             "step",
         ));
     }
@@ -1250,7 +1237,7 @@ mod tests {
 
     #[test]
     fn progress_is_transitive_through_helpers() {
-        let src = "fn leaf(r: &mut R) -> Result<bool, E> { Ok(r.read_bit()?) }\n\
+        let src = "fn leaf(r: &mut R) -> Result<bool, E> { Ok(r.read_bits(1)?) }\n\
                    fn mid(r: &mut R) -> Result<u32, E> {\n    let b = leaf(r)?;\n    Ok(b as u32)\n}\n\
                    fn top(r: &mut R) -> Result<u32, E> {\n    let v = mid(r)?;\n    Ok(v + 1)\n}\n";
         assert!(progress_of(src, "leaf"));
@@ -1282,7 +1269,7 @@ mod tests {
 
     #[test]
     fn taint_laundered_through_helper_keeps_the_hop() {
-        let src = "fn helper(r: &mut R) -> usize { r.read_ue() as usize }\n\
+        let src = "fn helper(r: &mut R) -> usize { r.read_bits(32) as usize }\n\
                    fn decode(r: &mut R) -> Vec<u8> {\n    let n = helper(r);\n    Vec::with_capacity(n)\n}\n";
         let index = index_of(src);
         let sums = summarize(&index);
@@ -1292,7 +1279,7 @@ mod tests {
         }
         assert_eq!(all.len(), 1, "{all:?}");
         let chain = origin_chain(&sums, &all[0].origin);
-        assert_eq!(chain, vec!["read_ue()", "helper"], "{chain:?}");
+        assert_eq!(chain, vec!["read_bits()", "helper"], "{chain:?}");
     }
 
     #[test]
@@ -1306,7 +1293,7 @@ mod tests {
     #[test]
     fn diverging_guard_sanitizes_permanently() {
         let f = report(
-            "fn decode(r: &mut R) -> Result<Vec<u8>, E> {\n    let n = r.read_ue() as usize;\n    if n > MAX_LEN {\n        return Err(E::LimitExceeded);\n    }\n    Ok(Vec::with_capacity(n))\n}\n",
+            "fn decode(r: &mut R) -> Result<Vec<u8>, E> {\n    let n = r.read_bits(32) as usize;\n    if n > MAX_LEN {\n        return Err(E::LimitExceeded);\n    }\n    Ok(Vec::with_capacity(n))\n}\n",
         );
         assert!(f.is_empty(), "{f:?}");
     }
@@ -1314,7 +1301,7 @@ mod tests {
     #[test]
     fn non_diverging_guard_does_not_sanitize() {
         let f = report(
-            "fn decode(r: &mut R) -> Vec<u8> {\n    let n = r.read_ue() as usize;\n    if n > MAX_LEN {\n        log(n);\n    }\n    Vec::with_capacity(n)\n}\n",
+            "fn decode(r: &mut R) -> Vec<u8> {\n    let n = r.read_bits(32) as usize;\n    if n > MAX_LEN {\n        log(n);\n    }\n    Vec::with_capacity(n)\n}\n",
         );
         assert_eq!(f.len(), 1, "{f:?}");
     }
@@ -1332,7 +1319,7 @@ mod tests {
     #[test]
     fn tainted_argument_reaches_callee_sink() {
         let src = "fn alloc(n: usize) -> Vec<u8> { Vec::with_capacity(n) }\n\
-                   fn decode(r: &mut R) -> Vec<u8> {\n    let n = r.read_se() as usize;\n    alloc(n)\n}\n";
+                   fn decode(r: &mut R) -> Vec<u8> {\n    let n = r.read_bits(32) as usize;\n    alloc(n)\n}\n";
         let index = index_of(src);
         let sums = summarize(&index);
         let decode = index.by_name["decode"][0];
@@ -1345,7 +1332,7 @@ mod tests {
     #[test]
     fn narrow_try_from_sanitizes() {
         let f = report(
-            "fn decode(r: &mut R) -> Result<Vec<u8>, E> {\n    let n = u16::try_from(r.read_ue()).map_err(|_| E::Corrupt)?;\n    Ok(Vec::with_capacity(usize::from(n)))\n}\n",
+            "fn decode(r: &mut R) -> Result<Vec<u8>, E> {\n    let n = u16::try_from(r.read_bits(32)).map_err(|_| E::Corrupt)?;\n    Ok(Vec::with_capacity(usize::from(n)))\n}\n",
         );
         assert!(f.is_empty(), "{f:?}");
     }
@@ -1364,7 +1351,7 @@ mod tests {
 
     #[test]
     fn struct_literals_are_opaque() {
-        let src = "fn decode(r: &mut R) -> Vec<u8> {\n    let n = r.read_ue() as usize;\n    let cfg = Cfg { size: n };\n    Vec::with_capacity(cfg.size)\n}\n";
+        let src = "fn decode(r: &mut R) -> Vec<u8> {\n    let n = r.read_bits(32) as usize;\n    let cfg = Cfg { size: n };\n    Vec::with_capacity(cfg.size)\n}\n";
         // Field-insensitivity: the aggregate does not carry the field's
         // taint (documented imprecision).
         assert!(report(src).is_empty());

@@ -2947,20 +2947,14 @@ impl Eval<'_, '_> {
     fn source_model(&mut self, name: &str, argv: &[Val]) -> Val {
         let full = |t: &str| type_range(t).map_or(Ival::Top, |(lo, hi)| Ival::Range(lo, hi));
         let (iv, ty): (Ival, &str) = match name {
-            "read_bit" | "decode_bit" | "decode_bypass" => (Ival::Range(0, 1), "u64"),
+            "decode_bit" | "decode_bypass" => (Ival::Range(0, 1), "u64"),
             "read_bits" | "decode_bypass_bits" => match argv.first().and_then(|a| a.iv.bounds()) {
                 Some((lo, hi)) if lo >= 0 && hi <= 63 => (Ival::Range(0, (1i128 << hi) - 1), "u64"),
                 _ => (full("u64"), "u64"),
             },
-            "read_ue" | "decode_ue_bypass" => (full("u32"), "u32"),
-            "read_se" => (full("i32"), "i32"),
             "read_le_u16" => (full("u16"), "u16"),
             "read_le_u32" => (full("u32"), "u32"),
             "read_le_u64" => (full("u64"), "u64"),
-            "decode_truncated_unary" => match argv.first().and_then(|a| a.iv.bounds()) {
-                Some((lo, hi)) if lo >= 0 => (Ival::Range(0, hi), "u32"),
-                _ => (full("u32"), "u32"),
-            },
             _ => (Ival::Top, ""),
         };
         let mut v = Val::of(iv);

@@ -3,8 +3,8 @@
 //!
 //! For a paired writer/reader function this module extracts the ordered
 //! sequence of *wire operations* each side performs — `write_bits` /
-//! `read_bits` widths, byte and little-endian fields, ue/se exp-Golomb,
-//! context-coded bins, bypass runs — as a small grammar ([`Node`]) with
+//! `read_bits` widths, byte and little-endian fields, context-coded
+//! bins, bypass runs — as a small grammar ([`Node`]) with
 //! guard conditions (version checks, flag bits) and loop counts tied to
 //! interval facts (diverging guards in the function itself, or a
 //! `ranges.toml` contract). Calls into other wire-relevant workspace
@@ -53,10 +53,6 @@ pub enum WireOp {
     Le32,
     /// `write_le_u64` / `read_le_u64`.
     Le64,
-    /// Unsigned exp-Golomb (`write_ue` / `read_ue`).
-    Ue,
-    /// Signed exp-Golomb (`write_se` / `read_se`).
-    Se,
     /// One context-coded bin.
     Bit {
         /// The context field name.
@@ -160,10 +156,6 @@ const TERMINAL_NAMES: &[&str] = &[
     "read_le_u32",
     "write_le_u64",
     "read_le_u64",
-    "write_ue",
-    "read_ue",
-    "write_se",
-    "read_se",
     "bit",
     "bypass",
     "bypass_bits",
@@ -186,8 +178,6 @@ fn terminal(side: Side, name: &str, args: &[&[Tree]]) -> Option<WireOp> {
         (Side::Writer, "write_le_u16") | (Side::Reader, "read_le_u16") => WireOp::Le16,
         (Side::Writer, "write_le_u32") | (Side::Reader, "read_le_u32") => WireOp::Le32,
         (Side::Writer, "write_le_u64") | (Side::Reader, "read_le_u64") => WireOp::Le64,
-        (Side::Writer, "write_ue") | (Side::Reader, "read_ue") => WireOp::Ue,
-        (Side::Writer, "write_se") | (Side::Reader, "read_se") => WireOp::Se,
         (Side::Writer, "bit") if args.len() == 2 => WireOp::Bit {
             ctx: ctx_label(args[0]),
         },
@@ -1269,8 +1259,6 @@ fn render_op(op: &WireOp) -> String {
         WireOp::Le16 => "le16".to_string(),
         WireOp::Le32 => "le32".to_string(),
         WireOp::Le64 => "le64".to_string(),
-        WireOp::Ue => "ue".to_string(),
-        WireOp::Se => "se".to_string(),
         WireOp::Bit { ctx } => format!("bit({ctx})"),
         WireOp::Bypass => "bypass".to_string(),
         WireOp::BypassBits { width } => format!("bypass_bits({width})"),

@@ -814,7 +814,7 @@ mod tests {
     #[test]
     fn consuming_condition_proves() {
         let v = check(
-            "pub fn parse_prefix(r: &mut R) -> Result<u32, E> {\n    let mut zeros = 0u32;\n    while !r.read_bit()? {\n        zeros += 1;\n    }\n    Ok(zeros)\n}\n",
+            "pub fn parse_prefix(r: &mut R) -> Result<u32, E> {\n    let mut zeros = 0u32;\n    while r.read_bits(1)? == 0 {\n        zeros += 1;\n    }\n    Ok(zeros)\n}\n",
         );
         assert!(v.is_empty(), "{v:?}");
     }
@@ -839,7 +839,7 @@ mod tests {
     #[test]
     fn tainted_counter_bound_fires_via_taint_walk() {
         let v = check(
-            "pub fn decode_body(r: &mut R) -> u32 {\n    let n = r.read_ue().unwrap_or(0);\n    let mut i = 0u32;\n    while i < n {\n        step();\n        i += 1;\n    }\n    i\n}\n",
+            "pub fn decode_body(r: &mut R) -> u32 {\n    let n = r.read_bits(32).unwrap_or(0);\n    let mut i = 0u32;\n    while i < n {\n        step();\n        i += 1;\n    }\n    i\n}\n",
         );
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(

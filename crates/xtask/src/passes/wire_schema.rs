@@ -35,8 +35,8 @@ use crate::source::Workspace;
 
 /// Files whose writer/reader functions are in scope for pairing and
 /// duality proofs: the stream-facing half of the codec, the tensor and
-/// archive framing around it, and the bit, byte and CABAC primitives it
-/// is built from.
+/// archive framing around it, and the byte and CABAC primitives it is
+/// built from.
 const SCOPE_FILES: &[&str] = &[
     "/archive.rs",
     "/framing.rs",
@@ -44,7 +44,6 @@ const SCOPE_FILES: &[&str] = &[
     "/decoder.rs",
     "/syntax.rs",
     "/tile.rs",
-    "/bits.rs",
     "/bytes.rs",
     "/cabac.rs",
 ];
@@ -71,7 +70,6 @@ pub const TRUSTED_PAIRS: &[(&str, &str, &str)] = &[
         "parse_remainder",
         "remainder_roundtrip_wide_range",
     ),
-    ("write_ue", "read_ue", "ue_roundtrip_wide_range"),
 ];
 
 /// Most top-level grammar nodes rendered per side in a witness chain.
@@ -421,11 +419,11 @@ pub fn spec(index: &Index, contracts: &[Contract]) -> (String, String) {
          its stream header and itself. `trusted` layers are arithmetic duals pinned\n\
          by the named round-trip test instead of a structural proof.\n\n\
          Grammar notation: `bits(w)` a `w`-bit big-endian field, `byte`/`le16`/\n\
-         `le32`/`le64` little-endian byte fields, `ue`/`se` exp-Golomb, `bit(c)` a\n\
-         context-coded bin on context `c`, `bypass`/`bypass_bits(w)` equiprobable\n\
-         bins, `unary(c)` a truncated-unary run, `loop×[lo,hi]{ … }` repetition with\n\
-         a proven iteration interval, `branch(g){ a | b }` a guarded alternative\n\
-         (`ε` = empty), `call(f)` a nested layer, `[name]` the field label.\n",
+         `le32`/`le64` little-endian byte fields, `bit(c)` a context-coded bin on\n\
+         context `c`, `bypass`/`bypass_bits(w)` equiprobable bins, `unary(c)` a\n\
+         truncated-unary run, `loop×[lo,hi]{ … }` repetition with a proven\n\
+         iteration interval, `branch(g){ a | b }` a guarded alternative (`ε` =\n\
+         empty), `call(f)` a nested layer, `[name]` the field label.\n",
     );
     for l in &layers {
         md.push_str(&format!("\n## {} — {}\n\n", l.name, l.status));

@@ -266,7 +266,7 @@ mod tests {
         let mut r = Report::default();
         r.violations.push(
             Violation::new("wire-taint", "a.rs", 7, "tainted").with_chain(vec![
-                "read_ue()".to_string(),
+                "read_bits()".to_string(),
                 "wire_len".to_string(),
                 "decode_block".to_string(),
             ]),
@@ -275,7 +275,7 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"id\": \"wire-taint@a.rs:7\""));
         assert!(
-            json.contains("\"chain\": [\"read_ue()\", \"wire_len\", \"decode_block\"]"),
+            json.contains("\"chain\": [\"read_bits()\", \"wire_len\", \"decode_block\"]"),
             "{json}"
         );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
