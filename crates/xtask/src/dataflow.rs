@@ -2,11 +2,11 @@
 //!
 //! The per-file passes reason about one function body at a time; this
 //! module tracks *values* across function boundaries. A value is tainted
-//! when it originates from an untrusted read — a `BitReader`/`ByteReader`
-//! getter, a CABAC bypass decode, or any projection of an input-named
-//! buffer (`data`, `payload`, …). Taint propagates through `let`
-//! bindings, assignments, returns, and call arguments; it is cleared by
-//! a sanitizer:
+//! when it originates from an untrusted read — a reader call of one of the
+//! [`vocab::PRIMITIVES`] (bit and byte getters, syntax-layer bins, CABAC
+//! bins), or any projection of an input-named buffer (`data`, `payload`,
+//! …). Taint propagates through `let` bindings, assignments, returns, and
+//! call arguments; it is cleared by a sanitizer:
 //!
 //! - a diverging guard (`if n > MAX { return Err(…) }` — any `if` whose
 //!   body bails via `return`/`break`/`continue` clears every tainted
@@ -38,35 +38,11 @@ use std::collections::BTreeSet;
 use crate::ast::index::Index;
 use crate::ast::lex::Kind;
 use crate::ast::tree::{to_text, Group, Tree};
-use crate::passes::panic_reach::INPUT_NAMES;
+use crate::vocab::{self, INPUT_NAMES, TRUSTED_PROJECTIONS};
 
 /// Same ambiguity cap as [`Index::reachable`]: a name with more bodied
 /// definitions than this is treated as unresolvable.
 pub const MAX_CANDIDATES: usize = 3;
-
-/// Reader/decoder methods whose return value is attacker-controlled.
-pub const SOURCE_METHODS: &[&str] = &[
-    "read_bits",
-    "read_le_u16",
-    "read_le_u32",
-    "read_le_u64",
-    "decode_bit",
-    "decode_bypass",
-    "decode_bypass_bits",
-];
-
-/// Fallible reader methods that consume at least one bit/byte whenever
-/// they return `Ok`: `BitReader`/`ByteReader` getters error with
-/// `Truncated` at exhaustion, so a loop whose every iteration runs one
-/// of these through `?` cannot spin at end of stream. The CABAC
-/// `decode_*` family is deliberately absent — `CabacDecoder::next_byte`
-/// zero-fills past the end of the input, so those calls never fail and
-/// consume nothing once the stream is exhausted.
-pub const CONSUMING_METHODS: &[&str] = &["read_bits", "read_le_u16", "read_le_u32", "read_le_u64"];
-
-/// Projections whose result is trusted even on a tainted receiver: the
-/// *length* of a wire-filled buffer is the decoder's own bookkeeping.
-pub(crate) const TRUSTED_PROJECTIONS: &[&str] = &["len", "is_empty", "capacity"];
 
 /// Integer types narrow enough that a fallible `try_from` into them
 /// bounds a wire value below any allocation or index hazard.
@@ -75,6 +51,11 @@ const NARROW_TYPES: &[&str] = &["u8", "u16", "i8", "i16"];
 /// Receiver methods that absorb their argument: a tainted argument
 /// taints the (local) receiver collection.
 const TAINTING_MUTATORS: &[&str] = &["push", "extend", "extend_from_slice", "append", "insert"];
+
+/// Assignment operators, plain and compound.
+pub(crate) const ASSIGN_OPS: &[&str] = &[
+    "=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "|=", "&=", "^=",
+];
 
 /// Control keywords that look like calls (`if (…)`) or would otherwise be
 /// mistaken for index receivers (`return [a, b]`).
@@ -138,8 +119,8 @@ pub struct Summaries {
     pub param_sinks: Vec<BTreeMap<usize, ParamSink>>,
     /// Monotone-progress facts: `true` when every `Ok` return of the
     /// function is preceded by an unconditional consuming read — a
-    /// [`CONSUMING_METHODS`] call (or a call to another progressing
-    /// function) whose `?` propagates the exhaustion error. The
+    /// consuming [`vocab::PRIMITIVES`] reader call (or a call to another
+    /// progressing function) whose `?` propagates the exhaustion error. The
     /// termination pass uses these as "consumes ≥ 1 bit/byte on every
     /// path" summaries, memoized across crates like the taint facts.
     pub progress: Vec<bool>,
@@ -169,6 +150,8 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
     /// Taint origins that escape through `return` or the tail expression.
     pub escapes: Vec<Origin>,
+    /// Every local that carried taint at some point in the body.
+    pub tainted: BTreeSet<String>,
 }
 
 /// Computes per-function summaries to a fixed point (capped rounds; the
@@ -244,8 +227,8 @@ pub fn summarize(index: &Index) -> Summaries {
 ///
 /// - a consuming event is `M(…)` *immediately followed by `?`* — the `?`
 ///   is what guarantees the call's exhaustion error aborts the caller —
-///   where `M` is a [`CONSUMING_METHODS`] primitive or resolves (within
-///   the ambiguity cap) to definitions that all progress; the search
+///   where `M` is a consuming [`vocab::PRIMITIVES`] reader or resolves
+///   (within the ambiguity cap) to definitions that all progress; the search
 ///   descends into `(`/`[` groups (expression nesting) but never into
 ///   `{ … }` blocks, whose contents are conditional;
 /// - a `return` whose expression does not mention `Err` — at top level
@@ -260,17 +243,13 @@ fn body_progresses(index: &Index, progress: &[bool], id: usize) -> bool {
 }
 
 fn stmts_progress(index: &Index, progress: &[bool], trees: &[Tree]) -> bool {
-    let mut i = 0;
-    while i < trees.len() {
-        let end = stmt_end(trees, i + 1).max(i + 1);
-        let seg = &trees[i..end.min(trees.len())];
+    for seg in statements(trees) {
         if has_plain_return(seg) {
             return false;
         }
-        if consuming_event(index, progress, seg) {
+        if consuming_call(index, progress, seg, true).is_some() {
             return true;
         }
-        i = end + 1;
     }
     false
 }
@@ -306,34 +285,34 @@ fn has_plain_return(trees: &[Tree]) -> bool {
     false
 }
 
-/// A `M(…)?` consuming call in the segment, descending only into
-/// expression groups (`(`/`[`), never `{ … }` blocks.
-pub(crate) fn consuming_event(index: &Index, progress: &[bool], trees: &[Tree]) -> bool {
-    for (k, t) in trees.iter().enumerate() {
-        match t {
-            Tree::Group(g) if g.delim != '{' && consuming_event(index, progress, &g.trees) => {
-                return true;
-            }
-            Tree::Leaf(tok) if tok.kind == Kind::Ident => {
-                let called = trees
-                    .get(k + 1)
-                    .and_then(Tree::group)
-                    .is_some_and(|g| g.delim == '(');
-                let propagated = trees.get(k + 2).is_some_and(|t| t.is_punct("?"));
-                if called && propagated && call_progresses(index, progress, &tok.text) {
-                    return true;
-                }
-            }
-            _ => {}
+/// The first call in the segment that consumes input, with its `?`
+/// when `propagated` asks for one (the `?` is what makes the exhaustion
+/// error abort the caller), descending only into expression groups
+/// (`(`/`[`), never `{ … }` blocks, whose contents are conditional.
+pub(crate) fn consuming_call<'t>(
+    index: &Index,
+    progress: &[bool],
+    trees: &'t [Tree],
+    propagated: bool,
+) -> Option<&'t str> {
+    trees.iter().enumerate().find_map(|(k, t)| match t {
+        Tree::Group(g) if g.delim != '{' => consuming_call(index, progress, &g.trees, propagated),
+        Tree::Leaf(tok)
+            if tok.kind == Kind::Ident
+                && is_call(trees, k)
+                && (!propagated || trees.get(k + 2).is_some_and(|t| t.is_punct("?")))
+                && call_progresses(index, progress, &tok.text) =>
+        {
+            Some(tok.text.as_str())
         }
-    }
-    false
+        _ => None,
+    })
 }
 
-/// Whether a call by this name is consuming: a trusted primitive, or a
+/// Whether a call by this name is consuming: a consuming primitive, or a
 /// name every resolved definition of which already progresses.
-pub(crate) fn call_progresses(index: &Index, progress: &[bool], name: &str) -> bool {
-    if CONSUMING_METHODS.contains(&name) {
+fn call_progresses(index: &Index, progress: &[bool], name: &str) -> bool {
+    if vocab::consumes(name) {
         return true;
     }
     let targets = index.resolve_defined(name);
@@ -380,13 +359,14 @@ pub fn analyze(index: &Index, sums: &Summaries, id: usize, seed_params: bool) ->
         index,
         sums,
         tainted: BTreeMap::new(),
+        ever: BTreeSet::new(),
         findings: Vec::new(),
         escapes: Vec::new(),
     };
     if seed_params {
         for (k, (name, _ty)) in entry.item.params.iter().enumerate() {
             if !name.is_empty() && name != "self" {
-                scan.tainted.insert(name.clone(), Origin::Param(k));
+                scan.bind(name.clone(), Origin::Param(k));
             }
         }
     }
@@ -403,6 +383,7 @@ pub fn analyze(index: &Index, sums: &Summaries, id: usize, seed_params: bool) ->
     Analysis {
         findings,
         escapes: scan.escapes,
+        tainted: scan.ever,
     }
 }
 
@@ -411,11 +392,19 @@ struct Scan<'a> {
     index: &'a Index,
     sums: &'a Summaries,
     tainted: BTreeMap<String, Origin>,
+    /// Every name ever bound tainted (the union of `tainted` over time).
+    ever: BTreeSet<String>,
     findings: Vec<Finding>,
     escapes: Vec<Origin>,
 }
 
 impl Scan<'_> {
+    /// Binds a local to a taint origin.
+    fn bind(&mut self, name: String, o: Origin) {
+        self.ever.insert(name.clone());
+        self.tainted.insert(name, o);
+    }
+
     /// Walks a statement sequence, threading the taint environment.
     fn stmts(&mut self, trees: &[Tree]) {
         let mut i = 0;
@@ -479,9 +468,7 @@ impl Scan<'_> {
         let taint = self.taint_after_sanitizers(expr);
         for name in pattern_names(pat) {
             match &taint {
-                Some(o) => {
-                    self.tainted.insert(name, o.clone());
-                }
+                Some(o) => self.bind(name, o.clone()),
                 None => {
                     self.tainted.remove(&name);
                 }
@@ -509,6 +496,7 @@ impl Scan<'_> {
                 for name in pattern_names(&cond[1..eq]) {
                     match &taint {
                         Some(o) => {
+                            self.ever.insert(name.clone());
                             branch.insert(name, o.clone());
                         }
                         None => {
@@ -579,7 +567,7 @@ impl Scan<'_> {
                 .or_else(|| bare_input(iter));
             if let Some(o) = taint {
                 for name in pattern_names(pat) {
-                    self.tainted.insert(name, o.clone());
+                    self.bind(name, o.clone());
                 }
             }
         } else {
@@ -610,9 +598,6 @@ impl Scan<'_> {
             .get(s)
             .and_then(Tree::leaf)
             .filter(|t| t.kind == Kind::Ident);
-        const ASSIGN_OPS: &[&str] = &[
-            "=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "|=", "&=", "^=",
-        ];
         let op_is = |p: &str| seg.get(s + 1).is_some_and(|t| t.is_punct(p));
         if let (Some(target), true) = (target, ASSIGN_OPS.iter().any(|p| op_is(p))) {
             let name = target.text.clone();
@@ -620,9 +605,7 @@ impl Scan<'_> {
             self.check_expr(expr);
             let taint = self.taint_after_sanitizers(expr);
             match taint {
-                Some(o) => {
-                    self.tainted.insert(name, o);
-                }
+                Some(o) => self.bind(name, o),
                 // A plain reassignment to a clean value clears the slot;
                 // compound ops keep whatever taint was already there.
                 None if op_is("=") => {
@@ -644,7 +627,7 @@ impl Scan<'_> {
             {
                 if let Some(g) = seg.get(3).and_then(Tree::group).filter(|g| g.delim == '(') {
                     if let Some(o) = self.expr_taint(&g.trees) {
-                        self.tainted.insert(recv.text.clone(), o);
+                        self.bind(recv.text.clone(), o);
                     }
                 }
             }
@@ -827,7 +810,7 @@ impl Scan<'_> {
                             k += 1;
                             continue;
                         }
-                        if SOURCE_METHODS.contains(&name) {
+                        if vocab::reader(name).is_some() {
                             return Some(Origin::Source(tok.text.clone()));
                         }
                         let targets = self.resolve(name);
@@ -877,31 +860,17 @@ impl Scan<'_> {
                         k += 1;
                         continue;
                     }
+                    if reads_input(trees, k) {
+                        return Some(Origin::WireRead(tok.text.clone()));
+                    }
+                    // Passing an input buffer itself or taking its length
+                    // does not taint.
                     if INPUT_NAMES.contains(&name) {
-                        // Reading *contents* of an input buffer taints;
-                        // passing the buffer itself or taking its length
-                        // does not.
-                        let reads = match trees.get(k + 1) {
-                            Some(Tree::Group(g)) if g.delim == '[' => true,
-                            Some(t) if t.is_punct(".") => !trees
-                                .get(k + 2)
-                                .and_then(Tree::leaf)
-                                .is_some_and(|p| TRUSTED_PROJECTIONS.contains(&p.text.as_str())),
-                            _ => false,
-                        };
-                        if reads {
-                            return Some(Origin::WireRead(tok.text.clone()));
-                        }
                         k += 1;
                         continue;
                     }
                     if let Some(o) = self.tainted.get(name) {
-                        let projected_clean = trees.get(k + 1).is_some_and(|t| t.is_punct("."))
-                            && trees
-                                .get(k + 2)
-                                .and_then(Tree::leaf)
-                                .is_some_and(|p| TRUSTED_PROJECTIONS.contains(&p.text.as_str()));
-                        if !projected_clean {
+                        if !trusted_projection(trees, k) {
                             return Some(o.clone());
                         }
                     }
@@ -998,6 +967,19 @@ impl Scan<'_> {
     }
 }
 
+/// The top-level statements of a block, split on `;` and match-arm `,`.
+pub(crate) fn statements(trees: &[Tree]) -> impl Iterator<Item = &[Tree]> {
+    let mut k = 0;
+    std::iter::from_fn(move || {
+        (k < trees.len()).then(|| {
+            let end = stmt_end(trees, k + 1);
+            let seg = &trees[k..end];
+            k = end + 1;
+            seg
+        })
+    })
+}
+
 /// First statement-terminator (`;` or a match-arm `,`) at this level.
 pub(crate) fn stmt_end(trees: &[Tree], from: usize) -> usize {
     (from..trees.len())
@@ -1070,6 +1052,20 @@ pub(crate) fn split_args(trees: &[Tree]) -> Vec<&[Tree]> {
     out
 }
 
+/// Splits trees on every top-level `sep` punct (`&&`, `||`).
+pub(crate) fn split_on<'t>(trees: &'t [Tree], sep: &str) -> Vec<&'t [Tree]> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    for (k, t) in trees.iter().enumerate() {
+        if t.is_punct(sep) {
+            out.push(&trees[start..k]);
+            start = k + 1;
+        }
+    }
+    out.push(&trees[start..]);
+    out
+}
+
 /// The first argument of a call argument list.
 pub(crate) fn first_arg(trees: &[Tree]) -> &[Tree] {
     split_args(trees).first().copied().unwrap_or(&[])
@@ -1111,29 +1107,59 @@ fn diverges(g: &Group) -> bool {
     })
 }
 
-/// A `source_method(…)` call anywhere in the trees, at any depth.
-fn find_source_call(trees: &[Tree]) -> Option<String> {
-    for (k, t) in trees.iter().enumerate() {
-        match t {
-            Tree::Group(g) => {
-                if let Some(m) = find_source_call(&g.trees) {
-                    return Some(m);
-                }
-            }
-            Tree::Leaf(tok) if tok.kind == Kind::Ident => {
-                if SOURCE_METHODS.contains(&tok.text.as_str())
-                    && trees
-                        .get(k + 1)
-                        .and_then(Tree::group)
-                        .is_some_and(|g| g.delim == '(')
-                {
-                    return Some(tok.text.clone());
-                }
-            }
-            Tree::Leaf(_) => {}
-        }
-    }
-    None
+/// The first `f(trees, k, name)` hit over the identifiers `trees[k]`
+/// at any depth, in tree order.
+pub(crate) fn find_ident<T>(
+    trees: &[Tree],
+    f: &impl Fn(&[Tree], usize, &str) -> Option<T>,
+) -> Option<T> {
+    trees.iter().enumerate().find_map(|(k, t)| match t {
+        Tree::Group(g) => find_ident(&g.trees, f),
+        Tree::Leaf(tok) if tok.kind == Kind::Ident => f(trees, k, &tok.text),
+        Tree::Leaf(_) => None,
+    })
+}
+
+/// Whether `trees[k]` is applied to a `( … )` argument list.
+pub(crate) fn is_call(trees: &[Tree], k: usize) -> bool {
+    trees
+        .get(k + 1)
+        .and_then(Tree::group)
+        .is_some_and(|g| g.delim == '(')
+}
+
+/// A reader call of a wire primitive anywhere in the trees.
+pub(crate) fn find_source_call(trees: &[Tree]) -> Option<String> {
+    find_ident(trees, &|ts, k, name| {
+        (vocab::reader(name).is_some() && is_call(ts, k)).then(|| name.to_string())
+    })
+}
+
+/// Whether `trees[k]` projects through `.len()`-style bookkeeping only.
+fn trusted_projection(trees: &[Tree], k: usize) -> bool {
+    trees.get(k + 1).is_some_and(|t| t.is_punct("."))
+        && trees
+            .get(k + 2)
+            .and_then(Tree::leaf)
+            .is_some_and(|p| TRUSTED_PROJECTIONS.contains(&p.text.as_str()))
+}
+
+/// Whether the identifier `trees[k]` reads the *contents* of an input
+/// buffer: an input name (not a `self.data` field) that is indexed or
+/// projected through anything but a trusted projection.
+pub(crate) fn reads_input(trees: &[Tree], k: usize) -> bool {
+    let after_dot = k > 0 && trees[k - 1].is_punct(".");
+    let indexed = trees
+        .get(k + 1)
+        .and_then(Tree::group)
+        .is_some_and(|g| g.delim == '[');
+    let projected =
+        trees.get(k + 1).is_some_and(|t| t.is_punct(".")) && !trusted_projection(trees, k);
+    !after_dot
+        && trees[k]
+            .leaf()
+            .is_some_and(|t| INPUT_NAMES.contains(&t.text.as_str()))
+        && (indexed || projected)
 }
 
 /// A bare input-named ident used as an iterable (`for b in data`).

@@ -19,11 +19,12 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use super::{find_block, pattern_names, split_args, stmt_end, MAX_CANDIDATES, SOURCE_METHODS};
+use super::{find_block, pattern_names, split_args, stmt_end, MAX_CANDIDATES};
 use crate::ast::index::Index;
 use crate::ast::lex::{lex, Kind};
 use crate::ast::tree::{build, Group, Tree};
 use crate::ast::{int_width, is_float_ty};
+use crate::vocab::{self, Primitive, Yield};
 
 /// An interval over `i128`: either unknown or a closed `[lo, hi]` range.
 ///
@@ -485,6 +486,22 @@ pub fn fold_const(trees: &[Tree], consts: &BTreeMap<String, i128>) -> Option<i12
     }
 }
 
+/// Constant-folds every workspace `const` initializer to a value map
+/// (each round resolves one more level of consts defined in terms of
+/// other consts).
+#[must_use]
+pub fn fold_consts(index: &Index) -> BTreeMap<String, i128> {
+    let mut consts = BTreeMap::new();
+    for _ in 0..FIXPOINT_ROUNDS {
+        for (name, init) in &index.const_inits {
+            if let Some(v) = fold_const(init, &consts) {
+                consts.insert(name.clone(), v);
+            }
+        }
+    }
+    consts
+}
+
 /// Positions of top-level operator tokens matching `ops`.
 fn top_positions(trees: &[Tree], ops: &[&str]) -> Vec<usize> {
     trees
@@ -496,7 +513,7 @@ fn top_positions(trees: &[Tree], ops: &[&str]) -> Vec<usize> {
 }
 
 /// Strips redundant outer parens: `((x))` → `x`.
-fn strip_parens(trees: &[Tree]) -> &[Tree] {
+pub(crate) fn strip_parens(trees: &[Tree]) -> &[Tree] {
     match trees {
         [Tree::Group(g)] if g.delim == '(' && !g.trees.iter().any(|t| t.is_punct(",")) => {
             strip_parens(&g.trees)
@@ -600,17 +617,9 @@ impl<'a> RangeCtx<'a> {
     /// other return carries an interval a caller could use).
     #[must_use]
     pub fn new(index: &'a Index, contracts: &[Contract]) -> Self {
-        let mut consts = BTreeMap::new();
-        for _ in 0..FIXPOINT_ROUNDS {
-            for (name, init) in &index.const_inits {
-                if let Some(v) = fold_const(init, &consts) {
-                    consts.insert(name.clone(), v);
-                }
-            }
-        }
         let ctx = RangeCtx {
             index,
-            consts,
+            consts: fold_consts(index),
             contracts: contracts
                 .iter()
                 .map(|c| ((c.func.clone(), c.param.clone()), (c.lo, c.hi)))
@@ -2942,32 +2951,23 @@ impl Eval<'_, '_> {
         Some(out)
     }
 
-    /// Fallback models for the wire-source reader methods, keyed off the
-    /// bit-count argument when it is known.
-    fn source_model(&mut self, name: &str, argv: &[Val]) -> Val {
+    /// Fallback model for a wire primitive's reader call: what one call
+    /// yields, with a width bounded by its argument's interval when known.
+    fn source_model(&mut self, name: &str, p: &Primitive, argv: &[Val]) -> Val {
         let full = |t: &str| type_range(t).map_or(Ival::Top, |(lo, hi)| Ival::Range(lo, hi));
-        let (iv, ty): (Ival, &str) = match name {
-            "decode_bit" | "decode_bypass" => (Ival::Range(0, 1), "u64"),
-            "read_bits" | "decode_bypass_bits" => match argv.first().and_then(|a| a.iv.bounds()) {
+        let (iv, ty) = match p.yields {
+            Yield::Bin { .. } => (Ival::Range(0, 1), "u64"),
+            Yield::Fixed(ty) => (full(ty), ty),
+            Yield::Width => match argv.last().and_then(|a| a.iv.bounds()) {
                 Some((lo, hi)) if lo >= 0 && hi <= 63 => (Ival::Range(0, (1i128 << hi) - 1), "u64"),
                 _ => (full("u64"), "u64"),
             },
-            "read_le_u16" => (full("u16"), "u16"),
-            "read_le_u32" => (full("u32"), "u32"),
-            "read_le_u64" => (full("u64"), "u64"),
-            _ => (Ival::Top, ""),
         };
         let mut v = Val::of(iv);
-        if !ty.is_empty() {
-            v.ty = Some(ty.to_string());
-        }
+        v.ty = Some(ty.to_string());
         v.src = format!("{name}(…)");
-        if let Some(t) = v.ty.as_deref() {
-            if let Some((lo, hi)) = type_range(t) {
-                if !v.iv.covers(lo, hi) {
-                    v.push_hop(format!("{name}(…) ∈ {}", v.iv));
-                }
-            }
+        if type_range(ty).is_some_and(|(lo, hi)| !v.iv.covers(lo, hi)) {
+            v.push_hop(format!("{name}(…) ∈ {}", v.iv));
         }
         v
     }
@@ -2975,15 +2975,13 @@ impl Eval<'_, '_> {
     /// A free-function call.
     fn call_named(&mut self, name: &str, args: &[Tree], line: usize) -> Val {
         let argv = self.eval_args(args);
+        let source = vocab::reader(name);
         if let Some(v) = self.transfer_call(name, None, &argv, line) {
-            if v.iv.bounds().is_some() || !SOURCE_METHODS.contains(&name) {
+            if v.iv.bounds().is_some() || source.is_none() {
                 return v;
             }
         }
-        if SOURCE_METHODS.contains(&name) {
-            return self.source_model(name, &argv);
-        }
-        Val::top()
+        source.map_or_else(Val::top, |p| self.source_model(name, p, &argv))
     }
 }
 
@@ -3162,18 +3160,19 @@ impl Eval<'_, '_> {
         }
         // Workspace transfer resolution.
         let resolved = self.transfer_call(name, recv_path.as_deref(), &argv, line);
-        if resolved.is_some() || SOURCE_METHODS.contains(&name) {
+        let source = vocab::reader(name);
+        if resolved.is_some() || source.is_some() {
             if let Some(pp) = &recv_path {
                 self.invalidate_path(pp);
             }
         }
-        if let Some(v) = &resolved {
-            if v.iv.bounds().is_some() || !SOURCE_METHODS.contains(&name) {
-                return resolved.unwrap_or_else(Val::top);
+        if let Some(v) = resolved {
+            if v.iv.bounds().is_some() || source.is_none() {
+                return v;
             }
         }
-        if SOURCE_METHODS.contains(&name) {
-            return self.source_model(name, &argv);
+        if let Some(p) = source {
+            return self.source_model(name, p, &argv);
         }
         // Unknown method: the receiver may have been mutated.
         if let Some(pp) = &recv_path {
@@ -3495,6 +3494,22 @@ mod tests {
         // Threshold widening pins i at the guard literal; total still
         // widens to the type bound, which is inside u32 — no flag.
         assert!(iv.within(0, u32::MAX as i128), "ret {iv}");
+    }
+
+    #[test]
+    fn syntax_layer_bins_yield_their_width() {
+        let src = r"
+            pub fn mode<D: BinSource>(dec: &mut D) -> u64 {
+                dec.bypass_bits(4)
+            }
+            pub fn flag<D: BinSource>(dec: &mut D, c: &mut Prob) -> u64 {
+                u64::from(dec.bit(c))
+            }
+        ";
+        let index = index_of(src);
+        let ctx = RangeCtx::new(&index, &[]);
+        assert_eq!(eval_fn(&ctx, 0, None, true).0, Ival::new(0, 15));
+        assert_eq!(eval_fn(&ctx, 1, None, true).0, Ival::new(0, 1));
     }
 
     #[test]

@@ -31,40 +31,24 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use super::interval::{fold_const, Contract};
-use super::{find_block, split_args, stmt_end, MAX_CANDIDATES};
+use super::{find_block, split_args, split_on, stmt_end, MAX_CANDIDATES};
 use crate::ast::index::Index;
 use crate::ast::lex::{lex, Kind};
 use crate::ast::tree::{build, to_text, Group, Tree};
+use crate::vocab::{Yield, PRIMITIVES};
 
-/// One terminal wire operation.
+/// One terminal wire operation: a call of one of the
+/// [`crate::vocab::PRIMITIVES`], on the side being extracted.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireOp {
-    /// `write_bits(v, w)` / `read_bits(w)`: a big-endian bit field.
-    Bits {
-        /// The width as source text, compared textually or by constant
-        /// folding.
-        width: String,
-    },
-    /// `write_u8` / `read_u8`.
-    Byte,
-    /// `write_le_u16` / `read_le_u16`.
-    Le16,
-    /// `write_le_u32` / `read_le_u32`.
-    Le32,
-    /// `write_le_u64` / `read_le_u64`.
-    Le64,
-    /// One context-coded bin.
-    Bit {
-        /// The context field name.
-        ctx: String,
-    },
-    /// One equiprobable bin.
-    Bypass,
-    /// A batched bypass run.
-    BypassBits {
-        /// The bin count as source text.
-        width: String,
-    },
+pub struct WireOp {
+    /// The primitive's grammar token (`bits`, `le32`, `bit`, …).
+    pub token: &'static str,
+    /// What the primitive yields.
+    pub yields: Yield,
+    /// The width as source text (compared textually or by constant
+    /// folding) or the context field name, for the primitives that take
+    /// one.
+    pub arg: Option<String>,
 }
 
 /// A grammar node: a terminal op, a call into another wire-relevant
@@ -142,73 +126,54 @@ pub enum Side {
     Reader,
 }
 
-/// Every method name that is a terminal on some side. A call by one of
-/// these names whose arity matches neither side's shape is treated as
-/// opaque rather than as a [`NodeKind::Call`].
-const TERMINAL_NAMES: &[&str] = &[
-    "write_bits",
-    "read_bits",
-    "write_u8",
-    "read_u8",
-    "write_le_u16",
-    "read_le_u16",
-    "write_le_u32",
-    "read_le_u32",
-    "write_le_u64",
-    "read_le_u64",
-    "bit",
-    "bypass",
-    "bypass_bits",
-];
+/// Whether some side's terminal has this name. A call by such a name
+/// whose arity matches neither side's shape is treated as opaque rather
+/// than as a [`NodeKind::Call`].
+fn is_terminal_name(name: &str) -> bool {
+    PRIMITIVES.iter().any(|p| p.reads(name) || p.writes(name))
+}
 
 /// Longest rendered `detail` kept on a node (labels feed one-line chains).
 const DETAIL_CAP: usize = 48;
 
 /// The terminal op for `name(args)` on `side`, if the name and arity
-/// match that side's table.
-fn terminal(side: Side, name: &str, args: &[&[Tree]]) -> Option<WireOp> {
-    let op = match (side, name) {
-        (Side::Writer, "write_bits") if args.len() == 2 => WireOp::Bits {
-            width: to_text(args[1]),
-        },
-        (Side::Reader, "read_bits") if args.len() == 1 => WireOp::Bits {
-            width: to_text(args[0]),
-        },
-        (Side::Writer, "write_u8") | (Side::Reader, "read_u8") => WireOp::Byte,
-        (Side::Writer, "write_le_u16") | (Side::Reader, "read_le_u16") => WireOp::Le16,
-        (Side::Writer, "write_le_u32") | (Side::Reader, "read_le_u32") => WireOp::Le32,
-        (Side::Writer, "write_le_u64") | (Side::Reader, "read_le_u64") => WireOp::Le64,
-        (Side::Writer, "bit") if args.len() == 2 => WireOp::Bit {
-            ctx: ctx_label(args[0]),
-        },
-        (Side::Reader, "bit") if args.len() == 1 => WireOp::Bit {
-            ctx: ctx_label(args[0]),
-        },
-        (Side::Writer, "bypass") if args.len() == 1 => WireOp::Bypass,
-        (Side::Reader, "bypass") if args.is_empty() => WireOp::Bypass,
-        (Side::Writer, "bypass_bits") if args.len() == 2 => WireOp::BypassBits {
-            width: to_text(args[1]),
-        },
-        (Side::Reader, "bypass_bits") if args.len() == 1 => WireOp::BypassBits {
-            width: to_text(args[0]),
-        },
-        _ => return None,
-    };
-    Some(op)
-}
-
-/// The writer-side value expression for a terminal (readers get their
-/// detail from the surrounding `let` binding instead).
-fn terminal_detail(side: Side, name: &str, args: &[&[Tree]]) -> String {
-    if side != Side::Writer {
-        return String::new();
+/// match that side's shape (a writer call also passes the value), plus
+/// the writer-side value expression (readers get their detail from the
+/// surrounding `let` binding instead).
+fn terminal(side: Side, name: &str, args: &[&[Tree]]) -> Option<(WireOp, String)> {
+    let writer = side == Side::Writer;
+    let p = PRIMITIVES.iter().find(|p| {
+        if writer {
+            p.writes(name)
+        } else {
+            p.reads(name)
+        }
+    })?;
+    if p.reader_arity()
+        .is_some_and(|n| args.len() != n + usize::from(writer))
+    {
+        return None;
     }
-    let arg = match name {
-        "write_bits" | "bypass_bits" | "bypass" => args.first(),
-        "bit" => args.get(1),
-        _ => args.last(),
+    let arg = match p.yields {
+        Yield::Width => args.last().map(|a| to_text(a)),
+        Yield::Bin { ctx: true } => args.first().map(|a| ctx_label(a)),
+        Yield::Bin { ctx: false } | Yield::Fixed(_) => None,
     };
-    arg.map(|a| cap_detail(&to_text(a))).unwrap_or_default()
+    let value = match p.yields {
+        _ if !writer => None,
+        Yield::Bin { ctx: true } => args.get(1),
+        Yield::Fixed(_) => args.last(),
+        Yield::Width | Yield::Bin { ctx: false } => args.first(),
+    };
+    let op = WireOp {
+        token: p.token,
+        yields: p.yields,
+        arg,
+    };
+    Some((
+        op,
+        value.map(|a| cap_detail(&to_text(a))).unwrap_or_default(),
+    ))
 }
 
 fn cap_detail(s: &str) -> String {
@@ -249,7 +214,7 @@ pub fn wire_relevant(index: &Index) -> BTreeSet<String> {
             let hits = entry
                 .calls
                 .iter()
-                .any(|c| TERMINAL_NAMES.contains(&c.as_str()) || relevant.contains(c));
+                .any(|c| is_terminal_name(c) || relevant.contains(c));
             if hits && relevant.insert(entry.item.name.clone()) {
                 changed = true;
             }
@@ -258,21 +223,6 @@ pub fn wire_relevant(index: &Index) -> BTreeSet<String> {
             return relevant;
         }
     }
-}
-
-/// Constant-folds every workspace `const` initializer to a value map
-/// (three rounds handle consts defined in terms of other consts).
-#[must_use]
-pub fn fold_consts(index: &Index) -> BTreeMap<String, i128> {
-    let mut consts = BTreeMap::new();
-    for _ in 0..3 {
-        for (name, init) in &index.const_inits {
-            if let Some(v) = fold_const(init, &consts) {
-                consts.insert(name.clone(), v);
-            }
-        }
-    }
-    consts
 }
 
 /// Extracts the wire grammar of one function body.
@@ -738,14 +688,13 @@ impl Extractor<'_> {
                 (Tree::Leaf(tok), Some(g)) if tok.kind == Kind::Ident => {
                     let name = tok.text.as_str();
                     let args = split_args(&g.trees);
-                    if let Some(op) = terminal(self.side, name, &args) {
-                        let detail = terminal_detail(self.side, name, &args);
+                    if let Some((op, detail)) = terminal(self.side, name, &args) {
                         out.push(Node {
                             kind: NodeKind::Op(op),
                             line: tok.line,
                             detail,
                         });
-                    } else if TERMINAL_NAMES.contains(&name) {
+                    } else if is_terminal_name(name) {
                         // A terminal name at the wrong arity (e.g. the
                         // other side's shape): opaque, never a Call.
                     } else if self.relevant.contains(name) && {
@@ -783,24 +732,17 @@ impl Extractor<'_> {
 /// The `bit`/`bypass` context a single condition op represents.
 fn unary_ctx(n: &Node) -> Option<String> {
     match &n.kind {
-        NodeKind::Op(WireOp::Bit { ctx }) => Some(ctx.clone()),
-        NodeKind::Op(WireOp::Bypass) => Some("bypass".to_string()),
+        NodeKind::Op(WireOp {
+            yields: Yield::Bin { ctx },
+            arg,
+            ..
+        }) => Some(if *ctx {
+            arg.clone()?
+        } else {
+            "bypass".to_string()
+        }),
         _ => None,
     }
-}
-
-/// Splits trees on a top-level punct, keeping non-empty segments.
-fn split_on<'t>(trees: &'t [Tree], sep: &str) -> Vec<&'t [Tree]> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    for (k, t) in trees.iter().enumerate() {
-        if t.is_punct(sep) {
-            out.push(&trees[start..k]);
-            start = k + 1;
-        }
-    }
-    out.push(&trees[start..]);
-    out
 }
 
 /// The `lo..hi` / `lo..=hi` split of an iterable, looking through one
@@ -878,14 +820,19 @@ pub fn normalize(nodes: Vec<Node>) -> Vec<Node> {
     // immediately followed by the terminator `bit(c, …)`.
     let mut merged: Vec<Node> = Vec::new();
     for n in out {
-        if let NodeKind::Op(WireOp::Bit { ctx }) = &n.kind {
+        if let NodeKind::Op(
+            op @ WireOp {
+                yields: Yield::Bin { ctx: true },
+                arg: Some(ctx),
+                ..
+            },
+        ) = &n.kind
+        {
             let unary = merged.last().is_some_and(|prev| {
                 matches!(
                     &prev.kind,
                     NodeKind::Loop { body, .. }
-                        if body.len() == 1
-                            && matches!(&body[0].kind,
-                                NodeKind::Op(WireOp::Bit { ctx: c2 }) if c2 == ctx)
+                        if body.len() == 1 && matches!(&body[0].kind, NodeKind::Op(o) if o == op)
                 )
             });
             if unary {
@@ -1098,14 +1045,11 @@ impl<'a> Comparator<'a> {
     }
 
     fn op_eq(&self, a: &WireOp, b: &WireOp) -> bool {
-        match (a, b) {
-            (WireOp::Bits { width: x }, WireOp::Bits { width: y })
-            | (WireOp::BypassBits { width: x }, WireOp::BypassBits { width: y }) => {
-                self.width_eq(x, y)
+        a.token == b.token
+            && match (&a.arg, &b.arg) {
+                (Some(x), Some(y)) if a.yields == Yield::Width => self.width_eq(x, y),
+                _ => a.arg == b.arg,
             }
-            (WireOp::Bit { ctx: x }, WireOp::Bit { ctx: y }) => x == y,
-            _ => a == b,
-        }
     }
 
     fn width_eq(&self, a: &str, b: &str) -> bool {
@@ -1253,21 +1197,16 @@ pub fn render_seq(nodes: &[Node]) -> String {
 }
 
 fn render_op(op: &WireOp) -> String {
-    match op {
-        WireOp::Bits { width } => format!("bits({width})"),
-        WireOp::Byte => "byte".to_string(),
-        WireOp::Le16 => "le16".to_string(),
-        WireOp::Le32 => "le32".to_string(),
-        WireOp::Le64 => "le64".to_string(),
-        WireOp::Bit { ctx } => format!("bit({ctx})"),
-        WireOp::Bypass => "bypass".to_string(),
-        WireOp::BypassBits { width } => format!("bypass_bits({width})"),
+    match &op.arg {
+        Some(arg) => format!("{}({arg})", op.token),
+        None => op.token.to_string(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::interval::fold_consts;
     use crate::source::Workspace;
 
     fn index_of(src: &str) -> Index {

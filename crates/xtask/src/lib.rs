@@ -5,15 +5,17 @@
 //! every file is lexed into token trees and parsed into items exactly once
 //! ([`source::SourceFile`]), the items are merged into a workspace-wide
 //! call-graph index ([`ast::index::Index`]), and five passes run as
-//! visitors over that shared result:
+//! visitors over that shared result. They share one wire vocabulary
+//! ([`vocab`]): one table of wire primitives says what reads and writes
+//! the wire, next to the input-buffer names and the one decode-root rule.
 //!
 //! 1. **wire-taint** ([`passes::wire_taint`]) — interprocedural dataflow
 //!    over the [`dataflow`] engine: values read from the wire must pass a
 //!    sanitizer before sizing an allocation, bounding a loop, or indexing
 //!    a slice, with a source → sink witness chain in every finding;
 //! 2. **panic-reach** ([`passes::panic_reach`]) — follows the call graph
-//!    from every decode-shaped function and reports the panicking
-//!    constructs it reaches, with the full root → site chain: input
+//!    from every decode root and reports the panicking constructs it
+//!    reaches, with the full root → site chain: input
 //!    indexing in the hot-path crates, and every family in the crates
 //!    outside them (clippy's `unwrap_used`/`panic` family covers the
 //!    hot-path crates themselves);
@@ -26,10 +28,12 @@
 //!    included — seeded by the contract table
 //!    `crates/xtask/ranges.toml`;
 //! 4. **termination** ([`passes::termination`]) — every `while`/`loop`
-//!    reachable from a public decode API whose condition depends on
-//!    wire data must carry a proven variant: a fallibly consuming read
-//!    each iteration (monotone-progress summaries memoized across
-//!    crates), a counter stepping toward a literal/const bound, or a
+//!    reachable from a decode root whose condition depends on wire data
+//!    (a primitive read, an input buffer, or a local the [`dataflow`]
+//!    replay marks tainted) must carry a proven variant: a fallibly
+//!    consuming read each iteration (monotone-progress summaries
+//!    memoized across crates), a counter stepping toward a literal/const
+//!    bound, or a
 //!    contract-capped bound from `ranges.toml` — unproven loops get a
 //!    witness chain explaining why each variant failed;
 //! 5. **wire-schema** ([`passes::wire_schema`]) — pairs every bitstream
@@ -78,6 +82,7 @@ pub mod passes {
 }
 pub mod report;
 pub mod source;
+pub mod vocab;
 
 use std::path::Path;
 

@@ -28,26 +28,15 @@ use crate::ast::tree::Tree;
 use crate::dataflow::MAX_CANDIDATES;
 use crate::report::Violation;
 use crate::source::Workspace;
+use crate::vocab::{decode_roots, INPUT_NAMES};
 
 /// Macros that abort the process.
 pub const DENIED_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Buffer names that conventionally hold untrusted input.
-pub const INPUT_NAMES: &[&str] = &["data", "bytes", "input", "payload", "buf", "src", "stream"];
-
-/// Function-name prefixes that mark untrusted-input parsing code.
-pub const DECODE_PREFIXES: &[&str] = &["decode", "parse", "decompress", "read"];
-
-/// Whether a function name marks untrusted-input parsing code.
-#[must_use]
-pub fn is_decode_name(name: &str) -> bool {
-    DECODE_PREFIXES.iter().any(|p| name.starts_with(p))
-}
-
 /// Which functions seed the reachability walk.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub enum RootPolicy {
-    /// Gate mode: decode-shaped functions.
+    /// Gate mode: the decode roots ([`crate::vocab::is_decode_root`]).
     DecodeApis,
     /// Sweep mode: every public function and method — the model/bench
     /// crates expose no decode-shaped APIs, so the debt inventory walks
@@ -83,19 +72,16 @@ pub fn check_workspace_with_policy(
     audited: &[&str],
     policy: RootPolicy,
 ) -> Vec<Violation> {
-    let roots: Vec<usize> = index
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| {
-            root_crates.contains(&e.krate.as_str())
-                && match policy {
-                    RootPolicy::DecodeApis => is_decode_name(&e.item.name),
-                    RootPolicy::AllPublicApis => e.item.is_pub || e.item.self_ty.is_some(),
-                }
-        })
-        .map(|(id, _)| id)
-        .collect();
+    let roots: Vec<usize> = match policy {
+        RootPolicy::DecodeApis => decode_roots(index, root_crates),
+        RootPolicy::AllPublicApis => (0..index.fns.len())
+            .filter(|&id| {
+                let e = &index.fns[id];
+                root_crates.contains(&e.krate.as_str())
+                    && (e.item.is_pub || e.item.self_ty.is_some())
+            })
+            .collect(),
+    };
     let closure = index.reachable(&roots, MAX_CANDIDATES);
     let files: BTreeMap<&str, &crate::source::SourceFile> =
         ws.files().map(|f| (f.path.as_str(), f)).collect();

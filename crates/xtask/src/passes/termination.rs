@@ -3,19 +3,21 @@
 //!
 //! A hostile bitstream controls every bit a decode loop inspects, so a
 //! loop whose condition depends on wire data terminates only if some
-//! quantity provably makes progress. Starting from every externally
-//! reachable decode-shaped function in the audited crates, this pass
-//! walks the call-graph closure, collects each `while`/`loop` whose
-//! condition (or, for `loop`, body) depends on wire data, and tries to
-//! prove one of three variants:
+//! quantity provably makes progress. Starting from the same decode roots
+//! as panic-reach ([`crate::vocab::is_decode_root`]), this pass walks the
+//! call-graph closure and collects each `while`/`loop` whose condition
+//! (or, for `loop`, body) depends on wire data: a reader call of one of
+//! the [`crate::vocab::PRIMITIVES`], a projection of an input buffer, or
+//! a local that carried wire taint in the [`dataflow::analyze`] replay of
+//! the enclosing body. It then tries to prove one of three variants:
 //!
 //! 1. **Reader progress** — the iteration consumes at least one
-//!    bit/byte whose exhaustion error diverges: a
-//!    [`dataflow::CONSUMING_METHODS`] call (or a call to a function
-//!    whose monotone-progress summary holds) with `?` in the condition
-//!    or unconditionally at the top of the body, or a manually advanced
-//!    position (`pos += 1`) paired with a bounds-checked
-//!    `input.get(pos)` access that diverges past the end.
+//!    bit/byte whose exhaustion error diverges: a consuming primitive
+//!    call (or a call to a function whose monotone-progress summary
+//!    holds) with `?` in the condition or unconditionally at the top of
+//!    the body, or a manually advanced position (`pos += 1`) paired with
+//!    a bounds-checked `input.get(pos)` access that diverges past the
+//!    end.
 //! 2. **Bounded counter** — a condition conjunct `v < B` (or `v <= B`,
 //!    and the mirrored `v > B`/`v >= B` for decrementing loops) where
 //!    the body unconditionally steps `v` toward `B` by a positive
@@ -42,13 +44,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::ast::index::{FnEntry, Index};
 use crate::ast::lex::Kind;
 use crate::ast::tree::{Group, Tree};
-use crate::dataflow::interval::Contract;
+use crate::dataflow::interval::{strip_parens, Contract};
 use crate::dataflow::{
-    self, compact, find_block, pattern_names, stmt_end, Summaries, MAX_CANDIDATES, SOURCE_METHODS,
+    self, compact, find_block, split_on, statements, Summaries, ASSIGN_OPS, MAX_CANDIDATES,
 };
-use crate::passes::panic_reach::{is_decode_name, INPUT_NAMES};
 use crate::report::Violation;
 use crate::source::Workspace;
+use crate::vocab::{decode_roots, INPUT_NAMES};
 
 /// Runs the pass over the audited crates using the shared AST index,
 /// dataflow summaries (for monotone-progress facts), and the
@@ -60,17 +62,7 @@ pub fn check_workspace(
     crates: &[&str],
     contracts: &[Contract],
 ) -> Vec<Violation> {
-    let roots: Vec<usize> = index
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| {
-            crates.contains(&e.krate.as_str())
-                && (e.item.is_pub || e.item.self_ty.is_some())
-                && is_decode_name(&e.item.name)
-        })
-        .map(|(id, _)| id)
-        .collect();
+    let roots = decode_roots(index, crates);
     let closure = index.reachable(&roots, MAX_CANDIDATES);
     let files: BTreeMap<&str, &crate::source::SourceFile> =
         ws.files().map(|f| (f.path.as_str(), f)).collect();
@@ -79,18 +71,21 @@ pub fn check_workspace(
     let mut seen: BTreeSet<(String, usize)> = BTreeSet::new();
     for &id in &closure {
         let entry = &index.fns[id];
-        // Unlike panic-reach, root bodies are NOT exempt: no other pass
-        // proves termination, so the loop in a public API body is
-        // exactly as dangerous as one in a helper.
+        // Root bodies are checked like helpers: no other pass proves
+        // termination, so a loop in a decode API body is exactly as
+        // dangerous as one in a helper.
         if !crates.contains(&entry.krate.as_str()) {
             continue;
         }
         let Some(body) = &entry.item.body else {
             continue;
         };
-        let tainted = tainted_locals(index, body);
         let mut loops = Vec::new();
         collect_loops(&body.trees, &mut loops);
+        if loops.is_empty() {
+            continue;
+        }
+        let tainted = dataflow::analyze(index, sums, id, false).tainted;
         for lp in loops {
             let Some(why_wire) = wire_dependence(&lp, &tainted) else {
                 continue;
@@ -209,149 +204,29 @@ fn wire_dependence(lp: &LoopSite<'_>, tainted: &BTreeSet<String>) -> Option<Stri
     }
 }
 
-/// First wire-data mention in the trees: a source-method call, a
-/// non-trusted projection or indexing of an input-named buffer, or a
-/// local carrying wire taint. Direct reads are reported in preference
-/// to tainted locals — `while self.decode_bypass()` should name the
-/// read, not the tainted receiver.
+/// First wire-data mention in the trees: a primitive reader call, a
+/// read of an input-named buffer, or a local carrying wire taint. Direct
+/// reads are reported in preference to tainted locals — `while
+/// dec.bit(…)` should name the read, not the tainted receiver.
 fn wire_mention(trees: &[Tree], tainted: &BTreeSet<String>) -> Option<String> {
-    source_mention(trees).or_else(|| tainted_mention(trees, tainted))
+    if let Some(name) = dataflow::find_source_call(trees) {
+        return Some(format!("reads wire data via `{name}(…)`"));
+    }
+    dataflow::find_ident(trees, &|ts, k, name| {
+        dataflow::reads_input(ts, k).then(|| format!("inspects input buffer `{name}`"))
+    })
+    .or_else(|| {
+        dataflow::find_ident(trees, &|_, _, name| {
+            tainted
+                .contains(name)
+                .then(|| format!("depends on `{name}`, which carries wire data"))
+        })
+    })
 }
 
-fn source_mention(trees: &[Tree]) -> Option<String> {
-    for (k, t) in trees.iter().enumerate() {
-        match t {
-            Tree::Group(g) => {
-                if let Some(why) = source_mention(&g.trees) {
-                    return Some(why);
-                }
-            }
-            Tree::Leaf(tok) if tok.kind == Kind::Ident => {
-                let name = tok.text.as_str();
-                let called = trees
-                    .get(k + 1)
-                    .and_then(Tree::group)
-                    .is_some_and(|g| g.delim == '(');
-                if called && SOURCE_METHODS.contains(&name) {
-                    return Some(format!("reads wire data via `{name}(…)`"));
-                }
-                let projected = !k.checked_sub(1).is_some_and(|p| trees[p].is_punct("."))
-                    && INPUT_NAMES.contains(&name)
-                    && (trees
-                        .get(k + 1)
-                        .and_then(Tree::group)
-                        .is_some_and(|g| g.delim == '[')
-                        || (trees.get(k + 1).is_some_and(|t| t.is_punct("."))
-                            && trees.get(k + 2).and_then(Tree::leaf).is_some_and(|l| {
-                                l.kind == Kind::Ident
-                                    && !dataflow::TRUSTED_PROJECTIONS.contains(&l.text.as_str())
-                            })));
-                if projected {
-                    return Some(format!("inspects input buffer `{name}`"));
-                }
-            }
-            Tree::Leaf(_) => {}
-        }
-    }
-    None
-}
-
-fn tainted_mention(trees: &[Tree], tainted: &BTreeSet<String>) -> Option<String> {
-    for t in trees {
-        match t {
-            Tree::Group(g) => {
-                if let Some(why) = tainted_mention(&g.trees, tainted) {
-                    return Some(why);
-                }
-            }
-            Tree::Leaf(tok) if tok.kind == Kind::Ident && tainted.contains(&tok.text) => {
-                return Some(format!(
-                    "depends on `{}`, which carries wire data",
-                    tok.text
-                ));
-            }
-            Tree::Leaf(_) => {}
-        }
-    }
-    None
-}
-
-/// Over-approximate set of locals carrying wire data: any `let` or
-/// assignment whose right-hand side mentions a source read, an input
-/// projection, an already-tainted local, or a call into a function whose
-/// summary returns taint. Iterated to a small fixed point; once tainted,
-/// always tainted (flow-insensitive by design — a stale taint only makes
-/// the pass *try* to prove a loop it could have skipped).
-fn tainted_locals(index: &Index, body: &Group) -> BTreeSet<String> {
-    let mut tainted = BTreeSet::new();
-    for _round in 0..4 {
-        let before = tainted.len();
-        taint_walk(index, &body.trees, &mut tainted);
-        if tainted.len() == before {
-            break;
-        }
-    }
-    tainted
-}
-
-fn taint_walk(index: &Index, trees: &[Tree], tainted: &mut BTreeSet<String>) {
-    let mut k = 0;
-    while k < trees.len() {
-        let end = stmt_end(trees, k + 1).max(k + 1).min(trees.len());
-        let seg = &trees[k..end];
-        if let Some(eq) = seg.iter().position(|t| t.is_punct("=") || t.is_punct("+=")) {
-            let (lhs, rhs) = (&seg[..eq], &seg[eq + 1..]);
-            if rhs_is_wirey(index, rhs, tainted) {
-                let pat = if lhs.first().is_some_and(|t| t.is_ident("let")) {
-                    &lhs[1..]
-                } else {
-                    lhs
-                };
-                tainted.extend(pattern_names(pat));
-            }
-        }
-        for t in seg {
-            if let Tree::Group(g) = t {
-                taint_walk(index, &g.trees, tainted);
-            }
-        }
-        k = end + 1;
-    }
-}
-
-fn rhs_is_wirey(index: &Index, trees: &[Tree], tainted: &BTreeSet<String>) -> bool {
-    if wire_mention(trees, tainted).is_some() {
-        return true;
-    }
-    // A call to a function whose summary says the return carries taint.
-    for (k, t) in trees.iter().enumerate() {
-        match t {
-            Tree::Group(g) => {
-                if rhs_is_wirey(index, &g.trees, tainted) {
-                    return true;
-                }
-            }
-            Tree::Leaf(tok) if tok.kind == Kind::Ident => {
-                let called = trees
-                    .get(k + 1)
-                    .and_then(Tree::group)
-                    .is_some_and(|g| g.delim == '(');
-                if called {
-                    let targets = index.resolve_defined(&tok.text);
-                    if !targets.is_empty() && targets.len() <= MAX_CANDIDATES {
-                        // Decode-prefixed helpers read the wire by
-                        // convention even when the summary can't see it.
-                        if is_decode_name(&tok.text) {
-                            return true;
-                        }
-                    }
-                }
-            }
-            Tree::Leaf(_) => {}
-        }
-    }
-    false
-}
+/// Why variant 1 failed, listed first in every unproven loop's chain.
+const NO_READER_PROGRESS: &str = "reader-progress: no fallible consuming read on every path \
+     (condition, unconditional body statement, or `pos += k` with a diverging `get(pos)` check)";
 
 /// Variant 1: reader progress. Ok-proof string, or the failure reason.
 fn prove_reader_progress(
@@ -359,9 +234,11 @@ fn prove_reader_progress(
     sums: &Summaries,
     lp: &LoopSite<'_>,
 ) -> Result<String, Vec<String>> {
+    let consuming =
+        |trees, propagated| dataflow::consuming_call(index, &sums.progress, trees, propagated);
     // (a) the condition itself consumes fallibly.
     if let Some(cond) = lp.cond {
-        if let Some(name) = cond_consuming_call(index, sums, cond) {
+        if let Some(name) = consuming(cond, true) {
             return Ok(format!("condition consumes input via `{name}(…)?`"));
         }
         // `while let Ok(x) = reader.read(…)` — the Err arm exits the
@@ -369,85 +246,22 @@ fn prove_reader_progress(
         if cond.first().is_some_and(|t| t.is_ident("let"))
             && cond.get(1).is_some_and(|t| t.is_ident("Ok"))
         {
-            if let Some(name) = any_consuming_call(index, sums, cond) {
+            if let Some(name) = consuming(cond, false) {
                 return Ok(format!("`while let Ok` over consuming `{name}(…)`"));
             }
         }
     }
     // (b) the body consumes unconditionally before any `continue`.
-    let mut k = 0;
-    let trees = &lp.body.trees;
-    while k < trees.len() {
-        let end = stmt_end(trees, k + 1).max(k + 1).min(trees.len());
-        let seg = &trees[k..end];
+    for seg in statements(&lp.body.trees) {
         if mentions_continue(seg) {
             break;
         }
-        if dataflow::consuming_event(index, &sums.progress, seg) {
+        if consuming(seg, true).is_some() {
             return Ok("body consumes input unconditionally each iteration".to_string());
         }
-        k = end + 1;
     }
     // (c) manual position advance + bounds-checked access.
-    if let Ok(proof) = prove_manual_advance(lp) {
-        return Ok(proof);
-    }
-    Err(vec![
-        "reader-progress: no fallible consuming read on every path (condition, \
-         unconditional body statement, or `pos += k` with a diverging `get(pos)` check)"
-            .to_string(),
-    ])
-}
-
-/// A `M(…)?` in the condition where `M` is consuming or progressing.
-fn cond_consuming_call(index: &Index, sums: &Summaries, trees: &[Tree]) -> Option<String> {
-    for (k, t) in trees.iter().enumerate() {
-        match t {
-            Tree::Group(g) if g.delim != '{' => {
-                if let Some(n) = cond_consuming_call(index, sums, &g.trees) {
-                    return Some(n);
-                }
-            }
-            Tree::Leaf(tok) if tok.kind == Kind::Ident => {
-                let called = trees
-                    .get(k + 1)
-                    .and_then(Tree::group)
-                    .is_some_and(|g| g.delim == '(');
-                if called
-                    && trees.get(k + 2).is_some_and(|t| t.is_punct("?"))
-                    && dataflow::call_progresses(index, &sums.progress, &tok.text)
-                {
-                    return Some(tok.text.clone());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Any call to a consuming/progressing function, `?` not required.
-fn any_consuming_call(index: &Index, sums: &Summaries, trees: &[Tree]) -> Option<String> {
-    for (k, t) in trees.iter().enumerate() {
-        match t {
-            Tree::Group(g) if g.delim != '{' => {
-                if let Some(n) = any_consuming_call(index, sums, &g.trees) {
-                    return Some(n);
-                }
-            }
-            Tree::Leaf(tok) if tok.kind == Kind::Ident => {
-                let called = trees
-                    .get(k + 1)
-                    .and_then(Tree::group)
-                    .is_some_and(|g| g.delim == '(');
-                if called && dataflow::call_progresses(index, &sums.progress, &tok.text) {
-                    return Some(tok.text.clone());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    prove_manual_advance(lp).ok_or_else(|| vec![NO_READER_PROGRESS.to_string()])
 }
 
 fn mentions_continue(trees: &[Tree]) -> bool {
@@ -457,71 +271,61 @@ fn mentions_continue(trees: &[Tree]) -> bool {
     })
 }
 
+/// The variable a `v <op> <integer literal>` statement (or `*v <op> …`)
+/// steps.
+fn literal_step<'t>(seg: &'t [Tree], op: &str) -> Option<&'t str> {
+    let seg = if seg.first().is_some_and(|t| t.is_punct("*")) {
+        &seg[1..]
+    } else {
+        seg
+    };
+    match seg {
+        [Tree::Leaf(v), o, Tree::Leaf(step)]
+            if v.kind == Kind::Ident && o.is_punct(op) && step.kind == Kind::Int =>
+        {
+            Some(v.text.as_str())
+        }
+        _ => None,
+    }
+}
+
 /// Variant 1c: a top-level `pos += <literal>` where every other write to
 /// `pos` is also `+=` (monotone), paired with a top-level bounds-checked
 /// `input.get(…pos…)` whose failure diverges (`?`/`ok_or`), both before
 /// any `continue`. Once `pos` passes the end of the input the access
 /// errors out, so the iteration count is capped by the input length.
-fn prove_manual_advance(lp: &LoopSite<'_>) -> Result<String, ()> {
+fn prove_manual_advance(lp: &LoopSite<'_>) -> Option<String> {
     let trees = &lp.body.trees;
-    let mut advanced: Option<String> = None;
-    let mut checked: Option<String> = None;
-    let mut k = 0;
-    while k < trees.len() {
-        let end = stmt_end(trees, k + 1).max(k + 1).min(trees.len());
-        let seg = &trees[k..end];
+    let mut advanced = None;
+    let mut checked = None;
+    for seg in statements(trees) {
         if mentions_continue(seg) {
             break;
         }
-        // `pos += 1` or `*pos += 1` as the whole statement.
-        let stripped = if seg.first().is_some_and(|t| t.is_punct("*")) {
-            &seg[1..]
-        } else {
-            seg
-        };
-        if let [Tree::Leaf(v), op, Tree::Leaf(step)] = stripped {
-            if v.kind == Kind::Ident && op.is_punct("+=") && step.kind == Kind::Int {
-                advanced = Some(v.text.clone());
-            }
-        }
-        if let Some(buf) = bounds_checked_get(seg) {
-            checked = Some(buf);
-        }
-        k = end + 1;
+        advanced = literal_step(seg, "+=").or(advanced);
+        checked = bounds_checked_get(seg).or(checked);
     }
-    if let (Some(pos), Some(buf)) = (advanced, checked) {
-        // Monotonicity: no `pos = …` / `pos -= …` anywhere in the body.
-        if only_incremented(trees, &pos) {
-            return Ok(format!(
-                "`{pos} += 1` each iteration with diverging `{buf}.get(…)` bounds check"
-            ));
-        }
-    }
-    Err(())
+    let (pos, buf) = (advanced?, checked?);
+    // Monotonicity: no `pos = …` / `pos -= …` anywhere in the body.
+    only_written_by(trees, pos, "+=")
+        .then(|| format!("`{pos} += 1` each iteration with diverging `{buf}.get(…)` bounds check"))
 }
 
 /// An `<input>.get(…)` whose statement also carries `?` or `ok_or`.
 fn bounds_checked_get(seg: &[Tree]) -> Option<String> {
     fn find(trees: &[Tree]) -> Option<String> {
-        for (k, t) in trees.iter().enumerate() {
-            match t {
-                Tree::Group(g) if g.delim != '{' => {
-                    if let Some(b) = find(&g.trees) {
-                        return Some(b);
-                    }
-                }
-                Tree::Leaf(tok)
-                    if tok.kind == Kind::Ident
-                        && INPUT_NAMES.contains(&tok.text.as_str())
-                        && trees.get(k + 1).is_some_and(|t| t.is_punct("."))
-                        && trees.get(k + 2).is_some_and(|t| t.is_ident("get")) =>
-                {
-                    return Some(tok.text.clone());
-                }
-                _ => {}
+        trees.iter().enumerate().find_map(|(k, t)| match t {
+            Tree::Group(g) if g.delim != '{' => find(&g.trees),
+            Tree::Leaf(tok)
+                if tok.kind == Kind::Ident
+                    && INPUT_NAMES.contains(&tok.text.as_str())
+                    && trees.get(k + 1).is_some_and(|t| t.is_punct("."))
+                    && trees.get(k + 2).is_some_and(|t| t.is_ident("get")) =>
+            {
+                Some(tok.text.clone())
             }
-        }
-        None
+            _ => None,
+        })
     }
     let diverges = seg.iter().any(|t| match t {
         Tree::Leaf(tok) => tok.is_punct("?") || tok.is_ident("ok_or") || tok.is_ident("ok_or_else"),
@@ -534,29 +338,16 @@ fn bounds_checked_get(seg: &[Tree]) -> Option<String> {
     }
 }
 
-/// Every assignment operator applied to `v` in the trees is `+=`.
-fn only_incremented(trees: &[Tree], v: &str) -> bool {
-    for (k, t) in trees.iter().enumerate() {
-        match t {
-            Tree::Group(g) => {
-                if !only_incremented(&g.trees, v) {
-                    return false;
-                }
-            }
-            Tree::Leaf(tok) if tok.is_ident(v) => {
-                if let Some(op) = trees.get(k + 1).and_then(Tree::leaf) {
-                    if ["=", "-=", "*=", "/=", "%=", "<<=", ">>=", "&=", "|=", "^="]
-                        .iter()
-                        .any(|p| op.is_punct(p))
-                    {
-                        return false;
-                    }
-                }
-            }
-            Tree::Leaf(_) => {}
-        }
-    }
-    true
+/// Every assignment to `v` anywhere in the trees uses `op`.
+fn only_written_by(trees: &[Tree], v: &str, op: &str) -> bool {
+    trees.iter().enumerate().all(|(k, t)| match t {
+        Tree::Group(g) => only_written_by(&g.trees, v, op),
+        Tree::Leaf(tok) if tok.is_ident(v) => !trees
+            .get(k + 1)
+            .and_then(Tree::leaf)
+            .is_some_and(|o| ASSIGN_OPS.iter().any(|p| o.is_punct(p)) && !o.is_punct(op)),
+        Tree::Leaf(_) => true,
+    })
 }
 
 /// Variants 2–3: a condition conjunct `v < B`/`v <= B` with a matching
@@ -569,18 +360,14 @@ fn prove_bounded_counter(
     entry: &FnEntry,
     lp: &LoopSite<'_>,
 ) -> Result<String, Vec<String>> {
-    let mut reasons = vec![
-        "reader-progress: no fallible consuming read on every path (condition, \
-         unconditional body statement, or `pos += k` with a diverging `get(pos)` check)"
-            .to_string(),
-    ];
+    let mut reasons = vec![NO_READER_PROGRESS.to_string()];
     let Some(cond) = lp.cond else {
         reasons.push("bounded-counter: bare `loop` has no condition to carry a cap".to_string());
         return Err(reasons);
     };
     let mut counter_reason =
         "bounded-counter: no `v < B` conjunct with a literal, const, or contract bound".to_string();
-    for conjunct in split_conjuncts(cond) {
+    for conjunct in split_on(cond, "&&") {
         let conjunct = strip_parens(conjunct);
         let [Tree::Leaf(v), op, bound @ ..] = conjunct else {
             continue;
@@ -616,27 +403,6 @@ fn prove_bounded_counter(
     }
     reasons.push(counter_reason);
     Err(reasons)
-}
-
-/// Splits a condition on top-level `&&`.
-fn split_conjuncts(trees: &[Tree]) -> Vec<&[Tree]> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    for (k, t) in trees.iter().enumerate() {
-        if t.is_punct("&&") {
-            out.push(&trees[start..k]);
-            start = k + 1;
-        }
-    }
-    out.push(&trees[start..]);
-    out
-}
-
-fn strip_parens(trees: &[Tree]) -> &[Tree] {
-    match trees {
-        [Tree::Group(g)] if g.delim == '(' => strip_parens(&g.trees),
-        _ => trees,
-    }
 }
 
 /// Resolves a counter bound: integer literal, const with a single
@@ -679,52 +445,18 @@ fn resolve_bound(
 /// assign `v` any other way.
 fn counter_steps(trees: &[Tree], v: &str, step_op: &str) -> Result<(), String> {
     let mut stepped = false;
-    let mut k = 0;
-    while k < trees.len() {
-        let end = stmt_end(trees, k + 1).max(k + 1).min(trees.len());
-        let seg = &trees[k..end];
+    for seg in statements(trees) {
         if !stepped && mentions_continue(seg) {
             return Err("may `continue` before the step".to_string());
         }
-        if let [Tree::Leaf(name), op, Tree::Leaf(step)] = seg {
-            if name.is_ident(v) && op.is_punct(step_op) && step.kind == Kind::Int {
-                stepped = true;
-            }
-        }
-        k = end + 1;
+        stepped |= literal_step(seg, step_op) == Some(v);
     }
     if !stepped {
         return Err(format!(
             "has no unconditional top-level `{step_op} <literal>` step"
         ));
     }
-    // No other assignment form anywhere in the body.
-    fn clean(trees: &[Tree], v: &str, step_op: &str) -> bool {
-        for (k, t) in trees.iter().enumerate() {
-            match t {
-                Tree::Group(g) => {
-                    if !clean(&g.trees, v, step_op) {
-                        return false;
-                    }
-                }
-                Tree::Leaf(tok) if tok.is_ident(v) => {
-                    if let Some(op) = trees.get(k + 1).and_then(Tree::leaf) {
-                        let assigns = [
-                            "=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "&=", "|=", "^=",
-                        ]
-                        .iter()
-                        .any(|p| op.is_punct(p));
-                        if assigns && !op.is_punct(step_op) {
-                            return false;
-                        }
-                    }
-                }
-                Tree::Leaf(_) => {}
-            }
-        }
-        true
-    }
-    if clean(trees, v, step_op) {
+    if only_written_by(trees, v, step_op) {
         Ok(())
     } else {
         Err("is also written by a non-step assignment in the body".to_string())
@@ -837,7 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn tainted_counter_bound_fires_via_taint_walk() {
+    fn tainted_counter_bound_fires_via_dataflow_replay() {
         let v = check(
             "pub fn decode_body(r: &mut R) -> u32 {\n    let n = r.read_bits(32).unwrap_or(0);\n    let mut i = 0u32;\n    while i < n {\n        step();\n        i += 1;\n    }\n    i\n}\n",
         );
@@ -847,6 +579,27 @@ mod tests {
             "{}",
             v[0].message
         );
+        // The same bound read through the syntax layer's bypass run.
+        let v = check(
+            "fn parse_run<D: BinSource>(dec: &mut D) -> u32 {\n    let n = dec.bypass_bits(3) as u32;\n    let mut i = 0u32;\n    while i < n {\n        i += 1;\n    }\n    i\n}\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("`n`"), "{}", v[0].message);
+    }
+
+    #[test]
+    fn syntax_layer_bin_loop_in_private_parse_fn_is_checked() {
+        // `BinSource::bit` is how the syntax layer reads a bin, and a
+        // private `parse_*` function is a decode root, as in panic-reach.
+        let v = check(
+            "fn parse_prefix<D: BinSource>(dec: &mut D, c: &mut Prob) -> u32 {\n    let mut n = 0u32;\n    while dec.bit(&mut c) {\n        n += 1;\n    }\n    n\n}\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("`bit(…)`"), "{}", v[0].message);
+        let v = check(
+            "fn parse_prefix<D: BinSource>(dec: &mut D, c: &mut Prob) -> u32 {\n    let mut n = 0u32;\n    while n < 20 && dec.bit(&mut c) {\n        n += 1;\n    }\n    n\n}\n",
+        );
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]

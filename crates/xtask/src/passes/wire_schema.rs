@@ -28,7 +28,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::index::Index;
-use crate::dataflow::interval::Contract;
+use crate::dataflow::interval::{fold_consts, Contract};
 use crate::dataflow::wire::{self, extract, render_node, Comparator, Node, Side};
 use crate::report::Violation;
 use crate::source::Workspace;
@@ -217,7 +217,7 @@ fn describe(side: &str, n: Option<&Node>) -> String {
 pub fn check_workspace(ws: &Workspace, index: &Index, contracts: &[Contract]) -> Vec<Violation> {
     let files: BTreeMap<&str, &crate::source::SourceFile> =
         ws.files().map(|f| (f.path.as_str(), f)).collect();
-    let consts = wire::fold_consts(index);
+    let consts = fold_consts(index);
     let relevant = wire::wire_relevant(index);
     let (pairs, unpaired) = pairs(index);
     let mut out = Vec::new();
@@ -339,7 +339,7 @@ struct LayerSpec {
 
 fn layer_specs(index: &Index, contracts: &[Contract]) -> Vec<LayerSpec> {
     let fns = scoped_fns(index);
-    let consts = wire::fold_consts(index);
+    let consts = fold_consts(index);
     let relevant = wire::wire_relevant(index);
     let grammar_of = |name: &str| -> Option<Vec<String>> {
         let id = *fns.get(name)?;

@@ -19,9 +19,9 @@ use std::collections::BTreeMap;
 
 use crate::ast::index::Index;
 use crate::dataflow::{self, Summaries};
-use crate::passes::panic_reach::is_decode_name;
 use crate::report::Violation;
 use crate::source::Workspace;
+use crate::vocab::is_decode_root;
 
 /// Runs the pass over the audited crates using a prebuilt index and
 /// prebuilt dataflow summaries (shared across passes by the gate).
@@ -36,14 +36,11 @@ pub fn check_workspace(
     let mut out = Vec::new();
     let mut seen = std::collections::BTreeSet::new();
     for (id, entry) in index.fns.iter().enumerate() {
-        if !crates.contains(&entry.krate.as_str()) {
-            continue;
-        }
-        // Same threat-model scoping as panic-reach's roots: decode-shaped
-        // functions consume untrusted bytes; encode paths
-        // hashing their own input are not wire-facing. Laundering helpers
-        // are still followed — summaries cover the whole workspace.
-        if !is_decode_name(&entry.item.name) {
+        // The same roots as panic-reach and termination: decode-shaped
+        // functions consume untrusted bytes; encode paths hashing their
+        // own input are not wire-facing. Laundering helpers are still
+        // followed — summaries cover the whole workspace.
+        if !is_decode_root(entry, crates) {
             continue;
         }
         let analysis = dataflow::analyze(index, sums, id, false);
@@ -129,6 +126,20 @@ mod tests {
             "{:?}",
             v[0].chain
         );
+    }
+
+    #[test]
+    fn syntax_layer_bypass_run_is_a_source() {
+        let v = check(
+            "fn parse_mode<D: BinSource>(dec: &mut D, modes: &[u8]) -> u8 {\n    let idx = dec.bypass_bits(6) as usize;\n    modes[idx]\n}\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("slice index"), "{}", v[0].message);
+        assert_eq!(v[0].chain[0], "bypass_bits()", "{:?}", v[0].chain);
+        let v = check(
+            "fn parse_mode<D: BinSource>(dec: &mut D, modes: &[u8]) -> Result<u8, E> {\n    let idx = dec.bypass_bits(6) as usize;\n    if idx >= modes.len() {\n        return Err(E::Corrupt);\n    }\n    Ok(modes[idx])\n}\n",
+        );
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
