@@ -148,16 +148,19 @@ impl Llm265Codec {
     fn probe_qp(
         &self,
         t: &Tensor,
-        chunks: &[Chunk],
+        padded: &Padded<'_>,
         qp: f64,
         kept: Option<&[CuShape]>,
     ) -> Result<(EncodedTensor, f64, Vec<CuShape>), CodecError> {
+        let Padded {
+            chunks,
+            frames: padded,
+            plans,
+        } = padded;
         let header = self.header(t, qp);
         let cfg = &header.cfg;
         let counter = self.encode_counter.as_deref();
-        let ctu = cfg.profile.ctu();
         let layouts: Vec<TileLayout> = (0..chunks.len()).map(|i| header.layout(i)).collect();
-        let padded: Vec<Frame> = chunks.iter().map(|c| c.frame.padded_to(ctu)).collect();
         // Flatten (chunk, tile) so one huge chunk no longer pins a worker.
         let mut tasks: Vec<(usize, usize)> = Vec::new();
         for (ci, layout) in layouts.iter().enumerate() {
@@ -173,10 +176,9 @@ impl Llm265Codec {
                 }
             }
             let c = &chunks[ci];
-            let plans = DctPlans::new();
             let shape = kept.and_then(|shapes| shapes.get(k));
             let (payload, band_recon, shape) =
-                tile::probe_tile(&padded[ci], cfg, &plans, &layouts[ci], ti, shape);
+                tile::probe_tile(&padded[ci], cfg, plans, &layouts[ci], ti, shape);
             let (row0, rows) = layouts[ci].band_rows(ti);
             (payload, band_sq_err(t, c, &band_recon, row0, rows), shape)
         })?;
@@ -248,9 +250,10 @@ impl Llm265Codec {
     fn encode_to_goal(
         &self,
         t: &Tensor,
-        chunks: &[Chunk],
+        padded: &Padded<'_>,
         goal: Goal,
     ) -> Result<EncodedTensor, CodecError> {
+        let chunks = padded.chunks;
         // Error goals are in tensor units: a chunk's pixel² error weighs
         // its affine scale².
         let model = RateModel::analyse(
@@ -269,7 +272,7 @@ impl Llm265Codec {
                 .filter(|(at, _)| !unkept && (qp - at).abs() < RESEARCH_QP)
                 .map(|(_, shapes)| shapes.as_slice());
             let full = reuse.is_none();
-            let (stream, sq_err, shapes) = self.probe_qp(t, chunks, qp, reuse)?;
+            let (stream, sq_err, shapes) = self.probe_qp(t, padded, qp, reuse)?;
             if full && !unkept {
                 kept = Some((qp, shapes));
             }
@@ -280,6 +283,24 @@ impl Llm265Codec {
             Ok::<_, CodecError>((p, stream))
         })?;
         Ok(stream)
+    }
+}
+
+/// What every probe of one encode shares: the chunks, their frames
+/// padded to the CTU size and the DCT plans, built once per encode.
+struct Padded<'a> {
+    chunks: &'a [Chunk],
+    frames: Vec<Frame>,
+    plans: DctPlans,
+}
+
+impl<'a> Padded<'a> {
+    fn new(chunks: &'a [Chunk], ctu: usize) -> Self {
+        Padded {
+            chunks,
+            frames: chunks.iter().map(|c| c.frame.padded_to(ctu)).collect(),
+            plans: DctPlans::new(),
+        }
     }
 }
 
@@ -322,12 +343,13 @@ impl TensorCodec for Llm265Codec {
             )));
         }
         let chunks = chunk::partition(t, self.config.max_chunk_pixels, self.config.threads)?;
+        let padded = Padded::new(&chunks, self.config.profile.ctu());
         let goal = match target {
             RateTarget::Qp(qp) => {
                 if !(QP_MIN..=QP_MAX).contains(&qp) {
                     return Err(CodecError::InvalidInput(format!("qp {qp} out of range")));
                 }
-                return Ok(self.probe_qp(t, &chunks, qp, None)?.0);
+                return Ok(self.probe_qp(t, &padded, qp, None)?.0);
             }
             RateTarget::BitsPerValue(b) => {
                 if !(b.is_finite() && b > 0.0) {
@@ -351,7 +373,7 @@ impl TensorCodec for Llm265Codec {
                 Goal::MaxSquaredError(m * var * t.len() as f64)
             }
         };
-        self.encode_to_goal(t, &chunks, goal)
+        self.encode_to_goal(t, &padded, goal)
     }
 
     fn decode(&self, e: &EncodedTensor) -> Result<Tensor, CodecError> {
@@ -760,7 +782,8 @@ mod tests {
             ..Llm265Config::default()
         });
         let chunks = chunk::partition(&t, 96 * 24, 1).unwrap();
-        let (enc, sq_err, _) = codec.probe_qp(&t, &chunks, 28.0, None).unwrap();
+        let padded = Padded::new(&chunks, codec.config.profile.ctu());
+        let (enc, sq_err, _) = codec.probe_qp(&t, &padded, 28.0, None).unwrap();
         let dec = codec.decode(&enc).unwrap();
         let true_sq = stats::tensor_mse(&t, &dec) * t.len() as f64;
         let rel = (sq_err - true_sq).abs() / true_sq.max(1e-30);

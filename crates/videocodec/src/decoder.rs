@@ -7,24 +7,21 @@ use llm265_bitstream::cabac::CabacDecoder;
 use llm265_bitstream::crc32::Crc32;
 
 use crate::encoder::{MAGIC, VERSION};
-use crate::inter::{compensate, MotionVector};
-use crate::intra::RefSamples;
-use crate::recon::Recon;
+use crate::inter::MotionVector;
+use crate::recon::{Prediction, Recon};
 use crate::syntax::{parse_eg, parse_levels, BinSource, Contexts};
 use crate::tile::{self, TileLayout, MAX_TILES};
 use crate::transform::DctPlans;
-use crate::{CodecConfig, CodecError, Frame, PipelineConfig, Profile};
+use crate::{Block, CodecConfig, CodecError, Frame, PipelineConfig, Profile};
 
 /// Everything a tile decode needs: the reconstruction the encoder runs,
-/// the previous-mode predictor the parser tracks, and per-leaf scratch
-/// (the prediction, the reconstructed block and one TU's levels), reused
-/// by every leaf of the tile.
+/// the previous-mode predictor the parser tracks, and one leaf's levels,
+/// reused by every leaf of the tile.
 struct FrameDecoder<'a> {
     rc: Recon<'a>,
     prev_mode: u8,
-    pred: Vec<i32>,
-    block: Vec<i32>,
-    levels: Vec<i32>,
+    /// The parsed leaf's levels, TU after TU ([`Recon::reconstruct`]).
+    levels: Block<32>,
 }
 
 impl FrameDecoder<'_> {
@@ -65,6 +62,10 @@ impl FrameDecoder<'_> {
     ) -> Result<(), CodecError> {
         // Prediction kind + parameters.
         let is_inter = self.rc.frame_inter && dec.bit(&mut ctxs.inter_flag);
+        // Assigned arm by arm, as statements: the lint gate's wire-taint
+        // pass checks indexing in statement blocks, so the mode table
+        // index below stays in its view.
+        let pred;
         if is_inter {
             let dx = parse_signed_eg(dec)?;
             let dy = parse_signed_eg(dec)?;
@@ -76,7 +77,7 @@ impl FrameDecoder<'_> {
                 .rc
                 .prev
                 .ok_or(CodecError::Corrupt("inter block without reference frame"))?;
-            compensate(prev, x0, y0, size, mv, &mut self.pred);
+            pred = Prediction::Inter(prev, mv);
         } else if self.rc.cfg.pipeline.intra {
             let n_modes = self.rc.cfg.profile.modes().len();
             let idx = if dec.bit(&mut ctxs.mpm) {
@@ -90,30 +91,20 @@ impl FrameDecoder<'_> {
                 return Err(CodecError::Corrupt("intra mode index out of range"));
             }
             self.prev_mode = idx;
-            let refs = RefSamples::gather(&self.rc.frame, x0, y0, size);
-            refs.predict_into(
-                self.rc.cfg.profile.modes()[usize::from(idx)],
-                &mut self.pred,
-            );
+            pred = Prediction::Intra(self.rc.cfg.profile.modes()[usize::from(idx)]);
         } else {
-            self.pred.clear();
-            self.pred.resize(size * size, 128);
+            pred = Prediction::Flat;
         }
 
-        // Residual per TU, reconstructed as the encoder did. Every sample
-        // of the block is written by exactly one TU.
+        // Residual per TU, TU after TU, then the leaf reconstructed as the
+        // encoder did.
         let tu = self.rc.tu_size(size);
-        let per_side = size / tu;
         let spatial = !self.rc.cfg.pipeline.transform;
-        self.block.resize(size * size, 0);
-        for ty in 0..per_side {
-            for tx in 0..per_side {
-                parse_levels(dec, ctxs, tu, spatial, &mut self.levels)?;
-                self.rc.reconstruct_tu(&self.levels, tu);
-                self.rc.add_tu(&self.pred, &mut self.block, size, tx, ty);
-            }
+        let levels = &mut self.levels.as_flattened_mut()[..size * size];
+        for tu_levels in levels.chunks_exact_mut(tu * tu) {
+            parse_levels(dec, ctxs, tu, spatial, tu_levels)?;
         }
-        self.rc.frame.write_block(x0, y0, size, &self.block);
+        self.rc.reconstruct_leaf(x0, y0, size, pred, levels);
         Ok(())
     }
 }
@@ -303,9 +294,7 @@ pub(crate) fn decode_frame(
     let mut fd = FrameDecoder {
         rc: Recon::new(cfg, plans, pw, ph, prev, frame_idx),
         prev_mode: 0,
-        pred: Vec::new(),
-        block: Vec::new(),
-        levels: Vec::new(),
+        levels: [[0; 32]; 32],
     };
     let mut dec = CabacDecoder::new(payload);
     parse_payload(&mut fd, &mut dec, pw, ph, ctu)?;

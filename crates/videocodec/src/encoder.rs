@@ -22,14 +22,14 @@ use llm265_bitstream::bytes;
 use llm265_bitstream::cabac::CabacEncoder;
 use llm265_bitstream::crc32::Crc32;
 
-use crate::inter::{compensate, motion_search, MotionVector};
-use crate::intra::{PredMode, RefSamples, SweepLines};
+use crate::inter::{motion_search, MotionVector};
+use crate::intra::{PredMode, Refs};
 use crate::quant::lambda;
-use crate::recon::Recon;
+use crate::recon::{tu_origin, tus, Prediction, Recon};
 use crate::syntax::{code_eg, code_levels, BinSink, BitCounter, Contexts};
 use crate::tile::{self, wire_u32, TileLayout};
 use crate::transform::{satd, DctPlans};
-use crate::{CodecConfig, CodecError, EncodedVideo, Frame};
+use crate::{Block, CodecConfig, CodecError, EncodedVideo, Frame};
 
 /// Magic number at the start of every bitstream ("L265").
 pub(crate) const MAGIC: u32 = 0x4C32_3635;
@@ -41,8 +41,12 @@ pub(crate) const VERSION: u8 = 5;
 const SAD_CANDIDATES: usize = 6;
 /// Intra modes of the SATD re-rank taken to full RD evaluation.
 const RD_CANDIDATES: usize = 2;
-/// Upper bound on a profile's mode count (the sweep's fixed arrays).
+/// Upper bound on a profile's mode count (the sweep's fixed arrays and
+/// `u64` mode masks).
 const MAX_MODES: usize = 64;
+/// One past the largest angular mode the sweep's refinement can name
+/// (34 + 2).
+const ANGULAR_SLOTS: usize = 37;
 
 /// How a leaf coding unit is predicted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,12 +59,14 @@ pub(crate) enum CuKind {
     Inter(MotionVector),
 }
 
-/// A decided leaf: prediction kind plus quantized levels per TU.
+/// A decided leaf: prediction kind plus where its levels sit in the
+/// tile's level arena.
 #[derive(Debug, Clone)]
 pub(crate) struct LeafData {
     pub kind: CuKind,
-    /// Levels for each transform unit, raster TU order.
-    pub tus: Vec<Vec<i32>>,
+    /// Start of the leaf's `size²` levels in `FrameCoder::levels`, TU
+    /// after TU as [`Recon::reconstruct`] reads them.
+    pub levels: usize,
 }
 
 /// A node of the decided coding quad-tree.
@@ -129,11 +135,59 @@ impl CoderState {
     }
 }
 
-/// One RD candidate's outcome: levels per TU and the reconstructed CU.
-#[derive(Default)]
-struct Trial {
-    tus: Vec<Vec<i32>>,
-    recon: Vec<i32>,
+/// A profile's mode set as the mode sweep reads it, built once per
+/// tile: where each angle sits in the set, which indices are angular and
+/// the coarse set every sweep starts from.
+struct ModeTable<'a> {
+    modes: &'a [PredMode],
+    /// `angular[m]`: the index of `PredMode::Angular(m)` in `modes`, if
+    /// the set has it within [`MAX_MODES`].
+    angular: [Option<u8>; ANGULAR_SLOTS],
+    /// Bit `i` set: `modes[i]` is angular.
+    angular_mask: u64,
+    /// The coarse set, ascending: every non-angular mode and the angles
+    /// `m` with `(m - 2) % 4 == 0`.
+    coarse: [u8; MAX_MODES],
+    n_coarse: usize,
+    /// Bit `i` set: `i` is in the coarse set.
+    coarse_mask: u64,
+}
+
+impl<'a> ModeTable<'a> {
+    fn new(modes: &'a [PredMode]) -> Self {
+        let mut t = ModeTable {
+            modes,
+            angular: [None; ANGULAR_SLOTS],
+            angular_mask: 0,
+            coarse: [0; MAX_MODES],
+            n_coarse: 0,
+            coarse_mask: 0,
+        };
+        // `take(MAX_MODES)` keeps every index within a byte and a mask bit.
+        for (i, &mode) in modes.iter().enumerate().take(MAX_MODES) {
+            let idx = (i & 0xFF) as u8;
+            if let PredMode::Angular(m) = mode {
+                t.angular_mask |= mode_bit(i);
+                if let Some(slot @ None) = t.angular.get_mut(usize::from(m)) {
+                    *slot = Some(idx);
+                }
+            }
+            if !matches!(mode, PredMode::Angular(m) if m % 4 != 2) {
+                t.coarse[t.n_coarse] = idx;
+                t.n_coarse += 1;
+                t.coarse_mask |= mode_bit(i);
+            }
+        }
+        t
+    }
+}
+
+/// The mask bit of mode index `i` (none past the masks' 64 bits).
+fn mode_bit(i: usize) -> u64 {
+    u32::try_from(i)
+        .ok()
+        .and_then(|i| 1u64.checked_shl(i))
+        .unwrap_or(0)
 }
 
 /// The coarse-to-fine intra mode sweep of one leaf, after the HM
@@ -142,54 +196,69 @@ struct Trial {
 /// the most probable mode, then the modes ±2 around the best angular
 /// mode so far, then ±1 around the best after that: about 16 of
 /// H.265's 35 modes. H.264's angular modes are all `≡ 2 (mod 4)`, so it
-/// keeps its whole set. Fixed-size arrays throughout: a leaf allocates
-/// nothing here.
+/// keeps its whole set. Fixed-size arrays and masks throughout: a leaf
+/// allocates nothing here, and neighbours are found by index.
 struct ModeSweep {
-    /// Whether `modes[i]` has been scored.
-    swept: [bool; MAX_MODES],
-    /// The `SAD_CANDIDATES` smallest `(SAD, mode index)` keys so far, in
-    /// ascending order; the first `n` are filled.
-    top: [(u64, u8); SAD_CANDIDATES],
+    /// Bit `i` set: `modes[i]` has been scored.
+    swept: u64,
+    /// The `SAD_CANDIDATES` smallest keys so far, in ascending order;
+    /// the first `n` are filled. A key is `SAD << 8 | mode index`
+    /// ([`sweep_key`]), so keys order as `(SAD, mode index)` pairs.
+    top: [u64; SAD_CANDIDATES],
     n: usize,
-    /// The smallest key among scored angular modes.
-    best_angular: Option<(u64, u8)>,
+    /// The smallest key among scored angular modes (`u64::MAX`: none).
+    best_angular: u64,
+}
+
+/// The sweep's sort key of mode index `i` at `sad`: a SAD is at most
+/// 32² · 255 < 2^18, so the shifted sum keeps both whole and orders as
+/// the pair `(sad, i)`.
+fn sweep_key(sad: u64, i: u8) -> u64 {
+    sad << 8 | u64::from(i)
+}
+
+/// The mode index of a [`sweep_key`].
+fn key_mode(key: u64) -> u8 {
+    (key & 0xFF) as u8
 }
 
 impl ModeSweep {
-    /// Runs the sweep over `modes` with most probable mode `mpm`:
-    /// `score(which, sweep)` must [`Self::record`] the SAD of every mode
-    /// index in `which` into `sweep`.
-    fn run(modes: &[PredMode], mpm: u8, mut score: impl FnMut(&[u8], &mut Self)) -> Self {
+    /// Runs the sweep over `table`'s modes with most probable mode
+    /// `mpm`: `score(which, sweep)` must [`Self::record`] the SAD of
+    /// every mode index in `which` into `sweep`. Which modes are scored
+    /// and what the sweep keeps do not depend on the order they are
+    /// scored in.
+    fn run(table: &ModeTable<'_>, mpm: u8, mut score: impl FnMut(&[u8], &mut Self)) -> Self {
         let mut sweep = ModeSweep {
-            swept: [false; MAX_MODES],
-            top: [(u64::MAX, u8::MAX); SAD_CANDIDATES],
+            swept: 0,
+            top: [u64::MAX; SAD_CANDIDATES],
             n: 0,
-            best_angular: None,
+            best_angular: u64::MAX,
         };
-        let mut which = [0u8; MAX_MODES];
-        let mut n = 0;
-        for (i, &mode) in modes.iter().enumerate().take(MAX_MODES) {
-            let coarse = !matches!(mode, PredMode::Angular(m) if m % 4 != 2);
-            if coarse || i == usize::from(mpm) {
-                // `take(MAX_MODES)` keeps the index within a byte.
-                which[n] = (i & 0xFF) as u8;
-                n += 1;
-            }
+        let mut which = table.coarse;
+        let mut n = table.n_coarse;
+        if usize::from(mpm) < table.modes.len()
+            && mode_bit(usize::from(mpm)) & !table.coarse_mask != 0
+        {
+            which[n] = mpm;
+            n += 1;
         }
         score(&which[..n], &mut sweep);
         for step in [2, 1] {
-            let Some((_, best)) = sweep.best_angular else {
+            if sweep.best_angular == u64::MAX {
                 break;
-            };
-            let PredMode::Angular(m) = modes[usize::from(best)] else {
+            }
+            let best = key_mode(sweep.best_angular);
+            let PredMode::Angular(m) = table.modes[usize::from(best)] else {
                 break;
             };
             let mut n = 0;
             for near in [m.saturating_sub(step), m.saturating_add(step)] {
-                let found = modes.iter().position(|&p| p == PredMode::Angular(near));
-                if let Some(i) = found.filter(|&i| i < MAX_MODES && !sweep.swept[i]) {
-                    which[n] = (i & 0xFF) as u8;
-                    n += 1;
+                if let Some(&Some(i)) = table.angular.get(usize::from(near)) {
+                    if sweep.swept & mode_bit(usize::from(i)) == 0 {
+                        which[n] = i;
+                        n += 1;
+                    }
                 }
             }
             score(&which[..n], &mut sweep);
@@ -198,15 +267,12 @@ impl ModeSweep {
     }
 
     /// Records mode `i`'s SAD.
-    fn record(&mut self, modes: &[PredMode], i: u8, sad: u64) {
-        if let Some(s) = self.swept.get_mut(usize::from(i)) {
-            *s = true;
-        }
-        let key = (sad, i);
-        if matches!(modes[usize::from(i)], PredMode::Angular(_))
-            && self.best_angular.is_none_or(|b| key < b)
-        {
-            self.best_angular = Some(key);
+    fn record(&mut self, table: &ModeTable<'_>, i: u8, sad: u64) {
+        let bit = mode_bit(usize::from(i));
+        self.swept |= bit;
+        let key = sweep_key(sad, i);
+        if table.angular_mask & bit != 0 {
+            self.best_angular = self.best_angular.min(key);
         }
         // Keys are unique (the index breaks ties), so insertion keeps
         // exactly the head of the fully sorted list.
@@ -216,48 +282,33 @@ impl ModeSweep {
             return;
         }
         // The slot at `n - 1` holds a placeholder or the evicted key, both
-        // larger than `key`, so `p` lands inside.
-        let p = self.top[..self.n].partition_point(|&t| t < key);
-        self.top[p..self.n].rotate_right(1);
+        // larger than `key`: shift the larger keys up one, then insert.
+        let mut p = self.n - 1;
+        while p > 0 && self.top[p - 1] > key {
+            self.top[p] = self.top[p - 1];
+            p -= 1;
+        }
         self.top[p] = key;
     }
 
-    /// The kept `(SAD, mode index)` keys, best first.
-    fn top(&self) -> &[(u64, u8)] {
+    /// The kept keys ([`sweep_key`]), best first.
+    fn top(&self) -> &[u64] {
         &self.top[..self.n]
     }
 }
 
-/// Per-frame scratch: forward-path TU buffers plus the CU-sized staging
-/// blocks used by the decide loop. Nothing here outlives one
-/// `decide_leaf` call.
-#[derive(Default)]
-struct Scratch {
-    /// Spatial residual of the TU being quantized, `tu * tu` values.
-    residual: Vec<i32>,
-    /// Forward-transform output / quantizer input.
-    coeffs: Vec<f64>,
-    /// Original pixels of the CU being decided, and their transpose (the
-    /// SAD sweep compares horizontal modes column-wise against it).
-    leaf_orig: Vec<i32>,
-    leaf_t: Vec<i32>,
-    /// Prediction blocks of the SAD survivors, then of the inter
-    /// candidate (slot `SAD_CANDIDATES`).
-    preds: Vec<Vec<i32>>,
-    /// The candidate being evaluated and the best one so far.
-    cur: Trial,
-    best: Trial,
-    /// The SAD sweep's reference lines, refilled once per leaf.
-    lines: SweepLines,
-}
-
 /// Everything a single frame encode needs: the source, the RD
-/// multiplier and scratch around the reconstruction the decoder runs.
+/// multiplier, the mode table and the reconstruction the decoder runs.
 struct FrameCoder<'a> {
     orig: &'a Frame,
     lambda: f64,
-    scratch: Scratch,
+    modes: ModeTable<'a>,
     rc: Recon<'a>,
+    /// The tile's level arena: every decided leaf's `size²` levels at its
+    /// [`LeafData::levels`]. A leaf that beats its split drops the
+    /// split's levels, appended after its own; one that loses stays
+    /// behind unread.
+    levels: Vec<i32>,
     /// The split flags of the kept shape this encode searches below
     /// (empty for a full search), and the position of the next one.
     kept: &'a [bool],
@@ -269,65 +320,90 @@ struct FrameCoder<'a> {
     regions: Vec<[Vec<u8>; 2]>,
 }
 
-impl FrameCoder<'_> {
-    /// Runs the residual path of candidate `k` (prediction
-    /// `scratch.preds[k]` against `scratch.leaf_orig`) for a whole CU,
-    /// splitting into TUs as the profile requires. Leaves the levels per
-    /// TU and the reconstructed block in `scratch.cur` and returns the
-    /// SSD distortion against the original.
-    fn quantize_cu_residual(&mut self, size: usize, k: usize) -> f64 {
-        let rc = &mut self.rc;
-        let tu = rc.tu_size(size);
-        let per_side = size / tu;
-        let s = &mut self.scratch;
-        let (orig, pred) = (&s.leaf_orig, &s.preds[k]);
-        s.cur.tus.resize_with(per_side * per_side, Vec::new);
-        s.cur.recon.resize(size * size, 0);
-        for ty in 0..per_side {
-            for tx in 0..per_side {
-                s.residual.resize(tu * tu, 0);
-                for y in 0..tu {
-                    let idx = (ty * tu + y) * size + tx * tu;
-                    for ((r, &o), &p) in s.residual[y * tu..(y + 1) * tu]
-                        .iter_mut()
-                        .zip(&orig[idx..idx + tu])
-                        .zip(&pred[idx..idx + tu])
-                    {
-                        *r = o - p;
-                    }
-                }
-                let levels = &mut s.cur.tus[ty * per_side + tx];
-                if rc.cfg.pipeline.transform {
-                    let plan = rc.plans.get(tu);
-                    plan.forward_into(&s.residual, &mut rc.dct_tmp, &mut s.coeffs);
-                    rc.quant.quantize_block_into(&s.coeffs, levels);
-                } else {
-                    // Transform skip: quantize the spatial residual directly.
-                    levels.clear();
-                    let quant = &rc.quant;
-                    levels.extend(s.residual.iter().map(|&r| quant.quantize(f64::from(r))));
-                }
-                rc.reconstruct_tu(levels, tu);
-                rc.add_tu(pred, &mut s.cur.recon, size, tx, ty);
-            }
+/// Sum of squared differences of two blocks. At most 32² · 255² < 2^32,
+/// so the `u32` sum and its `f64` value are exact.
+fn ssd<const N: usize>(a: &Block<N>, b: &Block<N>) -> f64 {
+    let sum: u32 = a
+        .as_flattened()
+        .iter()
+        .zip(b.as_flattened())
+        .map(|(&a, &b)| (a - b).unsigned_abs().pow(2))
+        .sum();
+    f64::from(sum)
+}
+
+impl<'a> FrameCoder<'a> {
+    fn new(
+        orig: &'a Frame,
+        prev: Option<&'a Frame>,
+        cfg: &'a CodecConfig,
+        plans: &'a DctPlans,
+        frame_idx: usize,
+        kept: Option<&'a CuShape>,
+    ) -> Self {
+        FrameCoder {
+            orig,
+            lambda: lambda(cfg.qp),
+            modes: ModeTable::new(cfg.profile.modes()),
+            rc: Recon::new(cfg, plans, orig.width(), orig.height(), prev, frame_idx),
+            // Every pixel's levels, once: the first depth of a full
+            // search appends that much before any leaf is dropped.
+            levels: Vec::with_capacity(orig.width() * orig.height()),
+            kept: kept.map_or(&[], |k| &k.splits),
+            kept_pos: 0,
+            regions: Vec::new(),
         }
-        // Integer SSD: at most 32² · 255² < 2^32, so the u32 sum and its
-        // f64 value are exact.
-        let dist: u32 = orig
-            .iter()
-            .zip(&s.cur.recon)
-            .map(|(&a, &b)| (a - b).unsigned_abs().pow(2))
-            .sum();
-        f64::from(dist)
+    }
+}
+
+impl FrameCoder<'_> {
+    /// Quantizes the residual of prediction `pred` against `orig` for a
+    /// whole `N × N` CU, TU by TU as the profile requires: the levels,
+    /// TU after TU as [`Recon::reconstruct`] reads them.
+    fn quantize_cu<const N: usize>(&self, orig: &Block<N>, pred: &Block<N>) -> Block<N> {
+        match self.rc.tu_size(N) {
+            t if t == N => self.quantize_tus::<N, N>(orig, pred),
+            4 => self.quantize_tus::<N, 4>(orig, pred),
+            8 => self.quantize_tus::<N, 8>(orig, pred),
+            _ => self.quantize_tus::<N, 16>(orig, pred),
+        }
+    }
+
+    fn quantize_tus<const N: usize, const T: usize>(
+        &self,
+        orig: &Block<N>,
+        pred: &Block<N>,
+    ) -> Block<N> {
+        let mut levels = [[0; N]; N];
+        let chunks = levels.as_flattened_mut().chunks_exact_mut(T * T);
+        for (k, out) in chunks.take(tus::<N, T>()).enumerate() {
+            let (x0, y0) = tu_origin::<N, T>(k);
+            let mut res = [[0; T]; T];
+            for ((r, o), p) in res.iter_mut().zip(&orig[y0..y0 + T]).zip(&pred[y0..y0 + T]) {
+                for ((r, &o), &p) in r.iter_mut().zip(&o[x0..x0 + T]).zip(&p[x0..x0 + T]) {
+                    *r = o - p;
+                }
+            }
+            let quant = &self.rc.quant;
+            let tu = if self.rc.cfg.pipeline.transform {
+                quant.quantize_fixed(self.rc.plans.get(T).forward_block(&res))
+            } else {
+                // Transform skip: quantize the spatial residual directly.
+                quant.quantize_fixed(res)
+            };
+            out.copy_from_slice(tu.as_flattened());
+        }
+        levels
     }
 
     /// Codes (or counts) the syntax of one leaf.
+    /// `levels` is the leaf's `size²` levels, TU after TU.
     fn code_leaf<S: BinSink>(
         &self,
         sink: &mut S,
         state: &mut CoderState,
         kind: CuKind,
-        tus: &[Vec<i32>],
+        levels: &[i32],
         size: usize,
     ) {
         if self.rc.frame_inter {
@@ -350,7 +426,7 @@ impl FrameCoder<'_> {
             CuKind::Flat => {}
         }
         let tu = self.rc.tu_size(size);
-        for levels in tus {
+        for levels in levels.chunks_exact(tu * tu) {
             code_levels(
                 sink,
                 &mut state.ctxs,
@@ -363,6 +439,8 @@ impl FrameCoder<'_> {
 
     /// Evaluates and commits the best leaf for this CU. Updates `state`
     /// and the reconstruction; returns the decided leaf and its RD cost.
+    /// The one dispatch on the CU size: everything below it works on
+    /// fixed-size blocks.
     fn decide_leaf(
         &mut self,
         x0: usize,
@@ -370,58 +448,67 @@ impl FrameCoder<'_> {
         size: usize,
         state: &mut CoderState,
     ) -> (LeafData, f64) {
-        let area = size * size;
-        let s = &mut self.scratch;
-        s.leaf_orig.resize(area, 0);
-        self.orig.read_block(x0, y0, size, &mut s.leaf_orig);
-        s.preds.resize_with(SAD_CANDIDATES + 1, Vec::new);
+        match size {
+            4 => self.decide_block::<4>(x0, y0, state),
+            8 => self.decide_block::<8>(x0, y0, state),
+            16 => self.decide_block::<16>(x0, y0, state),
+            _ => self.decide_block::<32>(x0, y0, state),
+        }
+    }
 
-        // RD candidates: each one's kind and the slot of `s.preds` that
+    /// [`Self::decide_leaf`] for an `N × N` CU.
+    fn decide_block<const N: usize>(
+        &mut self,
+        x0: usize,
+        y0: usize,
+        state: &mut CoderState,
+    ) -> (LeafData, f64) {
+        let mut orig = [[0; N]; N];
+        self.orig.read_block(x0, y0, N, orig.as_flattened_mut());
+        // Prediction blocks of the SAD survivors, then of the inter
+        // candidate (slot `SAD_CANDIDATES`).
+        let mut preds = [[[0; N]; N]; SAD_CANDIDATES + 1];
+
+        // RD candidates: each one's kind and the slot of `preds` that
         // holds its prediction.
         let mut cands = [(CuKind::Flat, 0); RD_CANDIDATES + 1];
         let mut n_cands = 0;
         if self.rc.cfg.pipeline.intra {
-            let refs = RefSamples::gather(&self.rc.frame, x0, y0, size);
+            let refs = Refs::<N>::gather(&self.rc.frame, x0, y0);
             // SAD-score the coarse-to-fine mode set straight from the
             // line kernels (no prediction blocks).
-            s.leaf_t.resize(area, 0);
-            for (y, row) in s.leaf_orig.chunks_exact(size).enumerate() {
-                for (x, &v) in row.iter().enumerate() {
-                    s.leaf_t[x * size + y] = v;
-                }
-            }
-            let modes = self.rc.cfg.profile.modes();
+            let table = &self.modes;
             let mpm = state.prev_mode;
-            let mut sad = refs.sad_sweep(&mut s.lines, &s.leaf_orig, &s.leaf_t);
-            let sweep = ModeSweep::run(modes, mpm, |which, sweep| {
-                sad.score(modes, which, |i, sad| sweep.record(modes, i, sad));
+            let mut sad = refs.sad_sweep(&orig);
+            let sweep = ModeSweep::run(table, mpm, |which, sweep| {
+                sad.score(table.modes, which, |i, sad| sweep.record(table, i, sad));
             });
             // Predict the SAD survivors and re-rank them by SATD plus the
             // mode's own bits; `(cost, SAD rank)` keys are unique.
             let top = sweep.top();
             let sqrt_lambda = self.lambda.sqrt();
             let mut ranked = [(0.0, 0); SAD_CANDIDATES];
-            for (k, (&(_, i), pred)) in top.iter().zip(&mut s.preds).enumerate() {
-                refs.predict_into(modes[usize::from(i)], pred);
+            for (k, (&key, pred)) in top.iter().zip(&mut preds).enumerate() {
+                let i = key_mode(key);
+                *pred = refs.predict(table.modes[usize::from(i)]);
                 let bits = if i == mpm { 1 } else { 1 + self.rc.mode_bits };
-                let cost = satd(&s.leaf_orig, pred, size) as f64 + sqrt_lambda * f64::from(bits);
+                let cost = satd(&orig, pred) as f64 + sqrt_lambda * f64::from(bits);
                 ranked[k] = (cost, k);
             }
             let ranked = &mut ranked[..top.len()];
             ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             for (cand, &(_, k)) in cands.iter_mut().zip(ranked.iter().take(RD_CANDIDATES)) {
-                *cand = (CuKind::Intra(top[k].1), k);
+                *cand = (CuKind::Intra(key_mode(top[k])), k);
                 n_cands += 1;
             }
         } else {
-            s.preds[0].clear();
-            s.preds[0].resize(area, 128);
+            preds[0] = self.rc.predict(x0, y0, Prediction::Flat);
             n_cands = 1;
         }
         if self.rc.frame_inter {
             if let Some(prev) = self.rc.prev {
-                let (mv, _) = motion_search(self.orig, prev, x0, y0, size);
-                compensate(prev, x0, y0, size, mv, &mut s.preds[SAD_CANDIDATES]);
+                let (mv, _) = motion_search(self.orig, prev, x0, y0, N);
+                preds[SAD_CANDIDATES] = self.rc.predict(x0, y0, Prediction::Inter(prev, mv));
                 cands[n_cands] = (CuKind::Inter(mv), SAD_CANDIDATES);
                 n_cands += 1;
             }
@@ -430,22 +517,24 @@ impl FrameCoder<'_> {
         // RD: keep the cheapest candidate's levels, reconstruction and
         // post-coding contexts (the commit state, so nothing is recounted).
         let mut best: Option<(CuKind, f64, CoderState)> = None;
+        let (mut best_levels, mut best_recon) = ([[0; N]; N], [[0; N]; N]);
         for &(kind, k) in &cands[..n_cands] {
-            let dist = self.quantize_cu_residual(size, k);
+            let pred = &preds[k];
+            let levels = self.quantize_cu(&orig, pred);
+            let recon = self.rc.reconstruct(pred, levels.as_flattened());
             let mut trial_state = state.clone();
             let mut counter = BitCounter::new();
             self.code_leaf(
                 &mut counter,
                 &mut trial_state,
                 kind,
-                &self.scratch.cur.tus,
-                size,
+                levels.as_flattened(),
+                N,
             );
-            let cost = dist + self.lambda * counter.bits();
+            let cost = ssd(&orig, &recon) + self.lambda * counter.bits();
             if best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
                 best = Some((kind, cost, trial_state));
-                let s = &mut self.scratch;
-                std::mem::swap(&mut s.cur, &mut s.best);
+                (best_levels, best_recon) = (levels, recon);
             }
         }
         #[allow(
@@ -455,14 +544,15 @@ impl FrameCoder<'_> {
         )]
         let (kind, cost, committed) = best.expect("at least one candidate");
 
-        // Commit: context evolution + reconstruction.
+        // Commit: context evolution, reconstruction, and the levels into
+        // the tile's arena.
         *state = committed;
-        let best = &self.scratch.best;
-        self.rc.frame.write_block(x0, y0, size, &best.recon);
-        // The decided tree keeps the levels: clone them at their exact
-        // size rather than hand over scratch sized for the largest TU.
-        let tus = best.tus.clone();
-        (LeafData { kind, tus }, cost)
+        self.rc
+            .frame
+            .write_block(x0, y0, N, best_recon.as_flattened());
+        let at = self.levels.len();
+        self.levels.extend_from_slice(best_levels.as_flattened());
+        (LeafData { kind, levels: at }, cost)
     }
 
     /// Recursively decides the coding tree for a CU, searching as deep as
@@ -522,6 +612,7 @@ impl FrameCoder<'_> {
         let (leaf, leaf_cost) = self.decide_leaf(x0, y0, size, &mut st_leaf);
         let cost_leaf = leaf_cost + flag_cost;
         self.rc.frame.save_region_into(x0, y0, size, &mut after);
+        let leaf_end = self.levels.len();
 
         // Branch B: split into four (split flag = 1).
         self.rc.frame.restore_region(x0, y0, size, &before);
@@ -531,6 +622,7 @@ impl FrameCoder<'_> {
 
         let decided = if cost_leaf <= cost_split {
             self.rc.frame.restore_region(x0, y0, size, &after);
+            self.levels.truncate(leaf_end);
             *state = st_leaf;
             (CuNode::Leaf(leaf), cost_leaf)
         } else {
@@ -600,7 +692,10 @@ impl FrameCoder<'_> {
                     self.code_cu(child, size / 2, enc, state);
                 }
             }
-            CuNode::Leaf(leaf) => self.code_leaf(enc, state, leaf.kind, &leaf.tus, size),
+            CuNode::Leaf(leaf) => {
+                let levels = &self.levels[leaf.levels..leaf.levels + size * size];
+                self.code_leaf(enc, state, leaf.kind, levels, size);
+            }
         }
     }
 }
@@ -632,15 +727,7 @@ pub(crate) fn encode_frame(
     frame_idx: usize,
     kept: Option<&CuShape>,
 ) -> (Vec<u8>, Frame, CuShape) {
-    let mut coder = FrameCoder {
-        orig,
-        lambda: lambda(cfg.qp),
-        scratch: Scratch::default(),
-        rc: Recon::new(cfg, plans, orig.width(), orig.height(), prev, frame_idx),
-        kept: kept.map_or(&[], |k| &k.splits),
-        kept_pos: 0,
-        regions: Vec::new(),
-    };
+    let mut coder = FrameCoder::new(orig, prev, cfg, plans, frame_idx, kept);
     let ctu = cfg.profile.ctu();
     let search = if kept.is_some() {
         Search::Kept
@@ -801,6 +888,7 @@ pub(crate) fn encode_video(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::syntax::code_residual;
     use crate::tile::{probe_tile, TileLayout};
     use crate::Profile;
     use llm265_tensor::rng::Pcg32;
@@ -960,14 +1048,153 @@ mod tests {
         assert!(moved > 0, "no reused leaf went below its kept leaf");
     }
 
+    /// One leaf's RD terms as `decide_block` computes them on fixed-size
+    /// blocks — the levels, the SSD of the reconstruction and the
+    /// counted bits — against the same terms rebuilt TU by TU from the
+    /// public slice kernels: `forward_into`, `quantize_block_into`,
+    /// `dequantize_block_into` and `inverse_into`, and `code_residual`
+    /// into a `BitCounter`.
+    fn check_rd_terms<const N: usize>(coder: &FrameCoder<'_>, x0: usize, y0: usize) {
+        let rc = &coder.rc;
+        let mut orig = [[0; N]; N];
+        coder.orig.read_block(x0, y0, N, orig.as_flattened_mut());
+        let refs = Refs::<N>::gather(&rc.frame, x0, y0);
+        let modes = rc.cfg.profile.modes();
+        let what = |m: &PredMode| {
+            format!(
+                "{} {N}x{N} at ({x0},{y0}) {m:?}",
+                rc.cfg.profile.kind().name()
+            )
+        };
+        for mode in [modes[0], modes[modes.len() / 2], modes[modes.len() - 1]] {
+            let pred = refs.predict(mode);
+            let levels = coder.quantize_cu(&orig, &pred);
+            let recon = rc.reconstruct(&pred, levels.as_flattened());
+            // A flat leaf of an intra frame codes its residual only.
+            let mut counter = BitCounter::new();
+            let mut state = CoderState::new();
+            let flat = levels.as_flattened();
+            coder.code_leaf(&mut counter, &mut state, CuKind::Flat, flat, N);
+
+            let tu = rc.tu_size(N);
+            let spatial = !rc.cfg.pipeline.transform;
+            let plan = rc.plans.get(tu);
+            let (mut tmp, mut coeffs, mut tu_levels) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut deq, mut res) = (Vec::new(), Vec::new());
+            let mut want_levels = Vec::new();
+            let mut want_recon = vec![0; N * N];
+            let mut want = BitCounter::new();
+            let mut ctxs = Contexts::new();
+            for ty in 0..N / tu {
+                for tx in 0..N / tu {
+                    let at = |y: usize| (ty * tu + y) * N + tx * tu;
+                    let residual: Vec<i32> = (0..tu)
+                        .flat_map(|y| (0..tu).map(move |x| (y, x)))
+                        .map(|(y, x)| {
+                            orig.as_flattened()[at(y) + x] - pred.as_flattened()[at(y) + x]
+                        })
+                        .collect();
+                    if spatial {
+                        let r: Vec<f64> = residual.iter().map(|&r| f64::from(r)).collect();
+                        rc.quant.quantize_block_into(&r, &mut tu_levels);
+                        res = tu_levels
+                            .iter()
+                            .map(|&l| crate::lanes::round_i32(rc.quant.dequantize(l)))
+                            .collect();
+                    } else {
+                        plan.forward_into(&residual, &mut tmp, &mut coeffs);
+                        rc.quant.quantize_block_into(&coeffs, &mut tu_levels);
+                        rc.quant.dequantize_block_into(&tu_levels, &mut deq);
+                        plan.inverse_into(&deq, &mut tmp, &mut res);
+                    }
+                    code_residual(&mut want, &mut ctxs, &tu_levels, tu, spatial);
+                    want_levels.extend_from_slice(&tu_levels);
+                    for y in 0..tu {
+                        for x in 0..tu {
+                            let p = pred.as_flattened()[at(y) + x];
+                            want_recon[at(y) + x] = (p + res[y * tu + x]).clamp(0, 255);
+                        }
+                    }
+                }
+            }
+            let want_ssd: u64 = orig
+                .as_flattened()
+                .iter()
+                .zip(&want_recon)
+                .map(|(&a, &b)| u64::from((a - b).unsigned_abs()).pow(2))
+                .sum();
+            assert_eq!(
+                levels.as_flattened(),
+                &want_levels[..],
+                "levels {}",
+                what(&mode)
+            );
+            assert_eq!(
+                recon.as_flattened(),
+                &want_recon[..],
+                "recon {}",
+                what(&mode)
+            );
+            assert_eq!(
+                ssd(&orig, &recon).to_bits(),
+                (want_ssd as f64).to_bits(),
+                "ssd {}",
+                what(&mode)
+            );
+            assert_eq!(
+                counter.bits().to_bits(),
+                want.bits().to_bits(),
+                "bits {}",
+                what(&mode)
+            );
+            assert_eq!(
+                format!("{:?}", state.ctxs),
+                format!("{:?}", ctxs),
+                "contexts {}",
+                what(&mode)
+            );
+        }
+    }
+
+    #[test]
+    fn rd_terms_match_the_public_slice_kernels() {
+        let frame = &frames()[0];
+        let plans = DctPlans::new();
+        for profile in [Profile::h264(), Profile::h265(), Profile::av1()] {
+            for transform in [true, false] {
+                let cfg = CodecConfig {
+                    profile: profile.clone(),
+                    pipeline: crate::PipelineConfig {
+                        transform,
+                        ..crate::PipelineConfig::default()
+                    },
+                    ..CodecConfig::default()
+                }
+                .with_qp(22.0);
+                let mut coder = FrameCoder::new(frame, None, &cfg, &plans, 0, None);
+                // Predict from the source itself: references with texture.
+                coder.rc.frame = frame.clone();
+                for (x0, y0) in [(0, 0), (32, 0), (0, 32), (32, 32)] {
+                    check_rd_terms::<4>(&coder, x0 + 4, y0 + 4);
+                    check_rd_terms::<8>(&coder, x0 + 8, y0 + 8);
+                    check_rd_terms::<16>(&coder, x0 + 16, y0 + 16);
+                    if cfg.profile.ctu() >= 32 {
+                        check_rd_terms::<32>(&coder, x0, y0);
+                    }
+                }
+            }
+        }
+    }
+
     /// Runs the sweep on synthetic SADs; returns it and how often each
     /// mode was scored.
     fn sweep(modes: &[PredMode], mpm: u8, sad: impl Fn(u8) -> u64) -> (ModeSweep, Vec<u32>) {
+        let table = ModeTable::new(modes);
         let mut scored = vec![0; modes.len()];
-        let sw = ModeSweep::run(modes, mpm, |which, sw| {
+        let sw = ModeSweep::run(&table, mpm, |which, sw| {
             for &i in which {
                 scored[usize::from(i)] += 1;
-                sw.record(modes, i, sad(i));
+                sw.record(&table, i, sad(i));
             }
         });
         (sw, scored)
@@ -1008,7 +1235,9 @@ mod tests {
                         .collect();
                     want.sort_unstable();
                     want.truncate(SAD_CANDIDATES);
-                    assert_eq!(sw.top(), &want[..], "{name}");
+                    let got: Vec<(u64, u8)> =
+                        sw.top().iter().map(|&k| (k >> 8, key_mode(k))).collect();
+                    assert_eq!(got, want, "{name}");
                 }
             }
         }
@@ -1026,7 +1255,7 @@ mod tests {
                 _ => 1000,
             };
             let (sw, _) = sweep(modes, 0, sad);
-            assert_eq!(sw.top()[0].0, 0, "angle {target}");
+            assert_eq!(sw.top()[0] >> 8, 0, "angle {target}");
         }
     }
 }

@@ -142,9 +142,13 @@ impl Frame {
     pub fn read_block(&self, x0: usize, y0: usize, size: usize, out: &mut [i32]) {
         assert!(x0 + size <= self.width && y0 + size <= self.height);
         assert!(out.len() >= size * size);
-        for y in 0..size {
-            for x in 0..size {
-                out[y * size + x] = i32::from(self.data[(y0 + y) * self.width + (x0 + x)]);
+        if size == 0 {
+            return;
+        }
+        let rows = self.data[y0 * self.width..].chunks_exact(self.width);
+        for (row, o) in rows.zip(out.chunks_exact_mut(size)).take(size) {
+            for (o, &p) in o.iter_mut().zip(&row[x0..x0 + size]) {
+                *o = i32::from(p);
             }
         }
     }
@@ -156,10 +160,14 @@ impl Frame {
     /// Panics if the block exceeds the frame.
     pub fn write_block(&mut self, x0: usize, y0: usize, size: usize, block: &[i32]) {
         assert!(x0 + size <= self.width && y0 + size <= self.height);
-        for y in 0..size {
-            for x in 0..size {
-                self.data[(y0 + y) * self.width + (x0 + x)] =
-                    block[y * size + x].clamp(0, 255) as u8;
+        assert!(block.len() >= size * size);
+        if size == 0 {
+            return;
+        }
+        let rows = self.data[y0 * self.width..].chunks_exact_mut(self.width);
+        for (row, b) in rows.zip(block.chunks_exact(size)).take(size) {
+            for (o, &v) in row[x0..x0 + size].iter_mut().zip(b) {
+                *o = v.clamp(0, 255) as u8;
             }
         }
     }

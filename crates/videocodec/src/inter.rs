@@ -82,19 +82,18 @@ pub fn motion_search(
     (best, best_cost)
 }
 
-/// Builds the motion-compensated prediction block for `mv` in `out`,
-/// resized to `n × n`: the encoder and decoder predict every inter leaf
-/// into their scratch.
+/// Builds the motion-compensated prediction block for `mv` in `out`, its
+/// row-major `n × n` block: the encoder and decoder predict every inter
+/// leaf into a fixed-size block.
 pub fn compensate(
     reference: &Frame,
     x0: usize,
     y0: usize,
     n: usize,
     mv: MotionVector,
-    out: &mut Vec<i32>,
+    out: &mut [i32],
 ) {
-    out.resize(n * n, 0);
-    for (y, row) in out.chunks_exact_mut(n).enumerate() {
+    for (y, row) in out.chunks_exact_mut(n).take(n).enumerate() {
         for (x, o) in row.iter_mut().enumerate() {
             *o = reference.get_clamped(
                 isize::try_from(x0 + x).unwrap_or(isize::MAX) + isize::from(mv.dx),
@@ -130,7 +129,7 @@ mod tests {
         let (mv, _) = motion_search(&cur, &reference, 24, 24, 16);
         assert_eq!((mv.dx, mv.dy), (-3, -2));
         // Compensation with the found MV reproduces the block exactly.
-        let mut pred = Vec::new();
+        let mut pred = vec![0; 16 * 16];
         compensate(&reference, 24, 24, 16, mv, &mut pred);
         for y in 0..16 {
             for x in 0..16 {
@@ -160,9 +159,10 @@ mod tests {
             MotionVector { dx: -5, dy: -5 },
             &mut pred,
         );
-        // All reads clamp to the frame's top-left region; first pixel is (0,0).
+        // All reads clamp to the frame's top-left region; first pixel is
+        // (0,0). Only the 8 × 8 block is written.
         assert_eq!(pred[0], reference.get(0, 0) as i32);
-        assert_eq!(pred.len(), 64);
+        assert!(pred[64..].iter().all(|&p| p == 7));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Prediction always reads *reconstructed* neighbour pixels, so encoder
 //! and decoder compute identical predictions.
 
-use crate::Frame;
+use crate::{Block, Frame};
 
 /// An intra prediction mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,47 +100,67 @@ fn inv_angle(a: i32) -> i32 {
     }
 }
 
-/// Largest block edge the reference arrays are sized for.
-const MAX_N: usize = 32;
-
-/// Reference samples around an `n × n` block, prepared from the
+/// Reference samples around an `N × N` block, prepared from the
 /// reconstructed frame with HEVC-style substitution for unavailable edges.
-/// Fixed-size arrays: gathering allocates nothing.
+/// Fixed-size arrays: gathering allocates nothing. Samples are pixels
+/// (`0..=255`) held as `i16`, so the line kernels run in 16-bit lanes:
+/// every intermediate of the angular blend (`31 · 255` at most) and every
+/// difference against the original fits, so the values are those of
+/// `i32` arithmetic.
 #[derive(Debug, Clone)]
-pub struct RefSamples {
-    n: usize,
-    corner: i32,
-    /// `top[i]` = reconstructed pixel at `(x0 + i, y0 - 1)`, `i` in `0..2n`.
-    top: [i32; 2 * MAX_N],
-    /// `left[i]` = reconstructed pixel at `(x0 - 1, y0 + i)`, `i` in `0..2n`.
-    left: [i32; 2 * MAX_N],
+pub(crate) struct Refs<const N: usize> {
+    corner: i16,
+    /// Flattened, `top[i]` = reconstructed pixel at `(x0 + i, y0 - 1)`,
+    /// `i` in `0..2N`.
+    top: [[i16; N]; 2],
+    /// Flattened, `left[i]` = reconstructed pixel at `(x0 - 1, y0 + i)`,
+    /// `i` in `0..2N`.
+    left: [[i16; N]; 2],
+}
+
+/// Reference samples around an `n × n` block of any codec size: the
+/// public face of the fixed-size references the codec predicts from,
+/// which it holds at the block's size.
+#[derive(Debug, Clone)]
+pub struct RefSamples(SizedRefs);
+
+#[derive(Debug, Clone)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "every variant is a stack block; boxing the large ones would allocate per gather"
+)]
+enum SizedRefs {
+    N4(Refs<4>),
+    N8(Refs<8>),
+    N16(Refs<16>),
+    N32(Refs<32>),
 }
 
 /// Receives a prediction one line at a time. Line `j` is row `j` of the
 /// block, or column `j` when `cols` is set (horizontal angular modes,
 /// whose reference edge is the left column); `values` yields its `N`
-/// samples in order. Writing a block ([`RefSamples::predict_into`]) and
-/// scoring one against the leaf ([`RefSamples::sad_sweep`]) are the two
-/// sinks, so both run the identical per-sample arithmetic.
+/// samples in order. Writing a block ([`Refs::predict`]) and scoring one
+/// against the leaf ([`Refs::sad_sweep`]) are the two sinks, so both run
+/// the identical per-sample arithmetic.
 trait LineSink<const N: usize> {
-    fn line(&mut self, j: usize, cols: bool, values: impl Iterator<Item = i32>);
+    fn line(&mut self, j: usize, cols: bool, values: impl Iterator<Item = i16>);
 }
 
-/// Stores lines into a row-major `N × N` block.
-struct BlockSink<'a> {
-    out: &'a mut [i32],
+/// Stores lines into the rows of a block.
+struct BlockSink<'a, const N: usize> {
+    out: &'a mut [[i32; N]],
 }
 
-impl<const N: usize> LineSink<N> for BlockSink<'_> {
+impl<const N: usize> LineSink<N> for BlockSink<'_, N> {
     #[inline(always)]
-    fn line(&mut self, j: usize, cols: bool, values: impl Iterator<Item = i32>) {
+    fn line(&mut self, j: usize, cols: bool, values: impl Iterator<Item = i16>) {
         if cols {
-            for (o, v) in self.out[j..].iter_mut().step_by(N).zip(values) {
-                *o = v;
+            for (row, v) in self.out.iter_mut().zip(values) {
+                row[j] = i32::from(v);
             }
         } else {
-            for (o, v) in self.out[j * N..(j + 1) * N].iter_mut().zip(values) {
-                *o = v;
+            for (o, v) in self.out[j].iter_mut().zip(values) {
+                *o = i32::from(v);
             }
         }
     }
@@ -148,25 +168,32 @@ impl<const N: usize> LineSink<N> for BlockSink<'_> {
 
 /// Sums `|leaf - prediction|` line by line: rows against the leaf, columns
 /// against its transpose, so every comparison reads contiguously.
-struct SadSink<'a> {
-    leaf: &'a [i32],
-    leaf_t: &'a [i32],
+struct SadSink<'a, const N: usize> {
+    leaf: &'a [[i16; N]; N],
+    leaf_t: &'a [[i16; N]; N],
     sum: u64,
 }
 
-impl<const N: usize> LineSink<N> for SadSink<'_> {
+impl<const N: usize> LineSink<N> for SadSink<'_, N> {
     #[inline(always)]
-    fn line(&mut self, j: usize, cols: bool, values: impl Iterator<Item = i32>) {
-        let src = if cols { self.leaf_t } else { self.leaf };
+    fn line(&mut self, j: usize, cols: bool, values: impl Iterator<Item = i16>) {
+        let src = if cols { &self.leaf_t[j] } else { &self.leaf[j] };
         // A line differs by at most 255 per sample over at most 32
         // samples, so its sum fits u32 (which packs more lanes than u64).
-        let line: u32 = src[j * N..(j + 1) * N]
+        let line: u32 = src
             .iter()
             .zip(values)
-            .map(|(&o, v)| (o - v).unsigned_abs())
+            .map(|(&o, v)| u32::from((o - v).unsigned_abs()))
             .sum();
         self.sum += u64::from(line);
     }
+}
+
+/// A pixel-range value (`0..=255`, or a 1/32-pel position) as the `i16`
+/// the line kernels run in; every caller's value fits.
+#[inline(always)]
+fn pixel(v: i32) -> i16 {
+    i16::try_from(v).unwrap_or(0)
 }
 
 /// The angular interpolation kernel shared by block writes and the SAD
@@ -175,7 +202,7 @@ impl<const N: usize> LineSink<N> for SadSink<'_> {
 /// `((32 - frac)·a + frac·b + 16) >> 5`, rewritten with one multiply:
 /// `32·a` is a multiple of 32, so it leaves the arithmetic shift as `a`.
 #[inline(always)]
-fn angular_line<'r>(a: &'r [i32], b: &'r [i32], frac: i32) -> impl Iterator<Item = i32> + 'r {
+fn angular_line<'r>(a: &'r [i16], b: &'r [i16], frac: i16) -> impl Iterator<Item = i16> + 'r {
     a.iter()
         .zip(b)
         .map(move |(&a, &b)| a + ((frac * (b - a) + 16) >> 5))
@@ -192,61 +219,34 @@ fn angular_line<'r>(a: &'r [i32], b: &'r [i32], frac: i32) -> impl Iterator<Item
 /// angle projects the side reference into `x < 0` in place, and writes
 /// every negative slot its lines then read (`x > (N·angle) >> 5`), so one
 /// array serves all of a direction's modes, in any order: a slot no mode
-/// wrote is never read. `4N >= 3N + 2` for every block size, and sizing
-/// the array by the block keeps its initialisation small for small
-/// blocks.
-type RefLine<const N: usize> = [[i32; N]; 4];
-
-/// Both directions' extended reference lines ([`RefLine`]) at the largest
-/// block size: the SAD sweep's workspace. A coder keeps one and
-/// [`RefSamples::sad_sweep`] refills its prefix once per block, however
-/// many sweep steps then score modes against it.
-#[derive(Debug, Clone)]
-pub(crate) struct SweepLines {
-    vert: [i32; 4 * MAX_N],
-    horz: [i32; 4 * MAX_N],
-}
-
-impl Default for SweepLines {
-    fn default() -> Self {
-        SweepLines {
-            vert: [0; 4 * MAX_N],
-            horz: [0; 4 * MAX_N],
-        }
-    }
-}
+/// wrote is never read. `4N >= 3N + 2` for every block size.
+type RefLine<const N: usize> = [[i16; N]; 4];
 
 /// The intra SAD sweep of one block against its original: the block's
-/// reference samples and both directions' reference lines, built once
-/// ([`RefSamples::sad_sweep`]).
-pub(crate) struct SadSweep<'a> {
-    refs: &'a RefSamples,
-    lines: &'a mut SweepLines,
-    /// The `n × n` original (row-major) and its transpose.
-    leaf: &'a [i32],
-    leaf_t: &'a [i32],
+/// reference samples, both directions' reference lines and the
+/// original's transpose, built once ([`Refs::sad_sweep`]) for every
+/// [`SadSweep::score`] call that follows.
+pub(crate) struct SadSweep<'a, const N: usize> {
+    refs: &'a Refs<N>,
+    vert: RefLine<N>,
+    horz: RefLine<N>,
+    /// The original and its transpose (horizontal modes compare
+    /// column-wise against it), as pixels in `i16`.
+    leaf: [[i16; N]; N],
+    leaf_t: [[i16; N]; N],
 }
 
-impl SadSweep<'_> {
+impl<const N: usize> SadSweep<'_, N> {
     /// Calls `score(i, sad)` with the sum of absolute differences between
     /// `modes[i]`'s prediction and the leaf, for every index `i` of
     /// `which` in order, without building any prediction block. Each SAD
-    /// equals that of [`RefSamples::predict_into`]'s block by
-    /// construction: both run the same line kernels.
+    /// equals that of [`Refs::predict`]'s block by construction: both run
+    /// the same line kernels.
     ///
     /// # Panics
     ///
     /// Panics if an index of `which` is out of range of `modes`.
-    pub(crate) fn score(&mut self, modes: &[PredMode], which: &[u8], score: impl FnMut(u8, u64)) {
-        match self.refs.n {
-            4 => self.run::<4>(modes, which, score),
-            8 => self.run::<8>(modes, which, score),
-            16 => self.run::<16>(modes, which, score),
-            _ => self.run::<32>(modes, which, score),
-        }
-    }
-
-    fn run<const N: usize>(
+    pub(crate) fn score(
         &mut self,
         modes: &[PredMode],
         which: &[u8],
@@ -256,20 +256,20 @@ impl SadSweep<'_> {
         for &i in which {
             let mode = modes[usize::from(i)];
             let mut sink = SadSink {
-                leaf: self.leaf,
-                leaf_t: self.leaf_t,
+                leaf: &self.leaf,
+                leaf_t: &self.leaf_t,
                 sum: 0,
             };
             match mode {
                 PredMode::Angular(m) => {
                     let line = if is_vertical(m) {
-                        &mut self.lines.vert
+                        &mut self.vert
                     } else {
-                        &mut self.lines.horz
+                        &mut self.horz
                     };
-                    refs.angular_lines::<N, _>(m, &mut line[..4 * N], &mut sink);
+                    refs.angular_lines(m, line.as_flattened_mut(), &mut sink);
                 }
-                _ => refs.lines::<N, _>(mode, &mut sink),
+                _ => refs.lines(mode, &mut sink),
             }
             score(i, sink.sum);
         }
@@ -277,67 +277,38 @@ impl SadSweep<'_> {
 }
 
 impl RefSamples {
-    /// Gathers reference samples for the block at `(x0, y0)`.
+    /// Gathers reference samples for the `n × n` block at `(x0, y0)`.
     ///
     /// Samples right of / below the frame are edge-replicated; when a whole
     /// side is unavailable (frame boundary) it is substituted from the
     /// other side, or 128 if neither exists.
     ///
-    /// `n` is a block size of the codec's profiles: 4, 8, 16 or 32.
-    ///
     /// # Panics
     ///
-    /// Panics if `n > 32`.
+    /// Panics if `n` is not a block size of the codec's profiles: 4, 8,
+    /// 16 or 32.
     pub fn gather(recon: &Frame, x0: usize, y0: usize, n: usize) -> Self {
-        debug_assert!(
-            crate::transform::SIZES.contains(&n),
-            "blocks are 4x4, 8x8, 16x16 or 32x32"
-        );
-        let have_top = y0 > 0;
-        let have_left = x0 > 0;
-        let (w, h) = (recon.width(), recon.height());
-
-        let mut r = RefSamples {
-            n,
-            corner: 128,
-            top: [128; 2 * MAX_N],
-            left: [128; 2 * MAX_N],
-        };
-        let top = &mut r.top[..2 * n];
-        let left = &mut r.left[..2 * n];
-
-        match (have_top, have_left) {
-            (false, false) => {}
-            (true, false) => {
-                for (i, t) in top.iter_mut().enumerate() {
-                    *t = recon.get((x0 + i).min(w - 1), y0 - 1) as i32;
-                }
-                r.corner = top[0];
-                left.fill(r.corner);
-            }
-            (false, true) => {
-                for (i, l) in left.iter_mut().enumerate() {
-                    *l = recon.get(x0 - 1, (y0 + i).min(h - 1)) as i32;
-                }
-                r.corner = left[0];
-                top.fill(r.corner);
-            }
-            (true, true) => {
-                for (i, t) in top.iter_mut().enumerate() {
-                    *t = recon.get((x0 + i).min(w - 1), y0 - 1) as i32;
-                }
-                for (i, l) in left.iter_mut().enumerate() {
-                    *l = recon.get(x0 - 1, (y0 + i).min(h - 1)) as i32;
-                }
-                r.corner = recon.get(x0 - 1, y0 - 1) as i32;
-            }
-        }
-        r
+        RefSamples(match n {
+            4 => SizedRefs::N4(Refs::gather(recon, x0, y0)),
+            8 => SizedRefs::N8(Refs::gather(recon, x0, y0)),
+            16 => SizedRefs::N16(Refs::gather(recon, x0, y0)),
+            32 => SizedRefs::N32(Refs::gather(recon, x0, y0)),
+            #[allow(
+                clippy::panic,
+                reason = "block sizes come from profile constants, never from bitstream input"
+            )]
+            _ => panic!("unsupported block size {n}"),
+        })
     }
 
     /// Block size the references were gathered for.
     pub fn size(&self) -> usize {
-        self.n
+        match self.0 {
+            SizedRefs::N4(_) => 4,
+            SizedRefs::N8(_) => 8,
+            SizedRefs::N16(_) => 16,
+            SizedRefs::N32(_) => 32,
+        }
     }
 
     /// Computes the prediction block (row-major `n × n`) for `mode`.
@@ -351,106 +322,166 @@ impl RefSamples {
     /// predict many blocks and would otherwise allocate one per call.
     pub fn predict_into(&self, mode: PredMode, out: &mut Vec<i32>) {
         // Every sample is written by exactly one line; resizing only sizes.
-        out.resize(self.n * self.n, 0);
-        let mut sink = BlockSink { out };
-        match self.n {
-            4 => self.lines::<4, _>(mode, &mut sink),
-            8 => self.lines::<8, _>(mode, &mut sink),
-            16 => self.lines::<16, _>(mode, &mut sink),
-            _ => self.lines::<32, _>(mode, &mut sink),
+        let n = self.size();
+        out.resize(n * n, 0);
+        match &self.0 {
+            SizedRefs::N4(r) => r.predict_rows(mode, out.as_chunks_mut().0),
+            SizedRefs::N8(r) => r.predict_rows(mode, out.as_chunks_mut().0),
+            SizedRefs::N16(r) => r.predict_rows(mode, out.as_chunks_mut().0),
+            SizedRefs::N32(r) => r.predict_rows(mode, out.as_chunks_mut().0),
         }
+    }
+}
+
+impl<const N: usize> Refs<N> {
+    /// Gathers reference samples for the `N × N` block at `(x0, y0)`; see
+    /// [`RefSamples::gather`].
+    pub(crate) fn gather(recon: &Frame, x0: usize, y0: usize) -> Self {
+        debug_assert!(
+            crate::transform::SIZES.contains(&N),
+            "blocks are 4x4, 8x8, 16x16 or 32x32"
+        );
+        let (w, h) = (recon.width(), recon.height());
+        let mut r = Refs {
+            corner: 128,
+            top: [[128; N]; 2],
+            left: [[128; N]; 2],
+        };
+        let fill_top = |top: &mut [[i16; N]; 2]| {
+            for (i, t) in top.as_flattened_mut().iter_mut().enumerate() {
+                *t = i16::from(recon.get((x0 + i).min(w - 1), y0 - 1));
+            }
+        };
+        let fill_left = |left: &mut [[i16; N]; 2]| {
+            for (i, l) in left.as_flattened_mut().iter_mut().enumerate() {
+                *l = i16::from(recon.get(x0 - 1, (y0 + i).min(h - 1)));
+            }
+        };
+        match (y0 > 0, x0 > 0) {
+            (false, false) => {}
+            (true, false) => {
+                fill_top(&mut r.top);
+                r.corner = r.top[0][0];
+                r.left = [[r.corner; N]; 2];
+            }
+            (false, true) => {
+                fill_left(&mut r.left);
+                r.corner = r.left[0][0];
+                r.top = [[r.corner; N]; 2];
+            }
+            (true, true) => {
+                fill_top(&mut r.top);
+                fill_left(&mut r.left);
+                r.corner = i16::from(recon.get(x0 - 1, y0 - 1));
+            }
+        }
+        r
+    }
+
+    /// Writes `mode`'s prediction into `out`, its `N` rows.
+    fn predict_rows(&self, mode: PredMode, out: &mut [[i32; N]]) {
+        self.lines(mode, &mut BlockSink { out });
+    }
+
+    /// The prediction block of `mode`.
+    pub(crate) fn predict(&self, mode: PredMode) -> Block<N> {
+        let mut out = [[0; N]; N];
+        self.predict_rows(mode, &mut out);
+        out
     }
 
     /// Starts the intra mode sweep of this block against `leaf`, its
-    /// `n × n` original (row-major), and `leaf_t`, the transpose: fills
-    /// both directions' reference lines into `lines` once, for every
-    /// [`SadSweep::score`] call that follows.
-    pub(crate) fn sad_sweep<'a>(
-        &'a self,
-        lines: &'a mut SweepLines,
-        leaf: &'a [i32],
-        leaf_t: &'a [i32],
-    ) -> SadSweep<'a> {
-        let n = self.n;
-        self.fill_ref_line(true, n, &mut lines.vert);
-        self.fill_ref_line(false, n, &mut lines.horz);
+    /// original: fills both directions' reference lines and the
+    /// original's transpose once, for every [`SadSweep::score`] call that
+    /// follows.
+    pub(crate) fn sad_sweep(&self, leaf: &Block<N>) -> SadSweep<'_, N> {
+        let mut vert = [[0; N]; 4];
+        let mut horz = [[0; N]; 4];
+        self.fill_ref_line(true, &mut vert);
+        self.fill_ref_line(false, &mut horz);
+        let leaf = leaf.map(|row| row.map(pixel));
+        let mut leaf_t = [[0; N]; N];
+        for (y, row) in leaf.iter().enumerate() {
+            for (t, &v) in leaf_t.iter_mut().zip(row) {
+                t[y] = v;
+            }
+        }
         SadSweep {
             refs: self,
-            lines,
+            vert,
+            horz,
             leaf,
             leaf_t,
         }
     }
 
-    /// Feeds `mode`'s prediction to `sink`, line by line, for blocks of
-    /// edge `N` (= `self.n`: the size is a type parameter so every line
-    /// loop has a fixed trip count).
+    /// Feeds `mode`'s prediction to `sink`, line by line; the size is a
+    /// type parameter, so every line loop has a fixed trip count.
     #[inline(always)]
-    fn lines<const N: usize, S: LineSink<N>>(&self, mode: PredMode, sink: &mut S) {
-        debug_assert_eq!(N, self.n, "line kernels dispatched on the wrong size");
+    fn lines<S: LineSink<N>>(&self, mode: PredMode, sink: &mut S) {
         match mode {
-            PredMode::Dc => self.dc_lines::<N, S>(sink),
-            PredMode::Planar => self.planar_lines::<N, S>(sink),
+            PredMode::Dc => self.dc_lines(sink),
+            PredMode::Planar => self.planar_lines(sink),
             PredMode::Angular(m) => {
                 let mut line: RefLine<N> = [[0; N]; 4];
-                self.fill_ref_line(is_vertical(m), N, line.as_flattened_mut());
-                self.angular_lines::<N, S>(m, line.as_flattened_mut(), sink);
+                self.fill_ref_line(is_vertical(m), &mut line);
+                self.angular_lines(m, line.as_flattened_mut(), sink);
             }
-            PredMode::Paeth => self.paeth_lines::<N, S>(sink),
-            PredMode::Smooth => self.smooth_lines::<N, S>(true, true, sink),
-            PredMode::SmoothV => self.smooth_lines::<N, S>(true, false, sink),
-            PredMode::SmoothH => self.smooth_lines::<N, S>(false, true, sink),
+            PredMode::Paeth => self.paeth_lines(sink),
+            PredMode::Smooth => self.smooth_lines(true, true, sink),
+            PredMode::SmoothV => self.smooth_lines(true, false, sink),
+            PredMode::SmoothH => self.smooth_lines(false, true, sink),
         }
     }
 
-    fn dc_lines<const N: usize, S: LineSink<N>>(&self, sink: &mut S) {
-        let sum: i32 = self.top[..N].iter().sum::<i32>() + self.left[..N].iter().sum::<i32>();
+    fn dc_lines<S: LineSink<N>>(&self, sink: &mut S) {
+        let sum: i32 = self.top[0]
+            .iter()
+            .chain(&self.left[0])
+            .map(|&s| i32::from(s))
+            .sum();
         // Blocks are at most 32×32, so the size always fits i32.
         let ni = i32::try_from(N).unwrap_or(32);
-        let dc = (sum + ni) / (2 * ni);
+        let dc = pixel((sum + ni) / (2 * ni));
         for j in 0..N {
             sink.line(j, false, std::iter::repeat_n(dc, N));
         }
     }
 
-    fn planar_lines<const N: usize, S: LineSink<N>>(&self, sink: &mut S) {
+    fn planar_lines<S: LineSink<N>>(&self, sink: &mut S) {
         // Blocks are at most 32×32, so the size always fits i32.
         let ni = i32::try_from(N).unwrap_or(32);
         let shift = N.trailing_zeros() + 1;
         debug_assert!(shift <= 6, "blocks are at most 32x32");
-        let tr = self.top[N]; // first top-right sample
-        let bl = self.left[N]; // first bottom-left sample
-        for ((j, yi), &l) in (0..N).zip(0..ni).zip(&self.left[..N]) {
-            let row = (0..ni).zip(&self.top[..N]).map(move |(xi, &t)| {
+        let tr = i32::from(self.top[1][0]); // first top-right sample
+        let bl = i32::from(self.left[1][0]); // first bottom-left sample
+        for ((j, yi), &l) in (0..N).zip(0..ni).zip(&self.left[0]) {
+            let l = i32::from(l);
+            let row = (0..ni).zip(&self.top[0]).map(move |(xi, &t)| {
                 let h = (ni - 1 - xi) * l + (xi + 1) * tr;
-                let v = (ni - 1 - yi) * t + (yi + 1) * bl;
-                (h + v + ni) >> shift
+                let v = (ni - 1 - yi) * i32::from(t) + (yi + 1) * bl;
+                pixel((h + v + ni) >> shift)
             });
             sink.line(j, false, row);
         }
     }
 
-    /// Writes the direction-fixed part of the extended reference for
-    /// blocks of edge `n` (see [`RefLine`]) into `arr`, flattened; the
-    /// negative part is left for `angular_lines`.
-    fn fill_ref_line(&self, vertical: bool, n: usize, arr: &mut [i32]) {
+    /// Writes the direction-fixed part of the extended reference (see
+    /// [`RefLine`]) into `arr`; the negative part is left for
+    /// `angular_lines`.
+    fn fill_ref_line(&self, vertical: bool, arr: &mut RefLine<N>) {
         // Main reference runs along the prediction direction's source edge.
         let main = if vertical { &self.top } else { &self.left };
-        arr[n] = self.corner;
-        arr[n + 1..=3 * n].copy_from_slice(&main[..2 * n]);
-        arr[3 * n + 1] = main[2 * n - 1];
+        let arr = arr.as_flattened_mut();
+        arr[N] = self.corner;
+        arr[N + 1..=3 * N].copy_from_slice(main.as_flattened());
+        arr[3 * N + 1] = main[1][N - 1];
     }
 
     /// Angular mode `mode` over `ref_arr`, the flattened extended
-    /// reference of the mode's direction ([`RefLine`], at least `4N`
-    /// long): projects the side reference for negative angles, then feeds
-    /// the `N` lines to `sink`.
-    fn angular_lines<const N: usize, S: LineSink<N>>(
-        &self,
-        mode: u8,
-        ref_arr: &mut [i32],
-        sink: &mut S,
-    ) {
+    /// reference of the mode's direction ([`RefLine`]): projects the side
+    /// reference for negative angles, then feeds the `N` lines to `sink`.
+    fn angular_lines<S: LineSink<N>>(&self, mode: u8, ref_arr: &mut [i16], sink: &mut S) {
         assert!((2..=34).contains(&mode), "angular mode {mode} out of range");
         let angle = ANGLES[mode as usize - 2];
         // The HEVC angle table spans ±32; the projection arithmetic below
@@ -458,7 +489,7 @@ impl RefSamples {
         debug_assert!((-32..=32).contains(&angle), "angle table out of range");
         let vertical = is_vertical(mode);
         // The side reference extends the main one for negative angles.
-        let side = if vertical { &self.left } else { &self.top };
+        let side = if vertical { &self.left } else { &self.top }.as_flattened();
 
         debug_assert!((4..=32).contains(&N), "blocks are 4x4 to 32x32");
         debug_assert!(ref_arr.len() >= 4 * N, "reference line too short");
@@ -486,7 +517,8 @@ impl RefSamples {
             // j indexes rows for vertical modes, columns for horizontal.
             let pos = jj * angle;
             let int_part = pos >> 5;
-            let frac = pos & 31;
+            // `pos & 31` is a 1/32-pel position, so it fits i16.
+            let frac = pixel(pos & 31);
             // Sample i reads ref[i + int_part + 1] and the one after it;
             // `-N <= int_part <= N`, so the line spans ref_arr[1..=3N+1].
             let base = usize::try_from(int_part + 1 + off).unwrap_or(0);
@@ -496,10 +528,10 @@ impl RefSamples {
         }
     }
 
-    fn paeth_lines<const N: usize, S: LineSink<N>>(&self, sink: &mut S) {
+    fn paeth_lines<S: LineSink<N>>(&self, sink: &mut S) {
         let c = self.corner;
-        for (j, &l) in self.left[..N].iter().enumerate() {
-            let row = self.top[..N].iter().map(move |&t| {
+        for (j, &l) in self.left[0].iter().enumerate() {
+            let row = self.top[0].iter().map(move |&t| {
                 let base = t + l - c;
                 let (dt, dl, dc) = ((base - t).abs(), (base - l).abs(), (base - c).abs());
                 if dt <= dl && dt <= dc {
@@ -517,15 +549,17 @@ impl RefSamples {
     /// Linear-weight smooth predictor ("AV1-like"; AV1 proper uses a
     /// quadratic weight table — the behaviour is equivalent for our
     /// purposes and documented in DESIGN.md).
-    fn smooth_lines<const N: usize, S: LineSink<N>>(&self, use_v: bool, use_h: bool, sink: &mut S) {
-        let bl = self.left[N]; // bottom-left anchor
-        let tr = self.top[N]; // top-right anchor
-                              // Blocks are at most 32×32, so the size always fits i32.
+    fn smooth_lines<S: LineSink<N>>(&self, use_v: bool, use_h: bool, sink: &mut S) {
+        let bl = i32::from(self.left[1][0]); // bottom-left anchor
+        let tr = i32::from(self.top[1][0]); // top-right anchor
+                                            // Blocks are at most 32×32, so the size always fits i32.
         let ni = i32::try_from(N).unwrap_or(32);
         // 256 at i = 0 decaying linearly to 64 at i = n-1.
         let w = move |i: i32| -> i32 { (256 - (192 * i) / ni).max(64) };
-        for ((j, yi), &l) in (0..N).zip(0..ni).zip(&self.left[..N]) {
-            let row = (0..ni).zip(&self.top[..N]).map(move |(xi, &t)| {
+        for ((j, yi), &l) in (0..N).zip(0..ni).zip(&self.left[0]) {
+            let l = i32::from(l);
+            let row = (0..ni).zip(&self.top[0]).map(move |(xi, &t)| {
+                let t = i32::from(t);
                 let mut acc = 0i32;
                 let mut den = 0i32;
                 if use_v {
@@ -536,7 +570,7 @@ impl RefSamples {
                     acc += w(xi) * l + (256 - w(xi)) * tr;
                     den += 256;
                 }
-                (acc + den / 2) / den
+                pixel((acc + den / 2) / den)
             });
             sink.line(j, false, row);
         }
@@ -555,14 +589,42 @@ mod tests {
         PredMode::av1_set()
     }
 
-    /// The reference SAD: build the block with `predict_into`, then sum.
-    fn sad_of_block(refs: &RefSamples, mode: PredMode, leaf: &[i32]) -> u64 {
-        let mut pred = Vec::new();
-        refs.predict_into(mode, &mut pred);
-        leaf.iter()
-            .zip(&pred)
-            .map(|(&a, &b)| u64::from((a - b).unsigned_abs()))
-            .sum()
+    /// The SAD of every mode at every position of an `N × N` block, as
+    /// the sweep scores it and from the predicted block.
+    fn check_fused_sad<const N: usize>(f: &Frame, modes: &[PredMode]) {
+        // Frame corner, top edge, left edge, interior (right/bottom
+        // references run past the frame edge at the last position).
+        for (x0, y0) in [(0, 0), (N, 0), (0, N), (96 - N, 96 - N), (32, 32)] {
+            let refs = Refs::<N>::gather(f, x0, y0);
+            // Score against a block other than the one predicted, so the
+            // SAD is large and every sample contributes.
+            let mut leaf = [[0; N]; N];
+            f.read_block(96 - N - x0 / 2, y0 / 3, N, leaf.as_flattened_mut());
+            // One sweep scores every mode twice, forwards then backwards:
+            // a negative angle's projection never leaks into a later
+            // mode, whatever the order.
+            let all: Vec<u8> = (0..modes.len() as u8).collect();
+            let backwards: Vec<u8> = all.iter().rev().copied().collect();
+            let mut sweep = refs.sad_sweep(&leaf);
+            let mut sads = Vec::new();
+            sweep.score(modes, &all, |i, sad| sads.push((i, sad)));
+            sweep.score(modes, &backwards, |i, sad| sads.push((i, sad)));
+            let want: Vec<(u8, u64)> = all
+                .iter()
+                .chain(&backwards)
+                .map(|&i| {
+                    let pred = refs.predict(modes[usize::from(i)]);
+                    let sad = leaf
+                        .as_flattened()
+                        .iter()
+                        .zip(pred.as_flattened())
+                        .map(|(&a, &b)| u64::from((a - b).unsigned_abs()))
+                        .sum();
+                    (i, sad)
+                })
+                .collect();
+            assert_eq!(sads, want, "n={N} at ({x0},{y0})");
+        }
     }
 
     #[test]
@@ -578,49 +640,10 @@ mod tests {
         });
         let mut modes = crate::Profile::h265().modes().to_vec();
         modes.extend_from_slice(crate::Profile::av1().modes());
-        let leaf_of = |n: usize| {
-            let mut leaf = vec![0i32; n * n];
-            f.read_block(0, 0, n, &mut leaf);
-            leaf
-        };
-        for n in [4usize, 8, 16, 32] {
-            // Frame corner, top edge, left edge, interior (right/bottom
-            // references run past the frame edge at the last position).
-            for (x0, y0) in [(0, 0), (n, 0), (0, n), (96 - n, 96 - n), (32, 32)] {
-                let refs = RefSamples::gather(&f, x0, y0, n);
-                let mut leaf = vec![0i32; n * n];
-                // Score against a block other than the one predicted, so
-                // the SAD is large and every sample contributes.
-                f.read_block(96 - n - x0 / 2, y0 / 3, n, &mut leaf);
-                let mut leaf_t = vec![0i32; n * n];
-                for y in 0..n {
-                    for x in 0..n {
-                        leaf_t[x * n + y] = leaf[y * n + x];
-                    }
-                }
-                // One sweep scores every mode twice, forwards then
-                // backwards, over lines a larger block left behind: a
-                // negative angle's projection never leaks into a later
-                // mode, whatever the order.
-                let mut lines = SweepLines::default();
-                let all: Vec<u8> = (0..modes.len() as u8).collect();
-                let backwards: Vec<u8> = all.iter().rev().copied().collect();
-                let big = leaf_of(32);
-                RefSamples::gather(&f, 0, 0, 32)
-                    .sad_sweep(&mut lines, &big, &big)
-                    .score(&modes, &all, |_, _| {});
-                let mut sweep = refs.sad_sweep(&mut lines, &leaf, &leaf_t);
-                let mut sads = Vec::new();
-                sweep.score(&modes, &all, |i, sad| sads.push((i, sad)));
-                sweep.score(&modes, &backwards, |i, sad| sads.push((i, sad)));
-                let want: Vec<(u8, u64)> = all
-                    .iter()
-                    .chain(&backwards)
-                    .map(|&i| (i, sad_of_block(&refs, modes[usize::from(i)], &leaf)))
-                    .collect();
-                assert_eq!(sads, want, "n={n} at ({x0},{y0})");
-            }
-        }
+        check_fused_sad::<4>(&f, &modes);
+        check_fused_sad::<8>(&f, &modes);
+        check_fused_sad::<16>(&f, &modes);
+        check_fused_sad::<32>(&f, &modes);
     }
 
     #[test]
@@ -773,7 +796,7 @@ mod tests {
         let refs = RefSamples::gather(&f, 8, 8, 8);
         let pred = refs.predict(PredMode::Angular(18));
         // pred[0][0] should equal the corner-adjacent diagonal source.
-        assert_eq!(pred[0], refs.corner);
+        assert_eq!(pred[0], i32::from(f.get(7, 7)));
         assert!(pred.iter().all(|&p| (0..=255).contains(&p)));
     }
 

@@ -86,6 +86,13 @@ pub use frame::Frame;
 pub use llm265_bitstream::CodecError;
 pub use profile::{PipelineConfig, Profile, ProfileKind};
 
+/// A square `N × N` block of samples, row-major: the fixed-size unit of
+/// every kernel below the encoder's leaf dispatch and of the one
+/// reconstruction (`recon::Recon`). Stable Rust has no `[_; N * N]`, so
+/// a kernel that wants the samples in one run reads
+/// `block.as_flattened()`.
+pub(crate) type Block<const N: usize> = [[i32; N]; N];
+
 /// Encoder configuration: profile, pipeline switches and base QP.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CodecConfig {

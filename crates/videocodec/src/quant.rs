@@ -6,6 +6,8 @@
 //! 6 QP, exactly as in H.264/H.265. Fractional bitrates — the paper's
 //! headline versatility feature — fall out of sweeping QP continuously.
 
+use crate::Block;
+
 /// Quantization parameter range. H.265 uses 0..=51 for 8-bit video.
 pub const QP_MIN: f64 = 0.0;
 /// Upper end of the QP range.
@@ -98,6 +100,16 @@ impl Quantizer {
         for (o, &c) in out.iter_mut().zip(coeffs) {
             *o = self.quantize(c);
         }
+    }
+
+    /// Quantizes one fixed-size block: each value through
+    /// [`Self::quantize`], widened to `f64` first (exactly, from the
+    /// forward kernel's `f32` coefficients or a transform-skip residual).
+    pub(crate) fn quantize_fixed<T: Into<f64>, const N: usize>(
+        &self,
+        block: [[T; N]; N],
+    ) -> Block<N> {
+        block.map(|row| row.map(|c| self.quantize(c.into())))
     }
 
     /// Dequantizes a whole level block.

@@ -5,22 +5,18 @@
 //! order (as H.265 does), so significant coefficients cluster at the start
 //! of the scan and the "last significant position" syntax element is small.
 
-use std::sync::OnceLock;
-
 /// Returns the diagonal scan order for an `n × n` block: scan position →
-/// `(x, y)`. DC is first.
+/// raster index `y·n + x`. DC is first.
 ///
 /// # Panics
 ///
 /// Panics if `n` is not 4, 8, 16 or 32.
-pub fn diagonal(n: usize) -> &'static [(u8, u8)] {
-    static SCANS: OnceLock<[Vec<(u8, u8)>; 4]> = OnceLock::new();
-    let scans = SCANS.get_or_init(|| [build(4), build(8), build(16), build(32)]);
+pub fn diagonal(n: usize) -> &'static [u16] {
     match n {
-        4 => &scans[0],
-        8 => &scans[1],
-        16 => &scans[2],
-        32 => &scans[3],
+        4 => raster::<4>(),
+        8 => raster::<8>(),
+        16 => raster::<16>(),
+        32 => raster::<32>(),
         #[allow(
             clippy::panic,
             reason = "scan sizes come from profile constants (powers of two in 4..=32), \
@@ -30,20 +26,29 @@ pub fn diagonal(n: usize) -> &'static [(u8, u8)] {
     }
 }
 
-fn build(n: usize) -> Vec<(u8, u8)> {
-    let mut order = Vec::with_capacity(n * n);
+/// The diagonal scan of an `N × N` block as raster indices, a table
+/// built at compile time.
+fn raster<const N: usize>() -> &'static [u16] {
+    const { &build::<N>() }.as_flattened()
+}
+
+const fn build<const N: usize>() -> [[u16; N]; N] {
+    let mut order = [[0u16; N]; N];
+    let mut p = 0;
     // Up-right diagonals: within diagonal d = x + y, go from bottom-left
     // (large y) to top-right, matching HEVC's diagScan.
-    for d in 0..2 * n - 1 {
-        for y in (0..n).rev() {
-            if d >= y {
-                let x = d - y;
-                if x < n {
-                    // `n <= 32`, so coordinates always fit a byte.
-                    order.push(((x & 0xFF) as u8, (y & 0xFF) as u8));
-                }
+    let mut d = 0;
+    while d + 1 < 2 * N {
+        let mut y = N;
+        while y > 0 {
+            y -= 1;
+            if d >= y && d - y < N {
+                // `N <= 32`, so a raster index always fits 16 bits.
+                order[p / N][p % N] = ((y * N + d - y) & 0xFFFF) as u16;
+                p += 1;
             }
         }
+        d += 1;
     }
     order
 }
@@ -58,9 +63,9 @@ mod tests {
             let scan = diagonal(n);
             assert_eq!(scan.len(), n * n);
             let mut seen = vec![false; n * n];
-            for &(x, y) in scan {
-                let idx = y as usize * n + x as usize;
-                assert!(!seen[idx], "duplicate at ({x},{y})");
+            for &idx in scan {
+                let idx = usize::from(idx);
+                assert!(!seen[idx], "duplicate at {idx}");
                 seen[idx] = true;
             }
             assert!(seen.iter().all(|&s| s));
@@ -70,7 +75,7 @@ mod tests {
     #[test]
     fn dc_is_first() {
         for &n in &[4usize, 8, 16, 32] {
-            assert_eq!(diagonal(n)[0], (0, 0));
+            assert_eq!(diagonal(n)[0], 0);
         }
     }
 
@@ -78,8 +83,8 @@ mod tests {
     fn diagonals_are_monotonic() {
         let scan = diagonal(8);
         let mut prev_d = 0;
-        for &(x, y) in scan {
-            let d = x as usize + y as usize;
+        for &idx in scan {
+            let d = usize::from(idx % 8 + idx / 8);
             assert!(d >= prev_d, "diagonal went backwards");
             prev_d = d;
         }
@@ -88,7 +93,7 @@ mod tests {
     #[test]
     fn four_by_four_matches_reference() {
         // HEVC up-right diagonal scan for 4x4.
-        let expect: Vec<(u8, u8)> = vec![
+        let expect: Vec<(u16, u16)> = vec![
             (0, 0),
             (0, 1),
             (1, 0),
@@ -106,6 +111,7 @@ mod tests {
             (3, 2),
             (3, 3),
         ];
+        let expect: Vec<u16> = expect.iter().map(|&(x, y)| y * 4 + x).collect();
         assert_eq!(diagonal(4), expect.as_slice());
     }
 }

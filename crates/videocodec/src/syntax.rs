@@ -342,7 +342,7 @@ pub fn code_levels<S: BinSink>(
     // Last significant position in scan order, searched from the end.
     let last = scan_order
         .iter()
-        .rposition(|&(x, y)| levels[usize::from(y) * n + usize::from(x)] != 0);
+        .rposition(|&i| levels[usize::from(i)] != 0);
 
     let cbf_ctx = spatial as usize;
     match last {
@@ -356,8 +356,8 @@ pub fn code_levels<S: BinSink>(
 
             // Rice parameter adapts within the TU.
             let mut rice_k: u32 = if spatial { 3 } else { 0 };
-            for (p, &(x, y)) in scan_order.iter().enumerate().take(last + 1) {
-                let v = levels[usize::from(y) * n + usize::from(x)];
+            for (p, &i) in scan_order.iter().enumerate().take(last + 1) {
+                let v = levels[usize::from(i)];
                 if p < last {
                     let sig = v != 0;
                     let ci = sig_ctx_index(p, n);
@@ -394,24 +394,27 @@ pub fn parse_residual<D: BinSource>(
     n: usize,
     spatial: bool,
 ) -> Result<Vec<i32>, CodecError> {
-    let mut levels = Vec::new();
+    let mut levels = vec![0; n * n];
     parse_levels(dec, ctxs, n, spatial, &mut levels)?;
     Ok(levels)
 }
 
 /// Parses one TU's levels (inverse of [`code_levels`]) into `levels`,
-/// which it resets to `n × n` zeros first: the decoder parses every TU
-/// into its scratch.
+/// its `n × n` raster block, which it zeroes first: the decoder parses
+/// every TU of a leaf into its fixed-size scratch.
+///
+/// # Panics
+///
+/// Panics if `levels` is shorter than `n × n`.
 pub fn parse_levels<D: BinSource>(
     dec: &mut D,
     ctxs: &mut Contexts,
     n: usize,
     spatial: bool,
-    levels: &mut Vec<i32>,
+    levels: &mut [i32],
 ) -> Result<(), CodecError> {
     let scan_order = scan::diagonal(n);
-    levels.clear();
-    levels.resize(n * n, 0);
+    levels.fill(0);
 
     let cbf_ctx = spatial as usize;
     if !dec.bit(&mut ctxs.cbf[cbf_ctx]) {
@@ -421,7 +424,7 @@ pub fn parse_levels<D: BinSource>(
     let last = last.min(n * n - 1);
 
     let mut rice_k: u32 = if spatial { 3 } else { 0 };
-    for (p, &(x, y)) in scan_order.iter().enumerate().take(last + 1) {
+    for (p, &i) in scan_order.iter().enumerate().take(last + 1) {
         let sig = if p < last {
             dec.bit(&mut ctxs.sig[sig_ctx_index(p, n)])
         } else {
@@ -444,7 +447,7 @@ pub fn parse_levels<D: BinSource>(
         // A hostile remainder can exceed i32::MAX; saturate instead of
         // wrapping the magnitude into a sign-flipped level.
         let mag = i32::try_from(mag).unwrap_or(i32::MAX);
-        levels[usize::from(y) * n + usize::from(x)] = if neg { -mag } else { mag };
+        levels[usize::from(i)] = if neg { -mag } else { mag };
     }
     Ok(())
 }

@@ -29,9 +29,13 @@
 //! every accumulator row through memory once per summation index, and
 //! bound their distance from an `f64` textbook DCT.
 //!
-//! The callers' buffers stay `f64`: a block's residuals (at most ±255)
-//! and every coefficient convert to `f32` on entry (exactly, resp. with
-//! one rounding), and the results convert back exactly.
+//! The codec runs the passes on fixed-size stack blocks
+//! ([`DctPlan::forward_block`], [`DctPlan::inverse_block`]), one
+//! instantiation per edge, so every loop has a constant trip count. The
+//! public slice API ([`DctPlan::forward_into`], [`DctPlan::inverse_into`])
+//! wraps the same passes and keeps `f64` buffers: a block's residuals (at
+//! most ±255) and every coefficient convert to `f32` on entry (exactly,
+//! resp. with one rounding), and the results convert back exactly.
 //!
 //! # No libm rounding
 //!
@@ -51,6 +55,7 @@
 use std::sync::OnceLock;
 
 use crate::lanes::round_i32;
+use crate::Block;
 
 /// Supported transform sizes.
 pub const SIZES: [usize; 4] = [4, 8, 16, 32];
@@ -88,15 +93,10 @@ fn product<const N: usize, const W: usize>(a: &[f32], b: &[f32], c: &mut [f32]) 
     }
 }
 
-/// Forward 2-D DCT of one block: rows, then columns. `tmp` holds `2 N²`
-/// values: the block as `f32`, then pass 2's output over it, and pass 1's
-/// output.
-fn forward_passes<const N: usize, const W: usize>(
-    plan: &DctPlan,
-    block: &[i32],
-    tmp: &mut [f32],
-    out: &mut [f64],
-) {
+/// Forward 2-D DCT of one `N × N` block: rows, then columns. `tmp`
+/// holds `2 N²` values: the block as `f32`, then pass 2's output over
+/// it (the coefficients, left in `tmp[..N²]`), and pass 1's output.
+fn forward_passes<const N: usize, const W: usize>(plan: &DctPlan, block: &[i32], tmp: &mut [f32]) {
     let (io, rows) = tmp.split_at_mut(N * N);
     // Residuals are small integers, which convert exactly.
     for (o, &v) in io.iter_mut().zip(block) {
@@ -106,28 +106,43 @@ fn forward_passes<const N: usize, const W: usize>(
     product::<N, W>(io, plan.basis_t, rows);
     // Pass 2 (columns): io[k][x] = sum_i basis[k][i] * rows[i][x].
     product::<N, W>(plan.basis, rows, io);
-    for (o, &s) in out.iter_mut().zip(&*io) {
-        *o = f64::from(s);
-    }
 }
 
-/// Inverse 2-D DCT of one block up to its unrounded sums, which it
-/// returns. `tmp` holds `2 N²` values: the coefficients as `f32`, then
-/// pass 2's output over them, and pass 1's output.
-fn inverse_passes<'t, const N: usize, const W: usize>(
-    plan: &DctPlan,
-    coeffs: &[f64],
-    tmp: &'t mut [f32],
-) -> &'t [f32] {
+/// Inverse 2-D DCT of one `N × N` block up to its unrounded sums. `tmp`
+/// holds `2 N²` values: the coefficients as `f32` on entry, pass 2's
+/// output over them (the sums, left in `tmp[..N²]`), and pass 1's
+/// output.
+fn inverse_passes<const N: usize, const W: usize>(plan: &DctPlan, tmp: &mut [f32]) {
     let (io, cols) = tmp.split_at_mut(N * N);
-    for (o, &v) in io.iter_mut().zip(coeffs) {
-        *o = v as f32;
-    }
     // Pass 1 (columns): cols[i][x] = sum_k basis[k][i] * coeffs[k][x].
     product::<N, W>(plan.basis_t, io, cols);
     // Pass 2 (rows): io[y][i] = sum_k cols[y][k] * basis[k][i].
     product::<N, W>(cols, plan.basis, io);
-    io
+}
+
+/// [`forward_passes`] at edge `N` with its output tile width: 4 columns
+/// at `n = 4`, 8 above. `N` is a constant, so the match folds away.
+#[inline(always)]
+fn forward_sums<const N: usize>(plan: &DctPlan, block: &[i32], tmp: &mut [f32]) {
+    debug_assert_eq!(plan.n, N, "plan dispatched on the wrong size");
+    match N {
+        4 => forward_passes::<4, 4>(plan, block, tmp),
+        8 => forward_passes::<8, 8>(plan, block, tmp),
+        16 => forward_passes::<16, 8>(plan, block, tmp),
+        _ => forward_passes::<32, 8>(plan, block, tmp),
+    }
+}
+
+/// [`inverse_passes`] at edge `N`, as [`forward_sums`].
+#[inline(always)]
+fn inverse_sums<const N: usize>(plan: &DctPlan, tmp: &mut [f32]) {
+    debug_assert_eq!(plan.n, N, "plan dispatched on the wrong size");
+    match N {
+        4 => inverse_passes::<4, 4>(plan, tmp),
+        8 => inverse_passes::<8, 8>(plan, tmp),
+        16 => inverse_passes::<16, 8>(plan, tmp),
+        _ => inverse_passes::<32, 8>(plan, tmp),
+    }
 }
 
 /// The orthonormal DCT-II basis of one size and its transpose, as
@@ -231,7 +246,8 @@ impl DctPlan {
     /// [`Self::forward`] into caller-owned buffers, for hot loops that
     /// transform many blocks. `tmp` is workspace, `out` receives the
     /// coefficients; both are resized as needed. The arithmetic (and so
-    /// the result, bit for bit) is identical to [`Self::forward`].
+    /// the result, bit for bit) is that of the codec's fixed-size
+    /// kernel, [`Self::forward_block`].
     ///
     /// # Panics
     ///
@@ -241,12 +257,15 @@ impl DctPlan {
         assert_eq!(block.len(), n * n);
         // Every slot is overwritten by the passes; resizing only sizes.
         tmp.resize(2 * n * n, 0.0);
-        out.resize(n * n, 0.0);
         match n {
-            4 => forward_passes::<4, 4>(self, block, tmp, out),
-            8 => forward_passes::<8, 8>(self, block, tmp, out),
-            16 => forward_passes::<16, 8>(self, block, tmp, out),
-            _ => forward_passes::<32, 8>(self, block, tmp, out),
+            4 => forward_sums::<4>(self, block, tmp),
+            8 => forward_sums::<8>(self, block, tmp),
+            16 => forward_sums::<16>(self, block, tmp),
+            _ => forward_sums::<32>(self, block, tmp),
+        }
+        out.resize(n * n, 0.0);
+        for (o, &s) in out.iter_mut().zip(&tmp[..n * n]) {
+            *o = f64::from(s);
         }
     }
 
@@ -266,30 +285,56 @@ impl DctPlan {
     }
 
     /// [`Self::inverse`] into caller-owned buffers — same contract as
-    /// [`Self::forward_into`].
+    /// [`Self::forward_into`]; the kernel is [`Self::inverse_block`]'s.
     ///
     /// # Panics
     ///
     /// Panics if `coeffs.len() != n * n`.
     pub fn inverse_into(&self, coeffs: &[f64], tmp: &mut Vec<f32>, out: &mut Vec<i32>) {
-        out.resize(self.n * self.n, 0);
+        let n = self.n;
+        self.inverse_sums_into(coeffs, tmp);
+        out.resize(n * n, 0);
         // Rounding as a separate flat loop, which vectorizes.
-        for (o, &s) in out.iter_mut().zip(self.inverse_sums(coeffs, tmp)) {
+        for (o, &s) in out.iter_mut().zip(&tmp[..n * n]) {
             *o = round_i32(f64::from(s));
         }
     }
 
-    /// The inverse's unrounded sums, in `tmp`.
-    fn inverse_sums<'t>(&self, coeffs: &[f64], tmp: &'t mut Vec<f32>) -> &'t [f32] {
+    /// The inverse's unrounded sums, in `tmp[..n²]`.
+    fn inverse_sums_into(&self, coeffs: &[f64], tmp: &mut Vec<f32>) {
         let n = self.n;
         assert_eq!(coeffs.len(), n * n);
         tmp.resize(2 * n * n, 0.0);
-        match n {
-            4 => inverse_passes::<4, 4>(self, coeffs, tmp),
-            8 => inverse_passes::<8, 8>(self, coeffs, tmp),
-            16 => inverse_passes::<16, 8>(self, coeffs, tmp),
-            _ => inverse_passes::<32, 8>(self, coeffs, tmp),
+        for (t, &c) in tmp.iter_mut().zip(coeffs) {
+            *t = c as f32;
         }
+        match n {
+            4 => inverse_sums::<4>(self, tmp),
+            8 => inverse_sums::<8>(self, tmp),
+            16 => inverse_sums::<16>(self, tmp),
+            _ => inverse_sums::<32>(self, tmp),
+        }
+    }
+
+    /// The codec's forward kernel: the 2-D DCT of one `N × N` block
+    /// (`N` = this plan's size), on the stack, as `f32` coefficients.
+    pub(crate) fn forward_block<const N: usize>(&self, block: &Block<N>) -> [[f32; N]; N] {
+        let mut tmp = [[[0.0f32; N]; N]; 2];
+        forward_sums::<N>(
+            self,
+            block.as_flattened(),
+            tmp.as_flattened_mut().as_flattened_mut(),
+        );
+        tmp[0]
+    }
+
+    /// The codec's inverse kernel: `coeffs` (dequantized levels rounded
+    /// once to `f32`) back to residuals, each rounded half away from
+    /// zero.
+    pub(crate) fn inverse_block<const N: usize>(&self, coeffs: [[f32; N]; N]) -> Block<N> {
+        let mut tmp = [coeffs, [[0.0f32; N]; N]];
+        inverse_sums::<N>(self, tmp.as_flattened_mut().as_flattened_mut());
+        tmp[0].map(|row| row.map(|s| round_i32(f64::from(s))))
     }
 }
 
@@ -338,22 +383,23 @@ impl Default for DctPlans {
     }
 }
 
-/// Sum of absolute Hadamard-transformed differences between two `n × n`
-/// row-major blocks: the encoder's mode-ranking cost, which tracks the
+/// Sum of absolute Hadamard-transformed differences between two `N × N`
+/// blocks: the encoder's mode-ranking cost, which tracks the
 /// bits a residual costs after the transform better than its SAD. A 4×4
 /// block is one 4×4 tile; larger blocks are tiled 8×8. Each tile's sum of
 /// `|H·D·H|` (`H` the ±1 Sylvester–Hadamard matrix, `D` the difference)
 /// is normalised as in the HM reference encoder, `(Σ + 1) >> 1` for 4×4
 /// and `(Σ + 2) >> 2` for 8×8, so both sizes sit on one scale. Integer
 /// throughout: a coefficient is at most 64 · 255 in magnitude.
-pub(crate) fn satd(a: &[i32], b: &[i32], n: usize) -> u64 {
-    if n == 4 {
+pub(crate) fn satd<const N: usize>(a: &Block<N>, b: &Block<N>) -> u64 {
+    let (a, b) = (a.as_flattened(), b.as_flattened());
+    if N == 4 {
         return (hadamard_tile::<4>(a, b, 4, 0, 0) + 1) >> 1;
     }
     let mut sum = 0;
-    for y0 in (0..n).step_by(8) {
-        for x0 in (0..n).step_by(8) {
-            sum += (hadamard_tile::<8>(a, b, n, x0, y0) + 2) >> 2;
+    for y0 in (0..N).step_by(8) {
+        for x0 in (0..N).step_by(8) {
+            sum += (hadamard_tile::<8>(a, b, N, x0, y0) + 2) >> 2;
         }
     }
     sum
@@ -405,6 +451,62 @@ fn fwht<const N: usize>(v: &mut [i32; N]) {
 mod tests {
     use super::*;
     use llm265_tensor::rng::Pcg32;
+
+    /// A row-major `n × n` slice as a fixed-size block.
+    fn block<const N: usize>(v: &[i32]) -> Block<N> {
+        let mut b = [[0; N]; N];
+        b.as_flattened_mut().copy_from_slice(v);
+        b
+    }
+
+    /// [`satd`] of two row-major `n × n` slices.
+    fn satd_of(a: &[i32], b: &[i32], n: usize) -> u64 {
+        fn at<const N: usize>(a: &[i32], b: &[i32]) -> u64 {
+            satd::<N>(&block(a), &block(b))
+        }
+        match n {
+            4 => at::<4>(a, b),
+            8 => at::<8>(a, b),
+            16 => at::<16>(a, b),
+            _ => at::<32>(a, b),
+        }
+    }
+
+    /// The fixed-size kernels the codec runs and the public slice
+    /// wrappers agree bit for bit.
+    #[test]
+    fn block_kernels_match_the_slice_wrappers() {
+        fn at<const N: usize>(rng: &mut Pcg32) {
+            let plan = DctPlan::new(N);
+            let res: Vec<i32> = (0..N * N).map(|_| rng.below(511) as i32 - 255).collect();
+            let coeffs = plan.forward_block::<N>(&block(&res));
+            let want: Vec<u64> = plan.forward(&res).iter().map(|c| c.to_bits()).collect();
+            let got: Vec<u64> = coeffs
+                .as_flattened()
+                .iter()
+                .map(|&c| f64::from(c).to_bits())
+                .collect();
+            assert_eq!(got, want, "forward n={N}");
+            let as_f64: Vec<f64> = coeffs
+                .as_flattened()
+                .iter()
+                .map(|&c| f64::from(c))
+                .collect();
+            let back = plan.inverse_block::<N>(coeffs);
+            assert_eq!(
+                back.as_flattened(),
+                &plan.inverse(&as_f64)[..],
+                "inverse n={N}"
+            );
+        }
+        let mut rng = Pcg32::seed_from(5);
+        for _ in 0..10 {
+            at::<4>(&mut rng);
+            at::<8>(&mut rng);
+            at::<16>(&mut rng);
+            at::<32>(&mut rng);
+        }
+    }
 
     /// SATD against its definition: the direct product `H·D·H` with the
     /// ±1 Sylvester–Hadamard matrix, per tile, normalised the same way.
@@ -479,7 +581,7 @@ mod tests {
                 (&zeros, &checker),
                 (&r1, &r1),
             ] {
-                assert_eq!(satd(a, b, n), reference(a, b, n), "n={n}");
+                assert_eq!(satd_of(a, b, n), reference(a, b, n), "n={n}");
             }
         }
     }
@@ -642,11 +744,8 @@ mod tests {
                     .collect(),
             ];
             for coeffs in &inputs {
-                let sums: Vec<f64> = plan
-                    .inverse_sums(coeffs, &mut tmp)
-                    .iter()
-                    .map(|&s| f64::from(s))
-                    .collect();
+                plan.inverse_sums_into(coeffs, &mut tmp);
+                let sums: Vec<f64> = tmp[..n * n].iter().map(|&s| f64::from(s)).collect();
                 let diff = max_diff(&sums, &textbook(n, coeffs, false));
                 let tol = f32_pass_bound(n, largest(coeffs));
                 assert!(diff <= tol, "inverse n={n}: {diff} > {tol}");

@@ -130,6 +130,104 @@ fn all_pipeline_configs_are_deterministic() {
     }
 }
 
+/// A smooth ramp with a little texture: flat enough that large leaves
+/// win (H.264's 16×16 CUs then code four 8×8 TUs), textured enough that
+/// small ones do too.
+fn ramp_frame(shift: usize, w: usize, h: usize) -> Frame {
+    Frame::from_fn(w, h, |x, y| {
+        let x = x + shift;
+        ((x * 3 + y * 2) / 2 + (x * y) % 7) as u8
+    })
+}
+
+/// Golden hashes of every pipeline switch combination on every profile
+/// at one QP: the FNV-1a of the whole stream, one per profile ×
+/// pipeline byte. These pin the paths the video-stream goldens above do
+/// not reach: the fixed 8×8 grid (adaptive partition off), transform
+/// skip, intra off, and H.264's multi-TU leaves. The second frame is
+/// the first moved one pixel, so the inter bytes code P-frame leaves.
+#[test]
+fn every_pipeline_matches_its_golden_hash() {
+    let frames = [ramp_frame(0, 48, 40), ramp_frame(1, 48, 40)];
+    let cases: [(Profile, [u64; PipelineConfig::COUNT as usize]); 3] = [
+        (
+            Profile::h264(),
+            [
+                0x7a9a_a0b3_17f3_9b74,
+                0xacc5_98c0_9e00_2606,
+                0xd095_d135_5909_771e,
+                0x915b_7286_04e4_d595,
+                0xd104_6519_785d_1081,
+                0x574c_75c8_7700_e4d7,
+                0x9b04_5064_f71e_e85b,
+                0x6266_b7c0_63ee_d5c7,
+                0x6eea_ef3b_cf4f_3a20,
+                0x71a9_3fe9_a2a6_6762,
+                0xc04a_d741_2de5_67ef,
+                0x2aec_f2c4_2fb1_c8c5,
+                0x362a_6daa_0b8b_5d4c,
+                0x3f04_e862_ca70_c510,
+                0x7bfd_e05a_5c1a_4319,
+                0x2775_a5a7_f825_7dfd,
+            ],
+        ),
+        (
+            Profile::h265(),
+            [
+                0xfa87_2c88_3671_e476,
+                0x7573_1a2e_ef7e_bf71,
+                0x7def_97ab_7022_f6ca,
+                0x4220_393e_557d_18a5,
+                0x73a9_e0c8_37b8_ab42,
+                0x5df3_70d6_153f_291e,
+                0x9f6a_1737_615e_e12b,
+                0x6f86_ad09_e3b6_0cb1,
+                0x3c2d_d852_acf9_210d,
+                0xa655_f596_94c0_9217,
+                0x2f36_5016_dfc5_b1e4,
+                0x888f_dd1d_0e77_cd38,
+                0xcec3_a2d8_af5b_cd26,
+                0xcf70_a3d5_0871_c1e6,
+                0x1951_0e23_a338_0125,
+                0x3480_8393_2cb6_858d,
+            ],
+        ),
+        (
+            Profile::av1(),
+            [
+                0x707a_fba9_4920_31c3,
+                0xf13e_36bd_7f73_ff09,
+                0xb235_a0eb_b2ba_85e3,
+                0xc254_1f7c_e390_1ee3,
+                0x9c56_bafd_5721_1167,
+                0x9500_6518_5cde_8d0a,
+                0xb8ab_efa7_1fcf_d666,
+                0xc623_2b31_3d2d_e05a,
+                0x6a94_6507_47eb_8538,
+                0x2ea4_f907_faa5_45cf,
+                0xf664_f65f_c88a_d958,
+                0xcec3_5f6b_d10c_e458,
+                0x0927_e424_48bc_4242,
+                0xb801_6d10_a9fd_a6ad,
+                0x2aac_a1d6_26f2_0676,
+                0x5560_3859_4680_d86c,
+            ],
+        ),
+    ];
+    for (profile, golden) in cases {
+        let name = profile.kind().name();
+        for (byte, &want) in (0..PipelineConfig::COUNT).zip(&golden) {
+            let pipeline = PipelineConfig::from_byte(byte).expect("defined switches");
+            let cfg = CodecConfig::default()
+                .with_profile(profile.clone())
+                .with_pipeline(pipeline)
+                .with_qp(30.0);
+            let enc = encode_video(&frames, &cfg).expect("encode");
+            assert_eq!(fnv1a(&enc.bytes), want, "{name} pipeline byte {byte}");
+        }
+    }
+}
+
 /// Decode must be deterministic too: the same stream decodes to the same
 /// frames on every run.
 #[test]

@@ -1128,11 +1128,47 @@ pub(crate) fn is_call(trees: &[Tree], k: usize) -> bool {
         .is_some_and(|g| g.delim == '(')
 }
 
-/// A reader call of a wire primitive anywhere in the trees.
+/// A reader call of a wire primitive in the trees. A call that supplies
+/// the value — an operand, or the tail of a branch arm — is preferred
+/// over one in an `if`/`match`/`while` header, which only picks the arm:
+/// in `if dec.bit(c) { prev } else { dec.bypass_bits(6) }` the value
+/// comes from `bypass_bits`. A header read is the answer only when no
+/// value-supplying read exists.
 pub(crate) fn find_source_call(trees: &[Tree]) -> Option<String> {
-    find_ident(trees, &|ts, k, name| {
-        (vocab::reader(name).is_some() && is_call(ts, k)).then(|| name.to_string())
+    value_source_call(trees).or_else(|| {
+        find_ident(trees, &|ts, k, name| {
+            (vocab::reader(name).is_some() && is_call(ts, k)).then(|| name.to_string())
+        })
     })
+}
+
+/// [`find_source_call`] outside control-flow headers.
+fn value_source_call(trees: &[Tree]) -> Option<String> {
+    let mut k = 0;
+    while k < trees.len() {
+        match &trees[k] {
+            Tree::Group(g) => {
+                if let Some(m) = value_source_call(&g.trees) {
+                    return Some(m);
+                }
+            }
+            Tree::Leaf(tok) if tok.kind == Kind::Ident => {
+                let name = tok.text.as_str();
+                if matches!(name, "if" | "match" | "while") {
+                    if let Some(b) = find_block(trees, k + 1) {
+                        k = b;
+                        continue;
+                    }
+                }
+                if vocab::reader(name).is_some() && is_call(trees, k) {
+                    return Some(name.to_string());
+                }
+            }
+            Tree::Leaf(_) => {}
+        }
+        k += 1;
+    }
+    None
 }
 
 /// Whether `trees[k]` projects through `.len()`-style bookkeeping only.

@@ -142,6 +142,22 @@ mod tests {
         assert!(v.is_empty(), "{v:?}");
     }
 
+    /// The value of `idx` comes from the `bypass_bits` run in the else
+    /// arm; the `bit` in the `if` header only picks the arm, so the
+    /// witness starts at the run.
+    #[test]
+    fn a_value_read_in_an_arm_outranks_the_header_read() {
+        let v = check(
+            "const T: [u8; 64] = [0; 64];\n\
+             fn parse_mode<D: BinSource>(dec: &mut D, c: &mut Prob, prev: u8) -> u8 {\n    \
+             let idx = if dec.bit(&mut c) { prev } else { dec.bypass_bits(6) as u8 };\n    \
+             T[usize::from(idx)]\n}\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("slice index"), "{}", v[0].message);
+        assert_eq!(v[0].chain[0], "bypass_bits()", "{:?}", v[0].chain);
+    }
+
     #[test]
     fn allow_marker_suppresses() {
         let v = check(
